@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
-                     GridMismatchError, InvalidSpeedsError,
-                     KernelConvergenceError, PreconditionError,
+                     GridMismatchError, InvalidSpeedsError, PreconditionError,
                      RootBracketError, SpeedOrderError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
@@ -27,8 +26,7 @@ from .simulator import export_sim_csv, simulate
 
 _USAGE_ERRORS = (ConfigError, PreconditionError, DomainError, CFLError,
                  InvalidSpeedsError, SpeedOrderError, GridMismatchError)
-_RUN_ERRORS = (KernelConvergenceError, DivergenceError, RootBracketError,
-               UndefinedRateError)
+_RUN_ERRORS = (DivergenceError, RootBracketError, UndefinedRateError)
 
 
 def _outdir(args, cfg=None) -> str:
@@ -64,7 +62,7 @@ def _cmd_kernels(args) -> int:
     export_profile_csv(os.path.join(outdir, "g.csv"), K.grid.nodes, {"g": g})
     export_profile_csv(os.path.join(outdir, "gains.csv"), law.nodes,
                        {"f1": law.f1, "f2": law.f2})
-    print(f"kernel solve: iterations={K.iterations} residual={K.residual:.12g}")
+    print(f"kernel solve: defect={K.residual:.12g}")
     print(f"wrote kernels.csv, g.csv, gains.csv to {outdir}")
     return 0
 

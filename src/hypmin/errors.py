@@ -17,15 +17,6 @@ class GridMismatchError(ValueError):
     """Sampled fields do not live on the grid an operation expects."""
 
 
-class KernelConvergenceError(RuntimeError):
-    """Kernel solver exhausted max_iter before the update dropped below tol."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
 class CFLError(ValueError):
     """Requested time step violates the CFL stability bound."""
 

@@ -50,8 +50,6 @@ class ScenarioConfig:
     system: SystemSpec
     grid: Grid
     cfl: float
-    kernel_tol: float
-    kernel_max_iter: int
     horizon: float
     initial: dict
     control: dict
@@ -136,23 +134,51 @@ def _coeff_from_dict(d, name: str) -> CoefficientSpec:
             return CoefficientSpec.sampled(d["xs"], d["values"])
     except KeyError as exc:
         raise ConfigError(f"coefficient '{name}' ({fam}) is missing field {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"coefficient '{name}': {exc}") from exc
     raise ConfigError(f"coefficient '{name}' has unknown family '{fam}'")
 
 
+def _number(d: dict, key: str, convert=float, default=None):
+    """d[key] (or default when absent) converted by convert, finite or ConfigError."""
+    if key not in d:
+        if default is None:
+            raise ConfigError(f"config is missing required field '{key}'")
+        return default
+    try:
+        val = convert(d[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a finite number, got {d[key]!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number, got {d[key]!r}")
+    return val
+
+
+def _record(d: dict, key: str, default: dict) -> dict:
+    val = d.get(key, default)
+    if not isinstance(val, dict):
+        raise ConfigError(f"{key} must be an object, got {val!r}")
+    return val
+
+
 def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig:
+    """Validated scenario config from its parsed JSON record.
+
+    Every malformed, missing or non-finite value raises ConfigError before
+    any computation.  The schema-v1 keys kernel_tol and kernel_max_iter are
+    accepted and ignored: the kernel solve takes one pass and has no
+    iteration to tune.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    try:
-        sys_d = raw["system"]
-        grid_n = int(raw["grid_n"])
-        horizon = float(raw["horizon"])
-    except KeyError as exc:
-        raise ConfigError(f"config is missing required field {exc}") from exc
+    if "system" not in raw:
+        raise ConfigError("config is missing required field 'system'")
+    sys_d = _record(raw, "system", {})
+    grid_n = _number(raw, "grid_n", int)
+    horizon = _number(raw, "horizon")
     if grid_n < 8:
         raise ConfigError(f"grid_n must be at least 8, got {grid_n}")
     if horizon <= 0.0:
@@ -168,8 +194,8 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         coeffs[name] = _coeff_from_dict(sys_d.get(name, {"family": "constant", "value": 0.0}),
                                         name)
     system = SystemSpec(speeds=speeds, a=coeffs["a"], b=coeffs["b"],
-                        c=coeffs["c"], d=coeffs["d"], q=float(sys_d.get("q", 0.0)))
-    cfl = float(raw.get("cfl", 0.9))
+                        c=coeffs["c"], d=coeffs["d"], q=_number(sys_d, "q", float, 0.0))
+    cfl = _number(raw, "cfl", float, 0.9)
     if not 0.0 < cfl <= 1.0:
         raise ConfigError(f"cfl must lie in (0,1], got {cfl}")
     return ScenarioConfig(
@@ -177,12 +203,10 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         system=system,
         grid=Grid.uniform(grid_n),
         cfl=cfl,
-        kernel_tol=float(raw.get("kernel_tol", 1e-10)),
-        kernel_max_iter=int(raw.get("kernel_max_iter", 200)),
         horizon=horizon,
-        initial=raw.get("initial_data", {"kind": "random"}),
-        control=raw.get("control", {"kind": "feedback"}),
-        seed=int(raw.get("seed", 42)),
+        initial=_record(raw, "initial_data", {"kind": "random"}),
+        control=_record(raw, "control", {"kind": "feedback"}),
+        seed=_number(raw, "seed", int, 42),
         output_dir=str(raw.get("output_dir", "out")),
     )
 
@@ -258,8 +282,7 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
 def _synthesize(cfg: ScenarioConfig, grid: Grid):
     gauge = diag_removal(cfg.system.a, cfg.system.b, cfg.system.c, cfg.system.d,
                          cfg.system.speeds, grid)
-    K = solve_kernels(gauge, cfg.system.speeds, None, grid,
-                      tol=cfg.kernel_tol, max_iter=cfg.kernel_max_iter)
+    K = solve_kernels(gauge, cfg.system.speeds, None, grid)
     return gauge, K
 
 
@@ -278,7 +301,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None, threshold_rel: float = 0.0
     relative L2 residual decreases roughly like h across the levels and is
     below threshold_rel on the finest grid.  Requires horizon >= Tmin.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
     if cfg.horizon < tr.Tmin - 1e-12:
         raise PreconditionError(
@@ -298,8 +321,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None, threshold_rel: float = 0.0
         res_rel = res_abs / norm0
         rows.append({"n": nk, "h": grid_k.h, "residual_rel": float(res_rel),
                      "residual_abs": float(res_abs), "y0_norm": float(norm0),
-                     "kernel_residual": K.residual,
-                     "kernel_iterations": K.iterations})
+                     "kernel_residual": K.residual})
         residuals.append(res_rel)
     ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
               for i in range(len(residuals) - 1)]
@@ -308,7 +330,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None, threshold_rel: float = 0.0
         scenario_id=cfg.scenario_id, kind="settling", tmin=tr.Tmin,
         requested_time=cfg.horizon, rows=rows, ratios=ratios,
         thresholds={"residual_rel_finest": threshold_rel, "ratio_max": ratio_max},
-        passed=bool(passed), runtime=time.time() - t_start)
+        passed=bool(passed), runtime=time.perf_counter() - t_start)
 
 
 def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
@@ -414,7 +436,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None,
     """
     if cfg.system.q != 0.0:
         raise PreconditionError("sharpness check assumes the zero reflection q=0")
-    t_start = time.time()
+    t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
     margin = margin_factor * tr.Tunif
     rows = []
@@ -452,7 +474,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None,
         requested_time=T, rows=rows, ratios=ratios,
         thresholds={"floor_rel": floor_rel, "drop_rel": drop_rel,
                     "margin": margin},
-        passed=bool(passed), runtime=time.time() - t_start,
+        passed=bool(passed), runtime=time.perf_counter() - t_start,
         notes=f"side={side}")
 
 
@@ -530,7 +552,7 @@ def counterexample(k: float, n: int = 800, horizon: float = 2.5,
     couplings b = c = pi, simulates it, and compares the measured exponential
     growth rate with the predicted eigenvalue sigma.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     theta, sigma = solve_counterexample_branch(k)
     grid = Grid.uniform(n)
     xs = grid.nodes
@@ -560,6 +582,6 @@ def counterexample(k: float, n: int = 800, horizon: float = 2.5,
         rows=[{"n": n, "rate": float(rate), "sigma": float(sigma),
                "theta": float(theta), "rel_err": float(rel_err)}],
         ratios=[], thresholds={"rate_rel_tol": rel_tol},
-        passed=bool(rel_err <= rel_tol), runtime=time.time() - t_start)
+        passed=bool(rel_err <= rel_tol), runtime=time.perf_counter() - t_start)
     return CounterexampleResult(k=k, theta=theta, sigma=sigma,
                                 y0=(y10, y20), report=report)

@@ -14,8 +14,12 @@ satisfies an ODE whose right-hand side involves only the partner kernel
 (the speed-derivative terms cancel exactly).  All four characteristic
 families are monotone in x, so the solver marches column by column in x
 with first-order explicit steps, re-sampling each column to the triangular
-grid by linear interpolation, and runs successive approximations over the
-coupling terms until the sup-norm update drops below tol.
+grid by linear interpolation.  Inside one column the couplings are acyclic:
+interior points read column i-1, the boundary-entered points of k12/k21
+read the k11/k22 diagonal, and those of k11/k22 read the k12/k21 edge
+xi=0.  One ordered pass over the columns therefore yields the exact fixed
+point of the discrete scheme; a single frozen-coupling sweep afterwards
+measures its defect.
 
 Characteristic invariants used to locate the foot of each step:
 
@@ -35,7 +39,7 @@ import numpy as np
 
 from .coeffs import CoefficientSpec, Grid, relative_tol, vanishing_prefix
 from .characteristics import SpeedPair
-from .errors import DomainError, GridMismatchError, KernelConvergenceError
+from .errors import DomainError, GridMismatchError
 from .transforms import DiagGauge
 
 __all__ = [
@@ -62,8 +66,6 @@ class KernelSet:
     k22: np.ndarray = field(repr=False)
     k0: CoefficientSpec = field(repr=False)
     residual: float = 0.0
-    iterations: int = 0
-    residual_history: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -216,28 +218,67 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     return _MarchPlan(fidx, fw, coefA, brows, diag_data if has_diag else None, corner)
 
 
+def _step_interior(plan: _MarchPlan, Pself: np.ndarray, Pother: np.ndarray,
+                   i: int) -> None:
+    """Column i from column i-1 along each characteristic.
+
+    Points whose characteristic enters through the data boundary are written
+    too; _step_boundary overwrites them.
+    """
+    sl = slice(0, i if plan.diag_data is not None else i + 1)
+    fid = plan.fidx[i, sl]
+    fwt = plan.fw[i, sl]
+    prev_self = Pself[i - 1]
+    prev_other = Pother[i - 1]
+    up = 1.0 - fwt
+    Pself[i, sl] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
+                    + plan.coefA[i, sl] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
+
+
+def _step_boundary(plan: _MarchPlan, Pself: np.ndarray, edge: np.ndarray,
+                   i: int) -> None:
+    """Column i at the points whose characteristic enters through the data boundary."""
+    js, p0, cB, bidx, bw = plan.brows[i]
+    if js.size:
+        Pself[i, js] = p0 + cB * (edge[bidx] * (1.0 - bw) + edge[bidx + 1] * bw)
+
+
 def _march(plan: _MarchPlan, Pself: np.ndarray, Pother_old: np.ndarray,
            edge_old: np.ndarray, n: int) -> None:
     """One transport sweep over columns, coupling source frozen at Pother_old."""
-    has_diag = plan.diag_data is not None
     Pself[0, 0] = plan.corner
     for i in range(1, n + 1):
-        jend = i if has_diag else i + 1
-        sl = slice(0, jend)
-        fid = plan.fidx[i, sl]
-        fwt = plan.fw[i, sl]
-        prev_self = Pself[i - 1]
-        prev_other = Pother_old[i - 1]
-        up = 1.0 - fwt
-        vals = (prev_self[fid] * up + prev_self[fid + 1] * fwt
-                + plan.coefA[i, sl] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
-        Pself[i, sl] = vals
-        js, p0, cB, bidx, bw = plan.brows[i]
-        if js.size:
-            src = edge_old[bidx] * (1.0 - bw) + edge_old[bidx + 1] * bw
-            Pself[i, js] = p0 + cB * src
-        if has_diag:
+        _step_interior(plan, Pself, Pother_old, i)
+        _step_boundary(plan, Pself, edge_old, i)
+        if plan.diag_data is not None:
             Pself[i, i] = plan.diag_data[i]
+
+
+_PARTNER = {"k11": "k12", "k12": "k11", "k21": "k22", "k22": "k21"}
+
+
+def _coupling_edge(P: dict, which: str) -> np.ndarray:
+    """View of the partner values a kernel's boundary-entered points read.
+
+    k11/k22 enter through xi=0 and read the k12/k21 edge there; k12/k21 enter
+    through the diagonal and read the k11/k22 diagonal.
+    """
+    partner = P[_PARTNER[which]]
+    return partner[:, 0] if which in ("k11", "k22") else partner.diagonal()
+
+
+def _march_coupled(plans: dict, P: dict, n: int) -> None:
+    """All four kernels in one column march, each column in dependency order."""
+    edges = {w: _coupling_edge(P, w) for w in P}
+    for w in P:
+        P[w][0, 0] = plans[w].corner
+    for i in range(1, n + 1):
+        for w in P:
+            _step_interior(plans[w], P[w], P[_PARTNER[w]], i)
+        for w in ("k12", "k21", "k11", "k22"):
+            _step_boundary(plans[w], P[w], edges[w], i)
+        for w in ("k12", "k21"):
+            P[w][i, i] = plans[w].diag_data[i]
 
 
 def _bilinear_triangle(P: np.ndarray, x: np.ndarray, xi: np.ndarray, h: float,
@@ -292,14 +333,15 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
 
 
 def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | None,
-                  grid: Grid, tol: float = 1e-10, max_iter: int = 200) -> KernelSet:
-    """Solve the kernel equations by successive approximation.
+                  grid: Grid) -> KernelSet:
+    """Solve the kernel equations in one coupled column march.
 
-    Each iteration re-integrates all four kernels along their characteristics
-    with the coupling terms frozen at the previous iterate; the semi-Lagrangian
-    march is unconditionally stable, so the grid only controls accuracy (first
-    order).  Raises KernelConvergenceError when max_iter is exhausted before
-    the sup-norm kernel update falls below tol.
+    Each column integrates all four kernels along their characteristics in
+    dependency order, so a single pass gives the fixed point of the discrete
+    scheme; the semi-Lagrangian march is unconditionally stable, so the grid
+    only controls accuracy (first order).  One frozen-coupling sweep over the
+    result then measures the defect, the sup-norm change it would make, which
+    is reported as KernelSet.residual.
     """
     if k0 is None:
         k0 = CoefficientSpec.constant(0.0)
@@ -309,42 +351,35 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
     nodes = grid.nodes
     l1 = np.asarray(speeds.speed(1, nodes), dtype=float)
     l2 = np.asarray(speeds.speed(2, nodes), dtype=float)
-
-    plans = {w: _build_plan(w, speeds, gauge, grid, k0)
-             for w in ("k11", "k12", "k21", "k22")}
-
-    shape = (n + 1, n + 1)
-    P = {w: np.zeros(shape) for w in ("k11", "k12", "k21", "k22")}
     wgt = {"k11": l1, "k12": l2, "k21": l1, "k22": l2}
 
-    history = []
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        old = {w: P[w] for w in P}
-        new = {w: np.zeros(shape) for w in P}
-        _march(plans["k11"], new["k11"], old["k12"], old["k12"][:, 0], n)
-        _march(plans["k12"], new["k12"], old["k11"], old["k11"].diagonal(), n)
-        _march(plans["k21"], new["k21"], old["k22"], old["k22"].diagonal(), n)
-        _march(plans["k22"], new["k22"], old["k21"], old["k21"][:, 0], n)
-        residual = max(
-            float(np.max(np.abs((new[w] - old[w]) / wgt[w][None, :]))) for w in P)
-        P = new
-        history.append(residual)
-        if residual <= tol:
-            break
-    else:
-        raise KernelConvergenceError(
-            f"kernel solver did not reach tol={tol:g} in {max_iter} iterations "
-            f"(last update {residual:g})", residual=residual, iterations=max_iter)
+    plans = {w: _build_plan(w, speeds, gauge, grid, k0) for w in wgt}
+    P = {w: np.zeros((n + 1, n + 1)) for w in wgt}
+    _march_coupled(plans, P, n)
 
-    k = {w: P[w] / wgt[w][None, :] for w in P}
+    # Defect check, one kernel at a time into a reused scratch array.  Every
+    # sweep writes exactly the lower triangle, so the untouched upper part of
+    # the scratch stays zero, as it is in P.
+    defects = []
+    scratch = np.zeros_like(P["k11"])
+    for w in P:
+        _march(plans[w], scratch, P[_PARTNER[w]], _coupling_edge(P, w), n)
+        np.subtract(scratch, P[w], out=scratch)
+        np.abs(scratch, out=scratch)
+        scratch /= wgt[w][None, :]
+        defects.append(scratch.max())
+    residual = float(np.max(defects))
+    del scratch, plans
+
     # The xi=0 trace of k21 defines g; integrate it directly along each trace
     # characteristic so its vanishing set is not blurred by the column
     # re-sampling of the marched field.
-    k["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"]) / l1[0]
-    return KernelSet(grid=grid, k11=k["k11"], k12=k["k12"], k21=k["k21"],
-                     k22=k["k22"], k0=k0, residual=residual, iterations=len(history),
-                     residual_history=tuple(history))
+    trace21 = _trace_row_direct(speeds, gauge, grid, P["k22"])
+    for w in P:
+        P[w] /= wgt[w][None, :]
+    P["k21"][:, 0] = trace21 / l1[0]
+    return KernelSet(grid=grid, k11=P["k11"], k12=P["k12"], k21=P["k21"],
+                     k22=P["k22"], k0=k0, residual=residual)
 
 
 def trace_g(K: KernelSet, speeds: SpeedPair) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -33,6 +34,34 @@ class TestMintime:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 1}))
         assert run_cli(["mintime", str(bad)]) == 2
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("path, value", [
+        (("system",), []),
+        (("grid_n",), "abc"),
+        (("grid_n",), math.inf),
+        (("system", "q"), "x"),
+        (("system", "b"), {"family": "constant", "value": []}),
+        (("horizon",), math.nan),
+        (("cfl",), math.nan),
+        (("cfl",), math.inf),
+        (("initial_data",), []),
+    ], ids=["system-list", "grid_n-string", "grid_n-inf", "q-string", "coeff-list",
+            "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list"])
+    def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, path, value):
+        raw = headline_raw(n=64)
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run_cli(["mintime", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and path[-1] in err
+        assert "Traceback" not in err
 
 
 class TestUsage:

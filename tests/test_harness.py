@@ -97,6 +97,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
+    def test_retired_kernel_keys_ignored(self):
+        raw = headline_raw(n=64)
+        raw["kernel_tol"] = -1.0
+        raw["kernel_max_iter"] = 0
+        cfg = config_from_dict(raw)
+        assert cfg.grid.n == 64 and cfg.horizon == 1.5
+        assert not {"kernel_tol", "kernel_max_iter"} & set(vars(cfg))
+
     def test_bad_cfl(self):
         raw = headline_raw()
         raw["cfl"] = 1.5
