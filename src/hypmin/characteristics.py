@@ -5,10 +5,13 @@ The travel-time maps
 
     phi1(x) = int_0^x 1/(-lambda1),   phi2(x) = int_0^x 1/lambda2
 
-are strictly increasing, so every flow evaluation reduces to a monotone
-table lookup plus bisection.  Outside [0,1] the speeds are extended by
-their boundary values, which extends phi1, phi2 linearly and makes the
-flow maps total.
+are strictly increasing.  Each is taken as the exact integral of the
+piecewise-linear interpolant of its weight 1/|lambda_i| on a uniform table,
+so phi1, phi2 and psi = phi1 + phi2 are piecewise quadratic with the
+trapezoid sums as node values, and every evaluation and inverse is closed
+form in one table cell.  Outside [0,1] the weights are extended by their
+boundary values, which extends the maps linearly and makes the flow maps
+total.
 """
 
 from __future__ import annotations
@@ -22,20 +25,43 @@ from .errors import DomainError, InvalidSpeedsError
 
 __all__ = ["SpeedPair", "phi", "phi_inv", "flow", "entry_exit"]
 
-_BISECT_ITERS = 64
+
+def _cell_eval(nodes, tab, wtab, x):
+    """Integral of the piecewise-linear weight wtab from 0 to x (tab at nodes)."""
+    ht = nodes[1] - nodes[0]
+    xc = np.clip(x, 0.0, 1.0)
+    k = np.minimum((xc / ht).astype(np.int64), len(nodes) - 2)
+    s = xc - nodes[k]
+    core = tab[k] + s * (wtab[k] + 0.5 * s * (wtab[k + 1] - wtab[k]) / ht)
+    out = core + np.minimum(x, 0.0) * wtab[0] + np.maximum(x - 1.0, 0.0) * wtab[-1]
+    return out if out.ndim else float(out)
 
 
-def _bisect_increasing(fun, v, lo: float, hi: float):
-    """Solve fun(x) = v for an increasing fun by vectorized bisection."""
-    v = np.asarray(v, dtype=float)
-    a = np.full_like(v, lo)
-    b = np.full_like(v, hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        below = np.asarray(fun(mid)) < v
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return 0.5 * (a + b)
+def _cell_inv(nodes, tab, wtab, v):
+    """Inverse of _cell_eval on all of R.
+
+    In cell k with r = v - tab[k] the weight at the answer satisfies
+    w^2 = w_k^2 + 2 r (w_{k+1} - w_k) / ht, and x = x_k + 2 r / (w_k + w);
+    both weights are positive, so the denominator never cancels.  Callers
+    pass millions of points at once, so the work is done in place.
+    """
+    T = tab[-1]
+    x = np.clip(v, 0.0, T).reshape(-1)
+    k = np.searchsorted(tab[1:-1], x, side="right")   # cell of each point
+    x -= tab[k]                                        # x holds r for now
+    wk = wtab[k]
+    w = x * (np.diff(wtab) * (2.0 / (nodes[1] - nodes[0])))[k]
+    w += wk * wk
+    np.sqrt(w, out=w)
+    w += wk
+    x /= w
+    x *= 2.0
+    x += nodes[k]
+    del k, wk, w
+    x += np.minimum(v, 0.0).reshape(-1) / wtab[0]
+    x += np.maximum(v - T, 0.0).reshape(-1) / wtab[-1]
+    x = x.reshape(np.shape(v))
+    return x if x.ndim else float(x)
 
 
 @dataclass(frozen=True)
@@ -57,9 +83,9 @@ class SpeedPair:
         nodes = np.linspace(0.0, 1.0, table_n + 1)
         l1 = np.asarray(lambda1(nodes), dtype=float)
         l2 = np.asarray(lambda2(nodes), dtype=float)
-        if np.any(l1 >= 0.0):
+        if not np.all(l1 < 0.0):
             raise InvalidSpeedsError("lambda1 must be negative on [0,1]")
-        if np.any(l2 <= 0.0):
+        if not np.all(l2 > 0.0):
             raise InvalidSpeedsError("lambda2 must be positive on [0,1]")
         w1 = 1.0 / (-l1)
         w2 = 1.0 / l2
@@ -82,56 +108,27 @@ class SpeedPair:
         spec = self.lambda1 if i == 1 else self.lambda2
         return spec(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
-    def _w(self, i: int, x):
-        lam = self.speed(i, x)
-        return 1.0 / (-lam) if i == 1 else 1.0 / lam
+    def _tables(self, i: int):
+        if i == 1:
+            return self.table_nodes, self.phi1_table, self.w1
+        return self.table_nodes, self.phi2_table, self.w2
 
     def phi_eval(self, i: int, x):
         """Travel-time map phi_i at any real x (linear beyond [0,1])."""
-        x = np.asarray(x, dtype=float)
-        tab = self.phi1_table if i == 1 else self.phi2_table
-        wtab = self.w1 if i == 1 else self.w2
-        nodes = self.table_nodes
-        ht = nodes[1] - nodes[0]
-        k = np.clip(((x / ht).astype(int)), 0, len(nodes) - 2)
-        base = tab[k] + (x - nodes[k]) * 0.5 * (wtab[k] + self._w(i, x))
-        out = np.where(x < 0.0, x * wtab[0],
-                       np.where(x > 1.0, tab[-1] + (x - 1.0) * wtab[-1], base))
-        return out if out.ndim else float(out)
+        return _cell_eval(*self._tables(i), np.asarray(x, dtype=float))
 
     def phi_inv_ext(self, i: int, v):
-        """Inverse of phi_i on all of R (exact linear branches beyond [0,T_i])."""
-        v = np.asarray(v, dtype=float)
-        T = self.T1 if i == 1 else self.T2
-        wtab = self.w1 if i == 1 else self.w2
-        core = _bisect_increasing(lambda x: self.phi_eval(i, x),
-                                  np.clip(v, 0.0, T), 0.0, 1.0)
-        out = np.where(v < 0.0, v / wtab[0],
-                       np.where(v > T, 1.0 + (v - T) / wtab[-1], core))
-        return out if out.ndim else float(out)
+        """Inverse of phi_i on all of R (linear branches beyond [0,T_i])."""
+        return _cell_inv(*self._tables(i), np.asarray(v, dtype=float))
 
     def psi_eval(self, x):
         """phi1 + phi2, the round-trip travel time from 0 to x and back."""
         return self.phi_eval(1, x) + self.phi_eval(2, x)
 
     def psi_inv(self, v):
-        """Inverse of psi on [0, T1+T2]."""
-        out = _bisect_increasing(self.psi_eval, np.asarray(v, dtype=float), 0.0, 1.0)
-        return out if out.ndim else float(out)
-
-    def table_nodes_inverse(self, i: int, v):
-        """Fast approximate inverse of phi_i by lookup-table interpolation.
-
-        Accuracy is O(table spacing squared); bulk geometry only, the
-        tolerance-guaranteed inverse is phi_inv.
-        """
-        v = np.asarray(v, dtype=float)
-        tab = self.phi1_table if i == 1 else self.phi2_table
-        wtab = self.w1 if i == 1 else self.w2
-        T = tab[-1]
-        core = np.interp(np.clip(v, 0.0, T), tab, self.table_nodes)
-        return np.where(v < 0.0, v / wtab[0],
-                        np.where(v > T, 1.0 + (v - T) / wtab[-1], core))
+        """Inverse of psi on all of R (linear branches beyond [0,T1+T2])."""
+        return _cell_inv(self.table_nodes, self.phi1_table + self.phi2_table,
+                         self.w1 + self.w2, np.asarray(v, dtype=float))
 
 
 def phi(speeds: SpeedPair, i: int, x):

@@ -43,6 +43,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# Pass rules of verify_settling and verify_sharpness (see their docstrings).
+_RATIO_MAX = 0.75
+_FLOOR_REL = 0.05
+_DROP_REL = 0.05
+_MARGIN_FACTOR = 0.1
+_SHARPNESS_ROWS = 64     # grid rows per block of the sharpness quadrature
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -121,22 +128,27 @@ def _coeff_from_dict(d, name: str) -> CoefficientSpec:
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError(f"coefficient '{name}' must be a tagged record with a family")
     fam = d["family"]
+    if fam not in ("constant", "polynomial", "step", "expbump", "sampled"):
+        raise ConfigError(f"coefficient '{name}' has unknown family '{fam}'")
     try:
         if fam == "constant":
-            return CoefficientSpec.constant(d["value"])
-        if fam == "polynomial":
-            return CoefficientSpec.polynomial(d["coeffs"])
-        if fam == "step":
-            return CoefficientSpec.step(d["ell"], d["lo"], d["hi"])
-        if fam == "expbump":
-            return CoefficientSpec.expbump(d.get("shift", 0.0))
-        if fam == "sampled":
-            return CoefficientSpec.sampled(d["xs"], d["values"])
+            spec = CoefficientSpec.constant(d["value"])
+        elif fam == "polynomial":
+            spec = CoefficientSpec.polynomial(d["coeffs"])
+        elif fam == "step":
+            spec = CoefficientSpec.step(d["ell"], d["lo"], d["hi"])
+        elif fam == "expbump":
+            spec = CoefficientSpec.expbump(d.get("shift", 0.0))
+        else:
+            spec = CoefficientSpec.sampled(d["xs"], d["values"])
     except KeyError as exc:
         raise ConfigError(f"coefficient '{name}' ({fam}) is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"coefficient '{name}': {exc}") from exc
-    raise ConfigError(f"coefficient '{name}' has unknown family '{fam}'")
+    numbers = np.hstack([spec.params, *(() if spec.xs is None else (spec.xs, spec.values))])
+    if not np.all(np.isfinite(numbers)):
+        raise ConfigError(f"coefficient '{name}' ({fam}) has a non-finite value")
+    return spec
 
 
 def _number(d: dict, key: str, convert=float, default=None):
@@ -159,6 +171,29 @@ def _record(d: dict, key: str, default: dict) -> dict:
     if not isinstance(val, dict):
         raise ConfigError(f"{key} must be an object, got {val!r}")
     return val
+
+
+# Per record: default kind and the kinds make_initial_data / make_control know.
+_KINDS = {"initial_data": ("random", ("zero", "random", "samples", "family")),
+          "control": ("feedback", ("zero", "feedback", "reflection", "samples", "polynomial"))}
+
+
+def _kind_record(raw: dict, key: str, seed: int) -> dict:
+    """The initial_data or control record, its kind and numeric fields checked."""
+    default, kinds = _KINDS[key]
+    rec = _record(raw, key, {"kind": default})
+    kind = rec.get("kind", default)
+    try:
+        if kind not in kinds:
+            raise ConfigError(f"unknown kind {kind!r}")
+        if kind == "random" and (_number(rec, "seed", int, seed) < 0
+                                 or _number(rec, "nodes", int, 16) < 1):
+            raise ConfigError("random data needs seed >= 0 and nodes >= 1")
+        if kind == "reflection":
+            _number(rec, "k")
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return rec
 
 
 def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig:
@@ -185,28 +220,29 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         raise ConfigError(f"horizon must be positive, got {horizon}")
     lam1 = _coeff_from_dict(sys_d.get("lambda1"), "lambda1")
     lam2 = _coeff_from_dict(sys_d.get("lambda2"), "lambda2")
-    try:
-        speeds = SpeedPair.build(lam1, lam2, table_n=max(4096, 4 * grid_n))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     coeffs = {}
     for name in ("a", "b", "c", "d"):
         coeffs[name] = _coeff_from_dict(sys_d.get(name, {"family": "constant", "value": 0.0}),
                                         name)
+    try:
+        speeds = SpeedPair.build(lam1, lam2, table_n=max(4096, 4 * grid_n))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     system = SystemSpec(speeds=speeds, a=coeffs["a"], b=coeffs["b"],
                         c=coeffs["c"], d=coeffs["d"], q=_number(sys_d, "q", float, 0.0))
     cfl = _number(raw, "cfl", float, 0.9)
     if not 0.0 < cfl <= 1.0:
         raise ConfigError(f"cfl must lie in (0,1], got {cfl}")
+    seed = _number(raw, "seed", int, 42)
     return ScenarioConfig(
         scenario_id=str(raw.get("scenario_id", scenario_id)),
         system=system,
         grid=Grid.uniform(grid_n),
         cfl=cfl,
         horizon=horizon,
-        initial=_record(raw, "initial_data", {"kind": "random"}),
-        control=_record(raw, "control", {"kind": "feedback"}),
-        seed=_number(raw, "seed", int, 42),
+        initial=_kind_record(raw, "initial_data", seed),
+        control=_kind_record(raw, "control", seed),
+        seed=seed,
         output_dir=str(raw.get("output_dir", "out")),
     )
 
@@ -292,8 +328,8 @@ def _levels(base_n: int, levels) -> list:
     return [max(8, base_n // 2), base_n, 2 * base_n]
 
 
-def verify_settling(cfg: ScenarioConfig, levels=None, threshold_rel: float = 0.05,
-                    ratio_max: float = 0.75) -> VerificationReport:
+def verify_settling(cfg: ScenarioConfig, levels=None,
+                    threshold_rel: float = 0.05) -> VerificationReport:
     """Closed-loop settling certificate at the configured horizon.
 
     Solves the kernels, builds the feedback, and simulates from the configured
@@ -325,11 +361,11 @@ def verify_settling(cfg: ScenarioConfig, levels=None, threshold_rel: float = 0.0
         residuals.append(res_rel)
     ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
               for i in range(len(residuals) - 1)]
-    passed = residuals[-1] <= threshold_rel and all(r <= ratio_max for r in ratios)
+    passed = residuals[-1] <= threshold_rel and all(r <= _RATIO_MAX for r in ratios)
     return VerificationReport(
         scenario_id=cfg.scenario_id, kind="settling", tmin=tr.Tmin,
         requested_time=cfg.horizon, rows=rows, ratios=ratios,
-        thresholds={"residual_rel_finest": threshold_rel, "ratio_max": ratio_max},
+        thresholds={"residual_rel_finest": threshold_rel, "ratio_max": _RATIO_MAX},
         passed=bool(passed), runtime=time.perf_counter() - t_start)
 
 
@@ -343,9 +379,7 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     Returns (residual, free_norm, condition, n_controls); the least-squares
     solution is minimum-norm when the normal equations are rank deficient.
     """
-    n = grid.n
-    h = grid.h
-    nodes = grid.nodes
+    n, h, nodes = grid.n, grid.h, grid.nodes
     g = np.asarray(g, dtype=float)
     T1 = speeds.T1
     l1 = np.asarray(speeds.speed(1, nodes), dtype=float)
@@ -368,29 +402,33 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     V[late, j0] = 1.0 - w
     V[late, j0 + 1] = w
 
-    # lower component at time T: weighted quadrature of g along chi2 paths
+    # lower component at time T: weighted quadrature of g along chi2 paths,
+    # assembled in row blocks so that no (n+1) x (K+1) array is ever held
     phi2x = np.asarray(speeds.phi_eval(2, nodes), dtype=float)
     lo = np.maximum(0.0, T - phi2x)
-    chi = np.asarray(speeds.table_nodes_inverse(2, phi2x[:, None] + ss[None, :] - T))
-    gch = np.interp(np.clip(chi, 0.0, 1.0), nodes, g)
     r0 = np.ceil(lo / delta - 1e-12).astype(np.int64)
-    cols = np.arange(K + 1)[None, :]
-    wq = np.where(cols < r0[:, None], 0.0, delta)
-    wq[:, K] = 0.5 * delta
     inner = r0 < K
-    rows_i = np.nonzero(inner)[0]
-    wq[rows_i, r0[rows_i]] = 0.5 * delta
     part = np.where(inner, r0 * delta - lo, T - lo)
-    wq[rows_i, r0[rows_i]] += 0.5 * part[rows_i]
-    outer = np.nonzero(~inner)[0]
-    wq[outer, K] = 0.5 * part[outer]
-
-    WG = wq * gch
-    A2 = WG @ V
-    z2 = WG @ v0
+    cols = np.arange(K + 1)[None, :]
+    A = np.zeros((2 * n + 2, M + 1))      # rows: upper, then lower component
+    A1, A2 = A[:n + 1], A[n + 1:]
+    z2 = np.empty(n + 1)
+    for b0 in range(0, n + 1, _SHARPNESS_ROWS):
+        blk = slice(b0, b0 + _SHARPNESS_ROWS)
+        chi = speeds.phi_inv_ext(2, phi2x[blk, None] + ss[None, :] - T)
+        WG = np.interp(np.clip(chi, 0.0, 1.0), nodes, g)
+        rb, pb, ib = r0[blk], part[blk], inner[blk]
+        wq = np.where(cols < rb[:, None], 0.0, delta)
+        wq[:, K] = 0.5 * delta
+        wq[ib, rb[ib]] = 0.5 * delta
+        wq[ib, rb[ib]] += 0.5 * pb[ib]
+        wq[~ib, K] = 0.5 * pb[~ib]
+        WG *= wq
+        A2[blk] = WG @ V
+        z2[blk] = WG @ v0
+    del V
     # partial-cell endpoint at s=lo contributes g(0)*trace(lo)
-    g0 = g[0]
-    wlo = 0.5 * part * g0
+    wlo = 0.5 * part * g[0]
     aff = lo < T1
     z2 = z2 + np.where(aff & (wlo != 0.0), wlo, 0.0)
     ctrl_rows = np.nonzero(~aff & (wlo != 0.0))[0]
@@ -404,7 +442,6 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     # upper component at time T
     s1 = T + np.asarray(speeds.phi_eval(1, nodes), dtype=float) - T1
     z1 = (s1 < 0.0).astype(float)
-    A1 = np.zeros((n + 1, M + 1))
     up = np.nonzero(s1 >= 0.0)[0]
     pos1 = np.clip(s1[up], 0.0, T) / hc
     j1 = np.clip(np.floor(pos1).astype(np.int64), 0, M - 1)
@@ -412,10 +449,9 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     A1[up, j1] = 1.0 - w1
     A1[up, j1 + 1] = w1
 
-    tw = np.full(n + 1, h)
-    tw[0] = tw[-1] = 0.5 * h
-    rw = np.sqrt(tw)
-    A = np.vstack([A1 * rw[:, None], A2 * rw[:, None]])
+    rw = np.full(n + 1, math.sqrt(h))     # square roots of trapezoid weights
+    rw[0] = rw[-1] = math.sqrt(0.5 * h)
+    A *= np.concatenate([rw, rw])[:, None]
     z = np.concatenate([z1 * rw, z2 * rw])
     sol, _, _, svals = np.linalg.lstsq(A, -z, rcond=None)
     residual = float(np.linalg.norm(A @ sol + z))
@@ -424,21 +460,19 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     return residual, free_norm, cond, M + 1
 
 
-def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None,
-                     floor_rel: float = 0.05, drop_rel: float = 0.05,
-                     margin_factor: float = 0.1) -> VerificationReport:
+def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> VerificationReport:
     """Reachability residual of the canonical system at time T.
 
-    Below Tmin (by at least margin_factor*Tunif) the pass condition is a
-    residual floor at every level; at or above Tmin it is a collapse below
-    drop_rel on the finest level.  In the margin band the report is
-    informational and passes by definition.
+    Below Tmin (by at least _MARGIN_FACTOR*Tunif) the pass condition is a
+    residual floor of _FLOOR_REL at every level; at or above Tmin it is a
+    collapse below _DROP_REL on the finest level.  In the margin band the
+    report is informational and passes by definition.
     """
     if cfg.system.q != 0.0:
         raise PreconditionError("sharpness check assumes the zero reflection q=0")
     t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
-    margin = margin_factor * tr.Tunif
+    margin = _MARGIN_FACTOR * tr.Tunif
     rows = []
     rel_free_all = []
     rel_init_all = []
@@ -462,17 +496,17 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None,
               for i in range(len(rel_init_all) - 1)]
     if T <= tr.Tmin - margin:
         side = "floor"
-        passed = all(r >= floor_rel for r in rel_free_all)
+        passed = all(r >= _FLOOR_REL for r in rel_free_all)
     elif T >= tr.Tmin:
         side = "drop"
-        passed = rel_init_all[-1] <= drop_rel
+        passed = rel_init_all[-1] <= _DROP_REL
     else:
         side = "margin"
         passed = True
     return VerificationReport(
         scenario_id=cfg.scenario_id, kind="sharpness", tmin=tr.Tmin,
         requested_time=T, rows=rows, ratios=ratios,
-        thresholds={"floor_rel": floor_rel, "drop_rel": drop_rel,
+        thresholds={"floor_rel": _FLOOR_REL, "drop_rel": _DROP_REL,
                     "margin": margin},
         passed=bool(passed), runtime=time.perf_counter() - t_start,
         notes=f"side={side}")

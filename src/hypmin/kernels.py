@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,36 +82,27 @@ class FeedbackLaw:
         return float(np.trapezoid(self.f1 * y1 + self.f2 * y2, dx=h))
 
 
-class _MarchPlan:
+class _MarchPlan(NamedTuple):
     """Precomputed geometry for marching one kernel in increasing x.
 
-    Per grid point: the foot of the characteristic step in the previous
-    column (linear-interp index/weight), the Euler source coefficient, and,
-    where the characteristic enters through its data boundary between the
-    two columns, the start data and a source coefficient at the start.
+    Per grid point (i, j), j <= i, packed row by row at i(i+1)/2 + j: the
+    foot of the characteristic step in column i-1 (linear-interp index and
+    weight) and the Euler source coefficient.  Where the characteristic
+    enters through its data boundary between the two columns, brows holds
+    the start data and a source coefficient at the start.
     """
 
-    __slots__ = ("fidx", "fw", "coefA", "brows", "diag_data", "corner")
-
-    def __init__(self, fidx, fw, coefA, brows, diag_data, corner):
-        self.fidx = fidx
-        self.fw = fw
-        self.coefA = coefA
-        self.brows = brows          # per row i: (js, p0, coefB, bidx, bw)
-        self.diag_data = diag_data  # p-form diagonal data, or None
-        self.corner = corner
+    fidx: np.ndarray
+    fw: np.ndarray
+    coefA: np.ndarray
+    brows: list                    # per row i: (js, p0, coefB, bidx, bw)
+    diag_data: np.ndarray | None   # p-form diagonal data, or None
+    corner: float
 
 
-def _interp_setup(pos: np.ndarray, h: float, clamp_hi: np.ndarray):
+def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
     """Uniform-grid linear interp indices/weights, clamped so idx+1 stays valid."""
-    raw = np.floor(pos / h).astype(np.int64)
-    idx = np.clip(raw, 0, clamp_hi)
-    w = pos / h - idx
-    return idx, w
-
-
-def _edge_interp(pos, h, n):
-    idx = np.clip(np.floor(pos / h).astype(np.int64), 0, n - 1)
+    idx = np.clip(np.floor(pos / h).astype(np.int64), 0, clamp_hi)
     return idx, pos / h - idx
 
 
@@ -123,99 +115,76 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     p2 = np.asarray(speeds.phi_eval(2, nodes))
     l1 = np.asarray(speeds.speed(1, nodes), dtype=float)
     l2 = np.asarray(speeds.speed(2, nodes), dtype=float)
+    lam1 = lambda x: speeds.speed(1, x)
+    lam2 = lambda x: speeds.speed(2, x)
 
-    def lam1(x):
-        return np.asarray(speeds.speed(1, x), dtype=float)
-
-    def lam2(x):
-        return np.asarray(speeds.speed(2, x), dtype=float)
-
-    # Invariant coordinate of each foot, one row per column i (row 0 unused).
-    J = np.arange(n + 1)
+    # Lower-triangle points (i, j) in packed order; row 0 is never marched,
+    # so its previous column is itself and its entries are unused.
+    ii, jj = np.tril_indices(n + 1)
+    ip = np.maximum(ii - 1, 0)
+    # Invariant coordinate u of the foot of each point in column i-1.
     if which == "k11":
-        dstep = np.diff(p1)                       # phi1 increment per column
-        u = p1[None, :] - dstep[:, None]          # u[i-1, j] is the foot of (i, j)
+        u = p1[jj] - (p1[ii] - p1[ip])
         interior = u >= 0.0
-        feet = speeds.table_nodes_inverse(1, u)
+        feet = speeds.phi_inv_ext(1, u)
         coef = lambda x, xi: -lam1(xi) * gauge.ct_at(xi) / (lam1(x) * lam2(xi))
         diag_data = None
         corner = 0.0
     elif which == "k12":
-        dstep = np.diff(p1)
-        u = p2[None, :] + dstep[:, None]
-        interior = u <= p2[:-1, None] + 1e-15
-        feet = speeds.table_nodes_inverse(2, u)
+        u = p2[jj] + (p1[ii] - p1[ip])
+        interior = u <= p2[ip] + 1e-15
+        feet = speeds.phi_inv_ext(2, u)
         coef = lambda x, xi: -lam2(xi) * gauge.bt_at(xi) / (lam1(x) * lam1(xi))
         diag_data = l2 * gauge.bt_at(nodes) / (l1 - l2)
         corner = diag_data[0]
     elif which == "k21":
-        dstep = np.diff(p2)
-        u = p1[None, :] + dstep[:, None]
-        interior = u <= p1[:-1, None] + 1e-15
-        feet = speeds.table_nodes_inverse(1, u)
+        u = p1[jj] + (p2[ii] - p2[ip])
+        interior = u <= p1[ip] + 1e-15
+        feet = speeds.phi_inv_ext(1, u)
         coef = lambda x, xi: -lam1(xi) * gauge.ct_at(xi) / (lam2(x) * lam2(xi))
         diag_data = l1 * gauge.ct_at(nodes) / (l2 - l1)
         corner = diag_data[0]
-    elif which == "k22":
-        dstep = np.diff(p2)
-        u = p2[None, :] - dstep[:, None]
+    else:  # k22
+        u = p2[jj] - (p2[ii] - p2[ip])
         interior = u >= 0.0
-        feet = speeds.table_nodes_inverse(2, u)
+        feet = speeds.phi_inv_ext(2, u)
         coef = lambda x, xi: -lam2(xi) * gauge.bt_at(xi) / (lam2(x) * lam1(xi))
         diag_data = None
         corner = float(k0(0.0)) * l2[0]
-    else:  # pragma: no cover
-        raise ValueError(which)
 
-    # rows of u/feet/interior are indexed by i-1; prepend a dummy row so that
-    # array[i] refers to column i like everything else.
-    pad = np.zeros((1, n + 1))
-    feet = np.vstack([pad, feet])
-    interior = np.vstack([np.zeros((1, n + 1), dtype=bool), interior])
-
-    clamp_hi = np.maximum(J - 2, 0)[:, None]      # idx+1 must stay inside column i-1
-    fidx, fw = _interp_setup(np.clip(feet, 0.0, 1.0), h, clamp_hi)
     xiP = np.clip(feet, 0.0, 1.0)
-    xprev = np.concatenate(([0.0], nodes[:-1]))[:, None]
-    coefA = h * coef(np.broadcast_to(xprev, feet.shape), xiP)
+    fidx, fw = _interp_setup(xiP, h, np.maximum(ii - 2, 0))  # idx+1 inside column i-1
+    coefA = h * coef(nodes[ip], xiP)
 
     # Boundary-entered points (a thin band along the data boundary): solve all
-    # start positions in one vectorized bisection, then slice per row.
-    has_diag = diag_data is not None
-    marched = np.tril(np.ones((n + 1, n + 1), dtype=bool), k=-1 if has_diag else 0)
-    marched[0, :] = False
-    ii, jj = np.nonzero(marched & ~interior)
-    if ii.size:
-        if which == "k11":
-            xstart = np.asarray(speeds.phi_inv_ext(1, p1[ii] - p1[jj]), dtype=float)
-            p0 = np.zeros(ii.size)
-            cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
-        elif which == "k22":
-            xstart = np.asarray(speeds.phi_inv_ext(2, p2[ii] - p2[jj]), dtype=float)
-            p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * l2[0]
-            cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
-        elif which == "k12":
-            xstart = np.asarray(speeds.psi_inv(p1[ii] + p2[jj]), dtype=float)
-            p0 = lam2(xstart) * gauge.bt_at(xstart) / (lam1(xstart) - lam2(xstart))
-            cB = (nodes[ii] - xstart) * coef(xstart, xstart)
-        else:  # k21
-            xstart = np.asarray(speeds.psi_inv(p2[ii] + p1[jj]), dtype=float)
-            p0 = lam1(xstart) * gauge.ct_at(xstart) / (lam2(xstart) - lam1(xstart))
-            cB = (nodes[ii] - xstart) * coef(xstart, xstart)
-        bidx, bw = _edge_interp(xstart, h, n)
-    else:
-        p0 = cB = bw = np.empty(0)
-        bidx = np.empty(0, dtype=np.int64)
+    # start positions in one vectorized call, then slice per row.  The
+    # diagonal of k12/k21 is data, not marched.
+    marched = ii > jj if diag_data is not None else ii > 0
+    band = marched & ~interior
+    ii, jj = ii[band], jj[band]
+    if which == "k11":
+        xstart = np.asarray(speeds.phi_inv_ext(1, p1[ii] - p1[jj]), dtype=float)
+        p0 = np.zeros(ii.size)
+        cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
+    elif which == "k22":
+        xstart = np.asarray(speeds.phi_inv_ext(2, p2[ii] - p2[jj]), dtype=float)
+        p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * l2[0]
+        cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
+    elif which == "k12":
+        xstart = np.asarray(speeds.psi_inv(p1[ii] + p2[jj]), dtype=float)
+        p0 = lam2(xstart) * gauge.bt_at(xstart) / (lam1(xstart) - lam2(xstart))
+        cB = (nodes[ii] - xstart) * coef(xstart, xstart)
+    else:  # k21
+        xstart = np.asarray(speeds.psi_inv(p2[ii] + p1[jj]), dtype=float)
+        p0 = lam1(xstart) * gauge.ct_at(xstart) / (lam2(xstart) - lam1(xstart))
+        cB = (nodes[ii] - xstart) * coef(xstart, xstart)
+    bidx, bw = _interp_setup(xstart, h, n - 1)
 
-    empty = (np.empty(0, dtype=np.int64), None, None, None, None)
-    brows = [empty] * (n + 1)
     bounds = np.searchsorted(ii, np.arange(n + 2))
-    for i in range(1, n + 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi > lo:
-            brows[i] = (jj[lo:hi], p0[lo:hi], cB[lo:hi], bidx[lo:hi], bw[lo:hi])
+    brows = [tuple(a[lo:hi] for a in (jj, p0, cB, bidx, bw))
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    return _MarchPlan(fidx, fw, coefA, brows, diag_data if has_diag else None, corner)
+    return _MarchPlan(fidx, fw, coefA, brows, diag_data, corner)
 
 
 def _step_interior(plan: _MarchPlan, Pself: np.ndarray, Pother: np.ndarray,
@@ -225,14 +194,15 @@ def _step_interior(plan: _MarchPlan, Pself: np.ndarray, Pother: np.ndarray,
     Points whose characteristic enters through the data boundary are written
     too; _step_boundary overwrites them.
     """
-    sl = slice(0, i if plan.diag_data is not None else i + 1)
-    fid = plan.fidx[i, sl]
-    fwt = plan.fw[i, sl]
+    m = i if plan.diag_data is not None else i + 1
+    row = slice(i * (i + 1) // 2, i * (i + 1) // 2 + m)
+    fid = plan.fidx[row]
+    fwt = plan.fw[row]
     prev_self = Pself[i - 1]
     prev_other = Pother[i - 1]
     up = 1.0 - fwt
-    Pself[i, sl] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
-                    + plan.coefA[i, sl] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
+    Pself[i, :m] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
+                    + plan.coefA[row] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
 
 
 def _step_boundary(plan: _MarchPlan, Pself: np.ndarray, edge: np.ndarray,
@@ -316,8 +286,7 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     sig = np.asarray(speeds.psi_inv(p2n))
     taus = np.linspace(0.0, 1.0, n + 1)
     X = sig[:, None] + taus[None, :] * (nodes - sig)[:, None]
-    XI = np.asarray(speeds.table_nodes_inverse(1, p2n[:, None] - speeds.phi_eval(2, X)))
-    XI = np.clip(XI, 0.0, 1.0)
+    XI = np.clip(speeds.phi_inv_ext(1, p2n[:, None] - speeds.phi_eval(2, X)), 0.0, 1.0)
     l1_xi = np.asarray(speeds.speed(1, XI), dtype=float)
     l2_x = np.asarray(speeds.speed(2, X), dtype=float)
     l2_xi = np.asarray(speeds.speed(2, XI), dtype=float)

@@ -64,8 +64,7 @@ def _is_constant(spec: CoefficientSpec, probe: np.ndarray) -> bool:
     return float(np.max(vals) - np.min(vals)) <= 1e-12 * scale
 
 
-def times_report(system: SystemSpec, grid: Grid | None = None,
-                 prefix_tol: float | None = None) -> TimesReport:
+def times_report(system: SystemSpec, grid: Grid | None = None) -> TimesReport:
     """All characteristic times of the system plus its minimal control time."""
     speeds = system.speeds
     if grid is None:
@@ -74,7 +73,7 @@ def times_report(system: SystemSpec, grid: Grid | None = None,
     Topt = max(T1, T2)
     Tunif = T1 + T2
     xbar = float(speeds.psi_inv(T2))
-    tol = relative_tol(system.c, grid) if prefix_tol is None else prefix_tol
+    tol = relative_tol(system.c, grid)
     Xc = vanishing_prefix(system.c, xbar, tol, grid)
     Xc_strict = vanishing_prefix(system.c, xbar, tol * 1e-2, grid)
     limited = (Xc - Xc_strict) > 2.0 * grid.h

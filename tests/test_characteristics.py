@@ -46,6 +46,13 @@ class TestPhi:
         with pytest.raises(InvalidSpeedsError):
             SpeedPair.build(CoefficientSpec.constant(1.0),
                             CoefficientSpec.constant(1.0))
+        for nan_speed in (CoefficientSpec.sampled([0.0, 1.0], [1.0, math.nan]),
+                          CoefficientSpec.constant(math.nan)):
+            with pytest.raises(InvalidSpeedsError):
+                SpeedPair.build(CoefficientSpec.constant(-1.0), nan_speed)
+        with pytest.raises(InvalidSpeedsError):
+            SpeedPair.build(CoefficientSpec.polynomial([-1.0, math.nan]),
+                            CoefficientSpec.constant(1.0))
 
 
 class TestPhiInv:
@@ -73,6 +80,37 @@ class TestPhiInv:
             phi_inv(unit_speeds, 1, 1.5)
         with pytest.raises(DomainError):
             phi_inv(unit_speeds, 1, -0.2)
+
+
+def speed_specs(sign):
+    """Strategy for a coefficient of the given sign in each family, |value| in [0.2, 5]."""
+    mag = st.floats(0.2, 5.0)
+    frac = st.floats(-0.4, 0.4)
+    where = st.floats(0.05, 0.95)
+    return st.one_of(
+        mag.map(lambda a: CoefficientSpec.constant(sign * a)),
+        st.tuples(mag, frac, frac).map(
+            lambda p: CoefficientSpec.polynomial([sign * p[0], sign * p[0] * p[1],
+                                                  sign * p[0] * p[2]])),
+        st.tuples(where, mag, mag).map(
+            lambda p: CoefficientSpec.step(p[0], sign * p[1], sign * p[2])),
+        st.tuples(where, mag, mag, mag).map(
+            lambda p: CoefficientSpec.sampled([0.0, p[0], 1.0],
+                                              [sign * p[1], sign * p[2], sign * p[3]])),
+    )
+
+
+class TestExactInverse:
+    @settings(max_examples=60, deadline=None)
+    @given(speed_specs(-1.0), speed_specs(1.0), st.sampled_from([16, 333, 4096]))
+    def test_round_trips(self, lam1, lam2, table_n):
+        speeds = SpeedPair.build(lam1, lam2, table_n=table_n)
+        xs = np.linspace(-0.3, 1.3, 1601)
+        for i, T in ((1, speeds.T1), (2, speeds.T2)):
+            assert np.max(np.abs(speeds.phi_inv_ext(i, speeds.phi_eval(i, xs)) - xs)) <= 1e-14
+            vs = np.linspace(-0.2, T + 0.2, 1601)
+            assert np.max(np.abs(speeds.phi_eval(i, speeds.phi_inv_ext(i, vs)) - vs)) <= 1e-14
+        assert np.max(np.abs(speeds.psi_inv(speeds.psi_eval(xs)) - xs)) <= 1e-14
 
 
 class TestFlow:

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hypmin
 from hypmin.cli import run_cli
 
 from conftest import headline_raw
@@ -47,8 +49,24 @@ class TestConfigErrors:
         (("cfl",), math.nan),
         (("cfl",), math.inf),
         (("initial_data",), []),
+        (("system", "lambda2"), {"family": "sampled", "xs": [0, 1], "values": [1, math.nan]}),
+        (("system", "lambda2"), {"family": "sampled", "xs": [0, math.nan, 1], "values": [1, 1, 1]}),
+        (("system", "lambda1"), {"family": "polynomial", "coeffs": [-1.0, -math.inf]}),
+        (("system", "b"), {"family": "constant", "value": math.nan}),
+        (("system", "c"), {"family": "step", "ell": 0.25, "lo": 0.0, "hi": math.inf}),
+        (("seed",), -1),
+        (("initial_data",), {"kind": "random", "nodes": "x"}),
+        (("initial_data",), {"kind": "random", "seed": -3}),
+        (("initial_data",), {"kind": "bogus"}),
+        (("control",), {"kind": "reflection", "k": "x"}),
+        (("control",), {"kind": "reflection"}),
+        (("control",), {"kind": "bogus"}),
     ], ids=["system-list", "grid_n-string", "grid_n-inf", "q-string", "coeff-list",
-            "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list"])
+            "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list",
+            "lambda2-sampled-nan", "lambda2-sampled-xs-nan", "lambda1-polynomial-minus-inf", "b-constant-nan",
+            "c-step-inf", "seed-negative", "initial_data-nodes-string",
+            "initial_data-seed-negative", "initial_data-kind", "control-k-string",
+            "control-k-missing", "control-kind"])
     def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, path, value):
         raw = headline_raw(n=64)
         target = raw
@@ -57,11 +75,12 @@ class TestConfigErrors:
         target[path[-1]] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        assert run_cli(["mintime", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert err.startswith("error: ") and path[-1] in err
-        assert "Traceback" not in err
+        for command in ("mintime", "verify-settling"):
+            assert run_cli([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("error: ") and path[-1] in err
+            assert "Traceback" not in err
 
 
 class TestUsage:
@@ -136,9 +155,13 @@ class TestArtifactCommands:
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self, headline_path):
+        # the child imports the same hypmin tree as this test, installed or not
+        src = os.path.dirname(os.path.dirname(hypmin.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "hypmin.cli", "mintime", headline_path],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "Tmin" in proc.stdout
 

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hypmin import Grid
+from hypmin import Grid, harness
 from hypmin.errors import ConfigError, PreconditionError
-from hypmin.harness import (config_from_dict, counterexample, load_config,
+from hypmin.harness import (canonical_sharpness_residual, config_from_dict,
+                            counterexample, load_config,
                             make_control, make_initial_data,
                             solve_counterexample_branch, verify_settling,
                             verify_sharpness)
@@ -272,6 +273,20 @@ class TestVerifySharpness:
         cfg = config_from_dict(raw, "reflected")
         with pytest.raises(PreconditionError):
             verify_sharpness(cfg, 1.0)
+
+    @pytest.mark.parametrize("T", [0.8, 1.4])
+    def test_row_blocks_do_not_change_operator(self, monkeypatch, T):
+        cfg = config_from_dict(varying_raw(n=100), "blocks")
+        grid = Grid.uniform(100)
+        g = np.random.default_rng(3).standard_normal(101)
+        out = []
+        for rows in (101, 64, 7):       # one block, a ragged last block, many
+            monkeypatch.setattr(harness, "_SHARPNESS_ROWS", rows)
+            out.append(canonical_sharpness_residual(cfg.system.speeds, g, T, grid))
+        assert out[0][0] > 1e-3
+        for res in out[1:]:
+            assert res[3] == out[0][3]
+            np.testing.assert_allclose(res[:3], out[0][:3], rtol=1e-12, atol=0.0)
 
 
 class TestCounterexample:

@@ -9,7 +9,7 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, feedback_gai
                     predicted_g_prefix, sin_map, solve_kernels, trace_g)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError
-from hypmin.kernels import (_build_plan, _march, _trace_row_direct,
+from hypmin.kernels import (_build_plan, _march, _step_interior, _trace_row_direct,
                             export_kernels_csv, export_profile_csv)
 
 from conftest import const
@@ -101,6 +101,34 @@ class TestSolveKernels:
         assert K.residual <= 1e-12
         assert np.max(np.abs(K.k12)) > 0.1 and np.max(np.abs(K.k21)) > 0.1
         assert_matches_reference(gauge, K, varying_speeds)
+
+    @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
+    def test_packed_plan_feet_on_characteristics(self, varying_speeds, which):
+        # marching a field linear in xi from column i-1 yields, at (x_i, x_j),
+        # the foot in column i-1 of the characteristic through that point:
+        # its invariant is the one at (x_i, x_j)
+        n = 24
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
+                             varying_speeds, grid)
+        plan = _build_plan(which, varying_speeds, gauge, grid, const(0.0))
+        assert plan.fidx.size == plan.fw.size == plan.coefA.size == (n + 1) * (n + 2) // 2
+        feet = np.zeros((n + 1, n + 1))
+        for i in range(2, n + 1):
+            P = np.zeros((n + 1, n + 1))
+            P[i - 1] = grid.nodes
+            _step_interior(plan, P, np.zeros_like(P), i)
+            feet[i] = P[i]
+        p1 = lambda x: varying_speeds.phi_eval(1, x)
+        p2 = lambda x: varying_speeds.phi_eval(2, x)
+        invariant = {"k11": lambda x, xi: p1(x) - p1(xi), "k12": lambda x, xi: p1(x) + p2(xi),
+                     "k21": lambda x, xi: p2(x) + p1(xi), "k22": lambda x, xi: p2(x) - p2(xi)}
+        ii, jj = np.tril_indices(n + 1)
+        x, xprev, foot = grid.nodes[ii], grid.nodes[np.maximum(ii - 1, 0)], feet[ii, jj]
+        inside = (ii >= 2) & (foot > 0.0) & (foot < xprev)
+        assert inside.sum() > n * n // 4
+        drift = invariant[which](xprev, foot) - invariant[which](x, grid.nodes[jj])
+        assert np.max(np.abs(drift[inside])) <= 1e-13
 
     @settings(max_examples=15, deadline=None)
     @given(b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0),
