@@ -6,7 +6,7 @@ from .transforms import DiagGauge, diag_removal, volterra_apply, volterra_invert
 from .kernels import (KernelSet, FeedbackLaw, solve_kernels, trace_g,
                       feedback_gains, sin_map, predicted_g_prefix)
 from .simulator import (SystemSpec, BoundaryReflection, SimResult, simulate,
-                        canonical_solution, growth_rate, l2_norm)
+                        canonical_map, canonical_solution, growth_rate, l2_norm)
 from .mintime import (TimesReport, TitchmarshReport, times_report,
                       canonical_min_time, nxn_canonical_min_time, titchmarsh_check)
 
@@ -19,7 +19,7 @@ __all__ = [
     "KernelSet", "FeedbackLaw", "solve_kernels", "trace_g", "feedback_gains",
     "sin_map", "predicted_g_prefix",
     "SystemSpec", "BoundaryReflection", "SimResult", "simulate",
-    "canonical_solution", "growth_rate", "l2_norm",
+    "canonical_map", "canonical_solution", "growth_rate", "l2_norm",
     "TimesReport", "TitchmarshReport", "times_report", "canonical_min_time",
     "nxn_canonical_min_time", "titchmarsh_check",
 ]

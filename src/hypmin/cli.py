@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -124,8 +125,31 @@ def _cmd_titchmarsh(args) -> int:
     return 0 if rep.consistent else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, like every other error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def finite_float(text: str) -> float:
+    """argparse type of every float flag (argparse reports the ValueError)."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(text)
+    return val
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type of every integer flag."""
+    val = int(text)
+    if val < 0:
+        raise ValueError(text)
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hypmin",
         description="Minimal control time, backstepping synthesis, and "
                     "verification for 1-D 2x2 hyperbolic systems")
@@ -144,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run the scenario simulation")
     sp.add_argument("config")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--snapshots", type=int, default=20)
+    sp.add_argument("--snapshots", type=nonnegative_int, default=20)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("verify-settling", help="closed-loop settling certificate")
@@ -154,23 +178,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-sharpness", help="reachability residual at a time T")
     sp.add_argument("config")
-    sp.add_argument("--T", type=float, required=True)
+    sp.add_argument("--T", type=finite_float, required=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify_sharpness)
 
     sp = sub.add_parser("counterexample",
                         help="unstable eigenmode of the reflection feedback")
-    sp.add_argument("--k", type=float, required=True)
-    sp.add_argument("--n", type=int, default=800)
+    sp.add_argument("--k", type=finite_float, required=True)
+    sp.add_argument("--n", type=nonnegative_int, default=800)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_counterexample)
 
     sp = sub.add_parser("titchmarsh", help="convolution-support consistency check")
-    sp.add_argument("--prefix-a", type=float, required=True)
-    sp.add_argument("--prefix-b", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--n", type=int, default=1000)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--prefix-a", type=finite_float, required=True)
+    sp.add_argument("--prefix-b", type=finite_float, required=True)
+    sp.add_argument("--tau", type=finite_float, required=True)
+    sp.add_argument("--n", type=nonnegative_int, default=1000)
+    sp.add_argument("--tol", type=finite_float, default=1e-12)
     sp.set_defaults(func=_cmd_titchmarsh)
     return p
 

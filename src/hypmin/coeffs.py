@@ -65,7 +65,10 @@ class CoefficientSpec:
 
     @staticmethod
     def polynomial(coeffs) -> "CoefficientSpec":
-        return CoefficientSpec("polynomial", tuple(float(c) for c in coeffs))
+        params = tuple(float(c) for c in coeffs)
+        if not params:
+            raise DomainError("polynomial family needs at least one coefficient")
+        return CoefficientSpec("polynomial", params)
 
     @staticmethod
     def step(ell: float, lo: float, hi: float) -> "CoefficientSpec":

@@ -24,8 +24,8 @@ from .characteristics import SpeedPair
 from .errors import ConfigError, PreconditionError, RootBracketError
 from .kernels import FeedbackLaw, feedback_gains, solve_kernels, trace_g
 from .mintime import times_report
-from .simulator import (BoundaryReflection, SystemSpec, growth_rate, l2_norm,
-                        simulate)
+from .simulator import (BoundaryReflection, SystemSpec, canonical_map,
+                        growth_rate, l2_norm, simulate)
 from .transforms import diag_removal
 
 __all__ = [
@@ -48,7 +48,6 @@ _RATIO_MAX = 0.75
 _FLOOR_REL = 0.05
 _DROP_REL = 0.05
 _MARGIN_FACTOR = 0.1
-_SHARPNESS_ROWS = 64     # grid rows per block of the sharpness quadrature
 
 
 @dataclass(frozen=True)
@@ -173,24 +172,30 @@ def _record(d: dict, key: str, default: dict) -> dict:
     return val
 
 
-# Per record: default kind and the kinds make_initial_data / make_control know.
-_KINDS = {"initial_data": ("random", ("zero", "random", "samples", "family")),
-          "control": ("feedback", ("zero", "feedback", "reflection", "samples", "polynomial"))}
+def _random_fields(spec: dict, default_seed: int) -> tuple:
+    """Seed and knot count of random initial data."""
+    seed, m = _number(spec, "seed", int, default_seed), _number(spec, "nodes", int, 16)
+    if seed < 0 or m < 1:
+        raise ConfigError("random data needs seed >= 0 and nodes >= 1")
+    return seed, m
 
 
 def _kind_record(raw: dict, key: str, seed: int) -> dict:
-    """The initial_data or control record, its kind and numeric fields checked."""
-    default, kinds = _KINDS[key]
+    """The initial_data or control record, checked by building it.
+
+    Random data is checked by its fields only: drawing it would load
+    numpy.random (about 6 MB) in commands that never use the data.
+    """
+    default = "random" if key == "initial_data" else "feedback"
     rec = _record(raw, key, {"kind": default})
     kind = rec.get("kind", default)
     try:
-        if kind not in kinds:
-            raise ConfigError(f"unknown kind {kind!r}")
-        if kind == "random" and (_number(rec, "seed", int, seed) < 0
-                                 or _number(rec, "nodes", int, 16) < 1):
-            raise ConfigError("random data needs seed >= 0 and nodes >= 1")
-        if kind == "reflection":
-            _number(rec, "k")
+        if key == "initial_data" and kind == "random":
+            _random_fields(rec, seed)
+        elif key == "initial_data":
+            make_initial_data(rec, Grid.uniform(1), seed)
+        elif kind != "feedback":
+            make_control(rec)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
     return rec
@@ -267,24 +272,20 @@ def make_initial_data(spec: dict, grid: Grid, default_seed: int = 42):
         return np.zeros(grid.n + 1), np.zeros(grid.n + 1)
     if kind == "random":
         # piecewise linear on a few nodes: rough but resolution-independent
-        seed = int(spec.get("seed", default_seed))
-        m = int(spec.get("nodes", 16))
+        seed, m = _random_fields(spec, default_seed)
         rng = np.random.default_rng(seed)
         knots = np.linspace(0.0, 1.0, m)
         y1 = np.interp(xs, knots, rng.uniform(-1.0, 1.0, m))
         y2 = np.interp(xs, knots, rng.uniform(-1.0, 1.0, m))
         return y1, y2
-    if kind == "samples":
-        try:
-            y1 = np.interp(xs, spec["y1"]["xs"], spec["y1"]["values"])
-            y2 = np.interp(xs, spec["y2"]["xs"], spec["y2"]["values"])
-        except KeyError as exc:
-            raise ConfigError(f"samples initial data is missing {exc}") from exc
-        return y1, y2
-    if kind == "family":
-        y1 = np.asarray(_coeff_from_dict(spec.get("y1"), "y1")(xs), dtype=float)
-        y2 = np.asarray(_coeff_from_dict(spec.get("y2"), "y2")(xs), dtype=float)
-        return y1, y2
+    if kind in ("samples", "family"):
+        out = []
+        for name in ("y1", "y2"):
+            d = spec.get(name)
+            if kind == "samples" and isinstance(d, dict):   # {xs, values}
+                d = {**d, "family": "sampled"}
+            out.append(np.asarray(_coeff_from_dict(d, name)(xs), dtype=float))
+        return tuple(out)
     raise ConfigError(f"unknown initial_data kind '{kind}'")
 
 
@@ -298,20 +299,20 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
             raise ConfigError("feedback control requested but no gains were synthesized")
         return feedback
     if kind == "reflection":
-        try:
-            return BoundaryReflection(float(spec["k"]))
-        except KeyError as exc:
-            raise ConfigError(f"reflection control is missing {exc}") from exc
+        return BoundaryReflection(_number(spec, "k"))
+    if kind == "polynomial":
+        poly = _coeff_from_dict({**spec, "family": "polynomial"}, "u")
+        return lambda t: float(poly(t))
     if kind == "samples":
         try:
             ts = np.asarray(spec["ts"], dtype=float)
             vals = np.asarray(spec["values"], dtype=float)
-        except KeyError as exc:
-            raise ConfigError(f"samples control is missing {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"samples control needs numeric ts and values: {exc}") from exc
+        if not (ts.ndim == 1 and 0 < ts.size == vals.size and vals.ndim == 1
+                and np.isfinite(ts).all() and np.isfinite(vals).all()):
+            raise ConfigError("samples control needs finite ts and values of one equal length")
         return lambda t: float(np.interp(t, ts, vals))
-    if kind == "polynomial":
-        coeffs = tuple(spec.get("coeffs", ()))
-        return lambda t: float(np.polynomial.polynomial.polyval(t, coeffs))
     raise ConfigError(f"unknown control kind '{kind}'")
 
 
@@ -374,85 +375,34 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     """Least-squares residual of steering the canonical state (1, 0) to zero.
 
     The control is expanded in hat functions on a uniform time grid with step
-    equal to the spatial h; the final state is evaluated through the explicit
-    characteristic formulas, so each hat column is one quadrature pass.
+    equal to the spatial h; the final state is the canonical map of the x=0
+    trace, whose columns are the free response and the hat controls.
     Returns (residual, free_norm, condition, n_controls); the least-squares
     solution is minimum-norm when the normal equations are rank deficient.
     """
-    n, h, nodes = grid.n, grid.h, grid.nodes
-    g = np.asarray(g, dtype=float)
-    T1 = speeds.T1
-    l1 = np.asarray(speeds.speed(1, nodes), dtype=float)
-    l2 = np.asarray(speeds.speed(2, nodes), dtype=float)
-    max_speed = float(max(np.max(-l1), np.max(l2)))
-
+    n, h, T1 = grid.n, grid.h, speeds.T1
     M = max(1, round(T / h))
     hc = T / M
-    K = max(2, math.ceil(T * max_speed / h))
-    delta = T / K
-    ss = np.linspace(0.0, T, K + 1)
 
-    # boundary trace of the upper component at x=0, affine and control parts
-    v0 = (ss < T1).astype(float)
-    V = np.zeros((K + 1, M + 1))
-    late = np.nonzero(ss >= T1)[0]
-    pos = (ss[late] - T1) / hc
-    j0 = np.clip(np.floor(pos).astype(np.int64), 0, M - 1)
-    w = pos - j0
-    V[late, j0] = 1.0 - w
-    V[late, j0 + 1] = w
+    def trace(s):
+        # column 0: free response of (1, 0); then the hat controls at x=0.
+        # Column-major, so that column 0 does not touch a page of every row:
+        # rows before T1 are otherwise zero and stay off the resident set.
+        tau = np.zeros((s.shape[0], M + 2), order="F")
+        tau[:, 0] = s < T1
+        late = np.nonzero(s >= T1)[0]
+        pos = np.minimum(s[late] - T1, T) / hc   # phi1(1) may round above T1
+        j = np.clip(np.floor(pos).astype(np.int64), 0, M - 1)
+        w = pos - j
+        tau[late, j + 1] = 1.0 - w
+        tau[late, j + 2] = w
+        return tau
 
-    # lower component at time T: weighted quadrature of g along chi2 paths,
-    # assembled in row blocks so that no (n+1) x (K+1) array is ever held
-    phi2x = np.asarray(speeds.phi_eval(2, nodes), dtype=float)
-    lo = np.maximum(0.0, T - phi2x)
-    r0 = np.ceil(lo / delta - 1e-12).astype(np.int64)
-    inner = r0 < K
-    part = np.where(inner, r0 * delta - lo, T - lo)
-    cols = np.arange(K + 1)[None, :]
-    A = np.zeros((2 * n + 2, M + 1))      # rows: upper, then lower component
-    A1, A2 = A[:n + 1], A[n + 1:]
-    z2 = np.empty(n + 1)
-    for b0 in range(0, n + 1, _SHARPNESS_ROWS):
-        blk = slice(b0, b0 + _SHARPNESS_ROWS)
-        chi = speeds.phi_inv_ext(2, phi2x[blk, None] + ss[None, :] - T)
-        WG = np.interp(np.clip(chi, 0.0, 1.0), nodes, g)
-        rb, pb, ib = r0[blk], part[blk], inner[blk]
-        wq = np.where(cols < rb[:, None], 0.0, delta)
-        wq[:, K] = 0.5 * delta
-        wq[ib, rb[ib]] = 0.5 * delta
-        wq[ib, rb[ib]] += 0.5 * pb[ib]
-        wq[~ib, K] = 0.5 * pb[~ib]
-        WG *= wq
-        A2[blk] = WG @ V
-        z2[blk] = WG @ v0
-    del V
-    # partial-cell endpoint at s=lo contributes g(0)*trace(lo)
-    wlo = 0.5 * part * g[0]
-    aff = lo < T1
-    z2 = z2 + np.where(aff & (wlo != 0.0), wlo, 0.0)
-    ctrl_rows = np.nonzero(~aff & (wlo != 0.0))[0]
-    if ctrl_rows.size:
-        posl = (lo[ctrl_rows] - T1) / hc
-        jl = np.clip(np.floor(posl).astype(np.int64), 0, M - 1)
-        wl = posl - jl
-        np.add.at(A2, (ctrl_rows, jl), wlo[ctrl_rows] * (1.0 - wl))
-        np.add.at(A2, (ctrl_rows, jl + 1), wlo[ctrl_rows] * wl)
-
-    # upper component at time T
-    s1 = T + np.asarray(speeds.phi_eval(1, nodes), dtype=float) - T1
-    z1 = (s1 < 0.0).astype(float)
-    up = np.nonzero(s1 >= 0.0)[0]
-    pos1 = np.clip(s1[up], 0.0, T) / hc
-    j1 = np.clip(np.floor(pos1).astype(np.int64), 0, M - 1)
-    w1 = pos1 - j1
-    A1[up, j1] = 1.0 - w1
-    A1[up, j1 + 1] = w1
-
+    Az = canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
     rw = np.full(n + 1, math.sqrt(h))     # square roots of trapezoid weights
     rw[0] = rw[-1] = math.sqrt(0.5 * h)
-    A *= np.concatenate([rw, rw])[:, None]
-    z = np.concatenate([z1 * rw, z2 * rw])
+    Az *= np.concatenate([rw, rw])[:, None]
+    z, A = Az[:, 0], Az[:, 1:]
     sol, _, _, svals = np.linalg.lstsq(A, -z, rcond=None)
     residual = float(np.linalg.norm(A @ sol + z))
     free_norm = float(np.linalg.norm(z))
@@ -466,8 +416,11 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     Below Tmin (by at least _MARGIN_FACTOR*Tunif) the pass condition is a
     residual floor of _FLOOR_REL at every level; at or above Tmin it is a
     collapse below _DROP_REL on the finest level.  In the margin band the
-    report is informational and passes by definition.
+    report is informational and passes by definition.  Requires a finite
+    T > 0 and the zero reflection q = 0.
     """
+    if not (math.isfinite(T) and T > 0.0):
+        raise PreconditionError(f"sharpness horizon must be finite and positive, got {T!r}")
     if cfg.system.q != 0.0:
         raise PreconditionError("sharpness check assumes the zero reflection q=0")
     t_start = time.perf_counter()

@@ -22,11 +22,14 @@ from .characteristics import SpeedPair
 from .errors import CFLError, DivergenceError, DomainError, UndefinedRateError
 from .kernels import FeedbackLaw
 
+_CANONICAL_ROWS = 64     # positions per block of the lower-component quadrature
+
 __all__ = [
     "SystemSpec",
     "BoundaryReflection",
     "SimResult",
     "simulate",
+    "canonical_map",
     "canonical_solution",
     "growth_rate",
     "l2_norm",
@@ -154,21 +157,58 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
                      linf_trace=linf_trace, scheme_meta=meta)
 
 
-def _boundary_trace_y1(speeds: SpeedPair, y10: np.ndarray, g_nodes: np.ndarray,
-                       uhat, s: np.ndarray) -> np.ndarray:
-    """Upper-component trace at x=0: initial data before time T1, control after."""
-    T1 = speeds.T1
-    out = np.empty_like(s)
-    initial = s < T1
-    if initial.any():
-        xini = speeds.phi_inv_ext(1, s[initial])
-        out[initial] = np.interp(xini, g_nodes, y10)
-    late = ~initial
-    if late.any():
-        if uhat is None:
-            out[late] = 0.0
-        else:
-            out[late] = np.asarray(uhat(s[late] - T1), dtype=float)
+def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
+                  trace) -> np.ndarray:
+    """Canonical state at time t > 0 and positions x, linear in the x=0 trace.
+
+    trace(s) maps a 1-D array of times to one row per time and one column per
+    independent trace tau of the upper component at x=0.  Returns the rows
+    [upper; lower], 2*len(x) by the columns of trace.  The upper component is
+    tau(t + phi1(x)).  The lower one is the trapezoid quadrature of
+    g(chi2(s; t, x)) * tau(s) over [lo, t], lo = max(0, t - phi2(x)), on one
+    uniform s-grid over [0, t] with step at most h/max|speeds| and a partial
+    first cell, plus the q-reflected inflow q * tau(lo) where lo > 0.  The
+    transport of the initial lower state, where lo = 0, is left to the caller.
+    g is sampled on a uniform grid over [0,1].
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0] - 1
+    h = 1.0 / n
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    max_speed = float(max(np.max(-speeds.speed(1, nodes)), np.max(speeds.speed(2, nodes))))
+    K = max(2, math.ceil(t * max_speed / h))
+    delta = t / K
+    ss = np.linspace(0.0, t, K + 1)
+
+    V = trace(ss)
+    xs = np.asarray(x, dtype=float)
+    m = xs.shape[0]
+    out = np.empty((2 * m, V.shape[1]))
+    upper, lower = out[:m], out[m:]
+    s1 = t + speeds.phi_eval(1, xs)
+    phi2x = speeds.phi_eval(2, xs)
+    lo = np.maximum(0.0, t - phi2x)
+    # the partial first cell is [lo, ss[r0]]; r0 = K when lo is in the last cell
+    r0 = np.minimum(np.ceil(lo / delta - 1e-12).astype(np.int64), K)
+    part = np.where(r0 < K, r0 * delta, t) - lo
+    # the partial cell's endpoint s=lo sits on x=0, where chi2 = 0
+    wlo = 0.5 * part * g[0] + q * (lo > 0.0)
+    cols = np.arange(K + 1)[None, :]
+    # row blocks, so that no len(x) by (K+1) array and no trace of all x is
+    # ever held
+    for b0 in range(0, m, _CANONICAL_ROWS):
+        blk = slice(b0, b0 + _CANONICAL_ROWS)
+        upper[blk] = trace(s1[blk])
+        chi = speeds.phi_inv_ext(2, phi2x[blk, None] + ss[None, :] - t)
+        WG = np.interp(np.clip(chi, 0.0, 1.0), nodes, g)
+        rb = r0[blk]
+        wq = np.where(cols < rb[:, None], 0.0, delta)
+        wq[:, K] = 0.5 * delta
+        wq[np.arange(rb.shape[0]), rb] = (np.where(rb < K, 0.5 * delta, 0.0)
+                                          + 0.5 * part[blk])
+        WG *= wq
+        lower[blk] = WG @ V
+        lower[blk] += wlo[blk, None] * trace(lo[blk])
     return out
 
 
@@ -177,60 +217,36 @@ def canonical_solution(speeds: SpeedPair, g: np.ndarray, q: float, y0hat,
     """Evaluate the canonical system at time t and position(s) x.
 
     g and the initial pair y0hat are node samples on a uniform grid over
-    [0,1]; uhat is a control signal (callable, or None for zero).  The upper
-    component is pure transport; the lower one adds the quadrature of
-    g(chi2(s;t,x)) times the upper trace at x=0, with step at most
-    h/max|speeds| along s, plus the q-reflected inflow when q is nonzero.
+    [0,1]; uhat is a control signal (callable on arrays, or None for zero).
+    The x=0 trace of the upper component is the transported y10 before time
+    T1 and uhat(s - T1) after; canonical_map applies the characteristic
+    formulas to it, and the transported y20 is added where no
+    characteristic of the lower component has reached x=0 yet.
     """
     if t < 0.0:
         raise DomainError("canonical_solution needs t >= 0")
     g = np.asarray(g, dtype=float)
-    npts = g.shape[0]
-    g_nodes = np.linspace(0.0, 1.0, npts)
-    h = g_nodes[1] - g_nodes[0]
+    nodes = np.linspace(0.0, 1.0, g.shape[0])
     y10 = np.asarray(y0hat[0], dtype=float)
     y20 = np.asarray(y0hat[1], dtype=float)
-    l1max = float(np.max(-np.asarray(speeds.speed(1, g_nodes))))
-    l2max = float(np.max(np.asarray(speeds.speed(2, g_nodes))))
-    step = h / max(l1max, l2max)
-
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise DomainError("canonical_solution needs x in [0,1]")
-    out1 = np.empty_like(xs)
-    out2 = np.empty_like(xs)
-    T1 = speeds.T1
-    for idx, xv in enumerate(xs):
-        s1 = t + float(speeds.phi_eval(1, xv)) - T1
-        if s1 < 0.0:
-            out1[idx] = np.interp(float(speeds.phi_inv_ext(1, speeds.phi_eval(1, xv) + t)),
-                                  g_nodes, y10)
-        elif uhat is None:
-            out1[idx] = 0.0
-        else:
-            out1[idx] = float(uhat(s1))
+    if t == 0.0:
+        out1, out2 = np.interp(xs, nodes, y10), np.interp(xs, nodes, y20)
+    else:
+        def trace(s):
+            tau = np.zeros((s.shape[0], 1))
+            early = s < speeds.T1
+            tau[early, 0] = np.interp(speeds.phi_inv_ext(1, s[early]), nodes, y10)
+            if uhat is not None and not early.all():
+                tau[~early, 0] = uhat(s[~early] - speeds.T1)
+            return tau
 
-        p2x = float(speeds.phi_eval(2, xv))
-        s2 = t - p2x
-        if s2 <= 0.0:
-            base = float(np.interp(float(speeds.phi_inv_ext(2, p2x - t)), g_nodes, y20))
-            lo = 0.0
-        else:
-            lo = s2
-            if q != 0.0:
-                base = q * float(_boundary_trace_y1(speeds, y10, g_nodes, uhat,
-                                                    np.array([s2]))[0])
-            else:
-                base = 0.0
-        if t - lo <= 0.0:
-            out2[idx] = base
-            continue
-        ks = max(2, math.ceil((t - lo) / step))
-        ss = np.linspace(lo, t, ks + 1)
-        chi = speeds.phi_inv_ext(2, p2x + ss - t)
-        integrand = np.interp(chi, g_nodes, g) * _boundary_trace_y1(
-            speeds, y10, g_nodes, uhat, ss)
-        out2[idx] = base + float(np.trapezoid(integrand, dx=(t - lo) / ks))
+        out1, out2 = np.split(canonical_map(speeds, g, q, t, xs, trace)[:, 0], 2)
+        p2x = speeds.phi_eval(2, xs)
+        free = p2x >= t
+        out2[free] += np.interp(speeds.phi_inv_ext(2, p2x[free] - t), nodes, y20)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out1[0]), float(out2[0])
     return out1, out2

@@ -61,12 +61,28 @@ class TestConfigErrors:
         (("control",), {"kind": "reflection", "k": "x"}),
         (("control",), {"kind": "reflection"}),
         (("control",), {"kind": "bogus"}),
+        (("control",), {"kind": "random"}),
+        (("initial_data",), {"kind": "samples", "y1": {"xs": [0, 1], "values": [1]},
+                             "y2": {"xs": [0, 1], "values": [0, 0]}}),
+        (("initial_data",), {"kind": "samples", "y1": {"xs": [0, 1], "values": [math.nan, 1]},
+                             "y2": {"xs": [0, 1], "values": [0, 0]}}),
+        (("initial_data",), {"kind": "samples", "y1": {"xs": [0.2, 1], "values": [1, 1]},
+                             "y2": {"xs": [0, 1], "values": [0, 0]}}),
+        (("initial_data",), {"kind": "family", "y1": {"family": "constant", "value": 1.0}}),
+        (("control",), {"kind": "samples", "ts": ["a"], "values": [1]}),
+        (("control",), {"kind": "samples", "ts": [0, 1], "values": [1]}),
+        (("control",), {"kind": "polynomial", "coeffs": ["a"]}),
+        (("control",), {"kind": "polynomial", "coeffs": []}),
+        (("system", "b"), {"family": "polynomial", "coeffs": []}),
     ], ids=["system-list", "grid_n-string", "grid_n-inf", "q-string", "coeff-list",
             "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list",
             "lambda2-sampled-nan", "lambda2-sampled-xs-nan", "lambda1-polynomial-minus-inf", "b-constant-nan",
             "c-step-inf", "seed-negative", "initial_data-nodes-string",
             "initial_data-seed-negative", "initial_data-kind", "control-k-string",
-            "control-k-missing", "control-kind"])
+            "control-k-missing", "control-kind", "control-kind-random", "samples-length",
+            "samples-nan", "samples-not-covering", "family-missing-y2", "control-ts-string",
+            "control-samples-length", "control-coeffs-string", "control-coeffs-empty",
+            "b-polynomial-empty"])
     def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, path, value):
         raw = headline_raw(n=64)
         target = raw
@@ -75,12 +91,38 @@ class TestConfigErrors:
         target[path[-1]] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
-        for command in ("mintime", "verify-settling"):
-            assert run_cli([command, str(bad)]) == 2
+        for command in ("mintime", "simulate", "verify-settling"):
+            assert run_cli([command, str(bad), "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert len(err.strip().splitlines()) == 1
             assert err.startswith("error: ") and path[-1] in err
             assert "Traceback" not in err
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify-sharpness", "CONFIG", "--T", "-1"],
+        ["verify-sharpness", "CONFIG", "--T", "0"],
+        ["verify-sharpness", "CONFIG", "--T", "nan"],
+        ["verify-sharpness", "CONFIG", "--T", "inf"],
+        ["simulate", "CONFIG", "--snapshots", "-1"],
+        ["counterexample", "--k", "nan"],
+        ["counterexample", "--k", "1", "--n", "x"],
+        ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "inf"],
+        ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1", "--n", "-3"],
+        ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1", "--tol", "nan"],
+    ], ids=["T-negative", "T-zero", "T-nan", "T-inf", "snapshots-negative", "k-nan",
+            "n-string", "tau-inf", "n-negative", "tol-nan"])
+    def test_bad_number_is_one_line_exit_2(self, headline_path, tmp_path, capsys, argv):
+        out = tmp_path / "never"
+        argv = [headline_path if a == "CONFIG" else a for a in argv]
+        if argv[0] in ("verify-sharpness", "simulate"):
+            argv += ["--out", str(out)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()     # rejected before any work
 
 
 class TestUsage:

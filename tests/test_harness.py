@@ -1,10 +1,13 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypmin import Grid, harness
+from hypmin import Grid, simulator, times_report
 from hypmin.errors import ConfigError, PreconditionError
 from hypmin.harness import (canonical_sharpness_residual, config_from_dict,
                             counterexample, load_config,
@@ -281,12 +284,32 @@ class TestVerifySharpness:
         g = np.random.default_rng(3).standard_normal(101)
         out = []
         for rows in (101, 64, 7):       # one block, a ragged last block, many
-            monkeypatch.setattr(harness, "_SHARPNESS_ROWS", rows)
+            monkeypatch.setattr(simulator, "_CANONICAL_ROWS", rows)
             out.append(canonical_sharpness_residual(cfg.system.speeds, g, T, grid))
         assert out[0][0] > 1e-3
         for res in out[1:]:
             assert res[3] == out[0][3]
             np.testing.assert_allclose(res[:3], out[0][:3], rtol=1e-12, atol=0.0)
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(ell=st.floats(0.01, 0.49))
+    def test_sides_pass_for_any_step_location(self, ell):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "varying_speeds.json")
+        with open(path) as fh:
+            raw = json.load(fh)
+        raw["system"]["c"]["ell"] = ell
+        raw["grid_n"] = 64
+        cfg = config_from_dict(raw, "ell")
+        tr = times_report(cfg.system, grid=cfg.grid)
+        for T in (tr.Tmin - 0.2 * tr.Tunif, tr.Tmin + 1e-6, tr.Tmin + 0.1 * tr.Tunif):
+            assert verify_sharpness(cfg, T, levels=(64,)).passed, T
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        cfg = config_from_dict(headline_raw(n=64), "horizon")
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            verify_sharpness(cfg, T, levels=(64,))
 
 
 class TestCounterexample:

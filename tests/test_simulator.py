@@ -166,6 +166,13 @@ class TestCanonicalSolution:
         _, v2 = canonical_solution(unit_speeds, g, 2.0, y0, None, 0.4, 0.1)
         assert v2 == pytest.approx(2.0 * 0.5, abs=1e-12)
 
+    def test_time_zero_returns_data(self, varying_speeds):
+        nodes = np.linspace(0.0, 1.0, 101)
+        y0 = (np.sin(3 * nodes), np.cos(2 * nodes))
+        got1, got2 = canonical_solution(varying_speeds, np.ones(101), 0.7, y0,
+                                        np.sin, 0.0, nodes)
+        assert np.array_equal(got1, y0[0]) and np.array_equal(got2, y0[1])
+
     def test_domain_errors(self, unit_speeds):
         g = np.zeros(11)
         y0 = (np.zeros(11), np.zeros(11))
