@@ -8,7 +8,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,7 +19,7 @@ from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      RootBracketError, SpeedOrderError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
-                      _synthesize)
+                      _synthesize, _write_json)
 from .kernels import export_kernels_csv, export_profile_csv, feedback_gains, trace_g
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
@@ -43,12 +42,7 @@ def _cmd_mintime(args) -> int:
     tr = times_report(cfg.system, grid=cfg.grid)
     print(tr.pretty())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "times.json")
-        with open(path, "w") as fh:
-            json.dump(tr.as_dict(), fh, indent=2, default=float)
-            fh.write("\n")
-        print(f"wrote {path}")
+        print(f"wrote {_write_json(args.out, 'times.json', tr.as_dict())}")
     return 0
 
 
@@ -114,6 +108,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_titchmarsh(args) -> int:
     if args.tau <= 0:
         raise ConfigError("tau must be positive")
+    if args.n < 2:
+        raise ConfigError(f"--n must be at least 2, got {args.n}")
     if not (0.0 <= args.prefix_a <= args.tau and 0.0 <= args.prefix_b <= args.tau):
         raise ConfigError("prefixes must lie in [0, tau]")
     ts = np.linspace(0.0, args.tau, args.n + 1)

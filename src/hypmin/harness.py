@@ -115,12 +115,17 @@ class VerificationReport:
         return "\n".join(lines)
 
     def write(self, outdir) -> str:
-        os.makedirs(outdir, exist_ok=True)
-        path = os.path.join(outdir, f"report_{self.kind}.json")
-        with open(path, "w") as fh:
-            json.dump(self.as_flat_dict(), fh, indent=2, default=float)
-            fh.write("\n")
-        return path
+        return _write_json(outdir, f"report_{self.kind}.json", self.as_flat_dict())
+
+
+def _write_json(outdir, name: str, data: dict) -> str:
+    """Write data as indented JSON (numpy scalars as floats) to outdir/name."""
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, name)
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, default=float)
+        fh.write("\n")
+    return path
 
 
 def _coeff_from_dict(d, name: str) -> CoefficientSpec:
@@ -360,6 +365,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
                      "residual_abs": float(res_abs), "y0_norm": float(norm0),
                      "kernel_residual": K.residual})
         residuals.append(res_rel)
+        del gauge, K, law, y0, sim       # free this level before the next one
     ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
               for i in range(len(residuals) - 1)]
     passed = residuals[-1] <= threshold_rel and all(r <= _RATIO_MAX for r in ratios)
@@ -445,6 +451,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
                      "kernel_residual": K.residual})
         rel_free_all.append(rel_free)
         rel_init_all.append(res)
+        del gauge, K, g                  # free this level before the next one
     ratios = [rel_init_all[i + 1] / rel_init_all[i] if rel_init_all[i] > 0 else 0.0
               for i in range(len(rel_init_all) - 1)]
     if T <= tr.Tmin - margin:

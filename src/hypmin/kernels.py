@@ -32,7 +32,6 @@ extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +41,8 @@ from .coeffs import CoefficientSpec, Grid, relative_tol, vanishing_prefix
 from .characteristics import SpeedPair
 from .errors import DomainError, GridMismatchError
 from .transforms import DiagGauge
+
+_CSV_ROWS = 8192         # rows per formatting block of _write_csv
 
 __all__ = [
     "KernelSet",
@@ -395,24 +396,33 @@ def predicted_g_prefix(speeds: SpeedPair, c: CoefficientSpec,
     return float(speeds.phi_inv_ext(2, speeds.psi_eval(Xc)))
 
 
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length columns under a header row, the one CSV format.
+
+    Numbers are written as "%.12g", string columns verbatim (nothing is
+    quoted), and every row ends in CRLF.  Rows are formatted by one template
+    in blocks of _CSV_ROWS, so a large file's text is never held at once.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if c.dtype.kind in "US" else "%.12g" for c in cols) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(cols[0]), _CSV_ROWS):
+            block = [c[lo:lo + _CSV_ROWS].tolist() for c in cols]
+            cells = [None] * (len(block[0]) * len(cols))
+            for j, vals in enumerate(block):
+                cells[j::len(cols)] = vals
+            fh.write((row * len(block[0])) % tuple(cells))
+
+
 def export_kernels_csv(K: KernelSet, path) -> None:
     """Write the triangle samples as rows (x, xi, k11, k12, k21, k22)."""
+    i, j = np.tril_indices(K.grid.n + 1)
     nodes = K.grid.nodes
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "xi", "k11", "k12", "k21", "k22"])
-        for i in range(K.grid.n + 1):
-            for j in range(i + 1):
-                w.writerow([f"{nodes[i]:.12g}", f"{nodes[j]:.12g}",
-                            f"{K.k11[i, j]:.12g}", f"{K.k12[i, j]:.12g}",
-                            f"{K.k21[i, j]:.12g}", f"{K.k22[i, j]:.12g}"])
+    _write_csv(path, ["x", "xi", "k11", "k12", "k21", "k22"],
+               [nodes[i], nodes[j], K.k11[i, j], K.k12[i, j], K.k21[i, j], K.k22[i, j]])
 
 
 def export_profile_csv(path, nodes: np.ndarray, columns: dict) -> None:
     """Write one or more sampled profiles as (x, value...) CSV columns."""
-    names = list(columns)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x"] + names)
-        for i, x in enumerate(nodes):
-            w.writerow([f"{x:.12g}"] + [f"{columns[nm][i]:.12g}" for nm in names])
+    _write_csv(path, ["x", *columns], [nodes, *columns.values()])

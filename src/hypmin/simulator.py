@@ -9,7 +9,6 @@ formulas plus a quadrature for the lower component's source integral.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 from .errors import CFLError, DivergenceError, DomainError, UndefinedRateError
-from .kernels import FeedbackLaw
+from .kernels import FeedbackLaw, _write_csv
 
 _CANONICAL_ROWS = 64     # positions per block of the lower-component quadrature
 
@@ -273,32 +272,19 @@ def export_sim_csv(result: SimResult, outdir, max_snapshots: int = 20) -> list:
     file to its time.
     """
     os.makedirs(outdir, exist_ok=True)
-    written = []
     ts_path = os.path.join(outdir, "timeseries.csv")
-    with open(ts_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "u", "l2_norm", "linf_norm"])
-        for k, t in enumerate(result.times):
-            w.writerow([f"{t:.12g}", f"{result.control_trace[k]:.12g}",
-                        f"{result.l2_trace[k]:.12g}", f"{result.linf_trace[k]:.12g}"])
-    written.append(ts_path)
+    _write_csv(ts_path, ["t", "u", "l2_norm", "linf_norm"],
+               [result.times, result.control_trace, result.l2_trace, result.linf_trace])
+    written = [ts_path]
 
     count = min(max_snapshots, len(result.times))
     picks = np.unique(np.linspace(0, len(result.times) - 1, count).astype(int))
+    names = [f"snapshot_{k:06d}.csv" for k in picks]
+    for k, name in zip(picks, names):
+        path = os.path.join(outdir, name)
+        _write_csv(path, ["x", "y1", "y2"], [result.grid.nodes, *result.snapshots[k]])
+        written.append(path)
     index_path = os.path.join(outdir, "snapshots.csv")
-    with open(index_path, "w", newline="") as fh:
-        wI = csv.writer(fh)
-        wI.writerow(["file", "t"])
-        for k in picks:
-            name = f"snapshot_{k:06d}.csv"
-            path = os.path.join(outdir, name)
-            y1, y2 = result.snapshots[k]
-            with open(path, "w", newline="") as fs:
-                w = csv.writer(fs)
-                w.writerow(["x", "y1", "y2"])
-                for i, xv in enumerate(result.grid.nodes):
-                    w.writerow([f"{xv:.12g}", f"{y1[i]:.12g}", f"{y2[i]:.12g}"])
-            wI.writerow([name, f"{result.times[k]:.12g}"])
-            written.append(path)
+    _write_csv(index_path, ["file", "t"], [names, result.times[picks]])
     written.append(index_path)
     return written

@@ -35,12 +35,6 @@ class DiagGauge:
     bt: np.ndarray = field(repr=False)
     ct: np.ndarray = field(repr=False)
 
-    def e1_at(self, x):
-        return np.interp(x, self.grid.nodes, self.e1)
-
-    def e2_at(self, x):
-        return np.interp(x, self.grid.nodes, self.e2)
-
     def bt_at(self, x):
         return np.interp(x, self.grid.nodes, self.bt)
 

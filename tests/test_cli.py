@@ -181,6 +181,10 @@ class TestArtifactCommands:
         assert run_cli(["kernels", headline_path, "--out", str(outdir)]) == 0
         for name in ("kernels.csv", "g.csv", "gains.csv"):
             assert (outdir / name).exists()
+        with open(outdir / "kernels.csv", "rb") as fh:
+            rows = fh.read().split(b"\r\n")
+        assert rows[-1] == b""                   # every row, the last too, ends in CRLF
+        assert len(rows) - 2 == 65 * 66 // 2     # (n+1)(n+2)/2 data rows at n = 64
 
     def test_simulate_exports(self, headline_path, tmp_path, capsys):
         outdir = tmp_path / "sim"
@@ -224,3 +228,14 @@ class TestTitchmarshCommand:
     def test_bad_prefixes(self, capsys):
         assert run_cli(["titchmarsh", "--prefix-a", "2.0", "--prefix-b", "0.2",
                         "--tau", "1"]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_few_samples_names_the_flag(self, capsys, n):
+        assert run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2",
+                        "--tau", "1", "--n", n]) == 2
+        assert capsys.readouterr().err == f"error: --n must be at least 2, got {n}\n"
+
+    def test_two_samples_suffice(self, capsys):
+        assert run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2",
+                        "--tau", "1", "--n", "2"]) == 0
+        assert "nonvanishing" in capsys.readouterr().out
