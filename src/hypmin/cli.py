@@ -26,7 +26,7 @@ from .simulator import export_sim_csv, simulate
 
 _USAGE_ERRORS = (ConfigError, PreconditionError, DomainError, CFLError,
                  InvalidSpeedsError, SpeedOrderError, GridMismatchError)
-_RUN_ERRORS = (DivergenceError, RootBracketError, UndefinedRateError)
+_RUN_ERRORS = (DivergenceError, RootBracketError, UndefinedRateError, np.linalg.LinAlgError)
 
 
 def _outdir(args, cfg=None) -> str:
@@ -70,9 +70,10 @@ def _cmd_simulate(args) -> int:
         law = feedback_gains(K, gauge)
     control = make_control(cfg.control, feedback=law)
     y0 = make_initial_data(cfg.initial, cfg.grid, cfg.seed)
-    sim = simulate(cfg.system, control, y0, cfg.horizon, cfg.grid, cfg.cfl)
+    sim = simulate(cfg.system, control, y0, cfg.horizon, cfg.grid, cfg.cfl,
+                   snapshots=args.snapshots)
     outdir = _outdir(args, cfg)
-    export_sim_csv(sim, outdir, max_snapshots=args.snapshots)
+    export_sim_csv(sim, outdir)
     print(f"simulated {cfg.scenario_id}: steps={len(sim.times) - 1} "
           f"dt={sim.scheme_meta['dt']:.12g}")
     print(f"final norms: l2={sim.l2_trace[-1]:.12g} linf={sim.linf_trace[-1]:.12g}")

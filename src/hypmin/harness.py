@@ -22,10 +22,11 @@ import numpy as np
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 from .errors import ConfigError, PreconditionError, RootBracketError
-from .kernels import FeedbackLaw, feedback_gains, solve_kernels, trace_g
+from .kernels import (FeedbackLaw, feedback_gains, solve_kernels, solve_kernels_bytes,
+                      trace_g)
 from .mintime import times_report
-from .simulator import (BoundaryReflection, SystemSpec, canonical_map,
-                        growth_rate, l2_norm, simulate)
+from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
+                        _simulate_bytes, canonical_map, growth_rate, l2_norm, simulate)
 from .transforms import diag_removal
 
 __all__ = [
@@ -38,10 +39,15 @@ __all__ = [
     "verify_settling",
     "verify_sharpness",
     "canonical_sharpness_residual",
+    "canonical_sharpness_bytes",
     "counterexample",
 ]
 
 SCHEMA_VERSION = 1
+
+# Largest grid_n: at the finest level n = 2*grid_n the (n+1)^2 entries of one
+# kernel array stay below 2^31, so any index into it, flat or not, fits int32.
+_GRID_N_MAX = 23169
 
 # Pass rules of verify_settling and verify_sharpness (see their docstrings).
 _RATIO_MAX = 0.75
@@ -133,7 +139,7 @@ def _coeff_from_dict(d, name: str) -> CoefficientSpec:
         raise ConfigError(f"coefficient '{name}' must be a tagged record with a family")
     fam = d["family"]
     if fam not in ("constant", "polynomial", "step", "expbump", "sampled"):
-        raise ConfigError(f"coefficient '{name}' has unknown family '{fam}'")
+        raise ConfigError(f"coefficient '{name}' has unknown family {fam!r}")
     try:
         if fam == "constant":
             spec = CoefficientSpec.constant(d["value"])
@@ -163,9 +169,10 @@ def _number(d: dict, key: str, convert=float, default=None):
         return default
     try:
         val = convert(d[key])
+        finite = math.isfinite(val)     # an int beyond the float range overflows
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a finite number, got {d[key]!r}") from exc
-    if not math.isfinite(val):
+    if not finite:
         raise ConfigError(f"{key} must be a finite number, got {d[key]!r}")
     return val
 
@@ -182,6 +189,8 @@ def _random_fields(spec: dict, default_seed: int) -> tuple:
     seed, m = _number(spec, "seed", int, default_seed), _number(spec, "nodes", int, 16)
     if seed < 0 or m < 1:
         raise ConfigError("random data needs seed >= 0 and nodes >= 1")
+    # the knots and two draws of m values, with room for the generator's own
+    _check_memory(32.0 * m, f"random data with {m} nodes", ConfigError)
     return seed, m
 
 
@@ -206,11 +215,29 @@ def _kind_record(raw: dict, key: str, seed: int) -> dict:
     return rec
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not report it."""
+    try:
+        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _check_memory(need: float, what: str, error) -> None:
+    """Raise error unless an estimate of need bytes fits the physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise error(f"{what} needs about {need / 1e9:.3g} GB, more than the "
+                    f"{have / 1e9:.3g} GB of physical memory")
+
+
 def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig:
     """Validated scenario config from its parsed JSON record.
 
     Every malformed, missing or non-finite value raises ConfigError before
-    any computation.  The schema-v1 keys kernel_tol and kernel_max_iter are
+    any computation, as does a grid_n or horizon whose kernel solve or step
+    traces at the finest verification level, 2*grid_n, would not fit in the
+    physical memory.  The schema-v1 keys kernel_tol and kernel_max_iter are
     accepted and ignored: the kernel solve takes one pass and has no
     iteration to tune.
     """
@@ -228,6 +255,11 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         raise ConfigError(f"grid_n must be at least 8, got {grid_n}")
     if horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
+    if grid_n > _GRID_N_MAX:
+        raise ConfigError(f"grid_n must be at most {_GRID_N_MAX}, got {grid_n}")
+    table_n = max(4096, 4 * grid_n)
+    _check_memory(solve_kernels_bytes(2 * grid_n, table_n),
+                  f"grid_n {grid_n}: the kernel solve at n={2 * grid_n}", ConfigError)
     lam1 = _coeff_from_dict(sys_d.get("lambda1"), "lambda1")
     lam2 = _coeff_from_dict(sys_d.get("lambda2"), "lambda2")
     coeffs = {}
@@ -235,7 +267,7 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         coeffs[name] = _coeff_from_dict(sys_d.get(name, {"family": "constant", "value": 0.0}),
                                         name)
     try:
-        speeds = SpeedPair.build(lam1, lam2, table_n=max(4096, 4 * grid_n))
+        speeds = SpeedPair.build(lam1, lam2, table_n=table_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     system = SystemSpec(speeds=speeds, a=coeffs["a"], b=coeffs["b"],
@@ -243,6 +275,8 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
     cfl = _number(raw, "cfl", float, 0.9)
     if not 0.0 < cfl <= 1.0:
         raise ConfigError(f"cfl must lie in (0,1], got {cfl}")
+    _check_memory(_simulate_bytes(speeds, Grid.uniform(2 * grid_n), horizon, cfl),
+                  f"horizon {horizon:.12g}: the time steps at n={2 * grid_n}", ConfigError)
     seed = _number(raw, "seed", int, 42)
     return ScenarioConfig(
         scenario_id=str(raw.get("scenario_id", scenario_id)),
@@ -291,7 +325,7 @@ def make_initial_data(spec: dict, grid: Grid, default_seed: int = 42):
                 d = {**d, "family": "sampled"}
             out.append(np.asarray(_coeff_from_dict(d, name)(xs), dtype=float))
         return tuple(out)
-    raise ConfigError(f"unknown initial_data kind '{kind}'")
+    raise ConfigError(f"unknown initial_data kind {kind!r}")
 
 
 def make_control(spec: dict, feedback: FeedbackLaw | None = None):
@@ -318,7 +352,7 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
                 and np.isfinite(ts).all() and np.isfinite(vals).all()):
             raise ConfigError("samples control needs finite ts and values of one equal length")
         return lambda t: float(np.interp(t, ts, vals))
-    raise ConfigError(f"unknown control kind '{kind}'")
+    raise ConfigError(f"unknown control kind {kind!r}")
 
 
 def _synthesize(cfg: ScenarioConfig, grid: Grid):
@@ -358,7 +392,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
         norm0 = l2_norm(y0[0], y0[1], grid_k.h)
         if norm0 <= 0.0:
             raise PreconditionError("settling verification needs nonzero initial data")
-        sim = simulate(cfg.system, law, y0, cfg.horizon, grid_k, cfg.cfl)
+        sim = simulate(cfg.system, law, y0, cfg.horizon, grid_k, cfg.cfl, snapshots=0)
         res_abs = sim.l2_trace[-1]
         res_rel = res_abs / norm0
         rows.append({"n": nk, "h": grid_k.h, "residual_rel": float(res_rel),
@@ -416,6 +450,24 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     return residual, free_norm, cond, M + 1
 
 
+def canonical_sharpness_bytes(speeds: SpeedPair, T: float, grid: Grid) -> float:
+    """Upper bound on the bytes canonical_sharpness_residual holds at once.
+
+    The trace matrix has (K+1) x (M+2) entries (K quadrature cells, M+1 hat
+    controls); the least-squares matrix, its copy in lstsq and the right-hand
+    side have 2(n+1) rows; each row block of the quadrature holds a few
+    _CANONICAL_ROWS x (K+1) arrays; gelsd's workspace grows like its smaller
+    dimension; the travel-time inverses hold temporaries of the speed table.
+    A float, so that no T overflows it.
+    """
+    n = grid.n
+    rows = 2.0 * (n + 1)
+    cells = T * _max_speed(speeds, grid.nodes) * n + 3.0     # >= K + 1
+    cols = T * n + 3.0                                         # >= M + 2
+    return 8.0 * (cells * cols + 3.0 * rows * cols + 8.0 * _CANONICAL_ROWS * (cells + cols)
+                  + 200.0 * min(rows, cols) + 4.0 * speeds.table_nodes.size)
+
+
 def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> VerificationReport:
     """Reachability residual of the canonical system at time T.
 
@@ -429,13 +481,19 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
         raise PreconditionError(f"sharpness horizon must be finite and positive, got {T!r}")
     if cfg.system.q != 0.0:
         raise PreconditionError("sharpness check assumes the zero reflection q=0")
+    levels = _levels(cfg.grid.n, levels)
+    finest = Grid.uniform(max(levels))
+    table_n = cfg.system.speeds.table_nodes.size - 1
+    _check_memory(solve_kernels_bytes(finest.n, table_n)
+                  + canonical_sharpness_bytes(cfg.system.speeds, T, finest),
+                  f"sharpness at T={T:.12g} on n={finest.n}", PreconditionError)
     t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
     margin = _MARGIN_FACTOR * tr.Tunif
     rows = []
     rel_free_all = []
     rel_init_all = []
-    for nk in _levels(cfg.grid.n, levels):
+    for nk in levels:
         grid_k = Grid.uniform(nk)
         gauge, K = _synthesize(cfg, grid_k)
         g = trace_g(K, cfg.system.speeds)
@@ -567,7 +625,8 @@ def counterexample(k: float, n: int = 800, horizon: float = 2.5,
     pi_c = CoefficientSpec.constant(math.pi)
     zero = CoefficientSpec.constant(0.0)
     system = SystemSpec(speeds=speeds, a=zero, b=pi_c, c=pi_c, d=zero, q=0.0)
-    sim = simulate(system, BoundaryReflection(k), (y10, y20), horizon, grid, cfl)
+    sim = simulate(system, BoundaryReflection(k), (y10, y20), horizon, grid, cfl,
+                   snapshots=0)
     rate = growth_rate(sim, window)
     rel_err = abs(rate - sigma) / abs(sigma)
     report = VerificationReport(

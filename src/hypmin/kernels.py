@@ -48,6 +48,7 @@ __all__ = [
     "KernelSet",
     "FeedbackLaw",
     "solve_kernels",
+    "solve_kernels_bytes",
     "trace_g",
     "feedback_gains",
     "sin_map",
@@ -79,8 +80,38 @@ class FeedbackLaw:
     f2: np.ndarray = field(repr=False)
 
     def control(self, y1: np.ndarray, y2: np.ndarray) -> float:
+        # the arithmetic of np.trapezoid, without its per-call overhead
         h = self.nodes[1] - self.nodes[0]
-        return float(np.trapezoid(self.f1 * y1 + self.f2 * y2, dx=h))
+        f = self.f1 * y1 + self.f2 * y2
+        return float((h * (f[1:] + f[:-1]) / 2.0).sum())
+
+
+class _Triangle(NamedTuple):
+    """Grid geometry shared by the four march plans of one solve.
+
+    Lower-triangle points (i, j), j <= i, packed row by row at i(i+1)/2 + j
+    from one np.tril_indices; ip = max(i-1, 0) is the previous column (row 0
+    is never marched, so its previous column is itself and its entries are
+    unused).  Row f-1 of phi, lam and dphi holds, for family f, the node
+    values of phi_f and lambda_f and the per-row increments
+    phi_f(x_i) - phi_f(x_{i-1}) (0 at i = 0).
+    """
+
+    ii: np.ndarray
+    jj: np.ndarray
+    ip: np.ndarray
+    phi: np.ndarray
+    lam: np.ndarray
+    dphi: np.ndarray
+
+
+def _triangle(speeds: SpeedPair, grid: Grid) -> _Triangle:
+    nodes = grid.nodes
+    ii, jj = np.tril_indices(grid.n + 1)
+    phi = np.stack([speeds.phi_eval(1, nodes), speeds.phi_eval(2, nodes)])
+    lam = np.stack([speeds.speed(1, nodes), speeds.speed(2, nodes)]).astype(float)
+    prev = np.maximum(np.arange(grid.n + 1) - 1, 0)
+    return _Triangle(ii, jj, np.maximum(ii - 1, 0), phi, lam, phi - phi[:, prev])
 
 
 class _MarchPlan(NamedTuple):
@@ -90,7 +121,7 @@ class _MarchPlan(NamedTuple):
     foot of the characteristic step in column i-1 (linear-interp index and
     weight) and the Euler source coefficient.  Where the characteristic
     enters through its data boundary between the two columns, brows holds
-    the start data and a source coefficient at the start.
+    the start data and a source coefficient at the start.  Indices are int32.
     """
 
     fidx: np.ndarray
@@ -103,86 +134,76 @@ class _MarchPlan(NamedTuple):
 
 def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
     """Uniform-grid linear interp indices/weights, clamped so idx+1 stays valid."""
-    idx = np.clip(np.floor(pos / h).astype(np.int64), 0, clamp_hi)
-    return idx, pos / h - idx
+    w = pos / h
+    idx = np.clip(np.floor(w).astype(np.int64), 0, clamp_hi)
+    w -= idx
+    return idx.astype(np.int32), w
 
 
 def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                k0: CoefficientSpec) -> _MarchPlan:
+                k0: CoefficientSpec, tri: _Triangle) -> _MarchPlan:
+    """March plan of kernel k<fx><fa>: x follows family fx, xi family fa.
+
+    k11/k22 (fx = fa) enter through the edge xi=0, k12/k21 through the
+    diagonal.  The source coefficient is -lambda_fa(xi) * coupling(xi) /
+    (lambda_fx(x) * lambda_fb(xi)), fb = 3 - fa, with the coupling ct when
+    fa = 1 and bt when fa = 2.
+    """
     n = grid.n
     h = grid.h
     nodes = grid.nodes
-    p1 = np.asarray(speeds.phi_eval(1, nodes))
-    p2 = np.asarray(speeds.phi_eval(2, nodes))
-    l1 = np.asarray(speeds.speed(1, nodes), dtype=float)
-    l2 = np.asarray(speeds.speed(2, nodes), dtype=float)
-    lam1 = lambda x: speeds.speed(1, x)
-    lam2 = lambda x: speeds.speed(2, x)
+    ii, jj, ip = tri.ii, tri.jj, tri.ip
+    fx, fa = int(which[1]), int(which[2])
+    fb = 3 - fa
+    on_edge = fx == fa
+    pa, px = tri.phi[fa - 1], tri.phi[fx - 1]
+    cpl = gauge.ct_at if fa == 1 else gauge.bt_at
+    lam = speeds.speed
+    coef = lambda lx, xi: -lam(fa, xi) * cpl(xi) / (lx * lam(fb, xi))
+    diag = lambda x: lam(fa, x) * cpl(x) / (lam(fb, x) - lam(fa, x))
 
-    # Lower-triangle points (i, j) in packed order; row 0 is never marched,
-    # so its previous column is itself and its entries are unused.
-    ii, jj = np.tril_indices(n + 1)
-    ip = np.maximum(ii - 1, 0)
     # Invariant coordinate u of the foot of each point in column i-1.
-    if which == "k11":
-        u = p1[jj] - (p1[ii] - p1[ip])
+    if on_edge:
+        u = pa[jj] - tri.dphi[fx - 1][ii]
         interior = u >= 0.0
-        feet = speeds.phi_inv_ext(1, u)
-        coef = lambda x, xi: -lam1(xi) * gauge.ct_at(xi) / (lam1(x) * lam2(xi))
-        diag_data = None
-        corner = 0.0
-    elif which == "k12":
-        u = p2[jj] + (p1[ii] - p1[ip])
-        interior = u <= p2[ip] + 1e-15
-        feet = speeds.phi_inv_ext(2, u)
-        coef = lambda x, xi: -lam2(xi) * gauge.bt_at(xi) / (lam1(x) * lam1(xi))
-        diag_data = l2 * gauge.bt_at(nodes) / (l1 - l2)
-        corner = diag_data[0]
-    elif which == "k21":
-        u = p1[jj] + (p2[ii] - p2[ip])
-        interior = u <= p1[ip] + 1e-15
-        feet = speeds.phi_inv_ext(1, u)
-        coef = lambda x, xi: -lam1(xi) * gauge.ct_at(xi) / (lam2(x) * lam2(xi))
-        diag_data = l1 * gauge.ct_at(nodes) / (l2 - l1)
-        corner = diag_data[0]
-    else:  # k22
-        u = p2[jj] - (p2[ii] - p2[ip])
-        interior = u >= 0.0
-        feet = speeds.phi_inv_ext(2, u)
-        coef = lambda x, xi: -lam2(xi) * gauge.bt_at(xi) / (lam2(x) * lam1(xi))
-        diag_data = None
-        corner = float(k0(0.0)) * l2[0]
-
-    xiP = np.clip(feet, 0.0, 1.0)
+    else:
+        u = pa[jj] + tri.dphi[fx - 1][ii]
+        interior = u <= pa[ip] + 1e-15
+    xiP = speeds.phi_inv_ext(fa, u)
+    del u
+    np.clip(xiP, 0.0, 1.0, out=xiP)         # the feet, clipped in place
     fidx, fw = _interp_setup(xiP, h, np.maximum(ii - 2, 0))  # idx+1 inside column i-1
-    coefA = h * coef(nodes[ip], xiP)
+    coefA = h * coef(tri.lam[fx - 1][ip], xiP)    # lambda_fx at column i-1
+    del xiP
+
+    if on_edge:
+        diag_data = None
+        corner = 0.0 if which == "k11" else float(k0(0.0)) * tri.lam[1][0]
+    else:
+        diag_data = diag(nodes)
+        corner = diag_data[0]
 
     # Boundary-entered points (a thin band along the data boundary): solve all
     # start positions in one vectorized call, then slice per row.  The
     # diagonal of k12/k21 is data, not marched.
-    marched = ii > jj if diag_data is not None else ii > 0
-    band = marched & ~interior
-    ii, jj = ii[band], jj[band]
-    if which == "k11":
-        xstart = np.asarray(speeds.phi_inv_ext(1, p1[ii] - p1[jj]), dtype=float)
-        p0 = np.zeros(ii.size)
-        cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
-    elif which == "k22":
-        xstart = np.asarray(speeds.phi_inv_ext(2, p2[ii] - p2[jj]), dtype=float)
-        p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * l2[0]
-        cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
-    elif which == "k12":
-        xstart = np.asarray(speeds.psi_inv(p1[ii] + p2[jj]), dtype=float)
-        p0 = lam2(xstart) * gauge.bt_at(xstart) / (lam1(xstart) - lam2(xstart))
-        cB = (nodes[ii] - xstart) * coef(xstart, xstart)
-    else:  # k21
-        xstart = np.asarray(speeds.psi_inv(p2[ii] + p1[jj]), dtype=float)
-        p0 = lam1(xstart) * gauge.ct_at(xstart) / (lam2(xstart) - lam1(xstart))
-        cB = (nodes[ii] - xstart) * coef(xstart, xstart)
+    band = (ii > 0 if on_edge else ii > jj) & ~interior
+    bi, bj = ii[band], jj[band]
+    if on_edge:
+        xstart = np.asarray(speeds.phi_inv_ext(fa, pa[bi] - pa[bj]), dtype=float)
+        xi0 = np.zeros(bi.size)
+        if which == "k11":
+            p0 = np.zeros(bi.size)
+        else:
+            p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * tri.lam[1][0]
+    else:
+        xstart = np.asarray(speeds.psi_inv(px[bi] + pa[bj]), dtype=float)
+        xi0 = xstart
+        p0 = diag(xstart)
+    cB = (nodes[bi] - xstart) * coef(lam(fx, xstart), xi0)
     bidx, bw = _interp_setup(xstart, h, n - 1)
 
-    bounds = np.searchsorted(ii, np.arange(n + 2))
-    brows = [tuple(a[lo:hi] for a in (jj, p0, cB, bidx, bw))
+    bounds = np.searchsorted(bi, np.arange(n + 2))
+    brows = [tuple(a[lo:hi] for a in (bj, p0, cB, bidx, bw))
              for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     return _MarchPlan(fidx, fw, coefA, brows, diag_data, corner)
@@ -197,7 +218,7 @@ def _step_interior(plan: _MarchPlan, Pself: np.ndarray, Pother: np.ndarray,
     """
     m = i if plan.diag_data is not None else i + 1
     row = slice(i * (i + 1) // 2, i * (i + 1) // 2 + m)
-    fid = plan.fidx[row]
+    fid = plan.fidx[row].astype(np.intp)   # one index cast, not four
     fwt = plan.fw[row]
     prev_self = Pself[i - 1]
     prev_other = Pother[i - 1]
@@ -252,16 +273,10 @@ def _march_coupled(plans: dict, P: dict, n: int) -> None:
             P[w][i, i] = plans[w].diag_data[i]
 
 
-def _bilinear_triangle(P: np.ndarray, x: np.ndarray, xi: np.ndarray, h: float,
-                       n: int) -> np.ndarray:
-    """Bilinear interpolation of a triangle-supported field at (x, xi), xi <= x.
-
-    One superdiagonal is padded with the diagonal values so that cells
-    straddling the diagonal do not mix in the unused zero entries.
-    """
-    Ppad = P.copy()
-    idx = np.arange(n)
-    Ppad[idx, idx + 1] = P[idx, idx]
+def _bilinear_padded(Ppad: np.ndarray, x: np.ndarray, xi: np.ndarray, h: float,
+                     n: int) -> np.ndarray:
+    """Bilinear interpolation at (x, xi), xi <= x, of a triangle-supported
+    field whose first superdiagonal holds its diagonal values."""
     ix = np.clip(np.floor(x / h).astype(np.int64), 0, n - 1)
     jx = np.clip(np.floor(xi / h).astype(np.int64), 0, n - 1)
     wx = x / h - ix
@@ -279,23 +294,36 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     Integrating each trace path separately keeps the zero set of the trace
     exact: wherever the gauged coupling vanishes along the whole path the
     integral is identically zero, with no interpolation smearing across the
-    data discontinuity.
+    data discontinuity.  The n+1 paths of n+1 points each are evaluated in
+    blocks of _CANONICAL_ROWS paths, all gathering from one padded P22.
     """
+    # simulator imports this module, so its row-block constant is read here
+    from .simulator import _CANONICAL_ROWS
+
     n = grid.n
     nodes = grid.nodes
     p2n = np.asarray(speeds.phi_eval(2, nodes))
     sig = np.asarray(speeds.psi_inv(p2n))
     taus = np.linspace(0.0, 1.0, n + 1)
-    X = sig[:, None] + taus[None, :] * (nodes - sig)[:, None]
-    XI = np.clip(speeds.phi_inv_ext(1, p2n[:, None] - speeds.phi_eval(2, X)), 0.0, 1.0)
-    l1_xi = np.asarray(speeds.speed(1, XI), dtype=float)
-    l2_x = np.asarray(speeds.speed(2, X), dtype=float)
-    l2_xi = np.asarray(speeds.speed(2, XI), dtype=float)
-    ct_xi = gauge.ct_at(XI)
-    p22v = _bilinear_triangle(P22, X, XI, grid.h, n)
-    S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
-    dx = (nodes - sig) / n
-    integral = np.trapezoid(S, axis=1) * dx  # unit-spacing trapezoid times per-row step
+    # pad one superdiagonal with the diagonal values, so that cells straddling
+    # the diagonal do not mix in the unused zero entries
+    Ppad = P22.copy()
+    idx = np.arange(n)
+    Ppad[idx, idx + 1] = P22[idx, idx]
+    integral = np.empty(n + 1)
+    for b0 in range(0, n + 1, _CANONICAL_ROWS):
+        blk = slice(b0, b0 + _CANONICAL_ROWS)
+        X = sig[blk, None] + taus[None, :] * (nodes[blk] - sig[blk])[:, None]
+        XI = np.clip(speeds.phi_inv_ext(1, p2n[blk, None] - speeds.phi_eval(2, X)),
+                     0.0, 1.0)
+        l1_xi = np.asarray(speeds.speed(1, XI), dtype=float)
+        l2_x = np.asarray(speeds.speed(2, X), dtype=float)
+        l2_xi = np.asarray(speeds.speed(2, XI), dtype=float)
+        ct_xi = gauge.ct_at(XI)
+        p22v = _bilinear_padded(Ppad, X, XI, grid.h, n)
+        S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
+        integral[blk] = np.trapezoid(S, axis=1)  # unit spacing; times the step below
+    integral *= (nodes - sig) / n
     l1_s = np.asarray(speeds.speed(1, sig), dtype=float)
     l2_s = np.asarray(speeds.speed(2, sig), dtype=float)
     p0 = l1_s * gauge.ct_at(sig) / (l2_s - l1_s)
@@ -311,19 +339,20 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
     scheme; the semi-Lagrangian march is unconditionally stable, so the grid
     only controls accuracy (first order).  One frozen-coupling sweep over the
     result then measures the defect, the sup-norm change it would make, which
-    is reported as KernelSet.residual.
+    is reported as KernelSet.residual.  Memory: about 11 arrays of (n+1)^2
+    floats at most (solve_kernels_bytes bounds it).
     """
     if k0 is None:
         k0 = CoefficientSpec.constant(0.0)
     if grid.n < 4:
         raise DomainError("kernel grid too coarse (need n >= 4)")
     n = grid.n
-    nodes = grid.nodes
-    l1 = np.asarray(speeds.speed(1, nodes), dtype=float)
-    l2 = np.asarray(speeds.speed(2, nodes), dtype=float)
+    tri = _triangle(speeds, grid)
+    l1, l2 = tri.lam
     wgt = {"k11": l1, "k12": l2, "k21": l1, "k22": l2}
 
-    plans = {w: _build_plan(w, speeds, gauge, grid, k0) for w in wgt}
+    plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in wgt}
+    del tri
     P = {w: np.zeros((n + 1, n + 1)) for w in wgt}
     _march_coupled(plans, P, n)
 
@@ -350,6 +379,19 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
     P["k21"][:, 0] = trace21 / l1[0]
     return KernelSet(grid=grid, k11=P["k11"], k12=P["k12"], k21=P["k21"],
                      k22=P["k22"], k0=k0, residual=residual)
+
+
+def solve_kernels_bytes(n: int, table_n: int) -> int:
+    """Upper bound on the bytes solve_kernels holds at once on an n-cell grid.
+
+    The defect sweep is the peak: four kernels, four packed plans (int32 foot
+    index, weight and source coefficient, 1.25 arrays of (n+1)^2 each) and
+    one scratch array make about 10, bounded here by 12.  Per row, each plan
+    keeps a tuple of five boundary-band arrays (about 3 KB for the four), and
+    the travel-time inverses take up to six temporaries of the table_n-cell
+    speed table.
+    """
+    return 8 * (12 * (n + 1) ** 2 + 6 * (table_n + 1)) + 4096 * (n + 1)
 
 
 def trace_g(K: KernelSet, speeds: SpeedPair) -> np.ndarray:

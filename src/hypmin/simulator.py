@@ -62,23 +62,47 @@ Control = Union[Callable[[float], float], FeedbackLaw, BoundaryReflection, None]
 class SimResult:
     grid: Grid
     times: np.ndarray = field(repr=False)
-    snapshots: list = field(repr=False)  # per time: (y1, y2) node arrays
+    snapshots: list = field(repr=False)  # (y1, y2) node arrays at snapshot_steps
     control_trace: np.ndarray = field(repr=False)
     l2_trace: np.ndarray = field(repr=False)
     linf_trace: np.ndarray = field(repr=False)
     scheme_meta: dict = field(default_factory=dict)
+    snapshot_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int),
+                                       repr=False)
+    final: tuple | None = field(default=None, repr=False)  # (y1, y2) at time T
 
 
 def l2_norm(y1: np.ndarray, y2: np.ndarray, h: float) -> float:
-    return float(np.sqrt(np.trapezoid(y1 * y1 + y2 * y2, dx=h)))
+    """Trapezoid L2 norm, the arithmetic of np.trapezoid without its overhead."""
+    f = y1 * y1 + y2 * y2
+    return math.sqrt((h * (f[1:] + f[:-1]) / 2.0).sum())
+
+
+def _linf(y1: np.ndarray, y2: np.ndarray) -> float:
+    # np.maximum propagates a NaN from either side; the builtin max would
+    # drop one in its second argument
+    return float(np.maximum(np.abs(y1).max(), np.abs(y2).max()))
+
+
+def _max_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
+    return float(max(np.max(-speeds.speed(1, nodes)), np.max(speeds.speed(2, nodes))))
+
+
+def _simulate_bytes(speeds: SpeedPair, grid: Grid, T: float, cfl: float) -> float:
+    """Upper bound on the bytes of simulate's four step traces up to T (a
+    float, so that no T overflows it); kept snapshots are extra."""
+    return 32.0 * (T * _max_speed(speeds, grid.nodes) / (cfl * grid.h) + 2.0)
 
 
 def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
-             cfl: float = 0.9) -> SimResult:
+             cfl: float = 0.9, snapshots: int | None = None) -> SimResult:
     """Run the upwind scheme up to time T from node-sampled initial data y0.
 
     control is an open-loop signal u(t), a FeedbackLaw (closed loop, gains
     integrated by trapezoid each step), a BoundaryReflection, or None (u=0).
+    snapshots=None keeps the state of every step; an integer k keeps at most
+    k states, at steps spread evenly from the first to the last (the CLI's
+    --snapshots).  The state at T is always in SimResult.final.
     """
     if not 0.0 < cfl <= 1.0:
         raise CFLError(f"cfl must lie in (0,1], got {cfl}")
@@ -96,10 +120,9 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     if dt * max_speed / h > 1.0 + 1e-9:
         raise CFLError("time step violates the CFL bound")
 
-    a = np.asarray(system.a(nodes), dtype=float)
-    b = np.asarray(system.b(nodes), dtype=float)
-    c = np.asarray(system.c(nodes), dtype=float)
-    d = np.asarray(system.d(nodes), dtype=float)
+    # upwind rows: y1 on nodes 0..n-1 (inflow x=1), y2 on nodes 1..n (inflow x=0)
+    a, b = (np.asarray(f(nodes), dtype=float)[:-1] for f in (system.a, system.b))
+    c, d = (np.asarray(f(nodes), dtype=float)[1:] for f in (system.c, system.d))
     q = system.q
 
     y1 = np.array(y0[0], dtype=float)
@@ -117,43 +140,51 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
         return float(control(t_new))
 
     times = np.linspace(0.0, T, steps + 1)
-    snapshots = [(y1.copy(), y2.copy())]
-    u0 = boundary_u(0.0, y1, y2)
+    if snapshots is None:
+        keep = np.arange(steps + 1)
+    else:
+        keep = np.unique(np.linspace(0, steps, min(snapshots, steps + 1)).astype(int))
+    kept = set(keep.tolist())
+    snaps = [(y1, y2)] if 0 in kept else []
     control_trace = np.empty(steps + 1)
-    control_trace[0] = u0
+    control_trace[0] = boundary_u(0.0, y1, y2)
     l2_trace = np.empty(steps + 1)
     linf_trace = np.empty(steps + 1)
     l2_trace[0] = l2_norm(y1, y2, h)
-    linf_trace[0] = float(max(np.max(np.abs(y1)), np.max(np.abs(y2))))
+    linf_trace[0] = _linf(y1, y2)
 
     nu = dt / h
-    for m in range(1, steps + 1):
-        with np.errstate(invalid="ignore", over="ignore"):
-            s1 = a * y1 + b * y2
-            s2 = c * y1 + d * y2
-            y1n = y1.copy()
-            y2n = y2.copy()
+    c1 = nu * l1[:-1]
+    c2 = nu * l2[1:]
+    # every step writes new state arrays, so kept snapshots are never copied
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m in range(1, steps + 1):
+            y1n = np.empty(n + 1)
+            y2n = np.empty(n + 1)
             # lambda1 < 0: information comes from the right; x=1 is the inflow.
-            y1n[:-1] = y1[:-1] - nu * l1[:-1] * (y1[1:] - y1[:-1]) + dt * s1[:-1]
+            y1n[:-1] = y1[:-1] - c1 * (y1[1:] - y1[:-1]) + dt * (a * y1[:-1] + b * y2[:-1])
             # lambda2 > 0: information comes from the left; x=0 is the inflow.
-            y2n[1:] = y2[1:] - nu * l2[1:] * (y2[1:] - y2[:-1]) + dt * s2[1:]
+            y2n[1:] = y2[1:] - c2 * (y2[1:] - y2[:-1]) + dt * (c * y1[1:] + d * y2[1:])
             y1n[-1] = y1[-1]  # provisional, lets the feedback quadrature close
             y2n[0] = q * y1n[0]
             u = boundary_u(times[m], y1n, y2n)
             y1n[-1] = u
-        if not (np.isfinite(y1n).all() and np.isfinite(y2n).all() and np.isfinite(u)):
-            raise DivergenceError(f"non-finite state at step {m}", step=m)
-        y1, y2 = y1n, y2n
-        control_trace[m] = u
-        snapshots.append((y1.copy(), y2.copy()))
-        l2_trace[m] = l2_norm(y1, y2, h)
-        linf_trace[m] = float(max(np.max(np.abs(y1)), np.max(np.abs(y2))))
+            linf = _linf(y1n, y2n)   # u sits in y1n, so one check covers it
+            if not math.isfinite(linf):
+                raise DivergenceError(f"non-finite state at step {m}", step=m)
+            y1, y2 = y1n, y2n
+            control_trace[m] = u
+            if m in kept:
+                snaps.append((y1, y2))
+            l2_trace[m] = l2_norm(y1, y2, h)
+            linf_trace[m] = linf
 
     meta = {"cfl": cfl, "dt": dt, "max_speed": max_speed,
             "scheme": "upwind-explicit-euler"}
-    return SimResult(grid=grid, times=times, snapshots=snapshots,
+    return SimResult(grid=grid, times=times, snapshots=snaps,
                      control_trace=control_trace, l2_trace=l2_trace,
-                     linf_trace=linf_trace, scheme_meta=meta)
+                     linf_trace=linf_trace, scheme_meta=meta,
+                     snapshot_steps=keep, final=(y1, y2))
 
 
 def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
@@ -172,10 +203,9 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0] - 1
-    h = 1.0 / n
     nodes = np.linspace(0.0, 1.0, n + 1)
-    max_speed = float(max(np.max(-speeds.speed(1, nodes)), np.max(speeds.speed(2, nodes))))
-    K = max(2, math.ceil(t * max_speed / h))
+    h = 1.0 / n
+    K = max(2, math.ceil(t * _max_speed(speeds, nodes) / h))
     delta = t / K
     ss = np.linspace(0.0, t, K + 1)
 
@@ -265,11 +295,11 @@ def growth_rate(result: SimResult, window) -> float:
     return float(slope)
 
 
-def export_sim_csv(result: SimResult, outdir, max_snapshots: int = 20) -> list:
-    """Write a time-series CSV and up to max_snapshots snapshot CSVs.
+def export_sim_csv(result: SimResult, outdir) -> list:
+    """Write a time-series CSV and one CSV per kept snapshot.
 
     Returns the list of written file paths; snapshots.csv maps each snapshot
-    file to its time.
+    file to its time.  Which snapshots exist is decided by simulate.
     """
     os.makedirs(outdir, exist_ok=True)
     ts_path = os.path.join(outdir, "timeseries.csv")
@@ -277,12 +307,11 @@ def export_sim_csv(result: SimResult, outdir, max_snapshots: int = 20) -> list:
                [result.times, result.control_trace, result.l2_trace, result.linf_trace])
     written = [ts_path]
 
-    count = min(max_snapshots, len(result.times))
-    picks = np.unique(np.linspace(0, len(result.times) - 1, count).astype(int))
+    picks = result.snapshot_steps
     names = [f"snapshot_{k:06d}.csv" for k in picks]
-    for k, name in zip(picks, names):
+    for snap, name in zip(result.snapshots, names):
         path = os.path.join(outdir, name)
-        _write_csv(path, ["x", "y1", "y2"], [result.grid.nodes, *result.snapshots[k]])
+        _write_csv(path, ["x", "y1", "y2"], [result.grid.nodes, *snap])
         written.append(path)
     index_path = os.path.join(outdir, "snapshots.csv")
     _write_csv(index_path, ["file", "t"], [names, result.times[picks]])

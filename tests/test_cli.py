@@ -1,12 +1,18 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hypmin
+from hypmin import Grid, harness
 from hypmin.cli import run_cli
 
 from conftest import headline_raw
@@ -97,6 +103,141 @@ class TestConfigErrors:
             assert len(err.strip().splitlines()) == 1
             assert err.startswith("error: ") and path[-1] in err
             assert "Traceback" not in err
+
+
+def _run_one_line_exit_2(argv, capsys):
+    """run_cli(argv) under tracemalloc: (seconds, traced peak bytes, stderr)."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = run_cli(argv)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    return elapsed, peak, err
+
+
+class TestMemoryCap:
+    """A size whose memory estimate exceeds the machine is rejected before any work."""
+
+    @pytest.mark.parametrize("field, value, words", [
+        ("grid_n", 10 ** 7, "grid_n must be at most 23169, got 10000000"),
+        ("grid_n", 23170, "grid_n must be at most 23169"),
+        ("grid_n", 2000, "grid_n 2000: the kernel solve at n=4000 needs about 1.55 GB"),
+        ("grid_n", 10 ** 400, "grid_n must be a finite number"),
+        ("horizon", 1e300, "horizon 1e+300: the time steps"),
+        ("cfl", 1e-300, "the time steps at n=128"),
+        ("initial_data", {"kind": "random", "nodes": 10 ** 12},
+         "initial_data: random data with 1000000000000 nodes needs about 3.2e+04 GB"),
+    ], ids=["grid_n-1e7", "grid_n-int32", "grid_n-memory", "grid_n-huge-int", "horizon-1e300",
+            "cfl-1e-300", "random-nodes-1e12"])
+    @pytest.mark.parametrize("command", ["mintime", "kernels", "simulate", "verify-settling"])
+    def test_config_beyond_cap(self, tmp_path, capsys, monkeypatch, field, value, words,
+                               command):
+        # the machine reports 1 GB, so the cap is the same everywhere
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        raw = headline_raw(n=64)
+        raw[field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        elapsed, peak, err = _run_one_line_exit_2([command, str(path), "--out", str(out)],
+                                                  capsys)
+        assert words in err
+        assert elapsed < 0.5 and peak < 5e6
+        assert not out.exists()
+
+    def test_sharpness_time_beyond_cap(self, tmp_path, capsys, monkeypatch):
+        # varying speeds at grid_n 400: the trace matrix at T = 50 on the
+        # finest level n = 800 alone is about 26 GB, more than the 16 GB the
+        # machine is made to report here
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 16e9)
+        raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
+        path = tmp_path / "varying.json"
+        path.write_text(json.dumps(raw))
+        cfg = harness.load_config(path)
+        est = harness.canonical_sharpness_bytes(cfg.system.speeds, 50.0, Grid.uniform(800))
+        assert 25e9 < est < 30e9
+        out = tmp_path / "out"
+        elapsed, peak, err = _run_one_line_exit_2(
+            ["verify-sharpness", str(path), "--T", "50", "--out", str(out)], capsys)
+        assert "sharpness at T=50 on n=800 needs about" in err
+        assert elapsed < 0.5 and peak < 5e6
+        assert not out.exists()
+
+    def test_physical_memory_is_reported(self):
+        assert 0 < harness._physical_memory() < math.inf
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+_SPECIALS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300, -1e300, 1e-300]
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.lists(st.integers(-2, 2), max_size=3),
+                  st.dictionaries(st.sampled_from(["family", "kind", "value", "xs"]),
+                                  st.integers(-2, 2), max_size=2),
+                  st.sampled_from(_SPECIALS))
+# In-range values stay small enough to run in milliseconds; the sizes past
+# the memory cap (which must be rejected) are the only large ones.
+_IN_RANGE = {
+    "grid_n": st.one_of(st.integers(-3, 64), st.sampled_from([10 ** 7, 10 ** 12])),
+    "horizon": st.floats(0.05, 3.0),
+    "cfl": st.floats(0.01, 1.5),
+    "seed": st.integers(-3, 10 ** 6),
+    "nodes": st.one_of(st.integers(-3, 40), st.sampled_from([10 ** 12])),
+}
+
+
+def _paths(rec, prefix=()):
+    """Every key path into a config record, inner records included."""
+    for key, val in rec.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    name = draw(st.sampled_from(sorted(p.name for p in CONFIG_DIR.glob("*.json"))))
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["grid_n"] = draw(st.integers(8, 64))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(raw))))
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        if draw(st.booleans()) and len(path) > 1:
+            del target[path[-1]]
+            continue
+        value = st.floats(-5.0, 5.0) if path[-1] not in _IN_RANGE else _IN_RANGE[path[-1]]
+        target[path[-1]] = draw(st.one_of(value, _JUNK))
+    return raw
+
+
+class TestConfigFuzz:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=mutated_configs(),
+           command=st.sampled_from(["mintime", "kernels", "simulate", "verify-settling",
+                                    "verify-sharpness"]),
+           T=st.floats(0.1, 3.0))
+    def test_exit_code_and_one_line(self, tmp_path, capsys, raw, command, T):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(raw))
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "verify-sharpness":
+            argv += ["--T", repr(T)]
+        capsys.readouterr()
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert len(err.strip().splitlines()) <= 1
+        assert "Traceback" not in err
 
 
 class TestNumericFlags:

@@ -1,7 +1,8 @@
 """Byte identity of the CSV exports against per-cell csv.writer references.
 
 The reference writers below are the original per-row implementations of
-export_kernels_csv, export_profile_csv and export_sim_csv; the blocked writer
+export_kernels_csv, export_profile_csv and export_sim_csv (which picked the
+snapshots from a full history, as simulate now does); the blocked writer
 must reproduce their files byte for byte, including CRLF line ends and the
 text of -0.0, nan, +-inf, subnormals and large integers under "%.12g".
 """
@@ -107,12 +108,16 @@ def test_profile_csv_bytes(csv_rows, tmp_path):
 
 @pytest.mark.parametrize("max_snapshots", [0, 1, 4, 20])
 def test_sim_csv_bytes(csv_rows, unit_speeds, tmp_path, max_snapshots):
+    # the reference picks from the full history; simulate keeps only its picks
     grid = Grid.uniform(22)
     y0 = (np.sin(grid.nodes), np.cos(grid.nodes))
-    sim = simulate(make_system(unit_speeds, a=0.2, b=1.0), None, y0, 0.4, grid)
-    sim.snapshots[0] = (np.array(SPECIALS * 3)[:23], sim.snapshots[0][1])
-    new = export_sim_csv(sim, tmp_path / "new", max_snapshots=max_snapshots)
-    ref = reference_sim_csv(sim, str(tmp_path / "ref"), max_snapshots=max_snapshots)
+    system = make_system(unit_speeds, a=0.2, b=1.0)
+    full = simulate(system, None, y0, 0.4, grid)
+    kept = simulate(system, None, y0, 0.4, grid, snapshots=max_snapshots)
+    for sim in (full, kept)[:2 if max_snapshots else 1]:    # step 0 is kept if any
+        sim.snapshots[0] = (np.array(SPECIALS * 3)[:23], sim.snapshots[0][1])
+    new = export_sim_csv(kept, tmp_path / "new")
+    ref = reference_sim_csv(full, str(tmp_path / "ref"), max_snapshots=max_snapshots)
     assert [os.path.basename(p) for p in new] == [os.path.basename(p) for p in ref]
     for p, q in zip(new, ref):
         with open(p, "rb") as a, open(q, "rb") as b:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, feedback_gains,
-                    predicted_g_prefix, sin_map, solve_kernels, trace_g)
+                    predicted_g_prefix, simulator, sin_map, solve_kernels, trace_g)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError
 from hypmin.kernels import (_build_plan, _march, _step_interior, _trace_row_direct,
-                            export_kernels_csv, export_profile_csv)
+                            _triangle, export_kernels_csv, export_profile_csv,
+                            solve_kernels_bytes)
 
 from conftest import const
 
@@ -33,7 +35,8 @@ def picard_reference(gauge, speeds, grid, tol=1e-13, max_iter=200):
     n = grid.n
     k0 = const(0.0)
     names = ("k11", "k12", "k21", "k22")
-    plans = {w: _build_plan(w, speeds, gauge, grid, k0) for w in names}
+    tri = _triangle(speeds, grid)
+    plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in names}
     P = {w: np.zeros((n + 1, n + 1)) for w in names}
     for _ in range(max_iter):
         new = {w: np.zeros((n + 1, n + 1)) for w in names}
@@ -111,7 +114,8 @@ class TestSolveKernels:
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
                              varying_speeds, grid)
-        plan = _build_plan(which, varying_speeds, gauge, grid, const(0.0))
+        plan = _build_plan(which, varying_speeds, gauge, grid, const(0.0),
+                           _triangle(varying_speeds, grid))
         assert plan.fidx.size == plan.fw.size == plan.coefA.size == (n + 1) * (n + 2) // 2
         feet = np.zeros((n + 1, n + 1))
         for i in range(2, n + 1):
@@ -209,6 +213,193 @@ class TestTraceG:
         ga = trace_g(Ka, unit_speeds)
         gb = trace_g(Kb, unit_speeds)
         assert np.allclose(gb, 2.0 * ga, atol=1e-9)
+
+
+def reference_bilinear_triangle(P, x, xi, h, n):
+    """The unblocked interpolation: pads its own copy of P on every call."""
+    Ppad = P.copy()
+    idx = np.arange(n)
+    Ppad[idx, idx + 1] = P[idx, idx]
+    ix = np.clip(np.floor(x / h).astype(np.int64), 0, n - 1)
+    jx = np.clip(np.floor(xi / h).astype(np.int64), 0, n - 1)
+    wx = x / h - ix
+    wj = xi / h - jx
+    return (Ppad[ix, jx] * (1 - wx) * (1 - wj) + Ppad[ix + 1, jx] * wx * (1 - wj)
+            + Ppad[ix, jx + 1] * (1 - wx) * wj + Ppad[ix + 1, jx + 1] * wx * wj)
+
+
+def reference_trace_row_direct(speeds, gauge, grid, P22):
+    """The unblocked trace: every (n+1) x (n+1) path array at once."""
+    n = grid.n
+    nodes = grid.nodes
+    p2n = np.asarray(speeds.phi_eval(2, nodes))
+    sig = np.asarray(speeds.psi_inv(p2n))
+    taus = np.linspace(0.0, 1.0, n + 1)
+    X = sig[:, None] + taus[None, :] * (nodes - sig)[:, None]
+    XI = np.clip(speeds.phi_inv_ext(1, p2n[:, None] - speeds.phi_eval(2, X)), 0.0, 1.0)
+    l1_xi = np.asarray(speeds.speed(1, XI), dtype=float)
+    l2_x = np.asarray(speeds.speed(2, X), dtype=float)
+    l2_xi = np.asarray(speeds.speed(2, XI), dtype=float)
+    ct_xi = gauge.ct_at(XI)
+    p22v = reference_bilinear_triangle(P22, X, XI, grid.h, n)
+    S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
+    dx = (nodes - sig) / n
+    integral = np.trapezoid(S, axis=1) * dx
+    l1_s = np.asarray(speeds.speed(1, sig), dtype=float)
+    l2_s = np.asarray(speeds.speed(2, sig), dtype=float)
+    p0 = l1_s * gauge.ct_at(sig) / (l2_s - l1_s)
+    return p0 + integral
+
+
+def reference_build_plan(which, speeds, gauge, grid, k0):
+    """One plan built on its own: its own triangle indices, and the speeds
+    evaluated at every point's column i-1 (int64 indices)."""
+    n, h, nodes = grid.n, grid.h, grid.nodes
+    p1 = np.asarray(speeds.phi_eval(1, nodes))
+    p2 = np.asarray(speeds.phi_eval(2, nodes))
+    l1 = np.asarray(speeds.speed(1, nodes), dtype=float)
+    l2 = np.asarray(speeds.speed(2, nodes), dtype=float)
+    lam1 = lambda x: speeds.speed(1, x)
+    lam2 = lambda x: speeds.speed(2, x)
+    ii, jj = np.tril_indices(n + 1)
+    ip = np.maximum(ii - 1, 0)
+    if which == "k11":
+        u = p1[jj] - (p1[ii] - p1[ip])
+        interior = u >= 0.0
+        feet = speeds.phi_inv_ext(1, u)
+        coef = lambda x, xi: -lam1(xi) * gauge.ct_at(xi) / (lam1(x) * lam2(xi))
+        diag_data, corner = None, 0.0
+    elif which == "k12":
+        u = p2[jj] + (p1[ii] - p1[ip])
+        interior = u <= p2[ip] + 1e-15
+        feet = speeds.phi_inv_ext(2, u)
+        coef = lambda x, xi: -lam2(xi) * gauge.bt_at(xi) / (lam1(x) * lam1(xi))
+        diag_data = l2 * gauge.bt_at(nodes) / (l1 - l2)
+        corner = diag_data[0]
+    elif which == "k21":
+        u = p1[jj] + (p2[ii] - p2[ip])
+        interior = u <= p1[ip] + 1e-15
+        feet = speeds.phi_inv_ext(1, u)
+        coef = lambda x, xi: -lam1(xi) * gauge.ct_at(xi) / (lam2(x) * lam2(xi))
+        diag_data = l1 * gauge.ct_at(nodes) / (l2 - l1)
+        corner = diag_data[0]
+    else:
+        u = p2[jj] - (p2[ii] - p2[ip])
+        interior = u >= 0.0
+        feet = speeds.phi_inv_ext(2, u)
+        coef = lambda x, xi: -lam2(xi) * gauge.bt_at(xi) / (lam2(x) * lam1(xi))
+        diag_data, corner = None, float(k0(0.0)) * l2[0]
+
+    def interp_setup(pos, clamp_hi):
+        idx = np.clip(np.floor(pos / h).astype(np.int64), 0, clamp_hi)
+        return idx, pos / h - idx
+
+    xiP = np.clip(feet, 0.0, 1.0)
+    fidx, fw = interp_setup(xiP, np.maximum(ii - 2, 0))
+    coefA = h * coef(nodes[ip], xiP)
+    band = (ii > jj if diag_data is not None else ii > 0) & ~interior
+    ii, jj = ii[band], jj[band]
+    if which == "k11":
+        xstart = np.asarray(speeds.phi_inv_ext(1, p1[ii] - p1[jj]), dtype=float)
+        p0 = np.zeros(ii.size)
+        cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
+    elif which == "k22":
+        xstart = np.asarray(speeds.phi_inv_ext(2, p2[ii] - p2[jj]), dtype=float)
+        p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * l2[0]
+        cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
+    elif which == "k12":
+        xstart = np.asarray(speeds.psi_inv(p1[ii] + p2[jj]), dtype=float)
+        p0 = lam2(xstart) * gauge.bt_at(xstart) / (lam1(xstart) - lam2(xstart))
+        cB = (nodes[ii] - xstart) * coef(xstart, xstart)
+    else:
+        xstart = np.asarray(speeds.psi_inv(p2[ii] + p1[jj]), dtype=float)
+        p0 = lam1(xstart) * gauge.ct_at(xstart) / (lam2(xstart) - lam1(xstart))
+        cB = (nodes[ii] - xstart) * coef(xstart, xstart)
+    bidx, bw = interp_setup(xstart, n - 1)
+    bounds = np.searchsorted(ii, np.arange(n + 2))
+    brows = [tuple(a[lo:hi] for a in (jj, p0, cB, bidx, bw))
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return fidx, fw, coefA, brows, diag_data, corner
+
+
+class TestSharedPlanGeometry:
+    @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
+    def test_plan_matches_unshared_build(self, which):
+        # speeds varying at different rates in x, and nonzero k0 data, so
+        # that every plan entry depends on which column the speed is read at
+        n = 60
+        speeds = SpeedPair.build(CoefficientSpec.polynomial([-1.0, -0.5, 0.3]),
+                                 CoefficientSpec.polynomial([1.0, 1.0, -0.4]))
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.4), const(0.8), CoefficientSpec.step(0.3, 0.0, 1.0),
+                             const(-0.2), speeds, grid)
+        k0 = CoefficientSpec.polynomial([0.2, 0.5])
+        plan = _build_plan(which, speeds, gauge, grid, k0, _triangle(speeds, grid))
+        fidx, fw, coefA, brows, diag_data, corner = reference_build_plan(
+            which, speeds, gauge, grid, k0)
+        assert plan.fidx.dtype == np.int32 and np.array_equal(plan.fidx, fidx)
+        assert plan.fw.tobytes() == fw.tobytes()
+        assert plan.coefA.tobytes() == coefA.tobytes()
+        assert np.count_nonzero(coefA) > coefA.size // 4
+        assert len(plan.brows) == len(brows) and sum(len(r[0]) for r in brows) >= n
+        for got, want in zip(plan.brows, brows):
+            assert got[3].dtype == np.int32 and np.array_equal(got[3], want[3])
+            for k in (0, 1, 2, 4):
+                assert got[k].tobytes() == want[k].tobytes()
+        assert (plan.diag_data is None) == (diag_data is None)
+        if diag_data is not None:
+            assert plan.diag_data.tobytes() == diag_data.tobytes()
+        assert np.float64(plan.corner).tobytes() == np.float64(corner).tobytes()
+
+
+class TestTraceRowBlocks:
+    @pytest.mark.parametrize("rows", [101, 64, 7], ids=["one-block", "ragged", "rows-7"])
+    def test_blocks_match_unblocked(self, varying_speeds, monkeypatch, rows):
+        # n = 100: 101 paths are one block, 64 + 37 (ragged), or 14 x 7 + 3
+        n = 100
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.3), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
+                             const(-0.4), varying_speeds, grid)
+        P22 = np.tril(np.random.default_rng(7).standard_normal((n + 1, n + 1)))
+        monkeypatch.setattr(simulator, "_CANONICAL_ROWS", rows)
+        got = _trace_row_direct(varying_speeds, gauge, grid, P22)
+        want = reference_trace_row_direct(varying_speeds, gauge, grid, P22)
+        assert np.count_nonzero(want) > n // 2
+        assert got.tobytes() == want.tobytes()
+
+
+class TestMemory:
+    def test_solve_peak_at_n400(self, varying_speeds):
+        # four kernels, four packed plans and the defect scratch: about 11
+        # arrays of (n+1)^2 floats at the peak (19 before the plans shared
+        # their geometry and the trace ran in row blocks)
+        n = 400
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
+                             const(0.0), varying_speeds, grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_kernels(gauge, varying_speeds, None, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * (n + 1) ** 2 * 8
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 150])
+    def test_estimate_bounds_peak(self, unit_speeds, varying_speeds, n):
+        for speeds in (unit_speeds, varying_speeds):
+            grid = Grid.uniform(n)
+            gauge = diag_removal(const(0.5), const(1.0), CoefficientSpec.step(0.25, 0.0, 1.0),
+                                 const(-0.3), speeds, grid)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                solve_kernels(gauge, speeds, None, grid)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= solve_kernels_bytes(n, speeds.table_nodes.size - 1)
 
 
 class TestFeedbackGains:

@@ -7,7 +7,8 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_solution,
                     diag_removal, feedback_gains, growth_rate, l2_norm,
                     simulate, solve_kernels, trace_g, volterra_apply)
 from hypmin.errors import CFLError, DivergenceError, DomainError, UndefinedRateError
-from hypmin.simulator import SimResult, export_sim_csv
+from hypmin.kernels import FeedbackLaw
+from hypmin.simulator import BoundaryReflection, SimResult, export_sim_csv
 
 from conftest import const, exact_transport, make_system, smooth_bump
 
@@ -123,6 +124,131 @@ class TestSimulate:
         inj = y1[grid.nodes > 0.5 + grid.h]
         assert np.max(np.abs(inj)) > 0.1
         assert sim.control_trace[-1] == pytest.approx(math.sin(1.5), abs=1e-12)
+
+
+def reference_simulate(system, control, y0, T, grid, cfl=0.9):
+    """The step loop simulate replaced: full history, np.trapezoid norms and
+    control quadrature, and an isfinite scan of both components per step.
+    Returns (times, snapshots, control_trace, l2_trace, linf_trace)."""
+    n, h, nodes = grid.n, grid.h, grid.nodes
+    l1 = np.asarray(system.speeds.speed(1, nodes), dtype=float)
+    l2 = np.asarray(system.speeds.speed(2, nodes), dtype=float)
+    max_speed = float(max(np.max(-l1), np.max(l2)))
+    dt = cfl * h / max_speed
+    steps = max(1, math.ceil(T / dt - 1e-12))
+    dt = T / steps
+    a, b, c, d = (np.asarray(f(nodes), dtype=float)
+                  for f in (system.a, system.b, system.c, system.d))
+    q = system.q
+    y1 = np.array(y0[0], dtype=float)
+    y2 = np.array(y0[1], dtype=float)
+
+    def norm(y1, y2):
+        return float(np.sqrt(np.trapezoid(y1 * y1 + y2 * y2, dx=h)))
+
+    def boundary_u(t_new, y1_new, y2_new):
+        if control is None:
+            return 0.0
+        if isinstance(control, FeedbackLaw):
+            hc = control.nodes[1] - control.nodes[0]
+            return float(np.trapezoid(control.f1 * y1_new + control.f2 * y2_new, dx=hc))
+        if isinstance(control, BoundaryReflection):
+            return control.k * y2_new[n]
+        return float(control(t_new))
+
+    times = np.linspace(0.0, T, steps + 1)
+    snapshots = [(y1.copy(), y2.copy())]
+    control_trace = [boundary_u(0.0, y1, y2)]
+    l2_trace = [norm(y1, y2)]
+    linf_trace = [float(max(np.max(np.abs(y1)), np.max(np.abs(y2))))]
+    nu = dt / h
+    for m in range(1, steps + 1):
+        with np.errstate(invalid="ignore", over="ignore"):
+            s1 = a * y1 + b * y2
+            s2 = c * y1 + d * y2
+            y1n = y1.copy()
+            y2n = y2.copy()
+            y1n[:-1] = y1[:-1] - nu * l1[:-1] * (y1[1:] - y1[:-1]) + dt * s1[:-1]
+            y2n[1:] = y2[1:] - nu * l2[1:] * (y2[1:] - y2[:-1]) + dt * s2[1:]
+            y1n[-1] = y1[-1]
+            y2n[0] = q * y1n[0]
+            u = boundary_u(times[m], y1n, y2n)
+            y1n[-1] = u
+        if not (np.isfinite(y1n).all() and np.isfinite(y2n).all() and np.isfinite(u)):
+            raise DivergenceError(f"non-finite state at step {m}", step=m)
+        y1, y2 = y1n, y2n
+        control_trace.append(u)
+        snapshots.append((y1.copy(), y2.copy()))
+        l2_trace.append(norm(y1, y2))
+        linf_trace.append(float(max(np.max(np.abs(y1)), np.max(np.abs(y2)))))
+    return times, snapshots, np.array(control_trace), np.array(l2_trace), np.array(linf_trace)
+
+
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+class TestSimulateMatchesReference:
+    """The lean step is bitwise the old one, whatever the control."""
+
+    @staticmethod
+    def _case(kind, unit_speeds, varying_speeds):
+        n = 60
+        grid = Grid.uniform(n)
+        rng = np.random.default_rng(11)
+        y0 = (rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1))
+        if kind == "feedback":
+            system = make_system(varying_speeds, a=0.3, b=0.8,
+                                 c=CoefficientSpec.step(0.3, 0.0, 1.0), d=-0.2)
+            gauge = diag_removal(system.a, system.b, system.c, system.d,
+                                 varying_speeds, grid)
+            control = feedback_gains(solve_kernels(gauge, varying_speeds, None, grid), gauge)
+        elif kind == "reflection":
+            system = make_system(unit_speeds, b=math.pi, c=math.pi)
+            control = BoundaryReflection(1.2)
+        elif kind == "open-loop":
+            system = make_system(varying_speeds, a=0.5, d=0.1, q=0.4)
+            control = lambda t: math.sin(3 * t)
+        else:
+            system = make_system(unit_speeds, a=0.2, b=1.0, c=-0.5, d=0.3)
+            control = None
+        return system, control, y0, grid
+
+    @pytest.mark.parametrize("snapshots", [None, 0, 1, 3, 10 ** 6])
+    @pytest.mark.parametrize("kind", ["feedback", "reflection", "open-loop", "zero"])
+    def test_traces_and_kept_snapshots(self, unit_speeds, varying_speeds, kind, snapshots):
+        system, control, y0, grid = self._case(kind, unit_speeds, varying_speeds)
+        times, snaps, ctrl, l2, linf = reference_simulate(system, control, y0, 0.9, grid)
+        sim = simulate(system, control, y0, 0.9, grid, snapshots=snapshots)
+        assert _same_bits(sim.times, times)
+        assert _same_bits(sim.control_trace, ctrl)
+        assert _same_bits(sim.l2_trace, l2)
+        assert _same_bits(sim.linf_trace, linf)
+        if snapshots is None:
+            picks = np.arange(len(times))
+        else:      # the pick rule export_sim_csv used to apply to the full history
+            count = min(snapshots, len(times))
+            picks = np.unique(np.linspace(0, len(times) - 1, count).astype(int))
+        assert _same_bits(sim.snapshot_steps, picks)
+        assert len(sim.snapshots) == len(picks)
+        for k, (y1, y2) in zip(picks, sim.snapshots):
+            assert _same_bits(y1, snaps[k][0]) and _same_bits(y2, snaps[k][1])
+        assert _same_bits(sim.final[0], snaps[-1][0]) and _same_bits(sim.final[1], snaps[-1][1])
+        assert np.max(np.abs(ctrl)) > 0.0 or control is None
+
+    def test_nan_only_in_y2_diverges_at_step_one(self, unit_speeds):
+        # a NaN at the outflow node of y2 stays out of y1's first update, so
+        # only a check of both components catches it at step 1
+        grid = Grid.uniform(20)
+        system = make_system(unit_speeds)
+        y2 = np.zeros(21)
+        y2[-1] = np.nan
+        y0 = (np.ones(21), y2)
+        with pytest.raises(DivergenceError) as ref:
+            reference_simulate(system, None, y0, 0.5, grid)
+        with pytest.raises(DivergenceError) as err:
+            simulate(system, None, y0, 0.5, grid, snapshots=0)
+        assert err.value.step == ref.value.step == 1
 
 
 class TestCanonicalSolution:
@@ -270,8 +396,8 @@ class TestExport:
         grid = Grid.uniform(20)
         system = make_system(unit_speeds)
         y0 = (np.sin(grid.nodes), np.cos(grid.nodes))
-        sim = simulate(system, None, y0, 0.2, grid)
-        files = export_sim_csv(sim, tmp_path, max_snapshots=4)
+        sim = simulate(system, None, y0, 0.2, grid, snapshots=4)
+        files = export_sim_csv(sim, tmp_path)
         assert (tmp_path / "timeseries.csv").exists()
         assert (tmp_path / "snapshots.csv").exists()
         assert sum(1 for f in files if "snapshot_" in str(f)) == 4
