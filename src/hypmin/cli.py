@@ -66,7 +66,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     law = None
     if cfg.control.get("kind", "feedback") == "feedback":
-        gauge, K = _synthesize(cfg, cfg.grid)
+        gauge, K = _synthesize(cfg, cfg.grid, ("gains",))
         law = feedback_gains(K, gauge)
     control = make_control(cfg.control, feedback=law)
     y0 = make_initial_data(cfg.initial, cfg.grid, cfg.seed)

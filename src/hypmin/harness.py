@@ -275,7 +275,8 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
     cfl = _number(raw, "cfl", float, 0.9)
     if not 0.0 < cfl <= 1.0:
         raise ConfigError(f"cfl must lie in (0,1], got {cfl}")
-    _check_memory(_simulate_bytes(speeds, Grid.uniform(2 * grid_n), horizon, cfl),
+    _check_memory(_simulate_bytes(_max_speed(speeds, Grid.uniform(2 * grid_n).nodes),
+                                  2 * grid_n, horizon, cfl),
                   f"horizon {horizon:.12g}: the time steps at n={2 * grid_n}", ConfigError)
     seed = _number(raw, "seed", int, 42)
     return ScenarioConfig(
@@ -355,10 +356,12 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
     raise ConfigError(f"unknown control kind {kind!r}")
 
 
-def _synthesize(cfg: ScenarioConfig, grid: Grid):
+def _synthesize(cfg: ScenarioConfig, grid: Grid, pairs=("gains", "trace")):
+    """Gauge and kernels of the scenario on grid, solving only the kernel
+    pairs named (see solve_kernels)."""
     gauge = diag_removal(cfg.system.a, cfg.system.b, cfg.system.c, cfg.system.d,
                          cfg.system.speeds, grid)
-    K = solve_kernels(gauge, cfg.system.speeds, None, grid)
+    K = solve_kernels(gauge, cfg.system.speeds, None, grid, pairs)
     return gauge, K
 
 
@@ -386,7 +389,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
     residuals = []
     for nk in _levels(cfg.grid.n, levels):
         grid_k = Grid.uniform(nk)
-        gauge, K = _synthesize(cfg, grid_k)
+        gauge, K = _synthesize(cfg, grid_k, ("gains",))
         law = feedback_gains(K, gauge)
         y0 = make_initial_data(cfg.initial, grid_k, cfg.seed)
         norm0 = l2_norm(y0[0], y0[1], grid_k.h)
@@ -495,7 +498,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     rel_init_all = []
     for nk in levels:
         grid_k = Grid.uniform(nk)
-        gauge, K = _synthesize(cfg, grid_k)
+        gauge, K = _synthesize(cfg, grid_k, ("trace",))
         g = trace_g(K, cfg.system.speeds)
         res, free_norm, cond, ncontrols = canonical_sharpness_residual(
             cfg.system.speeds, g, T, grid_k)
@@ -606,6 +609,13 @@ def counterexample(k: float, n: int = 800, horizon: float = 2.5,
     """
     t_start = time.perf_counter()
     theta, sigma = solve_counterexample_branch(k)
+    table_n = max(4096, 4 * n)
+    # speeds -1 and 1: the step traces, the dozen speed-table arrays that
+    # SpeedPair.build holds at once and a few dozen arrays of n+1 nodes,
+    # estimated before any of them is allocated
+    _check_memory(_simulate_bytes(1.0, n, horizon, cfl)
+                  + 8.0 * (12 * (table_n + 1) + 32 * (n + 1)),
+                  f"counterexample at n={n}", PreconditionError)
     grid = Grid.uniform(n)
     xs = grid.nodes
     if abs(k - _K_CRITICAL) <= 1e-12:
@@ -621,7 +631,7 @@ def counterexample(k: float, n: int = 800, horizon: float = 2.5,
 
     speeds = SpeedPair.build(CoefficientSpec.constant(-1.0),
                              CoefficientSpec.constant(1.0),
-                             table_n=max(4096, 4 * n))
+                             table_n=table_n)
     pi_c = CoefficientSpec.constant(math.pi)
     zero = CoefficientSpec.constant(0.0)
     system = SystemSpec(speeds=speeds, a=zero, b=pi_c, c=pi_c, d=zero, q=0.0)

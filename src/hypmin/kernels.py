@@ -28,6 +28,12 @@ Characteristic invariants used to locate the foot of each step:
 
 The trace k21(.,0) is the endpoint of the k21 integration, never an
 extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
+
+The two systems are solved only on request: the pair "gains" (k11, k12)
+gives the stabilizing feedback, the pair "trace" (k21, k22) gives g.  Every
+step and boundary value of one pair reads only its own partner, so solving
+one pair gives bitwise the arrays of the full solve.  Memory: about 11
+arrays of (n+1)^2 floats for both pairs, about 7 for one.
 """
 
 from __future__ import annotations
@@ -60,15 +66,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Solved kernels sampled on the triangle (entries with xi > x are zero)."""
+    """Solved kernels sampled on the triangle (entries with xi > x are zero).
+
+    A kernel of a pair that was not solved is None.
+    """
 
     grid: Grid
-    k11: np.ndarray = field(repr=False)
-    k12: np.ndarray = field(repr=False)
-    k21: np.ndarray = field(repr=False)
-    k22: np.ndarray = field(repr=False)
+    k11: np.ndarray | None = field(repr=False)
+    k12: np.ndarray | None = field(repr=False)
+    k21: np.ndarray | None = field(repr=False)
+    k22: np.ndarray | None = field(repr=False)
     k0: CoefficientSpec = field(repr=False)
     residual: float = 0.0
+
+    def require(self, reader: str, *names: str) -> None:
+        """Raise DomainError unless the kernels a reader needs were solved."""
+        missing = [w for w in names if getattr(self, w) is None]
+        if missing:
+            raise DomainError(f"{reader} needs kernel {', '.join(missing)}, "
+                              "which this KernelSet did not solve")
 
 
 @dataclass(frozen=True)
@@ -260,16 +276,18 @@ def _coupling_edge(P: dict, which: str) -> np.ndarray:
 
 
 def _march_coupled(plans: dict, P: dict, n: int) -> None:
-    """All four kernels in one column march, each column in dependency order."""
+    """The kernels of P in one column march, each column in dependency order."""
     edges = {w: _coupling_edge(P, w) for w in P}
+    boundary = [w for w in ("k12", "k21", "k11", "k22") if w in P]
+    diagonal = [w for w in ("k12", "k21") if w in P]
     for w in P:
         P[w][0, 0] = plans[w].corner
     for i in range(1, n + 1):
         for w in P:
             _step_interior(plans[w], P[w], P[_PARTNER[w]], i)
-        for w in ("k12", "k21", "k11", "k22"):
+        for w in boundary:
             _step_boundary(plans[w], P[w], edges[w], i)
-        for w in ("k12", "k21"):
+        for w in diagonal:
             P[w][i, i] = plans[w].diag_data[i]
 
 
@@ -330,26 +348,35 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     return p0 + integral
 
 
-def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | None,
-                  grid: Grid) -> KernelSet:
-    """Solve the kernel equations in one coupled column march.
+_PAIRS = {"gains": ("k11", "k12"), "trace": ("k21", "k22")}
 
-    Each column integrates all four kernels along their characteristics in
-    dependency order, so a single pass gives the fixed point of the discrete
-    scheme; the semi-Lagrangian march is unconditionally stable, so the grid
-    only controls accuracy (first order).  One frozen-coupling sweep over the
-    result then measures the defect, the sup-norm change it would make, which
-    is reported as KernelSet.residual.  Memory: about 11 arrays of (n+1)^2
-    floats at most (solve_kernels_bytes bounds it).
+
+def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | None,
+                  grid: Grid, pairs=("gains", "trace")) -> KernelSet:
+    """Solve the kernel equations of the requested pairs in one column march.
+
+    pairs names the 2x2 systems to solve: "gains" (k11, k12) for
+    feedback_gains, "trace" (k21, k22) for trace_g; the kernels of a pair
+    left out are None in the result.  Each column integrates the kernels
+    along their characteristics in dependency order, so a single pass gives
+    the fixed point of the discrete scheme; the semi-Lagrangian march is
+    unconditionally stable, so the grid only controls accuracy (first
+    order).  One frozen-coupling sweep over the result then measures the
+    defect, the sup-norm change it would make, which is reported as
+    KernelSet.residual.  Memory: about 11 arrays of (n+1)^2 floats for both
+    pairs and about 7 for one (solve_kernels_bytes bounds the full solve).
     """
     if k0 is None:
         k0 = CoefficientSpec.constant(0.0)
     if grid.n < 4:
         raise DomainError("kernel grid too coarse (need n >= 4)")
+    if not pairs or not set(pairs) <= set(_PAIRS):
+        raise DomainError(f"pairs must name some of {', '.join(_PAIRS)}, got {pairs!r}")
     n = grid.n
     tri = _triangle(speeds, grid)
     l1, l2 = tri.lam
-    wgt = {"k11": l1, "k12": l2, "k21": l1, "k22": l2}
+    weights = {"k11": l1, "k12": l2, "k21": l1, "k22": l2}
+    wgt = {w: weights[w] for p in _PAIRS if p in pairs for w in _PAIRS[p]}
 
     plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in wgt}
     del tri
@@ -360,7 +387,7 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
     # sweep writes exactly the lower triangle, so the untouched upper part of
     # the scratch stays zero, as it is in P.
     defects = []
-    scratch = np.zeros_like(P["k11"])
+    scratch = np.zeros((n + 1, n + 1))
     for w in P:
         _march(plans[w], scratch, P[_PARTNER[w]], _coupling_edge(P, w), n)
         np.subtract(scratch, P[w], out=scratch)
@@ -373,29 +400,31 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
     # The xi=0 trace of k21 defines g; integrate it directly along each trace
     # characteristic so its vanishing set is not blurred by the column
     # re-sampling of the marched field.
-    trace21 = _trace_row_direct(speeds, gauge, grid, P["k22"])
+    if "k21" in P:
+        P["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"])
     for w in P:
         P[w] /= wgt[w][None, :]
-    P["k21"][:, 0] = trace21 / l1[0]
-    return KernelSet(grid=grid, k11=P["k11"], k12=P["k12"], k21=P["k21"],
-                     k22=P["k22"], k0=k0, residual=residual)
+    return KernelSet(grid=grid, k11=P.get("k11"), k12=P.get("k12"), k21=P.get("k21"),
+                     k22=P.get("k22"), k0=k0, residual=residual)
 
 
 def solve_kernels_bytes(n: int, table_n: int) -> int:
     """Upper bound on the bytes solve_kernels holds at once on an n-cell grid.
 
-    The defect sweep is the peak: four kernels, four packed plans (int32 foot
-    index, weight and source coefficient, 1.25 arrays of (n+1)^2 each) and
-    one scratch array make about 10, bounded here by 12.  Per row, each plan
-    keeps a tuple of five boundary-band arrays (about 3 KB for the four), and
-    the travel-time inverses take up to six temporaries of the table_n-cell
-    speed table.
+    The defect sweep of the full solve is the peak: four kernels, four packed
+    plans (int32 foot index, weight and source coefficient, 1.25 arrays of
+    (n+1)^2 each) and one scratch array make about 10, bounded here by 12;
+    one pair takes about 7, so the bound is conservative for it.  Per row,
+    each plan keeps a tuple of five boundary-band arrays (about 3 KB for the
+    four), and the travel-time inverses take up to six temporaries of the
+    table_n-cell speed table.
     """
     return 8 * (12 * (n + 1) ** 2 + 6 * (table_n + 1)) + 4096 * (n + 1)
 
 
 def trace_g(K: KernelSet, speeds: SpeedPair) -> np.ndarray:
     """g(x) = -k21(x,0)*lambda1(0), sampled on the kernel grid nodes."""
+    K.require("trace_g", "k21")
     lam10 = float(speeds.speed(1, 0.0))
     return -K.k21[:, 0] * lam10
 
@@ -404,6 +433,7 @@ def feedback_gains(K: KernelSet, gauge: DiagGauge) -> FeedbackLaw:
     """Gains f1, f2 of the stabilizing feedback, on the kernel grid nodes."""
     if gauge.grid.n != K.grid.n:
         raise GridMismatchError("gauge and kernel grids differ")
+    K.require("feedback_gains", "k11", "k12")
     n = K.grid.n
     f1 = K.k11[n, :] * gauge.e1 / gauge.e1[-1]
     f2 = K.k12[n, :] * gauge.e2 / gauge.e1[-1]
@@ -459,6 +489,7 @@ def _write_csv(path, header, columns) -> None:
 
 def export_kernels_csv(K: KernelSet, path) -> None:
     """Write the triangle samples as rows (x, xi, k11, k12, k21, k22)."""
+    K.require("export_kernels_csv", "k11", "k12", "k21", "k22")
     i, j = np.tril_indices(K.grid.n + 1)
     nodes = K.grid.nodes
     _write_csv(path, ["x", "xi", "k11", "k12", "k21", "k22"],

@@ -88,10 +88,11 @@ def _max_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
     return float(max(np.max(-speeds.speed(1, nodes)), np.max(speeds.speed(2, nodes))))
 
 
-def _simulate_bytes(speeds: SpeedPair, grid: Grid, T: float, cfl: float) -> float:
-    """Upper bound on the bytes of simulate's four step traces up to T (a
-    float, so that no T overflows it); kept snapshots are extra."""
-    return 32.0 * (T * _max_speed(speeds, grid.nodes) / (cfl * grid.h) + 2.0)
+def _simulate_bytes(max_speed: float, n: int, T: float, cfl: float) -> float:
+    """Upper bound on the bytes of simulate's four step traces up to T on an
+    n-cell grid with largest speed max_speed (a float, so that no T
+    overflows it); kept snapshots are extra."""
+    return 32.0 * (T * max_speed * n / cfl + 2.0)
 
 
 def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coeffs import CoefficientSpec, Grid
-from .errors import GridMismatchError
+from .errors import DomainError, GridMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .characteristics import SpeedPair
@@ -52,15 +52,27 @@ def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
 
     e1(x) = exp(-int_0^x a/lambda1), e2(x) = exp(-int_0^x d/lambda2),
     bt = b e1/e2, ct = c e2/e1.  The zero set of c at grid nodes is
-    untouched, so ct and c share their vanishing prefix exactly.
+    untouched, so ct and c share their vanishing prefix exactly.  A weight
+    that overflows or underflows, or a gauged coupling that overflows,
+    raises DomainError naming the coefficient.
     """
     xs = grid.nodes
     l1 = np.asarray(speeds.speed(1, xs), dtype=float)
     l2 = np.asarray(speeds.speed(2, xs), dtype=float)
-    e1 = np.exp(-_cumtrapz(np.asarray(a(xs), dtype=float) / l1, grid.h))
-    e2 = np.exp(-_cumtrapz(np.asarray(d(xs), dtype=float) / l2, grid.h))
-    bt = np.asarray(b(xs), dtype=float) * e1 / e2
-    ct = np.asarray(c(xs), dtype=float) * e2 / e1
+    with np.errstate(all="ignore"):
+        e1 = np.exp(-_cumtrapz(np.asarray(a(xs), dtype=float) / l1, grid.h))
+        e2 = np.exp(-_cumtrapz(np.asarray(d(xs), dtype=float) / l2, grid.h))
+        for name, e, formula in (("a", e1, "exp(-int a/lambda1)"),
+                                 ("d", e2, "exp(-int d/lambda2)")):
+            if not np.all(np.isfinite(e) & (e > 0.0)):
+                raise DomainError(f"coefficient {name} is too large: the gauge "
+                                  f"weight {formula} overflows or underflows")
+        bt = np.asarray(b(xs), dtype=float) * e1 / e2
+        ct = np.asarray(c(xs), dtype=float) * e2 / e1
+    for name, val in (("b", bt), ("c", ct)):
+        if not np.all(np.isfinite(val)):
+            raise DomainError(f"coefficient {name} is too large against the gauge "
+                              "weights of a and d: its gauged value overflows")
     return DiagGauge(grid, e1, e2, bt, ct)
 
 
@@ -75,6 +87,7 @@ def _trap_weights(n: int, h: float) -> np.ndarray:
 
 
 def _check_fields(K: "KernelSet", y1, y2):
+    K.require("the Volterra transform", "k11", "k12", "k21", "k22")
     npts = K.k11.shape[0]
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)

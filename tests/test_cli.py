@@ -170,8 +170,37 @@ class TestMemoryCap:
         assert elapsed < 0.5 and peak < 5e6
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [10 ** 7, 10 ** 12])
+    def test_counterexample_n_beyond_cap(self, capsys, monkeypatch, n):
+        # the speed table and the step traces are estimated before either
+        # is allocated (about 4.9 GB at n = 1e7)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        elapsed, peak, err = _run_one_line_exit_2(
+            ["counterexample", "--k", "1", "--n", str(n)], capsys)
+        assert f"counterexample at n={n} needs about" in err
+        assert elapsed < 0.5 and peak < 5e6
+
     def test_physical_memory_is_reported(self):
         assert 0 < harness._physical_memory() < math.inf
+
+
+class TestGaugeOverflow:
+    @pytest.mark.parametrize("argv", [["kernels"], ["simulate"], ["verify-settling"],
+                                      ["verify-sharpness", "--T", "1"]],
+                             ids=["kernels", "simulate", "verify-settling", "verify-sharpness"])
+    def test_large_diagonal_coupling(self, tmp_path, capsys, recwarn, argv):
+        # a = 1136 makes the gauge weight exp(1136 x) overflow: one line,
+        # exit 2, no NaN kernels written and no RuntimeWarning
+        raw = headline_raw(n=16)
+        raw["system"]["a"] = {"family": "constant", "value": 1136}
+        path = tmp_path / "big_a.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        _, _, err = _run_one_line_exit_2([argv[0], str(path), *argv[1:], "--out", str(out)],
+                                         capsys)
+        assert "coefficient a is too large" in err
+        assert len(recwarn) == 0
+        assert not out.exists()
 
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"

@@ -143,6 +143,38 @@ class TestSolveKernels:
         assert K.residual <= 1e-12
         assert_matches_reference(gauge, K, speeds)
 
+    @settings(max_examples=15, deadline=None)
+    @given(b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0),
+           lam1=st.floats(-2.0, -0.5), lam2=st.floats(0.5, 2.0),
+           a=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+           d=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+           k0=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
+    def test_pair_solve_matches_full_property(self, b, c, lam1, lam2, a, d, k0):
+        # the two 2x2 systems are decoupled: solving one pair gives bitwise
+        # the full solve's arrays and defect, and leaves the other pair None
+        speeds = SpeedPair.build(const(lam1), const(lam2))
+        grid = Grid.uniform(32)
+        gauge = diag_removal(const(a), const(b), const(c), const(d), speeds, grid)
+        k0 = CoefficientSpec.polynomial([k0, 0.5])
+        full = solve_kernels(gauge, speeds, k0, grid)
+        for pair, solved in ((("gains",), ("k11", "k12")), (("trace",), ("k21", "k22"))):
+            K = solve_kernels(gauge, speeds, k0, grid, pair)
+            assert K.residual == full.residual
+            for name in ("k11", "k12", "k21", "k22"):
+                got = getattr(K, name)
+                if name in solved:
+                    assert got.tobytes() == getattr(full, name).tobytes(), (pair, name)
+                else:
+                    assert got is None, (pair, name)
+
+    @pytest.mark.parametrize("pairs", [(), ("gain",), ("gains", "k21")])
+    def test_unknown_pairs(self, unit_speeds, pairs):
+        grid = Grid.uniform(8)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
+                             unit_speeds, grid)
+        with pytest.raises(DomainError, match="pairs must name"):
+            solve_kernels(gauge, unit_speeds, None, grid, pairs)
+
     def test_grid_too_coarse(self, unit_speeds):
         with pytest.raises(DomainError):
             solve(unit_speeds, n=2)
@@ -368,6 +400,17 @@ class TestTraceRowBlocks:
         assert got.tobytes() == want.tobytes()
 
 
+def solve_peak(gauge, speeds, grid, pairs=("gains", "trace")):
+    """tracemalloc peak of one solve_kernels call above its base, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_kernels(gauge, speeds, None, grid, pairs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
     def test_solve_peak_at_n400(self, varying_speeds):
         # four kernels, four packed plans and the defect scratch: about 11
@@ -377,14 +420,17 @@ class TestMemory:
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
                              const(0.0), varying_speeds, grid)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            solve_kernels(gauge, varying_speeds, None, grid)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * (n + 1) ** 2 * 8
+        assert solve_peak(gauge, varying_speeds, grid) <= 12 * (n + 1) ** 2 * 8
+
+    @pytest.mark.parametrize("pair", ["gains", "trace"])
+    def test_pair_peak_at_n400(self, varying_speeds, pair):
+        # two kernels, two packed plans, the defect scratch and the shared
+        # triangle geometry while the plans are built: about 7 arrays
+        n = 400
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
+                             const(0.0), varying_speeds, grid)
+        assert solve_peak(gauge, varying_speeds, grid, (pair,)) <= 8 * (n + 1) ** 2 * 8
 
     @pytest.mark.parametrize("n", [4, 16, 64, 150])
     def test_estimate_bounds_peak(self, unit_speeds, varying_speeds, n):
@@ -392,14 +438,38 @@ class TestMemory:
             grid = Grid.uniform(n)
             gauge = diag_removal(const(0.5), const(1.0), CoefficientSpec.step(0.25, 0.0, 1.0),
                                  const(-0.3), speeds, grid)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                solve_kernels(gauge, speeds, None, grid)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            peak = solve_peak(gauge, speeds, grid)
             assert peak <= solve_kernels_bytes(n, speeds.table_nodes.size - 1)
+
+
+class TestMissingPair:
+    """A reader given a KernelSet without the pair it reads names the kernel."""
+
+    def test_feedback_gains(self, unit_speeds):
+        grid = Grid.uniform(16)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
+                             unit_speeds, grid)
+        K = solve_kernels(gauge, unit_speeds, None, grid, ("trace",))
+        with pytest.raises(DomainError, match="feedback_gains needs kernel k11, k12"):
+            feedback_gains(K, gauge)
+
+    def test_trace_g(self, unit_speeds):
+        grid = Grid.uniform(16)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
+                             unit_speeds, grid)
+        K = solve_kernels(gauge, unit_speeds, None, grid, ("gains",))
+        with pytest.raises(DomainError, match="trace_g needs kernel k21,"):
+            trace_g(K, unit_speeds)
+
+    @pytest.mark.parametrize("pair, missing", [("gains", "k21, k22"), ("trace", "k11, k12")])
+    def test_export_kernels_csv(self, unit_speeds, tmp_path, pair, missing):
+        grid = Grid.uniform(16)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
+                             unit_speeds, grid)
+        K = solve_kernels(gauge, unit_speeds, None, grid, (pair,))
+        with pytest.raises(DomainError, match=f"export_kernels_csv needs kernel {missing},"):
+            export_kernels_csv(K, tmp_path / "k.csv")
+        assert not (tmp_path / "k.csv").exists()
 
 
 class TestFeedbackGains:

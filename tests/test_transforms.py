@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hypmin import (CoefficientSpec, Grid, KernelSet, diag_removal,
+from hypmin import (CoefficientSpec, Grid, KernelSet, diag_removal, solve_kernels,
                     vanishing_prefix, volterra_apply, volterra_invert)
-from hypmin.errors import GridMismatchError
+from hypmin.errors import DomainError, GridMismatchError
 
 from conftest import const, random_kernel_set
 
@@ -37,6 +37,26 @@ class TestDiagRemoval:
                              varying_speeds, grid)
         assert gauge.e1.min() > 0.0
         assert gauge.e2.min() > 0.0
+
+    @pytest.mark.parametrize("a, d, name", [
+        (1136.0, 0.0, "a"),       # e1 = exp(1136 x) overflows
+        (-1136.0, 0.0, "a"),      # e1 = exp(-1136 x) underflows to 0
+        (0.0, -1136.0, "d"),
+        (0.0, 1136.0, "d"),
+    ], ids=["a-overflow", "a-underflow", "d-overflow", "d-underflow"])
+    def test_weight_out_of_range(self, unit_speeds, recwarn, a, d, name):
+        grid = Grid.uniform(16)
+        with pytest.raises(DomainError, match=f"coefficient {name} is too large"):
+            diag_removal(const(a), const(1.0), const(1.0), const(d), unit_speeds, grid)
+        assert len(recwarn) == 0
+
+    def test_gauged_coupling_overflow(self, unit_speeds, recwarn):
+        # e1 = exp(700 x) and e2 = exp(-700 x) are finite, but e1/e2 is not
+        grid = Grid.uniform(16)
+        with pytest.raises(DomainError, match="coefficient b is too large against"):
+            diag_removal(const(700.0), const(1.0), const(0.0), const(700.0),
+                         unit_speeds, grid)
+        assert len(recwarn) == 0
 
     @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0])
     def test_prefix_preserved(self, unit_speeds, eps):
@@ -102,6 +122,17 @@ class TestVolterra:
             r1, r2 = volterra_apply(K, *volterra_invert(K, y1, y2))
             assert np.max(np.abs(r1 - y1)) <= 1e-8
             assert np.max(np.abs(r2 - y2)) <= 1e-8
+
+    @pytest.mark.parametrize("transform", [volterra_apply, volterra_invert])
+    @pytest.mark.parametrize("pair, missing", [("gains", "k21, k22"), ("trace", "k11, k12")])
+    def test_missing_pair(self, unit_speeds, transform, pair, missing):
+        grid = Grid.uniform(16)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
+                             unit_speeds, grid)
+        K = solve_kernels(gauge, unit_speeds, None, grid, (pair,))
+        ones = np.ones(grid.n + 1)
+        with pytest.raises(DomainError, match=f"Volterra transform needs kernel {missing},"):
+            transform(K, ones, ones)
 
     def test_grid_mismatch(self):
         grid = Grid.uniform(20)
