@@ -75,7 +75,6 @@ class SpeedPair:
     w2: np.ndarray = field(repr=False)  # 1/lambda2 at table nodes
     phi1_table: np.ndarray = field(repr=False)
     phi2_table: np.ndarray = field(repr=False)
-    eps_bound: float
 
     @staticmethod
     def build(lambda1: CoefficientSpec, lambda2: CoefficientSpec,
@@ -92,8 +91,7 @@ class SpeedPair:
         ht = 1.0 / table_n
         phi1 = np.concatenate(([0.0], np.cumsum(0.5 * ht * (w1[1:] + w1[:-1]))))
         phi2 = np.concatenate(([0.0], np.cumsum(0.5 * ht * (w2[1:] + w2[:-1]))))
-        return SpeedPair(lambda1, lambda2, nodes, w1, w2, phi1, phi2,
-                         eps_bound=float(min((-l1).min(), l2.min())))
+        return SpeedPair(lambda1, lambda2, nodes, w1, w2, phi1, phi2)
 
     @property
     def T1(self) -> float:

@@ -19,7 +19,7 @@ from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      RootBracketError, SpeedOrderError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
-                      _synthesize, _write_json)
+                      _check_memory, _synthesize, _write_json)
 from .kernels import export_kernels_csv, export_profile_csv, feedback_gains, trace_g
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
@@ -113,6 +113,9 @@ def _cmd_titchmarsh(args) -> int:
         raise ConfigError(f"--n must be at least 2, got {args.n}")
     if not (0.0 <= args.prefix_a <= args.tau and 0.0 <= args.prefix_b <= args.tau):
         raise ConfigError("prefixes must lie in [0, tau]")
+    # the samples, both indicators, the 2n+1 full convolution and the
+    # temporaries of titchmarsh_check: about 10.4 arrays of n+1 floats at once
+    _check_memory(8.0 * 12 * (args.n + 1), f"--n {args.n}", ConfigError)
     ts = np.linspace(0.0, args.tau, args.n + 1)
     alpha = (ts > args.prefix_a).astype(float)
     beta = (ts > args.prefix_b).astype(float)

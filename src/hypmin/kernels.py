@@ -29,11 +29,13 @@ Characteristic invariants used to locate the foot of each step:
 The trace k21(.,0) is the endpoint of the k21 integration, never an
 extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 
-The two systems are solved only on request: the pair "gains" (k11, k12)
-gives the stabilizing feedback, the pair "trace" (k21, k22) gives g.  Every
-step and boundary value of one pair reads only its own partner, so solving
-one pair gives bitwise the arrays of the full solve.  Memory: about 11
-arrays of (n+1)^2 floats for both pairs, about 7 for one.
+The two systems are solved only on request, each as its own column march:
+the pair "gains" (k11, k12) gives the stabilizing feedback, the pair
+"trace" (k21, k22) gives g.  Every step and boundary value of one pair
+reads only its own partner, so solving one pair gives bitwise the arrays
+of the full solve.  The same march, with the couplings frozen at the
+solved partner, is the defect sweep.  Memory: about 9 arrays of (n+1)^2
+floats for both pairs, about 7 for one.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class KernelSet:
     k12: np.ndarray | None = field(repr=False)
     k21: np.ndarray | None = field(repr=False)
     k22: np.ndarray | None = field(repr=False)
-    k0: CoefficientSpec = field(repr=False)
     residual: float = 0.0
 
     def require(self, reader: str, *names: str) -> None:
@@ -103,7 +104,7 @@ class FeedbackLaw:
 
 
 class _Triangle(NamedTuple):
-    """Grid geometry shared by the four march plans of one solve.
+    """Grid geometry of the two march plans of one pair, built per pair.
 
     Lower-triangle points (i, j), j <= i, packed row by row at i(i+1)/2 + j
     from one np.tril_indices; ip = max(i-1, 0) is the previous column (row 0
@@ -251,44 +252,28 @@ def _step_boundary(plan: _MarchPlan, Pself: np.ndarray, edge: np.ndarray,
         Pself[i, js] = p0 + cB * (edge[bidx] * (1.0 - bw) + edge[bidx + 1] * bw)
 
 
-def _march(plan: _MarchPlan, Pself: np.ndarray, Pother_old: np.ndarray,
-           edge_old: np.ndarray, n: int) -> None:
-    """One transport sweep over columns, coupling source frozen at Pother_old."""
-    Pself[0, 0] = plan.corner
-    for i in range(1, n + 1):
-        _step_interior(plan, Pself, Pother_old, i)
-        _step_boundary(plan, Pself, edge_old, i)
-        if plan.diag_data is not None:
-            Pself[i, i] = plan.diag_data[i]
+def _march_pair(plans: dict, P: dict, src: dict, n: int) -> None:
+    """Column march of the kernels in P, kernel w coupled to the field src[w].
 
-
-_PARTNER = {"k11": "k12", "k12": "k11", "k21": "k22", "k22": "k21"}
-
-
-def _coupling_edge(P: dict, which: str) -> np.ndarray:
-    """View of the partner values a kernel's boundary-entered points read.
-
-    k11/k22 enter through xi=0 and read the k12/k21 edge there; k12/k21 enter
-    through the diagonal and read the k11/k22 diagonal.
+    With src the crossed pair itself ({k12: P[k11], k11: P[k12]}) each column
+    is solved in dependency order, which is the exact one-pass solve; with a
+    fresh P and src the solved partners it is one frozen-coupling sweep.  A
+    diagonal-entered kernel (k12/k21) reads the diagonal of src[w], an
+    edge-entered one (k11/k22) its edge xi=0.  A column's boundary points
+    are written after all its interior points, kernel by kernel in the
+    order of P (see _PAIRS).
     """
-    partner = P[_PARTNER[which]]
-    return partner[:, 0] if which in ("k11", "k22") else partner.diagonal()
-
-
-def _march_coupled(plans: dict, P: dict, n: int) -> None:
-    """The kernels of P in one column march, each column in dependency order."""
-    edges = {w: _coupling_edge(P, w) for w in P}
-    boundary = [w for w in ("k12", "k21", "k11", "k22") if w in P]
-    diagonal = [w for w in ("k12", "k21") if w in P]
+    edges = {w: src[w][:, 0] if plans[w].diag_data is None else src[w].diagonal()
+             for w in P}
     for w in P:
         P[w][0, 0] = plans[w].corner
     for i in range(1, n + 1):
         for w in P:
-            _step_interior(plans[w], P[w], P[_PARTNER[w]], i)
-        for w in boundary:
+            _step_interior(plans[w], P[w], src[w], i)
+        for w in P:
             _step_boundary(plans[w], P[w], edges[w], i)
-        for w in diagonal:
-            P[w][i, i] = plans[w].diag_data[i]
+            if plans[w].diag_data is not None:
+                P[w][i, i] = plans[w].diag_data[i]
 
 
 def _bilinear_padded(Ppad: np.ndarray, x: np.ndarray, xi: np.ndarray, h: float,
@@ -348,23 +333,28 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     return p0 + integral
 
 
-_PAIRS = {"gains": ("k11", "k12"), "trace": ("k21", "k22")}
+# Each pair as (diagonal-entered kernel, edge-entered kernel): in each column
+# the edge-entered kernel's boundary points then read the partner's edge xi=0
+# complete, its one boundary-entered entry (1, 0) included.
+_PAIRS = {"gains": ("k12", "k11"), "trace": ("k21", "k22")}
 
 
 def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | None,
                   grid: Grid, pairs=("gains", "trace")) -> KernelSet:
-    """Solve the kernel equations of the requested pairs in one column march.
+    """Solve the kernel equations of the requested pairs, one pair at a time.
 
     pairs names the 2x2 systems to solve: "gains" (k11, k12) for
     feedback_gains, "trace" (k21, k22) for trace_g; the kernels of a pair
-    left out are None in the result.  Each column integrates the kernels
-    along their characteristics in dependency order, so a single pass gives
-    the fixed point of the discrete scheme; the semi-Lagrangian march is
-    unconditionally stable, so the grid only controls accuracy (first
-    order).  One frozen-coupling sweep over the result then measures the
-    defect, the sup-norm change it would make, which is reported as
-    KernelSet.residual.  Memory: about 11 arrays of (n+1)^2 floats for both
-    pairs and about 7 for one (solve_kernels_bytes bounds the full solve).
+    left out are None in the result.  Each pair is its own column march
+    along the characteristics, each column in dependency order, so a single
+    pass gives the fixed point of the discrete scheme; the semi-Lagrangian
+    march is unconditionally stable, so the grid only controls accuracy
+    (first order).  The same march with the couplings frozen at the result
+    then measures each kernel's defect, the sup-norm change it would make;
+    the largest is KernelSet.residual.  Memory: about 7 arrays of (n+1)^2
+    floats for one pair (two kernels, their two plans, one scratch array)
+    and about 9 for both, the first pair's two kernels being held while the
+    second is solved (solve_kernels_bytes bounds the full solve).
     """
     if k0 is None:
         k0 = CoefficientSpec.constant(0.0)
@@ -373,51 +363,54 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
     if not pairs or not set(pairs) <= set(_PAIRS):
         raise DomainError(f"pairs must name some of {', '.join(_PAIRS)}, got {pairs!r}")
     n = grid.n
-    tri = _triangle(speeds, grid)
-    l1, l2 = tri.lam
-    weights = {"k11": l1, "k12": l2, "k21": l1, "k22": l2}
-    wgt = {w: weights[w] for p in _PAIRS if p in pairs for w in _PAIRS[p]}
-
-    plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in wgt}
-    del tri
-    P = {w: np.zeros((n + 1, n + 1)) for w in wgt}
-    _march_coupled(plans, P, n)
-
-    # Defect check, one kernel at a time into a reused scratch array.  Every
-    # sweep writes exactly the lower triangle, so the untouched upper part of
-    # the scratch stays zero, as it is in P.
+    K = {}
     defects = []
-    scratch = np.zeros((n + 1, n + 1))
-    for w in P:
-        _march(plans[w], scratch, P[_PARTNER[w]], _coupling_edge(P, w), n)
-        np.subtract(scratch, P[w], out=scratch)
-        np.abs(scratch, out=scratch)
-        scratch /= wgt[w][None, :]
-        defects.append(scratch.max())
-    residual = float(np.max(defects))
-    del scratch, plans
+    for pair in (p for p in _PAIRS if p in pairs):
+        wd, we = _PAIRS[pair]
+        tri = _triangle(speeds, grid)
+        lam = tri.lam
+        plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in (wd, we)}
+        del tri
+        P = {w: np.zeros((n + 1, n + 1)) for w in (wd, we)}
+        partners = {wd: P[we], we: P[wd]}
+        _march_pair(plans, P, partners, n)
 
-    # The xi=0 trace of k21 defines g; integrate it directly along each trace
-    # characteristic so its vanishing set is not blurred by the column
-    # re-sampling of the marched field.
-    if "k21" in P:
-        P["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"])
-    for w in P:
-        P[w] /= wgt[w][None, :]
-    return KernelSet(grid=grid, k11=P.get("k11"), k12=P.get("k12"), k21=P.get("k21"),
-                     k22=P.get("k22"), k0=k0, residual=residual)
+        # Defect check, one kernel at a time into one scratch array.  Every
+        # sweep writes exactly the lower triangle, so the untouched upper
+        # part of the scratch stays zero, as it is in P.  The weight is
+        # divided out before the absolute value: lambda1 < 0 would otherwise
+        # turn the k11 and k21 defects into non-positive numbers.
+        scratch = np.zeros((n + 1, n + 1))
+        for w in P:
+            _march_pair(plans, {w: scratch}, partners, n)
+            np.subtract(scratch, P[w], out=scratch)
+            scratch /= lam[int(w[2]) - 1][None, :]
+            np.abs(scratch, out=scratch)
+            defects.append(scratch.max())
+        del scratch, plans
+
+        # The xi=0 trace of k21 defines g; integrate it directly along each
+        # trace characteristic so its vanishing set is not blurred by the
+        # column re-sampling of the marched field.
+        if pair == "trace":
+            P["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"])
+        for w in P:
+            P[w] /= lam[int(w[2]) - 1][None, :]     # p = k * lambda_fa(xi)
+        K.update(P)
+    return KernelSet(grid=grid, k11=K.get("k11"), k12=K.get("k12"), k21=K.get("k21"),
+                     k22=K.get("k22"), residual=float(np.max(defects)))
 
 
 def solve_kernels_bytes(n: int, table_n: int) -> int:
     """Upper bound on the bytes solve_kernels holds at once on an n-cell grid.
 
-    The defect sweep of the full solve is the peak: four kernels, four packed
+    The defect sweep of the second pair of a full solve is the peak: the
+    first pair's two kernels, the second pair's two kernels, its two packed
     plans (int32 foot index, weight and source coefficient, 1.25 arrays of
-    (n+1)^2 each) and one scratch array make about 10, bounded here by 12;
-    one pair takes about 7, so the bound is conservative for it.  Per row,
-    each plan keeps a tuple of five boundary-band arrays (about 3 KB for the
-    four), and the travel-time inverses take up to six temporaries of the
-    table_n-cell speed table.
+    (n+1)^2 each) and one scratch array make about 9, bounded here by 12;
+    one pair takes about 7.  Per row, each plan keeps a tuple of five
+    boundary-band arrays (about 1.5 KB for a pair), and the travel-time
+    inverses take up to six temporaries of the table_n-cell speed table.
     """
     return 8 * (12 * (n + 1) ** 2 + 6 * (table_n + 1)) + 4096 * (n + 1)
 

@@ -180,6 +180,33 @@ class TestMemoryCap:
         assert f"counterexample at n={n} needs about" in err
         assert elapsed < 0.5 and peak < 5e6
 
+    @pytest.mark.parametrize("n", [10 ** 9, 10 ** 11])
+    def test_titchmarsh_n_beyond_cap(self, capsys, monkeypatch, n):
+        # the samples and the convolution are estimated before any of them is
+        # allocated (about 96 GB at n = 1e9)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        elapsed, peak, err = _run_one_line_exit_2(
+            ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1",
+             "--n", str(n)], capsys)
+        assert f"--n {n} needs about" in err
+        assert elapsed < 0.5 and peak < 5e6
+
+    def test_titchmarsh_estimate_bounds_peak(self, capsys, monkeypatch):
+        # with the machine reporting exactly the traced peak of a run, the
+        # same run is rejected: the estimate lies above what it holds
+        argv = ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1",
+                "--n", "20000"]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > 8 * 8 * 20001
+        capsys.readouterr()
+        monkeypatch.setattr(harness, "_physical_memory", lambda: float(peak))
+        _run_one_line_exit_2(argv, capsys)
+
     def test_physical_memory_is_reported(self):
         assert 0 < harness._physical_memory() < math.inf
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, feedback_gains,
-                    predicted_g_prefix, simulator, sin_map, solve_kernels, trace_g)
+                    kernels, predicted_g_prefix, simulator, sin_map, solve_kernels,
+                    trace_g)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError
-from hypmin.kernels import (_build_plan, _march, _step_interior, _trace_row_direct,
+from hypmin.kernels import (_build_plan, _march_pair, _step_interior, _trace_row_direct,
                             _triangle, export_kernels_csv, export_profile_csv,
                             solve_kernels_bytes)
 
@@ -29,21 +30,20 @@ def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100, k0=None):
 
 
 def picard_reference(gauge, speeds, grid, tol=1e-13, max_iter=200):
-    """Kernels by successive approximation: frozen-coupling sweeps of _march
+    """Kernels by successive approximation: frozen-coupling sweeps of
+    _march_pair, each kernel reading the previous iterate of its partner,
     repeated until each kernel's sup-norm update falls below tol relative to
     its size, then the same trace row and weight division as solve_kernels."""
     n = grid.n
     k0 = const(0.0)
     names = ("k11", "k12", "k21", "k22")
+    partner = {"k11": "k12", "k12": "k11", "k21": "k22", "k22": "k21"}
     tri = _triangle(speeds, grid)
     plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in names}
     P = {w: np.zeros((n + 1, n + 1)) for w in names}
     for _ in range(max_iter):
         new = {w: np.zeros((n + 1, n + 1)) for w in names}
-        _march(plans["k11"], new["k11"], P["k12"], P["k12"][:, 0], n)
-        _march(plans["k12"], new["k12"], P["k11"], P["k11"].diagonal(), n)
-        _march(plans["k21"], new["k21"], P["k22"], P["k22"].diagonal(), n)
-        _march(plans["k22"], new["k22"], P["k21"], P["k21"][:, 0], n)
+        _march_pair(plans, new, {w: P[partner[w]] for w in names}, n)
         update = max(np.max(np.abs(new[w] - P[w])) / (np.max(np.abs(new[w])) or 1.0)
                      for w in names)
         P = new
@@ -97,6 +97,25 @@ class TestSolveKernels:
         # one frozen-coupling sweep over the one-pass result changes nothing
         _, K = solve(unit_speeds, b=1.0, c=1.0)
         assert K.residual <= 1e-12
+
+    @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
+    def test_defect_of_every_kernel_counts(self, varying_speeds, monkeypatch, which):
+        # a defect sweep that moves one entry of one kernel by 1e-3 shows in
+        # the residual as 1e-3/|lambda_fa(0)|, whatever the sign of the weight
+        march = kernels._march_pair
+
+        def perturbed(plans, P, src, n):
+            march(plans, P, src, n)
+            if list(P) == [which]:      # the frozen sweep of that kernel alone
+                P[which][n, 0] += 1e-3
+
+        monkeypatch.setattr(kernels, "_march_pair", perturbed)
+        grid = Grid.uniform(16)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
+                             varying_speeds, grid)
+        K = solve_kernels(gauge, varying_speeds, None, grid)
+        lam0 = abs(varying_speeds.speed(int(which[2]), 0.0))
+        assert K.residual == pytest.approx(1e-3 / lam0, rel=1e-9)
 
     def test_one_pass_matches_picard_varying(self, varying_speeds):
         c = CoefficientSpec.step(0.3, 0.0, 1.0)
@@ -413,14 +432,16 @@ def solve_peak(gauge, speeds, grid, pairs=("gains", "trace")):
 
 class TestMemory:
     def test_solve_peak_at_n400(self, varying_speeds):
-        # four kernels, four packed plans and the defect scratch: about 11
-        # arrays of (n+1)^2 floats at the peak (19 before the plans shared
-        # their geometry and the trace ran in row blocks)
+        # the first pair's two kernels, then the second pair's two kernels,
+        # its two packed plans and the defect scratch: about 9.4 arrays of
+        # (n+1)^2 floats at the peak (10.9 while the four kernels were
+        # marched together, 19 before the plans shared their geometry and
+        # the trace ran in row blocks)
         n = 400
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
                              const(0.0), varying_speeds, grid)
-        assert solve_peak(gauge, varying_speeds, grid) <= 12 * (n + 1) ** 2 * 8
+        assert solve_peak(gauge, varying_speeds, grid) <= 10 * (n + 1) ** 2 * 8
 
     @pytest.mark.parametrize("pair", ["gains", "trace"])
     def test_pair_peak_at_n400(self, varying_speeds, pair):

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypmin import (CoefficientSpec, Grid, canonical_min_time,
-                    diag_removal, nxn_canonical_min_time, solve_kernels,
+from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_min_time,
+                    diag_removal, nxn_canonical_min_time, simulate, solve_kernels,
                     times_report, titchmarsh_check, trace_g)
 from hypmin.errors import GridMismatchError, SpeedOrderError
 
@@ -82,6 +86,125 @@ class TestTimesReport:
         assert tr.tolerance_limited
         step = make_system(unit_speeds, c=CoefficientSpec.step(0.25, 0.0, 1.0))
         assert not times_report(step, grid=Grid.uniform(2048)).tolerance_limited
+
+
+_PRIME = 2 ** 31 - 1
+
+
+def upwind_lattice(n, b, c):
+    """hypmin's upwind step at lambda = (-1, 1), a = d = q = 0 and dt = h as
+    x' = A x + B u over the state x = (y1[0..n], y2[1..n]), u written into
+    y1[n]: y1'[j] = y1[j+1] + h b y2[j] (j < n) and y2'[j] = y2[j-1] + h c_j
+    y1[j], with y2[0] = 0.  A is the list of its nonzero entries (row, column,
+    Fraction); B is row n.  c holds the node values c(x_0..x_n)."""
+    h = Fraction(1, n)
+    A = [(j, j + 1, Fraction(1)) for j in range(n)]
+    A += [(j, n + j, h * b) for j in range(1, n) if b]
+    A += [(n + j, n + j - 1, Fraction(1)) for j in range(2, n + 1)]
+    A += [(n + j, j, h * Fraction(c[j])) for j in range(1, n + 1) if c[j]]
+    return A, n
+
+
+def _apply_mod(A, X):
+    """A @ X mod _PRIME for A as entries and X an int64 matrix of residues."""
+    Y = np.zeros_like(X)
+    for i, j, a in A:
+        coef = a.numerator % _PRIME * pow(a.denominator, -1, _PRIME) % _PRIME
+        Y[i] = (Y[i] + coef * X[j]) % _PRIME
+    return Y
+
+
+def _rank_mod(M):
+    """Rank of an int64 matrix of residues by Gauss-Jordan elimination mod _PRIME."""
+    M = M.copy()
+    rank = 0
+    for col in range(M.shape[1]):
+        rows = np.nonzero(M[rank:, col])[0]
+        if rows.size == 0:
+            continue
+        M[[rank, rank + rows[0]]] = M[[rank + rows[0], rank]]
+        M[rank] = M[rank] * pow(int(M[rank, col]), -1, _PRIME) % _PRIME
+        rest = np.nonzero(M[:, col])[0]
+        rest = rest[rest != rank]
+        M[rest] = (M[rest] - np.outer(M[rest, col], M[rank]) % _PRIME) % _PRIME
+        rank += 1
+        if rank == M.shape[0]:
+            break
+    return rank
+
+
+def null_control_index(A, u_row, dim, kmax):
+    """Least k with rank [C_k, A^k] = rank C_k, C_k = [B, AB, ..., A^(k-1) B]:
+    the fewest steps after which every state can be steered to zero."""
+    power = np.eye(dim, dtype=np.int64)          # A^k
+    cols = np.zeros((dim, 0), dtype=np.int64)    # C_k
+    for k in range(1, kmax + 1):
+        cols = np.hstack([cols, power[:, [u_row]]])
+        power = _apply_mod(A, power)
+        if _rank_mod(np.hstack([cols, power])) == _rank_mod(cols):
+            return k
+    raise AssertionError(f"not null-controllable in {kmax} steps")
+
+
+def lattice_and_report(n, b, ell):
+    """The lattice's index and the times report of the same step coupling."""
+    grid = Grid.uniform(n)
+    c = CoefficientSpec.step(ell, 0.0, 1.0)
+    system = make_system(SpeedPair.build(const(-1.0), const(1.0)), b=float(b), c=c)
+    A, u_row = upwind_lattice(n, b, c(grid.nodes))
+    return null_control_index(A, u_row, 2 * n + 1, 2 * n + 4), times_report(system, grid)
+
+
+def expected_index(n, Tmin):
+    # y1 holds n + 1 nodes, the control's node included, so even uncoupled
+    # transport takes n + 1 steps to flush them
+    return max(round(n * Tmin), n + 1)
+
+
+class TestDiscreteOracle:
+    """The exact null-controllability index of the upwind lattice against Tmin."""
+
+    def test_lattice_is_the_simulator_step(self):
+        # the oracle's A, B are hypmin's scheme: k steps of simulate at
+        # cfl 1 under an open-loop control equal A^k x + sum A^(k-1-m) B u_m
+        n, k, b = 12, 9, Fraction(-7, 3)
+        grid = Grid.uniform(n)
+        c = CoefficientSpec.step(grid.nodes[4], 0.0, 1.0)
+        speeds = SpeedPair.build(const(-1.0), const(1.0))
+        rng = np.random.default_rng(3)
+        y1, y2 = rng.standard_normal(n + 1), rng.standard_normal(n + 1)
+        y2[0] = 0.0
+        u = rng.standard_normal(k + 1)
+        sim = simulate(make_system(speeds, b=float(b), c=c), lambda t: u[round(t * n)],
+                       (y1, y2), k / n, grid, cfl=1.0, snapshots=0)
+        A, u_row = upwind_lattice(n, b, c(grid.nodes))
+        x = np.concatenate([y1, y2[1:]])
+        for m in range(1, k + 1):
+            xn = np.zeros_like(x)
+            for i, j, a in A:
+                xn[i] += float(a) * x[j]
+            xn[u_row] = u[m]
+            x = xn
+        assert np.max(np.abs(x - np.concatenate([sim.final[0], sim.final[1][1:]]))) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(8, 16), node=st.floats(0.0, 1.0),
+           b=st.sampled_from([Fraction(0), Fraction(1), Fraction(-7, 3)]))
+    def test_index_is_n_tmin(self, n, node, b):
+        m = round(node * n)
+        # the last cell below xbar = 1/2 (ROADMAP item 1), pinned below
+        if n % 2 == 0 and m == n // 2 - 1:
+            m += 1
+        index, tr = lattice_and_report(n, b, Grid.uniform(n).nodes[m])
+        assert index == expected_index(n, tr.Tmin), (index, tr.Tmin)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: with ell in the last cell "
+                       "below xbar, times_report returns Tmin = 1 but the lattice "
+                       "needs n + 2 steps")
+    def test_last_cell_below_xbar(self):
+        index, tr = lattice_and_report(10, Fraction(1), 0.4)
+        assert index == 12
+        assert index == expected_index(10, tr.Tmin)
 
 
 class TestCanonicalMinTime:
