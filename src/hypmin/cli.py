@@ -113,8 +113,9 @@ def _cmd_titchmarsh(args) -> int:
         raise ConfigError(f"--n must be at least 2, got {args.n}")
     if not (0.0 <= args.prefix_a <= args.tau and 0.0 <= args.prefix_b <= args.tau):
         raise ConfigError("prefixes must lie in [0, tau]")
-    # the samples, both indicators, the 2n+1 full convolution and the
-    # temporaries of titchmarsh_check: about 10.4 arrays of n+1 floats at once
+    # the samples, both indicators, the padded tails and spectra of the FFT
+    # convolution and the temporaries of titchmarsh_check: 9.2 arrays of n+1
+    # floats at once at n = 2e5, 11.1 at n = 2e4 with both prefixes 0
     _check_memory(8.0 * 12 * (args.n + 1), f"--n {args.n}", ConfigError)
     ts = np.linspace(0.0, args.tau, args.n + 1)
     alpha = (ts > args.prefix_a).astype(float)

@@ -6,7 +6,12 @@ closed loop reaches (numerically) zero at the requested time, with a grid
 refinement table as evidence.  verify_sharpness discretizes the
 control-to-final-state map of the canonical system and records the least
 squares residual of steering the canonical initial state (1, 0) to zero: the
-residual sits on a floor below the minimal time and collapses above it.
+residual sits on a floor below the minimal time and collapses above it.  That
+residual comes from block elimination, not one dense solve: the hat controls
+only the upper component reads are eliminated exactly in O(n) by Givens
+rotations, and one least-squares solve over the lower component's n+1 rows
+plus at most 3 compressed upper rows remains; the report's condition is the
+condition number of that reduced matrix.
 """
 
 from __future__ import annotations
@@ -413,6 +418,50 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
         passed=bool(passed), runtime=time.perf_counter() - t_start)
 
 
+def _orthogonal_rest(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows whose norms measure W minus its projection onto the span of U.
+
+    Every row of U has its nonzeros in two adjacent columns.  Givens
+    rotations reduce [U | W] row by row to [R | RW; 0 | rest] with R upper
+    bidiagonal (the Cholesky factor of the tridiagonal U^T U, without
+    forming U^T U); ||rest @ c|| = ||(I - P_U) W @ c|| for every c.  Rows
+    that come in the order of their columns, as the trace rows do, take at
+    most two rotations each.  An entry that would become a diagonal of R
+    below the default cutoff of lstsq, eps * max(U.shape) times the largest
+    entry of U, is rounding: it is dropped, so that a column in the span of
+    the ones before it drops out as it does from the minimum-norm least
+    squares.
+    """
+    p = U.shape[1]
+    if p == 0:
+        return W
+    first = (U != 0).argmax(axis=1)
+    rows = np.arange(U.shape[0])
+    lead = U[rows, first]
+    second = np.where(first + 1 < p, U[rows, np.minimum(first + 1, p - 1)], 0.0)
+    tiny = np.finfo(float).eps * max(U.shape) * max(U.max(), -U.min())
+    diag, sup = np.zeros(p), np.zeros(p)
+    RW = np.zeros((p, W.shape[1]))
+    have = np.zeros(p, dtype=bool)
+    rest = []
+    for i in range(U.shape[0]):
+        col, a, b, w = int(first[i]), float(lead[i]), float(second[i]), W[i]
+        while col < p and (a != 0.0 or b != 0.0):
+            if have[col]:
+                rho = math.hypot(diag[col], a)
+                c, s = diag[col] / rho, a / rho
+                diag[col] = rho
+                sup[col], b = c * sup[col] + s * b, c * b - s * sup[col]
+                RW[col], w = c * RW[col] + s * w, c * w - s * RW[col]
+            elif abs(a) > tiny:
+                diag[col], sup[col], RW[col], have[col] = a, b, w, True
+                break
+            col, a, b = col + 1, b, 0.0
+        else:
+            rest.append(w)
+    return np.array(rest).reshape(-1, W.shape[1])
+
+
 def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
                                  grid: Grid):
     """Least-squares residual of steering the canonical state (1, 0) to zero.
@@ -420,8 +469,22 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     The control is expanded in hat functions on a uniform time grid with step
     equal to the spatial h; the final state is the canonical map of the x=0
     trace, whose columns are the free response and the hat controls.
-    Returns (residual, free_norm, condition, n_controls); the least-squares
-    solution is minimum-norm when the normal equations are rank deficient.
+    Returns (residual, free_norm, condition, n_controls).
+
+    The operator has a block structure.  An upper row is the trace at
+    s = T + phi1(x): two adjacent hats on [T - T1, T], or the free response
+    where s < T1.  A lower row is the quadrature over [0, T], so it touches
+    only the hats on [0, T - T1]; the two blocks share at most 2 hats.  The
+    hats only upper rows touch are eliminated exactly by _orthogonal_rest,
+    and a thin QR compresses what is left of the upper rows (the shared hats
+    and the free response) to at most 3 rows.  One least-squares solve on
+    those rows and the n+1 lower rows, over the hats the lower rows touch,
+    gives the residual; it is the residual of the whole 2(n+1)-row system to
+    rounding.  condition is the 2-norm condition number of the reduced
+    matrix over the singular values that lstsq keeps (those above its cutoff
+    eps * max(shape) times the largest), so it is below 1 / (eps * max(shape))
+    and always finite; it is 1.0 when elimination leaves no hat, as on the
+    floor side whenever T < T1.
     """
     n, h, T1 = grid.n, grid.h, speeds.T1
     M = max(1, round(T / h))
@@ -446,22 +509,35 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     rw[0] = rw[-1] = math.sqrt(0.5 * h)
     Az *= np.concatenate([rw, rw])[:, None]
     z, A = Az[:, 0], Az[:, 1:]
-    sol, _, _, svals = np.linalg.lstsq(A, -z, rcond=None)
-    residual = float(np.linalg.norm(A @ sol + z))
+    upper, lower = A[:n + 1], A[n + 1:]
+    # hats [0, s0) only in lower rows, [s0, cl) shared, [cl, M] only in upper
+    lo_hats = np.flatnonzero(lower.any(axis=0))
+    cl = int(lo_hats[-1]) + 1 if lo_hats.size else 0
+    s0 = min(cl, int(np.argmax(upper.any(axis=0))))
+    W = np.column_stack([upper[:, s0:cl], z[:n + 1]])
+    R = np.linalg.qr(_orthogonal_rest(upper[:, cl:], W), mode="r")
+    rhs = np.concatenate([R[:, -1], z[n + 1:]])
     free_norm = float(np.linalg.norm(z))
-    cond = float(svals[0] / svals[-1]) if svals.size and svals[-1] > 0 else float("inf")
-    return residual, free_norm, cond, M + 1
+    if cl == 0:
+        return float(np.linalg.norm(rhs)), free_norm, 1.0, M + 1
+    red = np.zeros((rhs.shape[0], cl))
+    red[:R.shape[0], s0:] = R[:, :-1]
+    red[R.shape[0]:] = lower[:, :cl]
+    sol, _, rank, svals = np.linalg.lstsq(red, -rhs, rcond=None)
+    residual = float(np.linalg.norm(red @ sol + rhs))
+    return residual, free_norm, float(svals[0] / svals[rank - 1]), M + 1
 
 
 def canonical_sharpness_bytes(speeds: SpeedPair, T: float, grid: Grid) -> float:
     """Upper bound on the bytes canonical_sharpness_residual holds at once.
 
     The trace matrix has (K+1) x (M+2) entries (K quadrature cells, M+1 hat
-    controls); the least-squares matrix, its copy in lstsq and the right-hand
-    side have 2(n+1) rows; each row block of the quadrature holds a few
-    _CANONICAL_ROWS x (K+1) arrays; gelsd's workspace grows like its smaller
-    dimension; the travel-time inverses hold temporaries of the speed table.
-    A float, so that no T overflows it.
+    controls); the canonical map has 2(n+1) rows over them, and the reduced
+    least-squares matrix and its copy in lstsq at most n+4 rows each; each
+    row block of the quadrature holds a few _CANONICAL_ROWS x (K+1) arrays;
+    gelsd's workspace grows like its smaller dimension; the travel-time
+    inverses hold temporaries of the speed table.  A float, so that no T
+    overflows it.
     """
     n = grid.n
     rows = 2.0 * (n + 1)

@@ -154,6 +154,41 @@ class TitchmarshReport:
         return asdict(self)
 
 
+def _leading_convolution(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The first len(alpha) entries of np.convolve(alpha, beta), by FFT.
+
+    Only the tails from the first nonzero samples ia and ib are transformed;
+    every entry below ia + ib is exactly 0.0, as the true convolution is.
+    """
+    full = np.zeros(alpha.shape[0])
+    ia, ib = int(np.argmax(alpha != 0.0)), int(np.argmax(beta != 0.0))
+    L = full.shape[0] - ia - ib
+    if alpha[ia] == 0.0 or beta[ib] == 0.0 or L <= 0:
+        return full
+    # at least 2L - 1 points: no wrapped term reaches the first L entries
+    m = _fft_size(2 * L - 1)
+    spec = np.fft.rfft(alpha[ia:ia + L], m)
+    spec *= np.fft.rfft(beta[ib:ib + L], m)
+    full[ia + ib:] = np.fft.irfft(spec, m)[:L]
+    return full
+
+
+def _fft_size(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length the FFT factors into small primes."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def titchmarsh_check(alpha: np.ndarray, beta: np.ndarray, tau_bar: float,
                      tol: float) -> TitchmarshReport:
     """Discrete convolution-support check on (0, tau_bar).
@@ -161,7 +196,9 @@ def titchmarsh_check(alpha: np.ndarray, beta: np.ndarray, tau_bar: float,
     The convolution of alpha and beta vanishes on (0, tau_bar) exactly when
     their vanishing prefixes sum to at least tau_bar; the report records the
     trapezoid convolution maximum, both measured prefixes, and whether the
-    numerical verdict matches that equivalence up to one grid cell.
+    numerical verdict matches that equivalence up to one grid cell.  The
+    convolution is one FFT product, O(N log N) in the N + 1 samples, and is
+    exactly 0.0 below the sum of the first nonzero sample indices.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -169,7 +206,7 @@ def titchmarsh_check(alpha: np.ndarray, beta: np.ndarray, tau_bar: float,
         raise GridMismatchError("alpha and beta must share a uniform sampling")
     N = alpha.shape[0] - 1
     dtau = tau_bar / N
-    full = np.convolve(alpha, beta)[:N + 1]
+    full = _leading_convolution(alpha, beta)
     corr = 0.5 * (alpha * beta[0] + alpha[0] * beta)
     conv = dtau * (full - corr)
     conv[0] = 0.0

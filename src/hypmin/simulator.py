@@ -200,7 +200,10 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
     uniform s-grid over [0, t] with step at most h/max|speeds| and a partial
     first cell, plus the q-reflected inflow q * tau(lo) where lo > 0.  The
     transport of the initial lower state, where lo = 0, is left to the caller.
-    g is sampled on a uniform grid over [0,1].
+    The quadrature multiplies only the trace columns up to the last one that
+    is nonzero on the s-grid (for the sharpness operator, the free response
+    and the hats on [0, t - T1]); with a column-major trace they are a view,
+    not a copy.  g is sampled on a uniform grid over [0,1].
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0] - 1
@@ -211,6 +214,8 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
     ss = np.linspace(0.0, t, K + 1)
 
     V = trace(ss)
+    nz = np.flatnonzero(V.any(axis=0))
+    used = int(nz[-1]) + 1 if nz.size else 0
     xs = np.asarray(x, dtype=float)
     m = xs.shape[0]
     out = np.empty((2 * m, V.shape[1]))
@@ -237,8 +242,8 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
         wq[np.arange(rb.shape[0]), rb] = (np.where(rb < K, 0.5 * delta, 0.0)
                                           + 0.5 * part[blk])
         WG *= wq
-        lower[blk] = WG @ V
-        lower[blk] += wlo[blk, None] * trace(lo[blk])
+        lower[blk] = wlo[blk, None] * trace(lo[blk])
+        lower[blk, :used] += WG @ V[:, :used]
     return out
 
 

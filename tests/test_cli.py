@@ -207,6 +207,15 @@ class TestMemoryCap:
         monkeypatch.setattr(harness, "_physical_memory", lambda: float(peak))
         _run_one_line_exit_2(argv, capsys)
 
+    def test_titchmarsh_large_n_is_fast(self, capsys):
+        # the FFT convolution: O(n log n), where the direct one took seconds
+        t0 = time.perf_counter()
+        code = run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2",
+                        "--tau", "1", "--n", "200000"])
+        elapsed = time.perf_counter() - t0
+        assert code == 0 and "nonvanishing" in capsys.readouterr().out
+        assert elapsed < 1.0
+
     def test_physical_memory_is_reported(self):
         assert 0 < harness._physical_memory() < math.inf
 

@@ -4,17 +4,18 @@ import os
 
 import numpy as np
 import pytest
+from numpy.linalg import norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypmin import Grid, simulator, times_report
+from hypmin import Grid, harness, simulator, times_report
 from hypmin.errors import ConfigError, PreconditionError
-from hypmin.harness import (canonical_sharpness_residual, config_from_dict,
+from hypmin.harness import (_synthesize, canonical_sharpness_residual, config_from_dict,
                             counterexample, load_config,
                             make_control, make_initial_data,
                             solve_counterexample_branch, verify_settling,
                             verify_sharpness)
-from hypmin.kernels import FeedbackLaw
+from hypmin.kernels import FeedbackLaw, trace_g
 from hypmin.simulator import BoundaryReflection, simulate
 
 from conftest import headline_raw, make_system
@@ -310,6 +311,150 @@ class TestVerifySharpness:
         cfg = config_from_dict(headline_raw(n=64), "horizon")
         with pytest.raises(PreconditionError, match="finite and positive"):
             verify_sharpness(cfg, T, levels=(64,))
+
+
+def dense_operator(speeds, g, T, grid):
+    """The weighted sharpness operator of canonical_sharpness_residual as one
+    dense 2(n+1)-row matrix: (A, z), the hat columns and the free response."""
+    n, h, T1 = grid.n, grid.h, speeds.T1
+    M = max(1, round(T / h))
+    hc = T / M
+
+    def trace(s):
+        tau = np.zeros((s.shape[0], M + 2), order="F")
+        tau[:, 0] = s < T1
+        late = np.nonzero(s >= T1)[0]
+        pos = np.minimum(s[late] - T1, T) / hc
+        j = np.clip(np.floor(pos).astype(np.int64), 0, M - 1)
+        tau[late, j + 1] = 1.0 - (pos - j)
+        tau[late, j + 2] = pos - j
+        return tau
+
+    Az = simulator.canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
+    rw = np.full(n + 1, math.sqrt(h))
+    rw[0] = rw[-1] = math.sqrt(0.5 * h)
+    Az *= np.concatenate([rw, rw])[:, None]
+    return Az[:, 1:], Az[:, 0]
+
+
+def assert_matches_dense(speeds, g, T, grid, conditioned=False):
+    """Block elimination agrees with one dense minimum-norm lstsq to rounding.
+
+    The bound is 1e-12 + 1e-10 * residual, plus, unless the case is known to
+    be well conditioned, the first-order rounding error of both solves, eps *
+    max(shape) * (dense condition + reduced condition) * free_norm.  Where
+    the whole operator is ill conditioned (|lambda1| near 1) the dense solve
+    is often the less accurate one: at lambda1 = -0.964, n = 35 a 60-digit
+    SVD gives 0.00155122259724, the elimination 0.0015512225972437 and lstsq
+    0.0015513116.  Where lstsq cuts off a singular value below its rcond
+    that exact arithmetic keeps (2e-17 of the largest at lambda1 = -0.977,
+    n = 41: exact 0.0195417997603, the elimination 0.019541799760288, lstsq
+    0.019543190), the elimination may keep that direction; its residual then
+    lies between lstsq's and that of projecting on every left singular
+    vector, which can only be smaller.
+    """
+    got = canonical_sharpness_residual(speeds, g, T, grid)
+    A, z = dense_operator(speeds, g, T, grid)
+    sol, _, rank, svals = np.linalg.lstsq(A, -z, rcond=None)
+    ref = float(norm(A @ sol + z))
+    tol = 1e-12 + 1e-10 * ref
+    if not conditioned:
+        kappa = svals[0] / svals[rank - 1] + got[2]
+        tol += np.finfo(float).eps * max(A.shape) * kappa * norm(z)
+    if abs(got[0] - ref) > tol:
+        left = np.linalg.svd(A, full_matrices=False)[0]
+        assert norm(z - left @ (left.T @ z)) - tol <= got[0] < ref, (T, got, ref)
+    assert got[1] == norm(z) and got[3] == A.shape[1]
+    assert math.isfinite(got[2]) and got[2] >= 1.0
+    return got, ref
+
+
+def constant_speed_cfg(lam1, lam2, ell, n):
+    raw = headline_raw(n=n)
+    raw["system"]["lambda1"]["value"] = lam1
+    raw["system"]["lambda2"]["value"] = lam2
+    raw["system"]["c"]["ell"] = ell
+    return config_from_dict(raw, "speeds")
+
+
+def sharpness_trace(cfg, n):
+    _, K = _synthesize(cfg, Grid.uniform(n), ("trace",))
+    return trace_g(K, cfg.system.speeds)
+
+
+class TestSharpnessSolve:
+    @settings(max_examples=25, deadline=None)
+    @given(lam1=st.floats(0.3, 2.0), lam2=st.floats(0.5, 2.0),
+           ell=st.floats(0.01, 0.49, exclude_min=True, exclude_max=True),
+           n=st.integers(16, 64))
+    def test_matches_dense_lstsq(self, lam1, lam2, ell, n):
+        cfg = constant_speed_cfg(-lam1, lam2, ell, n)
+        tr = times_report(cfg.system, grid=cfg.grid)
+        g = sharpness_trace(cfg, n)
+        speeds = cfg.system.speeds
+        # floor, margin, drop and above sides, and T < T1 (no shared hat)
+        for T in (tr.Tmin - 0.2 * tr.Tunif, tr.Tmin - 0.05 * tr.Tunif, tr.Tmin,
+                  tr.Tmin + 0.1 * tr.Tunif, 0.5 * speeds.T1):
+            assert_matches_dense(speeds, g, T, Grid.uniform(n))
+
+    @pytest.mark.parametrize("T", [0.9, 1.9, 2.1, 2.13, 2.8])
+    def test_rank_deficient_upper_block(self, monkeypatch, T):
+        # lambda1 = -0.5: upper rows lie two hat widths apart, so most hats
+        # that only upper rows touch share their one row with a neighbour
+        # and lie in its span
+        cfg = constant_speed_cfg(-0.5, 1.0, 0.25, 32)
+        g = sharpness_trace(cfg, 32)
+        blocks = []
+        rest = harness._orthogonal_rest
+        monkeypatch.setattr(harness, "_orthogonal_rest",
+                            lambda U, W: blocks.append(U.copy()) or rest(U, W))
+        assert_matches_dense(cfg.system.speeds, g, T, Grid.uniform(32), conditioned=True)
+        U = blocks[0]
+        touched = int(np.count_nonzero(np.any(U != 0, axis=0)))
+        assert np.linalg.matrix_rank(U) < touched
+
+    @pytest.mark.parametrize("ell", [0.1, 0.3, 0.45])
+    def test_varying_speeds_match_dense(self, ell):
+        raw = varying_raw(n=64)
+        raw["system"]["c"]["ell"] = ell
+        cfg = config_from_dict(raw, "varying")
+        tr = times_report(cfg.system, grid=cfg.grid)
+        for n in (64, 128):
+            g = sharpness_trace(cfg, n)
+            for T in (tr.Tmin - 0.2 * tr.Tunif, tr.Tmin - 0.05 * tr.Tunif, tr.Tmin,
+                      tr.Tmin * (1 + 1e-6), tr.Tmin + 0.1 * tr.Tunif):
+                assert_matches_dense(cfg.system.speeds, g, T, Grid.uniform(n),
+                                     conditioned=True)
+
+    def test_no_lstsq_on_the_whole_operator(self, monkeypatch):
+        shapes = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, b, **kw: shapes.append(a.shape) or lstsq(a, b, **kw))
+        cfg = config_from_dict(varying_raw(n=64), "varying")
+        tr = times_report(cfg.system, grid=cfg.grid)
+        for n in (32, 64, 128):
+            g = sharpness_trace(cfg, n)
+            for T in (tr.Tmin - 0.2 * tr.Tunif, tr.Tmin - 0.05 * tr.Tunif, tr.Tmin,
+                      tr.Tmin + 0.1 * tr.Tunif):
+                shapes.clear()
+                canonical_sharpness_residual(cfg.system.speeds, g, T, Grid.uniform(n))
+                # the lower rows plus at most 3 compressed upper ones
+                assert len(shapes) == 1 and shapes[0][0] <= n + 4, (n, T, shapes)
+
+    def test_condition_finite_without_shared_hats(self, tmp_path):
+        # T = 0.51 < T1: elimination leaves no hat, and condition reads 1.0
+        raw = varying_raw(n=64)
+        raw["system"]["c"]["ell"] = 0.45
+        cfg = config_from_dict(raw, "varying")
+        assert 0.51 < cfg.system.speeds.T1
+        rep = verify_sharpness(cfg, 0.51, levels=(64,))
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        data = json.loads(open(rep.write(tmp_path)).read(), parse_constant=no_constant)
+        assert data["level0_condition"] == 1.0
 
 
 class TestCounterexample:

@@ -9,6 +9,7 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_min_time,
                     diag_removal, nxn_canonical_min_time, simulate, solve_kernels,
                     times_report, titchmarsh_check, trace_g)
 from hypmin.errors import GridMismatchError, SpeedOrderError
+from hypmin.mintime import _leading_convolution
 
 from conftest import const, make_system
 
@@ -315,6 +316,25 @@ class TestTitchmarsh:
     def test_shape_validation(self):
         with pytest.raises(GridMismatchError):
             titchmarsh_check(np.zeros(10), np.zeros(11), 1.0, 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 3000), pa=st.floats(0.0, 1.0), pb=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_fft_matches_direct_convolution(self, n, pa, pb, seed):
+        rng = np.random.default_rng(seed)
+        ts = np.linspace(0.0, 1.0, n + 1)
+        alpha = np.where(ts > pa, rng.uniform(-1.0, 1.5, n + 1), 0.0)
+        beta = np.where(ts > pb, rng.uniform(0.5, 1.5, n + 1), 0.0)
+        got = _leading_convolution(alpha, beta)
+        ref = np.convolve(alpha, beta)[:n + 1]
+        # FFT rounding: a few eps of the largest product sum, by log2 of the length
+        scale = np.abs(alpha).sum() * np.abs(beta).max()
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * scale * np.log2(n + 2)
+        # below the first nonzero samples the convolution is exactly zero
+        start = n + 1
+        if alpha.any() and beta.any():
+            start = np.flatnonzero(alpha)[0] + np.flatnonzero(beta)[0]
+        assert not got[:start].any()
 
 
 def _chain_pair(speeds, c, grid, a=0.2, b=0.6, d=-0.1):
