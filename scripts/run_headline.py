@@ -38,7 +38,7 @@ def main():
     export_kernels_csv(K, os.path.join(args.out, "kernels.csv"))
     g = trace_g(K, cfg.system.speeds)
     export_profile_csv(os.path.join(args.out, "g.csv"), K.grid.nodes, {"g": g})
-    print(f"kernels solved: defect={K.residual:.3e}")
+    print(f"wrote kernels.csv, g.csv to {args.out}")
     print()
 
     rep = verify_settling(cfg)

@@ -57,7 +57,6 @@ def _cmd_kernels(args) -> int:
     export_profile_csv(os.path.join(outdir, "g.csv"), K.grid.nodes, {"g": g})
     export_profile_csv(os.path.join(outdir, "gains.csv"), law.nodes,
                        {"f1": law.f1, "f2": law.f2})
-    print(f"kernel solve: defect={K.residual:.12g}")
     print(f"wrote kernels.csv, g.csv, gains.csv to {outdir}")
     return 0
 

@@ -404,8 +404,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
         res_abs = sim.l2_trace[-1]
         res_rel = res_abs / norm0
         rows.append({"n": nk, "h": grid_k.h, "residual_rel": float(res_rel),
-                     "residual_abs": float(res_abs), "y0_norm": float(norm0),
-                     "kernel_residual": K.residual})
+                     "residual_abs": float(res_abs), "y0_norm": float(norm0)})
         residuals.append(res_rel)
         del gauge, K, law, y0, sim       # free this level before the next one
     ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
@@ -584,8 +583,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
                      "residual_vs_free": float(rel_free),
                      "residual_vs_initial": float(res),
                      "free_norm": float(free_norm),
-                     "condition": float(cond), "n_controls": ncontrols,
-                     "kernel_residual": K.residual})
+                     "condition": float(cond), "n_controls": ncontrols})
         rel_free_all.append(rel_free)
         rel_init_all.append(res)
         del gauge, K, g                  # free this level before the next one

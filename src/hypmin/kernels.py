@@ -18,8 +18,8 @@ grid by linear interpolation.  Inside one column the couplings are acyclic:
 interior points read column i-1, the boundary-entered points of k12/k21
 read the k11/k22 diagonal, and those of k11/k22 read the k12/k21 edge
 xi=0.  One ordered pass over the columns therefore yields the exact fixed
-point of the discrete scheme; a single frozen-coupling sweep afterwards
-measures its defect.
+point of the discrete scheme: marching again with the couplings frozen at
+the result repeats the same arithmetic on the same values.
 
 Characteristic invariants used to locate the foot of each step:
 
@@ -33,9 +33,9 @@ The two systems are solved only on request, each as its own column march:
 the pair "gains" (k11, k12) gives the stabilizing feedback, the pair
 "trace" (k21, k22) gives g.  Every step and boundary value of one pair
 reads only its own partner, so solving one pair gives bitwise the arrays
-of the full solve.  The same march, with the couplings frozen at the
-solved partner, is the defect sweep.  Memory: about 9 arrays of (n+1)^2
-floats for both pairs, about 7 for one.
+of the full solve.  A kernel that overflows is a DomainError.  Memory:
+about 9 arrays of (n+1)^2 floats for both pairs, about 7 for one, at the
+peak while a pair's plans are built.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class KernelSet:
     k12: np.ndarray | None = field(repr=False)
     k21: np.ndarray | None = field(repr=False)
     k22: np.ndarray | None = field(repr=False)
-    residual: float = 0.0
 
     def require(self, reader: str, *names: str) -> None:
         """Raise DomainError unless the kernels a reader needs were solved."""
@@ -257,7 +256,7 @@ def _march_pair(plans: dict, P: dict, src: dict, n: int) -> None:
 
     With src the crossed pair itself ({k12: P[k11], k11: P[k12]}) each column
     is solved in dependency order, which is the exact one-pass solve; with a
-    fresh P and src the solved partners it is one frozen-coupling sweep.  A
+    fresh P and src fixed fields it is one frozen-coupling (Picard) sweep.  A
     diagonal-entered kernel (k12/k21) reads the diagonal of src[w], an
     edge-entered one (k11/k22) its edge xi=0.  A column's boundary points
     are written after all its interior points, kernel by kernel in the
@@ -349,12 +348,11 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
     along the characteristics, each column in dependency order, so a single
     pass gives the fixed point of the discrete scheme; the semi-Lagrangian
     march is unconditionally stable, so the grid only controls accuracy
-    (first order).  The same march with the couplings frozen at the result
-    then measures each kernel's defect, the sup-norm change it would make;
-    the largest is KernelSet.residual.  Memory: about 7 arrays of (n+1)^2
-    floats for one pair (two kernels, their two plans, one scratch array)
-    and about 9 for both, the first pair's two kernels being held while the
-    second is solved (solve_kernels_bytes bounds the full solve).
+    (first order).  Couplings b, c too large for the march overflow a
+    kernel, which raises DomainError naming it.  Memory: about 7 arrays of
+    (n+1)^2 floats for one pair and about 9 for both, the first pair's two
+    kernels being held while the second is solved; the peak is the build
+    of a pair's second plan (solve_kernels_bytes bounds the full solve).
     """
     if k0 is None:
         k0 = CoefficientSpec.constant(0.0)
@@ -364,7 +362,6 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
         raise DomainError(f"pairs must name some of {', '.join(_PAIRS)}, got {pairs!r}")
     n = grid.n
     K = {}
-    defects = []
     for pair in (p for p in _PAIRS if p in pairs):
         wd, we = _PAIRS[pair]
         tri = _triangle(speeds, grid)
@@ -372,22 +369,15 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
         plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in (wd, we)}
         del tri
         P = {w: np.zeros((n + 1, n + 1)) for w in (wd, we)}
-        partners = {wd: P[we], we: P[wd]}
-        _march_pair(plans, P, partners, n)
-
-        # Defect check, one kernel at a time into one scratch array.  Every
-        # sweep writes exactly the lower triangle, so the untouched upper
-        # part of the scratch stays zero, as it is in P.  The weight is
-        # divided out before the absolute value: lambda1 < 0 would otherwise
-        # turn the k11 and k21 defects into non-positive numbers.
-        scratch = np.zeros((n + 1, n + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _march_pair(plans, P, {wd: P[we], we: P[wd]}, n)
+        del plans
+        # min and max are NaN if any entry is NaN and reach any infinity, so
+        # two reductions check a kernel without a temporary array
         for w in P:
-            _march_pair(plans, {w: scratch}, partners, n)
-            np.subtract(scratch, P[w], out=scratch)
-            scratch /= lam[int(w[2]) - 1][None, :]
-            np.abs(scratch, out=scratch)
-            defects.append(scratch.max())
-        del scratch, plans
+            if not (np.isfinite(P[w].min()) and np.isfinite(P[w].max())):
+                raise DomainError(f"kernel {w} overflows: the couplings b and c "
+                                  "are too large for the kernel solve")
 
         # The xi=0 trace of k21 defines g; integrate it directly along each
         # trace characteristic so its vanishing set is not blurred by the
@@ -398,19 +388,21 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
             P[w] /= lam[int(w[2]) - 1][None, :]     # p = k * lambda_fa(xi)
         K.update(P)
     return KernelSet(grid=grid, k11=K.get("k11"), k12=K.get("k12"), k21=K.get("k21"),
-                     k22=K.get("k22"), residual=float(np.max(defects)))
+                     k22=K.get("k22"))
 
 
 def solve_kernels_bytes(n: int, table_n: int) -> int:
     """Upper bound on the bytes solve_kernels holds at once on an n-cell grid.
 
-    The defect sweep of the second pair of a full solve is the peak: the
-    first pair's two kernels, the second pair's two kernels, its two packed
-    plans (int32 foot index, weight and source coefficient, 1.25 arrays of
-    (n+1)^2 each) and one scratch array make about 9, bounded here by 12;
-    one pair takes about 7.  Per row, each plan keeps a tuple of five
-    boundary-band arrays (about 1.5 KB for a pair), and the travel-time
-    inverses take up to six temporaries of the table_n-cell speed table.
+    The build of the second pair's second plan is the peak: the first
+    pair's two kernels, the pair's triangle geometry (1.5 arrays of
+    (n+1)^2), its first packed plan (int32 foot index, weight and source
+    coefficient, 1.25 arrays, 1.5 with its boundary band) and the second
+    build's plan and temporaries (4.3) make 9.3 (tracemalloc at n = 400),
+    bounded here by 12; one pair takes 7.3.  Per row, each plan keeps a
+    tuple of five boundary-band arrays (about 1.5 KB for a pair), and the
+    travel-time inverses take up to six temporaries of the table_n-cell
+    speed table.
     """
     return 8 * (12 * (n + 1) ** 2 + 6 * (table_n + 1)) + 4096 * (n + 1)
 

@@ -70,7 +70,7 @@ def random_kernel_set(grid, rng, scale=1.0):
         return scale * f * tri
 
     return KernelSet(grid=grid, k11=smooth_field(), k12=smooth_field(),
-                     k21=smooth_field(), k22=smooth_field(), residual=0.0)
+                     k21=smooth_field(), k22=smooth_field())
 
 
 def exact_transport(speeds, y10, y20, nodes, t):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -236,6 +237,28 @@ class TestGaugeOverflow:
                                          capsys)
         assert "coefficient a is too large" in err
         assert len(recwarn) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["kernels"], ["simulate"], ["verify-settling"],
+                                      ["verify-sharpness", "--T", "2"]],
+                             ids=["kernels", "simulate", "verify-settling", "verify-sharpness"])
+    def test_large_couplings_overflow_kernel(self, tmp_path, capfd, recwarn, argv):
+        # b = c(hi) = 1e160 pass the gauge but overflow the kernel march: one
+        # line naming the kernel, exit 2, no RuntimeWarning, no LAPACK message
+        # on stdout and nothing written
+        raw = headline_raw(n=16)
+        raw["system"]["b"] = {"family": "constant", "value": 1e160}
+        raw["system"]["c"] = {"family": "step", "ell": 0.25, "lo": 0.0, "hi": 1e160}
+        path = tmp_path / "big_bc.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli([argv[0], str(path), *argv[1:], "--out", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert re.fullmatch(r"error: kernel k\d\d overflows: the couplings b and c are "
+                            r"too large for the kernel solve\n", captured.err)
+        assert len(recwarn) == 0
+        assert not any(line.startswith("**") for line in captured.out.splitlines())
         assert not out.exists()
 
 

@@ -93,34 +93,28 @@ class TestSolveKernels:
         assert np.max(np.abs(K.k11[:, 0])) <= 1e-12
         assert np.allclose(K.k22[:, 0], k0(K.grid.nodes), atol=1e-8)
 
-    def test_defect_of_one_pass(self, unit_speeds):
-        # one frozen-coupling sweep over the one-pass result changes nothing
-        _, K = solve(unit_speeds, b=1.0, c=1.0)
-        assert K.residual <= 1e-12
-
-    @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
-    def test_defect_of_every_kernel_counts(self, varying_speeds, monkeypatch, which):
-        # a defect sweep that moves one entry of one kernel by 1e-3 shows in
-        # the residual as 1e-3/|lambda_fa(0)|, whatever the sign of the weight
+    @pytest.mark.parametrize("pairs,marches", [(("gains", "trace"), 2), (("gains",), 1),
+                                               (("trace",), 1)], ids=["both", "gains", "trace"])
+    def test_one_march_per_pair(self, varying_speeds, monkeypatch, pairs, marches):
+        # each solved pair is marched once: the one-pass march is its own
+        # fixed point, so no second sweep runs over its result
+        calls = []
         march = kernels._march_pair
 
-        def perturbed(plans, P, src, n):
+        def counted(plans, P, src, n):
+            calls.append(tuple(P))
             march(plans, P, src, n)
-            if list(P) == [which]:      # the frozen sweep of that kernel alone
-                P[which][n, 0] += 1e-3
 
-        monkeypatch.setattr(kernels, "_march_pair", perturbed)
+        monkeypatch.setattr(kernels, "_march_pair", counted)
         grid = Grid.uniform(16)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
                              varying_speeds, grid)
-        K = solve_kernels(gauge, varying_speeds, None, grid)
-        lam0 = abs(varying_speeds.speed(int(which[2]), 0.0))
-        assert K.residual == pytest.approx(1e-3 / lam0, rel=1e-9)
+        solve_kernels(gauge, varying_speeds, None, grid, pairs)
+        assert len(calls) == marches
 
     def test_one_pass_matches_picard_varying(self, varying_speeds):
         c = CoefficientSpec.step(0.3, 0.0, 1.0)
         gauge, K = solve(varying_speeds, b=0.8, c=c, n=120)
-        assert K.residual <= 1e-12
         assert np.max(np.abs(K.k12)) > 0.1 and np.max(np.abs(K.k21)) > 0.1
         assert_matches_reference(gauge, K, varying_speeds)
 
@@ -159,7 +153,6 @@ class TestSolveKernels:
     def test_one_pass_matches_picard_property(self, b, c, lam1, lam2):
         speeds = SpeedPair.build(const(lam1), const(lam2))
         gauge, K = solve(speeds, b=b, c=c, n=32)
-        assert K.residual <= 1e-12
         assert_matches_reference(gauge, K, speeds)
 
     @settings(max_examples=15, deadline=None)
@@ -170,7 +163,7 @@ class TestSolveKernels:
            k0=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
     def test_pair_solve_matches_full_property(self, b, c, lam1, lam2, a, d, k0):
         # the two 2x2 systems are decoupled: solving one pair gives bitwise
-        # the full solve's arrays and defect, and leaves the other pair None
+        # the full solve's arrays, and leaves the other pair None
         speeds = SpeedPair.build(const(lam1), const(lam2))
         grid = Grid.uniform(32)
         gauge = diag_removal(const(a), const(b), const(c), const(d), speeds, grid)
@@ -178,7 +171,6 @@ class TestSolveKernels:
         full = solve_kernels(gauge, speeds, k0, grid)
         for pair, solved in ((("gains",), ("k11", "k12")), (("trace",), ("k21", "k22"))):
             K = solve_kernels(gauge, speeds, k0, grid, pair)
-            assert K.residual == full.residual
             for name in ("k11", "k12", "k21", "k22"):
                 got = getattr(K, name)
                 if name in solved:
@@ -235,7 +227,7 @@ class TestTraceG:
         c = CoefficientSpec.step(0.25, 0.0, 1.0)
         _, K = solve(unit_speeds, b=0.5, c=c, n=200)
         g = trace_g(K, unit_speeds)
-        tol = max(1e-8, 10.0 * K.residual)
+        tol = 1e-8
         measured = prefix_of_samples(g, K.grid.h, 1.0, tol)
         predicted = predicted_g_prefix(unit_speeds, c, K.grid)
         assert abs(measured - predicted) <= 2 * K.grid.h
@@ -250,7 +242,7 @@ class TestTraceG:
         for k0 in (None, const(0.5), CoefficientSpec.polynomial([0.3, -1.0])):
             _, K = solve(varying_speeds, b=0.7, c=c, n=200, k0=k0)
             g = trace_g(K, varying_speeds)
-            tol = max(1e-8, 10.0 * K.residual)
+            tol = 1e-8
             prefixes.append(prefix_of_samples(g, K.grid.h, 1.0, tol))
             values.append(g[150])
         assert prefixes[0] == prefixes[1] == prefixes[2]
@@ -432,11 +424,12 @@ def solve_peak(gauge, speeds, grid, pairs=("gains", "trace")):
 
 class TestMemory:
     def test_solve_peak_at_n400(self, varying_speeds):
-        # the first pair's two kernels, then the second pair's two kernels,
-        # its two packed plans and the defect scratch: about 9.4 arrays of
-        # (n+1)^2 floats at the peak (10.9 while the four kernels were
-        # marched together, 19 before the plans shared their geometry and
-        # the trace ran in row blocks)
+        # the first pair's two kernels while the second pair's second plan
+        # is built: with the triangle geometry (1.5), the first plan (1.5)
+        # and the second build's plan and temporaries (4.3), about 9.3
+        # arrays of (n+1)^2 floats at the peak (10.9 while the four kernels
+        # were marched together, 19 before the plans shared their geometry
+        # and the trace ran in row blocks)
         n = 400
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
@@ -445,8 +438,9 @@ class TestMemory:
 
     @pytest.mark.parametrize("pair", ["gains", "trace"])
     def test_pair_peak_at_n400(self, varying_speeds, pair):
-        # two kernels, two packed plans, the defect scratch and the shared
-        # triangle geometry while the plans are built: about 7 arrays
+        # the build of the pair's second plan: the triangle geometry (1.5),
+        # the first plan (1.5) and the second build's plan and temporaries
+        # (4.3), about 7.3 arrays
         n = 400
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),

@@ -343,7 +343,7 @@ def _chain_pair(speeds, c, grid, a=0.2, b=0.6, d=-0.1):
     gauge = diag_removal(system.a, system.b, system.c, system.d, speeds, grid)
     K = solve_kernels(gauge, speeds, None, grid)
     g = trace_g(K, speeds)
-    tol = max(1e-8, 10.0 * K.residual)
+    tol = 1e-8
     return times_report(system, grid=grid).Tmin, canonical_min_time(speeds, g, tol)
 
 

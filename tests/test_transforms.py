@@ -10,8 +10,7 @@ from conftest import const, random_kernel_set
 
 def zero_kernel_set(grid):
     z = np.zeros((grid.n + 1, grid.n + 1))
-    return KernelSet(grid=grid, k11=z, k12=z.copy(), k21=z.copy(), k22=z.copy(),
-                     residual=0.0)
+    return KernelSet(grid=grid, k11=z, k12=z.copy(), k21=z.copy(), k22=z.copy())
 
 
 class TestDiagRemoval:
