@@ -3,8 +3,8 @@
 from .coeffs import CoefficientSpec, Grid, eval_coeff, integrate, vanishing_prefix
 from .characteristics import SpeedPair, phi, phi_inv, flow, entry_exit
 from .transforms import DiagGauge, diag_removal, volterra_apply, volterra_invert
-from .kernels import (KernelSet, FeedbackLaw, solve_kernels, trace_g,
-                      feedback_gains, sin_map, predicted_g_prefix)
+from .kernels import (KernelSet, FeedbackLaw, solve_kernels, solve_gains, solve_trace,
+                      trace_g, feedback_gains, sin_map, predicted_g_prefix)
 from .simulator import (SystemSpec, BoundaryReflection, SimResult, simulate,
                         canonical_map, canonical_solution, growth_rate, l2_norm)
 from .mintime import (TimesReport, TitchmarshReport, times_report,
@@ -16,7 +16,8 @@ __all__ = [
     "CoefficientSpec", "Grid", "eval_coeff", "integrate", "vanishing_prefix",
     "SpeedPair", "phi", "phi_inv", "flow", "entry_exit",
     "DiagGauge", "diag_removal", "volterra_apply", "volterra_invert",
-    "KernelSet", "FeedbackLaw", "solve_kernels", "trace_g", "feedback_gains",
+    "KernelSet", "FeedbackLaw", "solve_kernels", "solve_gains", "solve_trace",
+    "trace_g", "feedback_gains",
     "sin_map", "predicted_g_prefix",
     "SystemSpec", "BoundaryReflection", "SimResult", "simulate",
     "canonical_map", "canonical_solution", "growth_rate", "l2_norm",

@@ -19,8 +19,9 @@ from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      RootBracketError, SpeedOrderError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
-                      _check_memory, _synthesize, _write_json)
-from .kernels import export_kernels_csv, export_profile_csv, feedback_gains, trace_g
+                      _check_memory, _gauge, _synthesize, _write_json)
+from .kernels import (export_kernels_csv, export_profile_csv, feedback_gains, solve_gains,
+                      trace_g)
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
 
@@ -65,8 +66,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     law = None
     if cfg.control.get("kind", "feedback") == "feedback":
-        gauge, K = _synthesize(cfg, cfg.grid, ("gains",))
-        law = feedback_gains(K, gauge)
+        law = solve_gains(_gauge(cfg, cfg.grid), cfg.system.speeds, cfg.grid)
     control = make_control(cfg.control, feedback=law)
     y0 = make_initial_data(cfg.initial, cfg.grid, cfg.seed)
     sim = simulate(cfg.system, control, y0, cfg.horizon, cfg.grid, cfg.cfl,

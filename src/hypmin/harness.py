@@ -27,8 +27,8 @@ import numpy as np
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 from .errors import ConfigError, PreconditionError, RootBracketError
-from .kernels import (FeedbackLaw, feedback_gains, solve_kernels, solve_kernels_bytes,
-                      trace_g)
+from .kernels import (FeedbackLaw, solve_gains, solve_kernels, solve_kernels_bytes,
+                      solve_trace)
 from .mintime import times_report
 from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
                         _simulate_bytes, canonical_map, growth_rate, l2_norm, simulate)
@@ -51,7 +51,10 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # Largest grid_n: at the finest level n = 2*grid_n the (n+1)^2 entries of one
-# kernel array stay below 2^31, so any index into it, flat or not, fits int32.
+# kernel array stay below 2^31.  No index of the solve needs that any more
+# (the march plans index within one row block); the cap stays as a fixed,
+# machine-independent limit in front of the memory check, which alone would
+# admit a grid_n this large only on a machine with hundreds of GB.
 _GRID_N_MAX = 23169
 
 # Pass rules of verify_settling and verify_sharpness (see their docstrings).
@@ -361,13 +364,16 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
     raise ConfigError(f"unknown control kind {kind!r}")
 
 
-def _synthesize(cfg: ScenarioConfig, grid: Grid, pairs=("gains", "trace")):
-    """Gauge and kernels of the scenario on grid, solving only the kernel
-    pairs named (see solve_kernels)."""
-    gauge = diag_removal(cfg.system.a, cfg.system.b, cfg.system.c, cfg.system.d,
-                         cfg.system.speeds, grid)
-    K = solve_kernels(gauge, cfg.system.speeds, None, grid, pairs)
-    return gauge, K
+def _gauge(cfg: ScenarioConfig, grid: Grid):
+    """The diagonal-removing gauge of the scenario on grid."""
+    s = cfg.system
+    return diag_removal(s.a, s.b, s.c, s.d, s.speeds, grid)
+
+
+def _synthesize(cfg: ScenarioConfig, grid: Grid):
+    """Gauge and all four kernels of the scenario on grid."""
+    gauge = _gauge(cfg, grid)
+    return gauge, solve_kernels(gauge, cfg.system.speeds, None, grid)
 
 
 def _levels(base_n: int, levels) -> list:
@@ -394,8 +400,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
     residuals = []
     for nk in _levels(cfg.grid.n, levels):
         grid_k = Grid.uniform(nk)
-        gauge, K = _synthesize(cfg, grid_k, ("gains",))
-        law = feedback_gains(K, gauge)
+        law = solve_gains(_gauge(cfg, grid_k), cfg.system.speeds, grid_k)
         y0 = make_initial_data(cfg.initial, grid_k, cfg.seed)
         norm0 = l2_norm(y0[0], y0[1], grid_k.h)
         if norm0 <= 0.0:
@@ -406,7 +411,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
         rows.append({"n": nk, "h": grid_k.h, "residual_rel": float(res_rel),
                      "residual_abs": float(res_abs), "y0_norm": float(norm0)})
         residuals.append(res_rel)
-        del gauge, K, law, y0, sim       # free this level before the next one
+        del law, y0, sim                 # free this level before the next one
     ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
               for i in range(len(residuals) - 1)]
     passed = residuals[-1] <= threshold_rel and all(r <= _RATIO_MAX for r in ratios)
@@ -573,8 +578,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     rel_init_all = []
     for nk in levels:
         grid_k = Grid.uniform(nk)
-        gauge, K = _synthesize(cfg, grid_k, ("trace",))
-        g = trace_g(K, cfg.system.speeds)
+        g = solve_trace(_gauge(cfg, grid_k), cfg.system.speeds, grid_k)
         res, free_norm, cond, ncontrols = canonical_sharpness_residual(
             cfg.system.speeds, g, T, grid_k)
         # canonical initial data is (1, 0), unit L2 norm by construction
@@ -586,7 +590,6 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
                      "condition": float(cond), "n_controls": ncontrols})
         rel_free_all.append(rel_free)
         rel_init_all.append(res)
-        del gauge, K, g                  # free this level before the next one
     ratios = [rel_init_all[i + 1] / rel_init_all[i] if rel_init_all[i] > 0 else 0.0
               for i in range(len(rel_init_all) - 1)]
     if T <= tr.Tmin - margin:

@@ -12,14 +12,15 @@ the transported speed weight,
 
 satisfies an ODE whose right-hand side involves only the partner kernel
 (the speed-derivative terms cancel exactly).  All four characteristic
-families are monotone in x, so the solver marches column by column in x
-with first-order explicit steps, re-sampling each column to the triangular
-grid by linear interpolation.  Inside one column the couplings are acyclic:
-interior points read column i-1, the boundary-entered points of k12/k21
-read the k11/k22 diagonal, and those of k11/k22 read the k12/k21 edge
-xi=0.  One ordered pass over the columns therefore yields the exact fixed
-point of the discrete scheme: marching again with the couplings frozen at
-the result repeats the same arithmetic on the same values.
+families are monotone in x, so the solver marches row by row in x (row i
+of a kernel array holds x = x_i) with first-order explicit steps,
+re-sampling each row to the triangular grid by linear interpolation.
+Inside one row the couplings are acyclic: interior points read row i-1,
+the boundary-entered points of k12/k21 read the k11/k22 diagonal, and those
+of k11/k22 read the k12/k21 edge xi=0.  One ordered pass over the rows
+therefore yields the exact fixed point of the discrete scheme: marching
+again with the couplings frozen at the result repeats the same arithmetic
+on the same values.
 
 Characteristic invariants used to locate the foot of each step:
 
@@ -29,13 +30,11 @@ Characteristic invariants used to locate the foot of each step:
 The trace k21(.,0) is the endpoint of the k21 integration, never an
 extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 
-The two systems are solved only on request, each as its own column march:
-the pair "gains" (k11, k12) gives the stabilizing feedback, the pair
-"trace" (k21, k22) gives g.  Every step and boundary value of one pair
-reads only its own partner, so solving one pair gives bitwise the arrays
-of the full solve.  A kernel that overflows is a DomainError.  Memory:
-about 9 arrays of (n+1)^2 floats for both pairs, about 7 for one, at the
-peak while a pair's plans are built.
+The two systems are decoupled, each solved by its own row march that
+builds its plans one block of rows at a time and keeps only the rows read:
+solve_kernels all four kernels, solve_gains the last rows of (k11, k12) for
+the feedback, solve_trace k22 for the quadrature of g.  Memory: 4, 0 and 1
+arrays of (n+1)^2 floats, plus one row block of plans (about 3 MB).
 """
 
 from __future__ import annotations
@@ -51,11 +50,14 @@ from .errors import DomainError, GridMismatchError
 from .transforms import DiagGauge
 
 _CSV_ROWS = 8192         # rows per formatting block of _write_csv
+_PLAN_POINTS = 1 << 14   # triangle points per row block of the march plans and trace paths
 
 __all__ = [
     "KernelSet",
     "FeedbackLaw",
     "solve_kernels",
+    "solve_gains",
+    "solve_trace",
     "solve_kernels_bytes",
     "trace_g",
     "feedback_gains",
@@ -68,23 +70,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Solved kernels sampled on the triangle (entries with xi > x are zero).
-
-    A kernel of a pair that was not solved is None.
-    """
+    """Solved kernels sampled on the triangle (entries with xi > x are zero)."""
 
     grid: Grid
-    k11: np.ndarray | None = field(repr=False)
-    k12: np.ndarray | None = field(repr=False)
-    k21: np.ndarray | None = field(repr=False)
-    k22: np.ndarray | None = field(repr=False)
-
-    def require(self, reader: str, *names: str) -> None:
-        """Raise DomainError unless the kernels a reader needs were solved."""
-        missing = [w for w in names if getattr(self, w) is None]
-        if missing:
-            raise DomainError(f"{reader} needs kernel {', '.join(missing)}, "
-                              "which this KernelSet did not solve")
+    k11: np.ndarray = field(repr=False)
+    k12: np.ndarray = field(repr=False)
+    k21: np.ndarray = field(repr=False)
+    k22: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,17 +94,13 @@ class FeedbackLaw:
         return float((h * (f[1:] + f[:-1]) / 2.0).sum())
 
 
-class _Triangle(NamedTuple):
-    """Grid geometry of the two march plans of one pair, built per pair.
+class _Block(NamedTuple):
+    """Rows r0 <= i < r1, the geometry a pair's two plans share: points (i, j),
+    j <= i, packed row by row from (r0, 0) on, ip = i - 1 (r0 >= 1: row 0 is
+    never marched).  Row f-1 of phi, lam and dphi holds the node values of
+    phi_f and lambda_f and the increments phi_f(x_i) - phi_f(x_{i-1})."""
 
-    Lower-triangle points (i, j), j <= i, packed row by row at i(i+1)/2 + j
-    from one np.tril_indices; ip = max(i-1, 0) is the previous column (row 0
-    is never marched, so its previous column is itself and its entries are
-    unused).  Row f-1 of phi, lam and dphi holds, for family f, the node
-    values of phi_f and lambda_f and the per-row increments
-    phi_f(x_i) - phi_f(x_{i-1}) (0 at i = 0).
-    """
-
+    rows: range
     ii: np.ndarray
     jj: np.ndarray
     ip: np.ndarray
@@ -121,31 +109,45 @@ class _Triangle(NamedTuple):
     dphi: np.ndarray
 
 
-def _triangle(speeds: SpeedPair, grid: Grid) -> _Triangle:
-    nodes = grid.nodes
-    ii, jj = np.tril_indices(grid.n + 1)
-    phi = np.stack([speeds.phi_eval(1, nodes), speeds.phi_eval(2, nodes)])
-    lam = np.stack([speeds.speed(1, nodes), speeds.speed(2, nodes)]).astype(float)
-    prev = np.maximum(np.arange(grid.n + 1) - 1, 0)
-    return _Triangle(ii, jj, np.maximum(ii - 1, 0), phi, lam, phi - phi[:, prev])
+def _node_speeds(speeds: SpeedPair, grid: Grid):
+    """lambda1 and lambda2 at the grid nodes, the weights of p = k * lambda_fa(xi)."""
+    return (np.asarray(speeds.speed(1, grid.nodes), dtype=float),
+            np.asarray(speeds.speed(2, grid.nodes), dtype=float))
+
+
+def _blocks(speeds: SpeedPair, grid: Grid):
+    """Rows 1..n in blocks of at most _PLAN_POINTS points, at least one row each."""
+    n = grid.n
+    phi = np.stack([speeds.phi_eval(1, grid.nodes), speeds.phi_eval(2, grid.nodes)])
+    lam = np.stack(_node_speeds(speeds, grid))
+    dphi = np.diff(phi, prepend=phi[:, :1])
+    start = np.arange(n + 2) * np.arange(1, n + 3) // 2     # first point of row i
+    r0 = 1
+    while r0 <= n:
+        r1 = int(np.searchsorted(start, start[r0] + _PLAN_POINTS, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), n + 1)
+        ii = np.repeat(np.arange(r0, r1), np.arange(r0 + 1, r1 + 1))
+        jj = np.arange(ii.size) - (start[ii] - start[r0])
+        yield _Block(range(r0, r1), ii, jj, ii - 1, phi, lam, dphi)
+        r0 = r1
 
 
 class _MarchPlan(NamedTuple):
-    """Precomputed geometry for marching one kernel in increasing x.
+    """Precomputed geometry for marching one kernel over one row block.
 
-    Per grid point (i, j), j <= i, packed row by row at i(i+1)/2 + j: the
-    foot of the characteristic step in column i-1 (linear-interp index and
-    weight) and the Euler source coefficient.  Where the characteristic
-    enters through its data boundary between the two columns, brows holds
-    the start data and a source coefficient at the start.  Indices are int32.
+    Per point (i, j) of the block, packed as in _Block: the foot of the
+    characteristic step in row i-1 (linear-interp index and weight) and the
+    Euler source coefficient.  Where the characteristic enters through its
+    data boundary between the two rows, brows[i - r0] holds the start data
+    and a source coefficient at the start.  Indices are int32.
     """
 
+    r0: int
+    on_edge: bool                  # enters through xi=0 (k11/k22), else the diagonal
     fidx: np.ndarray
     fw: np.ndarray
     coefA: np.ndarray
     brows: list                    # per row i: (js, p0, coefB, bidx, bw)
-    diag_data: np.ndarray | None   # p-form diagonal data, or None
-    corner: float
 
 
 def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
@@ -156,53 +158,50 @@ def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
     return idx.astype(np.int32), w
 
 
+def _diag_data(speeds: SpeedPair, gauge: DiagGauge, fa: int, x):
+    """p-form diagonal data at x of k12 (fa = 2) or k21 (fa = 1)."""
+    cpl = gauge.ct_at if fa == 1 else gauge.bt_at
+    return speeds.speed(fa, x) * cpl(x) / (speeds.speed(3 - fa, x) - speeds.speed(fa, x))
+
+
 def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                k0: CoefficientSpec, tri: _Triangle) -> _MarchPlan:
-    """March plan of kernel k<fx><fa>: x follows family fx, xi family fa.
+                k0: CoefficientSpec, blk: _Block) -> _MarchPlan:
+    """Plan of kernel k<fx><fa> on one row block: x follows family fx, xi fa.
 
     k11/k22 (fx = fa) enter through the edge xi=0, k12/k21 through the
     diagonal.  The source coefficient is -lambda_fa(xi) * coupling(xi) /
     (lambda_fx(x) * lambda_fb(xi)), fb = 3 - fa, with the coupling ct when
     fa = 1 and bt when fa = 2.
     """
-    n = grid.n
     h = grid.h
     nodes = grid.nodes
-    ii, jj, ip = tri.ii, tri.jj, tri.ip
+    ii, jj, ip = blk.ii, blk.jj, blk.ip
     fx, fa = int(which[1]), int(which[2])
     fb = 3 - fa
     on_edge = fx == fa
-    pa, px = tri.phi[fa - 1], tri.phi[fx - 1]
+    pa, px = blk.phi[fa - 1], blk.phi[fx - 1]
     cpl = gauge.ct_at if fa == 1 else gauge.bt_at
     lam = speeds.speed
     coef = lambda lx, xi: -lam(fa, xi) * cpl(xi) / (lx * lam(fb, xi))
-    diag = lambda x: lam(fa, x) * cpl(x) / (lam(fb, x) - lam(fa, x))
 
-    # Invariant coordinate u of the foot of each point in column i-1.
+    # Invariant coordinate u of the foot of each point in row i-1.
     if on_edge:
-        u = pa[jj] - tri.dphi[fx - 1][ii]
+        u = pa[jj] - blk.dphi[fx - 1][ii]
         interior = u >= 0.0
     else:
-        u = pa[jj] + tri.dphi[fx - 1][ii]
+        u = pa[jj] + blk.dphi[fx - 1][ii]
         interior = u <= pa[ip] + 1e-15
     xiP = speeds.phi_inv_ext(fa, u)
     del u
     np.clip(xiP, 0.0, 1.0, out=xiP)         # the feet, clipped in place
-    fidx, fw = _interp_setup(xiP, h, np.maximum(ii - 2, 0))  # idx+1 inside column i-1
-    coefA = h * coef(tri.lam[fx - 1][ip], xiP)    # lambda_fx at column i-1
+    fidx, fw = _interp_setup(xiP, h, np.maximum(ii - 2, 0))  # idx+1 inside row i-1
+    coefA = h * coef(blk.lam[fx - 1][ip], xiP)    # lambda_fx at row i-1
     del xiP
 
-    if on_edge:
-        diag_data = None
-        corner = 0.0 if which == "k11" else float(k0(0.0)) * tri.lam[1][0]
-    else:
-        diag_data = diag(nodes)
-        corner = diag_data[0]
-
     # Boundary-entered points (a thin band along the data boundary): solve all
-    # start positions in one vectorized call, then slice per row.  The
-    # diagonal of k12/k21 is data, not marched.
-    band = (ii > 0 if on_edge else ii > jj) & ~interior
+    # start positions of the block in one vectorized call, then slice per
+    # row.  The diagonal of k12/k21 is data, not marched.
+    band = ~interior if on_edge else (ii > jj) & ~interior
     bi, bj = ii[band], jj[band]
     if on_edge:
         xstart = np.asarray(speeds.phi_inv_ext(fa, pa[bi] - pa[bj]), dtype=float)
@@ -210,81 +209,90 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
         if which == "k11":
             p0 = np.zeros(bi.size)
         else:
-            p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * tri.lam[1][0]
+            p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * blk.lam[1][0]
     else:
         xstart = np.asarray(speeds.psi_inv(px[bi] + pa[bj]), dtype=float)
         xi0 = xstart
-        p0 = diag(xstart)
+        p0 = _diag_data(speeds, gauge, fa, xstart)
     cB = (nodes[bi] - xstart) * coef(lam(fx, xstart), xi0)
-    bidx, bw = _interp_setup(xstart, h, n - 1)
+    bidx, bw = _interp_setup(xstart, h, grid.n - 1)
 
-    bounds = np.searchsorted(bi, np.arange(n + 2))
+    bounds = np.searchsorted(bi, np.arange(blk.rows.start, blk.rows.stop + 1))
     brows = [tuple(a[lo:hi] for a in (bj, p0, cB, bidx, bw))
              for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    return _MarchPlan(fidx, fw, coefA, brows, diag_data, corner)
+    return _MarchPlan(blk.rows.start, on_edge, fidx, fw, coefA, brows)
 
 
-def _step_interior(plan: _MarchPlan, Pself: np.ndarray, Pother: np.ndarray,
-                   i: int) -> None:
-    """Column i from column i-1 along each characteristic.
-
-    Points whose characteristic enters through the data boundary are written
-    too; _step_boundary overwrites them.
-    """
-    m = i if plan.diag_data is not None else i + 1
-    row = slice(i * (i + 1) // 2, i * (i + 1) // 2 + m)
-    fid = plan.fidx[row].astype(np.intp)   # one index cast, not four
-    fwt = plan.fw[row]
-    prev_self = Pself[i - 1]
-    prev_other = Pother[i - 1]
+def _step_interior(plan: _MarchPlan, row: np.ndarray, prev_self: np.ndarray,
+                   prev_other: np.ndarray, i: int) -> None:
+    """Row i from row i-1 along each characteristic, boundary-entered points
+    too (_step_boundary overwrites them)."""
+    m = i + 1 if plan.on_edge else i
+    lo = (i * (i + 1) - plan.r0 * (plan.r0 + 1)) // 2
+    seg = slice(lo, lo + m)
+    fid = plan.fidx[seg].astype(np.intp)   # one index cast, not four
+    fwt = plan.fw[seg]
     up = 1.0 - fwt
-    Pself[i, :m] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
-                    + plan.coefA[row] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
+    row[:m] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
+               + plan.coefA[seg] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
 
 
-def _step_boundary(plan: _MarchPlan, Pself: np.ndarray, edge: np.ndarray,
-                   i: int) -> None:
-    """Column i at the points whose characteristic enters through the data boundary."""
-    js, p0, cB, bidx, bw = plan.brows[i]
+def _step_boundary(plan: _MarchPlan, row: np.ndarray, edge: np.ndarray, i: int) -> None:
+    """Row i at the points whose characteristic enters through the data boundary."""
+    js, p0, cB, bidx, bw = plan.brows[i - plan.r0]
     if js.size:
-        Pself[i, js] = p0 + cB * (edge[bidx] * (1.0 - bw) + edge[bidx + 1] * bw)
+        row[js] = p0 + cB * (edge[bidx] * (1.0 - bw) + edge[bidx + 1] * bw)
 
 
-def _march_pair(plans: dict, P: dict, src: dict, n: int) -> None:
-    """Column march of the kernels in P, kernel w coupled to the field src[w].
+# Each pair as (diagonal-entered kernel, edge-entered kernel).
+_PAIRS = {"gains": ("k12", "k11"), "trace": ("k21", "k22")}
 
-    With src the crossed pair itself ({k12: P[k11], k11: P[k12]}) each column
-    is solved in dependency order, which is the exact one-pass solve; with a
-    fresh P and src fixed fields it is one frozen-coupling (Picard) sweep.  A
-    diagonal-entered kernel (k12/k21) reads the diagonal of src[w], an
-    edge-entered one (k11/k22) its edge xi=0.  A column's boundary points
-    are written after all its interior points, kernel by kernel in the
-    order of P (see _PAIRS).
+
+def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
+                k0: CoefficientSpec, keep) -> dict:
+    """Row march of one pair in p-form, each kernel named in keep returned as
+    its (n+1)^2 array and the other as its last row (x = 1).
+
+    Plans are built one _Block at a time.  In each row both interior steps
+    come first; then the diagonal-entered kernel's boundary points read the
+    partner's diagonal, and the edge-entered kernel's the partner's edge
+    xi=0, complete with its entry (i, 0): each row in dependency order, so
+    the one pass is the exact fixed point of the discrete scheme.  A row
+    that is not finite raises DomainError naming its kernel.
     """
-    edges = {w: src[w][:, 0] if plans[w].diag_data is None else src[w].diagonal()
-             for w in P}
-    for w in P:
-        P[w][0, 0] = plans[w].corner
-    for i in range(1, n + 1):
-        for w in P:
-            _step_interior(plans[w], P[w], src[w], i)
-        for w in P:
-            _step_boundary(plans[w], P[w], edges[w], i)
-            if plans[w].diag_data is not None:
-                P[w][i, i] = plans[w].diag_data[i]
-
-
-def _bilinear_padded(Ppad: np.ndarray, x: np.ndarray, xi: np.ndarray, h: float,
-                     n: int) -> np.ndarray:
-    """Bilinear interpolation at (x, xi), xi <= x, of a triangle-supported
-    field whose first superdiagonal holds its diagonal values."""
-    ix = np.clip(np.floor(x / h).astype(np.int64), 0, n - 1)
-    jx = np.clip(np.floor(xi / h).astype(np.int64), 0, n - 1)
-    wx = x / h - ix
-    wj = xi / h - jx
-    return (Ppad[ix, jx] * (1 - wx) * (1 - wj) + Ppad[ix + 1, jx] * wx * (1 - wj)
-            + Ppad[ix, jx + 1] * (1 - wx) * wj + Ppad[ix + 1, jx + 1] * wx * wj)
+    n = grid.n
+    if n < 4:
+        raise DomainError("kernel grid too coarse (need n >= 4)")
+    wd, we = _PAIRS[pair]
+    data = _diag_data(speeds, gauge, int(wd[2]), grid.nodes)     # the diagonal of wd
+    Fd, Fe = (np.zeros((n + 1, n + 1)) if w in keep else None for w in (wd, we))
+    rd = np.zeros(n + 1) if Fd is None else Fd[0]
+    re = np.zeros(n + 1) if Fe is None else Fe[0]
+    rd[0] = data[0]
+    re[0] = 0.0 if we == "k11" else float(k0(0.0)) * _node_speeds(speeds, grid)[1][0]
+    diag = np.zeros(n + 1)      # the diagonal of we, read by wd's boundary points
+    edge = np.zeros(n + 1)      # the edge xi=0 of wd, read by we's boundary points
+    diag[0], edge[0] = re[0], rd[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blk in _blocks(speeds, grid):
+            pd, pe = (_build_plan(w, speeds, gauge, grid, k0, blk) for w in (wd, we))
+            for i in blk.rows:
+                prev_d, prev_e = rd, re
+                rd = np.zeros(n + 1) if Fd is None else Fd[i]
+                re = np.zeros(n + 1) if Fe is None else Fe[i]
+                _step_interior(pd, rd, prev_d, prev_e, i)
+                _step_interior(pe, re, prev_e, prev_d, i)
+                diag[i] = re[i]
+                _step_boundary(pd, rd, diag, i)
+                rd[i] = data[i]
+                edge[i] = rd[0]
+                _step_boundary(pe, re, edge, i)
+                for w, r in ((wd, rd), (we, re)):
+                    if not np.isfinite(r).all():
+                        raise DomainError(f"kernel {w} overflows: the couplings b and c "
+                                          "are too large for the kernel solve")
+    return {wd: rd if Fd is None else Fd, we: re if Fe is None else Fe}
 
 
 def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
@@ -297,24 +305,24 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     exact: wherever the gauged coupling vanishes along the whole path the
     integral is identically zero, with no interpolation smearing across the
     data discontinuity.  The n+1 paths of n+1 points each are evaluated in
-    blocks of _CANONICAL_ROWS paths, all gathering from one padded P22.
+    blocks of at most _PLAN_POINTS points (at least one path), gathering
+    bilinearly from P22, which must be zero above its diagonal.
     """
-    # simulator imports this module, so its row-block constant is read here
-    from .simulator import _CANONICAL_ROWS
-
     n = grid.n
+    h = grid.h
     nodes = grid.nodes
     p2n = np.asarray(speeds.phi_eval(2, nodes))
     sig = np.asarray(speeds.psi_inv(p2n))
     taus = np.linspace(0.0, 1.0, n + 1)
-    # pad one superdiagonal with the diagonal values, so that cells straddling
-    # the diagonal do not mix in the unused zero entries
-    Ppad = P22.copy()
-    idx = np.arange(n)
-    Ppad[idx, idx + 1] = P22[idx, idx]
+    paths = max(1, _PLAN_POINTS // (n + 1))
     integral = np.empty(n + 1)
-    for b0 in range(0, n + 1, _CANONICAL_ROWS):
-        blk = slice(b0, b0 + _CANONICAL_ROWS)
+    # pad the first superdiagonal with the diagonal values, in place and
+    # zeroed again below, so that cells straddling the diagonal do not mix
+    # in the unused zero entries
+    idx = np.arange(n)
+    P22[idx, idx + 1] = P22[idx, idx]
+    for b0 in range(0, n + 1, paths):
+        blk = slice(b0, b0 + paths)
         X = sig[blk, None] + taus[None, :] * (nodes[blk] - sig[blk])[:, None]
         XI = np.clip(speeds.phi_inv_ext(1, p2n[blk, None] - speeds.phi_eval(2, X)),
                      0.0, 1.0)
@@ -322,9 +330,15 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
         l2_x = np.asarray(speeds.speed(2, X), dtype=float)
         l2_xi = np.asarray(speeds.speed(2, XI), dtype=float)
         ct_xi = gauge.ct_at(XI)
-        p22v = _bilinear_padded(Ppad, X, XI, grid.h, n)
+        ix = np.clip(np.floor(X / h).astype(np.int64), 0, n - 1)
+        jx = np.clip(np.floor(XI / h).astype(np.int64), 0, n - 1)
+        wx = X / h - ix
+        wj = XI / h - jx
+        p22v = (P22[ix, jx] * (1 - wx) * (1 - wj) + P22[ix + 1, jx] * wx * (1 - wj)
+                + P22[ix, jx + 1] * (1 - wx) * wj + P22[ix + 1, jx + 1] * wx * wj)
         S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
         integral[blk] = np.trapezoid(S, axis=1)  # unit spacing; times the step below
+    P22[idx, idx + 1] = 0.0
     integral *= (nodes - sig) / n
     l1_s = np.asarray(speeds.speed(1, sig), dtype=float)
     l2_s = np.asarray(speeds.speed(2, sig), dtype=float)
@@ -332,97 +346,78 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     return p0 + integral
 
 
-# Each pair as (diagonal-entered kernel, edge-entered kernel): in each column
-# the edge-entered kernel's boundary points then read the partner's edge xi=0
-# complete, its one boundary-entered entry (1, 0) included.
-_PAIRS = {"gains": ("k12", "k11"), "trace": ("k21", "k22")}
+def _gains(k11_last: np.ndarray, k12_last: np.ndarray, gauge: DiagGauge,
+           grid: Grid) -> FeedbackLaw:
+    """Feedback gains from row n (x = 1) of k11 and k12."""
+    if gauge.grid.n != grid.n:
+        raise GridMismatchError("gauge and kernel grids differ")
+    return FeedbackLaw(nodes=grid.nodes, f1=k11_last * gauge.e1 / gauge.e1[-1],
+                       f2=k12_last * gauge.e2 / gauge.e1[-1])
+
+
+def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
+    """g from the trace k21(., 0)."""
+    return -k21_edge * float(speeds.speed(1, 0.0))
 
 
 def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | None,
-                  grid: Grid, pairs=("gains", "trace")) -> KernelSet:
-    """Solve the kernel equations of the requested pairs, one pair at a time.
+                  grid: Grid) -> KernelSet:
+    """All four kernels, one row march per pair; a single pass is the fixed
+    point of the discrete scheme, unconditionally stable and first-order
+    accurate.  Couplings b, c too large for the march overflow a kernel,
+    which raises DomainError naming it.  Memory: the four kernels plus one
+    row block of plans (solve_kernels_bytes)."""
+    k0 = CoefficientSpec.constant(0.0) if k0 is None else k0
+    K = {**_march_pair("gains", speeds, gauge, grid, k0, ("k11", "k12")),
+         **_march_pair("trace", speeds, gauge, grid, k0, ("k21", "k22"))}
+    # The xi=0 trace of k21 defines g; integrate it directly along each trace
+    # characteristic so its vanishing set is not blurred by the re-sampling.
+    K["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, K["k22"])
+    lam1, lam2 = _node_speeds(speeds, grid)
+    for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
+        K[w] /= lam                                  # p = k * lambda_fa(xi)
+    return KernelSet(grid=grid, **K)
 
-    pairs names the 2x2 systems to solve: "gains" (k11, k12) for
-    feedback_gains, "trace" (k21, k22) for trace_g; the kernels of a pair
-    left out are None in the result.  Each pair is its own column march
-    along the characteristics, each column in dependency order, so a single
-    pass gives the fixed point of the discrete scheme; the semi-Lagrangian
-    march is unconditionally stable, so the grid only controls accuracy
-    (first order).  Couplings b, c too large for the march overflow a
-    kernel, which raises DomainError naming it.  Memory: about 7 arrays of
-    (n+1)^2 floats for one pair and about 9 for both, the first pair's two
-    kernels being held while the second is solved; the peak is the build
-    of a pair's second plan (solve_kernels_bytes bounds the full solve).
-    """
-    if k0 is None:
-        k0 = CoefficientSpec.constant(0.0)
-    if grid.n < 4:
-        raise DomainError("kernel grid too coarse (need n >= 4)")
-    if not pairs or not set(pairs) <= set(_PAIRS):
-        raise DomainError(f"pairs must name some of {', '.join(_PAIRS)}, got {pairs!r}")
-    n = grid.n
-    K = {}
-    for pair in (p for p in _PAIRS if p in pairs):
-        wd, we = _PAIRS[pair]
-        tri = _triangle(speeds, grid)
-        lam = tri.lam
-        plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in (wd, we)}
-        del tri
-        P = {w: np.zeros((n + 1, n + 1)) for w in (wd, we)}
-        with np.errstate(over="ignore", invalid="ignore"):
-            _march_pair(plans, P, {wd: P[we], we: P[wd]}, n)
-        del plans
-        # min and max are NaN if any entry is NaN and reach any infinity, so
-        # two reductions check a kernel without a temporary array
-        for w in P:
-            if not (np.isfinite(P[w].min()) and np.isfinite(P[w].max())):
-                raise DomainError(f"kernel {w} overflows: the couplings b and c "
-                                  "are too large for the kernel solve")
 
-        # The xi=0 trace of k21 defines g; integrate it directly along each
-        # trace characteristic so its vanishing set is not blurred by the
-        # column re-sampling of the marched field.
-        if pair == "trace":
-            P["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"])
-        for w in P:
-            P[w] /= lam[int(w[2]) - 1][None, :]     # p = k * lambda_fa(xi)
-        K.update(P)
-    return KernelSet(grid=grid, k11=K.get("k11"), k12=K.get("k12"), k21=K.get("k21"),
-                     k22=K.get("k22"))
+def solve_gains(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> FeedbackLaw:
+    """feedback_gains of the full solve, bitwise, from a march of (k11, k12)
+    that keeps no kernel array (k0 plays no part in this pair)."""
+    P = _march_pair("gains", speeds, gauge, grid, CoefficientSpec.constant(0.0), ())
+    lam1, lam2 = _node_speeds(speeds, grid)
+    return _gains(P["k11"] / lam1, P["k12"] / lam2, gauge, grid)
+
+
+def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
+    """trace_g of the full solve with k0 = 0, bitwise, from a march of
+    (k21, k22) that keeps only k22, which the trace quadrature reads."""
+    P = _march_pair("trace", speeds, gauge, grid, CoefficientSpec.constant(0.0), ("k22",))
+    lam1, _ = _node_speeds(speeds, grid)
+    return _g(_trace_row_direct(speeds, gauge, grid, P["k22"]) / lam1[0], speeds)
 
 
 def solve_kernels_bytes(n: int, table_n: int) -> int:
     """Upper bound on the bytes solve_kernels holds at once on an n-cell grid.
 
-    The build of the second pair's second plan is the peak: the first
-    pair's two kernels, the pair's triangle geometry (1.5 arrays of
-    (n+1)^2), its first packed plan (int32 foot index, weight and source
-    coefficient, 1.25 arrays, 1.5 with its boundary band) and the second
-    build's plan and temporaries (4.3) make 9.3 (tracemalloc at n = 400),
-    bounded here by 12; one pair takes 7.3.  Per row, each plan keeps a
-    tuple of five boundary-band arrays (about 1.5 KB for a pair), and the
-    travel-time inverses take up to six temporaries of the table_n-cell
-    speed table.
+    The peak holds the four kernels (4 arrays of (n+1)^2 floats) and one row
+    block of plans: at most _PLAN_POINTS points of geometry, two plans and
+    their build's temporaries, about 3 MB.  tracemalloc on varying speeds
+    measures 6.2 arrays at n = 400, 4.6 at n = 800 and 4.1 at n = 1600; up
+    to n = 179 the triangle is one block, and at a few hundred cells and
+    below six temporaries of the table_n-cell speed table weigh in too
+    (14.4 arrays at n = 150).  The bound keeps 12 arrays, the speed-table
+    temporaries and 4 KB per row for a block's boundary-band tuples.
     """
     return 8 * (12 * (n + 1) ** 2 + 6 * (table_n + 1)) + 4096 * (n + 1)
 
 
 def trace_g(K: KernelSet, speeds: SpeedPair) -> np.ndarray:
     """g(x) = -k21(x,0)*lambda1(0), sampled on the kernel grid nodes."""
-    K.require("trace_g", "k21")
-    lam10 = float(speeds.speed(1, 0.0))
-    return -K.k21[:, 0] * lam10
+    return _g(K.k21[:, 0], speeds)
 
 
 def feedback_gains(K: KernelSet, gauge: DiagGauge) -> FeedbackLaw:
     """Gains f1, f2 of the stabilizing feedback, on the kernel grid nodes."""
-    if gauge.grid.n != K.grid.n:
-        raise GridMismatchError("gauge and kernel grids differ")
-    K.require("feedback_gains", "k11", "k12")
-    n = K.grid.n
-    f1 = K.k11[n, :] * gauge.e1 / gauge.e1[-1]
-    f2 = K.k12[n, :] * gauge.e2 / gauge.e1[-1]
-    return FeedbackLaw(nodes=K.grid.nodes, f1=f1, f2=f2)
+    return _gains(K.k11[K.grid.n, :], K.k12[K.grid.n, :], gauge, K.grid)
 
 
 def sin_map(speeds: SpeedPair, x):
@@ -474,7 +469,6 @@ def _write_csv(path, header, columns) -> None:
 
 def export_kernels_csv(K: KernelSet, path) -> None:
     """Write the triangle samples as rows (x, xi, k11, k12, k21, k22)."""
-    K.require("export_kernels_csv", "k11", "k12", "k21", "k22")
     i, j = np.tril_indices(K.grid.n + 1)
     nodes = K.grid.nodes
     _write_csv(path, ["x", "xi", "k11", "k12", "k21", "k22"],

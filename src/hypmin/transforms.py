@@ -87,7 +87,6 @@ def _trap_weights(n: int, h: float) -> np.ndarray:
 
 
 def _check_fields(K: "KernelSet", y1, y2):
-    K.require("the Volterra transform", "k11", "k12", "k21", "k22")
     npts = K.k11.shape[0]
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)

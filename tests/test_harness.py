@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from hypmin import Grid, harness, simulator, times_report
 from hypmin.errors import ConfigError, PreconditionError
-from hypmin.harness import (_synthesize, canonical_sharpness_residual, config_from_dict,
+from hypmin.harness import (_gauge, canonical_sharpness_residual, config_from_dict,
                             counterexample, load_config,
                             make_control, make_initial_data,
                             solve_counterexample_branch, verify_settling,
                             verify_sharpness)
-from hypmin.kernels import FeedbackLaw, trace_g
+from hypmin.kernels import FeedbackLaw, solve_trace
 from hypmin.simulator import BoundaryReflection, simulate
 
 from conftest import headline_raw, make_system
@@ -378,8 +378,8 @@ def constant_speed_cfg(lam1, lam2, ell, n):
 
 
 def sharpness_trace(cfg, n):
-    _, K = _synthesize(cfg, Grid.uniform(n), ("trace",))
-    return trace_g(K, cfg.system.speeds)
+    grid = Grid.uniform(n)
+    return solve_trace(_gauge(cfg, grid), cfg.system.speeds, grid)
 
 
 class TestSharpnessSolve:

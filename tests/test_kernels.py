@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, feedback_gains,
-                    kernels, predicted_g_prefix, simulator, sin_map, solve_kernels,
-                    trace_g)
+                    kernels, predicted_g_prefix, sin_map, solve_gains, solve_kernels,
+                    solve_trace, trace_g)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError
-from hypmin.kernels import (_build_plan, _march_pair, _step_interior, _trace_row_direct,
-                            _triangle, export_kernels_csv, export_profile_csv,
-                            solve_kernels_bytes)
+from hypmin.kernels import (_blocks, _build_plan, _step_interior, _trace_row_direct,
+                            export_kernels_csv, export_profile_csv, solve_kernels_bytes)
 
 from conftest import const
 
@@ -29,33 +28,83 @@ def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100, k0=None):
     return gauge, K
 
 
+def reference_march(plans, P, src, n):
+    """The whole-triangle column march of the kernels in P, kernel w coupled
+    to the field src[w], with plans from reference_build_plan.
+
+    With src the crossed pair itself ({k12: P[k11], k11: P[k12]}) each
+    column is solved in dependency order, the one-pass solve; with a fresh P
+    and src fixed fields it is one frozen-coupling (Picard) sweep.  A
+    diagonal-entered kernel (k12/k21) reads the diagonal of src[w], an
+    edge-entered one (k11/k22) its edge xi=0.  A column's boundary points are
+    written after all its interior points, kernel by kernel in the order of P.
+    """
+    edges = {w: src[w][:, 0] if plans[w][4] is None else src[w].diagonal() for w in P}
+    for w in P:
+        P[w][0, 0] = plans[w][5]
+    for i in range(1, n + 1):
+        for w in P:
+            fidx, fw, coefA, _, diag_data, _ = plans[w]
+            m = i if diag_data is not None else i + 1
+            row = slice(i * (i + 1) // 2, i * (i + 1) // 2 + m)
+            fid, fwt = fidx[row], fw[row]
+            prev_self, prev_other = P[w][i - 1], src[w][i - 1]
+            up = 1.0 - fwt
+            P[w][i, :m] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
+                           + coefA[row] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
+        for w in P:
+            js, p0, cB, bidx, bw = plans[w][3][i]
+            if js.size:
+                P[w][i, js] = p0 + cB * (edges[w][bidx] * (1.0 - bw) + edges[w][bidx + 1] * bw)
+            if plans[w][4] is not None:
+                P[w][i, i] = plans[w][4][i]
+
+
+NAMES = ("k11", "k12", "k21", "k22")
+
+
+def weighted(P, speeds, gauge, grid):
+    """k from the marched p: the direct trace row of k21, then the division
+    by lambda_fa(xi), as solve_kernels does."""
+    P["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"])
+    l1 = np.asarray(speeds.speed(1, grid.nodes), dtype=float)
+    l2 = np.asarray(speeds.speed(2, grid.nodes), dtype=float)
+    return {w: P[w] / wgt[None, :] for w, wgt in zip(NAMES, (l1, l2, l1, l2))}
+
+
+def reference_kernels(gauge, speeds, k0, grid):
+    """The one-pass solve on the whole triangle: each pair marched with its
+    diagonal-entered kernel first and its partner live."""
+    n = grid.n
+    P = {}
+    for wd, we in (("k12", "k11"), ("k21", "k22")):
+        plans = {w: reference_build_plan(w, speeds, gauge, grid, k0) for w in (wd, we)}
+        pair = {w: np.zeros((n + 1, n + 1)) for w in (wd, we)}
+        reference_march(plans, pair, {wd: pair[we], we: pair[wd]}, n)
+        P.update(pair)
+    return weighted(P, speeds, gauge, grid)
+
+
 def picard_reference(gauge, speeds, grid, tol=1e-13, max_iter=200):
     """Kernels by successive approximation: frozen-coupling sweeps of
-    _march_pair, each kernel reading the previous iterate of its partner,
+    reference_march, each kernel reading the previous iterate of its partner,
     repeated until each kernel's sup-norm update falls below tol relative to
     its size, then the same trace row and weight division as solve_kernels."""
     n = grid.n
-    k0 = const(0.0)
-    names = ("k11", "k12", "k21", "k22")
     partner = {"k11": "k12", "k12": "k11", "k21": "k22", "k22": "k21"}
-    tri = _triangle(speeds, grid)
-    plans = {w: _build_plan(w, speeds, gauge, grid, k0, tri) for w in names}
-    P = {w: np.zeros((n + 1, n + 1)) for w in names}
+    plans = {w: reference_build_plan(w, speeds, gauge, grid, const(0.0)) for w in NAMES}
+    P = {w: np.zeros((n + 1, n + 1)) for w in NAMES}
     for _ in range(max_iter):
-        new = {w: np.zeros((n + 1, n + 1)) for w in names}
-        _march_pair(plans, new, {w: P[partner[w]] for w in names}, n)
+        new = {w: np.zeros((n + 1, n + 1)) for w in NAMES}
+        reference_march(plans, new, {w: P[partner[w]] for w in NAMES}, n)
         update = max(np.max(np.abs(new[w] - P[w])) / (np.max(np.abs(new[w])) or 1.0)
-                     for w in names)
+                     for w in NAMES)
         P = new
         if update <= tol:
             break
     else:
         pytest.fail(f"reference Picard solve stalled at update {update:g}")
-    l1 = np.asarray(speeds.speed(1, grid.nodes), dtype=float)
-    l2 = np.asarray(speeds.speed(2, grid.nodes), dtype=float)
-    k = {w: P[w] / wgt[None, :] for w, wgt in zip(names, (l1, l2, l1, l2))}
-    k["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"]) / l1[0]
-    return k
+    return weighted(P, speeds, gauge, grid)
 
 
 def assert_matches_reference(gauge, K, speeds):
@@ -93,24 +142,37 @@ class TestSolveKernels:
         assert np.max(np.abs(K.k11[:, 0])) <= 1e-12
         assert np.allclose(K.k22[:, 0], k0(K.grid.nodes), atol=1e-8)
 
-    @pytest.mark.parametrize("pairs,marches", [(("gains", "trace"), 2), (("gains",), 1),
-                                               (("trace",), 1)], ids=["both", "gains", "trace"])
-    def test_one_march_per_pair(self, varying_speeds, monkeypatch, pairs, marches):
-        # each solved pair is marched once: the one-pass march is its own
-        # fixed point, so no second sweep runs over its result
+    @pytest.mark.parametrize("entry,marched", [("full", ["gains", "trace"]), ("gains", ["gains"]),
+                                               ("trace", ["trace"])], ids=["both", "gains", "trace"])
+    def test_one_march_per_pair(self, varying_speeds, monkeypatch, entry, marched):
+        # each pair an entry point reads is marched once: the one-pass march
+        # is its own fixed point, so no second sweep runs over its result
         calls = []
         march = kernels._march_pair
 
-        def counted(plans, P, src, n):
-            calls.append(tuple(P))
-            march(plans, P, src, n)
+        def counted(pair, *args):
+            calls.append(pair)
+            return march(pair, *args)
 
         monkeypatch.setattr(kernels, "_march_pair", counted)
         grid = Grid.uniform(16)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
                              varying_speeds, grid)
-        solve_kernels(gauge, varying_speeds, None, grid, pairs)
-        assert len(calls) == marches
+        {"full": lambda: solve_kernels(gauge, varying_speeds, None, grid),
+         "gains": lambda: solve_gains(gauge, varying_speeds, grid),
+         "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
+        assert calls == marched
+
+    def test_overflow_is_one_line_domain_error(self, unit_speeds, recwarn):
+        # b = c = 1e160 pass the gauge but overflow the march: the row check
+        # names the kernel, with no RuntimeWarning on the way
+        grid = Grid.uniform(16)
+        gauge = diag_removal(const(0.0), const(1e160), const(1e160), const(0.0),
+                             unit_speeds, grid)
+        with pytest.raises(DomainError, match=r"^kernel k1[12] overflows: the couplings b "
+                                              r"and c are too large for the kernel solve$"):
+            solve_gains(gauge, unit_speeds, grid)
+        assert len(recwarn) == 0
 
     def test_one_pass_matches_picard_varying(self, varying_speeds):
         c = CoefficientSpec.step(0.3, 0.0, 1.0)
@@ -119,23 +181,26 @@ class TestSolveKernels:
         assert_matches_reference(gauge, K, varying_speeds)
 
     @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
-    def test_packed_plan_feet_on_characteristics(self, varying_speeds, which):
-        # marching a field linear in xi from column i-1 yields, at (x_i, x_j),
-        # the foot in column i-1 of the characteristic through that point:
-        # its invariant is the one at (x_i, x_j)
+    def test_packed_plan_feet_on_characteristics(self, varying_speeds, monkeypatch, which):
+        # stepping a row linear in xi yields, at (x_i, x_j), the foot in row
+        # i-1 of the characteristic through that point: its invariant is the
+        # one at (x_i, x_j); blocks of at most 60 points split the triangle
+        # into blocks of a few rows, the last one ragged
         n = 24
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
                              varying_speeds, grid)
-        plan = _build_plan(which, varying_speeds, gauge, grid, const(0.0),
-                           _triangle(varying_speeds, grid))
-        assert plan.fidx.size == plan.fw.size == plan.coefA.size == (n + 1) * (n + 2) // 2
+        monkeypatch.setattr(kernels, "_PLAN_POINTS", 60)
         feet = np.zeros((n + 1, n + 1))
-        for i in range(2, n + 1):
-            P = np.zeros((n + 1, n + 1))
-            P[i - 1] = grid.nodes
-            _step_interior(plan, P, np.zeros_like(P), i)
-            feet[i] = P[i]
+        points = 0
+        for blk in _blocks(varying_speeds, grid):
+            plan = _build_plan(which, varying_speeds, gauge, grid, const(0.0), blk)
+            assert plan.fidx.size == plan.fw.size == plan.coefA.size == blk.ii.size
+            points += blk.ii.size
+            for i in blk.rows:
+                if i >= 2:
+                    _step_interior(plan, feet[i], grid.nodes, np.zeros(n + 1), i)
+        assert points == (n + 1) * (n + 2) // 2 - 1       # every row but row 0
         p1 = lambda x: varying_speeds.phi_eval(1, x)
         p2 = lambda x: varying_speeds.phi_eval(2, x)
         invariant = {"k11": lambda x, xi: p1(x) - p1(xi), "k12": lambda x, xi: p1(x) + p2(xi),
@@ -155,36 +220,40 @@ class TestSolveKernels:
         gauge, K = solve(speeds, b=b, c=c, n=32)
         assert_matches_reference(gauge, K, speeds)
 
-    @settings(max_examples=15, deadline=None)
-    @given(b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0),
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(4, 80), budget=st.sampled_from(["row", "ragged", "one"]),
+           varying=st.booleans(), s1=st.floats(0.1, 0.4), s2=st.floats(-0.4, 0.4),
+           b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0),
            lam1=st.floats(-2.0, -0.5), lam2=st.floats(0.5, 2.0),
            a=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
            d=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
            k0=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
-    def test_pair_solve_matches_full_property(self, b, c, lam1, lam2, a, d, k0):
-        # the two 2x2 systems are decoupled: solving one pair gives bitwise
-        # the full solve's arrays, and leaves the other pair None
-        speeds = SpeedPair.build(const(lam1), const(lam2))
-        grid = Grid.uniform(32)
+    def test_matches_whole_triangle_reference(self, n, budget, varying, s1, s2, b, c,
+                                              lam1, lam2, a, d, k0):
+        # the row-block march gives bitwise the whole-triangle march's
+        # kernels, and the two one-pair solves bitwise the gains and g read
+        # from them, whether each block holds one row, a few rows with a
+        # ragged last block, or the whole triangle
+        points = {"row": 1, "ragged": 3 * n + 1, "one": (n + 1) * (n + 2) // 2}[budget]
+        slope = 1.0 if varying else 0.0
+        speeds = SpeedPair.build(CoefficientSpec.polynomial([lam1, slope * s1]),
+                                 CoefficientSpec.polynomial([lam2, slope * s2]))
+        grid = Grid.uniform(n)
         gauge = diag_removal(const(a), const(b), const(c), const(d), speeds, grid)
         k0 = CoefficientSpec.polynomial([k0, 0.5])
-        full = solve_kernels(gauge, speeds, k0, grid)
-        for pair, solved in ((("gains",), ("k11", "k12")), (("trace",), ("k21", "k22"))):
-            K = solve_kernels(gauge, speeds, k0, grid, pair)
-            for name in ("k11", "k12", "k21", "k22"):
-                got = getattr(K, name)
-                if name in solved:
-                    assert got.tobytes() == getattr(full, name).tobytes(), (pair, name)
-                else:
-                    assert got is None, (pair, name)
-
-    @pytest.mark.parametrize("pairs", [(), ("gain",), ("gains", "k21")])
-    def test_unknown_pairs(self, unit_speeds, pairs):
-        grid = Grid.uniform(8)
-        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
-                             unit_speeds, grid)
-        with pytest.raises(DomainError, match="pairs must name"):
-            solve_kernels(gauge, unit_speeds, None, grid, pairs)
+        want = reference_kernels(gauge, speeds, k0, grid)
+        want_g = (-reference_kernels(gauge, speeds, const(0.0), grid)["k21"][:, 0]
+                  * float(speeds.speed(1, 0.0)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_PLAN_POINTS", points)
+            K = solve_kernels(gauge, speeds, k0, grid)
+            law = solve_gains(gauge, speeds, grid)
+            g = solve_trace(gauge, speeds, grid)
+        for name in NAMES:
+            assert getattr(K, name).tobytes() == want[name].tobytes(), name
+        assert law.f1.tobytes() == (want["k11"][n] * gauge.e1 / gauge.e1[-1]).tobytes()
+        assert law.f2.tobytes() == (want["k12"][n] * gauge.e2 / gauge.e1[-1]).tobytes()
+        assert g.tobytes() == want_g.tobytes()
 
     def test_grid_too_coarse(self, unit_speeds):
         with pytest.raises(DomainError):
@@ -367,9 +436,11 @@ def reference_build_plan(which, speeds, gauge, grid, k0):
 
 class TestSharedPlanGeometry:
     @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
-    def test_plan_matches_unshared_build(self, which):
+    def test_plan_matches_unshared_build(self, monkeypatch, which):
         # speeds varying at different rates in x, and nonzero k0 data, so
-        # that every plan entry depends on which column the speed is read at
+        # that every plan entry depends on which row the speed is read at;
+        # each block of at most 400 points is the matching slice of the
+        # whole-triangle build, packed from its first row
         n = 60
         speeds = SpeedPair.build(CoefficientSpec.polynomial([-1.0, -0.5, 0.3]),
                                  CoefficientSpec.polynomial([1.0, 1.0, -0.4]))
@@ -377,75 +448,104 @@ class TestSharedPlanGeometry:
         gauge = diag_removal(const(0.4), const(0.8), CoefficientSpec.step(0.3, 0.0, 1.0),
                              const(-0.2), speeds, grid)
         k0 = CoefficientSpec.polynomial([0.2, 0.5])
-        plan = _build_plan(which, speeds, gauge, grid, k0, _triangle(speeds, grid))
-        fidx, fw, coefA, brows, diag_data, corner = reference_build_plan(
+        monkeypatch.setattr(kernels, "_PLAN_POINTS", 400)
+        fidx, fw, coefA, brows, diag_data, _ = reference_build_plan(
             which, speeds, gauge, grid, k0)
-        assert plan.fidx.dtype == np.int32 and np.array_equal(plan.fidx, fidx)
-        assert plan.fw.tobytes() == fw.tobytes()
-        assert plan.coefA.tobytes() == coefA.tobytes()
         assert np.count_nonzero(coefA) > coefA.size // 4
-        assert len(plan.brows) == len(brows) and sum(len(r[0]) for r in brows) >= n
-        for got, want in zip(plan.brows, brows):
-            assert got[3].dtype == np.int32 and np.array_equal(got[3], want[3])
-            for k in (0, 1, 2, 4):
-                assert got[k].tobytes() == want[k].tobytes()
-        assert (plan.diag_data is None) == (diag_data is None)
-        if diag_data is not None:
-            assert plan.diag_data.tobytes() == diag_data.tobytes()
-        assert np.float64(plan.corner).tobytes() == np.float64(corner).tobytes()
+        assert sum(len(r[0]) for r in brows) >= n
+        blocks = 0
+        for blk in _blocks(speeds, grid):
+            plan = _build_plan(which, speeds, gauge, grid, k0, blk)
+            r0, r1 = blk.rows.start, blk.rows.stop
+            seg = slice(r0 * (r0 + 1) // 2, r1 * (r1 + 1) // 2)
+            assert plan.r0 == r0 and plan.on_edge == (diag_data is None)
+            assert plan.fidx.dtype == np.int32 and np.array_equal(plan.fidx, fidx[seg])
+            assert plan.fw.tobytes() == fw[seg].tobytes()
+            assert plan.coefA.tobytes() == coefA[seg].tobytes()
+            assert len(plan.brows) == r1 - r0
+            for got, want in zip(plan.brows, brows[r0:r1]):
+                assert got[3].dtype == np.int32 and np.array_equal(got[3], want[3])
+                for k in (0, 1, 2, 4):
+                    assert got[k].tobytes() == want[k].tobytes()
+            blocks += 1
+        assert blocks > 3
 
 
 class TestTraceRowBlocks:
     @pytest.mark.parametrize("rows", [101, 64, 7], ids=["one-block", "ragged", "rows-7"])
     def test_blocks_match_unblocked(self, varying_speeds, monkeypatch, rows):
-        # n = 100: 101 paths are one block, 64 + 37 (ragged), or 14 x 7 + 3
+        # n = 100: blocks of rows x 101 points hold 101 paths (one block),
+        # 64 + 37 (ragged), or 14 x 7 + 3; P22 is zero again afterwards
         n = 100
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.3), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
                              const(-0.4), varying_speeds, grid)
         P22 = np.tril(np.random.default_rng(7).standard_normal((n + 1, n + 1)))
-        monkeypatch.setattr(simulator, "_CANONICAL_ROWS", rows)
+        monkeypatch.setattr(kernels, "_PLAN_POINTS", rows * (n + 1))
+        before = P22.copy()
         got = _trace_row_direct(varying_speeds, gauge, grid, P22)
+        assert P22.tobytes() == before.tobytes()
         want = reference_trace_row_direct(varying_speeds, gauge, grid, P22)
         assert np.count_nonzero(want) > n // 2
         assert got.tobytes() == want.tobytes()
 
 
-def solve_peak(gauge, speeds, grid, pairs=("gains", "trace")):
-    """tracemalloc peak of one solve_kernels call above its base, in bytes."""
+def solve_peak(solve):
+    """tracemalloc peak of one solve() call above its base, in bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        solve_kernels(gauge, speeds, None, grid, pairs)
+        solve()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
+def step_gauge(speeds, grid):
+    return diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
+                        const(0.0), speeds, grid)
+
+
 class TestMemory:
     def test_solve_peak_at_n400(self, varying_speeds):
-        # the first pair's two kernels while the second pair's second plan
-        # is built: with the triangle geometry (1.5), the first plan (1.5)
-        # and the second build's plan and temporaries (4.3), about 9.3
-        # arrays of (n+1)^2 floats at the peak (10.9 while the four kernels
-        # were marched together, 19 before the plans shared their geometry
-        # and the trace ran in row blocks)
+        # the four kernels (4 arrays of (n+1)^2 floats) and one row block of
+        # plans: about 6.2 arrays at the peak (9.3 while the plans covered
+        # the whole triangle, 19 before the plans shared their geometry and
+        # the trace ran in row blocks)
         n = 400
         grid = Grid.uniform(n)
-        gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
-                             const(0.0), varying_speeds, grid)
-        assert solve_peak(gauge, varying_speeds, grid) <= 10 * (n + 1) ** 2 * 8
+        gauge = step_gauge(varying_speeds, grid)
+        peak = solve_peak(lambda: solve_kernels(gauge, varying_speeds, None, grid))
+        assert peak <= 10 * (n + 1) ** 2 * 8
 
-    @pytest.mark.parametrize("pair", ["gains", "trace"])
-    def test_pair_peak_at_n400(self, varying_speeds, pair):
-        # the build of the pair's second plan: the triangle geometry (1.5),
-        # the first plan (1.5) and the second build's plan and temporaries
-        # (4.3), about 7.3 arrays
+    @pytest.mark.parametrize("entry", ["gains", "trace"])
+    def test_pair_peak_at_n400(self, varying_speeds, entry):
+        # one row block of plans, which at n = 400 spans a fifth of the
+        # triangle, plus k22 for the trace: about 2.2 and 3.2 arrays (7.3
+        # while a pair's plans covered the whole triangle)
         n = 400
         grid = Grid.uniform(n)
-        gauge = diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
-                             const(0.0), varying_speeds, grid)
-        assert solve_peak(gauge, varying_speeds, grid, (pair,)) <= 8 * (n + 1) ** 2 * 8
+        gauge = step_gauge(varying_speeds, grid)
+        solve = solve_gains if entry == "gains" else solve_trace
+        assert solve_peak(lambda: solve(gauge, varying_speeds, grid)) <= 8 * (n + 1) ** 2 * 8
+
+    def test_gains_peak_at_n1600(self, varying_speeds):
+        # no kernel array at all: one row block of plans and O(n) rows,
+        # about 0.15 arrays of (n+1)^2 floats (7.1 with whole-triangle plans)
+        n = 1600
+        grid = Grid.uniform(n)
+        gauge = step_gauge(varying_speeds, grid)
+        assert solve_peak(lambda: solve_gains(gauge, varying_speeds, grid)) \
+            <= (n + 1) ** 2 * 8
+
+    def test_trace_peak_at_n1600(self, varying_speeds):
+        # k22, padded in place for the trace quadrature, plus one row block
+        # of plans: about 1.1 arrays (7.1 with whole-triangle plans)
+        n = 1600
+        grid = Grid.uniform(n)
+        gauge = step_gauge(varying_speeds, grid)
+        assert solve_peak(lambda: solve_trace(gauge, varying_speeds, grid)) \
+            <= 2.5 * (n + 1) ** 2 * 8
 
     @pytest.mark.parametrize("n", [4, 16, 64, 150])
     def test_estimate_bounds_peak(self, unit_speeds, varying_speeds, n):
@@ -453,38 +553,8 @@ class TestMemory:
             grid = Grid.uniform(n)
             gauge = diag_removal(const(0.5), const(1.0), CoefficientSpec.step(0.25, 0.0, 1.0),
                                  const(-0.3), speeds, grid)
-            peak = solve_peak(gauge, speeds, grid)
+            peak = solve_peak(lambda: solve_kernels(gauge, speeds, None, grid))
             assert peak <= solve_kernels_bytes(n, speeds.table_nodes.size - 1)
-
-
-class TestMissingPair:
-    """A reader given a KernelSet without the pair it reads names the kernel."""
-
-    def test_feedback_gains(self, unit_speeds):
-        grid = Grid.uniform(16)
-        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
-                             unit_speeds, grid)
-        K = solve_kernels(gauge, unit_speeds, None, grid, ("trace",))
-        with pytest.raises(DomainError, match="feedback_gains needs kernel k11, k12"):
-            feedback_gains(K, gauge)
-
-    def test_trace_g(self, unit_speeds):
-        grid = Grid.uniform(16)
-        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
-                             unit_speeds, grid)
-        K = solve_kernels(gauge, unit_speeds, None, grid, ("gains",))
-        with pytest.raises(DomainError, match="trace_g needs kernel k21,"):
-            trace_g(K, unit_speeds)
-
-    @pytest.mark.parametrize("pair, missing", [("gains", "k21, k22"), ("trace", "k11, k12")])
-    def test_export_kernels_csv(self, unit_speeds, tmp_path, pair, missing):
-        grid = Grid.uniform(16)
-        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
-                             unit_speeds, grid)
-        K = solve_kernels(gauge, unit_speeds, None, grid, (pair,))
-        with pytest.raises(DomainError, match=f"export_kernels_csv needs kernel {missing},"):
-            export_kernels_csv(K, tmp_path / "k.csv")
-        assert not (tmp_path / "k.csv").exists()
 
 
 class TestFeedbackGains:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hypmin import (CoefficientSpec, Grid, KernelSet, diag_removal, solve_kernels,
-                    vanishing_prefix, volterra_apply, volterra_invert)
+from hypmin import (CoefficientSpec, Grid, KernelSet, diag_removal, vanishing_prefix,
+                    volterra_apply, volterra_invert)
 from hypmin.errors import DomainError, GridMismatchError
 
 from conftest import const, random_kernel_set
@@ -121,17 +121,6 @@ class TestVolterra:
             r1, r2 = volterra_apply(K, *volterra_invert(K, y1, y2))
             assert np.max(np.abs(r1 - y1)) <= 1e-8
             assert np.max(np.abs(r2 - y2)) <= 1e-8
-
-    @pytest.mark.parametrize("transform", [volterra_apply, volterra_invert])
-    @pytest.mark.parametrize("pair, missing", [("gains", "k21, k22"), ("trace", "k11, k12")])
-    def test_missing_pair(self, unit_speeds, transform, pair, missing):
-        grid = Grid.uniform(16)
-        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
-                             unit_speeds, grid)
-        K = solve_kernels(gauge, unit_speeds, None, grid, (pair,))
-        ones = np.ones(grid.n + 1)
-        with pytest.raises(DomainError, match=f"Volterra transform needs kernel {missing},"):
-            transform(K, ones, ones)
 
     def test_grid_mismatch(self):
         grid = Grid.uniform(20)
