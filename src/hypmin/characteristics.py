@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoefficientSpec
+from .coeffs import CoefficientSpec, cumtrapz
 from .errors import DomainError, InvalidSpeedsError
 
 __all__ = ["SpeedPair", "phi", "phi_inv", "flow", "entry_exit"]
@@ -89,9 +89,7 @@ class SpeedPair:
         w1 = 1.0 / (-l1)
         w2 = 1.0 / l2
         ht = 1.0 / table_n
-        phi1 = np.concatenate(([0.0], np.cumsum(0.5 * ht * (w1[1:] + w1[:-1]))))
-        phi2 = np.concatenate(([0.0], np.cumsum(0.5 * ht * (w2[1:] + w2[:-1]))))
-        return SpeedPair(lambda1, lambda2, nodes, w1, w2, phi1, phi2)
+        return SpeedPair(lambda1, lambda2, nodes, w1, w2, cumtrapz(w1, ht), cumtrapz(w2, ht))
 
     @property
     def T1(self) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      GridMismatchError, InvalidSpeedsError, PreconditionError,
-                     RootBracketError, SpeedOrderError, UndefinedRateError)
+                     RootBracketError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
                       _check_memory, _gauge, _synthesize, _write_json)
@@ -26,7 +26,7 @@ from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
 
 _USAGE_ERRORS = (ConfigError, PreconditionError, DomainError, CFLError,
-                 InvalidSpeedsError, SpeedOrderError, GridMismatchError)
+                 InvalidSpeedsError, GridMismatchError)
 _RUN_ERRORS = (DivergenceError, RootBracketError, UndefinedRateError, np.linalg.LinAlgError)
 
 

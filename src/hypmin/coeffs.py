@@ -1,4 +1,4 @@
-"""Coefficient-function model, quadrature, and the vanishing-prefix functional.
+"""Coefficient-function model, cumulative trapezoid, and the vanishing-prefix functional.
 
 Coefficients of the system are scalar functions on [0,1], given either as a
 small analytic family (constant, polynomial, step, exponential bump) or as
@@ -18,7 +18,7 @@ __all__ = [
     "CoefficientSpec",
     "Grid",
     "eval_coeff",
-    "integrate",
+    "cumtrapz",
     "vanishing_prefix",
     "prefix_of_samples",
     "relative_tol",
@@ -128,21 +128,9 @@ def eval_coeff(spec: Evaluable, x):
     return spec(np.clip(x, 0.0, 1.0))
 
 
-def integrate(f: Evaluable, a: float, b: float, n: int) -> float:
-    """Composite trapezoid approximation of the integral of f over [a,b].
-
-    n is the subdivision count; the error is O(1/n^2) for piecewise-Lipschitz
-    integrands, which is all the coefficient families guarantee.
-    """
-    if a > b:
-        raise DomainError(f"integration bounds out of order: a={a} > b={b}")
-    if n < 1:
-        raise DomainError(f"need at least one subdivision, got n={n}")
-    if a == b:
-        return 0.0
-    xs = np.linspace(a, b, n + 1)
-    ys = np.asarray(f(xs), dtype=float)
-    return float(np.trapezoid(ys, dx=(b - a) / n))
+def cumtrapz(vals: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative trapezoid sums of samples spaced dx apart, 0.0 first."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))))
 
 
 def relative_tol(f: Evaluable, grid: Grid, rel: float = 1e-12) -> float:

@@ -6,11 +6,7 @@ class DomainError(ValueError):
 
 
 class InvalidSpeedsError(ValueError):
-    """A speed pair violates the sign condition lambda1 < 0 < lambda2."""
-
-
-class SpeedOrderError(ValueError):
-    """An n-speed family violates the ordering lambda1 < 0 < lambda2 < ... < lambdan."""
+    """Speeds violate lambda1 < 0 < lambda2 (< lambda3 < ... for n speeds)."""
 
 
 class GridMismatchError(ValueError):

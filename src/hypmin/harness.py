@@ -365,8 +365,13 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
 
 
 def _gauge(cfg: ScenarioConfig, grid: Grid):
-    """The diagonal-removing gauge of the scenario on grid."""
+    """The diagonal-removing gauge of the scenario on grid, the first step of
+    every kernel solve.  The kernels' boundary condition at xi=0 is that of
+    the zero reflection, so q != 0 raises PreconditionError."""
     s = cfg.system
+    if s.q != 0.0:
+        raise PreconditionError(f"the kernel solve assumes the zero reflection q = 0, "
+                                f"got q = {s.q:.12g}")
     return diag_removal(s.a, s.b, s.c, s.d, s.speeds, grid)
 
 
@@ -558,12 +563,10 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     residual floor of _FLOOR_REL at every level; at or above Tmin it is a
     collapse below _DROP_REL on the finest level.  In the margin band the
     report is informational and passes by definition.  Requires a finite
-    T > 0 and the zero reflection q = 0.
+    T > 0 and, as every kernel solve does, the zero reflection q = 0.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise PreconditionError(f"sharpness horizon must be finite and positive, got {T!r}")
-    if cfg.system.q != 0.0:
-        raise PreconditionError("sharpness check assumes the zero reflection q=0")
     levels = _levels(cfg.grid.n, levels)
     finest = Grid.uniform(max(levels))
     table_n = cfg.system.speeds.table_nodes.size - 1

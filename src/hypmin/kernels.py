@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid, relative_tol, vanishing_prefix
+from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 from .errors import DomainError, GridMismatchError
 from .transforms import DiagGauge
@@ -62,7 +62,6 @@ __all__ = [
     "trace_g",
     "feedback_gains",
     "sin_map",
-    "predicted_g_prefix",
     "export_kernels_csv",
     "export_profile_csv",
 ]
@@ -139,7 +138,7 @@ class _MarchPlan(NamedTuple):
     characteristic step in row i-1 (linear-interp index and weight) and the
     Euler source coefficient.  Where the characteristic enters through its
     data boundary between the two rows, brows[i - r0] holds the start data
-    and a source coefficient at the start.  Indices are int32.
+    and a source coefficient at the start.
     """
 
     r0: int
@@ -153,9 +152,9 @@ class _MarchPlan(NamedTuple):
 def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
     """Uniform-grid linear interp indices/weights, clamped so idx+1 stays valid."""
     w = pos / h
-    idx = np.clip(np.floor(w).astype(np.int64), 0, clamp_hi)
+    idx = np.clip(np.floor(w).astype(np.intp), 0, clamp_hi)
     w -= idx
-    return idx.astype(np.int32), w
+    return idx, w
 
 
 def _diag_data(speeds: SpeedPair, gauge: DiagGauge, fa: int, x):
@@ -231,7 +230,7 @@ def _step_interior(plan: _MarchPlan, row: np.ndarray, prev_self: np.ndarray,
     m = i + 1 if plan.on_edge else i
     lo = (i * (i + 1) - plan.r0 * (plan.r0 + 1)) // 2
     seg = slice(lo, lo + m)
-    fid = plan.fidx[seg].astype(np.intp)   # one index cast, not four
+    fid = plan.fidx[seg]
     fwt = plan.fw[seg]
     up = 1.0 - fwt
     row[:m] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
@@ -430,22 +429,6 @@ def sin_map(speeds: SpeedPair, x):
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise DomainError("sin_map needs x in [0,1]")
     return speeds.psi_inv(speeds.phi_eval(2, x))
-
-
-def predicted_g_prefix(speeds: SpeedPair, c: CoefficientSpec,
-                       grid: Grid | None = None, tol: float | None = None) -> float:
-    """Predicted vanishing prefix of g from the prefix of c.
-
-    With Xc the prefix of c over (0, xbar), the prediction is
-    phi2^{-1}(phi1(Xc) + phi2(Xc)); it equals 1 when c vanishes on (0, xbar).
-    """
-    if grid is None:
-        grid = Grid.uniform(2048)
-    if tol is None:
-        tol = relative_tol(c, grid)
-    xbar = float(speeds.psi_inv(speeds.T2))
-    Xc = vanishing_prefix(c, xbar, tol, grid)
-    return float(speeds.phi_inv_ext(2, speeds.psi_eval(Xc)))
 
 
 def _write_csv(path, header, columns) -> None:

@@ -1,14 +1,19 @@
 """Minimal-time formulas and the numerical convolution-support check.
 
-The controllability threshold of the physical system is
+Every minimal time here is one threshold on the travel-time tables of a
+SpeedPair,
 
-    Tmin = max( max(T1, T2),  int_{Xc}^1 (1/(-lambda1) + 1/lambda2) )
+    Tmin = max( max(T1, T2),  T1 + T2 - saved )
 
-where Xc is the vanishing prefix of the coupling c over (0, xbar) and xbar
-solves phi1(xbar) + phi2(xbar) = phi2(1).  The canonical form threshold
-replaces the coupling prefix by the prefix of its trace g.  The module also
-provides the n-speed canonical calculator and a discrete test of the
-convolution support identity that underlies the sharpness argument.
+where saved is the travel time that the vanishing prefix spares the lower
+component.  For the physical system saved = psi(Xc) = phi1(Xc) + phi2(Xc),
+with Xc the vanishing prefix of the coupling c over (0, xbar) and xbar
+solving psi(xbar) = T2; the canonical form saves phi2(X1), X1 the prefix of
+its trace g.  A reflection q != 0 at x=0 feeds the lower component the
+uncontrolled y1(t, 0) before T1, so it saves nothing: Tmin = T1 + T2.  The
+n-speed canonical threshold is the largest 2x2 threshold over its
+components.  The module also provides a discrete test of the convolution
+support identity that underlies the sharpness argument.
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, Grid, integrate, prefix_of_samples,
-                     relative_tol, vanishing_prefix)
+from .coeffs import CoefficientSpec, Grid, prefix_of_samples, relative_tol, vanishing_prefix
 from .characteristics import SpeedPair
-from .errors import GridMismatchError, SpeedOrderError
+from .errors import GridMismatchError, InvalidSpeedsError
 from .simulator import SystemSpec
 
 __all__ = [
@@ -29,6 +33,7 @@ __all__ = [
     "times_report",
     "canonical_min_time",
     "nxn_canonical_min_time",
+    "predicted_g_prefix",
     "titchmarsh_check",
 ]
 
@@ -64,31 +69,57 @@ def _is_constant(spec: CoefficientSpec, probe: np.ndarray) -> bool:
     return float(np.max(vals) - np.min(vals)) <= 1e-12 * scale
 
 
+def _threshold(T1: float, T2: float, saved: float) -> float:
+    """The minimal time: the travel times T1, T2 minus the time saved."""
+    return max(max(T1, T2), (T1 + T2) - saved)
+
+
+def _c_prefix(speeds: SpeedPair, c: CoefficientSpec, grid: Grid | None,
+              tol: float | None):
+    """xbar, the prefix Xc of c over (0, xbar), and the grid and tolerance
+    it is measured with (by default 2048 cells and relative_tol)."""
+    grid = Grid.uniform(2048) if grid is None else grid
+    tol = relative_tol(c, grid) if tol is None else tol
+    xbar = float(speeds.psi_inv(speeds.T2))
+    return xbar, vanishing_prefix(c, xbar, tol, grid), grid, tol
+
+
 def times_report(system: SystemSpec, grid: Grid | None = None) -> TimesReport:
     """All characteristic times of the system plus its minimal control time."""
     speeds = system.speeds
-    if grid is None:
-        grid = Grid.uniform(2048)
     T1, T2 = speeds.T1, speeds.T2
-    Topt = max(T1, T2)
-    Tunif = T1 + T2
-    xbar = float(speeds.psi_inv(T2))
-    tol = relative_tol(system.c, grid)
-    Xc = vanishing_prefix(system.c, xbar, tol, grid)
+    xbar, Xc, grid, tol = _c_prefix(speeds, system.c, grid, None)
     Xc_strict = vanishing_prefix(system.c, xbar, tol * 1e-2, grid)
     limited = (Xc - Xc_strict) > 2.0 * grid.h
-    Tmin = max(Topt, Tunif - float(speeds.psi_eval(Xc)))
+    saved = 0.0 if system.q != 0.0 else float(speeds.psi_eval(Xc))
+    Tmin = _threshold(T1, T2, saved)
+    Tunif = T1 + T2
 
     note = None
     probe = np.linspace(0.0, 1.0, 257)
-    if _is_constant(speeds.lambda1, probe) and _is_constant(speeds.lambda2, probe):
+    if system.q != 0.0:
+        note = (f"reflection q = {system.q:.12g}: the lower component carries the "
+                f"uncontrolled y1(t, 0) until T1, so Tmin = Tunif = {Tmin:.12g} "
+                "whatever c")
+    elif _is_constant(speeds.lambda1, probe) and _is_constant(speeds.lambda2, probe):
         edge = 1.0 - Tmin / Tunif if Tmin < Tunif else 0.0
         note = ("constant speeds: a time T in [Topt, Tunif) is admissible iff "
                 f"c = 0 on (0, 1 - T/Tunif); measured prefix {Xc:.12g} gives "
                 f"Tmin = {Tmin:.12g} (c must vanish on (0, {edge:.12g}))")
-    return TimesReport(T1=T1, T2=T2, Topt=Topt, Tunif=Tunif, xbar=xbar, Xc=Xc,
+    return TimesReport(T1=T1, T2=T2, Topt=max(T1, T2), Tunif=Tunif, xbar=xbar, Xc=Xc,
                        Tmin=Tmin, prefix_tol=tol, tolerance_limited=limited,
                        constant_speed_note=note)
+
+
+def predicted_g_prefix(speeds: SpeedPair, c: CoefficientSpec,
+                       grid: Grid | None = None, tol: float | None = None) -> float:
+    """Predicted vanishing prefix of g from the prefix of c.
+
+    With Xc the prefix of c over (0, xbar), the prediction is
+    phi2^{-1}(phi1(Xc) + phi2(Xc)); it equals 1 when c vanishes on (0, xbar).
+    """
+    _, Xc, _, _ = _c_prefix(speeds, c, grid, tol)
+    return float(speeds.phi_inv_ext(2, speeds.psi_eval(Xc)))
 
 
 def canonical_min_time(speeds: SpeedPair, g: np.ndarray, tol: float) -> float:
@@ -96,48 +127,31 @@ def canonical_min_time(speeds: SpeedPair, g: np.ndarray, tol: float) -> float:
     g = np.asarray(g, dtype=float)
     if g.ndim != 1 or g.shape[0] < 2:
         raise GridMismatchError("trace g must be sampled on at least two nodes")
-    h = 1.0 / (g.shape[0] - 1)
-    X1 = prefix_of_samples(g, h, 1.0, tol)
-    T1, T2 = speeds.T1, speeds.T2
-    return max(T1 + T2 - float(speeds.phi_eval(2, X1)), T2)
+    X1 = prefix_of_samples(g, 1.0 / (g.shape[0] - 1), 1.0, tol)
+    return _threshold(speeds.T1, speeds.T2, float(speeds.phi_eval(2, X1)))
 
 
-def nxn_canonical_min_time(speeds: list, G: list, Q: list,
-                           tol: float = 1e-10, quad_n: int = 4096) -> float:
+def nxn_canonical_min_time(speeds: list, G: list, Q: list, tol: float = 1e-10) -> float:
     """Threshold time of the n-speed canonical form (one negative speed).
 
     speeds lists the n speed coefficients (lambda1 negative, the rest
     positive and strictly increasing); G the n-1 sampled traces; Q the n-1
-    boundary reflections.  A nonzero reflection forces the full crossing
-    time of its component regardless of the trace.
+    boundary reflections.  The threshold is the largest 2x2 threshold over
+    the components k = 2..n, each on SpeedPair.build(lambda1, lambda_k): a
+    reflected component saves nothing and needs T1 + Tk whatever its trace,
+    any other one is canonical_min_time of its trace.
     """
     nspeeds = len(speeds)
     if nspeeds < 2 or len(G) != nspeeds - 1 or len(Q) != nspeeds - 1:
         raise GridMismatchError("need n speeds with n-1 traces and reflections")
     probe = np.linspace(0.0, 1.0, 1025)
-    vals = [np.asarray(s(probe), dtype=float) for s in speeds]
-    if np.any(vals[0] >= 0.0):
-        raise SpeedOrderError("lambda1 must be negative on [0,1]")
-    if np.any(vals[1] <= 0.0):
-        raise SpeedOrderError("lambda2 must be positive on [0,1]")
     for i in range(2, nspeeds):
-        if np.any(vals[i] <= vals[i - 1]):
-            raise SpeedOrderError(
+        if np.any(speeds[i](probe) <= speeds[i - 1](probe)):
+            raise InvalidSpeedsError(
                 f"speeds must increase: lambda{i + 1} <= lambda{i} somewhere")
-
-    T1 = integrate(lambda x: 1.0 / (-speeds[0](x)), 0.0, 1.0, quad_n)
-    T2 = integrate(lambda x: 1.0 / speeds[1](x), 0.0, 1.0, quad_n)
-    contrib = []
-    for i in range(1, nspeeds):
-        lam = speeds[i]
-        gi = np.asarray(G[i - 1], dtype=float)
-        if Q[i - 1] != 0.0:
-            contrib.append(integrate(lambda x: 1.0 / lam(x), 0.0, 1.0, quad_n))
-        else:
-            hg = 1.0 / (gi.shape[0] - 1)
-            X1 = prefix_of_samples(gi, hg, 1.0, tol)
-            contrib.append(integrate(lambda x: 1.0 / lam(x), X1, 1.0, quad_n))
-    return max(T1 + max(contrib), T2)
+    pairs = [SpeedPair.build(speeds[0], lam) for lam in speeds[1:]]
+    return max(_threshold(p.T1, p.T2, 0.0) if q != 0.0 else canonical_min_time(p, g, tol)
+               for p, g, q in zip(pairs, G, Q))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid
+from .coeffs import CoefficientSpec, Grid, cumtrapz
 from .errors import DomainError, GridMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,10 +42,6 @@ class DiagGauge:
         return np.interp(x, self.grid.nodes, self.ct)
 
 
-def _cumtrapz(vals: np.ndarray, dx: float) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))))
-
-
 def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
                  d: CoefficientSpec, speeds: "SpeedPair", grid: Grid) -> DiagGauge:
     """Remove the diagonal couplings a, d via exponential weights.
@@ -60,8 +56,8 @@ def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
     l1 = np.asarray(speeds.speed(1, xs), dtype=float)
     l2 = np.asarray(speeds.speed(2, xs), dtype=float)
     with np.errstate(all="ignore"):
-        e1 = np.exp(-_cumtrapz(np.asarray(a(xs), dtype=float) / l1, grid.h))
-        e2 = np.exp(-_cumtrapz(np.asarray(d(xs), dtype=float) / l2, grid.h))
+        e1 = np.exp(-cumtrapz(np.asarray(a(xs), dtype=float) / l1, grid.h))
+        e2 = np.exp(-cumtrapz(np.asarray(d(xs), dtype=float) / l2, grid.h))
         for name, e, formula in (("a", e1, "exp(-int a/lambda1)"),
                                  ("d", e2, "exp(-int d/lambda2)")):
             if not np.all(np.isfinite(e) & (e > 0.0)):

@@ -45,6 +45,41 @@ class TestMintime:
         assert run_cli(["mintime", str(bad)]) == 2
 
 
+class TestReflection:
+    """q != 0: mintime answers T1 + T2, every kernel solve is refused, and
+    open-loop simulation runs."""
+
+    @pytest.fixture
+    def reflected(self, tmp_path):
+        def write(horizon=1.5, control=None):
+            raw = headline_raw(n=64, horizon=horizon)
+            raw["system"]["q"] = 0.5
+            if control is not None:
+                raw["control"] = control
+            path = tmp_path / "reflected.json"
+            path.write_text(json.dumps(raw))
+            return str(path)
+        return write
+
+    def test_mintime_is_uniform_time(self, reflected, capsys):
+        assert run_cli(["mintime", reflected()]) == 0
+        assert re.search(r"^Tmin +2$", capsys.readouterr().out, re.M)
+
+    @pytest.mark.parametrize("argv", [["kernels"], ["verify-sharpness", "--T", "2"],
+                                      ["simulate"], ["verify-settling"]],
+                             ids=lambda a: a[0])
+    def test_kernel_solve_is_one_line_exit_2(self, reflected, tmp_path, capsys, argv):
+        path = reflected(horizon=2.0)
+        assert run_cli([argv[0], path, *argv[1:], "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and "q = 0.5" in err
+
+    def test_open_loop_simulate(self, reflected, tmp_path):
+        path = reflected(control={"kind": "zero"})
+        assert run_cli(["simulate", path, "--out", str(tmp_path / "out")]) == 0
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("path, value", [
         (("system",), []),

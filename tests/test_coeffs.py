@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypmin import CoefficientSpec, Grid, eval_coeff, integrate, vanishing_prefix
-from hypmin.coeffs import prefix_of_samples, relative_tol
+from hypmin import CoefficientSpec, Grid, eval_coeff, vanishing_prefix
+from hypmin.coeffs import cumtrapz, prefix_of_samples, relative_tol
 from hypmin.errors import DomainError
 
 
@@ -55,31 +55,13 @@ class TestEval:
             CoefficientSpec.sampled([0.1, 1.0], [0, 1])
 
 
-class TestIntegrate:
-    def test_constant_one(self):
-        assert integrate(CoefficientSpec.constant(1.0), 0.0, 1.0, 10) == pytest.approx(1.0)
-
-    def test_linear_exact(self):
-        spec = CoefficientSpec.polynomial([0.0, 1.0])
-        assert integrate(spec, 0.0, 1.0, 7) == pytest.approx(0.5, abs=1e-15)
-
-    def test_log_two(self):
-        val = integrate(lambda x: 1.0 / (1.0 + x), 0.0, 1.0, 200)
-        assert val == pytest.approx(math.log(2.0), abs=1e-4)
-
-    def test_bounds_error(self):
-        with pytest.raises(DomainError):
-            integrate(CoefficientSpec.constant(1.0), 0.7, 0.3, 10)
-
-    def test_empty_interval(self):
-        assert integrate(CoefficientSpec.constant(5.0), 0.4, 0.4, 10) == 0.0
-
+class TestCumtrapz:
     @given(st.integers(min_value=1, max_value=50))
-    def test_additive_on_nested_grids(self, n):
-        spec = CoefficientSpec.polynomial([0.3, -1.2, 2.0, 0.7])
-        whole = integrate(spec, 0.0, 1.0, 2 * n)
-        parts = integrate(spec, 0.0, 0.5, n) + integrate(spec, 0.5, 1.0, n)
-        assert whole == pytest.approx(parts, abs=1e-14)
+    def test_exact_on_linear(self, n):
+        xs = np.linspace(0.0, 1.0, n + 1)
+        got = cumtrapz(0.3 + 2.0 * xs, 1.0 / n)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, 0.3 * xs + xs ** 2, rtol=0, atol=1e-14)
 
 
 class TestVanishingPrefix:

@@ -459,12 +459,12 @@ class TestSharedPlanGeometry:
             r0, r1 = blk.rows.start, blk.rows.stop
             seg = slice(r0 * (r0 + 1) // 2, r1 * (r1 + 1) // 2)
             assert plan.r0 == r0 and plan.on_edge == (diag_data is None)
-            assert plan.fidx.dtype == np.int32 and np.array_equal(plan.fidx, fidx[seg])
+            assert plan.fidx.dtype == np.intp and np.array_equal(plan.fidx, fidx[seg])
             assert plan.fw.tobytes() == fw[seg].tobytes()
             assert plan.coefA.tobytes() == coefA[seg].tobytes()
             assert len(plan.brows) == r1 - r0
             for got, want in zip(plan.brows, brows[r0:r1]):
-                assert got[3].dtype == np.int32 and np.array_equal(got[3], want[3])
+                assert got[3].dtype == np.intp and np.array_equal(got[3], want[3])
                 for k in (0, 1, 2, 4):
                     assert got[k].tobytes() == want[k].tobytes()
             blocks += 1

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_min_time,
                     diag_removal, nxn_canonical_min_time, simulate, solve_kernels,
                     times_report, titchmarsh_check, trace_g)
-from hypmin.errors import GridMismatchError, SpeedOrderError
+from hypmin.coeffs import prefix_of_samples
+from hypmin.errors import GridMismatchError, InvalidSpeedsError
 from hypmin.mintime import _leading_convolution
 
 from conftest import const, make_system
@@ -225,6 +226,12 @@ class TestCanonicalMinTime:
         got = canonical_min_time(unit_speeds, g, 1e-10)
         assert got == pytest.approx(1.5, abs=1e-9)
 
+    def test_vanishing_trace_gives_exactly_t1(self):
+        # T1 > T2, and T1 + T2 - phi2(1) rounds to one ulp below T1 here
+        speeds = SpeedPair.build(const(-0.6), const(2.0))
+        assert speeds.T1 > speeds.T2
+        assert canonical_min_time(speeds, np.zeros(11), 1e-10) == speeds.T1
+
 
 class TestNxN:
     def test_two_speeds_reduce_to_canonical(self, unit_speeds):
@@ -251,15 +258,67 @@ class TestNxN:
 
     def test_order_violations(self):
         g = np.zeros(11)
-        with pytest.raises(SpeedOrderError):
+        with pytest.raises(InvalidSpeedsError):
             nxn_canonical_min_time([const(1.0), const(2.0)], [g], [0.0])
-        with pytest.raises(SpeedOrderError):
+        with pytest.raises(InvalidSpeedsError):
             nxn_canonical_min_time([const(-1.0), const(2.0), const(1.0)],
                                    [g, g], [0.0, 0.0])
 
     def test_shape_validation(self):
         with pytest.raises(GridMismatchError):
             nxn_canonical_min_time([const(-1.0), const(1.0)], [], [0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nspeeds=st.integers(2, 4))
+    def test_matches_trapezoid_travel_times(self, data, nspeeds):
+        c = data.draw(st.tuples(st.floats(0.5, 2.0), st.floats(-0.3, 0.3),
+                                st.floats(-0.2, 0.2)))
+        speeds = [CoefficientSpec.polynomial([-c[0], -c[1] * c[0], -c[2] * c[0]])]
+        base = 0.0
+        for _ in range(nspeeds - 1):
+            base += data.draw(st.floats(0.5, 1.5))
+            speeds.append(CoefficientSpec.polynomial(
+                [base, data.draw(st.floats(-0.1, 0.1)), data.draw(st.floats(-0.1, 0.1))]))
+        G, Q = [], []
+        for _ in range(nspeeds - 1):
+            nodes = np.linspace(0.0, 1.0, data.draw(st.integers(4, 300)) + 1)
+            G.append(np.where(nodes > data.draw(st.floats(0.0, 1.2)), 1.0, 0.0))
+            Q.append(data.draw(st.sampled_from([0.0, 0.5, -2.0])))
+        got = nxn_canonical_min_time(speeds, G, Q)
+        assert abs(got - trapezoid_nxn(speeds, G, Q)) <= 1e-8
+
+
+def trapezoid_nxn(speeds, G, Q, tol=1e-10, quad_n=4096):
+    """Reference n-speed threshold from composite trapezoid travel times on
+    quad_n cells of each interval, independent of the SpeedPair tables."""
+    def travel(lam, a):
+        if a >= 1.0:
+            return 0.0
+        xs = np.linspace(a, 1.0, quad_n + 1)
+        return float(np.trapezoid(1.0 / np.abs(lam(xs)), dx=(1.0 - a) / quad_n))
+
+    contrib = [travel(lam, 0.0 if q != 0.0 else
+                      prefix_of_samples(g, 1.0 / (g.shape[0] - 1), 1.0, tol))
+               for lam, g, q in zip(speeds[1:], G, Q)]
+    return max(travel(speeds[0], 0.0) + max(contrib), travel(speeds[1], 0.0))
+
+
+class TestReflection:
+    @pytest.mark.parametrize("q", [0.5, -2.0])
+    @pytest.mark.parametrize("speeds", ["unit_speeds", "varying_speeds"])
+    def test_reflection_needs_uniform_time(self, request, speeds, q):
+        # a trace and a coupling that both vanish on (0, 1/4): with q = 0 the
+        # threshold would lie below Tunif
+        sp = request.getfixturevalue(speeds)
+        system = make_system(sp, c=CoefficientSpec.step(0.25, 0.0, 1.0), q=q)
+        tr = times_report(system, grid=Grid.uniform(400))
+        g = np.where(np.linspace(0.0, 1.0, 401) > 0.25, 1.0, 0.0)
+        nxn = nxn_canonical_min_time([sp.lambda1, sp.lambda2], [g], [q])
+        assert tr.Tmin == tr.Tunif == nxn
+        assert times_report(make_system(sp, c=system.c), grid=Grid.uniform(400)).Tmin < tr.Tunif
+        assert nxn_canonical_min_time([sp.lambda1, sp.lambda2], [g], [0.0]) < nxn
+        assert f"reflection q = {q:.12g}" in tr.constant_speed_note
+        assert f"Tmin = Tunif = {tr.Tunif:.12g} whatever c" in tr.constant_speed_note
 
 
 def brute_force_convolution(alpha, beta, dtau):
