@@ -12,6 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from hypmin.cli import _RUN_ERRORS, _USAGE_ERRORS  # noqa: E402
 from hypmin.harness import (_synthesize, load_config, verify_settling,  # noqa: E402
                             verify_sharpness)
 from hypmin.kernels import export_kernels_csv, export_profile_csv, trace_g  # noqa: E402
@@ -26,7 +27,20 @@ def main():
     ap.add_argument("--sweep", type=float, nargs="*",
                     default=[1.1, 1.3, 1.45, 1.5, 1.6, 1.8])
     args = ap.parse_args()
+    # the CLI's exit codes: 2 for a usage or configuration error, 1 for a
+    # computation that could not finish, each a one-line message
+    try:
+        run(args)
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _RUN_ERRORS as exc:
+        print(f"computation failed: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def run(args):
     cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
 
@@ -57,4 +71,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

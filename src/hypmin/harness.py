@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
-from .errors import ConfigError, PreconditionError, RootBracketError
+from .errors import ConfigError, DomainError, PreconditionError, RootBracketError
 from .kernels import (FeedbackLaw, solve_gains, solve_kernels, solve_kernels_bytes,
                       solve_trace)
 from .mintime import times_report
@@ -493,7 +493,8 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     matrix over the singular values that lstsq keeps (those above its cutoff
     eps * max(shape) times the largest), so it is below 1 / (eps * max(shape))
     and always finite; it is 1.0 when elimination leaves no hat, as on the
-    floor side whenever T < T1.
+    floor side whenever T < T1.  A free norm or residual that overflows
+    raises DomainError.
     """
     n, h, T1 = grid.n, grid.h, speeds.T1
     M = max(1, round(T / h))
@@ -513,28 +514,41 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
         tau[late, j + 2] = w
         return tau
 
-    Az = canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
-    rw = np.full(n + 1, math.sqrt(h))     # square roots of trapezoid weights
-    rw[0] = rw[-1] = math.sqrt(0.5 * h)
-    Az *= np.concatenate([rw, rw])[:, None]
-    z, A = Az[:, 0], Az[:, 1:]
-    upper, lower = A[:n + 1], A[n + 1:]
-    # hats [0, s0) only in lower rows, [s0, cl) shared, [cl, M] only in upper
-    lo_hats = np.flatnonzero(lower.any(axis=0))
-    cl = int(lo_hats[-1]) + 1 if lo_hats.size else 0
-    s0 = min(cl, int(np.argmax(upper.any(axis=0))))
-    W = np.column_stack([upper[:, s0:cl], z[:n + 1]])
-    R = np.linalg.qr(_orthogonal_rest(upper[:, cl:], W), mode="r")
-    rhs = np.concatenate([R[:, -1], z[n + 1:]])
-    free_norm = float(np.linalg.norm(z))
-    if cl == 0:
-        return float(np.linalg.norm(rhs)), free_norm, 1.0, M + 1
-    red = np.zeros((rhs.shape[0], cl))
-    red[:R.shape[0], s0:] = R[:, :-1]
-    red[R.shape[0]:] = lower[:, :cl]
-    sol, _, rank, svals = np.linalg.lstsq(red, -rhs, rcond=None)
-    residual = float(np.linalg.norm(red @ sol + rhs))
-    return residual, free_norm, float(svals[0] / svals[rank - 1]), M + 1
+    # a trace g too large for the map overflows it: one DomainError, no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        Az = canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
+        rw = np.full(n + 1, math.sqrt(h))     # square roots of trapezoid weights
+        rw[0] = rw[-1] = math.sqrt(0.5 * h)
+        Az *= np.concatenate([rw, rw])[:, None]
+        z, A = Az[:, 0], Az[:, 1:]
+        free_norm = float(np.linalg.norm(z))
+        if not math.isfinite(free_norm):
+            raise _sharpness_overflow(T)
+        upper, lower = A[:n + 1], A[n + 1:]
+        # hats [0, s0) only in lower rows, [s0, cl) shared, [cl, M] only in upper
+        lo_hats = np.flatnonzero(lower.any(axis=0))
+        cl = int(lo_hats[-1]) + 1 if lo_hats.size else 0
+        s0 = min(cl, int(np.argmax(upper.any(axis=0))))
+        W = np.column_stack([upper[:, s0:cl], z[:n + 1]])
+        R = np.linalg.qr(_orthogonal_rest(upper[:, cl:], W), mode="r")
+        rhs = np.concatenate([R[:, -1], z[n + 1:]])
+        if cl == 0:
+            residual, condition = float(np.linalg.norm(rhs)), 1.0
+        else:
+            red = np.zeros((rhs.shape[0], cl))
+            red[:R.shape[0], s0:] = R[:, :-1]
+            red[R.shape[0]:] = lower[:, :cl]
+            sol, _, rank, svals = np.linalg.lstsq(red, -rhs, rcond=None)
+            residual = float(np.linalg.norm(red @ sol + rhs))
+            condition = float(svals[0] / svals[rank - 1])
+    if not math.isfinite(residual):
+        raise _sharpness_overflow(T)
+    return residual, free_norm, condition, M + 1
+
+
+def _sharpness_overflow(T: float) -> DomainError:
+    return DomainError(f"sharpness residual at T={T:.12g} overflows: the trace g, driven "
+                       "by the coupling c, is too large for the canonical map")
 
 
 def canonical_sharpness_bytes(speeds: SpeedPair, T: float, grid: Grid) -> float:

@@ -35,6 +35,19 @@ builds its plans one block of rows at a time and keeps only the rows read:
 solve_kernels all four kernels, solve_gains the last rows of (k11, k12) for
 the feedback, solve_trace k22 for the quadrature of g.  Memory: 4, 0 and 1
 arrays of (n+1)^2 floats, plus one row block of plans (about 3 MB).
+
+Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
+coupling b, through the diagonal data and source of k12, and k22 only by b
+and its edge data k0.  Where the gauged bt vanishes at every grid node the
+system is already canonical: the (k11, k12) march is exactly zero, and with
+k0 = 0 so is k22 and every trace path integral, which leaves g its diagonal
+term.  The entry points then return these values without marching, bitwise
+what the march returns, signed zeros included: solve_gains and solve_trace
+hold no kernel array and no plans, only O(n) floats and temporaries of the
+speed table, and solve_kernels marches the trace pair only.  The march
+still runs where c is large enough to overflow it, so that it raises, and
+the gains march where it would turn the sign of a zero (_uncoupled,
+_k12_sign_flips).
 """
 
 from __future__ import annotations
@@ -248,6 +261,11 @@ def _step_boundary(plan: _MarchPlan, row: np.ndarray, edge: np.ndarray, i: int) 
 _PAIRS = {"gains": ("k12", "k11"), "trace": ("k21", "k22")}
 
 
+def _check_grid(grid: Grid) -> None:
+    if grid.n < 4:
+        raise DomainError("kernel grid too coarse (need n >= 4)")
+
+
 def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
                 k0: CoefficientSpec, keep) -> dict:
     """Row march of one pair in p-form, each kernel named in keep returned as
@@ -260,11 +278,11 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     the one pass is the exact fixed point of the discrete scheme.  A row
     that is not finite raises DomainError naming its kernel.
     """
+    _check_grid(grid)
     n = grid.n
-    if n < 4:
-        raise DomainError("kernel grid too coarse (need n >= 4)")
     wd, we = _PAIRS[pair]
-    data = _diag_data(speeds, gauge, int(wd[2]), grid.nodes)     # the diagonal of wd
+    with np.errstate(over="ignore", invalid="ignore"):            # the row check reports it
+        data = _diag_data(speeds, gauge, int(wd[2]), grid.nodes)  # the diagonal of wd
     Fd, Fe = (np.zeros((n + 1, n + 1)) if w in keep else None for w in (wd, we))
     rd = np.zeros(n + 1) if Fd is None else Fd[0]
     re = np.zeros(n + 1) if Fe is None else Fe[0]
@@ -294,12 +312,82 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     return {wd: rd if Fd is None else Fd, we: re if Fe is None else Fe}
 
 
+def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
+    """Whether bt vanishes at every node and the c-driven march surely stays
+    finite.  Then the gains pair is exactly zero, and so are k22 (with
+    k0 = 0) and every trace path integral.  Each diagonal datum and source
+    coefficient of k11 and k21, and g, is at most max|ct| max|lambda| /
+    min(1, min|lambda|)^3 in size; the bound, taken on the speed table, is
+    kept below 1e300, far enough from overflow that speeds between the
+    table's nodes cannot reach it.  Beyond it the march runs, and raises
+    DomainError where it overflows."""
+    if gauge.bt.any():
+        return False
+    lam = 1.0 / np.concatenate([speeds.w1, speeds.w2])      # |lambda| on the table
+    with np.errstate(over="ignore", divide="ignore"):
+        bound = np.abs(gauge.ct).max() * lam.max() / min(lam.min(), 1.0) ** 3
+    return bool(bound < 1e300)
+
+
+def _k12_sign_flips(speeds: SpeedPair, grid: Grid) -> bool:
+    """Whether a zero k12 march turns the sign of some interior zero.
+
+    An interior step of k12 reads row i-1 with weights 1 - fw and fw, and
+    fw > 1 only where the foot rounds past x_{i-1}, as when cells of phi1
+    and phi2 take equal times (lambda1 = -lambda2); there -0.0 * (1 - fw)
+    is +0.0, and the march carries it on.  Only the last few interior
+    points of each row can have such a foot: they are recomputed with the
+    plan's arithmetic (_build_plan, _interp_setup).
+    """
+    n, h = grid.n, grid.h
+    p1 = np.asarray(speeds.phi_eval(1, grid.nodes))
+    p2 = np.asarray(speeds.phi_eval(2, grid.nodes))
+    i = np.arange(2, n + 1)
+    d1 = (p1[1:] - p1[:-1])[1:]                       # phi1(x_i) - phi1(x_{i-1})
+    top = p2[i - 1] + 1e-15                           # the interior test of row i
+    last = np.searchsorted(p2, top - d1, side="right") - 1
+    j = np.clip(last[:, None] + np.arange(-2, 2), 0, (i - 1)[:, None])
+    u = p2[j] + d1[:, None]
+    xi = np.clip(speeds.phi_inv_ext(2, u), 0.0, 1.0)
+    return bool(((u <= top[:, None]) & (xi / h > (i - 1)[:, None])).any())
+
+
+def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep) -> dict:
+    """_march_pair of (k11, k12), k0 playing no part.  An _uncoupled march
+    is exactly zero and is skipped: k11 is +0.0 and k12 its zero diagonal
+    data (-0.0, as lambda1 < 0 < lambda2) on and below the diagonal, +0.0
+    above it, unless the march would turn the sign of a zero
+    (_k12_sign_flips)."""
+    _check_grid(grid)
+    if not _uncoupled(speeds, gauge) or _k12_sign_flips(speeds, grid):
+        return _march_pair("gains", speeds, gauge, grid, CoefficientSpec.constant(0.0), keep)
+    n = grid.n
+    data = _diag_data(speeds, gauge, 2, grid.nodes)
+    if not keep:
+        return {"k12": np.full(n + 1, data[n]), "k11": np.zeros(n + 1)}
+    P12 = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        P12[i, :i + 1] = data[i]
+    return {"k12": P12, "k11": np.zeros((n + 1, n + 1))}
+
+
+def _trace_diag(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
+    """phi2 at the nodes, the diagonal point sigma = psi^{-1}(phi2(x)) where
+    the trace characteristic ending at (x, 0) starts, and p21 there."""
+    p2n = np.asarray(speeds.phi_eval(2, grid.nodes))
+    sig = np.asarray(speeds.psi_inv(p2n))
+    l1_s = np.asarray(speeds.speed(1, sig), dtype=float)
+    l2_s = np.asarray(speeds.speed(2, sig), dtype=float)
+    return p2n, sig, l1_s * gauge.ct_at(sig) / (l2_s - l1_s)
+
+
 def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
                       P22: np.ndarray) -> np.ndarray:
     """p21 on the edge xi=0 by direct quadrature along each trace characteristic.
 
     The characteristic ending at (x, 0) starts on the diagonal at
-    sigma = psi^{-1}(phi2(x)) and satisfies phi1(xi) = phi2(x) - phi2(x').
+    sigma = psi^{-1}(phi2(x)) (_trace_diag) and satisfies
+    phi1(xi) = phi2(x) - phi2(x').
     Integrating each trace path separately keeps the zero set of the trace
     exact: wherever the gauged coupling vanishes along the whole path the
     integral is identically zero, with no interpolation smearing across the
@@ -310,8 +398,7 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     n = grid.n
     h = grid.h
     nodes = grid.nodes
-    p2n = np.asarray(speeds.phi_eval(2, nodes))
-    sig = np.asarray(speeds.psi_inv(p2n))
+    p2n, sig, p0 = _trace_diag(speeds, gauge, grid)
     taus = np.linspace(0.0, 1.0, n + 1)
     paths = max(1, _PLAN_POINTS // (n + 1))
     integral = np.empty(n + 1)
@@ -339,9 +426,6 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
         integral[blk] = np.trapezoid(S, axis=1)  # unit spacing; times the step below
     P22[idx, idx + 1] = 0.0
     integral *= (nodes - sig) / n
-    l1_s = np.asarray(speeds.speed(1, sig), dtype=float)
-    l2_s = np.asarray(speeds.speed(2, sig), dtype=float)
-    p0 = l1_s * gauge.ct_at(sig) / (l2_s - l1_s)
     return p0 + integral
 
 
@@ -361,13 +445,14 @@ def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
 
 def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | None,
                   grid: Grid) -> KernelSet:
-    """All four kernels, one row march per pair; a single pass is the fixed
-    point of the discrete scheme, unconditionally stable and first-order
-    accurate.  Couplings b, c too large for the march overflow a kernel,
-    which raises DomainError naming it.  Memory: the four kernels plus one
-    row block of plans (solve_kernels_bytes)."""
+    """All four kernels, one row march per pair (none for an _uncoupled
+    gains pair); a single pass is the fixed point of the discrete scheme,
+    unconditionally stable and first-order accurate.  Couplings b, c too
+    large for the march overflow a kernel, which raises DomainError naming
+    it.  Memory: the four kernels plus one row block of plans
+    (solve_kernels_bytes)."""
     k0 = CoefficientSpec.constant(0.0) if k0 is None else k0
-    K = {**_march_pair("gains", speeds, gauge, grid, k0, ("k11", "k12")),
+    K = {**_gains_pair(speeds, gauge, grid, ("k11", "k12")),
          **_march_pair("trace", speeds, gauge, grid, k0, ("k21", "k22"))}
     # The xi=0 trace of k21 defines g; integrate it directly along each trace
     # characteristic so its vanishing set is not blurred by the re-sampling.
@@ -380,18 +465,25 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | Non
 
 def solve_gains(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> FeedbackLaw:
     """feedback_gains of the full solve, bitwise, from a march of (k11, k12)
-    that keeps no kernel array (k0 plays no part in this pair)."""
-    P = _march_pair("gains", speeds, gauge, grid, CoefficientSpec.constant(0.0), ())
+    that keeps no kernel array, or none where bt vanishes (zero gains)."""
+    P = _gains_pair(speeds, gauge, grid, ())
     lam1, lam2 = _node_speeds(speeds, grid)
     return _gains(P["k11"] / lam1, P["k12"] / lam2, gauge, grid)
 
 
 def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
     """trace_g of the full solve with k0 = 0, bitwise, from a march of
-    (k21, k22) that keeps only k22, which the trace quadrature reads."""
-    P = _march_pair("trace", speeds, gauge, grid, CoefficientSpec.constant(0.0), ("k22",))
+    (k21, k22) that keeps only k22, which the trace quadrature reads.  An
+    _uncoupled k22 and its path integrals are exactly zero: no march, and g
+    is the diagonal term (+ 0.0, the sum's sign where c vanishes)."""
+    _check_grid(grid)
+    if _uncoupled(speeds, gauge):
+        row = _trace_diag(speeds, gauge, grid)[2] + 0.0
+    else:
+        P = _march_pair("trace", speeds, gauge, grid, CoefficientSpec.constant(0.0), ("k22",))
+        row = _trace_row_direct(speeds, gauge, grid, P["k22"])
     lam1, _ = _node_speeds(speeds, grid)
-    return _g(_trace_row_direct(speeds, gauge, grid, P["k22"]) / lam1[0], speeds)
+    return _g(row / lam1[0], speeds)
 
 
 def solve_kernels_bytes(n: int, table_n: int) -> int:

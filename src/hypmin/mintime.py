@@ -70,7 +70,11 @@ def _is_constant(spec: CoefficientSpec, probe: np.ndarray) -> bool:
 
 
 def _threshold(T1: float, T2: float, saved: float) -> float:
-    """The minimal time: the travel times T1, T2 minus the time saved."""
+    """The minimal time: the travel times T1, T2 minus the time saved.
+    Saving all of T2 leaves exactly max(T1, T2), where (T1 + T2) - saved
+    can round one ulp above T1."""
+    if saved >= T2:
+        return max(T1, T2)
     return max(max(T1, T2), (T1 + T2) - saved)
 
 

@@ -48,7 +48,8 @@ def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
 
     e1(x) = exp(-int_0^x a/lambda1), e2(x) = exp(-int_0^x d/lambda2),
     bt = b e1/e2, ct = c e2/e1.  The zero set of c at grid nodes is
-    untouched, so ct and c share their vanishing prefix exactly.  A weight
+    untouched, so ct and c share their vanishing prefix exactly; a zero of
+    bt is +0.0, so that the kernel solves see one b = 0.  A weight
     that overflows or underflows, or a gauged coupling that overflows,
     raises DomainError naming the coefficient.
     """
@@ -63,7 +64,7 @@ def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
             if not np.all(np.isfinite(e) & (e > 0.0)):
                 raise DomainError(f"coefficient {name} is too large: the gauge "
                                   f"weight {formula} overflows or underflows")
-        bt = np.asarray(b(xs), dtype=float) * e1 / e2
+        bt = np.asarray(b(xs), dtype=float) * e1 / e2 + 0.0   # b = -0.0 is b = 0
         ct = np.asarray(c(xs), dtype=float) * e2 / e1
     for name, val in (("b", bt), ("c", ct)):
         if not np.all(np.isfinite(val)):

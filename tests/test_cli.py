@@ -297,6 +297,23 @@ class TestGaugeOverflow:
         assert not out.exists()
 
 
+    def test_large_trace_overflows_sharpness(self, tmp_path, capsys, recwarn):
+        # b = 0 and c(hi) = 1e303: the trace g is finite, but the canonical
+        # map of its free response overflows below T1: one line, exit 2, no
+        # RuntimeWarning (it printed residual=inf and a FAIL verdict)
+        raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
+        raw["system"]["c"]["hi"] = 1e303
+        raw["grid_n"] = 32
+        path = tmp_path / "big_c.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        _, _, err = _run_one_line_exit_2(["verify-sharpness", str(path), "--T", "0.9",
+                                          "--out", str(out)], capsys)
+        assert re.fullmatch(r"error: sharpness residual at T=0\.9 overflows: .*\n", err)
+        assert len(recwarn) == 0
+        assert not out.exists()
+
+
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 _SPECIALS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300, -1e300, 1e-300]

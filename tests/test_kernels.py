@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, feedback_gains,
@@ -142,11 +142,17 @@ class TestSolveKernels:
         assert np.max(np.abs(K.k11[:, 0])) <= 1e-12
         assert np.allclose(K.k22[:, 0], k0(K.grid.nodes), atol=1e-8)
 
-    @pytest.mark.parametrize("entry,marched", [("full", ["gains", "trace"]), ("gains", ["gains"]),
-                                               ("trace", ["trace"])], ids=["both", "gains", "trace"])
-    def test_one_march_per_pair(self, varying_speeds, monkeypatch, entry, marched):
+    @pytest.mark.parametrize("b,entry,marched", [
+        (1.0, "full", ["gains", "trace"]), (1.0, "gains", ["gains"]), (1.0, "trace", ["trace"]),
+        (0.0, "full", ["trace"]), (0.0, "gains", []), (0.0, "trace", []),
+        ("step", "gains", ["gains"]), ("step", "trace", ["trace"])],
+        ids=["both", "gains", "trace", "b0-both", "b0-gains", "b0-trace",
+             "b-step-gains", "b-step-trace"])
+    def test_one_march_per_pair(self, varying_speeds, monkeypatch, b, entry, marched):
         # each pair an entry point reads is marched once: the one-pass march
-        # is its own fixed point, so no second sweep runs over its result
+        # is its own fixed point, so no second sweep runs over its result;
+        # with b = 0 the gains pair and the k0 = 0 trace are exactly zero and
+        # not marched, and a b that vanishes on part of [0, 1] only still is
         calls = []
         march = kernels._march_pair
 
@@ -156,12 +162,51 @@ class TestSolveKernels:
 
         monkeypatch.setattr(kernels, "_march_pair", counted)
         grid = Grid.uniform(16)
-        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
-                             varying_speeds, grid)
+        b = CoefficientSpec.step(0.5, 0.0, 1.0) if b == "step" else const(b)
+        gauge = diag_removal(const(0.0), b, const(1.0), const(0.0), varying_speeds, grid)
         {"full": lambda: solve_kernels(gauge, varying_speeds, None, grid),
          "gains": lambda: solve_gains(gauge, varying_speeds, grid),
          "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
         assert calls == marched
+
+    def test_equal_cell_times_still_march(self, unit_speeds, monkeypatch):
+        # lambda = -1, 1 at n = 5: some k12 feet round past row i-1, where the
+        # zero march turns -0.0 into +0.0, so the gains pair is marched
+        calls = []
+        march = kernels._march_pair
+        monkeypatch.setattr(kernels, "_march_pair",
+                            lambda pair, *args: calls.append(pair) or march(pair, *args))
+        grid = Grid.uniform(5)
+        gauge = diag_removal(const(0.0), const(0.0), const(1.0), const(0.0), unit_speeds, grid)
+        assert kernels._k12_sign_flips(unit_speeds, grid)
+        law = solve_gains(gauge, unit_speeds, grid)
+        assert calls == ["gains"]
+        assert not np.signbit(law.f2).all() and np.signbit(law.f2).any()
+
+    @pytest.mark.parametrize("entry,which", [("gains", "k12"), ("trace", "k21")])
+    def test_zero_b_large_c_still_overflows(self, entry, which, recwarn):
+        # b = 0 but lambda1 * c overflows: the march's source coefficients
+        # are infinite and its zeros turn NaN, so both pairs are marched and
+        # raise as before, though their exact values would be zero
+        speeds = SpeedPair.build(const(-2.0), const(1.0))
+        grid = Grid.uniform(16)
+        gauge = diag_removal(const(0.0), const(0.0), CoefficientSpec.step(0.6, 0.0, 1e308),
+                             const(0.0), speeds, grid)
+        assert not kernels._uncoupled(speeds, gauge)
+        solve = solve_gains if entry == "gains" else solve_trace
+        with pytest.raises(DomainError, match=f"^kernel {which} overflows"):
+            solve(gauge, speeds, grid)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("entry", ["full", "gains", "trace"])
+    def test_zero_coupling_grid_too_coarse(self, varying_speeds, entry):
+        grid = Grid.uniform(3)
+        gauge = diag_removal(const(0.0), const(0.0), const(1.0), const(0.0),
+                             varying_speeds, grid)
+        with pytest.raises(DomainError, match="need n >= 4"):
+            {"full": lambda: solve_kernels(gauge, varying_speeds, None, grid),
+             "gains": lambda: solve_gains(gauge, varying_speeds, grid),
+             "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
 
     def test_overflow_is_one_line_domain_error(self, unit_speeds, recwarn):
         # b = c = 1e160 pass the gauge but overflow the march: the row check
@@ -221,6 +266,14 @@ class TestSolveKernels:
         assert_matches_reference(gauge, K, speeds)
 
     @settings(max_examples=20, deadline=None)
+    @example(n=33, budget="ragged", varying=True, s1=0.3, s2=0.2, b=0.0, c=0.0,
+             lam1=-1.0, lam2=1.0, a=0.5, d=-0.3, k0=0.4)
+    @example(n=40, budget="row", varying=True, s1=0.3, s2=-0.2, b=-0.0, c=1.5,
+             lam1=-0.7, lam2=1.2, a=-0.4, d=0.6, k0=-0.8)
+    @example(n=24, budget="one", varying=False, s1=0.2, s2=0.1, b=0.0, c="step",
+             lam1=-1.3, lam2=0.9, a=0.2, d=0.3, k0=0.5)
+    @example(n=5, budget="ragged", varying=False, s1=0.2, s2=0.1, b=-0.0, c="step",
+             lam1=-1.0, lam2=1.0, a=0.2, d=0.3, k0=0.5)
     @given(n=st.integers(4, 80), budget=st.sampled_from(["row", "ragged", "one"]),
            varying=st.booleans(), s1=st.floats(0.1, 0.4), s2=st.floats(-0.4, 0.4),
            b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0),
@@ -233,13 +286,16 @@ class TestSolveKernels:
         # the row-block march gives bitwise the whole-triangle march's
         # kernels, and the two one-pair solves bitwise the gains and g read
         # from them, whether each block holds one row, a few rows with a
-        # ragged last block, or the whole triangle
+        # ragged last block, or the whole triangle; the examples with b = 0
+        # (c zero, constant, a step at 0.3) take the uncoupled path, the last
+        # one at lambda = -1, 1 where the march turns some of k12's zeros
         points = {"row": 1, "ragged": 3 * n + 1, "one": (n + 1) * (n + 2) // 2}[budget]
         slope = 1.0 if varying else 0.0
         speeds = SpeedPair.build(CoefficientSpec.polynomial([lam1, slope * s1]),
                                  CoefficientSpec.polynomial([lam2, slope * s2]))
         grid = Grid.uniform(n)
-        gauge = diag_removal(const(a), const(b), const(c), const(d), speeds, grid)
+        c = CoefficientSpec.step(0.3, 0.0, 1.0) if c == "step" else const(c)
+        gauge = diag_removal(const(a), const(b), c, const(d), speeds, grid)
         k0 = CoefficientSpec.polynomial([k0, 0.5])
         want = reference_kernels(gauge, speeds, k0, grid)
         want_g = (-reference_kernels(gauge, speeds, const(0.0), grid)["k21"][:, 0]
@@ -546,6 +602,20 @@ class TestMemory:
         gauge = step_gauge(varying_speeds, grid)
         assert solve_peak(lambda: solve_trace(gauge, varying_speeds, grid)) \
             <= 2.5 * (n + 1) ** 2 * 8
+
+    @pytest.mark.parametrize("entry", ["gains", "trace"])
+    def test_uncoupled_peak_at_n1600(self, varying_speeds, entry):
+        # b = 0: no kernel array and no plans, only O(n) floats and the
+        # temporaries of the speed table: about 34 and 14 floats per node
+        # (0.15 and 1.1 arrays of (n+1)^2 floats when marching)
+        n = 1600
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.0), const(0.0), CoefficientSpec.step(0.2, 0.0, 1.0),
+                             const(0.0), varying_speeds, grid)
+        solve = solve_gains if entry == "gains" else solve_trace
+        table = varying_speeds.table_nodes.size * 8
+        assert solve_peak(lambda: solve(gauge, varying_speeds, grid)) \
+            <= 48 * (n + 1) * 8 + 8 * table
 
     @pytest.mark.parametrize("n", [4, 16, 64, 150])
     def test_estimate_bounds_peak(self, unit_speeds, varying_speeds, n):

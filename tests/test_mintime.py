@@ -232,6 +232,13 @@ class TestCanonicalMinTime:
         assert speeds.T1 > speeds.T2
         assert canonical_min_time(speeds, np.zeros(11), 1e-10) == speeds.T1
 
+    def test_vanishing_trace_no_ulp_above_t1(self):
+        # here phi2(1) is T2 bitwise, and (T1 + T2) - T2 rounds one ulp above T1
+        speeds = SpeedPair.build(const(-0.7), const(1.0))
+        assert speeds.T1 > speeds.T2 == float(speeds.phi_eval(2, 1.0))
+        assert (speeds.T1 + speeds.T2) - speeds.T2 > speeds.T1
+        assert canonical_min_time(speeds, np.zeros(101), 1e-10) == speeds.T1
+
 
 class TestNxN:
     def test_two_speeds_reduce_to_canonical(self, unit_speeds):

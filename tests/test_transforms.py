@@ -24,6 +24,13 @@ class TestDiagRemoval:
         assert np.allclose(gauge.bt, b(grid.nodes))
         assert np.allclose(gauge.ct, c(grid.nodes))
 
+    @pytest.mark.parametrize("b", [0.0, -0.0])
+    def test_zero_b_is_positive_zero(self, unit_speeds, b):
+        # b = -0.0 is b = 0: the kernel solves see the same +0.0 bt either way
+        grid = Grid.uniform(20)
+        gauge = diag_removal(const(0.5), const(b), const(1.0), const(-0.3), unit_speeds, grid)
+        assert not gauge.bt.any() and not np.signbit(gauge.bt).any()
+
     def test_exponential_weight(self, unit_speeds):
         grid = Grid.uniform(400)
         gauge = diag_removal(const(1.0), const(0.0), const(0.0), const(0.0),
