@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -142,12 +143,28 @@ def _write_json(outdir, name: str, data: dict) -> str:
     return path
 
 
+# The numeric fields of each coefficient family, each a number or a list of them.
+_FIELDS = {"constant": ("value",), "polynomial": ("coeffs",), "step": ("ell", "lo", "hi"),
+           "expbump": ("shift",), "sampled": ("xs", "values")}
+
+
+def _is_number(v) -> bool:
+    """A JSON int or float: a bool or a string never counts as a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
 def _coeff_from_dict(d, name: str) -> CoefficientSpec:
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError(f"coefficient '{name}' must be a tagged record with a family")
     fam = d["family"]
-    if fam not in ("constant", "polynomial", "step", "expbump", "sampled"):
+    if not isinstance(fam, str) or fam not in _FIELDS:
         raise ConfigError(f"coefficient '{name}' has unknown family {fam!r}")
+    for key in _FIELDS[fam]:
+        got = d.get(key, [])
+        for v in got if isinstance(got, list) else [got]:
+            if not _is_number(v):
+                raise ConfigError(f"coefficient '{name}' ({fam}): {key} must hold "
+                                  f"numbers, got {v!r}")
     try:
         if fam == "constant":
             spec = CoefficientSpec.constant(d["value"])
@@ -161,28 +178,32 @@ def _coeff_from_dict(d, name: str) -> CoefficientSpec:
             spec = CoefficientSpec.sampled(d["xs"], d["values"])
     except KeyError as exc:
         raise ConfigError(f"coefficient '{name}' ({fam}) is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"coefficient '{name}': {exc}") from exc
-    numbers = np.hstack([spec.params, *(() if spec.xs is None else (spec.xs, spec.values))])
-    if not np.all(np.isfinite(numbers)):
+    vals = np.hstack([spec.params, *(() if spec.xs is None else (spec.xs, spec.values))])
+    if not np.all(np.isfinite(vals)):
         raise ConfigError(f"coefficient '{name}' ({fam}) has a non-finite value")
     return spec
 
 
 def _number(d: dict, key: str, convert=float, default=None):
-    """d[key] (or default when absent) converted by convert, finite or ConfigError."""
+    """d[key] (or default when absent) converted by convert: a finite number,
+    never a bool or a string, and integral where convert is int; else
+    ConfigError."""
     if key not in d:
         if default is None:
             raise ConfigError(f"config is missing required field '{key}'")
         return default
+    val = d[key]
     try:
-        val = convert(d[key])
-        finite = math.isfinite(val)     # an int beyond the float range overflows
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a finite number, got {d[key]!r}") from exc
+        finite = _is_number(val) and math.isfinite(val)
+    except OverflowError:               # an int beyond the float range
+        finite = False
     if not finite:
-        raise ConfigError(f"{key} must be a finite number, got {d[key]!r}")
-    return val
+        raise ConfigError(f"{key} must be a finite number, got {val!r}")
+    if convert is int and val != math.floor(val):
+        raise ConfigError(f"{key} must be an integer, got {val!r}")
+    return convert(val)
 
 
 def _record(d: dict, key: str, default: dict) -> dict:
@@ -352,13 +373,14 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
         poly = _coeff_from_dict({**spec, "family": "polynomial"}, "u")
         return lambda t: float(poly(t))
     if kind == "samples":
+        raw = [spec.get("ts"), spec.get("values")]
+        if not all(isinstance(r, list) and all(map(_is_number, r)) for r in raw):
+            raise ConfigError("samples control needs lists of numbers ts and values")
         try:
-            ts = np.asarray(spec["ts"], dtype=float)
-            vals = np.asarray(spec["values"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"samples control needs numeric ts and values: {exc}") from exc
-        if not (ts.ndim == 1 and 0 < ts.size == vals.size and vals.ndim == 1
-                and np.isfinite(ts).all() and np.isfinite(vals).all()):
+            ts, vals = (np.asarray(r, dtype=float) for r in raw)
+        except OverflowError as exc:
+            raise ConfigError(f"samples control: {exc}") from exc
+        if not (0 < ts.size == vals.size and np.isfinite(ts).all() and np.isfinite(vals).all()):
             raise ConfigError("samples control needs finite ts and values of one equal length")
         return lambda t: float(np.interp(t, ts, vals))
     raise ConfigError(f"unknown control kind {kind!r}")
@@ -407,7 +429,8 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
         grid_k = Grid.uniform(nk)
         law = solve_gains(_gauge(cfg, grid_k), cfg.system.speeds, grid_k)
         y0 = make_initial_data(cfg.initial, grid_k, cfg.seed)
-        norm0 = l2_norm(y0[0], y0[1], grid_k.h)
+        with np.errstate(over="ignore"):     # an overflow: simulate raises at step 1
+            norm0 = l2_norm(y0[0], y0[1], grid_k.h)
         if norm0 <= 0.0:
             raise PreconditionError("settling verification needs nonzero initial data")
         sim = simulate(cfg.system, law, y0, cfg.horizon, grid_k, cfg.cfl, snapshots=0)

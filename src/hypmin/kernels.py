@@ -45,9 +45,8 @@ term.  The entry points then return these values without marching, bitwise
 what the march returns, signed zeros included: solve_gains and solve_trace
 hold no kernel array and no plans, only O(n) floats and temporaries of the
 speed table, and solve_kernels marches the trace pair only.  The march
-still runs where c is large enough to overflow it, so that it raises, and
-the gains march where it would turn the sign of a zero (_uncoupled,
-_k12_sign_flips).
+still runs where c is large enough to overflow it, so that it raises
+(_uncoupled).
 """
 
 from __future__ import annotations
@@ -163,10 +162,13 @@ class _MarchPlan(NamedTuple):
 
 
 def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
-    """Uniform-grid linear interp indices/weights, clamped so idx+1 stays valid."""
+    """Uniform-grid linear interp indices and weights, both clamped: idx to
+    [0, clamp_hi], so that idx+1 stays valid, and the weight to [0, 1], so
+    that a position past node clamp_hi+1 reads that node, never extrapolates."""
     w = pos / h
     idx = np.clip(np.floor(w).astype(np.intp), 0, clamp_hi)
     w -= idx
+    np.clip(w, 0.0, 1.0, out=w)
     return idx, w
 
 
@@ -329,37 +331,14 @@ def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
     return bool(bound < 1e300)
 
 
-def _k12_sign_flips(speeds: SpeedPair, grid: Grid) -> bool:
-    """Whether a zero k12 march turns the sign of some interior zero.
-
-    An interior step of k12 reads row i-1 with weights 1 - fw and fw, and
-    fw > 1 only where the foot rounds past x_{i-1}, as when cells of phi1
-    and phi2 take equal times (lambda1 = -lambda2); there -0.0 * (1 - fw)
-    is +0.0, and the march carries it on.  Only the last few interior
-    points of each row can have such a foot: they are recomputed with the
-    plan's arithmetic (_build_plan, _interp_setup).
-    """
-    n, h = grid.n, grid.h
-    p1 = np.asarray(speeds.phi_eval(1, grid.nodes))
-    p2 = np.asarray(speeds.phi_eval(2, grid.nodes))
-    i = np.arange(2, n + 1)
-    d1 = (p1[1:] - p1[:-1])[1:]                       # phi1(x_i) - phi1(x_{i-1})
-    top = p2[i - 1] + 1e-15                           # the interior test of row i
-    last = np.searchsorted(p2, top - d1, side="right") - 1
-    j = np.clip(last[:, None] + np.arange(-2, 2), 0, (i - 1)[:, None])
-    u = p2[j] + d1[:, None]
-    xi = np.clip(speeds.phi_inv_ext(2, u), 0.0, 1.0)
-    return bool(((u <= top[:, None]) & (xi / h > (i - 1)[:, None])).any())
-
-
 def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep) -> dict:
     """_march_pair of (k11, k12), k0 playing no part.  An _uncoupled march
     is exactly zero and is skipped: k11 is +0.0 and k12 its zero diagonal
     data (-0.0, as lambda1 < 0 < lambda2) on and below the diagonal, +0.0
-    above it, unless the march would turn the sign of a zero
-    (_k12_sign_flips)."""
+    above it, as the march leaves them: its weights lie in [0, 1]
+    (_interp_setup), so it never turns the sign of a zero."""
     _check_grid(grid)
-    if not _uncoupled(speeds, gauge) or _k12_sign_flips(speeds, grid):
+    if not _uncoupled(speeds, gauge):
         return _march_pair("gains", speeds, gauge, grid, CoefficientSpec.constant(0.0), keep)
     n = grid.n
     data = _diag_data(speeds, gauge, 2, grid.nodes)
@@ -416,10 +395,8 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
         l2_x = np.asarray(speeds.speed(2, X), dtype=float)
         l2_xi = np.asarray(speeds.speed(2, XI), dtype=float)
         ct_xi = gauge.ct_at(XI)
-        ix = np.clip(np.floor(X / h).astype(np.int64), 0, n - 1)
-        jx = np.clip(np.floor(XI / h).astype(np.int64), 0, n - 1)
-        wx = X / h - ix
-        wj = XI / h - jx
+        ix, wx = _interp_setup(X, h, n - 1)
+        jx, wj = _interp_setup(XI, h, n - 1)
         p22v = (P22[ix, jx] * (1 - wx) * (1 - wj) + P22[ix + 1, jx] * wx * (1 - wj)
                 + P22[ix, jx + 1] * (1 - wx) * wj + P22[ix + 1, jx + 1] * wx * wj)
         S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)

@@ -103,7 +103,8 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     integrated by trapezoid each step), a BoundaryReflection, or None (u=0).
     snapshots=None keeps the state of every step; an integer k keeps at most
     k states, at steps spread evenly from the first to the last (the CLI's
-    --snapshots).  The state at T is always in SimResult.final.
+    --snapshots).  The state at T is always in SimResult.final.  The first
+    step whose state or L2 norm is not finite raises DivergenceError.
     """
     if not 0.0 < cfl <= 1.0:
         raise CFLError(f"cfl must lie in (0,1], got {cfl}")
@@ -151,14 +152,14 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     control_trace[0] = boundary_u(0.0, y1, y2)
     l2_trace = np.empty(steps + 1)
     linf_trace = np.empty(steps + 1)
-    l2_trace[0] = l2_norm(y1, y2, h)
-    linf_trace[0] = _linf(y1, y2)
 
     nu = dt / h
     c1 = nu * l1[:-1]
     c2 = nu * l2[1:]
     # every step writes new state arrays, so kept snapshots are never copied
     with np.errstate(invalid="ignore", over="ignore"):
+        l2_trace[0] = l2_norm(y1, y2, h)
+        linf_trace[0] = _linf(y1, y2)
         for m in range(1, steps + 1):
             y1n = np.empty(n + 1)
             y2n = np.empty(n + 1)
@@ -170,15 +171,17 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
             y2n[0] = q * y1n[0]
             u = boundary_u(times[m], y1n, y2n)
             y1n[-1] = u
-            linf = _linf(y1n, y2n)   # u sits in y1n, so one check covers it
-            if not math.isfinite(linf):
-                raise DivergenceError(f"non-finite state at step {m}", step=m)
+            # u sits in y1n, and a non-finite entry makes the norm non-finite
+            # too, so one check covers the state, u and an overflowing norm
+            l2 = l2_norm(y1n, y2n, h)
+            if not math.isfinite(l2):
+                raise DivergenceError(f"non-finite state or L2 norm at step {m}", step=m)
             y1, y2 = y1n, y2n
             control_trace[m] = u
             if m in kept:
                 snaps.append((y1, y2))
-            l2_trace[m] = l2_norm(y1, y2, h)
-            linf_trace[m] = linf
+            l2_trace[m] = l2
+            linf_trace[m] = _linf(y1, y2)
 
     meta = {"cfl": cfl, "dt": dt, "max_speed": max_speed,
             "scheme": "upwind-explicit-euler"}

@@ -116,6 +116,19 @@ class TestConfigErrors:
         (("control",), {"kind": "polynomial", "coeffs": ["a"]}),
         (("control",), {"kind": "polynomial", "coeffs": []}),
         (("system", "b"), {"family": "polynomial", "coeffs": []}),
+        (("grid_n",), 40.7),
+        (("grid_n",), "40"),
+        (("horizon",), "2.0"),
+        (("cfl",), True),
+        (("seed",), 3.9),
+        (("system", "b"), {"family": "constant", "value": "1"}),
+        (("system", "b"), {"family": "constant", "value": True}),
+        (("system", "c"), {"family": "step", "ell": "0.2", "lo": 0.0, "hi": 1.0}),
+        (("system", "lambda1"), {"family": "polynomial", "coeffs": [-1.0, "0.5"]}),
+        (("initial_data",), {"kind": "random", "nodes": 3.5}),
+        (("control",), {"kind": "reflection", "k": False}),
+        (("control",), {"kind": "samples", "ts": [0, 1], "values": [1, "1"]}),
+        (("system", "b"), {"family": ["constant"], "value": 1.0}),
     ], ids=["system-list", "grid_n-string", "grid_n-inf", "q-string", "coeff-list",
             "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list",
             "lambda2-sampled-nan", "lambda2-sampled-xs-nan", "lambda1-polynomial-minus-inf", "b-constant-nan",
@@ -124,7 +137,10 @@ class TestConfigErrors:
             "control-k-missing", "control-kind", "control-kind-random", "samples-length",
             "samples-nan", "samples-not-covering", "family-missing-y2", "control-ts-string",
             "control-samples-length", "control-coeffs-string", "control-coeffs-empty",
-            "b-polynomial-empty"])
+            "b-polynomial-empty", "grid_n-fraction", "grid_n-numeric-string",
+            "horizon-numeric-string", "cfl-bool", "seed-fraction", "b-value-string",
+            "b-value-bool", "c-ell-string", "lambda1-coeff-string", "initial_data-nodes-fraction",
+            "control-k-bool", "control-values-string", "b-family-list"])
     def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, path, value):
         raw = headline_raw(n=64)
         target = raw
@@ -310,6 +326,26 @@ class TestGaugeOverflow:
         _, _, err = _run_one_line_exit_2(["verify-sharpness", str(path), "--T", "0.9",
                                           "--out", str(out)], capsys)
         assert re.fullmatch(r"error: sharpness residual at T=0\.9 overflows: .*\n", err)
+        assert len(recwarn) == 0
+        assert not out.exists()
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("command", ["simulate", "verify-settling"])
+    def test_overflowing_state_norm(self, tmp_path, capsys, recwarn, command):
+        # y1 = 1e200 is finite, but its squares overflow the L2 norm: one
+        # line, exit 1, no RuntimeWarning and nothing written (simulate
+        # printed l2=inf and exit 0, verify-settling a NaN residual and FAIL)
+        raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
+        raw["grid_n"] = 32
+        raw["initial_data"] = {"kind": "family", "y1": {"family": "constant", "value": 1e200},
+                               "y2": {"family": "constant", "value": 0.0}}
+        path = tmp_path / "big_y.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli([command, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"computation failed: non-finite state or L2 norm at step 1\n", err)
         assert len(recwarn) == 0
         assert not out.exists()
 

@@ -169,19 +169,49 @@ class TestSolveKernels:
          "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
         assert calls == marched
 
-    def test_equal_cell_times_still_march(self, unit_speeds, monkeypatch):
-        # lambda = -1, 1 at n = 5: some k12 feet round past row i-1, where the
-        # zero march turns -0.0 into +0.0, so the gains pair is marched
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_equal_cell_times_skip_march(self, unit_speeds, monkeypatch, n):
+        # lambda = -1, 1: some k12 feet round past row i-1, but their weight
+        # is clamped to 1, so the zero gains need no march and f2 is -0.0
         calls = []
         march = kernels._march_pair
         monkeypatch.setattr(kernels, "_march_pair",
                             lambda pair, *args: calls.append(pair) or march(pair, *args))
-        grid = Grid.uniform(5)
+        grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(0.0), const(1.0), const(0.0), unit_speeds, grid)
-        assert kernels._k12_sign_flips(unit_speeds, grid)
         law = solve_gains(gauge, unit_speeds, grid)
-        assert calls == ["gains"]
-        assert not np.signbit(law.f2).all() and np.signbit(law.f2).any()
+        assert calls == []
+        assert np.signbit(law.f2).all()
+
+    @pytest.mark.parametrize("b", [0.0, -0.0], ids=["b+0", "b-0"])
+    @pytest.mark.parametrize("lam", ["unit", "0.7", "x"])
+    @pytest.mark.parametrize("n", [5, 33, 100])
+    def test_zero_gains_march_keeps_signs(self, b, lam, n):
+        # equal cell times (lambda1 = -lambda2) round some interior feet
+        # past x_{i-1}; with the weight clamped the zero march still gives
+        # k11 = +0.0 everywhere and k12 = -0.0 on j <= i, +0.0 above
+        l1, l2 = {"unit": (const(-1.0), const(1.0)), "0.7": (const(-0.7), const(0.7)),
+                  "x": (CoefficientSpec.polynomial([-1.0, -1.0]),
+                        CoefficientSpec.polynomial([1.0, 1.0]))}[lam]
+        speeds = SpeedPair.build(l1, l2)
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.0), const(b), const(1.0), const(0.0), speeds, grid)
+        P = kernels._march_pair("gains", speeds, gauge, grid, const(0.0), ("k11", "k12"))
+        lower = np.tril(np.ones((n + 1, n + 1), dtype=bool))
+        assert P["k11"].tobytes() == np.zeros((n + 1, n + 1)).tobytes()
+        assert P["k12"].tobytes() == np.where(lower, -0.0, 0.0).tobytes()
+
+    @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
+    def test_plan_weights_in_unit_interval(self, unit_speeds, which):
+        # no step extrapolates: the interior and boundary weights of every
+        # block plan lie in [0, 1], also where a foot rounds past row i-1
+        grid = Grid.uniform(100)
+        gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0), unit_speeds, grid)
+        for blk in _blocks(unit_speeds, grid):
+            plan = _build_plan(which, unit_speeds, gauge, grid, const(0.0), blk)
+            assert ((plan.fw >= 0.0) & (plan.fw <= 1.0)).all()
+            for bw in (r[4] for r in plan.brows):
+                assert ((bw >= 0.0) & (bw <= 1.0)).all()
 
     @pytest.mark.parametrize("entry,which", [("gains", "k12"), ("trace", "k21")])
     def test_zero_b_large_c_still_overflows(self, entry, which, recwarn):
@@ -288,7 +318,7 @@ class TestSolveKernels:
         # from them, whether each block holds one row, a few rows with a
         # ragged last block, or the whole triangle; the examples with b = 0
         # (c zero, constant, a step at 0.3) take the uncoupled path, the last
-        # one at lambda = -1, 1 where the march turns some of k12's zeros
+        # one at lambda = -1, 1 where some of k12's feet round past row i-1
         points = {"row": 1, "ragged": 3 * n + 1, "one": (n + 1) * (n + 2) // 2}[budget]
         slope = 1.0 if varying else 0.0
         speeds = SpeedPair.build(CoefficientSpec.polynomial([lam1, slope * s1]),
@@ -460,7 +490,7 @@ def reference_build_plan(which, speeds, gauge, grid, k0):
 
     def interp_setup(pos, clamp_hi):
         idx = np.clip(np.floor(pos / h).astype(np.int64), 0, clamp_hi)
-        return idx, pos / h - idx
+        return idx, np.clip(pos / h - idx, 0.0, 1.0)
 
     xiP = np.clip(feet, 0.0, 1.0)
     fidx, fw = interp_setup(xiP, np.maximum(ii - 2, 0))
