@@ -6,38 +6,26 @@ settling at the minimal time, and sweeps the reachability residual through
 a range of horizons so the threshold is visible in one table.
 """
 
-import argparse
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hypmin.cli import _RUN_ERRORS, _USAGE_ERRORS  # noqa: E402
-from hypmin.harness import (_synthesize, load_config, verify_settling,  # noqa: E402
-                            verify_sharpness)
-from hypmin.kernels import export_kernels_csv, export_profile_csv, trace_g  # noqa: E402
+from hypmin.cli import _Parser, finite_float, run_guarded  # noqa: E402
+from hypmin.harness import _gauge, load_config, verify_settling, verify_sharpness  # noqa: E402
+from hypmin.kernels import (export_kernels_csv, export_profile_csv, solve_kernels,  # noqa: E402
+                            trace_g)
 from hypmin.mintime import times_report  # noqa: E402
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--config", default=os.path.join(os.path.dirname(__file__),
                                                      "..", "configs", "headline.json"))
     ap.add_argument("--out", default="out/headline")
-    ap.add_argument("--sweep", type=float, nargs="*",
+    ap.add_argument("--sweep", type=finite_float, nargs="*",
                     default=[1.1, 1.3, 1.45, 1.5, 1.6, 1.8])
-    args = ap.parse_args()
-    # the CLI's exit codes: 2 for a usage or configuration error, 1 for a
-    # computation that could not finish, each a one-line message
-    try:
-        run(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _RUN_ERRORS as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return run_guarded(run, ap.parse_args())
 
 
 def run(args):
@@ -48,7 +36,7 @@ def run(args):
     print(tr.pretty())
     print()
 
-    gauge, K = _synthesize(cfg, cfg.grid)
+    K = solve_kernels(_gauge(cfg, cfg.grid), cfg.system.speeds, cfg.grid)
     export_kernels_csv(K, os.path.join(args.out, "kernels.csv"))
     g = trace_g(K, cfg.system.speeds)
     export_profile_csv(os.path.join(args.out, "g.csv"), K.grid.nodes, {"g": g})
@@ -68,6 +56,7 @@ def run(args):
         print(f"{T:>8.3f} {row['residual']:>14.6e} "
               f"{row['residual_vs_free']:>14.6e}  {side}")
     print(f"\nthe residual collapses once T crosses Tmin = {tr.Tmin:.6g}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      RootBracketError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
-                      _check_memory, _gauge, _synthesize, _write_json)
+                      _check_memory, _gauge, _write_json)
 from .kernels import (export_kernels_csv, export_profile_csv, feedback_gains, solve_gains,
-                      trace_g)
+                      solve_kernels, trace_g)
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
 
@@ -49,7 +49,8 @@ def _cmd_mintime(args) -> int:
 
 def _cmd_kernels(args) -> int:
     cfg = load_config(args.config)
-    gauge, K = _synthesize(cfg, cfg.grid)
+    gauge = _gauge(cfg, cfg.grid)
+    K = solve_kernels(gauge, cfg.system.speeds, cfg.grid)
     g = trace_g(K, cfg.system.speeds)
     law = feedback_gains(K, gauge)
     outdir = _outdir(args, cfg)
@@ -199,20 +200,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_cli(argv=None) -> int:
-    parser = build_parser()
+def run_guarded(fn, *args) -> int:
+    """fn(*args)'s exit code, or 2 for a usage or configuration error and 1
+    for a computation that could not finish, reported on one stderr line."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
+        return fn(*args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _RUN_ERRORS as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
+
+
+def run_cli(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return run_guarded(args.func, args)
 
 
 def main() -> None:

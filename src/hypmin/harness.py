@@ -28,8 +28,7 @@ import numpy as np
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 from .errors import ConfigError, DomainError, PreconditionError, RootBracketError
-from .kernels import (FeedbackLaw, solve_gains, solve_kernels, solve_kernels_bytes,
-                      solve_trace)
+from .kernels import FeedbackLaw, solve_gains, solve_kernels_bytes, solve_trace
 from .mintime import times_report
 from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
                         _simulate_bytes, canonical_map, growth_rate, l2_norm, simulate)
@@ -397,16 +396,11 @@ def _gauge(cfg: ScenarioConfig, grid: Grid):
     return diag_removal(s.a, s.b, s.c, s.d, s.speeds, grid)
 
 
-def _synthesize(cfg: ScenarioConfig, grid: Grid):
-    """Gauge and all four kernels of the scenario on grid."""
-    gauge = _gauge(cfg, grid)
-    return gauge, solve_kernels(gauge, cfg.system.speeds, None, grid)
-
-
 def _levels(base_n: int, levels) -> list:
+    # n/2, n and 2n: grid_n >= 8 keeps n/2 at the kernel solve's minimum 4
     if levels is not None:
         return [int(n) for n in levels]
-    return [max(8, base_n // 2), base_n, 2 * base_n]
+    return [base_n // 2, base_n, 2 * base_n]
 
 
 def verify_settling(cfg: ScenarioConfig, levels=None,

@@ -1,8 +1,9 @@
 """Backstepping kernel solver on the triangle {0 <= xi <= x <= 1}.
 
 The four transformation kernels satisfy two decoupled 2x2 first-order
-hyperbolic systems with data on the diagonal (k12, k21), on the edge xi=0
-(k11: zero, k22: free data k0), and zeroth-order couplings through bt, ct.
+hyperbolic systems with data on the diagonal (k12, k21), zero data on the
+edge xi=0 (k11, and k22, whose free datum cannot move the vanishing prefix
+of g that Tmin reads), and zeroth-order couplings through bt, ct.
 
 Numerics.  Along its characteristic field each kernel, once multiplied by
 the transported speed weight,
@@ -37,16 +38,16 @@ the feedback, solve_trace k22 for the quadrature of g.  Memory: 4, 0 and 1
 arrays of (n+1)^2 floats, plus one row block of plans (about 3 MB).
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
-coupling b, through the diagonal data and source of k12, and k22 only by b
-and its edge data k0.  Where the gauged bt vanishes at every grid node the
-system is already canonical: the (k11, k12) march is exactly zero, and with
-k0 = 0 so is k22 and every trace path integral, which leaves g its diagonal
-term.  The entry points then return these values without marching, bitwise
-what the march returns, signed zeros included: solve_gains and solve_trace
-hold no kernel array and no plans, only O(n) floats and temporaries of the
-speed table, and solve_kernels marches the trace pair only.  The march
-still runs where c is large enough to overflow it, so that it raises
-(_uncoupled).
+coupling b, through the diagonal data and source of k12, and k22 only by b.
+Where the gauged bt vanishes at every grid node the system is already
+canonical: the (k11, k12) march is exactly zero, and so are k22 and every
+trace path integral, which leaves g its diagonal term.  The entry points
+then take these values without marching or path quadrature, bitwise the
+march's, signed zeros included: solve_gains and solve_trace hold no kernel
+array and no plans, only O(n) floats and temporaries of the speed table,
+and solve_kernels marches the trace pair only, for the k21 it exports.
+The march still runs where c is large enough to overflow it, so that it
+raises (_uncoupled).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid
+from .coeffs import Grid
 from .characteristics import SpeedPair
 from .errors import DomainError, GridMismatchError
 from .transforms import DiagGauge
@@ -179,13 +180,13 @@ def _diag_data(speeds: SpeedPair, gauge: DiagGauge, fa: int, x):
 
 
 def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                k0: CoefficientSpec, blk: _Block) -> _MarchPlan:
+                blk: _Block) -> _MarchPlan:
     """Plan of kernel k<fx><fa> on one row block: x follows family fx, xi fa.
 
-    k11/k22 (fx = fa) enter through the edge xi=0, k12/k21 through the
-    diagonal.  The source coefficient is -lambda_fa(xi) * coupling(xi) /
-    (lambda_fx(x) * lambda_fb(xi)), fb = 3 - fa, with the coupling ct when
-    fa = 1 and bt when fa = 2.
+    k11/k22 (fx = fa) enter through the edge xi=0 with zero data, k12/k21
+    through the diagonal.  The source coefficient is -lambda_fa(xi) *
+    coupling(xi) / (lambda_fx(x) * lambda_fb(xi)), fb = 3 - fa, with the
+    coupling ct when fa = 1 and bt when fa = 2.
     """
     h = grid.h
     nodes = grid.nodes
@@ -219,11 +220,7 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     bi, bj = ii[band], jj[band]
     if on_edge:
         xstart = np.asarray(speeds.phi_inv_ext(fa, pa[bi] - pa[bj]), dtype=float)
-        xi0 = np.zeros(bi.size)
-        if which == "k11":
-            p0 = np.zeros(bi.size)
-        else:
-            p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * blk.lam[1][0]
+        xi0 = p0 = np.zeros(bi.size)
     else:
         xstart = np.asarray(speeds.psi_inv(px[bi] + pa[bj]), dtype=float)
         xi0 = xstart
@@ -268,8 +265,7 @@ def _check_grid(grid: Grid) -> None:
         raise DomainError("kernel grid too coarse (need n >= 4)")
 
 
-def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                k0: CoefficientSpec, keep) -> dict:
+def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep) -> dict:
     """Row march of one pair in p-form, each kernel named in keep returned as
     its (n+1)^2 array and the other as its last row (x = 1).
 
@@ -277,10 +273,9 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     come first; then the diagonal-entered kernel's boundary points read the
     partner's diagonal, and the edge-entered kernel's the partner's edge
     xi=0, complete with its entry (i, 0): each row in dependency order, so
-    the one pass is the exact fixed point of the discrete scheme.  A row
-    that is not finite raises DomainError naming its kernel.
+    the one pass is the exact fixed point of the discrete scheme.  A
+    non-finite row raises DomainError naming its kernel; callers _check_grid.
     """
-    _check_grid(grid)
     n = grid.n
     wd, we = _PAIRS[pair]
     with np.errstate(over="ignore", invalid="ignore"):            # the row check reports it
@@ -289,13 +284,12 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     rd = np.zeros(n + 1) if Fd is None else Fd[0]
     re = np.zeros(n + 1) if Fe is None else Fe[0]
     rd[0] = data[0]
-    re[0] = 0.0 if we == "k11" else float(k0(0.0)) * _node_speeds(speeds, grid)[1][0]
     diag = np.zeros(n + 1)      # the diagonal of we, read by wd's boundary points
     edge = np.zeros(n + 1)      # the edge xi=0 of wd, read by we's boundary points
-    diag[0], edge[0] = re[0], rd[0]
+    edge[0] = rd[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in _blocks(speeds, grid):
-            pd, pe = (_build_plan(w, speeds, gauge, grid, k0, blk) for w in (wd, we))
+            pd, pe = (_build_plan(w, speeds, gauge, grid, blk) for w in (wd, we))
             for i in blk.rows:
                 prev_d, prev_e = rd, re
                 rd = np.zeros(n + 1) if Fd is None else Fd[i]
@@ -316,13 +310,12 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
 
 def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
     """Whether bt vanishes at every node and the c-driven march surely stays
-    finite.  Then the gains pair is exactly zero, and so are k22 (with
-    k0 = 0) and every trace path integral.  Each diagonal datum and source
-    coefficient of k11 and k21, and g, is at most max|ct| max|lambda| /
-    min(1, min|lambda|)^3 in size; the bound, taken on the speed table, is
-    kept below 1e300, far enough from overflow that speeds between the
-    table's nodes cannot reach it.  Beyond it the march runs, and raises
-    DomainError where it overflows."""
+    finite.  Then the gains pair, k22 and every trace path integral are
+    exactly zero.  Each diagonal datum and source coefficient of k11 and
+    k21, and g, is at most max|ct| max|lambda| / min(1, min|lambda|)^3 in
+    size; the bound, taken on the speed table, is kept below 1e300, far
+    enough from overflow that speeds between the table's nodes cannot reach
+    it.  Beyond it the march runs, and raises DomainError where it overflows."""
     if gauge.bt.any():
         return False
     lam = 1.0 / np.concatenate([speeds.w1, speeds.w2])      # |lambda| on the table
@@ -332,14 +325,14 @@ def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
 
 
 def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep) -> dict:
-    """_march_pair of (k11, k12), k0 playing no part.  An _uncoupled march
-    is exactly zero and is skipped: k11 is +0.0 and k12 its zero diagonal
-    data (-0.0, as lambda1 < 0 < lambda2) on and below the diagonal, +0.0
-    above it, as the march leaves them: its weights lie in [0, 1]
-    (_interp_setup), so it never turns the sign of a zero."""
+    """_march_pair of (k11, k12).  An _uncoupled march is exactly zero and
+    is skipped: k11 is +0.0 and k12 its zero diagonal data (-0.0, as
+    lambda1 < 0 < lambda2) on and below the diagonal, +0.0 above it, as the
+    march leaves them: its weights lie in [0, 1] (_interp_setup), so it
+    never turns the sign of a zero."""
     _check_grid(grid)
     if not _uncoupled(speeds, gauge):
-        return _march_pair("gains", speeds, gauge, grid, CoefficientSpec.constant(0.0), keep)
+        return _march_pair("gains", speeds, gauge, grid, keep)
     n = grid.n
     data = _diag_data(speeds, gauge, 2, grid.nodes)
     if not keep:
@@ -350,34 +343,30 @@ def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep) -> dict:
     return {"k12": P12, "k11": np.zeros((n + 1, n + 1))}
 
 
-def _trace_diag(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
-    """phi2 at the nodes, the diagonal point sigma = psi^{-1}(phi2(x)) where
-    the trace characteristic ending at (x, 0) starts, and p21 there."""
-    p2n = np.asarray(speeds.phi_eval(2, grid.nodes))
-    sig = np.asarray(speeds.psi_inv(p2n))
-    l1_s = np.asarray(speeds.speed(1, sig), dtype=float)
-    l2_s = np.asarray(speeds.speed(2, sig), dtype=float)
-    return p2n, sig, l1_s * gauge.ct_at(sig) / (l2_s - l1_s)
-
-
 def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                      P22: np.ndarray) -> np.ndarray:
+                      P22: np.ndarray | None) -> np.ndarray:
     """p21 on the edge xi=0 by direct quadrature along each trace characteristic.
 
     The characteristic ending at (x, 0) starts on the diagonal at
-    sigma = psi^{-1}(phi2(x)) (_trace_diag) and satisfies
-    phi1(xi) = phi2(x) - phi2(x').
+    sigma = psi^{-1}(phi2(x)), where p21 is its diagonal datum, and
+    satisfies phi1(xi) = phi2(x) - phi2(x').
     Integrating each trace path separately keeps the zero set of the trace
     exact: wherever the gauged coupling vanishes along the whole path the
     integral is identically zero, with no interpolation smearing across the
     data discontinuity.  The n+1 paths of n+1 points each are evaluated in
     blocks of at most _PLAN_POINTS points (at least one path), gathering
-    bilinearly from P22, which must be zero above its diagonal.
+    bilinearly from P22, which must be zero above its diagonal.  P22 None is
+    the zero k22 of an _uncoupled system: every path integral is zero, and
+    the row the diagonal term (+ 0.0, the sum's sign where c vanishes).
     """
     n = grid.n
     h = grid.h
     nodes = grid.nodes
-    p2n, sig, p0 = _trace_diag(speeds, gauge, grid)
+    p2n = np.asarray(speeds.phi_eval(2, nodes))
+    sig = np.asarray(speeds.psi_inv(p2n))
+    p0 = _diag_data(speeds, gauge, 1, sig)
+    if P22 is None:
+        return p0 + 0.0
     taus = np.linspace(0.0, 1.0, n + 1)
     paths = max(1, _PLAN_POINTS // (n + 1))
     integral = np.empty(n + 1)
@@ -420,20 +409,19 @@ def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
     return -k21_edge * float(speeds.speed(1, 0.0))
 
 
-def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, k0: CoefficientSpec | None,
-                  grid: Grid) -> KernelSet:
+def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> KernelSet:
     """All four kernels, one row march per pair (none for an _uncoupled
     gains pair); a single pass is the fixed point of the discrete scheme,
     unconditionally stable and first-order accurate.  Couplings b, c too
     large for the march overflow a kernel, which raises DomainError naming
     it.  Memory: the four kernels plus one row block of plans
     (solve_kernels_bytes)."""
-    k0 = CoefficientSpec.constant(0.0) if k0 is None else k0
     K = {**_gains_pair(speeds, gauge, grid, ("k11", "k12")),
-         **_march_pair("trace", speeds, gauge, grid, k0, ("k21", "k22"))}
+         **_march_pair("trace", speeds, gauge, grid, ("k21", "k22"))}
     # The xi=0 trace of k21 defines g; integrate it directly along each trace
     # characteristic so its vanishing set is not blurred by the re-sampling.
-    K["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, K["k22"])
+    P22 = None if _uncoupled(speeds, gauge) else K["k22"]
+    K["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P22)
     lam1, lam2 = _node_speeds(speeds, grid)
     for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
         K[w] /= lam                                  # p = k * lambda_fa(xi)
@@ -449,16 +437,14 @@ def solve_gains(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> FeedbackLaw:
 
 
 def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
-    """trace_g of the full solve with k0 = 0, bitwise, from a march of
-    (k21, k22) that keeps only k22, which the trace quadrature reads.  An
-    _uncoupled k22 and its path integrals are exactly zero: no march, and g
-    is the diagonal term (+ 0.0, the sum's sign where c vanishes)."""
+    """trace_g of the full solve, bitwise, from a march of (k21, k22) that
+    keeps only k22, which the trace quadrature reads.  An _uncoupled k22 and
+    its path integrals are exactly zero: no march, and g is the diagonal
+    term, as in solve_kernels."""
     _check_grid(grid)
-    if _uncoupled(speeds, gauge):
-        row = _trace_diag(speeds, gauge, grid)[2] + 0.0
-    else:
-        P = _march_pair("trace", speeds, gauge, grid, CoefficientSpec.constant(0.0), ("k22",))
-        row = _trace_row_direct(speeds, gauge, grid, P["k22"])
+    P22 = (None if _uncoupled(speeds, gauge)
+           else _march_pair("trace", speeds, gauge, grid, ("k22",))["k22"])
+    row = _trace_row_direct(speeds, gauge, grid, P22)
     lam1, _ = _node_speeds(speeds, grid)
     return _g(row / lam1[0], speeds)
 

@@ -69,7 +69,6 @@ class SimResult:
     scheme_meta: dict = field(default_factory=dict)
     snapshot_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int),
                                        repr=False)
-    final: tuple | None = field(default=None, repr=False)  # (y1, y2) at time T
 
 
 def l2_norm(y1: np.ndarray, y2: np.ndarray, h: float) -> float:
@@ -103,8 +102,8 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     integrated by trapezoid each step), a BoundaryReflection, or None (u=0).
     snapshots=None keeps the state of every step; an integer k keeps at most
     k states, at steps spread evenly from the first to the last (the CLI's
-    --snapshots).  The state at T is always in SimResult.final.  The first
-    step whose state or L2 norm is not finite raises DivergenceError.
+    --snapshots; the last step from k = 2 on).  The first step whose state
+    or L2 norm is not finite raises DivergenceError.
     """
     if not 0.0 < cfl <= 1.0:
         raise CFLError(f"cfl must lie in (0,1], got {cfl}")
@@ -188,7 +187,7 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     return SimResult(grid=grid, times=times, snapshots=snaps,
                      control_trace=control_trace, l2_trace=l2_trace,
                      linf_trace=linf_trace, scheme_meta=meta,
-                     snapshot_steps=keep, final=(y1, y2))
+                     snapshot_steps=keep)
 
 
 def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,

@@ -59,7 +59,7 @@ def test_c2_trace_prefix_identity(announce):
     for n in (400, 800):
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(0.0), c, const(0.0), speeds, grid)
-        K = solve_kernels(gauge, speeds, None, grid)
+        K = solve_kernels(gauge, speeds, grid)
         g = trace_g(K, speeds)
         tol = 1e-8
         measured = prefix_of_samples(g, grid.h, 1.0, tol)

@@ -225,7 +225,7 @@ class TestVerifySettling:
         grid = cfg.grid
         gauge = diag_removal(cfg.system.a, cfg.system.b, cfg.system.c,
                              cfg.system.d, cfg.system.speeds, grid)
-        K = solve_kernels(gauge, cfg.system.speeds, None, grid)
+        K = solve_kernels(gauge, cfg.system.speeds, grid)
         law = feedback_gains(K, gauge)
         y0 = make_initial_data(cfg.initial, grid, cfg.seed)
         sim = simulate(cfg.system, law, y0, 1.4, grid, 0.9)
@@ -247,6 +247,21 @@ class TestVerifySettling:
         data = json.loads(open(path).read())
         assert data["kind"] == "settling"
         assert "level0_residual_rel" in data
+
+
+class TestDefaultLevels:
+    @pytest.mark.parametrize("verify", ["settling", "sharpness"])
+    def test_levels_double_at_smallest_grid(self, verify):
+        # grid_n 8, the smallest valid value: the default levels are 4, 8
+        # and 16, with no repeated coarsest level (and so no ratio of 1)
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "varying_speeds.json")
+        with open(path) as fh:
+            raw = json.load(fh)
+        raw["grid_n"] = 8
+        cfg = config_from_dict(raw, "coarsest")
+        rep = verify_settling(cfg) if verify == "settling" else verify_sharpness(cfg, 1.3)
+        assert [row["n"] for row in rep.rows] == [4, 8, 16]
+        assert rep.passed
 
 
 class TestVerifySharpness:

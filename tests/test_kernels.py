@@ -17,14 +17,14 @@ from hypmin.kernels import (_blocks, _build_plan, _step_interior, _trace_row_dir
 from conftest import const
 
 
-def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100, k0=None):
+def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100):
     grid = Grid.uniform(n)
 
     def spec(v):
         return v if isinstance(v, CoefficientSpec) else const(float(v))
 
     gauge = diag_removal(spec(a), spec(b), spec(c), spec(d), speeds, grid)
-    K = solve_kernels(gauge, speeds, k0, grid)
+    K = solve_kernels(gauge, speeds, grid)
     return gauge, K
 
 
@@ -72,13 +72,13 @@ def weighted(P, speeds, gauge, grid):
     return {w: P[w] / wgt[None, :] for w, wgt in zip(NAMES, (l1, l2, l1, l2))}
 
 
-def reference_kernels(gauge, speeds, k0, grid):
+def reference_kernels(gauge, speeds, grid):
     """The one-pass solve on the whole triangle: each pair marched with its
     diagonal-entered kernel first and its partner live."""
     n = grid.n
     P = {}
     for wd, we in (("k12", "k11"), ("k21", "k22")):
-        plans = {w: reference_build_plan(w, speeds, gauge, grid, k0) for w in (wd, we)}
+        plans = {w: reference_build_plan(w, speeds, gauge, grid) for w in (wd, we)}
         pair = {w: np.zeros((n + 1, n + 1)) for w in (wd, we)}
         reference_march(plans, pair, {wd: pair[we], we: pair[wd]}, n)
         P.update(pair)
@@ -92,7 +92,7 @@ def picard_reference(gauge, speeds, grid, tol=1e-13, max_iter=200):
     its size, then the same trace row and weight division as solve_kernels."""
     n = grid.n
     partner = {"k11": "k12", "k12": "k11", "k21": "k22", "k22": "k21"}
-    plans = {w: reference_build_plan(w, speeds, gauge, grid, const(0.0)) for w in NAMES}
+    plans = {w: reference_build_plan(w, speeds, gauge, grid) for w in NAMES}
     P = {w: np.zeros((n + 1, n + 1)) for w in NAMES}
     for _ in range(max_iter):
         new = {w: np.zeros((n + 1, n + 1)) for w in NAMES}
@@ -136,11 +136,15 @@ class TestSolveKernels:
         idx = np.arange(grid_n + 1)
         assert np.allclose(K.k21[idx, idx], 1.0 / (lam2 - lam1), atol=1e-8)
 
-    def test_edge_conditions(self, unit_speeds):
-        k0 = CoefficientSpec.polynomial([0.2, 0.5])
-        _, K = solve(unit_speeds, b=0.7, c=1.0, k0=k0)
-        assert np.max(np.abs(K.k11[:, 0])) <= 1e-12
-        assert np.allclose(K.k22[:, 0], k0(K.grid.nodes), atol=1e-8)
+    def test_edge_conditions(self, unit_speeds, varying_speeds):
+        # k11 and k22 enter through the edge xi=0 with zero data: exactly
+        # zero at unit speeds; at varying speeds the start point of an edge
+        # step, phi^{-1}(phi(x)), misses x by a rounding error
+        for speeds, tol in ((unit_speeds, 0.0), (varying_speeds, 1e-15)):
+            _, K = solve(speeds, b=0.7, c=1.0)
+            assert np.max(np.abs(K.k11)) > 0.1 and np.max(np.abs(K.k22)) > 0.1
+            assert np.max(np.abs(K.k11[:, 0])) <= tol
+            assert np.max(np.abs(K.k22[:, 0])) <= tol
 
     @pytest.mark.parametrize("b,entry,marched", [
         (1.0, "full", ["gains", "trace"]), (1.0, "gains", ["gains"]), (1.0, "trace", ["trace"]),
@@ -151,8 +155,9 @@ class TestSolveKernels:
     def test_one_march_per_pair(self, varying_speeds, monkeypatch, b, entry, marched):
         # each pair an entry point reads is marched once: the one-pass march
         # is its own fixed point, so no second sweep runs over its result;
-        # with b = 0 the gains pair and the k0 = 0 trace are exactly zero and
-        # not marched, and a b that vanishes on part of [0, 1] only still is
+        # with b = 0 the gains pair and k22 are exactly zero: the gains pair
+        # is not marched, the trace pair only for the exported k21 and k22,
+        # and a b that vanishes on part of [0, 1] only still is
         calls = []
         march = kernels._march_pair
 
@@ -164,7 +169,7 @@ class TestSolveKernels:
         grid = Grid.uniform(16)
         b = CoefficientSpec.step(0.5, 0.0, 1.0) if b == "step" else const(b)
         gauge = diag_removal(const(0.0), b, const(1.0), const(0.0), varying_speeds, grid)
-        {"full": lambda: solve_kernels(gauge, varying_speeds, None, grid),
+        {"full": lambda: solve_kernels(gauge, varying_speeds, grid),
          "gains": lambda: solve_gains(gauge, varying_speeds, grid),
          "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
         assert calls == marched
@@ -196,7 +201,7 @@ class TestSolveKernels:
         speeds = SpeedPair.build(l1, l2)
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(b), const(1.0), const(0.0), speeds, grid)
-        P = kernels._march_pair("gains", speeds, gauge, grid, const(0.0), ("k11", "k12"))
+        P = kernels._march_pair("gains", speeds, gauge, grid, ("k11", "k12"))
         lower = np.tril(np.ones((n + 1, n + 1), dtype=bool))
         assert P["k11"].tobytes() == np.zeros((n + 1, n + 1)).tobytes()
         assert P["k12"].tobytes() == np.where(lower, -0.0, 0.0).tobytes()
@@ -208,7 +213,7 @@ class TestSolveKernels:
         grid = Grid.uniform(100)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0), unit_speeds, grid)
         for blk in _blocks(unit_speeds, grid):
-            plan = _build_plan(which, unit_speeds, gauge, grid, const(0.0), blk)
+            plan = _build_plan(which, unit_speeds, gauge, grid, blk)
             assert ((plan.fw >= 0.0) & (plan.fw <= 1.0)).all()
             for bw in (r[4] for r in plan.brows):
                 assert ((bw >= 0.0) & (bw <= 1.0)).all()
@@ -234,7 +239,7 @@ class TestSolveKernels:
         gauge = diag_removal(const(0.0), const(0.0), const(1.0), const(0.0),
                              varying_speeds, grid)
         with pytest.raises(DomainError, match="need n >= 4"):
-            {"full": lambda: solve_kernels(gauge, varying_speeds, None, grid),
+            {"full": lambda: solve_kernels(gauge, varying_speeds, grid),
              "gains": lambda: solve_gains(gauge, varying_speeds, grid),
              "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
 
@@ -269,7 +274,7 @@ class TestSolveKernels:
         feet = np.zeros((n + 1, n + 1))
         points = 0
         for blk in _blocks(varying_speeds, grid):
-            plan = _build_plan(which, varying_speeds, gauge, grid, const(0.0), blk)
+            plan = _build_plan(which, varying_speeds, gauge, grid, blk)
             assert plan.fidx.size == plan.fw.size == plan.coefA.size == blk.ii.size
             points += blk.ii.size
             for i in blk.rows:
@@ -297,28 +302,29 @@ class TestSolveKernels:
 
     @settings(max_examples=20, deadline=None)
     @example(n=33, budget="ragged", varying=True, s1=0.3, s2=0.2, b=0.0, c=0.0,
-             lam1=-1.0, lam2=1.0, a=0.5, d=-0.3, k0=0.4)
+             lam1=-1.0, lam2=1.0, a=0.5, d=-0.3)
     @example(n=40, budget="row", varying=True, s1=0.3, s2=-0.2, b=-0.0, c=1.5,
-             lam1=-0.7, lam2=1.2, a=-0.4, d=0.6, k0=-0.8)
+             lam1=-0.7, lam2=1.2, a=-0.4, d=0.6)
     @example(n=24, budget="one", varying=False, s1=0.2, s2=0.1, b=0.0, c="step",
-             lam1=-1.3, lam2=0.9, a=0.2, d=0.3, k0=0.5)
+             lam1=-1.3, lam2=0.9, a=0.2, d=0.3)
     @example(n=5, budget="ragged", varying=False, s1=0.2, s2=0.1, b=-0.0, c="step",
-             lam1=-1.0, lam2=1.0, a=0.2, d=0.3, k0=0.5)
+             lam1=-1.0, lam2=1.0, a=0.2, d=0.3)
     @given(n=st.integers(4, 80), budget=st.sampled_from(["row", "ragged", "one"]),
            varying=st.booleans(), s1=st.floats(0.1, 0.4), s2=st.floats(-0.4, 0.4),
            b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0),
            lam1=st.floats(-2.0, -0.5), lam2=st.floats(0.5, 2.0),
            a=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
-           d=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
-           k0=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
+           d=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
     def test_matches_whole_triangle_reference(self, n, budget, varying, s1, s2, b, c,
-                                              lam1, lam2, a, d, k0):
+                                              lam1, lam2, a, d):
         # the row-block march gives bitwise the whole-triangle march's
         # kernels, and the two one-pair solves bitwise the gains and g read
         # from them, whether each block holds one row, a few rows with a
         # ragged last block, or the whole triangle; the examples with b = 0
         # (c zero, constant, a step at 0.3) take the uncoupled path, the last
-        # one at lambda = -1, 1 where some of k12's feet round past row i-1
+        # one at lambda = -1, 1 where some of k12's feet round past row i-1;
+        # there the reference still integrates g along the paths through its
+        # marched k22, which the solves skip
         points = {"row": 1, "ragged": 3 * n + 1, "one": (n + 1) * (n + 2) // 2}[budget]
         slope = 1.0 if varying else 0.0
         speeds = SpeedPair.build(CoefficientSpec.polynomial([lam1, slope * s1]),
@@ -326,13 +332,11 @@ class TestSolveKernels:
         grid = Grid.uniform(n)
         c = CoefficientSpec.step(0.3, 0.0, 1.0) if c == "step" else const(c)
         gauge = diag_removal(const(a), const(b), c, const(d), speeds, grid)
-        k0 = CoefficientSpec.polynomial([k0, 0.5])
-        want = reference_kernels(gauge, speeds, k0, grid)
-        want_g = (-reference_kernels(gauge, speeds, const(0.0), grid)["k21"][:, 0]
-                  * float(speeds.speed(1, 0.0)))
+        want = reference_kernels(gauge, speeds, grid)
+        want_g = -want["k21"][:, 0] * float(speeds.speed(1, 0.0))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_PLAN_POINTS", points)
-            K = solve_kernels(gauge, speeds, k0, grid)
+            K = solve_kernels(gauge, speeds, grid)
             law = solve_gains(gauge, speeds, grid)
             g = solve_trace(gauge, speeds, grid)
         for name in NAMES:
@@ -387,22 +391,6 @@ class TestTraceG:
         predicted = predicted_g_prefix(unit_speeds, c, K.grid)
         assert abs(measured - predicted) <= 2 * K.grid.h
 
-    def test_prefix_invariant_under_free_boundary_data(self, varying_speeds):
-        # the free k22 boundary data changes g pointwise but cannot move its
-        # vanishing prefix: below the threshold every trace path sees a
-        # vanishing coupling, whatever k22 is
-        c = CoefficientSpec.step(0.2, 0.0, 1.0)
-        prefixes = []
-        values = []
-        for k0 in (None, const(0.5), CoefficientSpec.polynomial([0.3, -1.0])):
-            _, K = solve(varying_speeds, b=0.7, c=c, n=200, k0=k0)
-            g = trace_g(K, varying_speeds)
-            tol = 1e-8
-            prefixes.append(prefix_of_samples(g, K.grid.h, 1.0, tol))
-            values.append(g[150])
-        assert prefixes[0] == prefixes[1] == prefixes[2]
-        assert abs(values[1] - values[0]) > 1e-3  # g itself does change
-
     def test_linearity_in_coupling(self, unit_speeds):
         c = CoefficientSpec.step(0.2, 0.0, 0.7)
         c2 = CoefficientSpec.step(0.2, 0.0, 1.4)
@@ -449,7 +437,7 @@ def reference_trace_row_direct(speeds, gauge, grid, P22):
     return p0 + integral
 
 
-def reference_build_plan(which, speeds, gauge, grid, k0):
+def reference_build_plan(which, speeds, gauge, grid):
     """One plan built on its own: its own triangle indices, and the speeds
     evaluated at every point's column i-1 (int64 indices)."""
     n, h, nodes = grid.n, grid.h, grid.nodes
@@ -486,7 +474,7 @@ def reference_build_plan(which, speeds, gauge, grid, k0):
         interior = u >= 0.0
         feet = speeds.phi_inv_ext(2, u)
         coef = lambda x, xi: -lam2(xi) * gauge.bt_at(xi) / (lam2(x) * lam1(xi))
-        diag_data, corner = None, float(k0(0.0)) * l2[0]
+        diag_data, corner = None, 0.0
 
     def interp_setup(pos, clamp_hi):
         idx = np.clip(np.floor(pos / h).astype(np.int64), 0, clamp_hi)
@@ -503,7 +491,7 @@ def reference_build_plan(which, speeds, gauge, grid, k0):
         cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
     elif which == "k22":
         xstart = np.asarray(speeds.phi_inv_ext(2, p2[ii] - p2[jj]), dtype=float)
-        p0 = np.asarray(k0(np.clip(xstart, 0.0, 1.0)), dtype=float) * l2[0]
+        p0 = np.zeros(ii.size)
         cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
     elif which == "k12":
         xstart = np.asarray(speeds.psi_inv(p1[ii] + p2[jj]), dtype=float)
@@ -523,25 +511,23 @@ def reference_build_plan(which, speeds, gauge, grid, k0):
 class TestSharedPlanGeometry:
     @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
     def test_plan_matches_unshared_build(self, monkeypatch, which):
-        # speeds varying at different rates in x, and nonzero k0 data, so
-        # that every plan entry depends on which row the speed is read at;
-        # each block of at most 400 points is the matching slice of the
-        # whole-triangle build, packed from its first row
+        # speeds varying at different rates in x, so that every plan entry
+        # depends on which row the speed is read at; each block of at most
+        # 400 points is the matching slice of the whole-triangle build,
+        # packed from its first row
         n = 60
         speeds = SpeedPair.build(CoefficientSpec.polynomial([-1.0, -0.5, 0.3]),
                                  CoefficientSpec.polynomial([1.0, 1.0, -0.4]))
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.4), const(0.8), CoefficientSpec.step(0.3, 0.0, 1.0),
                              const(-0.2), speeds, grid)
-        k0 = CoefficientSpec.polynomial([0.2, 0.5])
         monkeypatch.setattr(kernels, "_PLAN_POINTS", 400)
-        fidx, fw, coefA, brows, diag_data, _ = reference_build_plan(
-            which, speeds, gauge, grid, k0)
+        fidx, fw, coefA, brows, diag_data, _ = reference_build_plan(which, speeds, gauge, grid)
         assert np.count_nonzero(coefA) > coefA.size // 4
         assert sum(len(r[0]) for r in brows) >= n
         blocks = 0
         for blk in _blocks(speeds, grid):
-            plan = _build_plan(which, speeds, gauge, grid, k0, blk)
+            plan = _build_plan(which, speeds, gauge, grid, blk)
             r0, r1 = blk.rows.start, blk.rows.stop
             seg = slice(r0 * (r0 + 1) // 2, r1 * (r1 + 1) // 2)
             assert plan.r0 == r0 and plan.on_edge == (diag_data is None)
@@ -601,7 +587,7 @@ class TestMemory:
         n = 400
         grid = Grid.uniform(n)
         gauge = step_gauge(varying_speeds, grid)
-        peak = solve_peak(lambda: solve_kernels(gauge, varying_speeds, None, grid))
+        peak = solve_peak(lambda: solve_kernels(gauge, varying_speeds, grid))
         assert peak <= 10 * (n + 1) ** 2 * 8
 
     @pytest.mark.parametrize("entry", ["gains", "trace"])
@@ -653,7 +639,7 @@ class TestMemory:
             grid = Grid.uniform(n)
             gauge = diag_removal(const(0.5), const(1.0), CoefficientSpec.step(0.25, 0.0, 1.0),
                                  const(-0.3), speeds, grid)
-            peak = solve_peak(lambda: solve_kernels(gauge, speeds, None, grid))
+            peak = solve_peak(lambda: solve_kernels(gauge, speeds, grid))
             assert peak <= solve_kernels_bytes(n, speeds.table_nodes.size - 1)
 
 

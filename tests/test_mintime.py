@@ -178,7 +178,7 @@ class TestDiscreteOracle:
         y2[0] = 0.0
         u = rng.standard_normal(k + 1)
         sim = simulate(make_system(speeds, b=float(b), c=c), lambda t: u[round(t * n)],
-                       (y1, y2), k / n, grid, cfl=1.0, snapshots=0)
+                       (y1, y2), k / n, grid, cfl=1.0, snapshots=2)
         A, u_row = upwind_lattice(n, b, c(grid.nodes))
         x = np.concatenate([y1, y2[1:]])
         for m in range(1, k + 1):
@@ -187,7 +187,8 @@ class TestDiscreteOracle:
                 xn[i] += float(a) * x[j]
             xn[u_row] = u[m]
             x = xn
-        assert np.max(np.abs(x - np.concatenate([sim.final[0], sim.final[1][1:]]))) <= 1e-12
+        y1k, y2k = sim.snapshots[-1]        # the state after step k
+        assert np.max(np.abs(x - np.concatenate([y1k, y2k[1:]]))) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(8, 16), node=st.floats(0.0, 1.0),
@@ -407,7 +408,7 @@ def _chain_pair(speeds, c, grid, a=0.2, b=0.6, d=-0.1):
     """Tmin from the times report and from the solved canonical trace."""
     system = make_system(speeds, a=a, b=b, c=c, d=d)
     gauge = diag_removal(system.a, system.b, system.c, system.d, speeds, grid)
-    K = solve_kernels(gauge, speeds, None, grid)
+    K = solve_kernels(gauge, speeds, grid)
     g = trace_g(K, speeds)
     tol = 1e-8
     return times_report(system, grid=grid).Tmin, canonical_min_time(speeds, g, tol)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import headline_raw
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -24,11 +26,12 @@ def test_run_headline(tmp_path):
     assert sides == ["floor", "drop"]
 
 
-def _one_line_error(proc):
-    assert proc.returncode == 2, proc.stderr
+def _one_line_error(proc, code=2):
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    prefix = "error: " if code == 2 else "computation failed: "
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
 
 def test_run_headline_reflection_is_one_line_error(tmp_path):
@@ -54,3 +57,23 @@ def test_run_counterexample(tmp_path):
     proc = _run("run_counterexample.py", "--k", "2", "--n", "100", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--n", "0"], 2),                 # DomainError: no grid cell
+    (["--n", "10000000000"], 2),       # PreconditionError: beyond memory
+    (["--n", "-1"], 2),                # argparse: not a nonnegative int
+    (["--k", "nan"], 2),               # argparse: not a finite float
+    (["--n", "1"], 1),                 # UndefinedRateError: too few snapshots
+    (["--k", "1e300"], 1),             # RootBracketError: no eigenvalue bracket
+], ids=["n0", "n-huge", "n-negative", "k-nan", "n1", "k-huge"])
+def test_run_counterexample_errors_are_one_line(tmp_path, args, code):
+    proc = _run("run_counterexample.py", "--k", "2", *args, cwd=tmp_path)
+    _one_line_error(proc, code)
+
+
+def test_run_headline_bad_sweep_is_one_line_error(tmp_path):
+    proc = _run("run_headline.py", "--sweep", "inf", "--out", str(tmp_path / "out"),
+                cwd=tmp_path)
+    _one_line_error(proc)
+    assert proc.stdout == ""
