@@ -86,9 +86,19 @@ class SpeedPair:
             raise InvalidSpeedsError("lambda1 must be negative on [0,1]")
         if not np.all(l2 > 0.0):
             raise InvalidSpeedsError("lambda2 must be positive on [0,1]")
-        w1 = 1.0 / (-l1)
-        w2 = 1.0 / l2
+        with np.errstate(over="ignore"):     # an infinite weight is refused below
+            w1 = 1.0 / (-l1)
+            w2 = 1.0 / l2
         ht = 1.0 / table_n
+        # _cell_inv squares a weight, or the sum of two adjacent ones (psi's
+        # weight is w1 + w2): 4 max w squared bounds all of these
+        for i, lam, w in ((1, l1, w1), (2, l2, w2)):
+            top = 4.0 * float(np.max(w))
+            if not np.isfinite(top * top):
+                raise InvalidSpeedsError(
+                    f"lambda{i} is too close to zero on [0,1] (min |lambda{i}| = "
+                    f"{np.min(np.abs(lam)):.3g}): the squares of its travel-time "
+                    f"weight 1/|lambda{i}| overflow")
         return SpeedPair(lambda1, lambda2, nodes, w1, w2, cumtrapz(w1, ht), cumtrapz(w2, ht))
 
     @property

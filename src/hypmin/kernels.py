@@ -93,17 +93,12 @@ class KernelSet:
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    """Feedback gains: u(t) = int_0^1 (f1 y1(t,.) + f2 y2(t,.))."""
+    """Feedback gains: u(t) = int_0^1 (f1 y1(t,.) + f2 y2(t,.)), a trapezoid
+    quadrature on nodes that simulate folds into one dot product per step."""
 
     nodes: np.ndarray = field(repr=False)
     f1: np.ndarray = field(repr=False)
     f2: np.ndarray = field(repr=False)
-
-    def control(self, y1: np.ndarray, y2: np.ndarray) -> float:
-        # the arithmetic of np.trapezoid, without its per-call overhead
-        h = self.nodes[1] - self.nodes[0]
-        f = self.f1 * y1 + self.f2 * y2
-        return float((h * (f[1:] + f[:-1]) / 2.0).sum())
 
 
 class _Block(NamedTuple):

@@ -214,7 +214,12 @@ def titchmarsh_check(alpha: np.ndarray, beta: np.ndarray, tau_bar: float,
     The convolution of alpha and beta vanishes on (0, tau_bar) exactly when
     their vanishing prefixes sum to at least tau_bar; the report records the
     trapezoid convolution maximum, both measured prefixes, and whether the
-    numerical verdict matches that equivalence up to one grid cell.  The
+    numerical verdict matches that equivalence up to one grid cell.  tol is
+    relative, so the check reads the same at every scale of tau_bar and of
+    the samples: a prefix ends at the first sample above tol times its
+    factor's largest magnitude, and the verdict is "vanishes" when the
+    maximum is at most tol * tau_bar * max|alpha| * max|beta|, the largest
+    value the convolution can take.  The
     convolution is one FFT product, O(N log N) in the N + 1 samples, and is
     exactly 0.0 below the sum of the first nonzero sample indices.
     """
@@ -229,10 +234,11 @@ def titchmarsh_check(alpha: np.ndarray, beta: np.ndarray, tau_bar: float,
     conv = dtau * (full - corr)
     conv[0] = 0.0
     conv_max = float(np.max(np.abs(conv)))
-    pa = prefix_of_samples(alpha, dtau, tau_bar, tol)
-    pb = prefix_of_samples(beta, dtau, tau_bar, tol)
+    amp_a, amp_b = float(np.max(np.abs(alpha))), float(np.max(np.abs(beta)))
+    pa, pb = (prefix_of_samples(v / amp, dtau, tau_bar, tol) if amp > 0.0 else float(tau_bar)
+              for v, amp in ((alpha, amp_a), (beta, amp_b)))
     psum = pa + pb
-    vanishes = conv_max <= tol
+    vanishes = conv_max <= tol * tau_bar * amp_a * amp_b
     verdict = "vanishes" if vanishes else "nonvanishing"
     consistent = (vanishes == (psum >= tau_bar)) or abs(psum - tau_bar) <= dtau
     return TitchmarshReport(convolution_max=conv_max, prefix_a=pa, prefix_b=pb,

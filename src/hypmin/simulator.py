@@ -71,16 +71,21 @@ class SimResult:
                                        repr=False)
 
 
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of a uniform n-cell grid, one row per component of
+    the mirrored state [y1; y2[::-1]] (the weights are symmetric, so both
+    rows are the same)."""
+    w = np.full((2, n + 1), h)
+    w[:, [0, n]] = 0.5 * h
+    return w
+
+
 def l2_norm(y1: np.ndarray, y2: np.ndarray, h: float) -> float:
-    """Trapezoid L2 norm, the arithmetic of np.trapezoid without its overhead."""
-    f = y1 * y1 + y2 * y2
-    return math.sqrt((h * (f[1:] + f[:-1]) / 2.0).sum())
-
-
-def _linf(y1: np.ndarray, y2: np.ndarray) -> float:
-    # np.maximum propagates a NaN from either side; the builtin max would
-    # drop one in its second argument
-    return float(np.maximum(np.abs(y1).max(), np.abs(y2).max()))
+    """Trapezoid L2 norm of the pair, as one weighted dot of the squares of the
+    mirrored state [y1; y2[::-1]]: the arithmetic of every step of simulate."""
+    z = np.stack([np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)[::-1]])
+    z *= z
+    return math.sqrt(np.vdot(_trapezoid_weights(z.shape[1] - 1, h), z))
 
 
 def _max_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
@@ -121,23 +126,44 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     if dt * max_speed / h > 1.0 + 1e-9:
         raise CFLError("time step violates the CFL bound")
 
-    # upwind rows: y1 on nodes 0..n-1 (inflow x=1), y2 on nodes 1..n (inflow x=0)
-    a, b = (np.asarray(f(nodes), dtype=float)[:-1] for f in (system.a, system.b))
-    c, d = (np.asarray(f(nodes), dtype=float)[1:] for f in (system.c, system.d))
-    q = system.q
-
-    y1 = np.array(y0[0], dtype=float)
-    y2 = np.array(y0[1], dtype=float)
+    y1 = np.asarray(y0[0], dtype=float)
+    y2 = np.asarray(y0[1], dtype=float)
     if y1.shape != (n + 1,) or y2.shape != (n + 1,):
         raise DomainError("initial data does not match the grid")
+    with np.errstate(over="ignore"):    # an overflowing norm raises at step 1
+        norm0 = l2_norm(y1, y2, h)
 
-    def boundary_u(t_new, y1_new, y2_new):
+    # The mirrored state z = [y1; y2[::-1]].  Both components read their
+    # upwind neighbour at j + 1 (y1 flows in from x=1, y2 from x=0), so one
+    # stencil over the columns j = 0..n-1 updates both:
+    #   z_new[:, j] = A z[:, j] + B z[:, j+1] + C (the other component at the
+    #   same node, z[::-1, ::-1][:, j]),
+    # and column n holds the inflow nodes y1(t,1) and y2(t,0).
+    nu = dt / h
+    c1 = nu * l1[:-1]
+    c2 = nu * l2[1:]
+    a, b = (np.asarray(f(nodes), dtype=float)[:-1] for f in (system.a, system.b))
+    c, d = (np.asarray(f(nodes), dtype=float)[1:] for f in (system.c, system.d))
+    A = np.stack([1.0 + c1 + dt * a, (1.0 - c2 + dt * d)[::-1]])
+    B = np.stack([-c1, c2[::-1]])
+    C = np.stack([dt * b, (dt * c)[::-1]])
+    del l1, l2, c1, c2, a, b, c, d
+    q = system.q
+    WT = _trapezoid_weights(n, h)
+    gains = None
+    if isinstance(control, FeedbackLaw):
+        gains = _trapezoid_weights(control.nodes.shape[0] - 1,
+                                   control.nodes[1] - control.nodes[0])
+        gains[0] *= control.f1
+        gains[1] *= control.f2[::-1]
+
+    def boundary_u(t_new, z_new):
         if control is None:
             return 0.0
-        if isinstance(control, FeedbackLaw):
-            return control.control(y1_new, y2_new)
+        if gains is not None:
+            return float(np.vdot(gains, z_new))
         if isinstance(control, BoundaryReflection):
-            return control.k * y2_new[n]
+            return control.k * z_new[1, 0]
         return float(control(t_new))
 
     times = np.linspace(0.0, T, steps + 1)
@@ -146,41 +172,49 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     else:
         keep = np.unique(np.linspace(0, steps, min(snapshots, steps + 1)).astype(int))
     kept = set(keep.tolist())
-    snaps = [(y1, y2)] if 0 in kept else []
     control_trace = np.empty(steps + 1)
-    control_trace[0] = boundary_u(0.0, y1, y2)
     l2_trace = np.empty(steps + 1)
     linf_trace = np.empty(steps + 1)
 
-    nu = dt / h
-    c1 = nu * l1[:-1]
-    c2 = nu * l2[1:]
-    # every step writes new state arrays, so kept snapshots are never copied
+    # a double buffer: step m writes states[m % 2] from states[(m-1) % 2]
+    # with out=, through views made once; sq is the scratch of the stencil
+    # and the norms, so no step allocates an array
+    states = np.empty((2, 2, n + 1))
+    states[0, 0] = y1
+    states[0, 1] = y2[::-1]
+    del y1, y2
+    sq = np.empty((2, n + 1))
+    tmp = sq[:, :-1]
+    views = [(zk, zk[:, :-1], zk[:, 1:], zk[::-1, ::-1][:, :-1]) for zk in states]
+    z = states[0]
+    snaps = [(z[0].copy(), z[1, ::-1].copy())] if 0 in kept else []
     with np.errstate(invalid="ignore", over="ignore"):
-        l2_trace[0] = l2_norm(y1, y2, h)
-        linf_trace[0] = _linf(y1, y2)
+        control_trace[0] = boundary_u(0.0, z)
+        l2_trace[0] = norm0
+        linf_trace[0] = np.abs(z, out=sq).max()
         for m in range(1, steps + 1):
-            y1n = np.empty(n + 1)
-            y2n = np.empty(n + 1)
-            # lambda1 < 0: information comes from the right; x=1 is the inflow.
-            y1n[:-1] = y1[:-1] - c1 * (y1[1:] - y1[:-1]) + dt * (a * y1[:-1] + b * y2[:-1])
-            # lambda2 > 0: information comes from the left; x=0 is the inflow.
-            y2n[1:] = y2[1:] - c2 * (y2[1:] - y2[:-1]) + dt * (c * y1[1:] + d * y2[1:])
-            y1n[-1] = y1[-1]  # provisional, lets the feedback quadrature close
-            y2n[0] = q * y1n[0]
-            u = boundary_u(times[m], y1n, y2n)
-            y1n[-1] = u
-            # u sits in y1n, and a non-finite entry makes the norm non-finite
+            z, z_here, z_up, z_cross = views[(m - 1) & 1]
+            zn, zn_here = views[m & 1][:2]
+            np.multiply(A, z_here, out=zn_here)
+            np.multiply(B, z_up, out=tmp)
+            np.add(zn_here, tmp, out=zn_here)
+            np.multiply(C, z_cross, out=tmp)
+            np.add(zn_here, tmp, out=zn_here)
+            zn[1, n] = q * zn[0, 0]
+            zn[0, n] = z[0, n]  # provisional, lets the feedback quadrature close
+            u = boundary_u(times[m], zn)
+            zn[0, n] = u
+            # u sits in zn, and a non-finite entry makes the norm non-finite
             # too, so one check covers the state, u and an overflowing norm
-            l2 = l2_norm(y1n, y2n, h)
+            np.multiply(zn, zn, out=sq)
+            l2 = math.sqrt(np.vdot(WT, sq))
             if not math.isfinite(l2):
                 raise DivergenceError(f"non-finite state or L2 norm at step {m}", step=m)
-            y1, y2 = y1n, y2n
             control_trace[m] = u
             if m in kept:
-                snaps.append((y1, y2))
+                snaps.append((zn[0].copy(), zn[1, ::-1].copy()))
             l2_trace[m] = l2
-            linf_trace[m] = _linf(y1, y2)
+            linf_trace[m] = np.abs(zn, out=sq).max()
 
     meta = {"cfl": cfl, "dt": dt, "max_speed": max_speed,
             "scheme": "upwind-explicit-euler"}

@@ -54,6 +54,21 @@ class TestPhi:
             SpeedPair.build(CoefficientSpec.polynomial([-1.0, math.nan]),
                             CoefficientSpec.constant(1.0))
 
+    @pytest.mark.parametrize("i, tiny", [(1, 1e-300), (2, 1e-160), (2, 5e-324)])
+    def test_speed_whose_weight_squares_overflow(self, i, tiny):
+        # psi_inv squares 1/|lambda| (and the sum of two such weights): a
+        # speed this close to zero made xbar 0 through an overflow
+        lam = [CoefficientSpec.constant(-1.0), CoefficientSpec.constant(1.0)]
+        lam[i - 1] = CoefficientSpec.constant(tiny if i == 2 else -tiny)
+        with pytest.raises(InvalidSpeedsError, match=f"lambda{i} is too close to zero"):
+            SpeedPair.build(*lam)
+
+    def test_smallest_speeds_that_pass_invert(self):
+        # at |lambda| = 1e-150 every square stays finite and psi_inv is exact
+        speeds = SpeedPair.build(CoefficientSpec.constant(-1e-150),
+                                 CoefficientSpec.constant(1e-150))
+        assert speeds.psi_inv(speeds.T2) == pytest.approx(0.5, rel=1e-12)
+
 
 class TestPhiInv:
     def test_identity_speed(self, unit_speeds):

@@ -329,6 +329,26 @@ class TestGaugeOverflow:
         assert len(recwarn) == 0
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["mintime"], ["kernels"], ["simulate"],
+                                      ["verify-settling"], ["verify-sharpness", "--T", "1"]],
+                             ids=["mintime", "kernels", "simulate", "verify-settling",
+                                  "verify-sharpness"])
+    def test_speed_near_zero_names_the_speed(self, tmp_path, capsys, recwarn, argv):
+        # lambda1 = -1e-300: the squared travel-time weight 1/lambda1^2
+        # overflows.  mintime printed a RuntimeWarning and "eps must lie in
+        # (0,1], got 0.0", kernels blamed the couplings b and c
+        raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
+        raw["system"]["lambda1"] = {"family": "constant", "value": -1e-300}
+        raw["grid_n"] = 16
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        _, _, err = _run_one_line_exit_2([argv[0], str(path), *argv[1:], "--out", str(out)],
+                                         capsys)
+        assert err.startswith("error: lambda1 is too close to zero on [0,1]")
+        assert len(recwarn) == 0
+        assert not out.exists()
+
 
 class TestDivergence:
     @pytest.mark.parametrize("command", ["simulate", "verify-settling"])
@@ -551,6 +571,15 @@ class TestTitchmarshCommand:
         assert run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2",
                         "--tau", "1", "--n", n]) == 2
         assert capsys.readouterr().err == f"error: --n must be at least 2, got {n}\n"
+
+    def test_tiny_tau_is_consistent(self, capsys):
+        # the convolution of two indicators is about tau: against the
+        # absolute --tol, tau = 1e-300 read "vanishes", consistent False, exit 1
+        assert run_cli(["titchmarsh", "--prefix-a", "0", "--prefix-b", "0",
+                        "--tau", "1e-300", "--n", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict            nonvanishing" in out
+        assert "consistent         True" in out
 
     def test_two_samples_suffice(self, capsys):
         assert run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2",

@@ -272,6 +272,27 @@ class TestNxN:
             nxn_canonical_min_time([const(-1.0), const(2.0), const(1.0)],
                                    [g, g], [0.0, 0.0])
 
+    @pytest.mark.parametrize("tau, amp", [(1e-300, 1.0), (1e-20, 1.0), (1.0, 1.0),
+                                          (1e300, 1.0), (1.0, 1e-20), (1e-20, 1e-100)])
+    def test_tol_is_relative_to_tau_and_amplitudes(self, tau, amp):
+        # the same shapes at every scale give the same prefixes and verdicts
+        ts = np.linspace(0.0, 1.0, 401)
+        for pa, pb, verdict in ((0.0, 0.0, "nonvanishing"), (0.1, 0.2, "nonvanishing"),
+                                (0.6, 0.5, "vanishes")):
+            alpha = 3.0 * amp * (ts > pa)
+            beta = 0.5 * amp * (ts > pb)
+            rep = titchmarsh_check(alpha, beta, tau, tol=1e-12)
+            assert rep.verdict == verdict
+            assert rep.consistent
+            assert (rep.prefix_a, rep.prefix_b) == (pytest.approx(pa * tau, abs=tau / 400),
+                                                    pytest.approx(pb * tau, abs=tau / 400))
+
+    def test_zero_factor_vanishes(self):
+        ts = np.linspace(0.0, 1.0, 101)
+        rep = titchmarsh_check(np.zeros(101), (ts > 0.3).astype(float), 1.0, tol=1e-12)
+        assert rep.verdict == "vanishes" and rep.consistent
+        assert rep.prefix_a == 1.0 and rep.convolution_max == 0.0
+
     def test_shape_validation(self):
         with pytest.raises(GridMismatchError):
             nxn_canonical_min_time([const(-1.0), const(1.0)], [], [0.0])
@@ -379,6 +400,27 @@ class TestTitchmarsh:
         rep = titchmarsh_check(alpha, beta, 0.7, tol=1e-12)
         oracle = brute_force_convolution(alpha, beta, 0.7 / 80)
         assert rep.convolution_max == pytest.approx(np.max(np.abs(oracle)), rel=1e-12)
+
+    @pytest.mark.parametrize("tau, amp", [(1e-300, 1.0), (1e-20, 1.0), (1.0, 1.0),
+                                          (1e300, 1.0), (1.0, 1e-20), (1e-20, 1e-100)])
+    def test_tol_is_relative_to_tau_and_amplitudes(self, tau, amp):
+        # the same shapes at every scale give the same prefixes and verdicts
+        ts = np.linspace(0.0, 1.0, 401)
+        for pa, pb, verdict in ((0.0, 0.0, "nonvanishing"), (0.1, 0.2, "nonvanishing"),
+                                (0.6, 0.5, "vanishes")):
+            alpha = 3.0 * amp * (ts > pa)
+            beta = 0.5 * amp * (ts > pb)
+            rep = titchmarsh_check(alpha, beta, tau, tol=1e-12)
+            assert rep.verdict == verdict
+            assert rep.consistent
+            assert (rep.prefix_a, rep.prefix_b) == (pytest.approx(pa * tau, abs=tau / 400),
+                                                    pytest.approx(pb * tau, abs=tau / 400))
+
+    def test_zero_factor_vanishes(self):
+        ts = np.linspace(0.0, 1.0, 101)
+        rep = titchmarsh_check(np.zeros(101), (ts > 0.3).astype(float), 1.0, tol=1e-12)
+        assert rep.verdict == "vanishes" and rep.consistent
+        assert rep.prefix_a == 1.0 and rep.convolution_max == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(GridMismatchError):

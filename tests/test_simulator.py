@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_solution,
                     diag_removal, feedback_gains, growth_rate, l2_norm,
                     simulate, solve_kernels, trace_g, volterra_apply)
 from hypmin.errors import CFLError, DivergenceError, DomainError, UndefinedRateError
 from hypmin.kernels import FeedbackLaw
-from hypmin.simulator import BoundaryReflection, SimResult, export_sim_csv
+from hypmin.simulator import BoundaryReflection, SimResult, _simulate_bytes, export_sim_csv
 
 from conftest import const, exact_transport, make_system, smooth_bump
 
@@ -188,8 +191,52 @@ def _same_bits(x, y):
     return np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
+# The step folds the upwind update into A z + B z[j+1] + C (other component)
+# and takes u and the L2 norm as one dot product each, so it rounds otherwise
+# than the reference: traces and snapshots agree within this share of the
+# reference's own largest magnitude; times and picks agree bitwise.
+REL_TOL = 1e-12
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and \
+        np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
+
+
+def _assert_matches_reference(sim, ref, snapshots):
+    times, snaps, ctrl, l2, linf = ref
+    assert _same_bits(sim.times, times)
+    assert _close(sim.control_trace, ctrl)
+    assert _close(sim.l2_trace, l2)
+    assert _close(sim.linf_trace, linf)
+    if snapshots is None:
+        picks = np.arange(len(times))
+    else:      # the pick rule export_sim_csv used to apply to the full history
+        count = min(snapshots, len(times))
+        picks = np.unique(np.linspace(0, len(times) - 1, count).astype(int))
+    assert _same_bits(sim.snapshot_steps, picks)
+    assert len(sim.snapshots) == len(picks)
+    for k, (y1, y2) in zip(picks, sim.snapshots):
+        want = np.stack(snaps[k])
+        assert _close(np.stack([y1, y2]), want)
+
+
+def reference_divergence_step(system, control, y0, T, grid, cfl=0.9):
+    """The first step whose state or L2 norm the reference finds non-finite
+    (None if none is): the reference raises on the state alone and records
+    an overflowing norm in its trace."""
+    try:
+        with np.errstate(over="ignore"):
+            l2 = reference_simulate(system, control, y0, T, grid, cfl)[3]
+    except DivergenceError as err:
+        return err.step
+    bad = np.flatnonzero(~np.isfinite(l2[1:]))
+    return int(bad[0]) + 1 if bad.size else None
+
+
 class TestSimulateMatchesReference:
-    """The lean step is bitwise the old one, whatever the control."""
+    """The folded step matches the old one within REL_TOL, whatever the control."""
 
     @staticmethod
     def _case(kind, unit_speeds, varying_speeds):
@@ -218,22 +265,10 @@ class TestSimulateMatchesReference:
     @pytest.mark.parametrize("kind", ["feedback", "reflection", "open-loop", "zero"])
     def test_traces_and_kept_snapshots(self, unit_speeds, varying_speeds, kind, snapshots):
         system, control, y0, grid = self._case(kind, unit_speeds, varying_speeds)
-        times, snaps, ctrl, l2, linf = reference_simulate(system, control, y0, 0.9, grid)
+        ref = reference_simulate(system, control, y0, 0.9, grid)
         sim = simulate(system, control, y0, 0.9, grid, snapshots=snapshots)
-        assert _same_bits(sim.times, times)
-        assert _same_bits(sim.control_trace, ctrl)
-        assert _same_bits(sim.l2_trace, l2)
-        assert _same_bits(sim.linf_trace, linf)
-        if snapshots is None:
-            picks = np.arange(len(times))
-        else:      # the pick rule export_sim_csv used to apply to the full history
-            count = min(snapshots, len(times))
-            picks = np.unique(np.linspace(0, len(times) - 1, count).astype(int))
-        assert _same_bits(sim.snapshot_steps, picks)
-        assert len(sim.snapshots) == len(picks)
-        for k, (y1, y2) in zip(picks, sim.snapshots):
-            assert _same_bits(y1, snaps[k][0]) and _same_bits(y2, snaps[k][1])
-        assert np.max(np.abs(ctrl)) > 0.0 or control is None
+        _assert_matches_reference(sim, ref, snapshots)
+        assert np.max(np.abs(ref[2])) > 0.0 or control is None
 
     def test_nan_only_in_y2_diverges_at_step_one(self, unit_speeds):
         # a NaN at the outflow node of y2 stays out of y1's first update, so
@@ -249,6 +284,133 @@ class TestSimulateMatchesReference:
             simulate(system, None, y0, 0.5, grid, snapshots=0)
         assert err.value.step == ref.value.step == 1
 
+
+@st.composite
+def speed_pairs(draw):
+    """lambda1 < 0 < lambda2, each constant or a polynomial with positive
+    lead and nonnegative higher coefficients (so bounded away from 0)."""
+    def speed(sign):
+        coeffs = [sign * draw(st.floats(0.25, 3.0))]
+        coeffs += [sign * v for v in draw(st.lists(st.floats(0.0, 2.0), max_size=2))]
+        if len(coeffs) == 1:
+            return CoefficientSpec.constant(coeffs[0])
+        return CoefficientSpec.polynomial(coeffs)
+
+    return SpeedPair.build(speed(-1.0), speed(1.0))
+
+
+def drawn_control(kind, grid, rng):
+    if kind == "feedback":
+        return FeedbackLaw(nodes=grid.nodes, f1=rng.uniform(-2, 2, grid.n + 1),
+                           f2=rng.uniform(-2, 2, grid.n + 1))
+    if kind == "reflection":
+        return BoundaryReflection(float(rng.uniform(-2, 2)))
+    if kind == "signal":
+        return lambda t: math.sin(5.0 * t)
+    return None
+
+
+_couplings = st.tuples(*[st.floats(-3.0, 3.0)] * 4)
+_kinds = st.sampled_from(["zero", "signal", "feedback", "reflection"])
+
+
+class TestSimulateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 200), speeds=speed_pairs(), abcd=_couplings,
+           q=st.floats(-1.5, 1.5), cfl=st.floats(0.05, 1.0), T=st.floats(0.05, 0.5),
+           kind=_kinds, snapshots=st.sampled_from([None, 0, 1, 3, 20]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_reference(self, n, speeds, abcd, q, cfl, T, kind, snapshots, seed):
+        grid = Grid.uniform(n)
+        rng = np.random.default_rng(seed)
+        system = make_system(speeds, *abcd, q=q)
+        control = drawn_control(kind, grid, rng)
+        y0 = (rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1))
+        ref = reference_simulate(system, control, y0, T, grid, cfl)
+        sim = simulate(system, control, y0, T, grid, cfl, snapshots=snapshots)
+        _assert_matches_reference(sim, ref, snapshots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 60), speeds=speed_pairs(), abcd=_couplings,
+           q=st.floats(-1.5, 1.5), cfl=st.floats(0.05, 1.0), kind=_kinds,
+           component=st.sampled_from([0, 1]), end=st.sampled_from([0, -1]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf, 1e200]),
+           seed=st.integers(0, 2 ** 16))
+    def test_divergence_step_matches_reference(self, n, speeds, abcd, q, cfl, kind,
+                                               component, end, value, seed):
+        grid = Grid.uniform(n)
+        rng = np.random.default_rng(seed)
+        system = make_system(speeds, *abcd, q=q)
+        control = drawn_control(kind, grid, rng)
+        y0 = (rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1))
+        y0[component][end] = value
+        want = reference_divergence_step(system, control, y0, 0.2, grid, cfl)
+        assert want is not None
+        with pytest.raises(DivergenceError) as err:
+            simulate(system, control, y0, 0.2, grid, cfl, snapshots=0)
+        assert err.value.step == want
+        assert str(err.value) == f"non-finite state or L2 norm at step {want}"
+
+    @pytest.mark.parametrize("n", [4, 61, 400])
+    def test_step_zero_norm_is_l2_norm(self, varying_speeds, n):
+        # verify_settling divides by l2_norm of the data: the same bits
+        grid = Grid.uniform(n)
+        rng = np.random.default_rng(n)
+        y0 = (rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1))
+        sim = simulate(make_system(varying_speeds, b=1.0), None, y0, 0.1, grid, snapshots=0)
+        assert _same_bits(sim.l2_trace[0], l2_norm(y0[0], y0[1], grid.h))
+
+
+class TestSimulateMemory:
+    N = 1600
+
+    def _setup(self, varying_speeds):
+        grid = Grid.uniform(self.N)
+        rng = np.random.default_rng(3)
+        y0 = (rng.uniform(-1, 1, self.N + 1), rng.uniform(-1, 1, self.N + 1))
+        system = make_system(varying_speeds, a=0.3, b=0.8, c=-0.5, d=0.2)
+        simulate(system, None, y0, 0.01, grid, snapshots=0)   # lazy imports
+        return system, y0, grid
+
+    @pytest.mark.parametrize("kind", ["zero", "feedback"])
+    def test_peak_is_traces_plus_scratch(self, varying_speeds, kind):
+        system, y0, grid = self._setup(varying_speeds)
+        control = drawn_control(kind, grid, np.random.default_rng(4))
+        T, cfl = 0.5, 0.9
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim = simulate(system, control, y0, T, grid, cfl, snapshots=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        traces = _simulate_bytes(sim.scheme_meta["max_speed"], self.N, T, cfl)
+        # the double buffer, the scratch, A, B, C and the two weight tables
+        # are 16 arrays of n+1 floats; measured 14.4 (zero) and 16.4 (feedback)
+        assert peak <= traces + 18 * 8 * (self.N + 1)
+
+    def test_steps_allocate_no_array(self, varying_speeds):
+        # the signal control runs once per step: from the first step on, the
+        # traced peak may grow by Python scalars, never by an array
+        system, y0, grid = self._setup(varying_speeds)
+        probe = {"base": None, "grow": 0}
+
+        def signal(t):
+            current, peak = tracemalloc.get_traced_memory()
+            if probe["base"] is None and t > 0.0:
+                probe["base"] = current
+                tracemalloc.reset_peak()
+            elif probe["base"] is not None:
+                probe["grow"] = max(probe["grow"], peak - probe["base"])
+            return 0.1
+
+        tracemalloc.start()
+        try:
+            sim = simulate(system, signal, y0, 0.5, grid, snapshots=0)
+        finally:
+            tracemalloc.stop()
+        assert len(sim.times) > 100
+        assert probe["grow"] < 8 * (self.N + 1)
 
 class TestCanonicalSolution:
     def test_source_free_transport(self, unit_speeds):
