@@ -1,4 +1,4 @@
-"""Travel-time maps, characteristic flows, and entry/exit times on [0,1].
+"""Travel-time maps on [0,1] and their inverses.
 
 A SpeedPair holds one negative speed lambda1 and one positive speed lambda2.
 The travel-time maps
@@ -10,7 +10,7 @@ piecewise-linear interpolant of its weight 1/|lambda_i| on a uniform table,
 so phi1, phi2 and psi = phi1 + phi2 are piecewise quadratic with the
 trapezoid sums as node values, and every evaluation and inverse is closed
 form in one table cell.  Outside [0,1] the weights are extended by their
-boundary values, which extends the maps linearly and makes the flow maps
+boundary values, which extends the maps linearly and makes the inverses
 total.
 """
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoefficientSpec, cumtrapz
-from .errors import DomainError, InvalidSpeedsError
+from .errors import InvalidSpeedsError
 
-__all__ = ["SpeedPair", "phi", "phi_inv", "flow", "entry_exit"]
+__all__ = ["SpeedPair"]
 
 
 def _cell_eval(nodes, tab, wtab, x):
@@ -136,58 +136,3 @@ class SpeedPair:
         return _cell_inv(self.table_nodes, self.phi1_table + self.phi2_table,
                          self.w1 + self.w2, np.asarray(v, dtype=float))
 
-
-def phi(speeds: SpeedPair, i: int, x):
-    """phi_i(x) for x in [0,1]; phi_i(1) is the crossing time T_i."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("phi evaluated outside [0,1]")
-    return speeds.phi_eval(i, x)
-
-
-def phi_inv(speeds: SpeedPair, i: int, v):
-    """Unique x in [0,1] with phi_i(x) = v, for v in [0, T_i]."""
-    v = np.asarray(v, dtype=float)
-    T = speeds.T1 if i == 1 else speeds.T2
-    slack = 1e-12 * max(T, 1.0)
-    if np.any(v < -slack) or np.any(v > T + slack):
-        raise DomainError(f"phi_inv argument outside [0, T_{i}]")
-    return speeds.phi_inv_ext(i, np.clip(v, 0.0, T))
-
-
-def flow(speeds: SpeedPair, i: int, s, t, x):
-    """Position at time s of the characteristic of lambda_i through (t, x).
-
-    chi2(s;t,x) = phi2^{-1}(phi2(x) + (s-t)) and
-    chi1(s;t,x) = phi1^{-1}(phi1(x) - (s-t)); total thanks to the constant
-    speed extension.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if i == 1:
-        return speeds.phi_inv_ext(1, speeds.phi_eval(1, x) - (s - t))
-    return speeds.phi_inv_ext(2, speeds.phi_eval(2, x) + (s - t))
-
-
-def entry_exit(speeds: SpeedPair, i: int, t, x):
-    """Times at which the characteristic of lambda_i through (t, x) crosses
-    the inflow and outflow ends of [0,1].
-
-    Component 1 enters at x=1 and exits at x=0; component 2 enters at x=0
-    and exits at x=1.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("entry_exit needs x in [0,1]")
-    t = np.asarray(t, dtype=float)
-    if i == 1:
-        p = speeds.phi_eval(1, x)
-        s_in = t + p - speeds.T1
-        s_out = t + p
-    else:
-        p = speeds.phi_eval(2, x)
-        s_in = t - p
-        s_out = t + speeds.T2 - p
-    if s_in.ndim == 0:
-        return float(s_in), float(s_out)
-    return s_in, s_out

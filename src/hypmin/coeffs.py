@@ -17,7 +17,6 @@ from .errors import DomainError
 __all__ = [
     "CoefficientSpec",
     "Grid",
-    "eval_coeff",
     "cumtrapz",
     "vanishing_prefix",
     "prefix_of_samples",
@@ -25,6 +24,7 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
+_REL_TOL = 1e-12          # relative_tol's share of max |f|
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class CoefficientSpec:
         return CoefficientSpec("sampled", (), xs=xs, values=values)
 
     def __call__(self, x):
-        """Evaluate without the [0,1] domain check (used on clipped arguments)."""
+        """Evaluate at x in [0,1], a scalar or an array; x is not checked."""
         x = np.asarray(x, dtype=float)
         if self.family == "constant":
             out = np.full_like(x, self.params[0])
@@ -117,27 +117,16 @@ class CoefficientSpec:
 Evaluable = Union[CoefficientSpec, Callable[[np.ndarray], np.ndarray]]
 
 
-def eval_coeff(spec: Evaluable, x):
-    """Evaluate a coefficient at x in [0,1] (scalar or array).
-
-    Raises DomainError for arguments outside [0,1].
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -_DOMAIN_SLACK) or np.any(x > 1.0 + _DOMAIN_SLACK):
-        raise DomainError("coefficient evaluated outside [0,1]")
-    return spec(np.clip(x, 0.0, 1.0))
-
-
 def cumtrapz(vals: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative trapezoid sums of samples spaced dx apart, 0.0 first."""
     return np.concatenate(([0.0], np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))))
 
 
-def relative_tol(f: Evaluable, grid: Grid, rel: float = 1e-12) -> float:
-    """Default vanishing-prefix tolerance: rel times max |f| over the grid."""
+def relative_tol(f: Evaluable, grid: Grid) -> float:
+    """Default vanishing-prefix tolerance: _REL_TOL times max |f| over the grid."""
     vals = np.abs(np.asarray(f(grid.nodes), dtype=float))
     m = float(vals.max())
-    return rel * m if m > 0.0 else rel
+    return _REL_TOL * m if m > 0.0 else _REL_TOL
 
 
 def prefix_of_samples(values: np.ndarray, dx: float, eps: float, tol: float) -> float:
@@ -172,5 +161,5 @@ def vanishing_prefix(f: Evaluable, eps: float, tol: float, grid: Grid) -> float:
         raise DomainError(f"eps must lie in (0,1], got {eps}")
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    vals = np.asarray(eval_coeff(f, grid.nodes), dtype=float)
+    vals = np.asarray(f(grid.nodes), dtype=float)
     return prefix_of_samples(vals, grid.h, eps, tol)

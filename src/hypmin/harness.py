@@ -31,7 +31,8 @@ from .errors import ConfigError, DomainError, PreconditionError, RootBracketErro
 from .kernels import FeedbackLaw, solve_gains, solve_kernels_bytes, solve_trace
 from .mintime import times_report
 from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
-                        _simulate_bytes, canonical_map, growth_rate, l2_norm, simulate)
+                        _simulate_bytes, _trapezoid_weights, canonical_map, growth_rate,
+                        l2_norm, simulate)
 from .transforms import diag_removal
 
 __all__ = [
@@ -58,10 +59,17 @@ SCHEMA_VERSION = 1
 _GRID_N_MAX = 23169
 
 # Pass rules of verify_settling and verify_sharpness (see their docstrings).
+_RESIDUAL_MAX = 0.05
 _RATIO_MAX = 0.75
 _FLOOR_REL = 0.05
 _DROP_REL = 0.05
 _MARGIN_FACTOR = 0.1
+
+# The counterexample's horizon, growth-rate window, CFL number and pass rule.
+_CX_HORIZON = 2.5
+_CX_WINDOW = (0.5, 2.5)
+_CX_CFL = 0.9
+_CX_RATE_REL_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -403,14 +411,14 @@ def _levels(base_n: int, levels) -> list:
     return [base_n // 2, base_n, 2 * base_n]
 
 
-def verify_settling(cfg: ScenarioConfig, levels=None,
-                    threshold_rel: float = 0.05) -> VerificationReport:
+def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     """Closed-loop settling certificate at the configured horizon.
 
     Solves the kernels, builds the feedback, and simulates from the configured
-    initial data on (at least) three refinement levels.  Passes when the final
-    relative L2 residual decreases roughly like h across the levels and is
-    below threshold_rel on the finest grid.  Requires horizon >= Tmin.
+    initial data on (at least) three refinement levels.  Passes when each
+    refinement shrinks the final relative L2 residual by a ratio of at most
+    _RATIO_MAX and the finest residual is at most _RESIDUAL_MAX; the report
+    records both as thresholds.  Requires horizon >= Tmin.
     """
     t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
@@ -436,11 +444,11 @@ def verify_settling(cfg: ScenarioConfig, levels=None,
         del law, y0, sim                 # free this level before the next one
     ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
               for i in range(len(residuals) - 1)]
-    passed = residuals[-1] <= threshold_rel and all(r <= _RATIO_MAX for r in ratios)
+    passed = residuals[-1] <= _RESIDUAL_MAX and all(r <= _RATIO_MAX for r in ratios)
     return VerificationReport(
         scenario_id=cfg.scenario_id, kind="settling", tmin=tr.Tmin,
         requested_time=cfg.horizon, rows=rows, ratios=ratios,
-        thresholds={"residual_rel_finest": threshold_rel, "ratio_max": _RATIO_MAX},
+        thresholds={"residual_rel_finest": _RESIDUAL_MAX, "ratio_max": _RATIO_MAX},
         passed=bool(passed), runtime=time.perf_counter() - t_start)
 
 
@@ -534,8 +542,7 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     # a trace g too large for the map overflows it: one DomainError, no warnings
     with np.errstate(over="ignore", invalid="ignore"):
         Az = canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
-        rw = np.full(n + 1, math.sqrt(h))     # square roots of trapezoid weights
-        rw[0] = rw[-1] = math.sqrt(0.5 * h)
+        rw = np.sqrt(_trapezoid_weights(n, h)[0])
         Az *= np.concatenate([rw, rw])[:, None]
         z, A = Az[:, 0], Az[:, 1:]
         free_norm = float(np.linalg.norm(z))
@@ -709,14 +716,13 @@ def solve_counterexample_branch(k: float):
     return float(theta), math.pi * math.sqrt(1.0 + theta ** 2)
 
 
-def counterexample(k: float, n: int = 800, horizon: float = 2.5,
-                   window=(0.5, 2.5), cfl: float = 0.9,
-                   rel_tol: float = 0.05) -> CounterexampleResult:
+def counterexample(k: float, n: int = 800) -> CounterexampleResult:
     """Unstable eigenmode of the reflection-controlled constant-speed system.
 
     Builds the eigenfunction initial data for y1(t,1) = k*y2(t,1) with
-    couplings b = c = pi, simulates it, and compares the measured exponential
-    growth rate with the predicted eigenvalue sigma.
+    couplings b = c = pi, simulates it up to _CX_HORIZON, and compares the
+    growth rate measured over _CX_WINDOW with the predicted eigenvalue sigma,
+    passing within a relative error of _CX_RATE_REL_TOL.
     """
     t_start = time.perf_counter()
     theta, sigma = solve_counterexample_branch(k)
@@ -724,7 +730,7 @@ def counterexample(k: float, n: int = 800, horizon: float = 2.5,
     # speeds -1 and 1: the step traces, the dozen speed-table arrays that
     # SpeedPair.build holds at once and a few dozen arrays of n+1 nodes,
     # estimated before any of them is allocated
-    _check_memory(_simulate_bytes(1.0, n, horizon, cfl)
+    _check_memory(_simulate_bytes(1.0, n, _CX_HORIZON, _CX_CFL)
                   + 8.0 * (12 * (table_n + 1) + 32 * (n + 1)),
                   f"counterexample at n={n}", PreconditionError)
     grid = Grid.uniform(n)
@@ -746,16 +752,16 @@ def counterexample(k: float, n: int = 800, horizon: float = 2.5,
     pi_c = CoefficientSpec.constant(math.pi)
     zero = CoefficientSpec.constant(0.0)
     system = SystemSpec(speeds=speeds, a=zero, b=pi_c, c=pi_c, d=zero, q=0.0)
-    sim = simulate(system, BoundaryReflection(k), (y10, y20), horizon, grid, cfl,
+    sim = simulate(system, BoundaryReflection(k), (y10, y20), _CX_HORIZON, grid, _CX_CFL,
                    snapshots=0)
-    rate = growth_rate(sim, window)
+    rate = growth_rate(sim, _CX_WINDOW)
     rel_err = abs(rate - sigma) / abs(sigma)
     report = VerificationReport(
         scenario_id=f"counterexample_k={k:.12g}", kind="counterexample",
         tmin=float("nan"), requested_time=None,
         rows=[{"n": n, "rate": float(rate), "sigma": float(sigma),
                "theta": float(theta), "rel_err": float(rel_err)}],
-        ratios=[], thresholds={"rate_rel_tol": rel_tol},
-        passed=bool(rel_err <= rel_tol), runtime=time.perf_counter() - t_start)
+        ratios=[], thresholds={"rate_rel_tol": _CX_RATE_REL_TOL},
+        passed=bool(rel_err <= _CX_RATE_REL_TOL), runtime=time.perf_counter() - t_start)
     return CounterexampleResult(k=k, theta=theta, sigma=sigma,
                                 y0=(y10, y20), report=report)

@@ -74,7 +74,6 @@ __all__ = [
     "solve_kernels_bytes",
     "trace_g",
     "feedback_gains",
-    "sin_map",
     "export_kernels_csv",
     "export_profile_csv",
 ]
@@ -215,6 +214,8 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     bi, bj = ii[band], jj[band]
     if on_edge:
         xstart = np.asarray(speeds.phi_inv_ext(fa, pa[bi] - pa[bj]), dtype=float)
+        # a step ending on xi=0 starts at x_i, which phi^{-1}(phi(x_i)) misses
+        xstart[bj == 0] = nodes[bi[bj == 0]]
         xi0 = p0 = np.zeros(bi.size)
     else:
         xstart = np.asarray(speeds.psi_inv(px[bi] + pa[bj]), dtype=float)
@@ -467,18 +468,6 @@ def trace_g(K: KernelSet, speeds: SpeedPair) -> np.ndarray:
 def feedback_gains(K: KernelSet, gauge: DiagGauge) -> FeedbackLaw:
     """Gains f1, f2 of the stabilizing feedback, on the kernel grid nodes."""
     return _gains(K.k11[K.grid.n, :], K.k12[K.grid.n, :], gauge, K.grid)
-
-
-def sin_map(speeds: SpeedPair, x):
-    """The unique s in (0, x) with phi1(s) + phi2(s) = phi2(x).
-
-    This is the diagonal point feeding the k21 trace at (x, 0); at x=1 it is
-    the pivot point xbar of the minimal-time formula.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("sin_map needs x in [0,1]")
-    return speeds.psi_inv(speeds.phi_eval(2, x))
 
 
 def _write_csv(path, header, columns) -> None:

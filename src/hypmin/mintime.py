@@ -78,12 +78,11 @@ def _threshold(T1: float, T2: float, saved: float) -> float:
     return max(max(T1, T2), (T1 + T2) - saved)
 
 
-def _c_prefix(speeds: SpeedPair, c: CoefficientSpec, grid: Grid | None,
-              tol: float | None):
-    """xbar, the prefix Xc of c over (0, xbar), and the grid and tolerance
-    it is measured with (by default 2048 cells and relative_tol)."""
+def _c_prefix(speeds: SpeedPair, c: CoefficientSpec, grid: Grid | None):
+    """xbar, the prefix Xc of c over (0, xbar), and the grid (by default
+    2048 cells) and tolerance (relative_tol) it is measured with."""
     grid = Grid.uniform(2048) if grid is None else grid
-    tol = relative_tol(c, grid) if tol is None else tol
+    tol = relative_tol(c, grid)
     xbar = float(speeds.psi_inv(speeds.T2))
     return xbar, vanishing_prefix(c, xbar, tol, grid), grid, tol
 
@@ -92,7 +91,7 @@ def times_report(system: SystemSpec, grid: Grid | None = None) -> TimesReport:
     """All characteristic times of the system plus its minimal control time."""
     speeds = system.speeds
     T1, T2 = speeds.T1, speeds.T2
-    xbar, Xc, grid, tol = _c_prefix(speeds, system.c, grid, None)
+    xbar, Xc, grid, tol = _c_prefix(speeds, system.c, grid)
     Xc_strict = vanishing_prefix(system.c, xbar, tol * 1e-2, grid)
     limited = (Xc - Xc_strict) > 2.0 * grid.h
     saved = 0.0 if system.q != 0.0 else float(speeds.psi_eval(Xc))
@@ -116,13 +115,13 @@ def times_report(system: SystemSpec, grid: Grid | None = None) -> TimesReport:
 
 
 def predicted_g_prefix(speeds: SpeedPair, c: CoefficientSpec,
-                       grid: Grid | None = None, tol: float | None = None) -> float:
+                       grid: Grid | None = None) -> float:
     """Predicted vanishing prefix of g from the prefix of c.
 
     With Xc the prefix of c over (0, xbar), the prediction is
     phi2^{-1}(phi1(Xc) + phi2(Xc)); it equals 1 when c vanishes on (0, xbar).
     """
-    _, Xc, _, _ = _c_prefix(speeds, c, grid, tol)
+    _, Xc, _, _ = _c_prefix(speeds, c, grid)
     return float(speeds.phi_inv_ext(2, speeds.psi_eval(Xc)))
 
 

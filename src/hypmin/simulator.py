@@ -170,7 +170,9 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     if snapshots is None:
         keep = np.arange(steps + 1)
     else:
-        keep = np.unique(np.linspace(0, steps, min(snapshots, steps + 1)).astype(int))
+        # the first of each run of equal picks (np.unique imports numpy.ma)
+        picks = np.linspace(0, steps, min(snapshots, steps + 1)).astype(int)
+        keep = picks[np.diff(picks, prepend=-1) != 0]
     kept = set(keep.tolist())
     control_trace = np.empty(steps + 1)
     l2_trace = np.empty(steps + 1)

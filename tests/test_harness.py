@@ -178,14 +178,14 @@ class TestVerifySettling:
         # machine-zero check runs one cell later (horizon kept a multiple of h
         # so that unit CFL keeps the shifts exact).
         cfg = config_from_dict(transport_raw(horizon=1.0625), "transport")
-        rep = verify_settling(cfg, levels=(64,), threshold_rel=1e-12)
+        rep = verify_settling(cfg, levels=(64,))
         assert rep.passed
         assert rep.rows[0]["residual_rel"] <= 1e-14
 
     def test_pure_transport_at_topt_boundary_artifact(self):
         # at exactly Topt only the h/2-weighted boundary nodes survive
         cfg = config_from_dict(transport_raw(horizon=1.0), "transport")
-        rep = verify_settling(cfg, levels=(64,), threshold_rel=1.0)
+        rep = verify_settling(cfg, levels=(64,))
         assert rep.rows[0]["residual_abs"] <= math.sqrt(rep.rows[0]["h"])
 
     def test_precondition(self):
@@ -474,7 +474,7 @@ class TestSharpnessSolve:
 
 class TestCounterexample:
     def test_critical_branch_profile(self):
-        res = counterexample(1.0 + 1.0 / math.pi, n=200, horizon=1.0)
+        res = counterexample(1.0 + 1.0 / math.pi, n=200)
         assert res.sigma == pytest.approx(math.pi, abs=1e-12)
         assert res.theta == 0.0
         xs = np.linspace(0.0, 1.0, 201)

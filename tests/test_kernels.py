@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, feedback_gains,
-                    kernels, predicted_g_prefix, sin_map, solve_gains, solve_kernels,
+                    kernels, predicted_g_prefix, solve_gains, solve_kernels,
                     solve_trace, trace_g)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError
@@ -26,6 +26,12 @@ def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100):
     gauge = diag_removal(spec(a), spec(b), spec(c), spec(d), speeds, grid)
     K = solve_kernels(gauge, speeds, grid)
     return gauge, K
+
+
+def sin_map(speeds, x):
+    """The s in (0, x) with phi1(s) + phi2(s) = phi2(x): the diagonal point
+    feeding the k21 trace at (x, 0), and xbar at x = 1."""
+    return speeds.psi_inv(speeds.phi_eval(2, x))
 
 
 def reference_march(plans, P, src, n):
@@ -138,13 +144,12 @@ class TestSolveKernels:
 
     def test_edge_conditions(self, unit_speeds, varying_speeds):
         # k11 and k22 enter through the edge xi=0 with zero data: exactly
-        # zero at unit speeds; at varying speeds the start point of an edge
-        # step, phi^{-1}(phi(x)), misses x by a rounding error
-        for speeds, tol in ((unit_speeds, 0.0), (varying_speeds, 1e-15)):
+        # zero there, at unit and at varying speeds
+        for speeds in (unit_speeds, varying_speeds):
             _, K = solve(speeds, b=0.7, c=1.0)
             assert np.max(np.abs(K.k11)) > 0.1 and np.max(np.abs(K.k22)) > 0.1
-            assert np.max(np.abs(K.k11[:, 0])) <= tol
-            assert np.max(np.abs(K.k22[:, 0])) <= tol
+            assert np.max(np.abs(K.k11[:, 0])) == 0.0
+            assert np.max(np.abs(K.k22[:, 0])) == 0.0
 
     @pytest.mark.parametrize("b,entry,marched", [
         (1.0, "full", ["gains", "trace"]), (1.0, "gains", ["gains"]), (1.0, "trace", ["trace"]),
@@ -485,12 +490,10 @@ def reference_build_plan(which, speeds, gauge, grid):
     coefA = h * coef(nodes[ip], xiP)
     band = (ii > jj if diag_data is not None else ii > 0) & ~interior
     ii, jj = ii[band], jj[band]
-    if which == "k11":
-        xstart = np.asarray(speeds.phi_inv_ext(1, p1[ii] - p1[jj]), dtype=float)
-        p0 = np.zeros(ii.size)
-        cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
-    elif which == "k22":
-        xstart = np.asarray(speeds.phi_inv_ext(2, p2[ii] - p2[jj]), dtype=float)
+    if which in ("k11", "k22"):
+        fa, pa = (1, p1) if which == "k11" else (2, p2)
+        # a step ending on the edge starts at its own node x_i
+        xstart = np.where(jj == 0, nodes[ii], speeds.phi_inv_ext(fa, pa[ii] - pa[jj]))
         p0 = np.zeros(ii.size)
         cB = (nodes[ii] - xstart) * coef(xstart, np.zeros(ii.size))
     elif which == "k12":
@@ -701,10 +704,6 @@ class TestSinMap:
                 hi = mid
         root = 0.5 * (lo + hi)
         assert sin_map(speeds, 1.0) == pytest.approx(root, abs=1e-7)
-
-    def test_domain_error(self, unit_speeds):
-        with pytest.raises(DomainError):
-            sin_map(unit_speeds, 1.2)
 
 
 class TestPredictedPrefix:

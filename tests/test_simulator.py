@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypmin
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_solution,
                     diag_removal, feedback_gains, growth_rate, l2_norm,
                     simulate, solve_kernels, trace_g, volterra_apply)
@@ -359,6 +364,32 @@ class TestSimulateProperties:
         y0 = (rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1))
         sim = simulate(make_system(varying_speeds, b=1.0), None, y0, 0.1, grid, snapshots=0)
         assert _same_bits(sim.l2_trace[0], l2_norm(y0[0], y0[1], grid.h))
+
+
+class TestSimulateImports:
+    def test_no_masked_arrays(self):
+        # np.unique imports numpy.ma, about 20 ms in each process that
+        # simulates; a fresh interpreter shows whether simulate pulls it in
+        src = os.path.dirname(os.path.dirname(hypmin.__file__))
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from hypmin import CoefficientSpec, Grid, SpeedPair, SystemSpec, simulate
+            c = CoefficientSpec.constant
+            system = SystemSpec(speeds=SpeedPair.build(c(-1.0), c(1.0)), a=c(0.0),
+                                b=c(1.0), c=c(1.0), d=c(0.0), q=0.0)
+            grid = Grid.uniform(16)
+            for snapshots in (0, 5, None):
+                simulate(system, None, (np.sin(grid.nodes), np.cos(grid.nodes)), 0.5,
+                         grid, snapshots=snapshots)
+            print("numpy.ma" in sys.modules)
+            """)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSimulateMemory:
