@@ -298,9 +298,7 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep
                 edge[i] = rd[0]
                 _step_boundary(pe, re, edge, i)
                 for w, r in ((wd, rd), (we, re)):
-                    if not np.isfinite(r).all():
-                        raise DomainError(f"kernel {w} overflows: the couplings b and c "
-                                          "are too large for the kernel solve")
+                    _check_finite(f"kernel {w}", r)
     return {wd: rd if Fd is None else Fd, we: re if Fe is None else Fe}
 
 
@@ -391,13 +389,33 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     return p0 + integral
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Raise DomainError naming the kernel or gain whose values overflowed."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} overflows: the couplings b and c are too large "
+                          "for the kernel solve")
+
+
+def _unweight(name: str, p: np.ndarray, lam) -> np.ndarray:
+    """The kernel k = p / lambda_fa(xi) of its p-form, divided in place; a
+    speed near zero can overflow it where p is finite."""
+    with np.errstate(over="ignore"):
+        p /= lam
+    _check_finite(f"kernel {name}", p)
+    return p
+
+
 def _gains(k11_last: np.ndarray, k12_last: np.ndarray, gauge: DiagGauge,
            grid: Grid) -> FeedbackLaw:
     """Feedback gains from row n (x = 1) of k11 and k12."""
     if gauge.grid.n != grid.n:
         raise GridMismatchError("gauge and kernel grids differ")
-    return FeedbackLaw(nodes=grid.nodes, f1=k11_last * gauge.e1 / gauge.e1[-1],
-                       f2=k12_last * gauge.e2 / gauge.e1[-1])
+    with np.errstate(over="ignore"):
+        f1 = k11_last * gauge.e1 / gauge.e1[-1]
+        f2 = k12_last * gauge.e2 / gauge.e1[-1]
+    _check_finite("gain f1", f1)
+    _check_finite("gain f2", f2)
+    return FeedbackLaw(nodes=grid.nodes, f1=f1, f2=f2)
 
 
 def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
@@ -409,8 +427,9 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> KernelSet:
     """All four kernels, one row march per pair (none for an _uncoupled
     gains pair); a single pass is the fixed point of the discrete scheme,
     unconditionally stable and first-order accurate.  Couplings b, c too
-    large for the march overflow a kernel, which raises DomainError naming
-    it.  Memory: the four kernels plus one row block of plans
+    large for the march, or for the speeds that the march's p-form is
+    divided by, overflow a kernel, which raises DomainError naming it.
+    Memory: the four kernels plus one row block of plans
     (solve_kernels_bytes)."""
     K = {**_gains_pair(speeds, gauge, grid, ("k11", "k12")),
          **_march_pair("trace", speeds, gauge, grid, ("k21", "k22"))}
@@ -420,7 +439,7 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> KernelSet:
     K["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P22)
     lam1, lam2 = _node_speeds(speeds, grid)
     for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
-        K[w] /= lam                                  # p = k * lambda_fa(xi)
+        _unweight(w, K[w], lam)
     return KernelSet(grid=grid, **K)
 
 
@@ -429,7 +448,8 @@ def solve_gains(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> FeedbackLaw:
     that keeps no kernel array, or none where bt vanishes (zero gains)."""
     P = _gains_pair(speeds, gauge, grid, ())
     lam1, lam2 = _node_speeds(speeds, grid)
-    return _gains(P["k11"] / lam1, P["k12"] / lam2, gauge, grid)
+    return _gains(_unweight("k11", P["k11"], lam1), _unweight("k12", P["k12"], lam2),
+                  gauge, grid)
 
 
 def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
@@ -442,7 +462,7 @@ def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
            else _march_pair("trace", speeds, gauge, grid, ("k22",))["k22"])
     row = _trace_row_direct(speeds, gauge, grid, P22)
     lam1, _ = _node_speeds(speeds, grid)
-    return _g(row / lam1[0], speeds)
+    return _g(_unweight("k21", row, lam1[0]), speeds)
 
 
 def solve_kernels_bytes(n: int, table_n: int) -> int:
@@ -476,17 +496,41 @@ def _write_csv(path, header, columns) -> None:
     Numbers are written as "%.12g", string columns verbatim (nothing is
     quoted), and every row ends in CRLF.  Rows are formatted by one template
     in blocks of _CSV_ROWS, so a large file's text is never held at once.
+
+    Each distinct value is formatted once where that is known without a
+    search.  A numeric column whose entries all have the same bits (so -0.0
+    and 0.0 differ) is written into the template as literal text.  A column
+    may be a pair (values, index) standing for values[index]: values are
+    formatted once, and each block gathers their strings by index.
     """
-    cols = [np.asarray(c) for c in columns]
-    row = ",".join("%s" if c.dtype.kind in "US" else "%.12g" for c in cols) + "\r\n"
+    fields, parts = [], []
+    for c in columns:
+        text = None
+        if isinstance(c, tuple):
+            values, c = c
+            text = np.array(["%.12g" % v for v in np.asarray(values).tolist()], dtype=object)
+        c = np.asarray(c)
+        rows = len(c)
+        if text is not None or c.dtype.kind in "US":
+            fields.append("%s")
+        else:
+            c = c.astype(np.float64, copy=False)
+            bits = c.view(np.uint64)
+            if rows and (bits == bits[0]).all():
+                fields.append(("%.12g" % c[0]).replace("%", "%%"))
+                continue
+            fields.append("%.12g")
+        parts.append((text, c))
+    row = ",".join(fields) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(cols[0]), _CSV_ROWS):
-            block = [c[lo:lo + _CSV_ROWS].tolist() for c in cols]
-            cells = [None] * (len(block[0]) * len(cols))
-            for j, vals in enumerate(block):
-                cells[j::len(cols)] = vals
-            fh.write((row * len(block[0])) % tuple(cells))
+        for lo in range(0, rows, _CSV_ROWS):
+            m = min(rows - lo, _CSV_ROWS)
+            cells = [None] * (m * len(parts))
+            for j, (text, c) in enumerate(parts):
+                block = c[lo:lo + _CSV_ROWS]
+                cells[j::len(parts)] = (block if text is None else text[block]).tolist()
+            fh.write((row * m) % tuple(cells))
 
 
 def export_kernels_csv(K: KernelSet, path) -> None:
@@ -494,9 +538,10 @@ def export_kernels_csv(K: KernelSet, path) -> None:
     i, j = np.tril_indices(K.grid.n + 1)
     nodes = K.grid.nodes
     _write_csv(path, ["x", "xi", "k11", "k12", "k21", "k22"],
-               [nodes[i], nodes[j], K.k11[i, j], K.k12[i, j], K.k21[i, j], K.k22[i, j]])
+               [(nodes, i), (nodes, j), K.k11[i, j], K.k12[i, j], K.k21[i, j], K.k22[i, j]])
 
 
 def export_profile_csv(path, nodes: np.ndarray, columns: dict) -> None:
     """Write one or more sampled profiles as (x, value...) CSV columns."""
-    _write_csv(path, ["x", *columns], [nodes, *columns.values()])
+    # as arrays, so that no profile reads as a (values, index) pair
+    _write_csv(path, ["x", *columns], [nodes, *map(np.asarray, columns.values())])

@@ -436,6 +436,74 @@ class TestConfigFuzz:
         assert "Traceback" not in err
 
 
+# log-uniform magnitudes over nearly the whole float range
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1])
+
+
+class TestExportFloatLimits:
+    """kernels and simulate on constant coefficients near the float limits."""
+
+    N = 16
+
+    def write_config(self, directory, **values):
+        system = {"lambda1": -1.0, "lambda2": 1.0, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
+        system.update(values)
+        raw = headline_raw(n=self.N)
+        raw["system"] = {k: {"family": "constant", "value": v} for k, v in system.items()}
+        path = directory / "limits.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["kernels", "simulate"]), lambda1=_MAGNITUDE,
+           lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED)
+    def test_exit_code_one_line_and_rows(self, tmp_path_factory, capsys, command,
+                                         lambda1, lambda2, b, c):
+        work = tmp_path_factory.mktemp("limits")
+        path = self.write_config(work, lambda1=-lambda1, lambda2=lambda2, b=b, c=c)
+        out = work / "out"
+        capsys.readouterr()
+        code = run_cli([command, path, "--out", str(out)])
+        std = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert len(std.err.strip().splitlines()) <= 1
+        assert "Traceback" not in std.err
+        if code != 0:
+            return
+
+        def rows(name):
+            with open(out / name, "rb") as fh:
+                return fh.read().count(b"\r\n") - 1     # the header row is not a row
+
+        if command == "kernels":
+            assert rows("kernels.csv") == (self.N + 1) * (self.N + 2) // 2
+            assert rows("g.csv") == rows("gains.csv") == self.N + 1
+            return
+        steps = int(re.search(r"steps=(\d+)", std.out).group(1))
+        assert rows("timeseries.csv") == steps + 1
+        snaps = sorted(p.name for p in out.glob("snapshot_*.csv"))
+        assert rows("snapshots.csv") == len(snaps) == min(20, steps + 1)
+        assert all(rows(name) == self.N + 1 for name in snaps)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["kernels", "simulate"])
+    @pytest.mark.parametrize("values, what", [
+        # the march's p12 = k12*lambda2 is finite, k12 = p12/lambda2 is not
+        ({"lambda1": -1e-20, "lambda2": 1e-150, "b": -1e20, "c": -1e-20}, "kernel k12"),
+        # the gauge weight e1(1) = exp(-709) puts 1/e1(1) into f2
+        ({"a": -709.0, "b": 1e300}, "gain f2"),
+    ], ids=["speed-near-zero", "gauge-near-underflow"])
+    def test_overflow_past_the_march_exit_2(self, tmp_path, capsys, command, values, what):
+        path = self.write_config(tmp_path, **values)
+        assert run_cli([command, path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {what} overflows: the couplings b and c are too large "
+                       "for the kernel solve\n")
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize("argv", [
         ["verify-sharpness", "CONFIG", "--T", "-1"],

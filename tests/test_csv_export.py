@@ -4,23 +4,32 @@ The reference writers below are the original per-row implementations of
 export_kernels_csv, export_profile_csv and export_sim_csv (which picked the
 snapshots from a full history, as simulate now does); the blocked writer
 must reproduce their files byte for byte, including CRLF line ends and the
-text of -0.0, nan, +-inf, subnormals and large integers under "%.12g".
+text of -0.0, nan, +-inf, subnormals and large integers under "%.12g",
+whether a column is formatted per cell, written once as a constant, or
+gathered from (values, index).
 """
 
 import csv
 import os
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypmin import Grid, kernels, simulate
-from hypmin.kernels import export_kernels_csv, export_profile_csv
+from hypmin import CoefficientSpec, Grid, diag_removal, kernels, simulate, solve_kernels
+from hypmin.cli import run_cli
+from hypmin.harness import _gauge, load_config, make_control, make_initial_data
+from hypmin.kernels import (export_kernels_csv, export_profile_csv, feedback_gains,
+                            solve_gains, trace_g)
 from hypmin.simulator import export_sim_csv
 
-from conftest import make_system, random_kernel_set
+from conftest import const, make_system, random_kernel_set
 
 SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
             123456789012345.0, 0.1, -1.0 / 3.0, 1e300, 0.0]
+CONSTANTS = [0.0, -0.0, float("nan"), float("inf"), 5e-324, 1e300]
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_kernels_csv(K, path):
@@ -120,5 +129,115 @@ def test_sim_csv_bytes(csv_rows, unit_speeds, tmp_path, max_snapshots):
     ref = reference_sim_csv(full, str(tmp_path / "ref"), max_snapshots=max_snapshots)
     assert [os.path.basename(p) for p in new] == [os.path.basename(p) for p in ref]
     for p, q in zip(new, ref):
-        with open(p, "rb") as a, open(q, "rb") as b:
-            assert a.read() == b.read(), os.path.basename(p)
+        assert_same_bytes(p, q)
+
+
+def assert_same_bytes(new, ref):
+    with open(new, "rb") as a, open(ref, "rb") as b:
+        assert a.read() == b.read(), os.path.basename(new)
+
+
+def step_kernels(speeds, n, b):
+    """Kernels for constant b and c a step at 0.2; at b = 0 only k21 is nonzero."""
+    grid = Grid.uniform(n)
+    gauge = diag_removal(const(0.0), const(b), CoefficientSpec.step(0.2, 0.0, 1.0),
+                         const(0.0), speeds, grid)
+    return solve_kernels(gauge, speeds, grid)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 9])
+@pytest.mark.parametrize("value", CONSTANTS, ids=repr)
+def test_constant_column_bytes(csv_rows, tmp_path, value, rows):
+    # one row makes every column constant, the x column too
+    nodes = np.linspace(0.0, 1.0, rows)
+    columns = {"c": np.full(rows, value), "y": np.random.default_rng(8).normal(size=rows)}
+    export_profile_csv(tmp_path / "new.csv", nodes, columns)
+    reference_profile_csv(tmp_path / "ref.csv", nodes, columns)
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+    assert len((tmp_path / "new.csv").read_bytes().split(b"\r\n")) == rows + 2
+
+
+def test_mixed_signed_zeros_are_not_constant(csv_rows, tmp_path):
+    # equal values with different bits: both signs must survive
+    nodes = np.linspace(0.0, 1.0, 20)
+    z = np.zeros(nodes.size)
+    z[[3, 11]] = -0.0
+    columns = {"z": z, "w": -z}
+    export_profile_csv(tmp_path / "new.csv", nodes, columns)
+    reference_profile_csv(tmp_path / "ref.csv", nodes, columns)
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes().count(b",-0,") == 2
+
+
+def test_indexed_column_bytes(csv_rows, tmp_path):
+    values = np.array(SPECIALS)
+    index = np.array([3, 3, 0, 9, 1, 1, 1, 5, 2, 8, 0, 7, 4, 6, 6, 9, 2, 3])
+    y = np.random.default_rng(7).normal(size=index.size)
+    kernels._write_csv(tmp_path / "new.csv", ["x", "y"], [(values, index), y])
+    reference_profile_csv(tmp_path / "ref.csv", values[index], {"y": y})
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+
+def test_uncoupled_kernels_csv_bytes(csv_rows, varying_speeds, tmp_path):
+    K = step_kernels(varying_speeds, 12, 0.0)
+    i, j = np.tril_indices(13)
+    for k in (K.k11, K.k12, K.k22):
+        assert np.unique(k[i, j].view(np.uint64)).size == 1
+    assert np.unique(K.k21[i, j]).size > 1
+    export_kernels_csv(K, tmp_path / "new.csv")
+    reference_kernels_csv(K, tmp_path / "ref.csv")
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+
+class TestExportMemory:
+    N = 400
+
+    @pytest.mark.parametrize("b", [0.0, 0.8])
+    def test_peak_in_triangle_arrays(self, varying_speeds, tmp_path, b):
+        K = step_kernels(varying_speeds, self.N, b)
+        path = tmp_path / "kernels.csv"
+        export_kernels_csv(K, path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            export_kernels_csv(K, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        triangle = 8 * (self.N + 1) * (self.N + 2) // 2
+        # the index pair and the four kernel columns are 6 triangle arrays,
+        # one block of cells and text about 2-4 more at this n; measured 7.8
+        # (b = 0) and 9.9 (b = 0.8), and 13.6 when x and xi were gathered too
+        assert peak <= 11 * triangle
+
+
+def test_cli_exports_bytes_uncoupled(csv_rows, tmp_path):
+    # varying_speeds.json has b = 0: k11, k12, k22, f1 and f2 are constant
+    path = str(CONFIG_DIR / "varying_speeds.json")
+    cfg = load_config(path)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert run_cli(["kernels", path, "--out", str(out / "k")]) == 0
+    gauge = _gauge(cfg, cfg.grid)
+    K = solve_kernels(gauge, cfg.system.speeds, cfg.grid)
+    law = feedback_gains(K, gauge)
+    os.makedirs(ref / "k")
+    reference_kernels_csv(K, ref / "k" / "kernels.csv")
+    reference_profile_csv(ref / "k" / "g.csv", K.grid.nodes,
+                          {"g": trace_g(K, cfg.system.speeds)})
+    reference_profile_csv(ref / "k" / "gains.csv", law.nodes, {"f1": law.f1, "f2": law.f2})
+    assert sorted(os.listdir(out / "k")) == sorted(os.listdir(ref / "k"))
+    for name in os.listdir(ref / "k"):
+        assert_same_bytes(out / "k" / name, ref / "k" / name)
+
+    control = make_control(cfg.control, feedback=solve_gains(gauge, cfg.system.speeds,
+                                                             cfg.grid))
+    full = simulate(cfg.system, control, make_initial_data(cfg.initial, cfg.grid, cfg.seed),
+                    cfg.horizon, cfg.grid, cfg.cfl)
+    for snapshots in (20, 0):
+        d = f"s{snapshots}"
+        assert run_cli(["simulate", path, "--out", str(out / d),
+                        "--snapshots", str(snapshots)]) == 0
+        written = reference_sim_csv(full, str(ref / d), max_snapshots=snapshots)
+        assert sorted(os.listdir(out / d)) == sorted(map(os.path.basename, written))
+        for p in written:
+            assert_same_bytes(out / d / os.path.basename(p), p)
