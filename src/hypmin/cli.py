@@ -19,9 +19,9 @@ from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      RootBracketError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
-                      _check_memory, _gauge, _write_json)
+                      _check_memory, _check_run_memory, _gauge, _write_json)
 from .kernels import (export_kernels_csv, export_profile_csv, feedback_gains, solve_gains,
-                      solve_kernels, trace_g)
+                      solve_kernels, solve_kernels_bytes, trace_g)
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
 
@@ -49,6 +49,10 @@ def _cmd_mintime(args) -> int:
 
 def _cmd_kernels(args) -> int:
     cfg = load_config(args.config)
+    n = cfg.grid.n    # the four kernels, then export_kernels_csv's <= 11 triangle arrays
+    _check_memory(solve_kernels_bytes(n, cfg.system.speeds.table_nodes.size - 1, 4)
+                  + 44.0 * (n + 1) * (n + 2), f"kernels at n={n}: the four kernels and "
+                  "their export", PreconditionError)
     gauge = _gauge(cfg, cfg.grid)
     K = solve_kernels(gauge, cfg.system.speeds, cfg.grid)
     g = trace_g(K, cfg.system.speeds)
@@ -65,9 +69,9 @@ def _cmd_kernels(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    law = None
-    if cfg.control.get("kind", "feedback") == "feedback":
-        law = solve_gains(_gauge(cfg, cfg.grid), cfg.system.speeds, cfg.grid)
+    feedback = cfg.control.get("kind", "feedback") == "feedback"
+    _check_run_memory("simulate", cfg, cfg.grid.n, feedback, args.snapshots)
+    law = solve_gains(_gauge(cfg, cfg.grid), cfg.system.speeds, cfg.grid) if feedback else None
     control = make_control(cfg.control, feedback=law)
     y0 = make_initial_data(cfg.initial, cfg.grid, cfg.seed)
     sim = simulate(cfg.system, control, y0, cfg.horizon, cfg.grid, cfg.cfl,

@@ -51,11 +51,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Largest grid_n: at the finest level n = 2*grid_n the (n+1)^2 entries of one
-# kernel array stay below 2^31.  No index of the solve needs that any more
-# (the march plans index within one row block); the cap stays as a fixed,
-# machine-independent limit in front of the memory check, which alone would
-# admit a grid_n this large only on a machine with hundreds of GB.
+# Largest grid_n: a fixed, machine-independent bound on what loading a config
+# allocates, a speed table of 4*grid_n cells.  Each command checks the memory
+# of its own kernel solve and simulation.
 _GRID_N_MAX = 23169
 
 # Pass rules of verify_settling and verify_sharpness (see their docstrings).
@@ -267,14 +265,26 @@ def _check_memory(need: float, what: str, error) -> None:
                     f"{have / 1e9:.3g} GB of physical memory")
 
 
+def _check_run_memory(command: str, cfg: ScenarioConfig, n: int, gains: bool,
+                      snapshots: int) -> None:
+    """Refuse cfg's gains solve (where gains) and simulation on an n-cell grid
+    keeping snapshots states, where they would not fit the physical memory."""
+    need = _simulate_bytes(_max_speed(cfg.system.speeds, Grid.uniform(n).nodes), n,
+                           cfg.horizon, cfg.cfl, snapshots)
+    if gains:
+        need += solve_kernels_bytes(n, cfg.system.speeds.table_nodes.size - 1, 0)
+    _check_memory(need, f"{command} at n={n}: {'the gains solve, ' * gains}{snapshots} snapshots"
+                  f" and the time steps to horizon {cfg.horizon:.12g}", PreconditionError)
+
+
 def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig:
     """Validated scenario config from its parsed JSON record.
 
     Every malformed, missing or non-finite value raises ConfigError before
-    any computation, as does a grid_n or horizon whose kernel solve or step
-    traces at the finest verification level, 2*grid_n, would not fit in the
-    physical memory.  The schema-v1 keys kernel_tol and kernel_max_iter are
-    accepted and ignored: the kernel solve takes one pass and has no
+    any computation, as do a grid_n above _GRID_N_MAX and random data too
+    large for the physical memory; each command checks the memory of its own
+    solve and simulation.  The schema-v1 keys kernel_tol and kernel_max_iter
+    are accepted and ignored: the kernel solve takes one pass and has no
     iteration to tune.
     """
     if not isinstance(raw, dict):
@@ -294,8 +304,6 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
     if grid_n > _GRID_N_MAX:
         raise ConfigError(f"grid_n must be at most {_GRID_N_MAX}, got {grid_n}")
     table_n = max(4096, 4 * grid_n)
-    _check_memory(solve_kernels_bytes(2 * grid_n, table_n),
-                  f"grid_n {grid_n}: the kernel solve at n={2 * grid_n}", ConfigError)
     lam1 = _coeff_from_dict(sys_d.get("lambda1"), "lambda1")
     lam2 = _coeff_from_dict(sys_d.get("lambda2"), "lambda2")
     coeffs = {}
@@ -311,9 +319,6 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
     cfl = _number(raw, "cfl", float, 0.9)
     if not 0.0 < cfl <= 1.0:
         raise ConfigError(f"cfl must lie in (0,1], got {cfl}")
-    _check_memory(_simulate_bytes(_max_speed(speeds, Grid.uniform(2 * grid_n).nodes),
-                                  2 * grid_n, horizon, cfl),
-                  f"horizon {horizon:.12g}: the time steps at n={2 * grid_n}", ConfigError)
     seed = _number(raw, "seed", int, 42)
     return ScenarioConfig(
         scenario_id=str(raw.get("scenario_id", scenario_id)),
@@ -420,6 +425,8 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     _RATIO_MAX and the finest residual is at most _RESIDUAL_MAX; the report
     records both as thresholds.  Requires horizon >= Tmin.
     """
+    levels = _levels(cfg.grid.n, levels)
+    _check_run_memory("verify-settling", cfg, max(levels), True, 0)
     t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
     if cfg.horizon < tr.Tmin - 1e-12:
@@ -427,7 +434,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
             f"settling horizon {cfg.horizon:.12g} is below Tmin {tr.Tmin:.12g}")
     rows = []
     residuals = []
-    for nk in _levels(cfg.grid.n, levels):
+    for nk in levels:
         grid_k = Grid.uniform(nk)
         law = solve_gains(_gauge(cfg, grid_k), cfg.system.speeds, grid_k)
         y0 = make_initial_data(cfg.initial, grid_k, cfg.seed)
@@ -608,7 +615,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     levels = _levels(cfg.grid.n, levels)
     finest = Grid.uniform(max(levels))
     table_n = cfg.system.speeds.table_nodes.size - 1
-    _check_memory(solve_kernels_bytes(finest.n, table_n)
+    _check_memory(solve_kernels_bytes(finest.n, table_n, 1)
                   + canonical_sharpness_bytes(cfg.system.speeds, T, finest),
                   f"sharpness at T={T:.12g} on n={finest.n}", PreconditionError)
     t_start = time.perf_counter()
@@ -730,7 +737,7 @@ def counterexample(k: float, n: int = 800) -> CounterexampleResult:
     # speeds -1 and 1: the step traces, the dozen speed-table arrays that
     # SpeedPair.build holds at once and a few dozen arrays of n+1 nodes,
     # estimated before any of them is allocated
-    _check_memory(_simulate_bytes(1.0, n, _CX_HORIZON, _CX_CFL)
+    _check_memory(_simulate_bytes(1.0, n, _CX_HORIZON, _CX_CFL, 0)
                   + 8.0 * (12 * (table_n + 1) + 32 * (n + 1)),
                   f"counterexample at n={n}", PreconditionError)
     grid = Grid.uniform(n)

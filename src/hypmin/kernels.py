@@ -382,7 +382,8 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
         jx, wj = _interp_setup(XI, h, n - 1)
         p22v = (P22[ix, jx] * (1 - wx) * (1 - wj) + P22[ix + 1, jx] * wx * (1 - wj)
                 + P22[ix, jx + 1] * (1 - wx) * wj + P22[ix + 1, jx + 1] * wx * wj)
-        S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
+        with np.errstate(over="ignore"):   # a speed product past 1e308: S is +-0
+            S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
         integral[blk] = np.trapezoid(S, axis=1)  # unit spacing; times the step below
     P22[idx, idx + 1] = 0.0
     integral *= (nodes - sig) / n
@@ -430,7 +431,7 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> KernelSet:
     large for the march, or for the speeds that the march's p-form is
     divided by, overflow a kernel, which raises DomainError naming it.
     Memory: the four kernels plus one row block of plans
-    (solve_kernels_bytes)."""
+    (solve_kernels_bytes with kept 4)."""
     K = {**_gains_pair(speeds, gauge, grid, ("k11", "k12")),
          **_march_pair("trace", speeds, gauge, grid, ("k21", "k22"))}
     # The xi=0 trace of k21 defines g; integrate it directly along each trace
@@ -465,19 +466,18 @@ def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
     return _g(_unweight("k21", row, lam1[0]), speeds)
 
 
-def solve_kernels_bytes(n: int, table_n: int) -> int:
-    """Upper bound on the bytes solve_kernels holds at once on an n-cell grid.
+def solve_kernels_bytes(n: int, table_n: int, kept: int) -> int:
+    """Upper bound on the bytes a kernel solve holds at once on an n-cell grid.
 
-    The peak holds the four kernels (4 arrays of (n+1)^2 floats) and one row
-    block of plans: at most _PLAN_POINTS points of geometry, two plans and
-    their build's temporaries, about 3 MB.  tracemalloc on varying speeds
-    measures 6.2 arrays at n = 400, 4.6 at n = 800 and 4.1 at n = 1600; up
-    to n = 179 the triangle is one block, and at a few hundred cells and
-    below six temporaries of the table_n-cell speed table weigh in too
-    (14.4 arrays at n = 150).  The bound keeps 12 arrays, the speed-table
-    temporaries and 4 KB per row for a block's boundary-band tuples.
+    kept is the number of (n+1)^2 kernel arrays the solve keeps: 4 for
+    solve_kernels, 1 for solve_trace (k22) and 0 for solve_gains.  Besides
+    them the peak holds one row block of plans, at most _PLAN_POINTS points
+    (the whole triangle up to n = 179): about 25 floats a point under
+    tracemalloc from n = 4 to 1600.  The bound keeps 32 floats a point, six
+    speed-table temporaries and 4 KB per row for boundary-band tuples.
     """
-    return 8 * (12 * (n + 1) ** 2 + 6 * (table_n + 1)) + 4096 * (n + 1)
+    points = min(_PLAN_POINTS, (n + 1) * (n + 2) // 2)
+    return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * (table_n + 1)) + 4096 * (n + 1)
 
 
 def trace_g(K: KernelSet, speeds: SpeedPair) -> np.ndarray:

@@ -92,11 +92,12 @@ def _max_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
     return float(max(np.max(-speeds.speed(1, nodes)), np.max(speeds.speed(2, nodes))))
 
 
-def _simulate_bytes(max_speed: float, n: int, T: float, cfl: float) -> float:
+def _simulate_bytes(max_speed: float, n: int, T: float, cfl: float, snapshots: int) -> float:
     """Upper bound on the bytes of simulate's four step traces up to T on an
-    n-cell grid with largest speed max_speed (a float, so that no T
-    overflows it); kept snapshots are extra."""
-    return 32.0 * (T * max_speed * n / cfl + 2.0)
+    n-cell grid with largest speed max_speed and its at most snapshots kept
+    states, each 2(n+1) floats and ~380 bytes of objects (a float: no T overflows it)."""
+    steps = T * max_speed * n / cfl + 1.0            # at least the step count
+    return 32.0 * (steps + 1.0) + min(snapshots, steps + 1.0) * 8.0 * (2 * (n + 1) + 64)
 
 
 def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,

@@ -18,6 +18,8 @@ from hypmin.cli import run_cli
 
 from conftest import headline_raw
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 
 @pytest.fixture
 def headline_path(tmp_path):
@@ -174,35 +176,83 @@ def _run_one_line_exit_2(argv, capsys):
     return elapsed, peak, err
 
 
-class TestMemoryCap:
-    """A size whose memory estimate exceeds the machine is rejected before any work."""
+# a config value that loading refuses, whatever the command
+_LOADING_CAPS = [
+    ("grid_n-1e7", {"grid_n": 10 ** 7}, "grid_n must be at most 23169, got 10000000"),
+    ("grid_n-int32", {"grid_n": 23170}, "grid_n must be at most 23169"),
+    ("grid_n-huge-int", {"grid_n": 10 ** 400}, "grid_n must be a finite number"),
+    ("random-nodes-1e12", {"initial_data": {"kind": "random", "nodes": 10 ** 12}},
+     "initial_data: random data with 1000000000000 nodes needs about 3.2e+04 GB"),
+]
 
-    @pytest.mark.parametrize("field, value, words", [
-        ("grid_n", 10 ** 7, "grid_n must be at most 23169, got 10000000"),
-        ("grid_n", 23170, "grid_n must be at most 23169"),
-        ("grid_n", 2000, "grid_n 2000: the kernel solve at n=4000 needs about 1.55 GB"),
-        ("grid_n", 10 ** 400, "grid_n must be a finite number"),
-        ("horizon", 1e300, "horizon 1e+300: the time steps"),
-        ("cfl", 1e-300, "the time steps at n=128"),
-        ("initial_data", {"kind": "random", "nodes": 10 ** 12},
-         "initial_data: random data with 1000000000000 nodes needs about 3.2e+04 GB"),
-    ], ids=["grid_n-1e7", "grid_n-int32", "grid_n-memory", "grid_n-huge-int", "horizon-1e300",
-            "cfl-1e-300", "random-nodes-1e12"])
-    @pytest.mark.parametrize("command", ["mintime", "kernels", "simulate", "verify-settling"])
-    def test_config_beyond_cap(self, tmp_path, capsys, monkeypatch, field, value, words,
-                               command):
+
+class TestMemoryCap:
+    """A size whose memory estimate exceeds the machine is rejected before any
+    work: a config value on loading, and what a command allocates at its
+    entry point."""
+
+    @pytest.mark.parametrize("command, values, flags, words", [
+        *(pytest.param(command, values, [], words, id=f"{command}-{name}")
+          for command in ("mintime", "kernels", "simulate", "verify-settling")
+          for name, values, words in _LOADING_CAPS),
+        # the four kernels and the export's triangle arrays at grid_n
+        pytest.param("kernels", {"grid_n": 4000}, [], "kernels at n=4000: the four kernels "
+                     "and their export needs about 1.24 GB", id="kernels-grid_n-memory"),
+        # the step traces at grid_n, and at the finest level 2*grid_n
+        pytest.param("simulate", {"horizon": 1e300}, [], "simulate at n=64: the gains solve, "
+                     "20 snapshots and the time steps to horizon 1e+300 needs about "
+                     "2.28e+294 GB", id="simulate-horizon-1e300"),
+        pytest.param("simulate", {"cfl": 1e-300}, [], "simulate at n=64: the gains solve, 20 "
+                     "snapshots and the time steps to horizon 1.5 needs about 3.07e+294 GB",
+                     id="simulate-cfl-1e-300"),
+        pytest.param("verify-settling", {"horizon": 1e300}, [], "verify-settling at n=128: "
+                     "the gains solve, 0 snapshots and the time steps to horizon 1e+300 "
+                     "needs about 4.55e+294 GB", id="verify-settling-horizon-1e300"),
+        pytest.param("verify-settling", {"cfl": 1e-300}, [], "verify-settling at n=128: "
+                     "the gains solve, 0 snapshots and the time steps to horizon 1.5 needs "
+                     "about 6.14e+294 GB", id="verify-settling-cfl-1e-300"),
+        # the kept states: 13 335 of them at grid_n 8000
+        pytest.param("simulate", {"grid_n": 8000}, ["--snapshots", "1000000"],
+                     "simulate at n=8000: the gains solve, 1000000 snapshots and the time "
+                     "steps to horizon 1.5 needs about 1.75 GB", id="simulate-snapshots"),
+        # an open-loop run solves no gains
+        pytest.param("simulate", {"horizon": 1e300, "control": {"kind": "zero"}}, [],
+                     "simulate at n=64: 20 snapshots and the time steps to horizon 1e+300 "
+                     "needs about", id="simulate-open-loop"),
+    ])
+    def test_config_beyond_cap(self, tmp_path, capsys, monkeypatch, command, values, flags,
+                               words):
         # the machine reports 1 GB, so the cap is the same everywhere
         monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
         raw = headline_raw(n=64)
-        raw[field] = value
+        raw.update(values)
         path = tmp_path / "big.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        elapsed, peak, err = _run_one_line_exit_2([command, str(path), "--out", str(out)],
-                                                  capsys)
+        elapsed, peak, err = _run_one_line_exit_2(
+            [command, str(path), "--out", str(out), *flags], capsys)
         assert words in err
         assert elapsed < 0.5 and peak < 5e6
         assert not out.exists()
+
+    @pytest.mark.parametrize("values", [
+        {"horizon": 1e300},
+        {"cfl": 1e-300},
+        # varying speeds at grid_n 16 with lambda2 = 1e300: steps of about 1e-302
+        {"system": {**json.loads((CONFIG_DIR / "varying_speeds.json").read_text())["system"],
+                    "lambda2": {"family": "constant", "value": 1e300}}, "grid_n": 16},
+    ], ids=["horizon-1e300", "cfl-1e-300", "lambda2-1e300"])
+    @pytest.mark.parametrize("command", ["mintime", "kernels"])
+    def test_no_time_steps_without_a_simulation(self, tmp_path, capsys, monkeypatch, values,
+                                                command):
+        # neither command simulates, so neither is charged the time steps
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        raw = headline_raw(n=64)
+        raw.update(values)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli([command, str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_sharpness_time_beyond_cap(self, tmp_path, capsys, monkeypatch):
         # varying speeds at grid_n 400: the trace matrix at T = 50 on the
@@ -370,8 +420,6 @@ class TestDivergence:
         assert not out.exists()
 
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
-
 _SPECIALS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e300, -1e300, 1e-300]
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                   st.lists(st.integers(-2, 2), max_size=3),
@@ -442,14 +490,14 @@ _SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0]
 
 
 class TestExportFloatLimits:
-    """kernels and simulate on constant coefficients near the float limits."""
+    """mintime, kernels and simulate on constant coefficients near the float limits."""
 
     N = 16
 
-    def write_config(self, directory, **values):
+    def write_config(self, directory, horizon=1.5, **values):
         system = {"lambda1": -1.0, "lambda2": 1.0, "a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
         system.update(values)
-        raw = headline_raw(n=self.N)
+        raw = headline_raw(n=self.N, horizon=horizon)
         raw["system"] = {k: {"family": "constant", "value": v} for k, v in system.items()}
         path = directory / "limits.json"
         path.write_text(json.dumps(raw))
@@ -458,12 +506,15 @@ class TestExportFloatLimits:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(command=st.sampled_from(["kernels", "simulate"]), lambda1=_MAGNITUDE,
-           lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED)
-    def test_exit_code_one_line_and_rows(self, tmp_path_factory, capsys, command,
-                                         lambda1, lambda2, b, c):
+    @given(command=st.sampled_from(["mintime", "kernels", "simulate"]), lambda1=_MAGNITUDE,
+           lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED, horizon=_MAGNITUDE)
+    def test_exit_code_one_line_and_rows(self, tmp_path_factory, capsys, monkeypatch, command,
+                                         lambda1, lambda2, b, c, horizon):
+        # with the machine reporting 2 MB, a simulation that runs takes at
+        # most about 6e4 steps, and a longer one is refused before any work
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
         work = tmp_path_factory.mktemp("limits")
-        path = self.write_config(work, lambda1=-lambda1, lambda2=lambda2, b=b, c=c)
+        path = self.write_config(work, horizon, lambda1=-lambda1, lambda2=lambda2, b=b, c=c)
         out = work / "out"
         capsys.readouterr()
         code = run_cli([command, path, "--out", str(out)])
@@ -478,6 +529,9 @@ class TestExportFloatLimits:
             with open(out / name, "rb") as fh:
                 return fh.read().count(b"\r\n") - 1     # the header row is not a row
 
+        if command == "mintime":
+            assert "Tmin" in json.loads((out / "times.json").read_text())
+            return
         if command == "kernels":
             assert rows("kernels.csv") == (self.N + 1) * (self.N + 2) // 2
             assert rows("g.csv") == rows("gains.csv") == self.N + 1
@@ -502,6 +556,17 @@ class TestExportFloatLimits:
         err = capsys.readouterr().err
         assert err == (f"error: {what} overflows: the couplings b and c are too large "
                        "for the kernel solve\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_speed_product_past_the_float_range_exit_0(self, tmp_path, capsys):
+        # lambda2^2 = 1e310 overflows in the trace quadrature's denominator:
+        # its integrand is +-0, so g is its finite diagonal term at every node
+        path = self.write_config(tmp_path, lambda2=1e155, b=-1.0, c=-1.0)
+        out = tmp_path / "out"
+        assert run_cli(["kernels", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "g.csv").read_text().splitlines()[1:]
+        assert len(rows) == self.N + 1 and all(r.endswith(",-1e-155") for r in rows)
 
 
 class TestNumericFlags:

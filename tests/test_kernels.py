@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -636,14 +637,17 @@ class TestMemory:
         assert solve_peak(lambda: solve(gauge, varying_speeds, grid)) \
             <= 48 * (n + 1) * 8 + 8 * table
 
-    @pytest.mark.parametrize("n", [4, 16, 64, 150])
+    @pytest.mark.parametrize("n", [4, 16, 64, 150, 400])
     def test_estimate_bounds_peak(self, unit_speeds, varying_speeds, n):
-        for speeds in (unit_speeds, varying_speeds):
+        # kept (n+1)^2 arrays besides one row block of plans; at n = 400 a
+        # block is a fifth of the triangle
+        for speeds, b in itertools.product((unit_speeds, varying_speeds), (0.0, 1.0)):
             grid = Grid.uniform(n)
-            gauge = diag_removal(const(0.5), const(1.0), CoefficientSpec.step(0.25, 0.0, 1.0),
+            gauge = diag_removal(const(0.5), const(b), CoefficientSpec.step(0.25, 0.0, 1.0),
                                  const(-0.3), speeds, grid)
-            peak = solve_peak(lambda: solve_kernels(gauge, speeds, grid))
-            assert peak <= solve_kernels_bytes(n, speeds.table_nodes.size - 1)
+            for solve, kept in ((solve_kernels, 4), (solve_trace, 1), (solve_gains, 0)):
+                peak = solve_peak(lambda: solve(gauge, speeds, grid))
+                assert peak <= solve_kernels_bytes(n, speeds.table_nodes.size - 1, kept)
 
 
 class TestFeedbackGains:

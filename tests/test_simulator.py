@@ -408,17 +408,21 @@ class TestSimulateMemory:
         system, y0, grid = self._setup(varying_speeds)
         control = drawn_control(kind, grid, np.random.default_rng(4))
         T, cfl = 0.5, 0.9
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sim = simulate(system, control, y0, T, grid, cfl, snapshots=0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        traces = _simulate_bytes(sim.scheme_meta["max_speed"], self.N, T, cfl)
-        # the double buffer, the scratch, A, B, C and the two weight tables
-        # are 16 arrays of n+1 floats; measured 14.4 (zero) and 16.4 (feedback)
-        assert peak <= traces + 18 * 8 * (self.N + 1)
+        # 10**9 keeps the state of every step, as many as the estimate counts
+        for snapshots in (0, 20, 10 ** 9):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sim = simulate(system, control, y0, T, grid, cfl, snapshots=snapshots)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(sim.snapshots) == min(snapshots, len(sim.times))
+            kept = _simulate_bytes(sim.scheme_meta["max_speed"], self.N, T, cfl, snapshots)
+            # the double buffer, the scratch, A, B, C and the two weight tables
+            # are 16 arrays of n+1 floats; measured 14.4 (zero) and 16.4 (feedback)
+            assert peak <= kept + 18 * 8 * (self.N + 1)
+            del sim
 
     def test_steps_allocate_no_array(self, varying_speeds):
         # the signal control runs once per step: from the first step on, the
