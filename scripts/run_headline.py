@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end run of the headline scenario.
 
-Prints the times report, solves the kernels and exports them, certifies
+Prints the times report, solves the kernels and exports them (the
+`hypmin kernels` command, memory check included), certifies
 settling at the minimal time, and sweeps the reachability residual through
 a range of horizons so the threshold is visible in one table.
 """
@@ -11,10 +12,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hypmin.cli import _Parser, finite_float, run_guarded  # noqa: E402
-from hypmin.harness import _gauge, load_config, verify_settling, verify_sharpness  # noqa: E402
-from hypmin.kernels import (export_kernels_csv, export_profile_csv, solve_kernels,  # noqa: E402
-                            trace_g)
+from hypmin.cli import _Parser, finite_float, run_cli, run_guarded  # noqa: E402
+from hypmin.harness import load_config, verify_settling, verify_sharpness  # noqa: E402
 from hypmin.mintime import times_report  # noqa: E402
 
 
@@ -36,11 +35,9 @@ def run(args):
     print(tr.pretty())
     print()
 
-    K = solve_kernels(_gauge(cfg, cfg.grid), cfg.system.speeds, cfg.grid)
-    export_kernels_csv(K, os.path.join(args.out, "kernels.csv"))
-    g = trace_g(K, cfg.system.speeds)
-    export_profile_csv(os.path.join(args.out, "g.csv"), K.grid.nodes, {"g": g})
-    print(f"wrote kernels.csv, g.csv to {args.out}")
+    code = run_cli(["kernels", args.config, "--out", args.out])
+    if code:
+        return code
     print()
 
     rep = verify_settling(cfg)

@@ -3,8 +3,7 @@
 from .coeffs import CoefficientSpec, Grid, vanishing_prefix
 from .characteristics import SpeedPair
 from .transforms import DiagGauge, diag_removal, volterra_apply, volterra_invert
-from .kernels import (KernelSet, FeedbackLaw, solve_kernels, solve_gains, solve_trace,
-                      trace_g, feedback_gains)
+from .kernels import KernelSet, FeedbackLaw, solve_kernels, solve_gains, solve_trace
 from .simulator import (SystemSpec, BoundaryReflection, SimResult, simulate,
                         canonical_map, canonical_solution, growth_rate, l2_norm)
 from .mintime import (TimesReport, TitchmarshReport, times_report,
@@ -17,7 +16,6 @@ __all__ = [
     "CoefficientSpec", "Grid", "vanishing_prefix", "SpeedPair",
     "DiagGauge", "diag_removal", "volterra_apply", "volterra_invert",
     "KernelSet", "FeedbackLaw", "solve_kernels", "solve_gains", "solve_trace",
-    "trace_g", "feedback_gains",
     "SystemSpec", "BoundaryReflection", "SimResult", "simulate",
     "canonical_map", "canonical_solution", "growth_rate", "l2_norm",
     "TimesReport", "TitchmarshReport", "times_report", "canonical_min_time",

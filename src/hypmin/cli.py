@@ -19,9 +19,9 @@ from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      RootBracketError, UndefinedRateError)
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
-                      _check_memory, _check_run_memory, _gauge, _write_json)
-from .kernels import (export_kernels_csv, export_profile_csv, feedback_gains, solve_gains,
-                      solve_kernels, solve_kernels_bytes, trace_g)
+                      _check_memory, _check_run_memory, _write_json)
+from .kernels import (export_kernels_csv, export_profile_csv, solve_gains, solve_kernels,
+                      solve_kernels_bytes)
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
 
@@ -50,19 +50,15 @@ def _cmd_mintime(args) -> int:
 def _cmd_kernels(args) -> int:
     cfg = load_config(args.config)
     n = cfg.grid.n    # the four kernels, then export_kernels_csv's <= 11 triangle arrays
-    _check_memory(solve_kernels_bytes(n, cfg.system.speeds.table_nodes.size - 1, 4)
-                  + 44.0 * (n + 1) * (n + 2), f"kernels at n={n}: the four kernels and "
-                  "their export", PreconditionError)
-    gauge = _gauge(cfg, cfg.grid)
-    K = solve_kernels(gauge, cfg.system.speeds, cfg.grid)
-    g = trace_g(K, cfg.system.speeds)
-    law = feedback_gains(K, gauge)
+    _check_memory(solve_kernels_bytes(cfg.system, n, 4) + 44.0 * (n + 1) * (n + 2),
+                  f"kernels at n={n}: the four kernels and their export", PreconditionError)
+    K = solve_kernels(cfg.system, cfg.grid)
     outdir = _outdir(args, cfg)
     os.makedirs(outdir, exist_ok=True)
     export_kernels_csv(K, os.path.join(outdir, "kernels.csv"))
-    export_profile_csv(os.path.join(outdir, "g.csv"), K.grid.nodes, {"g": g})
-    export_profile_csv(os.path.join(outdir, "gains.csv"), law.nodes,
-                       {"f1": law.f1, "f2": law.f2})
+    export_profile_csv(os.path.join(outdir, "g.csv"), K.grid.nodes, {"g": K.g})
+    export_profile_csv(os.path.join(outdir, "gains.csv"), K.gains.nodes,
+                       {"f1": K.gains.f1, "f2": K.gains.f2})
     print(f"wrote kernels.csv, g.csv, gains.csv to {outdir}")
     return 0
 
@@ -71,7 +67,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     feedback = cfg.control.get("kind", "feedback") == "feedback"
     _check_run_memory("simulate", cfg, cfg.grid.n, feedback, args.snapshots)
-    law = solve_gains(_gauge(cfg, cfg.grid), cfg.system.speeds, cfg.grid) if feedback else None
+    law = solve_gains(cfg.system, cfg.grid) if feedback else None
     control = make_control(cfg.control, feedback=law)
     y0 = make_initial_data(cfg.initial, cfg.grid, cfg.seed)
     sim = simulate(cfg.system, control, y0, cfg.horizon, cfg.grid, cfg.cfl,
@@ -115,6 +111,9 @@ def _cmd_titchmarsh(args) -> int:
         raise ConfigError("tau must be positive")
     if args.n < 2:
         raise ConfigError(f"--n must be at least 2, got {args.n}")
+    if args.tau / args.n < np.finfo(float).tiny:    # a subnormal cell loses the verdict
+        raise ConfigError(f"--tau {args.tau:.12g} is too small for --n {args.n}: the cell "
+                          "tau/n is below the smallest normal float")
     if not (0.0 <= args.prefix_a <= args.tau and 0.0 <= args.prefix_b <= args.tau):
         raise ConfigError("prefixes must lie in [0, tau]")
     # the samples, both indicators, the padded tails and spectra of the FFT

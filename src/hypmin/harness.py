@@ -33,7 +33,6 @@ from .mintime import times_report
 from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
                         _simulate_bytes, _trapezoid_weights, canonical_map, growth_rate,
                         l2_norm, simulate)
-from .transforms import diag_removal
 
 __all__ = [
     "ScenarioConfig",
@@ -272,7 +271,7 @@ def _check_run_memory(command: str, cfg: ScenarioConfig, n: int, gains: bool,
     need = _simulate_bytes(_max_speed(cfg.system.speeds, Grid.uniform(n).nodes), n,
                            cfg.horizon, cfg.cfl, snapshots)
     if gains:
-        need += solve_kernels_bytes(n, cfg.system.speeds.table_nodes.size - 1, 0)
+        need += solve_kernels_bytes(cfg.system, n, 0)
     _check_memory(need, f"{command} at n={n}: {'the gains solve, ' * gains}{snapshots} snapshots"
                   f" and the time steps to horizon {cfg.horizon:.12g}", PreconditionError)
 
@@ -398,17 +397,6 @@ def make_control(spec: dict, feedback: FeedbackLaw | None = None):
     raise ConfigError(f"unknown control kind {kind!r}")
 
 
-def _gauge(cfg: ScenarioConfig, grid: Grid):
-    """The diagonal-removing gauge of the scenario on grid, the first step of
-    every kernel solve.  The kernels' boundary condition at xi=0 is that of
-    the zero reflection, so q != 0 raises PreconditionError."""
-    s = cfg.system
-    if s.q != 0.0:
-        raise PreconditionError(f"the kernel solve assumes the zero reflection q = 0, "
-                                f"got q = {s.q:.12g}")
-    return diag_removal(s.a, s.b, s.c, s.d, s.speeds, grid)
-
-
 def _levels(base_n: int, levels) -> list:
     # n/2, n and 2n: grid_n >= 8 keeps n/2 at the kernel solve's minimum 4
     if levels is not None:
@@ -436,7 +424,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     residuals = []
     for nk in levels:
         grid_k = Grid.uniform(nk)
-        law = solve_gains(_gauge(cfg, grid_k), cfg.system.speeds, grid_k)
+        law = solve_gains(cfg.system, grid_k)
         y0 = make_initial_data(cfg.initial, grid_k, cfg.seed)
         with np.errstate(over="ignore"):     # an overflow: simulate raises at step 1
             norm0 = l2_norm(y0[0], y0[1], grid_k.h)
@@ -608,14 +596,15 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     residual floor of _FLOOR_REL at every level; at or above Tmin it is a
     collapse below _DROP_REL on the finest level.  In the margin band the
     report is informational and passes by definition.  Requires a finite
-    T > 0 and, as every kernel solve does, the zero reflection q = 0.
+    T at least the smallest normal float (at T = 5e-324 the quadrature step
+    T/2 is 0) and, as every kernel solve does, the zero reflection q = 0.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise PreconditionError(f"sharpness horizon must be finite and positive, got {T!r}")
+    if not (math.isfinite(T) and T >= np.finfo(float).tiny):
+        raise PreconditionError(f"sharpness horizon must be finite and positive, at least "
+                                f"{np.finfo(float).tiny:.12g}, got {T!r}")
     levels = _levels(cfg.grid.n, levels)
     finest = Grid.uniform(max(levels))
-    table_n = cfg.system.speeds.table_nodes.size - 1
-    _check_memory(solve_kernels_bytes(finest.n, table_n, 1)
+    _check_memory(solve_kernels_bytes(cfg.system, finest.n, 1)
                   + canonical_sharpness_bytes(cfg.system.speeds, T, finest),
                   f"sharpness at T={T:.12g} on n={finest.n}", PreconditionError)
     t_start = time.perf_counter()
@@ -626,7 +615,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     rel_init_all = []
     for nk in levels:
         grid_k = Grid.uniform(nk)
-        g = solve_trace(_gauge(cfg, grid_k), cfg.system.speeds, grid_k)
+        g = solve_trace(cfg.system, grid_k)
         res, free_norm, cond, ncontrols = canonical_sharpness_residual(
             cfg.system.speeds, g, T, grid_k)
         # canonical initial data is (1, 0), unit L2 norm by construction

@@ -31,11 +31,13 @@ Characteristic invariants used to locate the foot of each step:
 The trace k21(.,0) is the endpoint of the k21 integration, never an
 extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 
-The two systems are decoupled, each solved by its own row march that
+Each solve takes a system with q = 0 and a grid, and builds the gauge
+itself.  The two systems are decoupled, each solved by its own row march that
 builds its plans one block of rows at a time and keeps only the rows read:
-solve_kernels all four kernels, solve_gains the last rows of (k11, k12) for
-the feedback, solve_trace k22 for the quadrature of g.  Memory: 4, 0 and 1
-arrays of (n+1)^2 floats, plus one row block of plans (about 3 MB).
+solve_kernels all four kernels (and g and the gains), solve_gains the last
+rows of (k11, k12) for the feedback, solve_trace k22 for the quadrature of g.
+Memory: 4, 0 and 1 arrays of (n+1)^2 floats, plus one row block of plans
+(about 3 MB).
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
@@ -53,14 +55,17 @@ raises (_uncoupled).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .coeffs import Grid
 from .characteristics import SpeedPair
-from .errors import DomainError, GridMismatchError
-from .transforms import DiagGauge
+from .errors import DomainError, PreconditionError
+from .transforms import DiagGauge, diag_removal
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .simulator import SystemSpec
 
 _CSV_ROWS = 8192         # rows per formatting block of _write_csv
 _PLAN_POINTS = 1 << 14   # triangle points per row block of the march plans and trace paths
@@ -72,22 +77,9 @@ __all__ = [
     "solve_gains",
     "solve_trace",
     "solve_kernels_bytes",
-    "trace_g",
-    "feedback_gains",
     "export_kernels_csv",
     "export_profile_csv",
 ]
-
-
-@dataclass(frozen=True)
-class KernelSet:
-    """Solved kernels sampled on the triangle (entries with xi > x are zero)."""
-
-    grid: Grid
-    k11: np.ndarray = field(repr=False)
-    k12: np.ndarray = field(repr=False)
-    k21: np.ndarray = field(repr=False)
-    k22: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -98,6 +90,20 @@ class FeedbackLaw:
     nodes: np.ndarray = field(repr=False)
     f1: np.ndarray = field(repr=False)
     f2: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
+class KernelSet:
+    """Solved kernels sampled on the triangle (entries with xi > x are zero),
+    and g(x) = -k21(x,0)*lambda1(0) and the feedback gains on its nodes."""
+
+    grid: Grid
+    k11: np.ndarray = field(repr=False)
+    k12: np.ndarray = field(repr=False)
+    k21: np.ndarray = field(repr=False)
+    k22: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    gains: FeedbackLaw = field(repr=False)
 
 
 class _Block(NamedTuple):
@@ -406,17 +412,14 @@ def _unweight(name: str, p: np.ndarray, lam) -> np.ndarray:
     return p
 
 
-def _gains(k11_last: np.ndarray, k12_last: np.ndarray, gauge: DiagGauge,
-           grid: Grid) -> FeedbackLaw:
+def _gains(k11_last: np.ndarray, k12_last: np.ndarray, gauge: DiagGauge) -> FeedbackLaw:
     """Feedback gains from row n (x = 1) of k11 and k12."""
-    if gauge.grid.n != grid.n:
-        raise GridMismatchError("gauge and kernel grids differ")
     with np.errstate(over="ignore"):
         f1 = k11_last * gauge.e1 / gauge.e1[-1]
         f2 = k12_last * gauge.e2 / gauge.e1[-1]
     _check_finite("gain f1", f1)
     _check_finite("gain f2", f2)
-    return FeedbackLaw(nodes=grid.nodes, f1=f1, f2=f2)
+    return FeedbackLaw(nodes=gauge.grid.nodes, f1=f1, f2=f2)
 
 
 def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
@@ -424,14 +427,25 @@ def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
     return -k21_edge * float(speeds.speed(1, 0.0))
 
 
-def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> KernelSet:
+def _gauge(system: "SystemSpec", grid: Grid) -> DiagGauge:
+    """The diagonal-removing gauge of system on grid, the first step of every
+    solve.  The kernels' boundary condition at xi=0 is that of the zero
+    reflection, so q != 0 raises PreconditionError."""
+    if system.q != 0.0:
+        raise PreconditionError(f"the kernel solve assumes the zero reflection q = 0, "
+                                f"got q = {system.q:.12g}")
+    return diag_removal(system.a, system.b, system.c, system.d, system.speeds, grid)
+
+
+def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
     """All four kernels, one row march per pair (none for an _uncoupled
-    gains pair); a single pass is the fixed point of the discrete scheme,
-    unconditionally stable and first-order accurate.  Couplings b, c too
-    large for the march, or for the speeds that the march's p-form is
-    divided by, overflow a kernel, which raises DomainError naming it.
-    Memory: the four kernels plus one row block of plans
-    (solve_kernels_bytes with kept 4)."""
+    gains pair), with g and the gains read from them; a single pass is the
+    fixed point of the discrete scheme, unconditionally stable and
+    first-order accurate.  Couplings b, c too large for the march, or for
+    the speeds that the march's p-form is divided by, overflow a kernel,
+    which raises DomainError naming it.  Memory: the four kernels plus one
+    row block of plans (solve_kernels_bytes with kept 4)."""
+    gauge, speeds = _gauge(system, grid), system.speeds
     K = {**_gains_pair(speeds, gauge, grid, ("k11", "k12")),
          **_march_pair("trace", speeds, gauge, grid, ("k21", "k22"))}
     # The xi=0 trace of k21 defines g; integrate it directly along each trace
@@ -441,23 +455,25 @@ def solve_kernels(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> KernelSet:
     lam1, lam2 = _node_speeds(speeds, grid)
     for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
         _unweight(w, K[w], lam)
-    return KernelSet(grid=grid, **K)
+    return KernelSet(grid=grid, **K, g=_g(K["k21"][:, 0], speeds),
+                     gains=_gains(K["k11"][-1], K["k12"][-1], gauge))
 
 
-def solve_gains(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> FeedbackLaw:
-    """feedback_gains of the full solve, bitwise, from a march of (k11, k12)
-    that keeps no kernel array, or none where bt vanishes (zero gains)."""
-    P = _gains_pair(speeds, gauge, grid, ())
-    lam1, lam2 = _node_speeds(speeds, grid)
-    return _gains(_unweight("k11", P["k11"], lam1), _unweight("k12", P["k12"], lam2),
-                  gauge, grid)
+def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
+    """The gains of solve_kernels, bitwise, from a march of (k11, k12) that
+    keeps no kernel array, or none where bt vanishes (zero gains)."""
+    gauge = _gauge(system, grid)
+    P = _gains_pair(system.speeds, gauge, grid, ())
+    lam1, lam2 = _node_speeds(system.speeds, grid)
+    return _gains(_unweight("k11", P["k11"], lam1), _unweight("k12", P["k12"], lam2), gauge)
 
 
-def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
-    """trace_g of the full solve, bitwise, from a march of (k21, k22) that
+def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
+    """The g of solve_kernels, bitwise, from a march of (k21, k22) that
     keeps only k22, which the trace quadrature reads.  An _uncoupled k22 and
     its path integrals are exactly zero: no march, and g is the diagonal
     term, as in solve_kernels."""
+    gauge, speeds = _gauge(system, grid), system.speeds
     _check_grid(grid)
     P22 = (None if _uncoupled(speeds, gauge)
            else _march_pair("trace", speeds, gauge, grid, ("k22",))["k22"])
@@ -466,7 +482,7 @@ def solve_trace(gauge: DiagGauge, speeds: SpeedPair, grid: Grid) -> np.ndarray:
     return _g(_unweight("k21", row, lam1[0]), speeds)
 
 
-def solve_kernels_bytes(n: int, table_n: int, kept: int) -> int:
+def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
     """Upper bound on the bytes a kernel solve holds at once on an n-cell grid.
 
     kept is the number of (n+1)^2 kernel arrays the solve keeps: 4 for
@@ -474,20 +490,11 @@ def solve_kernels_bytes(n: int, table_n: int, kept: int) -> int:
     them the peak holds one row block of plans, at most _PLAN_POINTS points
     (the whole triangle up to n = 179): about 25 floats a point under
     tracemalloc from n = 4 to 1600.  The bound keeps 32 floats a point, six
-    speed-table temporaries and 4 KB per row for boundary-band tuples.
+    temporaries of the system's speed table and 4 KB per row for band tuples.
     """
     points = min(_PLAN_POINTS, (n + 1) * (n + 2) // 2)
-    return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * (table_n + 1)) + 4096 * (n + 1)
-
-
-def trace_g(K: KernelSet, speeds: SpeedPair) -> np.ndarray:
-    """g(x) = -k21(x,0)*lambda1(0), sampled on the kernel grid nodes."""
-    return _g(K.k21[:, 0], speeds)
-
-
-def feedback_gains(K: KernelSet, gauge: DiagGauge) -> FeedbackLaw:
-    """Gains f1, f2 of the stabilizing feedback, on the kernel grid nodes."""
-    return _gains(K.k11[K.grid.n, :], K.k12[K.grid.n, :], gauge, K.grid)
+    table = system.speeds.table_nodes.size
+    return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * (n + 1)
 
 
 def _write_csv(path, header, columns) -> None:

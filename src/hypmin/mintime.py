@@ -78,21 +78,22 @@ def _threshold(T1: float, T2: float, saved: float) -> float:
     return max(max(T1, T2), (T1 + T2) - saved)
 
 
-def _c_prefix(speeds: SpeedPair, c: CoefficientSpec, grid: Grid | None):
-    """xbar, the prefix Xc of c over (0, xbar), and the grid (by default
-    2048 cells) and tolerance (relative_tol) it is measured with."""
-    grid = Grid.uniform(2048) if grid is None else grid
+def _c_prefix(speeds: SpeedPair, c: CoefficientSpec, grid: Grid):
+    """xbar, the prefix Xc of c over (0, xbar), and the tolerance
+    (relative_tol on grid) it is measured with.  The interval is empty and
+    Xc is 0 where xbar is 0, as it is when |lambda1| / lambda2 underflows."""
     tol = relative_tol(c, grid)
     xbar = float(speeds.psi_inv(speeds.T2))
-    return xbar, vanishing_prefix(c, xbar, tol, grid), grid, tol
+    return xbar, (vanishing_prefix(c, xbar, tol, grid) if xbar > 0.0 else 0.0), tol
 
 
-def times_report(system: SystemSpec, grid: Grid | None = None) -> TimesReport:
-    """All characteristic times of the system plus its minimal control time."""
+def times_report(system: SystemSpec, grid: Grid) -> TimesReport:
+    """All characteristic times of the system plus its minimal control time,
+    with the vanishing prefix of c measured on grid."""
     speeds = system.speeds
     T1, T2 = speeds.T1, speeds.T2
-    xbar, Xc, grid, tol = _c_prefix(speeds, system.c, grid)
-    Xc_strict = vanishing_prefix(system.c, xbar, tol * 1e-2, grid)
+    xbar, Xc, tol = _c_prefix(speeds, system.c, grid)
+    Xc_strict = vanishing_prefix(system.c, xbar, tol * 1e-2, grid) if xbar > 0.0 else 0.0
     limited = (Xc - Xc_strict) > 2.0 * grid.h
     saved = 0.0 if system.q != 0.0 else float(speeds.psi_eval(Xc))
     Tmin = _threshold(T1, T2, saved)
@@ -114,14 +115,13 @@ def times_report(system: SystemSpec, grid: Grid | None = None) -> TimesReport:
                        constant_speed_note=note)
 
 
-def predicted_g_prefix(speeds: SpeedPair, c: CoefficientSpec,
-                       grid: Grid | None = None) -> float:
+def predicted_g_prefix(speeds: SpeedPair, c: CoefficientSpec, grid: Grid) -> float:
     """Predicted vanishing prefix of g from the prefix of c.
 
-    With Xc the prefix of c over (0, xbar), the prediction is
-    phi2^{-1}(phi1(Xc) + phi2(Xc)); it equals 1 when c vanishes on (0, xbar).
+    With Xc the prefix of c over (0, xbar), measured on grid, the prediction
+    is phi2^{-1}(phi1(Xc) + phi2(Xc)); it equals 1 when c vanishes on (0, xbar).
     """
-    _, Xc, _, _ = _c_prefix(speeds, c, grid)
+    _, Xc, _ = _c_prefix(speeds, c, grid)
     return float(speeds.phi_inv_ext(2, speeds.psi_eval(Xc)))
 
 

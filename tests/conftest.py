@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypmin import CoefficientSpec, KernelSet, SpeedPair, SystemSpec
+from hypmin import CoefficientSpec, FeedbackLaw, KernelSet, SpeedPair, SystemSpec
 
 
 def const(v):
@@ -57,7 +57,8 @@ def smooth_bump(xs, center=0.5, width=0.15):
 
 
 def random_kernel_set(grid, rng, scale=1.0):
-    """Smooth random kernels on the triangle (zero above the diagonal)."""
+    """Smooth random kernels on the triangle (zero above the diagonal), with
+    g and the gains zero (the Volterra transforms read only the kernels)."""
     n = grid.n
     xs = grid.nodes
     X, XI = np.meshgrid(xs, xs, indexing="ij")
@@ -69,8 +70,10 @@ def random_kernel_set(grid, rng, scale=1.0):
              + c[4] * np.sin(3 * X) + c[5] * np.cos(2 * XI))
         return scale * f * tri
 
+    zn = np.zeros(n + 1)
     return KernelSet(grid=grid, k11=smooth_field(), k12=smooth_field(),
-                     k21=smooth_field(), k22=smooth_field())
+                     k21=smooth_field(), k22=smooth_field(), g=zn,
+                     gains=FeedbackLaw(nodes=grid.nodes, f1=zn, f2=zn))
 
 
 def exact_transport(speeds, y10, y20, nodes, t):

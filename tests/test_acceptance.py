@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_min_time,
-                    diag_removal, nxn_canonical_min_time, predicted_g_prefix,
-                    simulate, solve_kernels, times_report, titchmarsh_check,
-                    trace_g, volterra_apply, volterra_invert)
+                    nxn_canonical_min_time, predicted_g_prefix, simulate,
+                    solve_kernels, times_report, titchmarsh_check, volterra_apply,
+                    volterra_invert)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.harness import (config_from_dict, counterexample, verify_settling,
                             verify_sharpness)
@@ -58,9 +58,7 @@ def test_c2_trace_prefix_identity(announce):
     offsets = {}
     for n in (400, 800):
         grid = Grid.uniform(n)
-        gauge = diag_removal(const(0.0), const(0.0), c, const(0.0), speeds, grid)
-        K = solve_kernels(gauge, speeds, grid)
-        g = trace_g(K, speeds)
+        g = solve_kernels(make_system(speeds, c=c), grid).g
         tol = 1e-8
         measured = prefix_of_samples(g, grid.h, 1.0, tol)
         predicted = predicted_g_prefix(speeds, c, grid)

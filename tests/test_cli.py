@@ -47,6 +47,22 @@ class TestMintime:
         assert run_cli(["mintime", str(bad)]) == 2
 
 
+    def test_underflowing_xbar_is_uniform_time(self, tmp_path, capsys):
+        # |lambda1| / lambda2 = 1e-400 underflows: psi^{-1}(T2) is 0, so c has
+        # no prefix to measure and Tmin = T1 + T2, where vanishing_prefix
+        # refused the empty interval (exit 2, "eps must lie in (0,1]")
+        raw = headline_raw(n=16)
+        raw["system"]["lambda1"]["value"] = -1e-100
+        raw["system"]["lambda2"]["value"] = 1e300
+        path = tmp_path / "xbar.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli(["mintime", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        tr = json.loads((tmp_path / "out" / "times.json").read_text())
+        assert tr["xbar"] == tr["Xc"] == 0.0
+        assert tr["Tmin"] == tr["T1"] + tr["T2"]
+
+
 class TestReflection:
     """q != 0: mintime answers T1 + T2, every kernel solve is refused, and
     open-loop simulation runs."""
@@ -567,6 +583,80 @@ class TestExportFloatLimits:
         assert capsys.readouterr().err == ""
         rows = (out / "g.csv").read_text().splitlines()[1:]
         assert len(rows) == self.N + 1 and all(r.endswith(",-1e-155") for r in rows)
+
+
+def _assert_one_line(code, err):
+    assert code in (0, 1, 2)
+    assert len(err.strip().splitlines()) <= 1
+    assert "Traceback" not in err
+
+
+class TestFlagFloatLimits:
+    """verify-sharpness --T and titchmarsh --tau near the float limits, under
+    the rules of TestExportFloatLimits."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=st.sampled_from(["headline", "varying"]), T=_MAGNITUDE)
+    def test_sharpness_time(self, tmp_path_factory, capsys, monkeypatch, config, T):
+        # 2 MB reported: a large T is refused before its trace matrix exists
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        work = tmp_path_factory.mktemp("sharp")
+        raw = (headline_raw() if config == "headline"
+               else json.loads((CONFIG_DIR / "varying_speeds.json").read_text()))
+        raw["grid_n"] = 16
+        path = work / "sharp.json"
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        code = run_cli(["verify-sharpness", str(path), "--T", repr(T),
+                        "--out", str(work / "out")])
+        _assert_one_line(code, capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tau=_MAGNITUDE, a=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           b=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           n=st.sampled_from([2, 3, 10, 1000]))
+    def test_titchmarsh_tau(self, capsys, monkeypatch, tau, a, b, n):
+        # prefixes as fractions of tau, so that both lie in [0, tau]
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        capsys.readouterr()
+        code = run_cli(["titchmarsh", "--prefix-a", repr(a * tau), "--prefix-b", repr(b * tau),
+                        "--tau", repr(tau), "--n", str(n)])
+        _assert_one_line(code, capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_sharpness_time_exit_2(self, tmp_path, capsys):
+        # T = 5e-324 made the quadrature step T/2 zero: a division by zero,
+        # then an IndexError traceback (exit 1)
+        path = tmp_path / "headline.json"
+        path.write_text(json.dumps(headline_raw(n=16)))
+        assert run_cli(["verify-sharpness", str(path), "--T", "5e-324",
+                        "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: sharpness horizon must be finite and positive, at least "
+            "2.22507385851e-308, got 5e-324\n")
+
+    @pytest.mark.parametrize("tau,n", [("1e-315", "100000"), ("5e-324", "2")])
+    def test_subnormal_titchmarsh_cell_exit_2(self, capsys, tau, n):
+        # a cell tau/n below the smallest normal float (1e-320, 0) read every
+        # convolution as vanishing: consistent False, exit 1
+        assert run_cli(["titchmarsh", "--prefix-a", "0", "--prefix-b", "0", "--tau", tau,
+                        "--n", n]) == 2
+        assert capsys.readouterr().err.endswith("the cell tau/n is below the smallest "
+                                                "normal float\n")
+
+    @pytest.mark.xfail(strict=True, reason="each measured prefix may fall up to one cell "
+                       "short of its samples' first nonzero node, and the consistency "
+                       "rule allows one cell for their sum")
+    def test_titchmarsh_coarse_cells_consistent(self, capsys):
+        # at n = 3 both indicators are zero on nodes 0 and 1 only: the discrete
+        # convolution vanishes on (0, tau), as it should within a cell of
+        # prefix sum 0.992, but the measured prefixes sum to 2/3
+        assert run_cli(["titchmarsh", "--prefix-a", "0.39675", "--prefix-b", "0.59523",
+                        "--tau", "1", "--n", "3"]) == 0
 
 
 class TestNumericFlags:

@@ -17,14 +17,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypmin import CoefficientSpec, Grid, diag_removal, kernels, simulate, solve_kernels
+from hypmin import CoefficientSpec, Grid, kernels, simulate, solve_kernels
 from hypmin.cli import run_cli
-from hypmin.harness import _gauge, load_config, make_control, make_initial_data
-from hypmin.kernels import (export_kernels_csv, export_profile_csv, feedback_gains,
-                            solve_gains, trace_g)
+from hypmin.harness import load_config, make_control, make_initial_data
+from hypmin.kernels import export_kernels_csv, export_profile_csv, solve_gains
 from hypmin.simulator import export_sim_csv
 
-from conftest import const, make_system, random_kernel_set
+from conftest import make_system, random_kernel_set
 
 SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
             123456789012345.0, 0.1, -1.0 / 3.0, 1e300, 0.0]
@@ -139,10 +138,8 @@ def assert_same_bytes(new, ref):
 
 def step_kernels(speeds, n, b):
     """Kernels for constant b and c a step at 0.2; at b = 0 only k21 is nonzero."""
-    grid = Grid.uniform(n)
-    gauge = diag_removal(const(0.0), const(b), CoefficientSpec.step(0.2, 0.0, 1.0),
-                         const(0.0), speeds, grid)
-    return solve_kernels(gauge, speeds, grid)
+    system = make_system(speeds, b=b, c=CoefficientSpec.step(0.2, 0.0, 1.0))
+    return solve_kernels(system, Grid.uniform(n))
 
 
 @pytest.mark.parametrize("rows", [0, 1, 9])
@@ -217,20 +214,17 @@ def test_cli_exports_bytes_uncoupled(csv_rows, tmp_path):
     cfg = load_config(path)
     out, ref = tmp_path / "out", tmp_path / "ref"
     assert run_cli(["kernels", path, "--out", str(out / "k")]) == 0
-    gauge = _gauge(cfg, cfg.grid)
-    K = solve_kernels(gauge, cfg.system.speeds, cfg.grid)
-    law = feedback_gains(K, gauge)
+    K = solve_kernels(cfg.system, cfg.grid)
+    law = K.gains
     os.makedirs(ref / "k")
     reference_kernels_csv(K, ref / "k" / "kernels.csv")
-    reference_profile_csv(ref / "k" / "g.csv", K.grid.nodes,
-                          {"g": trace_g(K, cfg.system.speeds)})
+    reference_profile_csv(ref / "k" / "g.csv", K.grid.nodes, {"g": K.g})
     reference_profile_csv(ref / "k" / "gains.csv", law.nodes, {"f1": law.f1, "f2": law.f2})
     assert sorted(os.listdir(out / "k")) == sorted(os.listdir(ref / "k"))
     for name in os.listdir(ref / "k"):
         assert_same_bytes(out / "k" / name, ref / "k" / name)
 
-    control = make_control(cfg.control, feedback=solve_gains(gauge, cfg.system.speeds,
-                                                             cfg.grid))
+    control = make_control(cfg.control, feedback=solve_gains(cfg.system, cfg.grid))
     full = simulate(cfg.system, control, make_initial_data(cfg.initial, cfg.grid, cfg.seed),
                     cfg.horizon, cfg.grid, cfg.cfl)
     for snapshots in (20, 0):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hypmin import Grid, harness, simulator, times_report
 from hypmin.errors import ConfigError, PreconditionError
-from hypmin.harness import (_gauge, canonical_sharpness_residual, config_from_dict,
+from hypmin.harness import (canonical_sharpness_residual, config_from_dict,
                             counterexample, load_config,
                             make_control, make_initial_data,
                             solve_counterexample_branch, verify_settling,
@@ -219,14 +219,11 @@ class TestVerifySettling:
     def test_closed_loop_trace_and_decay(self):
         # synthesized feedback gives a time-continuous control trace (step
         # increments O(dt), never O(1) jumps) and a decaying closed loop
-        from hypmin import diag_removal, feedback_gains, growth_rate, solve_kernels
+        from hypmin import growth_rate, solve_kernels
         from hypmin.harness import make_initial_data
         cfg = config_from_dict(headline_raw(n=200, horizon=1.4), "trace")
         grid = cfg.grid
-        gauge = diag_removal(cfg.system.a, cfg.system.b, cfg.system.c,
-                             cfg.system.d, cfg.system.speeds, grid)
-        K = solve_kernels(gauge, cfg.system.speeds, grid)
-        law = feedback_gains(K, gauge)
+        law = solve_kernels(cfg.system, grid).gains
         y0 = make_initial_data(cfg.initial, grid, cfg.seed)
         sim = simulate(cfg.system, law, y0, 1.4, grid, 0.9)
         du = np.abs(np.diff(sim.control_trace))
@@ -394,7 +391,7 @@ def constant_speed_cfg(lam1, lam2, ell, n):
 
 def sharpness_trace(cfg, n):
     grid = Grid.uniform(n)
-    return solve_trace(_gauge(cfg, grid), cfg.system.speeds, grid)
+    return solve_trace(cfg.system, grid)
 
 
 class TestSharpnessSolve:

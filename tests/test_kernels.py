@@ -7,26 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, feedback_gains,
-                    kernels, predicted_g_prefix, solve_gains, solve_kernels,
-                    solve_trace, trace_g)
+from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, kernels,
+                    predicted_g_prefix, solve_gains, solve_kernels, solve_trace)
 from hypmin.coeffs import prefix_of_samples
-from hypmin.errors import DomainError
+from hypmin.errors import DomainError, PreconditionError
 from hypmin.kernels import (_blocks, _build_plan, _step_interior, _trace_row_direct,
                             export_kernels_csv, export_profile_csv, solve_kernels_bytes)
 
-from conftest import const
+from conftest import const, make_system
 
 
 def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100):
+    """The gauge the solve builds (for the references) and the KernelSet."""
     grid = Grid.uniform(n)
-
-    def spec(v):
-        return v if isinstance(v, CoefficientSpec) else const(float(v))
-
-    gauge = diag_removal(spec(a), spec(b), spec(c), spec(d), speeds, grid)
-    K = solve_kernels(gauge, speeds, grid)
-    return gauge, K
+    system = make_system(speeds, a, b, c, d)
+    return kernels._gauge(system, grid), solve_kernels(system, grid)
 
 
 def sin_map(speeds, x):
@@ -127,6 +122,15 @@ class TestSolveKernels:
         for arr in (K.k11, K.k12, K.k21, K.k22):
             assert np.max(np.abs(arr)) == 0.0
 
+    @pytest.mark.parametrize("solve", [solve_kernels, solve_gains, solve_trace],
+                             ids=["full", "gains", "trace"])
+    def test_reflection_is_precondition_error(self, unit_speeds, solve):
+        # the kernels' edge condition at xi=0 is that of the zero reflection:
+        # each solve builds its own gauge and refuses a system with q != 0
+        with pytest.raises(PreconditionError, match=r"^the kernel solve assumes the zero "
+                                                    r"reflection q = 0, got q = 0\.5$"):
+            solve(make_system(unit_speeds, b=1.0, c=1.0, q=0.5), Grid.uniform(16))
+
     def test_diagonal_condition(self, unit_speeds):
         c0 = 0.8
         _, K = solve(unit_speeds, b=1.0, c=c0)
@@ -174,10 +178,8 @@ class TestSolveKernels:
         monkeypatch.setattr(kernels, "_march_pair", counted)
         grid = Grid.uniform(16)
         b = CoefficientSpec.step(0.5, 0.0, 1.0) if b == "step" else const(b)
-        gauge = diag_removal(const(0.0), b, const(1.0), const(0.0), varying_speeds, grid)
-        {"full": lambda: solve_kernels(gauge, varying_speeds, grid),
-         "gains": lambda: solve_gains(gauge, varying_speeds, grid),
-         "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
+        system = make_system(varying_speeds, b=b, c=1.0)
+        {"full": solve_kernels, "gains": solve_gains, "trace": solve_trace}[entry](system, grid)
         assert calls == marched
 
     @pytest.mark.parametrize("n", [5, 100])
@@ -189,8 +191,7 @@ class TestSolveKernels:
         monkeypatch.setattr(kernels, "_march_pair",
                             lambda pair, *args: calls.append(pair) or march(pair, *args))
         grid = Grid.uniform(n)
-        gauge = diag_removal(const(0.0), const(0.0), const(1.0), const(0.0), unit_speeds, grid)
-        law = solve_gains(gauge, unit_speeds, grid)
+        law = solve_gains(make_system(unit_speeds, c=1.0), grid)
         assert calls == []
         assert np.signbit(law.f2).all()
 
@@ -231,33 +232,27 @@ class TestSolveKernels:
         # raise as before, though their exact values would be zero
         speeds = SpeedPair.build(const(-2.0), const(1.0))
         grid = Grid.uniform(16)
-        gauge = diag_removal(const(0.0), const(0.0), CoefficientSpec.step(0.6, 0.0, 1e308),
-                             const(0.0), speeds, grid)
-        assert not kernels._uncoupled(speeds, gauge)
+        system = make_system(speeds, c=CoefficientSpec.step(0.6, 0.0, 1e308))
+        assert not kernels._uncoupled(speeds, kernels._gauge(system, grid))
         solve = solve_gains if entry == "gains" else solve_trace
         with pytest.raises(DomainError, match=f"^kernel {which} overflows"):
-            solve(gauge, speeds, grid)
+            solve(system, grid)
         assert len(recwarn) == 0
 
     @pytest.mark.parametrize("entry", ["full", "gains", "trace"])
     def test_zero_coupling_grid_too_coarse(self, varying_speeds, entry):
         grid = Grid.uniform(3)
-        gauge = diag_removal(const(0.0), const(0.0), const(1.0), const(0.0),
-                             varying_speeds, grid)
+        solve = {"full": solve_kernels, "gains": solve_gains, "trace": solve_trace}[entry]
         with pytest.raises(DomainError, match="need n >= 4"):
-            {"full": lambda: solve_kernels(gauge, varying_speeds, grid),
-             "gains": lambda: solve_gains(gauge, varying_speeds, grid),
-             "trace": lambda: solve_trace(gauge, varying_speeds, grid)}[entry]()
+            solve(make_system(varying_speeds, c=1.0), grid)
 
     def test_overflow_is_one_line_domain_error(self, unit_speeds, recwarn):
         # b = c = 1e160 pass the gauge but overflow the march: the row check
         # names the kernel, with no RuntimeWarning on the way
         grid = Grid.uniform(16)
-        gauge = diag_removal(const(0.0), const(1e160), const(1e160), const(0.0),
-                             unit_speeds, grid)
         with pytest.raises(DomainError, match=r"^kernel k1[12] overflows: the couplings b "
                                               r"and c are too large for the kernel solve$"):
-            solve_gains(gauge, unit_speeds, grid)
+            solve_gains(make_system(unit_speeds, b=1e160, c=1e160), grid)
         assert len(recwarn) == 0
 
     def test_one_pass_matches_picard_varying(self, varying_speeds):
@@ -324,8 +319,8 @@ class TestSolveKernels:
     def test_matches_whole_triangle_reference(self, n, budget, varying, s1, s2, b, c,
                                               lam1, lam2, a, d):
         # the row-block march gives bitwise the whole-triangle march's
-        # kernels, and the two one-pair solves bitwise the gains and g read
-        # from them, whether each block holds one row, a few rows with a
+        # kernels, g and gains, and the two one-pair solves bitwise the
+        # full solve's g and gains, whether each block holds one row, a few rows with a
         # ragged last block, or the whole triangle; the examples with b = 0
         # (c zero, constant, a step at 0.3) take the uncoupled path, the last
         # one at lambda = -1, 1 where some of k12's feet round past row i-1;
@@ -337,19 +332,23 @@ class TestSolveKernels:
                                  CoefficientSpec.polynomial([lam2, slope * s2]))
         grid = Grid.uniform(n)
         c = CoefficientSpec.step(0.3, 0.0, 1.0) if c == "step" else const(c)
+        system = make_system(speeds, a, b, c, d)
         gauge = diag_removal(const(a), const(b), c, const(d), speeds, grid)
         want = reference_kernels(gauge, speeds, grid)
         want_g = -want["k21"][:, 0] * float(speeds.speed(1, 0.0))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_PLAN_POINTS", points)
-            K = solve_kernels(gauge, speeds, grid)
-            law = solve_gains(gauge, speeds, grid)
-            g = solve_trace(gauge, speeds, grid)
+            K = solve_kernels(system, grid)
+            law = solve_gains(system, grid)
+            g = solve_trace(system, grid)
         for name in NAMES:
             assert getattr(K, name).tobytes() == want[name].tobytes(), name
-        assert law.f1.tobytes() == (want["k11"][n] * gauge.e1 / gauge.e1[-1]).tobytes()
-        assert law.f2.tobytes() == (want["k12"][n] * gauge.e2 / gauge.e1[-1]).tobytes()
-        assert g.tobytes() == want_g.tobytes()
+        assert K.gains.f1.tobytes() == (want["k11"][n] * gauge.e1 / gauge.e1[-1]).tobytes()
+        assert K.gains.f2.tobytes() == (want["k12"][n] * gauge.e2 / gauge.e1[-1]).tobytes()
+        assert K.g.tobytes() == want_g.tobytes()
+        assert law.f1.tobytes() == K.gains.f1.tobytes()
+        assert law.f2.tobytes() == K.gains.f2.tobytes()
+        assert g.tobytes() == K.g.tobytes()
 
     def test_grid_too_coarse(self, unit_speeds):
         with pytest.raises(DomainError):
@@ -379,19 +378,19 @@ class TestSolveKernels:
 class TestTraceG:
     def test_zero_coupling_gives_zero_trace(self, unit_speeds):
         _, K = solve(unit_speeds, b=1.0, c=0.0)
-        g = trace_g(K, unit_speeds)
+        g = K.g
         assert np.max(np.abs(g)) <= 1e-12
 
     def test_origin_value(self, unit_speeds):
         c0 = 1.4
         _, K = solve(unit_speeds, b=0.0, c=c0)
-        g = trace_g(K, unit_speeds)
+        g = K.g
         assert g[0] == pytest.approx(c0 / 2.0, abs=1e-10)
 
     def test_step_prefix_matches_prediction(self, unit_speeds):
         c = CoefficientSpec.step(0.25, 0.0, 1.0)
         _, K = solve(unit_speeds, b=0.5, c=c, n=200)
-        g = trace_g(K, unit_speeds)
+        g = K.g
         tol = 1e-8
         measured = prefix_of_samples(g, K.grid.h, 1.0, tol)
         predicted = predicted_g_prefix(unit_speeds, c, K.grid)
@@ -402,9 +401,7 @@ class TestTraceG:
         c2 = CoefficientSpec.step(0.2, 0.0, 1.4)
         _, Ka = solve(unit_speeds, b=0.0, c=c, n=80)
         _, Kb = solve(unit_speeds, b=0.0, c=c2, n=80)
-        ga = trace_g(Ka, unit_speeds)
-        gb = trace_g(Kb, unit_speeds)
-        assert np.allclose(gb, 2.0 * ga, atol=1e-9)
+        assert np.allclose(Kb.g, 2.0 * Ka.g, atol=1e-9)
 
 
 def reference_bilinear_triangle(P, x, xi, h, n):
@@ -577,9 +574,8 @@ def solve_peak(solve):
         tracemalloc.stop()
 
 
-def step_gauge(speeds, grid):
-    return diag_removal(const(0.0), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
-                        const(0.0), speeds, grid)
+def step_system(speeds):
+    return make_system(speeds, b=0.8, c=CoefficientSpec.step(0.2, 0.0, 1.0))
 
 
 class TestMemory:
@@ -590,8 +586,8 @@ class TestMemory:
         # the trace ran in row blocks)
         n = 400
         grid = Grid.uniform(n)
-        gauge = step_gauge(varying_speeds, grid)
-        peak = solve_peak(lambda: solve_kernels(gauge, varying_speeds, grid))
+        system = step_system(varying_speeds)
+        peak = solve_peak(lambda: solve_kernels(system, grid))
         assert peak <= 10 * (n + 1) ** 2 * 8
 
     @pytest.mark.parametrize("entry", ["gains", "trace"])
@@ -601,17 +597,17 @@ class TestMemory:
         # while a pair's plans covered the whole triangle)
         n = 400
         grid = Grid.uniform(n)
-        gauge = step_gauge(varying_speeds, grid)
+        system = step_system(varying_speeds)
         solve = solve_gains if entry == "gains" else solve_trace
-        assert solve_peak(lambda: solve(gauge, varying_speeds, grid)) <= 8 * (n + 1) ** 2 * 8
+        assert solve_peak(lambda: solve(system, grid)) <= 8 * (n + 1) ** 2 * 8
 
     def test_gains_peak_at_n1600(self, varying_speeds):
         # no kernel array at all: one row block of plans and O(n) rows,
         # about 0.15 arrays of (n+1)^2 floats (7.1 with whole-triangle plans)
         n = 1600
         grid = Grid.uniform(n)
-        gauge = step_gauge(varying_speeds, grid)
-        assert solve_peak(lambda: solve_gains(gauge, varying_speeds, grid)) \
+        system = step_system(varying_speeds)
+        assert solve_peak(lambda: solve_gains(system, grid)) \
             <= (n + 1) ** 2 * 8
 
     def test_trace_peak_at_n1600(self, varying_speeds):
@@ -619,8 +615,8 @@ class TestMemory:
         # of plans: about 1.1 arrays (7.1 with whole-triangle plans)
         n = 1600
         grid = Grid.uniform(n)
-        gauge = step_gauge(varying_speeds, grid)
-        assert solve_peak(lambda: solve_trace(gauge, varying_speeds, grid)) \
+        system = step_system(varying_speeds)
+        assert solve_peak(lambda: solve_trace(system, grid)) \
             <= 2.5 * (n + 1) ** 2 * 8
 
     @pytest.mark.parametrize("entry", ["gains", "trace"])
@@ -630,11 +626,10 @@ class TestMemory:
         # (0.15 and 1.1 arrays of (n+1)^2 floats when marching)
         n = 1600
         grid = Grid.uniform(n)
-        gauge = diag_removal(const(0.0), const(0.0), CoefficientSpec.step(0.2, 0.0, 1.0),
-                             const(0.0), varying_speeds, grid)
+        system = make_system(varying_speeds, c=CoefficientSpec.step(0.2, 0.0, 1.0))
         solve = solve_gains if entry == "gains" else solve_trace
         table = varying_speeds.table_nodes.size * 8
-        assert solve_peak(lambda: solve(gauge, varying_speeds, grid)) \
+        assert solve_peak(lambda: solve(system, grid)) \
             <= 48 * (n + 1) * 8 + 8 * table
 
     @pytest.mark.parametrize("n", [4, 16, 64, 150, 400])
@@ -643,32 +638,31 @@ class TestMemory:
         # block is a fifth of the triangle
         for speeds, b in itertools.product((unit_speeds, varying_speeds), (0.0, 1.0)):
             grid = Grid.uniform(n)
-            gauge = diag_removal(const(0.5), const(b), CoefficientSpec.step(0.25, 0.0, 1.0),
-                                 const(-0.3), speeds, grid)
+            system = make_system(speeds, 0.5, b, CoefficientSpec.step(0.25, 0.0, 1.0), -0.3)
             for solve, kept in ((solve_kernels, 4), (solve_trace, 1), (solve_gains, 0)):
-                peak = solve_peak(lambda: solve(gauge, speeds, grid))
-                assert peak <= solve_kernels_bytes(n, speeds.table_nodes.size - 1, kept)
+                peak = solve_peak(lambda: solve(system, grid))
+                assert peak <= solve_kernels_bytes(system, n, kept)
 
 
 class TestFeedbackGains:
     def test_zero_kernels_zero_gains(self, unit_speeds):
-        gauge, K = solve(unit_speeds, b=0.0, c=0.0)
-        law = feedback_gains(K, gauge)
+        _, K = solve(unit_speeds, b=0.0, c=0.0)
+        law = K.gains
         assert np.max(np.abs(law.f1)) == 0.0
         assert np.max(np.abs(law.f2)) == 0.0
         # the feedback of the unit state, integrated from the gains directly
         assert np.trapezoid(law.f1 + law.f2, law.nodes) == 0.0
 
     def test_trivial_gauge_passthrough(self, unit_speeds):
-        gauge, K = solve(unit_speeds, b=1.0, c=1.0)
-        law = feedback_gains(K, gauge)
+        _, K = solve(unit_speeds, b=1.0, c=1.0)
+        law = K.gains
         n = K.grid.n
         assert np.allclose(law.f1, K.k11[n, :])
         assert np.allclose(law.f2, K.k12[n, :])
 
     def test_gauge_weights_enter(self, unit_speeds):
         gauge, K = solve(unit_speeds, a=1.0, b=1.0, c=1.0, d=0.5)
-        law = feedback_gains(K, gauge)
+        law = K.gains
         n = K.grid.n
         want = K.k11[n, :] * gauge.e1 / gauge.e1[-1]
         assert np.allclose(law.f1, want)
@@ -712,7 +706,8 @@ class TestSinMap:
 
 class TestPredictedPrefix:
     def test_zero_coupling_gives_one(self, varying_speeds):
-        assert predicted_g_prefix(varying_speeds, const(0.0)) == pytest.approx(1.0, abs=1e-9)
+        assert predicted_g_prefix(varying_speeds, const(0.0), Grid.uniform(2048)) \
+            == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetric_step(self, unit_speeds):
         c = CoefficientSpec.step(0.25, 0.0, 1.0)
@@ -720,18 +715,19 @@ class TestPredictedPrefix:
         assert val == pytest.approx(0.5, abs=2.5e-3)
 
     def test_nonzero_at_origin_gives_zero(self, unit_speeds):
-        assert predicted_g_prefix(unit_speeds, const(1.0)) == pytest.approx(0.0, abs=1e-9)
+        assert predicted_g_prefix(unit_speeds, const(1.0), Grid.uniform(2048)) \
+            == pytest.approx(0.0, abs=1e-9)
 
 
 class TestExports:
     def test_csv_files(self, unit_speeds, tmp_path):
-        gauge, K = solve(unit_speeds, b=1.0, c=1.0, n=10)
+        _, K = solve(unit_speeds, b=1.0, c=1.0, n=10)
         kpath = tmp_path / "kernels.csv"
         export_kernels_csv(K, kpath)
         lines = kpath.read_text().strip().splitlines()
         assert lines[0] == "x,xi,k11,k12,k21,k22"
         assert len(lines) == 1 + (11 * 12) // 2
-        g = trace_g(K, unit_speeds)
+        g = K.g
         gpath = tmp_path / "g.csv"
         export_profile_csv(gpath, K.grid.nodes, {"g": g})
         assert gpath.read_text().startswith("x,g")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_min_time,
                     diag_removal, nxn_canonical_min_time, simulate, solve_kernels,
-                    times_report, titchmarsh_check, trace_g)
+                    times_report, titchmarsh_check)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import GridMismatchError, InvalidSpeedsError
 from hypmin.mintime import _leading_convolution
@@ -29,19 +29,19 @@ class TestTimesReport:
 
     def test_zero_coupling_gives_topt(self, varying_speeds):
         system = make_system(varying_speeds, c=0.0)
-        tr = times_report(system)
+        tr = times_report(system, grid=Grid.uniform(2048))
         assert tr.Xc == pytest.approx(tr.xbar, abs=1e-12)
         assert tr.Tmin == pytest.approx(tr.Topt, abs=1e-9)
 
     def test_full_coupling_gives_tunif(self, varying_speeds):
         system = make_system(varying_speeds, c=1.0)
-        tr = times_report(system)
+        tr = times_report(system, grid=Grid.uniform(2048))
         assert tr.Xc == 0.0
         assert tr.Tmin == pytest.approx(tr.Tunif, abs=1e-12)
 
     def test_pivot_solves_its_equation(self, varying_speeds):
         system = make_system(varying_speeds, c=0.3)
-        tr = times_report(system)
+        tr = times_report(system, grid=Grid.uniform(2048))
         psi = varying_speeds.psi_eval(tr.xbar)
         assert abs(psi - varying_speeds.T2) <= 1e-10
         assert 0.0 < tr.xbar < 1.0
@@ -49,7 +49,7 @@ class TestTimesReport:
     @pytest.mark.parametrize("ell", [0.0, 0.15, 0.3, 0.6])
     def test_ordering_invariant(self, varying_speeds, ell):
         system = make_system(varying_speeds, c=CoefficientSpec.step(ell, 0.0, 2.0))
-        tr = times_report(system)
+        tr = times_report(system, grid=Grid.uniform(2048))
         assert tr.Topt <= tr.Tmin + 1e-12
         assert tr.Tmin <= tr.Tunif + 1e-12
 
@@ -58,7 +58,7 @@ class TestTimesReport:
         for ell in (0.0, 0.1, 0.2, 0.3, 0.4):
             system = make_system(varying_speeds,
                                  c=CoefficientSpec.step(ell, 0.0, 1.0))
-            vals.append(times_report(system).Tmin)
+            vals.append(times_report(system, grid=Grid.uniform(2048)).Tmin)
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_gauge_invariance(self, unit_speeds):
@@ -78,9 +78,21 @@ class TestTimesReport:
 
     def test_constant_speed_note(self, unit_speeds, varying_speeds):
         sys_const = make_system(unit_speeds, c=CoefficientSpec.step(0.25, 0.0, 1.0))
-        assert "c = 0 on (0, 1 - T/Tunif)" in times_report(sys_const).constant_speed_note
+        note = times_report(sys_const, grid=Grid.uniform(2048)).constant_speed_note
+        assert "c = 0 on (0, 1 - T/Tunif)" in note
         sys_var = make_system(varying_speeds, c=0.5)
-        assert times_report(sys_var).constant_speed_note is None
+        assert times_report(sys_var, grid=Grid.uniform(2048)).constant_speed_note is None
+
+    def test_underflowing_xbar(self):
+        # |lambda1| / lambda2 underflows and psi^{-1}(T2) rounds to 0: the
+        # interval (0, xbar) is empty, Xc is 0 and nothing is saved
+        speeds = SpeedPair.build(const(-1e-100), const(1e300))
+        system = make_system(speeds, a=0.5, b=1.0, c=CoefficientSpec.step(0.25, 0.0, 1.0),
+                             d=-0.3)
+        tr = times_report(system, grid=Grid.uniform(16))
+        assert tr.xbar == tr.Xc == 0.0
+        assert tr.Tmin == tr.Tunif == tr.T1 + tr.T2
+        assert not tr.tolerance_limited
 
     def test_tolerance_limited_flag(self, unit_speeds):
         smooth_tail = make_system(unit_speeds, c=CoefficientSpec.expbump())
@@ -449,9 +461,7 @@ class TestTitchmarsh:
 def _chain_pair(speeds, c, grid, a=0.2, b=0.6, d=-0.1):
     """Tmin from the times report and from the solved canonical trace."""
     system = make_system(speeds, a=a, b=b, c=c, d=d)
-    gauge = diag_removal(system.a, system.b, system.c, system.d, speeds, grid)
-    K = solve_kernels(gauge, speeds, grid)
-    g = trace_g(K, speeds)
+    g = solve_kernels(system, grid).g
     tol = 1e-8
     return times_report(system, grid=grid).Tmin, canonical_min_time(speeds, g, tol)
 

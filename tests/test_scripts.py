@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ def test_run_headline(tmp_path):
     sides = [line.split()[-1] for line in proc.stdout.splitlines()
              if line.endswith(("floor", "drop", "margin"))]
     assert sides == ["floor", "drop"]
+    assert {"kernels.csv", "g.csv", "gains.csv"} <= set(os.listdir(tmp_path / "out"))
 
 
 def _one_line_error(proc, code=2):
@@ -51,6 +53,24 @@ def test_run_headline_missing_config_is_one_line_error(tmp_path):
                 "--out", str(tmp_path / "out"), cwd=tmp_path)
     _one_line_error(proc)
     assert proc.stdout == ""
+
+
+def test_run_headline_checks_kernel_memory(tmp_path, capsys, monkeypatch):
+    # the kernel step is the kernels command: with 2 MB reported it is
+    # refused before the solve (the script used to solve and write the
+    # kernels, and was refused only at verify-settling)
+    spec = importlib.util.spec_from_file_location("run_headline",
+                                                  os.path.join(SCRIPTS, "run_headline.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    from hypmin import harness
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_headline.py", "--out", str(out)])
+    assert script.main() == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: kernels at n=400: the four kernels")
+    assert not (out / "kernels.csv").exists()
 
 
 def test_run_counterexample(tmp_path):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import hypmin
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_solution,
-                    diag_removal, feedback_gains, growth_rate, l2_norm,
-                    simulate, solve_kernels, trace_g, volterra_apply)
+                    diag_removal, growth_rate, l2_norm, simulate,
+                    solve_kernels, volterra_apply)
 from hypmin.errors import CFLError, DivergenceError, DomainError, UndefinedRateError
 from hypmin.kernels import FeedbackLaw
 from hypmin.simulator import BoundaryReflection, SimResult, _simulate_bytes, export_sim_csv
@@ -102,10 +102,7 @@ class TestSimulate:
         grid = Grid.uniform(60)
         system = make_system(unit_speeds, a=0.5, b=1.0,
                              c=CoefficientSpec.step(0.25, 0.0, 1.0), d=-0.3)
-        gauge = diag_removal(system.a, system.b, system.c, system.d,
-                             unit_speeds, grid)
-        K = solve_kernels(gauge, unit_speeds, grid)
-        law = feedback_gains(K, gauge)
+        law = solve_kernels(system, grid).gains
         sim = simulate(system, law, (np.zeros(61), np.zeros(61)), 1.0, grid)
         assert sim.l2_trace[-1] == 0.0
         assert np.all(sim.control_trace == 0.0)
@@ -252,9 +249,7 @@ class TestSimulateMatchesReference:
         if kind == "feedback":
             system = make_system(varying_speeds, a=0.3, b=0.8,
                                  c=CoefficientSpec.step(0.3, 0.0, 1.0), d=-0.2)
-            gauge = diag_removal(system.a, system.b, system.c, system.d,
-                                 varying_speeds, grid)
-            control = feedback_gains(solve_kernels(gauge, varying_speeds, grid), gauge)
+            control = solve_kernels(system, grid).gains
         elif kind == "reflection":
             system = make_system(unit_speeds, b=math.pi, c=math.pi)
             control = BoundaryReflection(1.2)
@@ -565,9 +560,9 @@ class TestConsistencyChain:
         errs = []
         for n in (150, 300):
             grid = Grid.uniform(n)
-            gauge = diag_removal(a, b, c, d, speeds, grid)
-            K = solve_kernels(gauge, speeds, grid)
-            g = trace_g(K, speeds)
+            gauge = diag_removal(a, b, c, d, speeds, grid)    # the Volterra map's weights
+            K = solve_kernels(system, grid)
+            g = K.g
             y10 = smooth_bump(grid.nodes, 0.5, 0.2)
             y20 = smooth_bump(grid.nodes, 0.4, 0.15)
             sim = simulate(system, None, (y10, y20), T, grid, cfl=0.9)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hypmin import (CoefficientSpec, Grid, KernelSet, diag_removal, vanishing_prefix,
-                    volterra_apply, volterra_invert)
+from hypmin import (CoefficientSpec, FeedbackLaw, Grid, KernelSet, diag_removal,
+                    vanishing_prefix, volterra_apply, volterra_invert)
 from hypmin.errors import DomainError, GridMismatchError
 
 from conftest import const, random_kernel_set
@@ -10,7 +10,9 @@ from conftest import const, random_kernel_set
 
 def zero_kernel_set(grid):
     z = np.zeros((grid.n + 1, grid.n + 1))
-    return KernelSet(grid=grid, k11=z, k12=z.copy(), k21=z.copy(), k22=z.copy())
+    zn = np.zeros(grid.n + 1)
+    return KernelSet(grid=grid, k11=z, k12=z.copy(), k21=z.copy(), k22=z.copy(), g=zn,
+                     gains=FeedbackLaw(nodes=grid.nodes, f1=zn, f2=zn))
 
 
 class TestDiagRemoval:
