@@ -20,8 +20,8 @@ from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
 from .harness import (counterexample, load_config, make_control,
                       make_initial_data, verify_settling, verify_sharpness,
                       _check_memory, _check_run_memory, _write_json)
-from .kernels import (export_kernels_csv, export_profile_csv, solve_gains, solve_kernels,
-                      solve_kernels_bytes)
+from .kernels import (export_profile_csv, solve_gains, write_kernels_csv,
+                      write_kernels_csv_bytes)
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
 
@@ -47,18 +47,39 @@ def _cmd_mintime(args) -> int:
     return 0
 
 
+def _new_dirs(path) -> list:
+    """The directories os.makedirs(path) creates, innermost first."""
+    new = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        new.append(path)
+        path = os.path.dirname(path)
+    return new
+
+
 def _cmd_kernels(args) -> int:
     cfg = load_config(args.config)
-    n = cfg.grid.n    # the four kernels, then export_kernels_csv's <= 11 triangle arrays
-    _check_memory(solve_kernels_bytes(cfg.system, n, 4) + 44.0 * (n + 1) * (n + 2),
-                  f"kernels at n={n}: the four kernels and their export", PreconditionError)
-    K = solve_kernels(cfg.system, cfg.grid)
+    n = cfg.grid.n    # k22 where b != 0, the plans and one CSV block: the rows stream out
+    _check_memory(write_kernels_csv_bytes(cfg.system, cfg.grid),
+                  f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
     outdir = _outdir(args, cfg)
+    made = _new_dirs(outdir)
     os.makedirs(outdir, exist_ok=True)
-    export_kernels_csv(K, os.path.join(outdir, "kernels.csv"))
-    export_profile_csv(os.path.join(outdir, "g.csv"), K.grid.nodes, {"g": K.g})
-    export_profile_csv(os.path.join(outdir, "gains.csv"), K.gains.nodes,
-                       {"f1": K.gains.f1, "f2": K.gains.f2})
+    path = os.path.join(outdir, "kernels.csv")
+    # written under another name, so that a failed solve leaves no kernels.csv
+    part = path + ".part"
+    try:
+        g, gains = write_kernels_csv(cfg.system, cfg.grid, part)
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        for d in made:
+            os.rmdir(d)
+        raise
+    export_profile_csv(os.path.join(outdir, "g.csv"), cfg.grid.nodes, {"g": g})
+    export_profile_csv(os.path.join(outdir, "gains.csv"), gains.nodes,
+                       {"f1": gains.f1, "f2": gains.f2})
     print(f"wrote kernels.csv, g.csv, gains.csv to {outdir}")
     return 0
 

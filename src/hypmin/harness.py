@@ -27,7 +27,8 @@ import numpy as np
 
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
-from .errors import ConfigError, DomainError, PreconditionError, RootBracketError
+from .errors import (ConfigError, DivergenceError, DomainError, PreconditionError,
+                     RootBracketError)
 from .kernels import FeedbackLaw, solve_gains, solve_kernels_bytes, solve_trace
 from .mintime import times_report
 from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
@@ -690,8 +691,8 @@ def solve_counterexample_branch(k: float):
         return 0.0, math.pi
     if k < _K_CRITICAL:
         thetas = np.linspace(1e-6, 1.0 - 1e-9, 4097)
-        vals = _theta_equation_lower(thetas) - k
-        sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
+        signs = np.sign(_theta_equation_lower(thetas) - k)   # a product could overflow
+        sign_change = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
         if sign_change.size == 0:
             raise RootBracketError(
                 f"branch k<1+1/pi: no root of sqrt(1-t^2)+t*cot(pi t)={k:.12g} "
@@ -731,16 +732,20 @@ def counterexample(k: float, n: int = 800) -> CounterexampleResult:
                   f"counterexample at n={n}", PreconditionError)
     grid = Grid.uniform(n)
     xs = grid.nodes
-    if abs(k - _K_CRITICAL) <= 1e-12:
-        y20 = np.pi * xs
-        dy20 = np.full_like(xs, np.pi)
-    elif k < _K_CRITICAL:
-        y20 = np.sin(theta * np.pi * xs)
-        dy20 = theta * np.pi * np.cos(theta * np.pi * xs)
-    else:
-        y20 = 2.0 * np.sinh(theta * np.pi * xs)
-        dy20 = 2.0 * theta * np.pi * np.cosh(theta * np.pi * xs)
-    y10 = (sigma * y20 + dy20) / np.pi
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        if abs(k - _K_CRITICAL) <= 1e-12:
+            y20 = np.pi * xs
+            dy20 = np.full_like(xs, np.pi)
+        elif k < _K_CRITICAL:
+            y20 = np.sin(theta * np.pi * xs)
+            dy20 = theta * np.pi * np.cos(theta * np.pi * xs)
+        else:
+            y20 = 2.0 * np.sinh(theta * np.pi * xs)
+            dy20 = 2.0 * theta * np.pi * np.cosh(theta * np.pi * xs)
+        y10 = (sigma * y20 + dy20) / np.pi
+    if not (np.isfinite(y10).all() and np.isfinite(y20).all()):
+        raise DivergenceError(f"the eigenmode of k={k:.12g} overflows: its profile "
+                              f"sinh(theta*pi*x) has theta*pi = {theta * np.pi:.6g}", 0)
 
     speeds = SpeedPair.build(CoefficientSpec.constant(-1.0),
                              CoefficientSpec.constant(1.0),

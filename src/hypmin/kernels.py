@@ -33,11 +33,14 @@ extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 
 Each solve takes a system with q = 0 and a grid, and builds the gauge
 itself.  The two systems are decoupled, each solved by its own row march that
-builds its plans one block of rows at a time and keeps only the rows read:
+builds its plans one block of rows at a time and yields the rows in order of
+x, which is also the order of kernels.csv; each caller keeps what it reads:
 solve_kernels all four kernels (and g and the gains), solve_gains the last
-rows of (k11, k12) for the feedback, solve_trace k22 for the quadrature of g.
-Memory: 4, 0 and 1 arrays of (n+1)^2 floats, plus one row block of plans
-(about 3 MB).
+rows of (k11, k12) for the feedback, solve_trace k22 for the quadrature of g,
+and write_kernels_csv, which streams the rows of the four kernels to
+kernels.csv, only k22.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats
+(none for write_kernels_csv where b = 0), plus one row block of plans per
+pair marched (about 3 MB) and, for write_kernels_csv, one CSV block.
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
@@ -47,13 +50,15 @@ trace path integral, which leaves g its diagonal term.  The entry points
 then take these values without marching or path quadrature, bitwise the
 march's, signed zeros included: solve_gains and solve_trace hold no kernel
 array and no plans, only O(n) floats and temporaries of the speed table,
-and solve_kernels marches the trace pair only, for the k21 it exports.
+and solve_kernels and write_kernels_csv march the trace pair only, for the
+k21 and k22 they export.
 The march still runs where c is large enough to overflow it, so that it
 raises (_uncoupled).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -67,7 +72,7 @@ from .transforms import DiagGauge, diag_removal
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import SystemSpec
 
-_CSV_ROWS = 8192         # rows per formatting block of _write_csv
+_CSV_ROWS = 8192         # rows per block of _write_csv, and the least per kernels.csv block
 _PLAN_POINTS = 1 << 14   # triangle points per row block of the march plans and trace paths
 
 __all__ = [
@@ -77,6 +82,8 @@ __all__ = [
     "solve_gains",
     "solve_trace",
     "solve_kernels_bytes",
+    "write_kernels_csv",
+    "write_kernels_csv_bytes",
     "export_kernels_csv",
     "export_profile_csv",
 ]
@@ -267,9 +274,10 @@ def _check_grid(grid: Grid) -> None:
         raise DomainError("kernel grid too coarse (need n >= 4)")
 
 
-def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep) -> dict:
-    """Row march of one pair in p-form, each kernel named in keep returned as
-    its (n+1)^2 array and the other as its last row (x = 1).
+def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
+    """Row march of one pair in p-form: yields (i, diagonal-entered row,
+    edge-entered row) for i = 0..n in turn, each row a new array of n+1
+    floats, zero above the diagonal.
 
     Plans are built one _Block at a time.  In each row both interior steps
     come first; then the diagonal-entered kernel's boundary points read the
@@ -277,25 +285,27 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep
     xi=0, complete with its entry (i, 0): each row in dependency order, so
     the one pass is the exact fixed point of the discrete scheme.  A
     non-finite row raises DomainError naming its kernel; callers _check_grid.
+    The floating-point error state is set around each step, never across a
+    yield, so that it stays the caller's while the march is suspended.
     """
     n = grid.n
     wd, we = _PAIRS[pair]
-    with np.errstate(over="ignore", invalid="ignore"):            # the row check reports it
+    ignore = {"over": "ignore", "invalid": "ignore"}     # the row check reports it
+    with np.errstate(**ignore):
         data = _diag_data(speeds, gauge, int(wd[2]), grid.nodes)  # the diagonal of wd
-    Fd, Fe = (np.zeros((n + 1, n + 1)) if w in keep else None for w in (wd, we))
-    rd = np.zeros(n + 1) if Fd is None else Fd[0]
-    re = np.zeros(n + 1) if Fe is None else Fe[0]
+    rd, re = np.zeros(n + 1), np.zeros(n + 1)
     rd[0] = data[0]
     diag = np.zeros(n + 1)      # the diagonal of we, read by wd's boundary points
     edge = np.zeros(n + 1)      # the edge xi=0 of wd, read by we's boundary points
     edge[0] = rd[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for blk in _blocks(speeds, grid):
+    yield 0, rd, re
+    for blk in _blocks(speeds, grid):
+        with np.errstate(**ignore):
             pd, pe = (_build_plan(w, speeds, gauge, grid, blk) for w in (wd, we))
-            for i in blk.rows:
-                prev_d, prev_e = rd, re
-                rd = np.zeros(n + 1) if Fd is None else Fd[i]
-                re = np.zeros(n + 1) if Fe is None else Fe[i]
+        for i in blk.rows:
+            prev_d, prev_e = rd, re
+            rd, re = np.zeros(n + 1), np.zeros(n + 1)
+            with np.errstate(**ignore):
                 _step_interior(pd, rd, prev_d, prev_e, i)
                 _step_interior(pe, re, prev_e, prev_d, i)
                 diag[i] = re[i]
@@ -303,9 +313,10 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep
                 rd[i] = data[i]
                 edge[i] = rd[0]
                 _step_boundary(pe, re, edge, i)
-                for w, r in ((wd, rd), (we, re)):
-                    _check_finite(f"kernel {w}", r)
-    return {wd: rd if Fd is None else Fd, we: re if Fe is None else Fe}
+            _check_finite(f"kernel {wd}", rd)
+            _check_finite(f"kernel {we}", re)
+            yield i, rd, re
+        del pd, pe                  # before the next block's plans are built
 
 
 def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
@@ -324,28 +335,38 @@ def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
     return bool(bound < 1e300)
 
 
-def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, keep) -> dict:
-    """_march_pair of (k11, k12).  An _uncoupled march is exactly zero and
-    is skipped: k11 is +0.0 and k12 its zero diagonal data (-0.0, as
+def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
+    """The rows of _march_pair("gains").  An _uncoupled march is exactly zero
+    and is skipped: k11 is +0.0 and k12 its zero diagonal data (-0.0, as
     lambda1 < 0 < lambda2) on and below the diagonal, +0.0 above it, as the
     march leaves them: its weights lie in [0, 1] (_interp_setup), so it
     never turns the sign of a zero."""
     _check_grid(grid)
     if not _uncoupled(speeds, gauge):
-        return _march_pair("gains", speeds, gauge, grid, keep)
+        return _march_pair("gains", speeds, gauge, grid)
     n = grid.n
     data = _diag_data(speeds, gauge, 2, grid.nodes)
-    if not keep:
-        return {"k12": np.full(n + 1, data[n]), "k11": np.zeros(n + 1)}
-    P12 = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        P12[i, :i + 1] = data[i]
-    return {"k12": P12, "k11": np.zeros((n + 1, n + 1))}
+
+    def rows():
+        for i in range(n + 1):
+            rd = np.zeros(n + 1)
+            rd[:i + 1] = data[i]
+            yield i, rd, np.zeros(n + 1)
+
+    return rows()
 
 
-def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                      P22: np.ndarray | None) -> np.ndarray:
-    """p21 on the edge xi=0 by direct quadrature along each trace characteristic.
+def _path_blocks(n: int) -> list:
+    """The node ranges of the blocks of trace paths: at most _PLAN_POINTS
+    points each, at least one path."""
+    paths = max(1, _PLAN_POINTS // (n + 1))
+    return [range(b0, min(b0 + paths, n + 1)) for b0 in range(0, n + 1, paths)]
+
+
+def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
+    """p21 on the edge xi=0 by direct quadrature along each trace characteristic:
+    its diagonal term p0 at every node, and paths(P22, rows), p0 plus the
+    path integrals at the nodes of one of the _path_blocks ranges.
 
     The characteristic ending at (x, 0) starts on the diagonal at
     sigma = psi^{-1}(phi2(x)), where p21 is its diagonal datum, and
@@ -353,30 +374,21 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     Integrating each trace path separately keeps the zero set of the trace
     exact: wherever the gauged coupling vanishes along the whole path the
     integral is identically zero, with no interpolation smearing across the
-    data discontinuity.  The n+1 paths of n+1 points each are evaluated in
-    blocks of at most _PLAN_POINTS points (at least one path), gathering
-    bilinearly from P22, which must be zero above its diagonal.  P22 None is
-    the zero k22 of an _uncoupled system: every path integral is zero, and
-    the row the diagonal term (+ 0.0, the sum's sign where c vanishes).
+    data discontinuity.  Each path of n+1 points gathers bilinearly from
+    P22; the path ending at x_i reads rows up to i+1 only, and each row's
+    first entry right of the diagonal, which must hold its diagonal value,
+    so that cells straddling the diagonal do not mix in the zeros above it.
+    A datum past the float range is left to the kernel check.
     """
-    n = grid.n
-    h = grid.h
-    nodes = grid.nodes
+    n, h, nodes = grid.n, grid.h, grid.nodes
     p2n = np.asarray(speeds.phi_eval(2, nodes))
     sig = np.asarray(speeds.psi_inv(p2n))
-    p0 = _diag_data(speeds, gauge, 1, sig)
-    if P22 is None:
-        return p0 + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0 = _diag_data(speeds, gauge, 1, sig)
     taus = np.linspace(0.0, 1.0, n + 1)
-    paths = max(1, _PLAN_POINTS // (n + 1))
-    integral = np.empty(n + 1)
-    # pad the first superdiagonal with the diagonal values, in place and
-    # zeroed again below, so that cells straddling the diagonal do not mix
-    # in the unused zero entries
-    idx = np.arange(n)
-    P22[idx, idx + 1] = P22[idx, idx]
-    for b0 in range(0, n + 1, paths):
-        blk = slice(b0, b0 + paths)
+
+    def paths(P22: np.ndarray, rows: range) -> np.ndarray:
+        blk = slice(rows.start, rows.stop)
         X = sig[blk, None] + taus[None, :] * (nodes[blk] - sig[blk])[:, None]
         XI = np.clip(speeds.phi_inv_ext(1, p2n[blk, None] - speeds.phi_eval(2, X)),
                      0.0, 1.0)
@@ -390,17 +402,38 @@ def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
                 + P22[ix, jx + 1] * (1 - wx) * wj + P22[ix + 1, jx + 1] * wx * wj)
         with np.errstate(over="ignore"):   # a speed product past 1e308: S is +-0
             S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
-        integral[blk] = np.trapezoid(S, axis=1)  # unit spacing; times the step below
+        # unit spacing, times the step
+        return p0[blk] + np.trapezoid(S, axis=1) * ((nodes[blk] - sig[blk]) / n)
+
+    return p0, paths
+
+
+def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
+                      P22: np.ndarray | None) -> np.ndarray:
+    """p21 on the edge xi=0 at every node (_trace_paths), from P22, which must
+    be zero above its diagonal: its first superdiagonal is padded in place
+    and zeroed again.  P22 None is the zero k22 of an _uncoupled system:
+    every path integral is zero, and the row the diagonal term (+ 0.0, the
+    sum's sign where c vanishes)."""
+    p0, paths = _trace_paths(speeds, gauge, grid)
+    if P22 is None:
+        return p0 + 0.0
+    idx = np.arange(grid.n)
+    P22[idx, idx + 1] = P22[idx, idx]
+    row = np.concatenate([paths(P22, rows) for rows in _path_blocks(grid.n)])
     P22[idx, idx + 1] = 0.0
-    integral *= (nodes - sig) / n
-    return p0 + integral
+    return row
+
+
+def _overflow(name: str) -> DomainError:
+    return DomainError(f"{name} overflows: the couplings b and c are too large "
+                       "for the kernel solve")
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
     """Raise DomainError naming the kernel or gain whose values overflowed."""
     if not np.isfinite(values).all():
-        raise DomainError(f"{name} overflows: the couplings b and c are too large "
-                          "for the kernel solve")
+        raise _overflow(name)
 
 
 def _unweight(name: str, p: np.ndarray, lam) -> np.ndarray:
@@ -446,8 +479,14 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
     which raises DomainError naming it.  Memory: the four kernels plus one
     row block of plans (solve_kernels_bytes with kept 4)."""
     gauge, speeds = _gauge(system, grid), system.speeds
-    K = {**_gains_pair(speeds, gauge, grid, ("k11", "k12")),
-         **_march_pair("trace", speeds, gauge, grid, ("k21", "k22"))}
+    n = grid.n
+    K = {}
+    for pair, rows in (("gains", _gains_pair(speeds, gauge, grid)),
+                       ("trace", _march_pair("trace", speeds, gauge, grid))):
+        wd, we = _PAIRS[pair]
+        K[wd], K[we] = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+        for i, rd, re in rows:      # the rows are zero above the diagonal
+            K[wd][i, :i + 1], K[we][i, :i + 1] = rd[:i + 1], re[:i + 1]
     # The xi=0 trace of k21 defines g; integrate it directly along each trace
     # characteristic so its vanishing set is not blurred by the re-sampling.
     P22 = None if _uncoupled(speeds, gauge) else K["k22"]
@@ -460,12 +499,13 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
 
 
 def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
-    """The gains of solve_kernels, bitwise, from a march of (k11, k12) that
-    keeps no kernel array, or none where bt vanishes (zero gains)."""
+    """The gains of solve_kernels, bitwise, from the last rows of a march of
+    (k11, k12) that keeps no kernel array, or none where bt vanishes (zero
+    gains)."""
     gauge = _gauge(system, grid)
-    P = _gains_pair(system.speeds, gauge, grid, ())
+    _, p12, p11 = deque(_gains_pair(system.speeds, gauge, grid), maxlen=1)[0]
     lam1, lam2 = _node_speeds(system.speeds, grid)
-    return _gains(_unweight("k11", P["k11"], lam1), _unweight("k12", P["k12"], lam2), gauge)
+    return _gains(_unweight("k11", p11, lam1), _unweight("k12", p12, lam2), gauge)
 
 
 def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
@@ -475,8 +515,11 @@ def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
     term, as in solve_kernels."""
     gauge, speeds = _gauge(system, grid), system.speeds
     _check_grid(grid)
-    P22 = (None if _uncoupled(speeds, gauge)
-           else _march_pair("trace", speeds, gauge, grid, ("k22",))["k22"])
+    P22 = None
+    if not _uncoupled(speeds, gauge):
+        P22 = np.zeros((grid.n + 1, grid.n + 1))
+        for i, _, re in _march_pair("trace", speeds, gauge, grid):
+            P22[i, :i + 1] = re[:i + 1]
     row = _trace_row_direct(speeds, gauge, grid, P22)
     lam1, _ = _node_speeds(speeds, grid)
     return _g(_unweight("k21", row, lam1[0]), speeds)
@@ -497,28 +540,120 @@ def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
     return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * (n + 1)
 
 
-def _write_csv(path, header, columns) -> None:
-    """Write equal-length columns under a header row, the one CSV format.
+def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
+    """Write export_kernels_csv(solve_kernels(system, grid), path), byte for
+    byte, and return that KernelSet's g and gains, holding no kernel array
+    where the system is _uncoupled and only k22 where it is not
+    (_kernel_blocks).  On a DomainError the file is incomplete; callers
+    remove it.  Memory: write_kernels_csv_bytes."""
+    gauge = _gauge(system, grid)
+    k21_edge, k11_last, k12_last = _write_kernels(path, grid,
+                                                  _kernel_blocks(system.speeds, gauge, grid))
+    return _g(k21_edge, system.speeds), _gains(k11_last, k12_last, gauge)
+
+
+def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
+    """The blocks of kernels.csv of solve_kernels, bitwise, from rows as the
+    two pairs' marches yield them: (ii, jj, (k11, k12, k21, k22)) at the
+    _triangle_points of each of the _row_blocks in turn.  Returns k21 on the
+    edge xi=0 and row n of k11 and k12, which g and the gains read.
+
+    The pairs are marched together.  A block is divided by the speeds and
+    checked as solve_kernels does once the trace entry k21(x_i, 0) of each
+    of its rows is known: at once where the system is _uncoupled (the
+    diagonal term), else after the block of trace paths through x_i, which
+    read k22 up to row i+1, so k22 is kept.  Once a check fails no block is
+    yielded, but the marches run on, so that the DomainError raised is the
+    one solve_kernels raises: that of the gains march, else of the trace
+    march, else of k11, k12, k21 and k22 in turn.
+    """
+    n = grid.n
+    names = ("k11", "k12", "k21", "k22")
+    gains_rows = _gains_pair(speeds, gauge, grid)
+    trace_rows = _march_pair("trace", speeds, gauge, grid)
+    lam1, lam2 = _node_speeds(speeds, grid)
+    p0, paths = _trace_paths(speeds, gauge, grid)
+    coupled = not _uncoupled(speeds, gauge)
+    P22 = np.zeros((n + 1, n + 1)) if coupled else None
+    path_blocks = deque(_path_blocks(n) if coupled else ())
+    csv_blocks = deque(_row_blocks(n))
+    edge = np.empty(n + 1) if coupled else p0 + 0.0     # p21(x_i, 0) for i < ready
+    ready = 0 if coupled else n + 1
+    pending = deque()       # rows (p11, p12, p21, p22) on j <= i of the blocks to come
+    bad = set()             # the kernels with an entry that is not finite
+    trace_error = None
+    for i in range(n + 1):
+        _, p12, p11 = next(gains_rows)
+        if trace_error is not None:
+            continue
+        try:
+            _, p21, p22 = next(trace_rows)
+        except DomainError as exc:
+            trace_error = exc
+            continue
+        tri = slice(0, i + 1)
+        pending.append((p11[tri], p12[tri], p21[tri], p22[tri]))
+        if coupled:
+            P22[i, tri] = p22[tri]
+            if i < n:
+                P22[i, i + 1] = p22[i]
+            while path_blocks and min(path_blocks[0].stop, n) <= i:
+                rows = path_blocks.popleft()
+                edge[rows.start:rows.stop] = paths(P22, rows)
+                ready = rows.stop
+        while csv_blocks and csv_blocks[0].stop <= min(ready, i + 1):
+            rows = csv_blocks.popleft()
+            ii, jj = _triangle_points(rows)
+            p = [np.concatenate(c) for c in zip(*(pending.popleft() for _ in rows))]
+            p[2][jj == 0] = edge[rows.start:rows.stop]
+            with np.errstate(over="ignore"):
+                k = (p[0] / lam1[jj], p[1] / lam2[jj], p[2] / lam1[jj], p[3] / lam2[jj])
+            del p
+            bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
+            if not bad:
+                yield ii, jj, k
+    if trace_error is not None:
+        raise trace_error
+    for w in names:
+        if w in bad:
+            raise _overflow(f"kernel {w}")
+    with np.errstate(over="ignore"):
+        return edge / lam1[0], p11 / lam1, p12 / lam2
+
+
+def write_kernels_csv_bytes(system: "SystemSpec", grid: Grid) -> int:
+    """Upper bound on the bytes write_kernels_csv holds at once: the plans of
+    the pairs it marches, k22 where the system is not _uncoupled, as in
+    solve_kernels_bytes, and one CSV block of at most _CSV_ROWS + n points
+    at 512 bytes a point (its p-form rows, kernels and text: about 420
+    under tracemalloc where all four kernel columns vary).  Raises as the
+    solve does where q != 0 or the gauge overflows."""
+    n = grid.n
+    need = solve_kernels_bytes(system, n, 0) + 512 * (_CSV_ROWS + n)
+    if _uncoupled(system.speeds, _gauge(system, grid)):
+        return need
+    return need + solve_kernels_bytes(system, n, 1)
+
+
+def _text(values) -> np.ndarray:
+    """Each value formatted once as "%.12g", an object array of strings."""
+    return np.array(["%.12g" % v for v in np.asarray(values).tolist()], dtype=object)
+
+
+def _csv_block(columns) -> str:
+    """The CSV rows of equal-length columns, formatted by one row template.
 
     Numbers are written as "%.12g", string columns verbatim (nothing is
-    quoted), and every row ends in CRLF.  Rows are formatted by one template
-    in blocks of _CSV_ROWS, so a large file's text is never held at once.
-
-    Each distinct value is formatted once where that is known without a
-    search.  A numeric column whose entries all have the same bits (so -0.0
-    and 0.0 differ) is written into the template as literal text.  A column
-    may be a pair (values, index) standing for values[index]: values are
-    formatted once, and each block gathers their strings by index.
+    quoted), and every row ends in CRLF.  A column may be a pair (text,
+    index) standing for text[index], with text from _text.  A numeric
+    column whose entries all have the same bits (so -0.0 and 0.0 differ) is
+    written into the template as literal text, formatted once.
     """
     fields, parts = [], []
     for c in columns:
-        text = None
-        if isinstance(c, tuple):
-            values, c = c
-            text = np.array(["%.12g" % v for v in np.asarray(values).tolist()], dtype=object)
-        c = np.asarray(c)
+        c = c[0][c[1]] if isinstance(c, tuple) else np.asarray(c)
         rows = len(c)
-        if text is not None or c.dtype.kind in "US":
+        if c.dtype.kind in "USO":
             fields.append("%s")
         else:
             c = c.astype(np.float64, copy=False)
@@ -527,28 +662,66 @@ def _write_csv(path, header, columns) -> None:
                 fields.append(("%.12g" % c[0]).replace("%", "%%"))
                 continue
             fields.append("%.12g")
-        parts.append((text, c))
-    row = ",".join(fields) + "\r\n"
+        parts.append(c)
+    cells = [None] * (rows * len(parts))
+    for j, c in enumerate(parts):
+        cells[j::len(parts)] = c.tolist()
+    return ((",".join(fields) + "\r\n") * rows) % tuple(cells)
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length columns under a header row, the one CSV format
+    (_csv_block), in blocks of _CSV_ROWS rows, so that a large file's text
+    is never held at once."""
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, rows, _CSV_ROWS):
-            m = min(rows - lo, _CSV_ROWS)
-            cells = [None] * (m * len(parts))
-            for j, (text, c) in enumerate(parts):
-                block = c[lo:lo + _CSV_ROWS]
-                cells[j::len(parts)] = (block if text is None else text[block]).tolist()
-            fh.write((row * m) % tuple(cells))
+            fh.write(_csv_block([c[lo:lo + _CSV_ROWS] for c in columns]))
+
+
+def _row_blocks(n: int) -> list:
+    """The blocks of kernels.csv: ranges of whole triangle rows of at least
+    _CSV_ROWS points each, the last of fewer."""
+    blocks, r0, points = [], 0, 0
+    for i in range(n + 1):
+        points += i + 1
+        if points >= _CSV_ROWS or i == n:
+            blocks.append(range(r0, i + 1))
+            r0, points = i + 1, 0
+    return blocks
+
+
+def _triangle_points(rows: range):
+    """The points (i, j), j <= i, of the triangle rows i in rows, row by row."""
+    r0 = rows.start
+    ii = np.repeat(np.arange(r0, rows.stop), np.arange(r0 + 1, rows.stop + 1))
+    return ii, np.arange(ii.size) - (ii * (ii + 1) - r0 * (r0 + 1)) // 2
+
+
+def _write_kernels(path, grid: Grid, blocks):
+    """Write kernels.csv, rows (x, xi, k11, k12, k21, k22) over the triangle,
+    from blocks (ii, jj, kernels) of points (_triangle_points) and the four
+    kernels' values there, and return the value that blocks returns."""
+    text = _text(grid.nodes)
+    with open(path, "w", newline="") as fh:
+        fh.write("x,xi,k11,k12,k21,k22\r\n")
+        while True:
+            try:
+                ii, jj, kernels = next(blocks)
+            except StopIteration as stop:
+                return stop.value
+            fh.write(_csv_block([(text, ii), (text, jj), *kernels]))
 
 
 def export_kernels_csv(K: KernelSet, path) -> None:
     """Write the triangle samples as rows (x, xi, k11, k12, k21, k22)."""
-    i, j = np.tril_indices(K.grid.n + 1)
-    nodes = K.grid.nodes
-    _write_csv(path, ["x", "xi", "k11", "k12", "k21", "k22"],
-               [(nodes, i), (nodes, j), K.k11[i, j], K.k12[i, j], K.k21[i, j], K.k22[i, j]])
+    points = map(_triangle_points, _row_blocks(K.grid.n))
+    _write_kernels(path, K.grid, ((ii, jj, [k[ii, jj] for k in (K.k11, K.k12, K.k21, K.k22)])
+                                  for ii, jj in points))
 
 
 def export_profile_csv(path, nodes: np.ndarray, columns: dict) -> None:
     """Write one or more sampled profiles as (x, value...) CSV columns."""
-    # as arrays, so that no profile reads as a (values, index) pair
-    _write_csv(path, ["x", *columns], [nodes, *map(np.asarray, columns.values())])
+    _write_csv(path, ["x", *columns], [nodes, *columns.values()])

@@ -213,7 +213,9 @@ def titchmarsh_check(alpha: np.ndarray, beta: np.ndarray, tau_bar: float,
     The convolution of alpha and beta vanishes on (0, tau_bar) exactly when
     their vanishing prefixes sum to at least tau_bar; the report records the
     trapezoid convolution maximum, both measured prefixes, and whether the
-    numerical verdict matches that equivalence up to one grid cell.  tol is
+    numerical verdict matches that equivalence up to two grid cells: each
+    measured prefix ends at the last sample at or below tol, up to one cell
+    before the first nonzero sample that the convolution sees.  tol is
     relative, so the check reads the same at every scale of tau_bar and of
     the samples: a prefix ends at the first sample above tol times its
     factor's largest magnitude, and the verdict is "vanishes" when the
@@ -239,7 +241,7 @@ def titchmarsh_check(alpha: np.ndarray, beta: np.ndarray, tau_bar: float,
     psum = pa + pb
     vanishes = conv_max <= tol * tau_bar * amp_a * amp_b
     verdict = "vanishes" if vanishes else "nonvanishing"
-    consistent = (vanishes == (psum >= tau_bar)) or abs(psum - tau_bar) <= dtau
+    consistent = (vanishes == (psum >= tau_bar)) or abs(psum - tau_bar) <= 2.0 * dtau
     return TitchmarshReport(convolution_max=conv_max, prefix_a=pa, prefix_b=pb,
                             prefix_sum=psum, verdict=verdict,
                             consistent=bool(consistent), cell=dtau)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hypmin
-from hypmin import Grid, harness
+from hypmin import Grid, harness, kernels
 from hypmin.cli import run_cli
 
 from conftest import headline_raw
@@ -211,9 +211,10 @@ class TestMemoryCap:
         *(pytest.param(command, values, [], words, id=f"{command}-{name}")
           for command in ("mintime", "kernels", "simulate", "verify-settling")
           for name, values, words in _LOADING_CAPS),
-        # the four kernels and the export's triangle arrays at grid_n
-        pytest.param("kernels", {"grid_n": 4000}, [], "kernels at n=4000: the four kernels "
-                     "and their export needs about 1.24 GB", id="kernels-grid_n-memory"),
+        # k22 (1.15 GB), two plan blocks and one CSV block at grid_n
+        pytest.param("kernels", {"grid_n": 12000}, [], "kernels at n=12000: the kernel "
+                     "marches and the CSV export needs about 1.27 GB",
+                     id="kernels-grid_n-memory"),
         # the step traces at grid_n, and at the finest level 2*grid_n
         pytest.param("simulate", {"horizon": 1e300}, [], "simulate at n=64: the gains solve, "
                      "20 snapshots and the time steps to horizon 1e+300 needs about "
@@ -574,6 +575,29 @@ class TestExportFloatLimits:
                        "for the kernel solve\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values", [
+        {"lambda1": -1e-20, "lambda2": 1e-150, "b": -1e20, "c": -1e-20},
+        {"a": -709.0, "b": 1e300},
+    ], ids=["speed-near-zero", "gauge-near-underflow"])
+    def test_overflow_while_streaming_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                     values):
+        # kernels.csv is written in blocks of 7 points as the rows are
+        # solved, so f2 fails after the whole file was written: no
+        # kernels.csv is left, nor the directories the command made, and a
+        # directory that was there keeps its files
+        monkeypatch.setattr(kernels, "_CSV_ROWS", 7)
+        path = self.write_config(tmp_path, **values)
+        out = tmp_path / "out"
+        assert run_cli(["kernels", path, "--out", str(out / "k")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        (out / "k").mkdir(parents=True)
+        (out / "k" / "kernels.csv").write_text("earlier")
+        assert run_cli(["kernels", path, "--out", str(out / "k")]) == 2
+        assert os.listdir(out / "k") == ["kernels.csv"]
+        assert (out / "k" / "kernels.csv").read_text() == "earlier"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_speed_product_past_the_float_range_exit_0(self, tmp_path, capsys):
         # lambda2^2 = 1e310 overflows in the trace quadrature's denominator:
         # its integrand is +-0, so g is its finite diagonal term at every node
@@ -648,15 +672,57 @@ class TestFlagFloatLimits:
         assert capsys.readouterr().err.endswith("the cell tau/n is below the smallest "
                                                 "normal float\n")
 
-    @pytest.mark.xfail(strict=True, reason="each measured prefix may fall up to one cell "
-                       "short of its samples' first nonzero node, and the consistency "
-                       "rule allows one cell for their sum")
     def test_titchmarsh_coarse_cells_consistent(self, capsys):
         # at n = 3 both indicators are zero on nodes 0 and 1 only: the discrete
         # convolution vanishes on (0, tau), as it should within a cell of
-        # prefix sum 0.992, but the measured prefixes sum to 2/3
+        # prefix sum 0.992, and the measured prefixes, each up to one cell
+        # short, sum to 2/3, within the two cells the rule allows
         assert run_cli(["titchmarsh", "--prefix-a", "0.39675", "--prefix-b", "0.59523",
                         "--tau", "1", "--n", "3"]) == 0
+
+
+class TestSettlingCounterexampleFloatLimits:
+    """verify-settling on TestExportFloatLimits' configs, and counterexample
+    --k and --n, under the rules of TestExportFloatLimits."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lambda1=_MAGNITUDE, lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED, horizon=_MAGNITUDE)
+    def test_verify_settling(self, tmp_path_factory, capsys, monkeypatch, lambda1, lambda2,
+                             b, c, horizon):
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        work = tmp_path_factory.mktemp("settle")
+        path = TestExportFloatLimits().write_config(work, horizon, lambda1=-lambda1,
+                                                    lambda2=lambda2, b=b, c=c)
+        capsys.readouterr()
+        code = run_cli(["verify-settling", path, "--out", str(work / "out")])
+        _assert_one_line(code, capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(k=_SIGNED | st.floats(-5.0, 5.0), n=st.integers(0, 64) | st.integers(0, 10**18))
+    def test_counterexample(self, capsys, monkeypatch, k, n):
+        # 2 MB reported: a large n is refused before its speed table exists
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        capsys.readouterr()
+        code = run_cli(["counterexample", f"--k={k!r}", "--n", str(n)])
+        _assert_one_line(code, capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k, words", [
+        # the root scan multiplied two values of about 1e181: an overflow
+        # warning on the way to the same line
+        ("-5.8e180", "computation failed: branch k<1+1/pi: no root of "),
+        # theta*pi = 1164 overflowed sinh and cosh of the eigenmode: five
+        # warnings, then "non-finite state or L2 norm at step 1"
+        ("741.27", "computation failed: the eigenmode of k=741.27 overflows: "),
+    ], ids=["k-huge-negative", "k-eigenmode-overflow"])
+    def test_counterexample_k_one_line_exit_1(self, capsys, k, words):
+        assert run_cli(["counterexample", f"--k={k}", "--n", "48"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(words) and err.count("\n") == 1
 
 
 class TestNumericFlags:

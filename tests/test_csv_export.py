@@ -2,28 +2,34 @@
 
 The reference writers below are the original per-row implementations of
 export_kernels_csv, export_profile_csv and export_sim_csv (which picked the
-snapshots from a full history, as simulate now does); the blocked writer
-must reproduce their files byte for byte, including CRLF line ends and the
-text of -0.0, nan, +-inf, subnormals and large integers under "%.12g",
-whether a column is formatted per cell, written once as a constant, or
-gathered from (values, index).
+snapshots from a full history, as simulate now does); the blocked writer,
+and write_kernels_csv's rows streamed from the kernel marches, must
+reproduce their files byte for byte, including CRLF line ends and the text
+of -0.0, nan, +-inf, subnormals and large integers under "%.12g", whether a
+column is formatted per cell, written once as a constant, or gathered from
+(text, index).
 """
 
 import csv
+import json
 import os
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hypmin import CoefficientSpec, Grid, kernels, simulate, solve_kernels
+from hypmin import CoefficientSpec, Grid, SpeedPair, kernels, simulate, solve_kernels
 from hypmin.cli import run_cli
+from hypmin.errors import DomainError, InvalidSpeedsError
 from hypmin.harness import load_config, make_control, make_initial_data
-from hypmin.kernels import export_kernels_csv, export_profile_csv, solve_gains
+from hypmin.kernels import (export_kernels_csv, export_profile_csv, solve_gains,
+                            write_kernels_csv, write_kernels_csv_bytes)
 from hypmin.simulator import export_sim_csv
 
-from conftest import make_system, random_kernel_set
+from conftest import const, make_system, random_kernel_set
 
 SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
             123456789012345.0, 0.1, -1.0 / 3.0, 1e300, 0.0]
@@ -170,7 +176,9 @@ def test_indexed_column_bytes(csv_rows, tmp_path):
     values = np.array(SPECIALS)
     index = np.array([3, 3, 0, 9, 1, 1, 1, 5, 2, 8, 0, 7, 4, 6, 6, 9, 2, 3])
     y = np.random.default_rng(7).normal(size=index.size)
-    kernels._write_csv(tmp_path / "new.csv", ["x", "y"], [(values, index), y])
+    # the (text, index) columns of kernels.csv's x and xi, formatted once
+    with open(tmp_path / "new.csv", "w", newline="") as fh:
+        fh.write("x,y\r\n" + kernels._csv_block([(kernels._text(values), index), y]))
     reference_profile_csv(tmp_path / "ref.csv", values[index], {"y": y})
     assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
 
@@ -206,6 +214,112 @@ class TestExportMemory:
         # one block of cells and text about 2-4 more at this n; measured 7.8
         # (b = 0) and 9.9 (b = 0.8), and 13.6 when x and xi were gathered too
         assert peak <= 11 * triangle
+
+    @pytest.mark.parametrize("b", [0.0, 0.8], ids=["b0", "b0.8"])
+    def test_kernels_command_peak_at_n800(self, tmp_path, b):
+        # the command streams its rows: with b = 0 it holds no (n+1)^2
+        # array, about 5.7 MB at the peak, and with b != 0 k22 only, about
+        # 14.0 MB (37.4 and 38.7 MB while it held the four kernels and
+        # gathered their triangle); its estimate bounds both
+        n = 800
+        raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
+        raw["grid_n"] = n
+        raw["system"]["b"] = {"family": "constant", "value": b}
+        path = tmp_path / "varying.json"
+        path.write_text(json.dumps(raw))
+        argv = ["kernels", str(path), "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 0           # imports and caches filled before tracing
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        cfg = load_config(path)
+        plan_block = 8 * 32 * kernels._PLAN_POINTS      # as solve_kernels_bytes charges it
+        csv_block = 512 * (kernels._CSV_ROWS + n)
+        if b == 0.0:
+            assert peak <= 8e6
+        else:
+            assert peak <= 8 * (n + 1) ** 2 + 2 * plan_block + csv_block
+        assert peak <= write_kernels_csv_bytes(cfg.system, cfg.grid)
+
+
+def assert_same_solve(K, g, gains):
+    assert g.tobytes() == K.g.tobytes()
+    for name in ("nodes", "f1", "f2"):
+        assert getattr(gains, name).tobytes() == getattr(K.gains, name).tobytes(), name
+
+
+@pytest.mark.parametrize("plan_points", [1, 60, kernels._PLAN_POINTS],
+                         ids=["paths-1", "points-60", "points-default"])
+@pytest.mark.parametrize("b", [0.0, 0.8, "step"])
+@pytest.mark.parametrize("n", [4, 5, 16, 40])
+def test_streamed_kernels_bytes(csv_rows, varying_speeds, monkeypatch, tmp_path, n, b,
+                                plan_points):
+    # the rows streamed from the marches are the file of solve_kernels'
+    # arrays, and g and the gains its own, whether each block of trace paths
+    # holds one path (the writer one row behind the trace march), a few, or
+    # all; b = 0 is uncoupled (k21's trace entry known at once), a b that
+    # vanishes on (0, 0.5) only is not
+    monkeypatch.setattr(kernels, "_PLAN_POINTS", plan_points)
+    b = CoefficientSpec.step(0.5, 0.0, 0.8) if b == "step" else b
+    system = make_system(varying_speeds, a=0.3, b=b, c=CoefficientSpec.step(0.2, 0.0, 1.0),
+                         d=-0.4)
+    grid = Grid.uniform(n)
+    K = solve_kernels(system, grid)
+    g, gains = write_kernels_csv(system, grid, tmp_path / "new.csv")
+    reference_kernels_csv(K, tmp_path / "ref.csv")
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+    assert_same_solve(K, g, gains)
+
+
+# log-uniform magnitudes over nearly the whole float range
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@example(lambda1=1e-20, lambda2=1e-150, b=-1e20, c=-1e-20, hi=1.0, a=0.0)
+@example(lambda1=1.0, lambda2=1.0, b=1e300, c=1.0, hi=1.0, a=-709.0)
+@example(lambda1=1e142, lambda2=1e229, b=1e-183, c=-1e-261, hi=1e278, a=-680.0)
+@example(lambda1=1e34, lambda2=1e19, b=1e-83, c=-1e239, hi=-1e-133, a=153.0)
+@example(lambda1=1e79, lambda2=1e96, b=1e184, c=-1e91, hi=-1e-23, a=-491.0)
+@given(lambda1=_MAGNITUDE, lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED, hi=_SIGNED,
+       a=st.floats(-700.0, 700.0))
+def test_streamed_kernels_raise_as_solve_kernels(tmp_path_factory, lambda1, lambda2, b, c,
+                                                 hi, a):
+    # near the float limits the stream raises the DomainError that
+    # solve_kernels raises first, though its rows meet the failing checks
+    # in another order (row by row, not kernel by kernel), or writes the
+    # same file.  The examples overflow k12 and f2 only past the march; the
+    # trace march before the gains march; a k21 row before the gains march;
+    # and a k21 row before the trace march (which the parent reports)
+    try:
+        speeds = SpeedPair.build(const(-lambda1), const(lambda2))
+    except InvalidSpeedsError:
+        return
+    system = make_system(speeds, a=a, b=b, c=CoefficientSpec.step(0.3, c, hi))
+    grid = Grid.uniform(16)
+    path = tmp_path_factory.mktemp("stream") / "new.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_PLAN_POINTS", 40)
+        mp.setattr(kernels, "_CSV_ROWS", 7)
+        try:
+            K, want = solve_kernels(system, grid), None
+        except DomainError as exc:
+            want = str(exc)
+        try:
+            got, gains = None, write_kernels_csv(system, grid, path)
+        except DomainError as exc:
+            got = str(exc)
+    assert got == want
+    if want is None:
+        export_kernels_csv(K, path.with_name("ref.csv"))
+        assert_same_bytes(path, path.with_name("ref.csv"))
+        assert_same_solve(K, *gains)
 
 
 def test_cli_exports_bytes_uncoupled(csv_rows, tmp_path):

@@ -208,10 +208,11 @@ class TestSolveKernels:
         speeds = SpeedPair.build(l1, l2)
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(b), const(1.0), const(0.0), speeds, grid)
-        P = kernels._march_pair("gains", speeds, gauge, grid, ("k11", "k12"))
+        index, k12, k11 = zip(*kernels._march_pair("gains", speeds, gauge, grid))
         lower = np.tril(np.ones((n + 1, n + 1), dtype=bool))
-        assert P["k11"].tobytes() == np.zeros((n + 1, n + 1)).tobytes()
-        assert P["k12"].tobytes() == np.where(lower, -0.0, 0.0).tobytes()
+        assert index == tuple(range(n + 1))
+        assert np.array(k11).tobytes() == np.zeros((n + 1, n + 1)).tobytes()
+        assert np.array(k12).tobytes() == np.where(lower, -0.0, 0.0).tobytes()
 
     @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
     def test_plan_weights_in_unit_interval(self, unit_speeds, which):
@@ -402,6 +403,45 @@ class TestTraceG:
         _, Ka = solve(unit_speeds, b=0.0, c=c, n=80)
         _, Kb = solve(unit_speeds, b=0.0, c=c2, n=80)
         assert np.allclose(Kb.g, 2.0 * Ka.g, atol=1e-9)
+
+
+class TestUncoupledOracle:
+    """b = 0 kernels against values that no grid enters.  With a = b = d = 0
+    the kernels k11, k12 and k22 vanish, and p21 = k21 * lambda1(xi) is
+    constant along phi2(x) + phi1(xi) = psi(sigma), where it equals its
+    diagonal datum lambda1 c / (lambda2 - lambda1) at sigma; SpeedPair's
+    inverses give sigma."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["c+", "c-"])
+    def test_first_order_against_exact_k21(self, varying_speeds, sign):
+        # lambda1 = -(1 + x/2), lambda2 = 1 + x, c = +-(0.7 - 1.3x + 0.4x^2),
+        # which changes sign at x = 0.66: the max error over the triangle
+        # is about 0.015 h (1.49e-4 at n = 100, 1.88e-5 at n = 800), and
+        # g's, read at sigma from the gauge's linear interpolation of c,
+        # about 0.05 h^2
+        sp = varying_speeds
+        c = CoefficientSpec.polynomial([0.7 * sign, -1.3 * sign, 0.4 * sign])
+        levels = np.array([100, 200, 400, 800])
+        errs, g_errs = [], []
+        for n in levels:
+            grid = Grid.uniform(n)
+            K = solve_kernels(make_system(sp, c=c), grid)
+            for k in (K.k11, K.k12, K.k22):
+                assert np.max(np.abs(k)) == 0.0
+            ii, jj = np.tril_indices(n + 1)
+            x, xi = grid.nodes[ii], grid.nodes[jj]
+            sigma = sp.psi_inv(sp.phi_eval(2, x) + sp.phi_eval(1, xi))
+            l1, l2 = sp.speed(1, sigma), sp.speed(2, sigma)
+            exact = l1 * c(sigma) / ((l2 - l1) * sp.speed(1, xi))
+            errs.append(np.max(np.abs(K.k21[ii, jj] - exact)))
+            g = -exact[jj == 0] * sp.speed(1, 0.0)
+            g_errs.append(np.max(np.abs(K.g - g)))
+        order = -np.polyfit(np.log(levels), np.log(errs), 1)[0]
+        assert 0.9 <= order <= 1.1
+        assert 0.012 <= errs[-1] * levels[-1] <= 0.018
+        g_order = -np.polyfit(np.log(levels), np.log(g_errs), 1)[0]
+        assert 1.9 <= g_order <= 2.1
+        assert g_errs[-1] * levels[-1] ** 2 <= 0.06
 
 
 def reference_bilinear_triangle(P, x, xi, h, n):

@@ -395,6 +395,26 @@ class TestTitchmarsh:
         assert rep.prefix_sum >= 1.0
         assert rep.consistent
 
+    @pytest.mark.parametrize("early, consistent", [(None, True), (2, False), (30, False)],
+                             ids=["one-cell-short", "three-cells-short", "31-cells-short"])
+    def test_prefix_sum_short_by_more_than_two_cells(self, early, consistent):
+        # first nonzero samples at nodes 41 and 60 of 100: the convolution
+        # vanishes on (0, 1] and the measured prefixes, 0.4 and 0.59, are
+        # one cell short together.  A sample of 1e-11, above tol but too
+        # small to lift the convolution above tol, "early" nodes before
+        # node 41 cuts prefix_a short by as many cells: the verdict still
+        # reads "vanishes", and the rule's two cells do not cover the gap
+        ts = np.linspace(0.0, 1.0, 101)
+        alpha = (ts > 0.405).astype(float)
+        beta = (ts > 0.595).astype(float)
+        if early is not None:
+            alpha[41 - early] = 1e-11
+        rep = titchmarsh_check(alpha, beta, 1.0, tol=1e-12)
+        assert rep.verdict == "vanishes"
+        short = round((1.0 - rep.prefix_sum) / rep.cell)
+        assert short == 1 + (early or 0)
+        assert rep.consistent is consistent
+
     def test_small_prefixes_nonvanishing(self):
         rng = np.random.default_rng(11)
         ts = np.linspace(0.0, 1.0, 401)

@@ -69,7 +69,7 @@ def test_run_headline_checks_kernel_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["run_headline.py", "--out", str(out)])
     assert script.main() == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: kernels at n=400: the four kernels")
+    assert len(err) == 1 and err[0].startswith("error: kernels at n=400: the kernel marches")
     assert not (out / "kernels.csv").exists()
 
 
