@@ -151,7 +151,15 @@ def _cmd_titchmarsh(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error on one stderr line, like every other error."""
+    """Reports a usage error on one stderr line, like every other error, and
+    reads a negative number in exponent form (--k -1e200) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        import re       # loaded by argparse already
+
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern, -1 or -1.5, takes "-1e200" for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.exit(2, f"error: {self.prog}: {message}\n")

@@ -448,33 +448,31 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
         passed=bool(passed), runtime=time.perf_counter() - t_start)
 
 
-def _orthogonal_rest(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _orthogonal_rest(first: np.ndarray, lead: np.ndarray, second: np.ndarray, p: int,
+                     W: np.ndarray) -> np.ndarray:
     """Rows whose norms measure W minus its projection onto the span of U.
 
-    Every row of U has its nonzeros in two adjacent columns.  Givens
-    rotations reduce [U | W] row by row to [R | RW; 0 | rest] with R upper
-    bidiagonal (the Cholesky factor of the tridiagonal U^T U, without
-    forming U^T U); ||rest @ c|| = ||(I - P_U) W @ c|| for every c.  Rows
-    that come in the order of their columns, as the trace rows do, take at
-    most two rotations each.  An entry that would become a diagonal of R
-    below the default cutoff of lstsq, eps * max(U.shape) times the largest
-    entry of U, is rounding: it is dropped, so that a column in the span of
-    the ones before it drops out as it does from the minimum-norm least
-    squares.
+    U has p columns, and its row i is lead[i] in column first[i] and
+    second[i] in column first[i] + 1: lead[i] is the first nonzero of the
+    row, and a row of zeros has lead 0 and second 0.  Givens rotations reduce
+    [U | W] row by row to [R | RW; 0 | rest] with R upper bidiagonal (the
+    Cholesky factor of the tridiagonal U^T U, without forming U^T U);
+    ||rest @ c|| = ||(I - P_U) W @ c|| for every c.  Rows that come in the
+    order of their columns, as the trace rows do, take at most two rotations
+    each.  An entry that would become a diagonal of R below the default
+    cutoff of lstsq, eps * max(U.shape) times the largest entry of U, is
+    rounding: it is dropped, so that a column in the span of the ones before
+    it drops out as it does from the minimum-norm least squares.
     """
-    p = U.shape[1]
     if p == 0:
         return W
-    first = (U != 0).argmax(axis=1)
-    rows = np.arange(U.shape[0])
-    lead = U[rows, first]
-    second = np.where(first + 1 < p, U[rows, np.minimum(first + 1, p - 1)], 0.0)
-    tiny = np.finfo(float).eps * max(U.shape) * max(U.max(), -U.min())
+    tiny = (np.finfo(float).eps * max(first.shape[0], p)
+            * max(np.abs(lead).max(), np.abs(second).max()))
     diag, sup = np.zeros(p), np.zeros(p)
     RW = np.zeros((p, W.shape[1]))
     have = np.zeros(p, dtype=bool)
     rest = []
-    for i in range(U.shape[0]):
+    for i in range(first.shape[0]):
         col, a, b, w = int(first[i]), float(lead[i]), float(second[i]), W[i]
         while col < p and (a != 0.0 or b != 0.0):
             if have[col]:
@@ -505,59 +503,83 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     s = T + phi1(x): two adjacent hats on [T - T1, T], or the free response
     where s < T1.  A lower row is the quadrature over [0, T], so it touches
     only the hats on [0, T - T1]; the two blocks share at most 2 hats.  The
-    hats only upper rows touch are eliminated exactly by _orthogonal_rest,
-    and a thin QR compresses what is left of the upper rows (the shared hats
-    and the free response) to at most 3 rows.  One least-squares solve on
-    those rows and the n+1 lower rows, over the hats the lower rows touch,
-    gives the residual; it is the residual of the whole 2(n+1)-row system to
-    rounding.  condition is the 2-norm condition number of the reduced
-    matrix over the singular values that lstsq keeps (those above its cutoff
-    eps * max(shape) times the largest), so it is below 1 / (eps * max(shape))
-    and always finite; it is 1.0 when elimination leaves no hat, as on the
-    floor side whenever T < T1.  A free norm or residual that overflows
-    raises DomainError.
+    upper rows stay in the trace's sparse form.  The hats only upper rows
+    touch are eliminated exactly by _orthogonal_rest, and a thin QR
+    compresses what is left of the upper rows (the shared hats and the free
+    response) to at most 3 rows.  One least-squares solve on those rows and
+    the n+1 lower rows, over the hats the lower rows touch, gives the
+    residual; it is the residual of the whole 2(n+1)-row system to rounding.
+    So only the free response, the lower rows over the hats they touch and
+    the upper rows over the shared hats are ever dense.  condition is the
+    2-norm condition number of the reduced matrix over the singular values
+    that lstsq keeps (those above its cutoff eps * max(shape) times the
+    largest), so it is below 1 / (eps * max(shape)) and always finite; it
+    is 1.0 when elimination leaves no hat, as on the floor side whenever
+    T < T1.  A free norm or residual that overflows raises DomainError.
     """
     n, h, T1 = grid.n, grid.h, speeds.T1
     M = max(1, round(T / h))
     hc = T / M
 
     def trace(s):
-        # column 0: free response of (1, 0); then the hat controls at x=0.
-        # Column-major, so that column 0 does not touch a page of every row:
-        # rows before T1 are otherwise zero and stay off the resident set.
-        tau = np.zeros((s.shape[0], M + 2), order="F")
-        tau[:, 0] = s < T1
+        # the free response of (1, 0) in column 0 before T1; after it the
+        # hats j and j + 1 around s - T1 in columns j + 1 and j + 2.  So each
+        # time has weights in a column c and in c + 1.
+        cols = np.zeros((s.shape[0], 2), dtype=np.int64)
+        vals = np.zeros((s.shape[0], 2))
+        vals[:, 0] = s < T1
         late = np.nonzero(s >= T1)[0]
         pos = np.minimum(s[late] - T1, T) / hc   # phi1(1) may round above T1
         j = np.clip(np.floor(pos).astype(np.int64), 0, M - 1)
         w = pos - j
-        tau[late, j + 1] = 1.0 - w
-        tau[late, j + 2] = w
-        return tau
+        cols[late, 0] = j + 1
+        cols[:, 1] = cols[:, 0] + 1
+        vals[late, 0] = 1.0 - w
+        vals[late, 1] = w
+        return cols, vals
 
     # a trace g too large for the map overflows it: one DomainError, no warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        Az = canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
-        rw = np.sqrt(_trapezoid_weights(n, h)[0])
-        Az *= np.concatenate([rw, rw])[:, None]
-        z, A = Az[:, 0], Az[:, 1:]
+        (cols, vals), lower = canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
+        rw = np.sqrt(_trapezoid_weights(n, h)[0])[:, None]
+        vals *= rw
+        lower *= rw
+        # upper row i: vals[i, 0] on the free response where cols[i, 0] = 0,
+        # else on the hat cols[i, 0] - 1; vals[i, 1] on the hat after that
+        early = cols[:, 0] == 0
+        hat = cols[:, 0] - 1
+        va = np.where(early, 0.0, vals[:, 0])
+        vb = vals[:, 1]
+        z = np.concatenate([np.where(early, vals[:, 0], 0.0), lower[:, 0]])
         free_norm = float(np.linalg.norm(z))
         if not math.isfinite(free_norm):
             raise _sharpness_overflow(T)
-        upper, lower = A[:n + 1], A[n + 1:]
         # hats [0, s0) only in lower rows, [s0, cl) shared, [cl, M] only in upper
-        lo_hats = np.flatnonzero(lower.any(axis=0))
+        lo_hats = np.flatnonzero(lower[:, 1:].any(axis=0))
         cl = int(lo_hats[-1]) + 1 if lo_hats.size else 0
-        s0 = min(cl, int(np.argmax(upper.any(axis=0))))
-        W = np.column_stack([upper[:, s0:cl], z[:n + 1]])
-        R = np.linalg.qr(_orthogonal_rest(upper[:, cl:], W), mode="r")
+        up_hats = np.concatenate([hat[va != 0], hat[vb != 0] + 1])
+        s0 = min(cl, int(up_hats.min()) if up_hats.size else 0)
+        rows = np.arange(n + 1)
+        W = np.zeros((n + 1, cl - s0 + 1))
+        for c, v in ((hat, va), (hat + 1, vb)):
+            shared = (c >= s0) & (c < cl)
+            W[rows[shared], c[shared] - s0] = v[shared]
+        W[:, -1] = z[:n + 1]
+        # the rows of upper[:, cl:] as (first nonzero column, its value, the next)
+        a = np.where(hat >= cl, va, 0.0)
+        b = np.where(hat + 1 >= cl, vb, 0.0)
+        first = np.where(a != 0, hat - cl, np.where(b != 0, hat + 1 - cl, 0))
+        lead = np.where(a != 0, a, b)
+        second = np.where(a != 0, b, 0.0)
+        R = np.linalg.qr(_orthogonal_rest(first, lead, second, M + 1 - cl, W), mode="r")
         rhs = np.concatenate([R[:, -1], z[n + 1:]])
         if cl == 0:
             residual, condition = float(np.linalg.norm(rhs)), 1.0
         else:
             red = np.zeros((rhs.shape[0], cl))
             red[:R.shape[0], s0:] = R[:, :-1]
-            red[R.shape[0]:] = lower[:, :cl]
+            red[R.shape[0]:] = lower[:, 1:cl + 1]
+            del lower
             sol, _, rank, svals = np.linalg.lstsq(red, -rhs, rcond=None)
             residual = float(np.linalg.norm(red @ sol + rhs))
             condition = float(svals[0] / svals[rank - 1])
@@ -574,20 +596,21 @@ def _sharpness_overflow(T: float) -> DomainError:
 def canonical_sharpness_bytes(speeds: SpeedPair, T: float, grid: Grid) -> float:
     """Upper bound on the bytes canonical_sharpness_residual holds at once.
 
-    The trace matrix has (K+1) x (M+2) entries (K quadrature cells, M+1 hat
-    controls); the canonical map has 2(n+1) rows over them, and the reduced
-    least-squares matrix and its copy in lstsq at most n+4 rows each; each
-    row block of the quadrature holds a few _CANONICAL_ROWS x (K+1) arrays;
-    gelsd's workspace grows like its smaller dimension; the travel-time
-    inverses hold temporaries of the speed table.  A float, so that no T
-    overflows it.
+    The trace stays sparse: its pairs at the K+1 quadrature times, their
+    nonzeros sorted by column and the indices of that sort take about 32
+    floats a time.  The lower rows are dense over the hats they touch, at
+    most (T - T1) n + 4 columns with the free response; with the reduced
+    least-squares matrix and its copy in lstsq that is at most three n+4 row
+    arrays of that width.  Each row block of the quadrature holds a few
+    _CANONICAL_ROWS x (K+1) arrays; gelsd's workspace grows like its smaller
+    dimension; the travel-time inverses hold temporaries of the speed table.
+    A float, so that no T overflows it.
     """
     n = grid.n
-    rows = 2.0 * (n + 1)
-    cells = T * _max_speed(speeds, grid.nodes) * n + 3.0     # >= K + 1
-    cols = T * n + 3.0                                         # >= M + 2
-    return 8.0 * (cells * cols + 3.0 * rows * cols + 8.0 * _CANONICAL_ROWS * (cells + cols)
-                  + 200.0 * min(rows, cols) + 4.0 * speeds.table_nodes.size)
+    cells = T * _max_speed(speeds, grid.nodes) * n + 3.0      # >= K + 1
+    hats = max(T - speeds.T1, 0.0) * n + 4.0                 # >= the lower rows' columns
+    return 8.0 * (3.0 * (n + 4.0) * hats + (8.0 * _CANONICAL_ROWS + 32.0) * cells
+                  + 200.0 * min(n + 4.0, hats) + 4.0 * speeds.table_nodes.size)
 
 
 def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> VerificationReport:

@@ -533,11 +533,14 @@ def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
     them the peak holds one row block of plans, at most _PLAN_POINTS points
     (the whole triangle up to n = 179): about 25 floats a point under
     tracemalloc from n = 4 to 1600.  The bound keeps 32 floats a point, six
-    temporaries of the system's speed table and 4 KB per row for band tuples.
+    temporaries of the system's speed table and 4 KB for the band tuples of
+    each row of the block.  A block of r rows from row r0 >= 1 holds at least
+    r (r + 3) / 2 points, so r is at most sqrt(2 _PLAN_POINTS) (181) and n.
     """
     points = min(_PLAN_POINTS, (n + 1) * (n + 2) // 2)
+    rows = min(n, int((2 * _PLAN_POINTS) ** 0.5))
     table = system.speeds.table_nodes.size
-    return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * (n + 1)
+    return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * rows
 
 
 def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:

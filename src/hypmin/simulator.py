@@ -228,21 +228,29 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
 
 
 def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
-                  trace) -> np.ndarray:
+                  trace) -> tuple:
     """Canonical state at time t > 0 and positions x, linear in the x=0 trace.
 
-    trace(s) maps a 1-D array of times to one row per time and one column per
-    independent trace tau of the upper component at x=0.  Returns the rows
-    [upper; lower], 2*len(x) by the columns of trace.  The upper component is
-    tau(t + phi1(x)).  The lower one is the trapezoid quadrature of
+    trace(s) maps a 1-D array of times to the x=0 trace of the upper
+    component in sparse form: an integer array of columns and a float array
+    of weights, both len(s) by r, so that the trace at s[k] has weight
+    weights[k, i] in column cols[k, i] (weights in one column add).  Each
+    column is one independent trace tau: for the sharpness operator the
+    free response and the hat controls (r = 2), for canonical_solution one
+    trace (r = 1).  Returns (upper, lower).  upper is the upper component
+    tau(t + phi1(x)), that is trace(t + phi1(x)) in the same sparse form.
+    lower is dense, len(x) rows by one column more than the largest column
+    that trace returns on [0, t]: the trapezoid quadrature of
     g(chi2(s; t, x)) * tau(s) over [lo, t], lo = max(0, t - phi2(x)), on one
     uniform s-grid over [0, t] with step at most h/max|speeds| and a partial
     first cell, plus the q-reflected inflow q * tau(lo) where lo > 0.  The
     transport of the initial lower state, where lo = 0, is left to the caller.
-    The quadrature multiplies only the trace columns up to the last one that
-    is nonzero on the s-grid (for the sharpness operator, the free response
-    and the hats on [0, t - T1]); with a column-major trace they are a view,
-    not a copy.  g is sampled on a uniform grid over [0,1].
+    The rows go in blocks of _CANONICAL_ROWS.  A block evaluates chi2, g and
+    the weights only from the first s-grid point that one of its rows
+    weights, and adds each weighted value into the at most r columns that
+    the trace at its time touches: a banded sum over the trace's nonzeros in
+    column order, so that no s-grid by column trace matrix is formed.  g is
+    sampled on a uniform grid over [0,1].
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0] - 1
@@ -252,14 +260,8 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
     delta = t / K
     ss = np.linspace(0.0, t, K + 1)
 
-    V = trace(ss)
-    nz = np.flatnonzero(V.any(axis=0))
-    used = int(nz[-1]) + 1 if nz.size else 0
     xs = np.asarray(x, dtype=float)
     m = xs.shape[0]
-    out = np.empty((2 * m, V.shape[1]))
-    upper, lower = out[:m], out[m:]
-    s1 = t + speeds.phi_eval(1, xs)
     phi2x = speeds.phi_eval(2, xs)
     lo = np.maximum(0.0, t - phi2x)
     # the partial first cell is [lo, ss[r0]]; r0 = K when lo is in the last cell
@@ -267,23 +269,37 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
     part = np.where(r0 < K, r0 * delta, t) - lo
     # the partial cell's endpoint s=lo sits on x=0, where chi2 = 0
     wlo = 0.5 * part * g[0] + q * (lo > 0.0)
-    cols = np.arange(K + 1)[None, :]
-    # row blocks, so that no len(x) by (K+1) array and no trace of all x is
-    # ever held
+    cols, weights = trace(ss)
+    lo_cols, lo_weights = trace(lo)
+    lower = np.zeros((m, 1 + int(max(cols.max(), lo_cols.max(initial=0)))))
+    np.add.at(lower, (np.arange(m)[:, None], lo_cols), wlo[:, None] * lo_weights)
+    # the trace's nonzeros (time index, column, weight) by column, then by time
+    kk, i = np.nonzero(weights)
+    cc, vv = cols[kk, i], weights[kk, i]
+    order = np.lexsort((kk, cc))
+    kk, cc, vv = kk[order], cc[order], vv[order]
+    ks = np.arange(K + 1)
     for b0 in range(0, m, _CANONICAL_ROWS):
         blk = slice(b0, b0 + _CANONICAL_ROWS)
-        upper[blk] = trace(s1[blk])
-        chi = speeds.phi_inv_ext(2, phi2x[blk, None] + ss[None, :] - t)
-        WG = np.interp(np.clip(chi, 0.0, 1.0), nodes, g)
         rb = r0[blk]
-        wq = np.where(cols < rb[:, None], 0.0, delta)
-        wq[:, K] = 0.5 * delta
-        wq[np.arange(rb.shape[0]), rb] = (np.where(rb < K, 0.5 * delta, 0.0)
-                                          + 0.5 * part[blk])
+        k0 = int(rb.min())          # no row of the block weights the points before
+        chi = speeds.phi_inv_ext(2, phi2x[blk, None] + ss[None, k0:] - t)
+        WG = np.interp(np.clip(chi, 0.0, 1.0, out=chi), nodes, g)
+        del chi
+        wq = np.where(ks[None, k0:] < rb[:, None], 0.0, delta)
+        wq[:, K - k0] = 0.5 * delta
+        wq[np.arange(rb.shape[0]), rb - k0] = (np.where(rb < K, 0.5 * delta, 0.0)
+                                               + 0.5 * part[blk])
         WG *= wq
-        lower[blk] = wlo[blk, None] * trace(lo[blk])
-        lower[blk, :used] += WG @ V[:, :used]
-    return out
+        del wq
+        inside = kk >= k0
+        kb, cb = kk[inside] - k0, cc[inside]
+        starts = np.flatnonzero(np.diff(cb, prepend=-1))
+        terms = WG[:, kb]
+        del WG
+        terms *= vv[inside]
+        lower[blk, cb[starts]] += np.add.reduceat(terms, starts, axis=1)
+    return trace(t + speeds.phi_eval(1, xs)), lower
 
 
 def canonical_solution(speeds: SpeedPair, g: np.ndarray, q: float, y0hat,
@@ -294,8 +310,8 @@ def canonical_solution(speeds: SpeedPair, g: np.ndarray, q: float, y0hat,
     [0,1]; uhat is a control signal (callable on arrays, or None for zero).
     The x=0 trace of the upper component is the transported y10 before time
     T1 and uhat(s - T1) after; canonical_map applies the characteristic
-    formulas to it, and the transported y20 is added where no
-    characteristic of the lower component has reached x=0 yet.
+    formulas to it as a one-column trace, and the transported y20 is added
+    where no characteristic of the lower component has reached x=0 yet.
     """
     if t < 0.0:
         raise DomainError("canonical_solution needs t >= 0")
@@ -315,9 +331,10 @@ def canonical_solution(speeds: SpeedPair, g: np.ndarray, q: float, y0hat,
             tau[early, 0] = np.interp(speeds.phi_inv_ext(1, s[early]), nodes, y10)
             if uhat is not None and not early.all():
                 tau[~early, 0] = uhat(s[~early] - speeds.T1)
-            return tau
+            return np.zeros(tau.shape, dtype=np.int64), tau
 
-        out1, out2 = np.split(canonical_map(speeds, g, q, t, xs, trace)[:, 0], 2)
+        (_, upper), lower = canonical_map(speeds, g, q, t, xs, trace)
+        out1, out2 = upper[:, 0], lower[:, 0]
         p2x = speeds.phi_eval(2, xs)
         free = p2x >= t
         out2[free] += np.interp(speeds.phi_inv_ext(2, p2x[free] - t), nodes, y20)

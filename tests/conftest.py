@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from hypmin import CoefficientSpec, FeedbackLaw, KernelSet, SpeedPair, SystemSpec
+from hypmin.simulator import _max_speed
 
 
 def const(v):
@@ -85,3 +88,30 @@ def exact_transport(speeds, y10, y20, nodes, t):
     s_in2 = t - np.asarray(speeds.phi_eval(2, nodes))
     y2 = np.where(s_in2 < 0.0, np.interp(np.clip(x2, 0, 1), nodes, y20), 0.0)
     return y1, y2
+
+
+def dense_canonical_map(speeds, g, q, t, x, trace):
+    """Reference for simulator.canonical_map: the same quadrature on a dense
+    trace.  trace(s) returns one row per time and one column per independent
+    trace; the result is the rows [upper; lower], 2*len(x) by those columns.
+    Every s-grid point of every row is evaluated, zero weights included, and
+    the weighted values are multiplied by the whole trace matrix."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0] - 1
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    K = max(2, math.ceil(t * _max_speed(speeds, nodes) / (1.0 / n)))
+    delta = t / K
+    ss = np.linspace(0.0, t, K + 1)
+    xs = np.asarray(x, dtype=float)
+    phi2x = speeds.phi_eval(2, xs)
+    lo = np.maximum(0.0, t - phi2x)
+    r0 = np.minimum(np.ceil(lo / delta - 1e-12).astype(np.int64), K)
+    part = np.where(r0 < K, r0 * delta, t) - lo
+    wlo = 0.5 * part * g[0] + q * (lo > 0.0)
+    chi = speeds.phi_inv_ext(2, phi2x[:, None] + ss[None, :] - t)
+    WG = np.interp(np.clip(chi, 0.0, 1.0), nodes, g)
+    wq = np.where(np.arange(K + 1)[None, :] < r0[:, None], 0.0, delta)
+    wq[:, K] = 0.5 * delta
+    wq[np.arange(r0.shape[0]), r0] = np.where(r0 < K, 0.5 * delta, 0.0) + 0.5 * part
+    lower = wlo[:, None] * trace(lo) + (WG * wq) @ trace(ss)
+    return np.concatenate([trace(t + speeds.phi_eval(1, xs)), lower])

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.linalg import norm
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypmin import Grid, harness, simulator, times_report
@@ -18,7 +20,7 @@ from hypmin.harness import (canonical_sharpness_residual, config_from_dict,
 from hypmin.kernels import FeedbackLaw, solve_trace
 from hypmin.simulator import BoundaryReflection, simulate
 
-from conftest import headline_raw, make_system
+from conftest import dense_canonical_map, headline_raw, make_system
 
 
 def varying_raw(n=200, horizon=1.25):
@@ -318,6 +320,27 @@ class TestVerifySharpness:
         for T in (tr.Tmin - 0.2 * tr.Tunif, tr.Tmin + 1e-6, tr.Tmin + 0.1 * tr.Tunif):
             assert verify_sharpness(cfg, T, levels=(64,)).passed, T
 
+    @pytest.mark.parametrize("T", [1.0, 1.5])
+    def test_peak_at_n800_within_estimate(self, T):
+        # the memory check's estimate bounds the peak, and no dense trace
+        # matrix or 2(n+1)-row operator (15.4 MB at T = 1.5) is held
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "varying_speeds.json")
+        cfg = load_config(path)
+        n = 800
+        verify_sharpness(cfg, T, levels=(64,))      # imports and caches filled
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_sharpness(cfg, T, levels=(n,))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        grid = Grid.uniform(n)
+        assert peak <= (harness.solve_kernels_bytes(cfg.system, n, 1)
+                        + harness.canonical_sharpness_bytes(cfg.system.speeds, T, grid))
+        M = round(T * n)
+        assert peak < 2 * (n + 1) * (M + 2) * 8
+
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_horizon_must_be_finite_and_positive(self, T):
         cfg = config_from_dict(headline_raw(n=64), "horizon")
@@ -327,13 +350,14 @@ class TestVerifySharpness:
 
 def dense_operator(speeds, g, T, grid):
     """The weighted sharpness operator of canonical_sharpness_residual as one
-    dense 2(n+1)-row matrix: (A, z), the hat columns and the free response."""
+    dense 2(n+1)-row matrix from the dense reference map: (A, z), the hat
+    columns and the free response."""
     n, h, T1 = grid.n, grid.h, speeds.T1
     M = max(1, round(T / h))
     hc = T / M
 
     def trace(s):
-        tau = np.zeros((s.shape[0], M + 2), order="F")
+        tau = np.zeros((s.shape[0], M + 2))
         tau[:, 0] = s < T1
         late = np.nonzero(s >= T1)[0]
         pos = np.minimum(s[late] - T1, T) / hc
@@ -342,7 +366,7 @@ def dense_operator(speeds, g, T, grid):
         tau[late, j + 2] = pos - j
         return tau
 
-    Az = simulator.canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
+    Az = dense_canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
     rw = np.full(n + 1, math.sqrt(h))
     rw[0] = rw[-1] = math.sqrt(0.5 * h)
     Az *= np.concatenate([rw, rw])[:, None]
@@ -362,8 +386,14 @@ def assert_matches_dense(speeds, g, T, grid, conditioned=False):
     that exact arithmetic keeps (2e-17 of the largest at lambda1 = -0.977,
     n = 41: exact 0.0195417997603, the elimination 0.019541799760288, lstsq
     0.019543190), the elimination may keep that direction; its residual then
-    lies between lstsq's and that of projecting on every left singular
-    vector, which can only be smaller.
+    lies below lstsq's and matches the distance from z to the span of every
+    column of A, within the same bound.  That distance comes from 50-digit
+    arithmetic, not from a double SVD: the SVD's backward error, eps times the
+    largest singular value, is as large as the kept one, so projecting on
+    its left singular vectors misses the distance by far more than the
+    bound (at lambda1 = -0.97265625, lambda2 = 1.90625, ell = 0.21875,
+    n = 39, T = Tmin: 50 digits 7.2703200837369e-08, the elimination
+    7.270320083736933e-08, that projection 7.43e-08, lstsq 7.47e-08).
     """
     got = canonical_sharpness_residual(speeds, g, T, grid)
     A, z = dense_operator(speeds, g, T, grid)
@@ -374,11 +404,36 @@ def assert_matches_dense(speeds, g, T, grid, conditioned=False):
         kappa = svals[0] / svals[rank - 1] + got[2]
         tol += np.finfo(float).eps * max(A.shape) * kappa * norm(z)
     if abs(got[0] - ref) > tol:
-        left = np.linalg.svd(A, full_matrices=False)[0]
-        assert norm(z - left @ (left.T @ z)) - tol <= got[0] < ref, (T, got, ref)
-    assert got[1] == norm(z) and got[3] == A.shape[1]
+        exact = column_span_distance(A, z)
+        assert abs(got[0] - exact) <= tol and got[0] < ref, (T, got, ref, exact)
+    # the reference sums the quadrature in another order: rounding apart
+    assert got[1] == pytest.approx(norm(z), rel=1e-12, abs=0.0) and got[3] == A.shape[1]
     assert math.isfinite(got[2]) and got[2] >= 1.0
     return got, ref
+
+
+def column_span_distance(A, z):
+    """Distance from z to the span of A's columns, with the double A and z
+    taken as exact, by Gram-Schmidt twice over in 50 digits.  A column
+    within 1e-40 of the longest of the span of those before it is dropped:
+    it adds nothing to the span, and normalising its remainder would add a
+    direction of rounding."""
+    with mpmath.workdps(50):
+        cols = [mpmath.matrix(c.tolist()) for c in A.T]
+        tiny = max(mpmath.norm(c) for c in cols) * mpmath.mpf(10) ** -40
+        basis = []
+
+        def rest(v):
+            for _ in range(2):
+                for q in basis:
+                    v -= q * (q.T * v)[0]
+            return v
+
+        for c in cols:
+            c = rest(c)
+            if mpmath.norm(c) > tiny:
+                basis.append(c / mpmath.norm(c))
+        return float(mpmath.norm(rest(mpmath.matrix(z.tolist()))))
 
 
 def constant_speed_cfg(lam1, lam2, ell, n):
@@ -399,6 +454,8 @@ class TestSharpnessSolve:
     @given(lam1=st.floats(0.3, 2.0), lam2=st.floats(0.5, 2.0),
            ell=st.floats(0.01, 0.49, exclude_min=True, exclude_max=True),
            n=st.integers(16, 64))
+    # lstsq cuts a singular value of 5.5e-16 of the largest at T = Tmin
+    @example(lam1=0.97265625, lam2=1.90625, ell=0.21875, n=39)
     def test_matches_dense_lstsq(self, lam1, lam2, ell, n):
         cfg = constant_speed_cfg(-lam1, lam2, ell, n)
         tr = times_report(cfg.system, grid=cfg.grid)
@@ -418,8 +475,15 @@ class TestSharpnessSolve:
         g = sharpness_trace(cfg, 32)
         blocks = []
         rest = harness._orthogonal_rest
-        monkeypatch.setattr(harness, "_orthogonal_rest",
-                            lambda U, W: blocks.append(U.copy()) or rest(U, W))
+
+        def record(first, lead, second, p, W):
+            U = np.zeros((first.shape[0], p + 1))
+            rows = np.arange(first.shape[0])
+            U[rows, first], U[rows, first + 1] = lead, second
+            blocks.append(U[:, :p])
+            return rest(first, lead, second, p, W)
+
+        monkeypatch.setattr(harness, "_orthogonal_rest", record)
         assert_matches_dense(cfg.system.speeds, g, T, Grid.uniform(32), conditioned=True)
         U = blocks[0]
         touched = int(np.count_nonzero(np.any(U != 0, axis=0)))

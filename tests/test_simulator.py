@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 import hypmin
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_solution,
-                    diag_removal, growth_rate, l2_norm, simulate,
+                    diag_removal, growth_rate, l2_norm, simulate, simulator,
                     solve_kernels, volterra_apply)
 from hypmin.errors import CFLError, DivergenceError, DomainError, UndefinedRateError
 from hypmin.kernels import FeedbackLaw
-from hypmin.simulator import BoundaryReflection, SimResult, _simulate_bytes, export_sim_csv
+from hypmin.simulator import (BoundaryReflection, SimResult, _max_speed, _simulate_bytes,
+                              canonical_map, export_sim_csv)
 
-from conftest import const, exact_transport, make_system, smooth_bump
+from conftest import const, dense_canonical_map, exact_transport, make_system, smooth_bump
 
 
 class TestSimulate:
@@ -497,6 +498,107 @@ class TestCanonicalSolution:
             canonical_solution(unit_speeds, g, 0.0, y0, None, -0.1, 0.5)
         with pytest.raises(DomainError):
             canonical_solution(unit_speeds, g, 0.0, y0, None, 0.5, 1.5)
+
+
+def sparse_trace(kind, width, seed, T1):
+    """A trace callable in canonical_map's sparse form and the same trace as
+    dense rows, for canonical_map and the dense reference.
+
+    "random": two columns per time picked by a hash of s (they may coincide,
+    and a third of the weights are exactly 0) with weights smooth in s.
+    "hats": the sharpness operator's form, the free response in column 0
+    before T1 and two adjacent hats of width-1 after it."""
+    c = np.random.default_rng(seed).uniform(0.5, 40.0, 6)
+
+    def sparse(s):
+        s = np.asarray(s, dtype=float)
+        if kind == "hats":
+            late = s >= T1
+            pos = np.clip(s - T1, 0.0, None) * c[0]
+            j = np.minimum(np.floor(pos).astype(np.int64), width - 3)
+            w = np.clip(pos - j, 0.0, 1.0)
+            cols = np.where(late, j + 1, 0)[:, None] + np.array([0, 1])
+            vals = np.where(late[:, None], np.stack([1.0 - w, w], axis=1), [1.0, 0.0])
+            return cols, vals
+        cols = np.stack([np.floor(c[0] * s + c[1]), np.floor(c[2] * s)], axis=1)
+        cols = cols.astype(np.int64) % width
+        vals = np.stack([np.sin(c[3] * s + 1.0), np.cos(c[4] * s)], axis=1)
+        vals[np.floor(c[5] * s).astype(np.int64) % 3 == 0, 1] = 0.0
+        return cols, vals
+
+    return sparse, lambda s: scattered(*sparse(s), width)
+
+
+def scattered(cols, vals, width):
+    """Dense rows of width columns from (column, weight) pairs."""
+    out = np.zeros((cols.shape[0], width))
+    np.add.at(out, (np.arange(cols.shape[0])[:, None], cols), vals)
+    return out
+
+
+class TestCanonicalMapReference:
+    """The sparse-trace quadrature against the dense reference map."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 60), t=st.floats(0.05, 3.0), q=st.floats(-2.0, 2.0),
+           kind=st.sampled_from(["random", "hats"]), width=st.integers(3, 40),
+           seed=st.integers(0, 2 ** 32 - 1), rows=st.sampled_from(["one", "ragged", "many"]),
+           varying=st.booleans())
+    def test_matches_dense_reference(self, unit_speeds, varying_speeds, n, t, q, kind, width,
+                                     seed, rows, varying):
+        speeds = varying_speeds if varying else unit_speeds
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(n + 1)
+        # the nodes, unsorted points, and x = 0 and 1e-9, whose lo lies in the
+        # last quadrature cell (r0 = K)
+        x = np.concatenate([np.linspace(0.0, 1.0, n + 1), rng.uniform(0.0, 1.0, 7),
+                            [0.0, 1e-9]])
+        block = {"one": x.size, "ragged": 10, "many": 3}[rows]
+        sparse, dense = sparse_trace(kind, width, seed, speeds.T1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CANONICAL_ROWS", block)
+            (cols, vals), lower = canonical_map(speeds, g, q, t, x, sparse)
+        ref = dense_canonical_map(speeds, g, q, t, x, dense)
+        # the same map on |g|, |q| and |trace|: the sum of the absolute terms
+        scale = dense_canonical_map(speeds, np.abs(g), abs(q), t, x,
+                                    lambda s: np.abs(dense(s)))
+        m = x.size
+        assert np.array_equal(scattered(cols, vals, width), ref[:m])
+        L = lower.shape[1]
+        assert L <= width and not ref[m:, L:].any()
+        assert np.all(np.abs(lower - ref[m:, :L]) <= 1e-12 * scale[m:, :L])
+        assert np.array_equal(lower == 0.0, ref[m:, :L] == 0.0)
+
+    @pytest.mark.parametrize("block", [64, 7])
+    @pytest.mark.parametrize("n, t", [(50, 0.4), (200, 1.34), (200, 2.5), (400, 1.0)])
+    def test_chi2_only_at_weighted_points(self, monkeypatch, varying_speeds, n, t, block):
+        # every point that a row weights, plus at most one triangle per row
+        # block: the points before lo of its rows, after the block's smallest lo
+        counted = []
+        inverse = SpeedPair.phi_inv_ext
+
+        def counting(self, i, v):
+            if i == 2:
+                counted.append(np.size(v))
+            return inverse(self, i, v)
+
+        monkeypatch.setattr(SpeedPair, "phi_inv_ext", counting)
+        monkeypatch.setattr(simulator, "_CANONICAL_ROWS", block)
+        x = np.linspace(0.0, 1.0, n + 1)
+        sparse, _ = sparse_trace("hats", n + 2, 1, varying_speeds.T1)
+        canonical_map(varying_speeds, np.ones(n + 1), 0.0, t, x, sparse)
+        K = max(2, math.ceil(t * _max_speed(varying_speeds, x) / (1.0 / n)))
+        lo = np.maximum(0.0, t - varying_speeds.phi_eval(2, x))
+        r0 = np.minimum(np.ceil(lo / (t / K) - 1e-12).astype(np.int64), K)
+        weighted = int(np.sum(K + 1 - r0))
+        triangles = 0
+        for b0 in range(0, n + 1, block):
+            rb = r0[b0:b0 + block]
+            step = int(np.max(-np.diff(rb))) if rb.size > 1 else 0
+            triangles += rb.size * (rb.size - 1) // 2 * step
+        assert weighted <= sum(counted) <= weighted + triangles
+        if t > 1.0:
+            assert sum(counted) < 0.75 * (K + 1) * (n + 1)
 
 
 class TestReflectionCrossCheck:
