@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end run of the headline scenario.
 
-Prints the times report, solves the kernels and exports them (the
-`hypmin kernels` command, memory check included), certifies
-settling at the minimal time, and sweeps the reachability residual through
-a range of horizons so the threshold is visible in one table.
+Runs the `mintime`, `kernels` and `verify-settling` commands (the times
+report, the kernel export and the settling certificate at the minimal time,
+memory checks included), then sweeps the reachability residual through a
+range of horizons so the threshold is visible in one table.
 """
 
 import os
@@ -13,7 +13,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypmin.cli import _Parser, finite_float, run_cli, run_guarded  # noqa: E402
-from hypmin.harness import load_config, verify_settling, verify_sharpness  # noqa: E402
+from hypmin.config import load_config  # noqa: E402
+from hypmin.harness import verify_sharpness  # noqa: E402
 from hypmin.mintime import times_report  # noqa: E402
 
 
@@ -28,23 +29,17 @@ def main():
 
 
 def run(args):
+    for argv in (["mintime", args.config], ["kernels", args.config, "--out", args.out]):
+        code = run_cli(argv)
+        if code:
+            return code
+        print()
+    # a settling FAIL (exit 1) goes on to the sweep
+    if run_cli(["verify-settling", args.config, "--out", args.out]) == 2:
+        return 2
+    print()
+
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-
-    tr = times_report(cfg.system, grid=cfg.grid)
-    print(tr.pretty())
-    print()
-
-    code = run_cli(["kernels", args.config, "--out", args.out])
-    if code:
-        return code
-    print()
-
-    rep = verify_settling(cfg)
-    print(rep.pretty())
-    rep.write(args.out)
-    print()
-
     print(f"{'T':>8} {'residual':>14} {'vs free state':>14}  side")
     for T in args.sweep:
         srep = verify_sharpness(cfg, T, levels=(cfg.grid.n,))
@@ -52,7 +47,8 @@ def run(args):
         side = srep.notes.split("=", 1)[1]
         print(f"{T:>8.3f} {row['residual']:>14.6e} "
               f"{row['residual_vs_free']:>14.6e}  {side}")
-    print(f"\nthe residual collapses once T crosses Tmin = {tr.Tmin:.6g}")
+    tmin = times_report(cfg.system, grid=cfg.grid).Tmin
+    print(f"\nthe residual collapses once T crosses Tmin = {tmin:.6g}")
     return 0
 
 

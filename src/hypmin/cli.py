@@ -2,24 +2,24 @@
 
 Exit codes: 0 success or verification pass, 1 verification fail (or a
 computation that could not produce a verdict), 2 usage or configuration
-errors.
+errors, or an output that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
 
 import numpy as np
 
+from .config import check_memory, load_config, make_control, make_initial_data
 from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      GridMismatchError, InvalidSpeedsError, PreconditionError,
                      RootBracketError, UndefinedRateError)
-from .harness import (counterexample, load_config, make_control,
-                      make_initial_data, verify_settling, verify_sharpness,
-                      _check_memory, _check_run_memory, _write_json)
+from .harness import check_run_memory, counterexample, verify_settling, verify_sharpness
 from .kernels import (export_profile_csv, solve_gains, write_kernels_csv,
                       write_kernels_csv_bytes)
 from .mintime import times_report, titchmarsh_check
@@ -30,12 +30,18 @@ _USAGE_ERRORS = (ConfigError, PreconditionError, DomainError, CFLError,
 _RUN_ERRORS = (DivergenceError, RootBracketError, UndefinedRateError, np.linalg.LinAlgError)
 
 
-def _outdir(args, cfg=None) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    if cfg is not None:
-        return os.path.join(cfg.output_dir, cfg.scenario_id)
-    return "out"
+def _outdir(args, cfg) -> str:
+    return args.out or os.path.join(cfg.output_dir, cfg.scenario_id)
+
+
+def _write_json(outdir, name: str, data: dict) -> str:
+    """Write data as indented JSON (numpy scalars as floats) to outdir/name."""
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, name)
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, default=float)
+        fh.write("\n")
+    return path
 
 
 def _cmd_mintime(args) -> int:
@@ -60,21 +66,21 @@ def _new_dirs(path) -> list:
 def _cmd_kernels(args) -> int:
     cfg = load_config(args.config)
     n = cfg.grid.n    # k22 where b != 0, the plans and one CSV block: the rows stream out
-    _check_memory(write_kernels_csv_bytes(cfg.system, cfg.grid),
-                  f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
+    check_memory(write_kernels_csv_bytes(cfg.system, cfg.grid),
+                 f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
     outdir = _outdir(args, cfg)
     made = _new_dirs(outdir)
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "kernels.csv")
     # written under another name, so that a failed solve leaves no kernels.csv
     part = path + ".part"
     try:
+        os.makedirs(outdir, exist_ok=True)
         g, gains = write_kernels_csv(cfg.system, cfg.grid, part)
         os.replace(part, path)
     except BaseException:
         if os.path.exists(part):
             os.remove(part)
-        for d in made:
+        for d in filter(os.path.isdir, made):   # makedirs may have failed partway
             os.rmdir(d)
         raise
     export_profile_csv(os.path.join(outdir, "g.csv"), cfg.grid.nodes, {"g": g})
@@ -87,7 +93,7 @@ def _cmd_kernels(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     feedback = cfg.control.get("kind", "feedback") == "feedback"
-    _check_run_memory("simulate", cfg, cfg.grid.n, feedback, args.snapshots)
+    check_run_memory("simulate", cfg, cfg.grid.n, feedback, args.snapshots)
     law = solve_gains(cfg.system, cfg.grid) if feedback else None
     control = make_control(cfg.control, feedback=law)
     y0 = make_initial_data(cfg.initial, cfg.grid, cfg.seed)
@@ -106,7 +112,7 @@ def _cmd_verify_settling(args) -> int:
     cfg = load_config(args.config)
     rep = verify_settling(cfg)
     print(rep.pretty())
-    rep.write(_outdir(args, cfg))
+    _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict())
     return 0 if rep.passed else 1
 
 
@@ -114,7 +120,7 @@ def _cmd_verify_sharpness(args) -> int:
     cfg = load_config(args.config)
     rep = verify_sharpness(cfg, args.T)
     print(rep.pretty())
-    rep.write(_outdir(args, cfg))
+    _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict())
     return 0 if rep.passed else 1
 
 
@@ -123,7 +129,7 @@ def _cmd_counterexample(args) -> int:
     print(f"k={args.k:.12g} theta={res.theta:.12g} sigma={res.sigma:.12g}")
     print(res.report.pretty())
     if args.out:
-        res.report.write(args.out)
+        _write_json(args.out, "report_counterexample.json", res.report.as_flat_dict())
     return 0 if res.report.passed else 1
 
 
@@ -140,7 +146,7 @@ def _cmd_titchmarsh(args) -> int:
     # the samples, both indicators, the padded tails and spectra of the FFT
     # convolution and the temporaries of titchmarsh_check: 9.2 arrays of n+1
     # floats at once at n = 2e5, 11.1 at n = 2e4 with both prefixes 0
-    _check_memory(8.0 * 12 * (args.n + 1), f"--n {args.n}", ConfigError)
+    check_memory(8.0 * 12 * (args.n + 1), f"--n {args.n}", ConfigError)
     ts = np.linspace(0.0, args.tau, args.n + 1)
     alpha = (ts > args.prefix_a).astype(float)
     beta = (ts > args.prefix_b).astype(float)
@@ -233,12 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_guarded(fn, *args) -> int:
-    """fn(*args)'s exit code, or 2 for a usage or configuration error and 1
-    for a computation that could not finish, reported on one stderr line."""
+    """fn(*args)'s exit code, or 2 for a usage or configuration error or an
+    output that could not be written and 1 for a computation that could not
+    finish, reported on one stderr line."""
     try:
         return fn(*args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:      # a config that cannot be read is a ConfigError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except _RUN_ERRORS as exc:
         print(f"computation failed: {exc}", file=sys.stderr)

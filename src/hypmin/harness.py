@@ -1,5 +1,4 @@
-"""Scenario orchestration: config files, the two headline verifications, and
-the static-output-feedback counterexample.
+"""The paper's two results and its counterexample, checked numerically.
 
 verify_settling synthesizes the backstepping feedback and certifies that the
 closed loop reaches (numerically) zero at the requested time, with a grid
@@ -11,15 +10,13 @@ residual comes from block elimination, not one dense solve: the hat controls
 only the upper component reads are eliminated exactly in O(n) by Givens
 rotations, and one least-squares solve over the lower component's n+1 rows
 plus at most 3 compressed upper rows remains; the report's condition is the
-condition number of that reduced matrix.
+condition number of that reduced matrix.  counterexample builds the unstable
+eigenmode of the static reflection feedback.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
-import os
 import time
 from dataclasses import dataclass
 
@@ -27,34 +24,24 @@ import numpy as np
 
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
-from .errors import (ConfigError, DivergenceError, DomainError, PreconditionError,
-                     RootBracketError)
-from .kernels import FeedbackLaw, solve_gains, solve_kernels_bytes, solve_trace
+from .config import ScenarioConfig, check_memory, make_initial_data
+from .errors import DivergenceError, DomainError, PreconditionError, RootBracketError
+from .kernels import solve_gains, solve_kernels_bytes, solve_trace
 from .mintime import times_report
 from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
                         _simulate_bytes, _trapezoid_weights, canonical_map, growth_rate,
                         l2_norm, simulate)
 
 __all__ = [
-    "ScenarioConfig",
     "VerificationReport",
     "CounterexampleResult",
-    "load_config",
-    "make_initial_data",
-    "make_control",
+    "check_run_memory",
     "verify_settling",
     "verify_sharpness",
     "canonical_sharpness_residual",
     "canonical_sharpness_bytes",
     "counterexample",
 ]
-
-SCHEMA_VERSION = 1
-
-# Largest grid_n: a fixed, machine-independent bound on what loading a config
-# allocates, a speed table of 4*grid_n cells.  Each command checks the memory
-# of its own kernel solve and simulation.
-_GRID_N_MAX = 23169
 
 # Pass rules of verify_settling and verify_sharpness (see their docstrings).
 _RESIDUAL_MAX = 0.05
@@ -68,19 +55,6 @@ _CX_HORIZON = 2.5
 _CX_WINDOW = (0.5, 2.5)
 _CX_CFL = 0.9
 _CX_RATE_REL_TOL = 0.05
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario_id: str
-    system: SystemSpec
-    grid: Grid
-    cfl: float
-    horizon: float
-    initial: dict
-    control: dict
-    seed: int
-    output_dir: str
 
 
 @dataclass
@@ -134,268 +108,17 @@ class VerificationReport:
             lines.append(self.notes)
         return "\n".join(lines)
 
-    def write(self, outdir) -> str:
-        return _write_json(outdir, f"report_{self.kind}.json", self.as_flat_dict())
 
-
-def _write_json(outdir, name: str, data: dict) -> str:
-    """Write data as indented JSON (numpy scalars as floats) to outdir/name."""
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=float)
-        fh.write("\n")
-    return path
-
-
-# The numeric fields of each coefficient family, each a number or a list of them.
-_FIELDS = {"constant": ("value",), "polynomial": ("coeffs",), "step": ("ell", "lo", "hi"),
-           "expbump": ("shift",), "sampled": ("xs", "values")}
-
-
-def _is_number(v) -> bool:
-    """A JSON int or float: a bool or a string never counts as a number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
-
-
-def _coeff_from_dict(d, name: str) -> CoefficientSpec:
-    if not isinstance(d, dict) or "family" not in d:
-        raise ConfigError(f"coefficient '{name}' must be a tagged record with a family")
-    fam = d["family"]
-    if not isinstance(fam, str) or fam not in _FIELDS:
-        raise ConfigError(f"coefficient '{name}' has unknown family {fam!r}")
-    for key in _FIELDS[fam]:
-        got = d.get(key, [])
-        for v in got if isinstance(got, list) else [got]:
-            if not _is_number(v):
-                raise ConfigError(f"coefficient '{name}' ({fam}): {key} must hold "
-                                  f"numbers, got {v!r}")
-    try:
-        if fam == "constant":
-            spec = CoefficientSpec.constant(d["value"])
-        elif fam == "polynomial":
-            spec = CoefficientSpec.polynomial(d["coeffs"])
-        elif fam == "step":
-            spec = CoefficientSpec.step(d["ell"], d["lo"], d["hi"])
-        elif fam == "expbump":
-            spec = CoefficientSpec.expbump(d.get("shift", 0.0))
-        else:
-            spec = CoefficientSpec.sampled(d["xs"], d["values"])
-    except KeyError as exc:
-        raise ConfigError(f"coefficient '{name}' ({fam}) is missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"coefficient '{name}': {exc}") from exc
-    vals = np.hstack([spec.params, *(() if spec.xs is None else (spec.xs, spec.values))])
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"coefficient '{name}' ({fam}) has a non-finite value")
-    return spec
-
-
-def _number(d: dict, key: str, convert=float, default=None):
-    """d[key] (or default when absent) converted by convert: a finite number,
-    never a bool or a string, and integral where convert is int; else
-    ConfigError."""
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"config is missing required field '{key}'")
-        return default
-    val = d[key]
-    try:
-        finite = _is_number(val) and math.isfinite(val)
-    except OverflowError:               # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ConfigError(f"{key} must be a finite number, got {val!r}")
-    if convert is int and val != math.floor(val):
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
-    return convert(val)
-
-
-def _record(d: dict, key: str, default: dict) -> dict:
-    val = d.get(key, default)
-    if not isinstance(val, dict):
-        raise ConfigError(f"{key} must be an object, got {val!r}")
-    return val
-
-
-def _random_fields(spec: dict, default_seed: int) -> tuple:
-    """Seed and knot count of random initial data."""
-    seed, m = _number(spec, "seed", int, default_seed), _number(spec, "nodes", int, 16)
-    if seed < 0 or m < 1:
-        raise ConfigError("random data needs seed >= 0 and nodes >= 1")
-    # the knots and two draws of m values, with room for the generator's own
-    _check_memory(32.0 * m, f"random data with {m} nodes", ConfigError)
-    return seed, m
-
-
-def _kind_record(raw: dict, key: str, seed: int) -> dict:
-    """The initial_data or control record, checked by building it.
-
-    Random data is checked by its fields only: drawing it would load
-    numpy.random (about 6 MB) in commands that never use the data.
-    """
-    default = "random" if key == "initial_data" else "feedback"
-    rec = _record(raw, key, {"kind": default})
-    kind = rec.get("kind", default)
-    try:
-        if key == "initial_data" and kind == "random":
-            _random_fields(rec, seed)
-        elif key == "initial_data":
-            make_initial_data(rec, Grid.uniform(1), seed)
-        elif kind != "feedback":
-            make_control(rec)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    return rec
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the platform does not report it."""
-    try:
-        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-
-
-def _check_memory(need: float, what: str, error) -> None:
-    """Raise error unless an estimate of need bytes fits the physical memory."""
-    have = _physical_memory()
-    if need > have:
-        raise error(f"{what} needs about {need / 1e9:.3g} GB, more than the "
-                    f"{have / 1e9:.3g} GB of physical memory")
-
-
-def _check_run_memory(command: str, cfg: ScenarioConfig, n: int, gains: bool,
-                      snapshots: int) -> None:
+def check_run_memory(command: str, cfg: ScenarioConfig, n: int, gains: bool,
+                     snapshots: int) -> None:
     """Refuse cfg's gains solve (where gains) and simulation on an n-cell grid
     keeping snapshots states, where they would not fit the physical memory."""
     need = _simulate_bytes(_max_speed(cfg.system.speeds, Grid.uniform(n).nodes), n,
                            cfg.horizon, cfg.cfl, snapshots)
     if gains:
         need += solve_kernels_bytes(cfg.system, n, 0)
-    _check_memory(need, f"{command} at n={n}: {'the gains solve, ' * gains}{snapshots} snapshots"
-                  f" and the time steps to horizon {cfg.horizon:.12g}", PreconditionError)
-
-
-def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig:
-    """Validated scenario config from its parsed JSON record.
-
-    Every malformed, missing or non-finite value raises ConfigError before
-    any computation, as do a grid_n above _GRID_N_MAX and random data too
-    large for the physical memory; each command checks the memory of its own
-    solve and simulation.  The schema-v1 keys kernel_tol and kernel_max_iter
-    are accepted and ignored: the kernel solve takes one pass and has no
-    iteration to tune.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    if "system" not in raw:
-        raise ConfigError("config is missing required field 'system'")
-    sys_d = _record(raw, "system", {})
-    grid_n = _number(raw, "grid_n", int)
-    horizon = _number(raw, "horizon")
-    if grid_n < 8:
-        raise ConfigError(f"grid_n must be at least 8, got {grid_n}")
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if grid_n > _GRID_N_MAX:
-        raise ConfigError(f"grid_n must be at most {_GRID_N_MAX}, got {grid_n}")
-    table_n = max(4096, 4 * grid_n)
-    lam1 = _coeff_from_dict(sys_d.get("lambda1"), "lambda1")
-    lam2 = _coeff_from_dict(sys_d.get("lambda2"), "lambda2")
-    coeffs = {}
-    for name in ("a", "b", "c", "d"):
-        coeffs[name] = _coeff_from_dict(sys_d.get(name, {"family": "constant", "value": 0.0}),
-                                        name)
-    try:
-        speeds = SpeedPair.build(lam1, lam2, table_n=table_n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    system = SystemSpec(speeds=speeds, a=coeffs["a"], b=coeffs["b"],
-                        c=coeffs["c"], d=coeffs["d"], q=_number(sys_d, "q", float, 0.0))
-    cfl = _number(raw, "cfl", float, 0.9)
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError(f"cfl must lie in (0,1], got {cfl}")
-    seed = _number(raw, "seed", int, 42)
-    return ScenarioConfig(
-        scenario_id=str(raw.get("scenario_id", scenario_id)),
-        system=system,
-        grid=Grid.uniform(grid_n),
-        cfl=cfl,
-        horizon=horizon,
-        initial=_kind_record(raw, "initial_data", seed),
-        control=_kind_record(raw, "control", seed),
-        seed=seed,
-        output_dir=str(raw.get("output_dir", "out")),
-    )
-
-
-def load_config(path) -> ScenarioConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return config_from_dict(raw, scenario_id=stem)
-
-
-def make_initial_data(spec: dict, grid: Grid, default_seed: int = 42):
-    """Initial data pair on the grid from its config record."""
-    kind = spec.get("kind", "random")
-    xs = grid.nodes
-    if kind == "zero":
-        return np.zeros(grid.n + 1), np.zeros(grid.n + 1)
-    if kind == "random":
-        # piecewise linear on a few nodes: rough but resolution-independent
-        seed, m = _random_fields(spec, default_seed)
-        rng = np.random.default_rng(seed)
-        knots = np.linspace(0.0, 1.0, m)
-        y1 = np.interp(xs, knots, rng.uniform(-1.0, 1.0, m))
-        y2 = np.interp(xs, knots, rng.uniform(-1.0, 1.0, m))
-        return y1, y2
-    if kind in ("samples", "family"):
-        out = []
-        for name in ("y1", "y2"):
-            d = spec.get(name)
-            if kind == "samples" and isinstance(d, dict):   # {xs, values}
-                d = {**d, "family": "sampled"}
-            out.append(np.asarray(_coeff_from_dict(d, name)(xs), dtype=float))
-        return tuple(out)
-    raise ConfigError(f"unknown initial_data kind {kind!r}")
-
-
-def make_control(spec: dict, feedback: FeedbackLaw | None = None):
-    """Control object for simulate() from its config record."""
-    kind = spec.get("kind", "feedback")
-    if kind == "zero":
-        return None
-    if kind == "feedback":
-        if feedback is None:
-            raise ConfigError("feedback control requested but no gains were synthesized")
-        return feedback
-    if kind == "reflection":
-        return BoundaryReflection(_number(spec, "k"))
-    if kind == "polynomial":
-        poly = _coeff_from_dict({**spec, "family": "polynomial"}, "u")
-        return lambda t: float(poly(t))
-    if kind == "samples":
-        raw = [spec.get("ts"), spec.get("values")]
-        if not all(isinstance(r, list) and all(map(_is_number, r)) for r in raw):
-            raise ConfigError("samples control needs lists of numbers ts and values")
-        try:
-            ts, vals = (np.asarray(r, dtype=float) for r in raw)
-        except OverflowError as exc:
-            raise ConfigError(f"samples control: {exc}") from exc
-        if not (0 < ts.size == vals.size and np.isfinite(ts).all() and np.isfinite(vals).all()):
-            raise ConfigError("samples control needs finite ts and values of one equal length")
-        return lambda t: float(np.interp(t, ts, vals))
-    raise ConfigError(f"unknown control kind {kind!r}")
+    check_memory(need, f"{command} at n={n}: {'the gains solve, ' * gains}{snapshots} snapshots"
+                 f" and the time steps to horizon {cfg.horizon:.12g}", PreconditionError)
 
 
 def _levels(base_n: int, levels) -> list:
@@ -415,7 +138,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     records both as thresholds.  Requires horizon >= Tmin.
     """
     levels = _levels(cfg.grid.n, levels)
-    _check_run_memory("verify-settling", cfg, max(levels), True, 0)
+    check_run_memory("verify-settling", cfg, max(levels), True, 0)
     t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
     if cfg.horizon < tr.Tmin - 1e-12:
@@ -628,9 +351,9 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
                                 f"{np.finfo(float).tiny:.12g}, got {T!r}")
     levels = _levels(cfg.grid.n, levels)
     finest = Grid.uniform(max(levels))
-    _check_memory(solve_kernels_bytes(cfg.system, finest.n, 1)
-                  + canonical_sharpness_bytes(cfg.system.speeds, T, finest),
-                  f"sharpness at T={T:.12g} on n={finest.n}", PreconditionError)
+    check_memory(solve_kernels_bytes(cfg.system, finest.n, 1)
+                 + canonical_sharpness_bytes(cfg.system.speeds, T, finest),
+                 f"sharpness at T={T:.12g} on n={finest.n}", PreconditionError)
     t_start = time.perf_counter()
     tr = times_report(cfg.system, grid=cfg.grid)
     margin = _MARGIN_FACTOR * tr.Tunif
@@ -750,9 +473,9 @@ def counterexample(k: float, n: int = 800) -> CounterexampleResult:
     # speeds -1 and 1: the step traces, the dozen speed-table arrays that
     # SpeedPair.build holds at once and a few dozen arrays of n+1 nodes,
     # estimated before any of them is allocated
-    _check_memory(_simulate_bytes(1.0, n, _CX_HORIZON, _CX_CFL, 0)
-                  + 8.0 * (12 * (table_n + 1) + 32 * (n + 1)),
-                  f"counterexample at n={n}", PreconditionError)
+    check_memory(_simulate_bytes(1.0, n, _CX_HORIZON, _CX_CFL, 0)
+                 + 8.0 * (12 * (table_n + 1) + 32 * (n + 1)),
+                 f"counterexample at n={n}", PreconditionError)
     grid = Grid.uniform(n)
     xs = grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):     # checked below

@@ -84,7 +84,6 @@ __all__ = [
     "solve_kernels_bytes",
     "write_kernels_csv",
     "write_kernels_csv_bytes",
-    "export_kernels_csv",
     "export_profile_csv",
 ]
 
@@ -544,14 +543,24 @@ def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
 
 
 def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
-    """Write export_kernels_csv(solve_kernels(system, grid), path), byte for
-    byte, and return that KernelSet's g and gains, holding no kernel array
-    where the system is _uncoupled and only k22 where it is not
-    (_kernel_blocks).  On a DomainError the file is incomplete; callers
-    remove it.  Memory: write_kernels_csv_bytes."""
+    """Write the kernels of solve_kernels(system, grid) over the triangle,
+    rows (x, xi, k11, k12, k21, k22), to path and return that KernelSet's g
+    and gains, bitwise, holding no kernel array where the system is
+    _uncoupled and only k22 where it is not (_kernel_blocks).  On a
+    DomainError the file is incomplete; callers remove it.  Memory:
+    write_kernels_csv_bytes."""
     gauge = _gauge(system, grid)
-    k21_edge, k11_last, k12_last = _write_kernels(path, grid,
-                                                  _kernel_blocks(system.speeds, gauge, grid))
+    blocks = _kernel_blocks(system.speeds, gauge, grid)
+    text = _text(grid.nodes)
+    with open(path, "w", newline="") as fh:
+        fh.write("x,xi,k11,k12,k21,k22\r\n")
+        while True:
+            try:
+                ii, jj, kernels = next(blocks)
+            except StopIteration as stop:
+                k21_edge, k11_last, k12_last = stop.value
+                break
+            fh.write(_csv_block([(text, ii), (text, jj), *kernels]))
     return _g(k21_edge, system.speeds), _gains(k11_last, k12_last, gauge)
 
 
@@ -701,28 +710,6 @@ def _triangle_points(rows: range):
     r0 = rows.start
     ii = np.repeat(np.arange(r0, rows.stop), np.arange(r0 + 1, rows.stop + 1))
     return ii, np.arange(ii.size) - (ii * (ii + 1) - r0 * (r0 + 1)) // 2
-
-
-def _write_kernels(path, grid: Grid, blocks):
-    """Write kernels.csv, rows (x, xi, k11, k12, k21, k22) over the triangle,
-    from blocks (ii, jj, kernels) of points (_triangle_points) and the four
-    kernels' values there, and return the value that blocks returns."""
-    text = _text(grid.nodes)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,xi,k11,k12,k21,k22\r\n")
-        while True:
-            try:
-                ii, jj, kernels = next(blocks)
-            except StopIteration as stop:
-                return stop.value
-            fh.write(_csv_block([(text, ii), (text, jj), *kernels]))
-
-
-def export_kernels_csv(K: KernelSet, path) -> None:
-    """Write the triangle samples as rows (x, xi, k11, k12, k21, k22)."""
-    points = map(_triangle_points, _row_blocks(K.grid.n))
-    _write_kernels(path, K.grid, ((ii, jj, [k[ii, jj] for k in (K.k11, K.k12, K.k21, K.k22)])
-                                  for ii, jj in points))
 
 
 def export_profile_csv(path, nodes: np.ndarray, columns: dict) -> None:

@@ -15,8 +15,8 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_min_time,
                     solve_kernels, times_report, titchmarsh_check, volterra_apply,
                     volterra_invert)
 from hypmin.coeffs import prefix_of_samples
-from hypmin.harness import (config_from_dict, counterexample, verify_settling,
-                            verify_sharpness)
+from hypmin.config import config_from_dict
+from hypmin.harness import counterexample, verify_settling, verify_sharpness
 
 from conftest import (const, exact_transport, headline_raw, make_system,
                       random_kernel_set, smooth_bump)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hypmin
+import hypmin.config
 from hypmin import Grid, harness, kernels
 from hypmin.cli import run_cli
 
@@ -174,6 +174,19 @@ class TestConfigErrors:
             assert err.startswith("error: ") and path[-1] in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, words", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+        (b'{"grid_n": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf8", "nested-1e5", "int-5000-digits"])
+    def test_unreadable_json_is_one_line_exit_2(self, tmp_path, capsys, text, words):
+        # a UnicodeDecodeError, a RecursionError and the ValueError of the
+        # int digit limit from json.load each ended in a traceback (exit 1)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        err = _run_one_line_exit_2(["mintime", str(bad)], capsys)[2]
+        assert err.startswith(f"error: config {bad} ") and words in err
+
 
 def _run_one_line_exit_2(argv, capsys):
     """run_cli(argv) under tracemalloc: (seconds, traced peak bytes, stderr)."""
@@ -240,7 +253,7 @@ class TestMemoryCap:
     def test_config_beyond_cap(self, tmp_path, capsys, monkeypatch, command, values, flags,
                                words):
         # the machine reports 1 GB, so the cap is the same everywhere
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 1e9)
         raw = headline_raw(n=64)
         raw.update(values)
         path = tmp_path / "big.json"
@@ -263,7 +276,7 @@ class TestMemoryCap:
     def test_no_time_steps_without_a_simulation(self, tmp_path, capsys, monkeypatch, values,
                                                 command):
         # neither command simulates, so neither is charged the time steps
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 1e9)
         raw = headline_raw(n=64)
         raw.update(values)
         path = tmp_path / "long.json"
@@ -276,11 +289,11 @@ class TestMemoryCap:
         # the lower rows, dense over about 39 000 hats, and the reduced
         # least-squares matrix alone are about 1.1 GB, more than the 1 GB the
         # machine is made to report here
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 1e9)
         raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
         path = tmp_path / "varying.json"
         path.write_text(json.dumps(raw))
-        cfg = harness.load_config(path)
+        cfg = hypmin.config.load_config(path)
         est = harness.canonical_sharpness_bytes(cfg.system.speeds, 50.0, Grid.uniform(800))
         assert 1.05e9 < est < 1.2e9
         out = tmp_path / "out"
@@ -294,7 +307,7 @@ class TestMemoryCap:
     def test_counterexample_n_beyond_cap(self, capsys, monkeypatch, n):
         # the speed table and the step traces are estimated before either
         # is allocated (about 4.9 GB at n = 1e7)
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 1e9)
         elapsed, peak, err = _run_one_line_exit_2(
             ["counterexample", "--k", "1", "--n", str(n)], capsys)
         assert f"counterexample at n={n} needs about" in err
@@ -304,7 +317,7 @@ class TestMemoryCap:
     def test_titchmarsh_n_beyond_cap(self, capsys, monkeypatch, n):
         # the samples and the convolution are estimated before any of them is
         # allocated (about 96 GB at n = 1e9)
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 1e9)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 1e9)
         elapsed, peak, err = _run_one_line_exit_2(
             ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1",
              "--n", str(n)], capsys)
@@ -324,7 +337,7 @@ class TestMemoryCap:
             tracemalloc.stop()
         assert peak > 8 * 8 * 20001
         capsys.readouterr()
-        monkeypatch.setattr(harness, "_physical_memory", lambda: float(peak))
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: float(peak))
         _run_one_line_exit_2(argv, capsys)
 
     def test_titchmarsh_large_n_is_fast(self, capsys):
@@ -337,7 +350,7 @@ class TestMemoryCap:
         assert elapsed < 1.0
 
     def test_physical_memory_is_reported(self):
-        assert 0 < harness._physical_memory() < math.inf
+        assert 0 < hypmin.config._physical_memory() < math.inf
 
 
 class TestGaugeOverflow:
@@ -530,7 +543,7 @@ class TestExportFloatLimits:
                                          lambda1, lambda2, b, c, horizon):
         # with the machine reporting 2 MB, a simulation that runs takes at
         # most about 6e4 steps, and a longer one is refused before any work
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 2e6)
         work = tmp_path_factory.mktemp("limits")
         path = self.write_config(work, horizon, lambda1=-lambda1, lambda2=lambda2, b=b, c=c)
         out = work / "out"
@@ -626,7 +639,7 @@ class TestFlagFloatLimits:
     @given(config=st.sampled_from(["headline", "varying"]), T=_MAGNITUDE)
     def test_sharpness_time(self, tmp_path_factory, capsys, monkeypatch, config, T):
         # 2 MB reported: a large T is refused before its trace matrix exists
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 2e6)
         work = tmp_path_factory.mktemp("sharp")
         raw = (headline_raw() if config == "headline"
                else json.loads((CONFIG_DIR / "varying_speeds.json").read_text()))
@@ -646,7 +659,7 @@ class TestFlagFloatLimits:
            n=st.sampled_from([2, 3, 10, 1000]))
     def test_titchmarsh_tau(self, capsys, monkeypatch, tau, a, b, n):
         # prefixes as fractions of tau, so that both lie in [0, tau]
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 2e6)
         capsys.readouterr()
         code = run_cli(["titchmarsh", "--prefix-a", repr(a * tau), "--prefix-b", repr(b * tau),
                         "--tau", repr(tau), "--n", str(n)])
@@ -692,7 +705,7 @@ class TestSettlingCounterexampleFloatLimits:
     @given(lambda1=_MAGNITUDE, lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED, horizon=_MAGNITUDE)
     def test_verify_settling(self, tmp_path_factory, capsys, monkeypatch, lambda1, lambda2,
                              b, c, horizon):
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 2e6)
         work = tmp_path_factory.mktemp("settle")
         path = TestExportFloatLimits().write_config(work, horizon, lambda1=-lambda1,
                                                     lambda2=lambda2, b=b, c=c)
@@ -706,7 +719,7 @@ class TestSettlingCounterexampleFloatLimits:
     @given(k=_SIGNED | st.floats(-5.0, 5.0), n=st.integers(0, 64) | st.integers(0, 10**18))
     def test_counterexample(self, capsys, monkeypatch, k, n):
         # 2 MB reported: a large n is refused before its speed table exists
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 2e6)
         capsys.readouterr()
         code = run_cli(["counterexample", f"--k={k!r}", "--n", str(n)])
         _assert_one_line(code, capsys.readouterr().err)
@@ -845,8 +858,37 @@ class TestArtifactCommands:
         out = capsys.readouterr().out
         assert "sigma" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["mintime", "{config}"], ["kernels", "{config}"], ["simulate", "{config}"],
+        ["verify-settling", "{config}"], ["verify-sharpness", "{config}", "--T", "1.6"],
+        ["counterexample", "--k", "0.5", "--n", "100"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_unwritable_out_is_one_line_exit_2(self, tmp_path, capsys, argv, under):
+        # an --out that is a file, or a directory under one, was a
+        # FileExistsError or NotADirectoryError traceback (exit 1)
+        config = tmp_path / "headline.json"
+        config.write_text(json.dumps(headline_raw(n=16)))
+        (tmp_path / "f").touch()
+        before = sorted(tmp_path.rglob("*"))
+        argv = [a.format(config=config) for a in argv] + ["--out", str(tmp_path / "f" / under)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output: ")
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before    # no kernels.csv.part, no directory
+
 
 class TestInstalledEntryPoint:
+    def test_benchmark_setup_probe_loader(self):
+        # perfbench/run.py's SETUP_PROBE times hypmin.cli.load_config(path)
+        # as the set-up of every benchmark command: the name stays bound in
+        # cli, to the one config loader
+        import hypmin.cli
+        assert hypmin.cli.load_config is hypmin.config.load_config
+        cfg = hypmin.cli.load_config(CONFIG_DIR / "headline.json")
+        assert cfg.scenario_id == "headline" and cfg.grid.n == 400
+
     def test_module_invocation(self, headline_path):
         # the child imports the same hypmin tree as this test, installed or not
         src = os.path.dirname(os.path.dirname(hypmin.__file__))

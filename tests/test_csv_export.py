@@ -1,9 +1,9 @@
 """Byte identity of the CSV exports against per-cell csv.writer references.
 
 The reference writers below are the original per-row implementations of
-export_kernels_csv, export_profile_csv and export_sim_csv (which picked the
-snapshots from a full history, as simulate now does); the blocked writer,
-and write_kernels_csv's rows streamed from the kernel marches, must
+the kernels.csv export, export_profile_csv and export_sim_csv (which picked
+the snapshots from a full history, as simulate now does); the blocked
+writer, and write_kernels_csv's rows streamed from the kernel marches, must
 reproduce their files byte for byte, including CRLF line ends and the text
 of -0.0, nan, +-inf, subnormals and large integers under "%.12g", whether a
 column is formatted per cell, written once as a constant, or gathered from
@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 from hypmin import CoefficientSpec, Grid, SpeedPair, kernels, simulate, solve_kernels
 from hypmin.cli import run_cli
 from hypmin.errors import DomainError, InvalidSpeedsError
-from hypmin.harness import load_config, make_control, make_initial_data
-from hypmin.kernels import (export_kernels_csv, export_profile_csv, solve_gains,
-                            write_kernels_csv, write_kernels_csv_bytes)
+from hypmin.config import load_config, make_control, make_initial_data
+from hypmin.kernels import (export_profile_csv, solve_gains, write_kernels_csv,
+                            write_kernels_csv_bytes)
 from hypmin.simulator import export_sim_csv
 
-from conftest import const, make_system, random_kernel_set
+from conftest import const, make_system
 
 SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
             123456789012345.0, 0.1, -1.0 / 3.0, 1e300, 0.0]
@@ -98,11 +98,13 @@ def csv_rows(request, monkeypatch):
     return request.param
 
 
-def test_kernels_csv_bytes(csv_rows, tmp_path):
-    K = random_kernel_set(Grid.uniform(10), np.random.default_rng(3))
-    K.k21[4, :len(SPECIALS[:5])] = SPECIALS[:5]
-    export_kernels_csv(K, tmp_path / "new.csv")
-    reference_kernels_csv(K, tmp_path / "ref.csv")
+def test_kernels_csv_bytes(csv_rows, varying_speeds, tmp_path):
+    # the special values of a kernel column are those of any column of
+    # _csv_block: test_profile_csv_bytes and test_indexed_column_bytes
+    system = step_system(varying_speeds, 0.8)
+    grid = Grid.uniform(10)
+    write_kernels_csv(system, grid, tmp_path / "new.csv")
+    reference_kernels_csv(solve_kernels(system, grid), tmp_path / "ref.csv")
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert len(new.splitlines()) == 1 + 11 * 12 // 2     # 66 rows: ragged last block
@@ -142,10 +144,9 @@ def assert_same_bytes(new, ref):
         assert a.read() == b.read(), os.path.basename(new)
 
 
-def step_kernels(speeds, n, b):
-    """Kernels for constant b and c a step at 0.2; at b = 0 only k21 is nonzero."""
-    system = make_system(speeds, b=b, c=CoefficientSpec.step(0.2, 0.0, 1.0))
-    return solve_kernels(system, Grid.uniform(n))
+def step_system(speeds, b):
+    """Constant b and c a step at 0.2; at b = 0 only k21 is nonzero."""
+    return make_system(speeds, b=b, c=CoefficientSpec.step(0.2, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("rows", [0, 1, 9])
@@ -184,37 +185,18 @@ def test_indexed_column_bytes(csv_rows, tmp_path):
 
 
 def test_uncoupled_kernels_csv_bytes(csv_rows, varying_speeds, tmp_path):
-    K = step_kernels(varying_speeds, 12, 0.0)
+    system = step_system(varying_speeds, 0.0)
+    K = solve_kernels(system, Grid.uniform(12))
     i, j = np.tril_indices(13)
     for k in (K.k11, K.k12, K.k22):
         assert np.unique(k[i, j].view(np.uint64)).size == 1
     assert np.unique(K.k21[i, j]).size > 1
-    export_kernels_csv(K, tmp_path / "new.csv")
+    write_kernels_csv(system, K.grid, tmp_path / "new.csv")
     reference_kernels_csv(K, tmp_path / "ref.csv")
     assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
 
 
 class TestExportMemory:
-    N = 400
-
-    @pytest.mark.parametrize("b", [0.0, 0.8])
-    def test_peak_in_triangle_arrays(self, varying_speeds, tmp_path, b):
-        K = step_kernels(varying_speeds, self.N, b)
-        path = tmp_path / "kernels.csv"
-        export_kernels_csv(K, path)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            export_kernels_csv(K, path)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        triangle = 8 * (self.N + 1) * (self.N + 2) // 2
-        # the index pair and the four kernel columns are 6 triangle arrays,
-        # one block of cells and text about 2-4 more at this n; measured 7.8
-        # (b = 0) and 9.9 (b = 0.8), and 13.6 when x and xi were gathered too
-        assert peak <= 11 * triangle
-
     @pytest.mark.parametrize("b", [0.0, 0.8], ids=["b0", "b0.8"])
     def test_kernels_command_peak_at_n800(self, tmp_path, b):
         # the command streams its rows: with b = 0 it holds no (n+1)^2
@@ -317,7 +299,7 @@ def test_streamed_kernels_raise_as_solve_kernels(tmp_path_factory, lambda1, lamb
             got = str(exc)
     assert got == want
     if want is None:
-        export_kernels_csv(K, path.with_name("ref.csv"))
+        reference_kernels_csv(K, path.with_name("ref.csv"))
         assert_same_bytes(path, path.with_name("ref.csv"))
         assert_same_solve(K, *gains)
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from hypmin import Grid, harness, simulator, times_report
 from hypmin.errors import ConfigError, PreconditionError
-from hypmin.harness import (canonical_sharpness_residual, config_from_dict,
-                            counterexample, load_config,
-                            make_control, make_initial_data,
+from hypmin.cli import _write_json
+from hypmin.config import config_from_dict, load_config, make_control, make_initial_data
+from hypmin.harness import (canonical_sharpness_residual, counterexample,
                             solve_counterexample_branch, verify_settling,
                             verify_sharpness)
 from hypmin.kernels import FeedbackLaw, solve_trace
@@ -222,7 +222,6 @@ class TestVerifySettling:
         # synthesized feedback gives a time-continuous control trace (step
         # increments O(dt), never O(1) jumps) and a decaying closed loop
         from hypmin import growth_rate, solve_kernels
-        from hypmin.harness import make_initial_data
         cfg = config_from_dict(headline_raw(n=200, horizon=1.4), "trace")
         grid = cfg.grid
         law = solve_kernels(cfg.system, grid).gains
@@ -242,7 +241,7 @@ class TestVerifySettling:
     def test_report_write(self, tmp_path):
         cfg = config_from_dict(transport_raw(), "transport")
         rep = verify_settling(cfg, levels=(32, 64))
-        path = rep.write(tmp_path)
+        path = _write_json(tmp_path, "report_settling.json", rep.as_flat_dict())
         data = json.loads(open(path).read())
         assert data["kind"] == "settling"
         assert "level0_residual_rel" in data
@@ -529,7 +528,8 @@ class TestSharpnessSolve:
         def no_constant(name):
             raise ValueError(f"{name} is not valid JSON")
 
-        data = json.loads(open(rep.write(tmp_path)).read(), parse_constant=no_constant)
+        path = _write_json(tmp_path, "report_sharpness.json", rep.as_flat_dict())
+        data = json.loads(open(path).read(), parse_constant=no_constant)
         assert data["level0_condition"] == 1.0
 
 

@@ -12,7 +12,7 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, kernels,
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError, PreconditionError
 from hypmin.kernels import (_blocks, _build_plan, _step_interior, _trace_row_direct,
-                            export_kernels_csv, export_profile_csv, solve_kernels_bytes)
+                            export_profile_csv, solve_kernels_bytes, write_kernels_csv)
 
 from conftest import const, make_system
 
@@ -763,7 +763,7 @@ class TestExports:
     def test_csv_files(self, unit_speeds, tmp_path):
         _, K = solve(unit_speeds, b=1.0, c=1.0, n=10)
         kpath = tmp_path / "kernels.csv"
-        export_kernels_csv(K, kpath)
+        write_kernels_csv(make_system(unit_speeds, b=1.0, c=1.0), K.grid, kpath)
         lines = kpath.read_text().strip().splitlines()
         assert lines[0] == "x,xi,k11,k12,k21,k22"
         assert len(lines) == 1 + (11 * 12) // 2

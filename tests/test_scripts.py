@@ -63,8 +63,8 @@ def test_run_headline_checks_kernel_memory(tmp_path, capsys, monkeypatch):
                                                   os.path.join(SCRIPTS, "run_headline.py"))
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    from hypmin import harness
-    monkeypatch.setattr(harness, "_physical_memory", lambda: 2e6)
+    from hypmin import config
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2e6)
     out = tmp_path / "out"
     monkeypatch.setattr(sys, "argv", ["run_headline.py", "--out", str(out)])
     assert script.main() == 2
