@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Compare what two hypmin source trees print and write, command by command.
+
+    python scripts/compare_outputs.py OLD NEW [CONFIG ...]
+
+On each config (default: NEW's configs/*.json) every tree runs `mintime`,
+`kernels`, `simulate`, `verify-settling` and `verify-sharpness` at
+T = Tmin - 0.2 Tunif, Tmin and Tmin + 0.1 Tunif (read from the tree's own
+times.json), with PYTHONPATH=<tree>/src, in a scratch directory of its own
+and with the same relative --out, the two trees side by side.  Exit codes,
+stdout and every output file are compared byte for byte; a JSON file is
+compared as its parsed record without `runtime`, `config_sha256` and
+`numpy_version`, which vary by run or by tree.  Each difference is listed
+on one line; the exit code is 1 if there is any, else 0.
+"""
+
+import argparse
+import glob
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+_VARYING = ("runtime", "config_sha256", "numpy_version")
+_SHARPNESS = (("below", -0.2), ("at", 0.0), ("above", 0.1))    # T = Tmin + shift * Tunif
+
+
+def _hypmin(tree: str, work: str, argv: list) -> tuple:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run([sys.executable, "-m", "hypmin.cli", *argv], cwd=work, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def run_tree(tree: str, configs: list, work: str) -> dict:
+    """{(config, command): (exit code, stdout)}, with the outputs of each
+    command under work/<config index>-<config name>/<command>."""
+    results = {}
+    for k, config in enumerate(configs):
+        case = f"{k}-{os.path.splitext(os.path.basename(config))[0]}"
+        out = lambda command: os.path.join(case, command)
+        for command in ("mintime", "kernels", "simulate", "verify-settling"):
+            results[case, command] = _hypmin(tree, work, [command, config, "--out", out(command)])
+        try:
+            with open(os.path.join(work, out("mintime"), "times.json")) as fh:
+                times = json.load(fh)
+        except OSError:         # mintime failed: its exit code differs or both lack T
+            continue
+        for label, shift in _SHARPNESS:
+            command = f"verify-sharpness-{label}"
+            T = times["Tmin"] + shift * times["Tunif"]
+            results[case, command] = _hypmin(tree, work, ["verify-sharpness", config, "--T",
+                                                          repr(T), "--out", out(command)])
+    return results
+
+
+def _comparable(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not path.endswith(".json"):
+        return data
+    record = json.loads(data)
+    for key in _VARYING:
+        record.pop(key, None)
+    return json.dumps(record, sort_keys=True).encode()
+
+
+def _first_line(a: str, b: str) -> str:
+    """Where two texts first differ, as 'line k: OLD | NEW'."""
+    la, lb = a.splitlines(), b.splitlines()
+    k = next((k for k, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    pick = lambda lines: lines[k] if k < len(lines) else "<end>"
+    return f"line {k + 1}: {pick(la)!r} | {pick(lb)!r}"
+
+
+def differences(works: list, results: list) -> list:
+    """One line per difference between the OLD and NEW runs and outputs."""
+    diffs = []
+    old, new = results
+    for key in sorted(set(old) | set(new)):
+        where = "/".join(key)
+        if key not in old or key not in new:
+            diffs.append(f"{where}: run by {'NEW' if key in new else 'OLD'} only")
+            continue
+        (code_a, out_a), (code_b, out_b) = old[key], new[key]
+        if code_a != code_b:
+            diffs.append(f"{where}: exit code {code_a} | {code_b}")
+        if out_a != out_b:
+            diffs.append(f"{where}: stdout differs at {_first_line(out_a, out_b)}")
+    files = [{os.path.relpath(os.path.join(d, f), w) for d, _, names in os.walk(w)
+              for f in names} for w in works]
+    for rel in sorted(files[0] | files[1]):
+        if rel not in files[0] or rel not in files[1]:
+            diffs.append(f"{rel}: written by {'NEW' if rel in files[1] else 'OLD'} only")
+            continue
+        a, b = (_comparable(os.path.join(w, rel)) for w in works)
+        if a != b:
+            text = _first_line(a.decode(errors="replace"), b.decode(errors="replace"))
+            diffs.append(f"{rel}: differs at {text}")
+    return diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("old", help="source tree whose src/ holds the reference hypmin")
+    ap.add_argument("new", help="source tree whose src/ holds the hypmin compared with it")
+    ap.add_argument("configs", nargs="*", help="configs (default: NEW's configs/*.json)")
+    args = ap.parse_args(argv)
+    configs = ([os.path.abspath(c) for c in args.configs]
+               or sorted(glob.glob(os.path.join(os.path.abspath(args.new), "configs", "*.json"))))
+    with tempfile.TemporaryDirectory() as tmp:
+        works = [os.path.join(tmp, "old"), os.path.join(tmp, "new")]
+        for work in works:
+            os.makedirs(work)
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(run_tree, (args.old, args.new), (configs, configs), works))
+        diffs = differences(works, results)
+    for line in diffs:
+        print(line)
+    runs = len(set(results[0]) | set(results[1]))
+    print(f"{len(diffs)} difference(s) in {runs} runs on {len(configs)} config(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

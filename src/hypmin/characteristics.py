@@ -42,15 +42,21 @@ def _cell_inv(nodes, tab, wtab, v):
 
     In cell k with r = v - tab[k] the weight at the answer satisfies
     w^2 = w_k^2 + 2 r (w_{k+1} - w_k) / ht, and x = x_k + 2 r / (w_k + w);
-    both weights are positive, so the denominator never cancels.  Callers
+    both weights are positive, so the denominator never cancels.  The
+    weights and r are taken times the power of two that brings the largest
+    weight into [0.5, 1): that leaves every rounding as it is, but keeps
+    w_k^2 from underflowing where a speed is above about 1e154.  Callers
     pass millions of points at once, so the work is done in place.
     """
     T = tab[-1]
+    scale = np.ldexp(1.0, -int(np.frexp(wtab.max())[1]))
+    ws = wtab * scale
     x = np.clip(v, 0.0, T).reshape(-1)
     k = np.searchsorted(tab[1:-1], x, side="right")   # cell of each point
-    x -= tab[k]                                        # x holds r for now
-    wk = wtab[k]
-    w = x * (np.diff(wtab) * (2.0 / (nodes[1] - nodes[0])))[k]
+    x -= tab[k]
+    x *= scale                                         # x holds r * scale for now
+    wk = ws[k]
+    w = x * (np.diff(ws) * (2.0 / (nodes[1] - nodes[0])))[k]
     w += wk * wk
     np.sqrt(w, out=w)
     w += wk

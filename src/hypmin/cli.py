@@ -34,8 +34,17 @@ def _outdir(args, cfg) -> str:
     return args.out or os.path.join(cfg.output_dir, cfg.scenario_id)
 
 
-def _write_json(outdir, name: str, data: dict) -> str:
-    """Write data as indented JSON (numpy scalars as floats) to outdir/name."""
+def _write_json(outdir, name: str, data: dict, config=None) -> str:
+    """Write data as indented JSON (numpy scalars as floats) to outdir/name,
+    with where it came from: the SHA-256 of the bytes of the config file at
+    path config, if given, and the NumPy version."""
+    data = dict(data)
+    if config is not None:
+        import hashlib      # here, as OpenSSL adds 3.5 MB to every command it is loaded in
+
+        with open(config, "rb") as fh:
+            data["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    data["numpy_version"] = np.__version__
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
@@ -49,7 +58,7 @@ def _cmd_mintime(args) -> int:
     tr = times_report(cfg.system, grid=cfg.grid)
     print(tr.pretty())
     if args.out:
-        print(f"wrote {_write_json(args.out, 'times.json', tr.as_dict())}")
+        print(f"wrote {_write_json(args.out, 'times.json', tr.as_dict(), args.config)}")
     return 0
 
 
@@ -112,7 +121,8 @@ def _cmd_verify_settling(args) -> int:
     cfg = load_config(args.config)
     rep = verify_settling(cfg)
     print(rep.pretty())
-    _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict())
+    _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict(),
+                args.config)
     return 0 if rep.passed else 1
 
 
@@ -120,7 +130,8 @@ def _cmd_verify_sharpness(args) -> int:
     cfg = load_config(args.config)
     rep = verify_sharpness(cfg, args.T)
     print(rep.pretty())
-    _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict())
+    _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict(),
+                args.config)
     return 0 if rep.passed else 1
 
 

@@ -37,10 +37,10 @@ builds its plans one block of rows at a time and yields the rows in order of
 x, which is also the order of kernels.csv; each caller keeps what it reads:
 solve_kernels all four kernels (and g and the gains), solve_gains the last
 rows of (k11, k12) for the feedback, solve_trace k22 for the quadrature of g,
-and write_kernels_csv, which streams the rows of the four kernels to
-kernels.csv, only k22.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats
-(none for write_kernels_csv where b = 0), plus one row block of plans per
-pair marched (about 3 MB) and, for write_kernels_csv, one CSV block.
+and write_kernels_csv only k22, writing the four kernels to kernels.csv in
+the blocks of the trace paths.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2
+floats (none for write_kernels_csv where b = 0), plus one row block of plans
+per pair marched (about 3 MB) and one block of trace paths (and of CSV).
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
@@ -72,8 +72,8 @@ from .transforms import DiagGauge, diag_removal
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import SystemSpec
 
-_CSV_ROWS = 8192         # rows per block of _write_csv, and the least per kernels.csv block
-_PLAN_POINTS = 1 << 14   # triangle points per row block of the march plans and trace paths
+_CSV_ROWS = 8192         # rows per block of _write_csv, points per block of trace paths
+_PLAN_POINTS = 1 << 14   # triangle points per row block of the march plans
 
 __all__ = [
     "KernelSet",
@@ -143,11 +143,17 @@ def _blocks(speeds: SpeedPair, grid: Grid):
     r0 = 1
     while r0 <= n:
         r1 = int(np.searchsorted(start, start[r0] + _PLAN_POINTS, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), n + 1)
-        ii = np.repeat(np.arange(r0, r1), np.arange(r0 + 1, r1 + 1))
-        jj = np.arange(ii.size) - (start[ii] - start[r0])
-        yield _Block(range(r0, r1), ii, jj, ii - 1, phi, lam, dphi)
-        r0 = r1
+        rows = range(r0, min(max(r1, r0 + 1), n + 1))
+        ii, jj = _triangle_points(rows)
+        yield _Block(rows, ii, jj, ii - 1, phi, lam, dphi)
+        r0 = rows.stop
+
+
+def _triangle_points(rows: range):
+    """The points (i, j), j <= i, of the triangle rows i in rows, row by row."""
+    r0 = rows.start
+    ii = np.repeat(np.arange(r0, rows.stop), np.arange(r0 + 1, rows.stop + 1))
+    return ii, np.arange(ii.size) - (ii * (ii + 1) - r0 * (r0 + 1)) // 2
 
 
 class _MarchPlan(NamedTuple):
@@ -356,9 +362,9 @@ def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
 
 
 def _path_blocks(n: int) -> list:
-    """The node ranges of the blocks of trace paths: at most _PLAN_POINTS
-    points each, at least one path."""
-    paths = max(1, _PLAN_POINTS // (n + 1))
+    """The node ranges of the blocks of trace paths, which are also the
+    blocks of kernels.csv: at most _CSV_ROWS points each, at least one path."""
+    paths = max(1, _CSV_ROWS // (n + 1))
     return [range(b0, min(b0 + paths, n + 1)) for b0 in range(0, n + 1, paths)]
 
 
@@ -374,10 +380,10 @@ def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     exact: wherever the gauged coupling vanishes along the whole path the
     integral is identically zero, with no interpolation smearing across the
     data discontinuity.  Each path of n+1 points gathers bilinearly from
-    P22; the path ending at x_i reads rows up to i+1 only, and each row's
-    first entry right of the diagonal, which must hold its diagonal value,
-    so that cells straddling the diagonal do not mix in the zeros above it.
-    A datum past the float range is left to the kernel check.
+    P22 on and below its diagonal, the path ending at x_i from rows up to
+    i+1; a cell straddling the diagonal reads the diagonal value for its
+    corner above it, not the zero there.  A datum past the float range is
+    left to the kernel check.
     """
     n, h, nodes = grid.n, grid.h, grid.nodes
     p2n = np.asarray(speeds.phi_eval(2, nodes))
@@ -398,7 +404,8 @@ def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
         ix, wx = _interp_setup(X, h, n - 1)
         jx, wj = _interp_setup(XI, h, n - 1)
         p22v = (P22[ix, jx] * (1 - wx) * (1 - wj) + P22[ix + 1, jx] * wx * (1 - wj)
-                + P22[ix, jx + 1] * (1 - wx) * wj + P22[ix + 1, jx + 1] * wx * wj)
+                + P22[ix, np.minimum(jx + 1, ix)] * (1 - wx) * wj
+                + P22[ix + 1, jx + 1] * wx * wj)
         with np.errstate(over="ignore"):   # a speed product past 1e308: S is +-0
             S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
         # unit spacing, times the step
@@ -409,19 +416,13 @@ def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
 
 def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
                       P22: np.ndarray | None) -> np.ndarray:
-    """p21 on the edge xi=0 at every node (_trace_paths), from P22, which must
-    be zero above its diagonal: its first superdiagonal is padded in place
-    and zeroed again.  P22 None is the zero k22 of an _uncoupled system:
-    every path integral is zero, and the row the diagonal term (+ 0.0, the
-    sum's sign where c vanishes)."""
+    """p21 on the edge xi=0 at every node (_trace_paths).  P22 None is the
+    zero k22 of an _uncoupled system: every path integral is zero, and the
+    row the diagonal term (+ 0.0, the sum's sign where c vanishes)."""
     p0, paths = _trace_paths(speeds, gauge, grid)
     if P22 is None:
         return p0 + 0.0
-    idx = np.arange(grid.n)
-    P22[idx, idx + 1] = P22[idx, idx]
-    row = np.concatenate([paths(P22, rows) for rows in _path_blocks(grid.n)])
-    P22[idx, idx + 1] = 0.0
-    return row
+    return np.concatenate([paths(P22, rows) for rows in _path_blocks(grid.n)])
 
 
 def _overflow(name: str) -> DomainError:
@@ -550,34 +551,29 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     DomainError the file is incomplete; callers remove it.  Memory:
     write_kernels_csv_bytes."""
     gauge = _gauge(system, grid)
-    blocks = _kernel_blocks(system.speeds, gauge, grid)
     text = _text(grid.nodes)
     with open(path, "w", newline="") as fh:
         fh.write("x,xi,k11,k12,k21,k22\r\n")
-        while True:
-            try:
-                ii, jj, kernels = next(blocks)
-            except StopIteration as stop:
-                k21_edge, k11_last, k12_last = stop.value
-                break
-            fh.write(_csv_block([(text, ii), (text, jj), *kernels]))
+        write = lambda ii, jj, k: fh.write(_csv_block([(text, ii), (text, jj), *k]))
+        k21_edge, k11_last, k12_last = _kernel_blocks(system.speeds, gauge, grid, write)
     return _g(k21_edge, system.speeds), _gains(k11_last, k12_last, gauge)
 
 
-def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
-    """The blocks of kernels.csv of solve_kernels, bitwise, from rows as the
-    two pairs' marches yield them: (ii, jj, (k11, k12, k21, k22)) at the
-    _triangle_points of each of the _row_blocks in turn.  Returns k21 on the
-    edge xi=0 and row n of k11 and k12, which g and the gains read.
+def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, write) -> tuple:
+    """Hand the blocks of kernels.csv of solve_kernels, bitwise, to
+    write(ii, jj, (k11, k12, k21, k22)) at the _triangle_points of each of
+    the _path_blocks in turn, from rows as the two pairs' marches yield
+    them.  Returns k21 on the edge xi=0 and row n of k11 and k12, which g
+    and the gains read.
 
-    The pairs are marched together.  A block is divided by the speeds and
-    checked as solve_kernels does once the trace entry k21(x_i, 0) of each
-    of its rows is known: at once where the system is _uncoupled (the
-    diagonal term), else after the block of trace paths through x_i, which
-    read k22 up to row i+1, so k22 is kept.  Once a check fails no block is
-    yielded, but the marches run on, so that the DomainError raised is the
-    one solve_kernels raises: that of the gains march, else of the trace
-    march, else of k11, k12, k21 and k22 in turn.
+    The pairs are marched together.  A block's trace entries k21(x_i, 0)
+    are the diagonal term where the system is _uncoupled, else its trace
+    paths, which read k22 (kept) up to the row after the block; so once that
+    row (row n for the last block) is marched, the block is divided by the
+    speeds, checked as solve_kernels does and written.  Once a check fails
+    no block is written, but the marches run on, so that the DomainError
+    raised is the one solve_kernels raises: that of the gains march, else
+    of the trace march, else of k11, k12, k21 and k22 in turn.
     """
     n = grid.n
     names = ("k11", "k12", "k21", "k22")
@@ -587,10 +583,8 @@ def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     p0, paths = _trace_paths(speeds, gauge, grid)
     coupled = not _uncoupled(speeds, gauge)
     P22 = np.zeros((n + 1, n + 1)) if coupled else None
-    path_blocks = deque(_path_blocks(n) if coupled else ())
-    csv_blocks = deque(_row_blocks(n))
-    edge = np.empty(n + 1) if coupled else p0 + 0.0     # p21(x_i, 0) for i < ready
-    ready = 0 if coupled else n + 1
+    edge = np.empty(n + 1) if coupled else p0 + 0.0     # p21(x_i, 0)
+    blocks = deque(_path_blocks(n))
     pending = deque()       # rows (p11, p12, p21, p22) on j <= i of the blocks to come
     bad = set()             # the kernels with an entry that is not finite
     trace_error = None
@@ -607,14 +601,10 @@ def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
         pending.append((p11[tri], p12[tri], p21[tri], p22[tri]))
         if coupled:
             P22[i, tri] = p22[tri]
-            if i < n:
-                P22[i, i + 1] = p22[i]
-            while path_blocks and min(path_blocks[0].stop, n) <= i:
-                rows = path_blocks.popleft()
+        while blocks and min(blocks[0].stop, n) <= i:
+            rows = blocks.popleft()
+            if coupled:
                 edge[rows.start:rows.stop] = paths(P22, rows)
-                ready = rows.stop
-        while csv_blocks and csv_blocks[0].stop <= min(ready, i + 1):
-            rows = csv_blocks.popleft()
             ii, jj = _triangle_points(rows)
             p = [np.concatenate(c) for c in zip(*(pending.popleft() for _ in rows))]
             p[2][jj == 0] = edge[rows.start:rows.stop]
@@ -623,7 +613,7 @@ def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
             del p
             bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
             if not bad:
-                yield ii, jj, k
+                write(ii, jj, k)
     if trace_error is not None:
         raise trace_error
     for w in names:
@@ -636,12 +626,13 @@ def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
 def write_kernels_csv_bytes(system: "SystemSpec", grid: Grid) -> int:
     """Upper bound on the bytes write_kernels_csv holds at once: the plans of
     the pairs it marches, k22 where the system is not _uncoupled, as in
-    solve_kernels_bytes, and one CSV block of at most _CSV_ROWS + n points
-    at 512 bytes a point (its p-form rows, kernels and text: about 420
-    under tracemalloc where all four kernel columns vary).  Raises as the
-    solve does where q != 0 or the gauge overflows."""
+    solve_kernels_bytes, and one CSV block, one of the _path_blocks, of at
+    most max(_CSV_ROWS, n + 1) points at 512 bytes a point (its p-form rows,
+    kernels and text: about 420 under tracemalloc where all four kernel
+    columns vary, more than its trace paths take).  Raises as the solve
+    does where q != 0 or the gauge overflows."""
     n = grid.n
-    need = solve_kernels_bytes(system, n, 0) + 512 * (_CSV_ROWS + n)
+    need = solve_kernels_bytes(system, n, 0) + 512 * max(_CSV_ROWS, n + 1)
     if _uncoupled(system.speeds, _gauge(system, grid)):
         return need
     return need + solve_kernels_bytes(system, n, 1)
@@ -691,25 +682,6 @@ def _write_csv(path, header, columns) -> None:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, rows, _CSV_ROWS):
             fh.write(_csv_block([c[lo:lo + _CSV_ROWS] for c in columns]))
-
-
-def _row_blocks(n: int) -> list:
-    """The blocks of kernels.csv: ranges of whole triangle rows of at least
-    _CSV_ROWS points each, the last of fewer."""
-    blocks, r0, points = [], 0, 0
-    for i in range(n + 1):
-        points += i + 1
-        if points >= _CSV_ROWS or i == n:
-            blocks.append(range(r0, i + 1))
-            r0, points = i + 1, 0
-    return blocks
-
-
-def _triangle_points(rows: range):
-    """The points (i, j), j <= i, of the triangle rows i in rows, row by row."""
-    r0 = rows.start
-    ii = np.repeat(np.arange(r0, rows.stop), np.arange(r0 + 1, rows.stop + 1))
-    return ii, np.arange(ii.size) - (ii * (ii + 1) - r0 * (r0 + 1)) // 2
 
 
 def export_profile_csv(path, nodes: np.ndarray, columns: dict) -> None:

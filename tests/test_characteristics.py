@@ -74,6 +74,20 @@ class TestPhi:
         with pytest.raises(InvalidSpeedsError, match=f"lambda{i} is too close to zero"):
             SpeedPair.build(*lam)
 
+    @pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
+    def test_largest_speeds_invert(self, big):
+        # a weight 1/|lambda| below about 1e-154 squared to zero (or a
+        # subnormal), which doubled the step inside the cell: at 1e200,
+        # phi1^{-1}(phi1(0.1)) was 0.10015, and psi^{-1} went past 1 by a
+        # table cell where lambda2 << |lambda1|
+        speeds = SpeedPair.build(CoefficientSpec.constant(-big),
+                                 CoefficientSpec.constant(big / 1e50))
+        xs = np.linspace(-0.3, 1.3, 1601)
+        for i in (1, 2):
+            assert np.max(np.abs(speeds.phi_inv_ext(i, speeds.phi_eval(i, xs)) - xs)) <= 1e-14
+        assert np.max(np.abs(speeds.psi_inv(speeds.psi_eval(xs)) - xs)) <= 1e-14
+        assert speeds.psi_inv(speeds.T2) <= 1.0
+
     def test_smallest_speeds_that_pass_invert(self):
         # at |lambda| = 1e-150 every square stays finite and psi_inv is exact
         speeds = SpeedPair.build(CoefficientSpec.constant(-1e-150),

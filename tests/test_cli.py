@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,20 @@ class TestMintime:
         tr = json.loads((tmp_path / "out" / "times.json").read_text())
         assert tr["xbar"] == tr["Xc"] == 0.0
         assert tr["Tmin"] == tr["T1"] + tr["T2"]
+
+    def test_speeds_past_1e154_exit_0(self, tmp_path, capsys):
+        # 1/|lambda| squared underflowed in the travel-time inverse, which
+        # put xbar = psi^{-1}(T2) a table cell past 1: exit 2 with "eps
+        # must lie in (0,1], got 1.0002441406249998"
+        raw = headline_raw(n=16)
+        raw["system"]["lambda1"]["value"] = -1.2245141809718367e+295
+        raw["system"]["lambda2"]["value"] = 1.8554463717060281e+245
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli(["mintime", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        tr = json.loads((tmp_path / "out" / "times.json").read_text())
+        assert 0.0 < tr["xbar"] <= 1.0
 
 
 class TestReflection:
@@ -224,9 +240,10 @@ class TestMemoryCap:
         *(pytest.param(command, values, [], words, id=f"{command}-{name}")
           for command in ("mintime", "kernels", "simulate", "verify-settling")
           for name, values, words in _LOADING_CAPS),
-        # k22 (1.15 GB), two plan blocks and one CSV block at grid_n
+        # k22 (1.15 GB), two plan blocks and one CSV block of grid_n + 1
+        # points, one trace path
         pytest.param("kernels", {"grid_n": 12000}, [], "kernels at n=12000: the kernel "
-                     "marches and the CSV export needs about 1.18 GB",
+                     "marches and the CSV export needs about 1.17 GB",
                      id="kernels-grid_n-memory"),
         # the step traces at grid_n, and at the finest level 2*grid_n
         pytest.param("simulate", {"horizon": 1e300}, [], "simulate at n=64: the gains solve, "
@@ -538,14 +555,19 @@ class TestExportFloatLimits:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(["mintime", "kernels", "simulate"]), lambda1=_MAGNITUDE,
-           lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED, horizon=_MAGNITUDE)
+           lambda2=_MAGNITUDE, a=_SIGNED, b=_SIGNED, c=_SIGNED, d=_SIGNED,
+           horizon=_MAGNITUDE)
     def test_exit_code_one_line_and_rows(self, tmp_path_factory, capsys, monkeypatch, command,
-                                         lambda1, lambda2, b, c, horizon):
+                                         lambda1, lambda2, a, b, c, d, horizon):
         # with the machine reporting 2 MB, a simulation that runs takes at
-        # most about 6e4 steps, and a longer one is refused before any work
-        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 2e6)
+        # most about 6e4 steps, and a longer one is refused before any work;
+        # kernels, whose CSV block alone is charged 4.2 MB, gets 20 MB, so
+        # that its marches run
+        memory = 2e7 if command == "kernels" else 2e6
+        monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: memory)
         work = tmp_path_factory.mktemp("limits")
-        path = self.write_config(work, horizon, lambda1=-lambda1, lambda2=lambda2, b=b, c=c)
+        path = self.write_config(work, horizon, lambda1=-lambda1, lambda2=lambda2, a=a, b=b,
+                                 c=c, d=d)
         out = work / "out"
         capsys.readouterr()
         code = run_cli([command, path, "--out", str(out)])
@@ -702,13 +724,14 @@ class TestSettlingCounterexampleFloatLimits:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lambda1=_MAGNITUDE, lambda2=_MAGNITUDE, b=_SIGNED, c=_SIGNED, horizon=_MAGNITUDE)
+    @given(lambda1=_MAGNITUDE, lambda2=_MAGNITUDE, a=_SIGNED, b=_SIGNED, c=_SIGNED,
+           d=_SIGNED, horizon=_MAGNITUDE)
     def test_verify_settling(self, tmp_path_factory, capsys, monkeypatch, lambda1, lambda2,
-                             b, c, horizon):
+                             a, b, c, d, horizon):
         monkeypatch.setattr(hypmin.config, "_physical_memory", lambda: 2e6)
         work = tmp_path_factory.mktemp("settle")
         path = TestExportFloatLimits().write_config(work, horizon, lambda1=-lambda1,
-                                                    lambda2=lambda2, b=b, c=c)
+                                                    lambda2=lambda2, a=a, b=b, c=c, d=d)
         capsys.readouterr()
         code = run_cli(["verify-settling", path, "--out", str(work / "out")])
         _assert_one_line(code, capsys.readouterr().err)
@@ -857,6 +880,23 @@ class TestArtifactCommands:
         assert run_cli(["counterexample", "--k", "0.0", "--n", "200"]) == 0
         out = capsys.readouterr().out
         assert "sigma" in out
+
+    def test_reports_say_where_they_came_from(self, headline_path, tmp_path, capsys):
+        # the config file's SHA-256 and the NumPy version close every JSON
+        # file; the counterexample has no config
+        digest = hashlib.sha256(pathlib.Path(headline_path).read_bytes()).hexdigest()
+        out = tmp_path / "prov"
+        for argv in (["mintime", headline_path], ["verify-settling", headline_path],
+                     ["verify-sharpness", headline_path, "--T", "1.6"]):
+            run_cli(argv + ["--out", str(out)])
+        assert run_cli(["counterexample", "--k", "0.5", "--n", "100", "--out", str(out)]) == 0
+        files = {"times.json": digest, "report_settling.json": digest,
+                 "report_sharpness.json": digest, "report_counterexample.json": None}
+        assert sorted(os.listdir(out)) == sorted(files)
+        for name, want in files.items():
+            data = json.loads((out / name).read_text())
+            assert list(data)[-1] == "numpy_version" and data["numpy_version"] == np.__version__
+            assert data.get("config_sha256") == want, name
 
     @pytest.mark.parametrize("argv", [
         ["mintime", "{config}"], ["kernels", "{config}"], ["simulate", "{config}"],

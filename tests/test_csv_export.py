@@ -200,8 +200,8 @@ class TestExportMemory:
     @pytest.mark.parametrize("b", [0.0, 0.8], ids=["b0", "b0.8"])
     def test_kernels_command_peak_at_n800(self, tmp_path, b):
         # the command streams its rows: with b = 0 it holds no (n+1)^2
-        # array, about 5.7 MB at the peak, and with b != 0 k22 only, about
-        # 14.0 MB (37.4 and 38.7 MB while it held the four kernels and
+        # array, about 3.2 MB at the peak, and with b != 0 k22 only, about
+        # 11.0 MB (37.4 and 38.7 MB while it held the four kernels and
         # gathered their triangle); its estimate bounds both
         n = 800
         raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
@@ -220,7 +220,7 @@ class TestExportMemory:
             tracemalloc.stop()
         cfg = load_config(path)
         plan_block = 8 * 32 * kernels._PLAN_POINTS      # as solve_kernels_bytes charges it
-        csv_block = 512 * (kernels._CSV_ROWS + n)
+        csv_block = 512 * max(kernels._CSV_ROWS, n + 1)     # one block of trace paths
         if b == 0.0:
             assert peak <= 8e6
         else:
@@ -234,17 +234,22 @@ def assert_same_solve(K, g, gains):
         assert getattr(gains, name).tobytes() == getattr(K.gains, name).tobytes(), name
 
 
-@pytest.mark.parametrize("plan_points", [1, 60, kernels._PLAN_POINTS],
+@pytest.mark.parametrize("path_points", [1, 60, kernels._CSV_ROWS],
                          ids=["paths-1", "points-60", "points-default"])
 @pytest.mark.parametrize("b", [0.0, 0.8, "step"])
 @pytest.mark.parametrize("n", [4, 5, 16, 40])
-def test_streamed_kernels_bytes(csv_rows, varying_speeds, monkeypatch, tmp_path, n, b,
-                                plan_points):
+@pytest.mark.parametrize("plan_points", [7, kernels._PLAN_POINTS],
+                         ids=["rows-7", "rows-default"])
+def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, plan_points, n, b,
+                                path_points):
     # the rows streamed from the marches are the file of solve_kernels'
-    # arrays, and g and the gains its own, whether each block of trace paths
-    # holds one path (the writer one row behind the trace march), a few, or
-    # all; b = 0 is uncoupled (k21's trace entry known at once), a b that
-    # vanishes on (0, 0.5) only is not
+    # arrays, and g and the gains its own, whether each block of trace
+    # paths, which is a block of the file, holds one path (the writer one
+    # row behind the trace march), a few, or all, and whether each block of
+    # plans holds one or two rows (7 points) or all; b = 0 is uncoupled
+    # (k21's trace entry known at once), a b that vanishes on (0, 0.5) only
+    # is not
+    monkeypatch.setattr(kernels, "_CSV_ROWS", path_points)
     monkeypatch.setattr(kernels, "_PLAN_POINTS", plan_points)
     b = CoefficientSpec.step(0.5, 0.0, 0.8) if b == "step" else b
     system = make_system(varying_speeds, a=0.3, b=b, c=CoefficientSpec.step(0.2, 0.0, 1.0),

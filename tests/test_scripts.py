@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -97,3 +98,29 @@ def test_run_headline_bad_sweep_is_one_line_error(tmp_path):
                 cwd=tmp_path)
     _one_line_error(proc)
     assert proc.stdout == ""
+
+
+def test_compare_outputs(tmp_path):
+    # two copies of the tree print and write the same; a copy that writes
+    # its CSV numbers with 11 digits differs in every CSV file with a
+    # varying column, and in nothing else
+    src = os.path.join(SCRIPTS, "..", "src")
+    for tree in ("a", "b", "c"):
+        shutil.copytree(src, tmp_path / tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    kernels_py = tmp_path / "c" / "src" / "hypmin" / "kernels.py"
+    kernels_py.write_text(kernels_py.read_text().replace('"%.12g"', '"%.11g"'))
+    config = tmp_path / "headline.json"
+    config.write_text(json.dumps(headline_raw(n=32)))
+    trees = [str(tmp_path / tree) for tree in ("a", "b", "c")]
+    same = _run("compare_outputs.py", trees[0], trees[1], str(config), cwd=tmp_path)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout == "0 difference(s) in 7 runs on 1 config(s)\n"
+    changed = _run("compare_outputs.py", trees[0], trees[2], str(config), cwd=tmp_path)
+    assert changed.returncode == 1, changed.stdout + changed.stderr
+    listed = changed.stdout.splitlines()
+    assert listed[-1].endswith("in 7 runs on 1 config(s)")
+    differing = {line.split(":")[0] for line in listed[:-1]}
+    assert {"0-headline/kernels/kernels.csv", "0-headline/kernels/g.csv",
+            "0-headline/simulate/timeseries.csv"} <= differing
+    assert all(name.endswith(".csv") for name in differing)
