@@ -1,4 +1,4 @@
-"""Coefficient-function model, cumulative trapezoid, and the vanishing-prefix functional.
+"""Coefficient-function model, trapezoid rules, and the vanishing-prefix functional.
 
 Coefficients of the system are scalar functions on [0,1], given either as a
 small analytic family (constant, polynomial, step, exponential bump) or as
@@ -18,6 +18,7 @@ __all__ = [
     "CoefficientSpec",
     "Grid",
     "cumtrapz",
+    "trapezoid_weights",
     "vanishing_prefix",
     "prefix_of_samples",
     "relative_tol",
@@ -120,6 +121,13 @@ Evaluable = Union[CoefficientSpec, Callable[[np.ndarray], np.ndarray]]
 def cumtrapz(vals: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative trapezoid sums of samples spaced dx apart, 0.0 first."""
     return np.concatenate(([0.0], np.cumsum(0.5 * dx * (vals[1:] + vals[:-1]))))
+
+
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of the n+1 nodes of a uniform n-cell grid of step h."""
+    w = np.full(n + 1, h)
+    w[[0, n]] = 0.5 * h
+    return w
 
 
 def relative_tol(f: Evaluable, grid: Grid) -> float:

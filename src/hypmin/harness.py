@@ -22,15 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid
+from .coeffs import CoefficientSpec, Grid, trapezoid_weights
 from .characteristics import SpeedPair
 from .config import ScenarioConfig, check_memory, make_initial_data
 from .errors import DivergenceError, DomainError, PreconditionError, RootBracketError
 from .kernels import solve_gains, solve_kernels_bytes, solve_trace
 from .mintime import times_report
 from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
-                        _simulate_bytes, _trapezoid_weights, canonical_map, growth_rate,
-                        l2_norm, simulate)
+                        _simulate_bytes, canonical_map, growth_rate, l2_norm, simulate)
 
 __all__ = [
     "VerificationReport",
@@ -171,32 +170,33 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
         passed=bool(passed), runtime=time.perf_counter() - t_start)
 
 
-def _orthogonal_rest(first: np.ndarray, lead: np.ndarray, second: np.ndarray, p: int,
+def _orthogonal_rest(first: np.ndarray, vals: np.ndarray, p: int,
                      W: np.ndarray) -> np.ndarray:
     """Rows whose norms measure W minus its projection onto the span of U.
 
-    U has p columns, and its row i is lead[i] in column first[i] and
-    second[i] in column first[i] + 1: lead[i] is the first nonzero of the
-    row, and a row of zeros has lead 0 and second 0.  Givens rotations reduce
-    [U | W] row by row to [R | RW; 0 | rest] with R upper bidiagonal (the
-    Cholesky factor of the tridiagonal U^T U, without forming U^T U);
-    ||rest @ c|| = ||(I - P_U) W @ c|| for every c.  Rows that come in the
-    order of their columns, as the trace rows do, take at most two rotations
-    each.  An entry that would become a diagonal of R below the default
-    cutoff of lstsq, eps * max(U.shape) times the largest entry of U, is
-    rounding: it is dropped, so that a column in the span of the ones before
-    it drops out as it does from the minimum-norm least squares.
+    U has p columns, and its row i is vals[i, 0] in column first[i] and
+    vals[i, 1] in column first[i] + 1; a zero vals[i, 0] is skipped, so a
+    row may start at column -1, and a row of zeros at any column.  Givens
+    rotations reduce [U | W] row by row to [R | RW; 0 | rest] with R upper
+    bidiagonal (the Cholesky factor of the tridiagonal U^T U, without forming
+    U^T U); ||rest @ c|| = ||(I - P_U) W @ c|| for every c.  Rows that come
+    in the order of their columns, as the trace rows do, take at most two
+    rotations each.  An entry that would become a diagonal of R below the
+    default cutoff of lstsq, eps * max(U.shape) times the largest entry of U,
+    is rounding: it is dropped, so that a column in the span of the ones
+    before it drops out as it does from the minimum-norm least squares.
     """
     if p == 0:
         return W
-    tiny = (np.finfo(float).eps * max(first.shape[0], p)
-            * max(np.abs(lead).max(), np.abs(second).max()))
+    tiny = np.finfo(float).eps * max(first.shape[0], p) * np.abs(vals).max()
     diag, sup = np.zeros(p), np.zeros(p)
     RW = np.zeros((p, W.shape[1]))
     have = np.zeros(p, dtype=bool)
     rest = []
     for i in range(first.shape[0]):
-        col, a, b, w = int(first[i]), float(lead[i]), float(second[i]), W[i]
+        col, a, b, w = int(first[i]), float(vals[i, 0]), float(vals[i, 1]), W[i]
+        if a == 0.0:
+            col, a, b = col + 1, b, 0.0
         while col < p and (a != 0.0 or b != 0.0):
             if have[col]:
                 rho = math.hypot(diag[col], a)
@@ -219,7 +219,8 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
 
     The control is expanded in hat functions on a uniform time grid with step
     equal to the spatial h; the final state is the canonical map of the x=0
-    trace, whose columns are the free response and the hat controls.
+    trace, whose column 0 is the free response and column c >= 1 the hat
+    c - 1; the solve keeps that numbering throughout.
     Returns (residual, free_norm, condition, n_controls).
 
     The operator has a block structure.  An upper row is the trace at
@@ -264,45 +265,36 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     # a trace g too large for the map overflows it: one DomainError, no warnings
     with np.errstate(over="ignore", invalid="ignore"):
         (cols, vals), lower = canonical_map(speeds, g, 0.0, T, grid.nodes, trace)
-        rw = np.sqrt(_trapezoid_weights(n, h)[0])[:, None]
+        rw = np.sqrt(trapezoid_weights(n, h))[:, None]
         vals *= rw
         lower *= rw
-        # upper row i: vals[i, 0] on the free response where cols[i, 0] = 0,
-        # else on the hat cols[i, 0] - 1; vals[i, 1] on the hat after that
-        early = cols[:, 0] == 0
-        hat = cols[:, 0] - 1
-        va = np.where(early, 0.0, vals[:, 0])
-        vb = vals[:, 1]
-        z = np.concatenate([np.where(early, vals[:, 0], 0.0), lower[:, 0]])
+        # upper row i holds vals[i] in columns cols[i] = (c, c + 1), c = 0
+        # where vals[i, 0] is the free response
+        z = np.concatenate([np.where(cols[:, 0] == 0, vals[:, 0], 0.0), lower[:, 0]])
         free_norm = float(np.linalg.norm(z))
         if not math.isfinite(free_norm):
             raise _sharpness_overflow(T)
-        # hats [0, s0) only in lower rows, [s0, cl) shared, [cl, M] only in upper
-        lo_hats = np.flatnonzero(lower[:, 1:].any(axis=0))
-        cl = int(lo_hats[-1]) + 1 if lo_hats.size else 0
-        up_hats = np.concatenate([hat[va != 0], hat[vb != 0] + 1])
-        s0 = min(cl, int(up_hats.min()) if up_hats.size else 0)
-        rows = np.arange(n + 1)
+        # hats in columns [1, s0) only in lower rows, [s0, cl) shared, [cl, M + 2)
+        # only in upper rows
+        cl = int(np.flatnonzero(lower.any(axis=0)).max(initial=0)) + 1
+        up = cols[(vals != 0) & (cols > 0)]
+        s0 = min(cl, int(up.min())) if up.size else 1
         W = np.zeros((n + 1, cl - s0 + 1))
-        for c, v in ((hat, va), (hat + 1, vb)):
-            shared = (c >= s0) & (c < cl)
-            W[rows[shared], c[shared] - s0] = v[shared]
+        r, k = np.nonzero((cols >= s0) & (cols < cl))
+        W[r, cols[r, k] - s0] = vals[r, k]
         W[:, -1] = z[:n + 1]
-        # the rows of upper[:, cl:] as (first nonzero column, its value, the next)
-        a = np.where(hat >= cl, va, 0.0)
-        b = np.where(hat + 1 >= cl, vb, 0.0)
-        first = np.where(a != 0, hat - cl, np.where(b != 0, hat + 1 - cl, 0))
-        lead = np.where(a != 0, a, b)
-        second = np.where(a != 0, b, 0.0)
-        R = np.linalg.qr(_orthogonal_rest(first, lead, second, M + 1 - cl, W), mode="r")
-        rhs = np.concatenate([R[:, -1], z[n + 1:]])
-        if cl == 0:
+        R = np.linalg.qr(_orthogonal_rest(cols[:, 0] - cl, np.where(cols >= cl, vals, 0.0),
+                                          M + 2 - cl, W), mode="r")
+        # the reduced system in the same columns: column 0 the right-hand side
+        red = np.zeros((R.shape[0] + n + 1, cl))
+        red[:R.shape[0], s0:] = R[:, :-1]
+        red[:R.shape[0], 0] = R[:, -1]
+        red[R.shape[0]:] = lower[:, :cl]
+        del lower
+        rhs, red = red[:, 0], red[:, 1:]
+        if cl == 1:
             residual, condition = float(np.linalg.norm(rhs)), 1.0
         else:
-            red = np.zeros((rhs.shape[0], cl))
-            red[:R.shape[0], s0:] = R[:, :-1]
-            red[R.shape[0]:] = lower[:, 1:cl + 1]
-            del lower
             sol, _, rank, svals = np.linalg.lstsq(red, -rhs, rcond=None)
             residual = float(np.linalg.norm(red @ sol + rhs))
             condition = float(svals[0] / svals[rank - 1])
@@ -358,8 +350,6 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
     tr = times_report(cfg.system, grid=cfg.grid)
     margin = _MARGIN_FACTOR * tr.Tunif
     rows = []
-    rel_free_all = []
-    rel_init_all = []
     for nk in levels:
         grid_k = Grid.uniform(nk)
         g = solve_trace(cfg.system, grid_k)
@@ -372,16 +362,14 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
                      "residual_vs_initial": float(res),
                      "free_norm": float(free_norm),
                      "condition": float(cond), "n_controls": ncontrols})
-        rel_free_all.append(rel_free)
-        rel_init_all.append(res)
-    ratios = [rel_init_all[i + 1] / rel_init_all[i] if rel_init_all[i] > 0 else 0.0
-              for i in range(len(rel_init_all) - 1)]
+    ratios = [b["residual"] / a["residual"] if a["residual"] > 0 else 0.0
+              for a, b in zip(rows, rows[1:])]
     if T <= tr.Tmin - margin:
         side = "floor"
-        passed = all(r >= _FLOOR_REL for r in rel_free_all)
+        passed = all(row["residual_vs_free"] >= _FLOOR_REL for row in rows)
     elif T >= tr.Tmin:
         side = "drop"
-        passed = rel_init_all[-1] <= _DROP_REL
+        passed = rows[-1]["residual_vs_initial"] <= _DROP_REL
     else:
         side = "margin"
         passed = True
@@ -414,9 +402,9 @@ def _theta_equation_upper(theta):
     return np.sqrt(1.0 + theta ** 2) + theta / np.tanh(theta * np.pi)
 
 
-def _bisect_scalar(fun, target, lo, hi, iters=200):
+def _bisect_scalar(fun, target, lo, hi):
     flo = fun(lo) - target
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fun(mid) - target
         if flo * fm <= 0.0:

@@ -134,7 +134,7 @@ def canonical_min_time(speeds: SpeedPair, g: np.ndarray, tol: float) -> float:
     return _threshold(speeds.T1, speeds.T2, float(speeds.phi_eval(2, X1)))
 
 
-def nxn_canonical_min_time(speeds: list, G: list, Q: list, tol: float = 1e-10) -> float:
+def nxn_canonical_min_time(speeds: list, G: list, Q: list) -> float:
     """Threshold time of the n-speed canonical form (one negative speed).
 
     speeds lists the n speed coefficients (lambda1 negative, the rest
@@ -142,7 +142,7 @@ def nxn_canonical_min_time(speeds: list, G: list, Q: list, tol: float = 1e-10) -
     boundary reflections.  The threshold is the largest 2x2 threshold over
     the components k = 2..n, each on SpeedPair.build(lambda1, lambda_k): a
     reflected component saves nothing and needs T1 + Tk whatever its trace,
-    any other one is canonical_min_time of its trace.
+    any other one is canonical_min_time of its trace at tolerance 1e-10.
     """
     nspeeds = len(speeds)
     if nspeeds < 2 or len(G) != nspeeds - 1 or len(Q) != nspeeds - 1:
@@ -153,7 +153,7 @@ def nxn_canonical_min_time(speeds: list, G: list, Q: list, tol: float = 1e-10) -
             raise InvalidSpeedsError(
                 f"speeds must increase: lambda{i + 1} <= lambda{i} somewhere")
     pairs = [SpeedPair.build(speeds[0], lam) for lam in speeds[1:]]
-    return max(_threshold(p.T1, p.T2, 0.0) if q != 0.0 else canonical_min_time(p, g, tol)
+    return max(_threshold(p.T1, p.T2, 0.0) if q != 0.0 else canonical_min_time(p, g, 1e-10)
                for p, g, q in zip(pairs, G, Q))
 
 

@@ -16,9 +16,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid
+from .coeffs import CoefficientSpec, Grid, trapezoid_weights
 from .characteristics import SpeedPair
-from .errors import CFLError, DivergenceError, DomainError, UndefinedRateError
+from .errors import (CFLError, DivergenceError, DomainError, GridMismatchError,
+                     UndefinedRateError)
 from .kernels import FeedbackLaw, _write_csv
 
 _CANONICAL_ROWS = 64     # positions per block of the lower-component quadrature
@@ -71,21 +72,12 @@ class SimResult:
                                        repr=False)
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    """Trapezoid weights of a uniform n-cell grid, one row per component of
-    the mirrored state [y1; y2[::-1]] (the weights are symmetric, so both
-    rows are the same)."""
-    w = np.full((2, n + 1), h)
-    w[:, [0, n]] = 0.5 * h
-    return w
-
-
 def l2_norm(y1: np.ndarray, y2: np.ndarray, h: float) -> float:
     """Trapezoid L2 norm of the pair, as one weighted dot of the squares of the
     mirrored state [y1; y2[::-1]]: the arithmetic of every step of simulate."""
     z = np.stack([np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)[::-1]])
     z *= z
-    return math.sqrt(np.vdot(_trapezoid_weights(z.shape[1] - 1, h), z))
+    return math.sqrt(np.vdot(np.tile(trapezoid_weights(z.shape[1] - 1, h), 2), z))
 
 
 def _max_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
@@ -150,13 +142,14 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     C = np.stack([dt * b, (dt * c)[::-1]])
     del l1, l2, c1, c2, a, b, c, d
     q = system.q
-    WT = _trapezoid_weights(n, h)
+    # the weights are symmetric, so both rows of the mirrored state share them
+    WT = np.tile(trapezoid_weights(n, h), (2, 1))
     gains = None
     if isinstance(control, FeedbackLaw):
-        gains = _trapezoid_weights(control.nodes.shape[0] - 1,
-                                   control.nodes[1] - control.nodes[0])
-        gains[0] *= control.f1
-        gains[1] *= control.f2[::-1]
+        if control.nodes.shape[0] != n + 1:
+            raise GridMismatchError(f"feedback gains on {control.nodes.shape[0]} nodes do "
+                                    f"not match the grid ({n + 1} nodes)")
+        gains = WT * np.stack([control.f1, control.f2[::-1]])
 
     def boundary_u(t_new, z_new):
         if control is None:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid, cumtrapz
+from .coeffs import CoefficientSpec, Grid, cumtrapz, trapezoid_weights
 from .errors import DomainError, GridMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,8 +114,7 @@ def volterra_invert(K: "KernelSet", yh1, yh2):
     y1 = np.empty_like(yh1)
     y2 = np.empty_like(yh2)
     y1[0], y2[0] = yh1[0], yh2[0]
-    wrow = np.full(n + 1, h)
-    wrow[0] = 0.5 * h
+    wrow = trapezoid_weights(n, h)       # row m reads wrow[:m], no end weight
     t = 0.5 * h
     for m in range(1, n + 1):
         w = wrow[:m]

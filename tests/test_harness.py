@@ -340,6 +340,15 @@ class TestVerifySharpness:
         M = round(T * n)
         assert peak < 2 * (n + 1) * (M + 2) * 8
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the floor steers only the datum "
+                       "(1, 0), which reaches 0 with no control once T >= T1 + T2 - psi(Xc) "
+                       "= 1.05, below Tmin = T2 = 1.25: residual and free norm read 0")
+    def test_t2_dominant_floor_below_tmin(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "t2_dominant.json")
+        rep = verify_sharpness(load_config(path), 1.05)
+        assert rep.notes == "side=floor"
+        assert rep.passed
+
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_horizon_must_be_finite_and_positive(self, T):
         cfg = config_from_dict(headline_raw(n=64), "horizon")
@@ -455,14 +464,17 @@ class TestSharpnessSolve:
            n=st.integers(16, 64))
     # lstsq cuts a singular value of 5.5e-16 of the largest at T = Tmin
     @example(lam1=0.97265625, lam2=1.90625, ell=0.21875, n=39)
+    # T2 = 1.25 > T1 = 0.5, as in ROADMAP item 2's reproduction
+    @example(lam1=2.0, lam2=0.8, ell=0.4, n=64)
     def test_matches_dense_lstsq(self, lam1, lam2, ell, n):
         cfg = constant_speed_cfg(-lam1, lam2, ell, n)
         tr = times_report(cfg.system, grid=cfg.grid)
         g = sharpness_trace(cfg, n)
         speeds = cfg.system.speeds
-        # floor, margin, drop and above sides, and T < T1 (no shared hat)
+        # floor, margin, drop and above sides, T < T1 (no shared hat), and
+        # item 2's floor-side horizon 1.05
         for T in (tr.Tmin - 0.2 * tr.Tunif, tr.Tmin - 0.05 * tr.Tunif, tr.Tmin,
-                  tr.Tmin + 0.1 * tr.Tunif, 0.5 * speeds.T1):
+                  tr.Tmin + 0.1 * tr.Tunif, 0.5 * speeds.T1, 1.05):
             assert_matches_dense(speeds, g, T, Grid.uniform(n))
 
     @pytest.mark.parametrize("T", [0.9, 1.9, 2.1, 2.13, 2.8])
@@ -475,12 +487,15 @@ class TestSharpnessSolve:
         blocks = []
         rest = harness._orthogonal_rest
 
-        def record(first, lead, second, p, W):
-            U = np.zeros((first.shape[0], p + 1))
+        def record(first, vals, p, W):
+            # U with a column -1 in front, where a skipped zero lead sits;
+            # a row of zeros may point anywhere, so clip it into the block
+            U = np.zeros((first.shape[0], p + 2))
             rows = np.arange(first.shape[0])
-            U[rows, first], U[rows, first + 1] = lead, second
-            blocks.append(U[:, :p])
-            return rest(first, lead, second, p, W)
+            for k in (0, 1):
+                U[rows, np.maximum(first + 1 + k, 0)] += vals[:, k]
+            blocks.append(U[:, 1:p + 1])
+            return rest(first, vals, p, W)
 
         monkeypatch.setattr(harness, "_orthogonal_rest", record)
         assert_matches_dense(cfg.system.speeds, g, T, Grid.uniform(32), conditioned=True)
@@ -500,6 +515,29 @@ class TestSharpnessSolve:
                       tr.Tmin * (1 + 1e-6), tr.Tmin + 0.1 * tr.Tunif):
                 assert_matches_dense(cfg.system.speeds, g, T, Grid.uniform(n),
                                      conditioned=True)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_t2_dominant_varying_speeds_match_dense(self, n):
+        # ROADMAP item 2's second symptom: T1 = 0.7048 < T2 = 1.4250 < Tmin.
+        # Its margin side's reduced condition reads 2.7e6 (n = 64) and 1.9e7
+        # (n = 128), so the bound keeps its rounding term
+        raw = varying_raw(n=n)
+        raw["system"] = {
+            "lambda1": {"family": "constant", "value": -1.41881},
+            "lambda2": {"family": "polynomial", "coeffs": [0.55352, 0.32084]},
+            "a": {"family": "constant", "value": 0.02824},
+            "b": {"family": "constant", "value": 1.66867},
+            "c": {"family": "step", "ell": 0.23375, "lo": 0.0, "hi": 1.14468},
+            "d": {"family": "constant", "value": -0.50497},
+        }
+        cfg = config_from_dict(raw, "t2_varying")
+        speeds = cfg.system.speeds
+        assert speeds.T2 > speeds.T1
+        tr = times_report(cfg.system, grid=cfg.grid)
+        g = sharpness_trace(cfg, n)
+        for T in (tr.Tmin - 0.2 * tr.Tunif, tr.Tmin - 0.05 * tr.Tunif, tr.Tmin,
+                  tr.Tmin + 0.1 * tr.Tunif):
+            assert_matches_dense(speeds, g, T, Grid.uniform(n))
 
     def test_no_lstsq_on_the_whole_operator(self, monkeypatch):
         shapes = []

@@ -14,8 +14,9 @@ import hypmin
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_solution,
                     diag_removal, growth_rate, l2_norm, simulate, simulator,
                     solve_kernels, volterra_apply)
-from hypmin.errors import CFLError, DivergenceError, DomainError, UndefinedRateError
-from hypmin.kernels import FeedbackLaw
+from hypmin.errors import (CFLError, DivergenceError, DomainError, GridMismatchError,
+                           UndefinedRateError)
+from hypmin.kernels import FeedbackLaw, solve_gains
 from hypmin.simulator import (BoundaryReflection, SimResult, _max_speed, _simulate_bytes,
                               canonical_map, export_sim_csv)
 
@@ -107,6 +108,12 @@ class TestSimulate:
         sim = simulate(system, law, (np.zeros(61), np.zeros(61)), 1.0, grid)
         assert sim.l2_trace[-1] == 0.0
         assert np.all(sim.control_trace == 0.0)
+
+    def test_feedback_from_another_grid(self, unit_speeds):
+        system = make_system(unit_speeds, c=CoefficientSpec.step(0.25, 0.0, 1.0))
+        law = solve_gains(system, Grid.uniform(20))
+        with pytest.raises(GridMismatchError, match=r"on 21 nodes .* \(41 nodes\)"):
+            simulate(system, law, (np.zeros(41), np.zeros(41)), 0.5, Grid.uniform(40))
 
     def test_reflection_boundary(self, unit_speeds):
         from hypmin import BoundaryReflection
