@@ -154,6 +154,8 @@ def _cmd_titchmarsh(args) -> int:
                           "tau/n is below the smallest normal float")
     if not (0.0 <= args.prefix_a <= args.tau and 0.0 <= args.prefix_b <= args.tau):
         raise ConfigError("prefixes must lie in [0, tau]")
+    if args.tol <= 0:
+        raise ConfigError(f"--tol must be positive, got {args.tol:.12g}")
     # the samples, both indicators, the padded tails and spectra of the FFT
     # convolution and the temporaries of titchmarsh_check: 9.2 arrays of n+1
     # floats at once at n = 2e5, 11.1 at n = 2e4 with both prefixes 0

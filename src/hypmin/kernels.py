@@ -34,13 +34,16 @@ extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 Each solve takes a system with q = 0 and a grid, and builds the gauge
 itself.  The two systems are decoupled, each solved by its own row march that
 builds its plans one block of rows at a time and yields the rows in order of
-x, which is also the order of kernels.csv; each caller keeps what it reads:
+x, which is also the order of kernels.csv.  The trace pair is read as one
+stream of blocks (_trace_blocks) that integrates each block's trace paths
+as soon as the march has passed it.  Each caller keeps what it reads:
 solve_kernels all four kernels (and g and the gains), solve_gains the last
-rows of (k11, k12) for the feedback, solve_trace k22 for the quadrature of g,
-and write_kernels_csv only k22, writing the four kernels to kernels.csv in
-the blocks of the trace paths.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2
-floats (none for write_kernels_csv where b = 0), plus one row block of plans
-per pair marched (about 3 MB) and one block of trace paths (and of CSV).
+rows of (k11, k12) for the feedback, solve_trace k22 for the trace paths
+and the edge of each block, and write_kernels_csv only k22, writing each
+block of the stream, with the gains rows drawn up to it, to kernels.csv.
+Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats (none for write_kernels_csv
+where b = 0), plus one row block of plans per pair marched (about 3 MB) and
+one block of trace paths (and of CSV).
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
@@ -414,15 +417,28 @@ def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     return p0, paths
 
 
-def _trace_row_direct(speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                      P22: np.ndarray | None) -> np.ndarray:
-    """p21 on the edge xi=0 at every node (_trace_paths).  P22 None is the
-    zero k22 of an _uncoupled system: every path integral is zero, and the
-    row the diagonal term (+ 0.0, the sum's sign where c vanishes)."""
+def _trace_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, P22):
+    """The trace march block by block: yields (rows, trace, edge) for each
+    of the _path_blocks in turn, as soon as the row after it (row n for the
+    last block) is marched, with trace the rows i in rows of (p21, p22) on
+    j <= i and edge p21(x_i, 0) on rows.  Copies each p22 row into P22,
+    whose rows the trace paths read up to the row after the block; P22 None
+    is the zero k22 of an _uncoupled system, whose path integrals are zero
+    and whose edge is the diagonal term (+ 0.0, the sum's sign where c
+    vanishes).  Raises as _march_pair("trace") does."""
+    n = grid.n
     p0, paths = _trace_paths(speeds, gauge, grid)
-    if P22 is None:
-        return p0 + 0.0
-    return np.concatenate([paths(P22, rows) for rows in _path_blocks(grid.n)])
+    blocks = deque(_path_blocks(n))
+    pending = deque()       # rows (p21, p22) on j <= i of the blocks to come
+    for i, p21, p22 in _march_pair("trace", speeds, gauge, grid):
+        tri = slice(0, i + 1)
+        pending.append((p21[tri], p22[tri]))
+        if P22 is not None:
+            P22[i, tri] = p22[tri]
+        while blocks and min(blocks[0].stop, n) <= i:
+            rows = blocks.popleft()
+            edge = p0[rows.start:rows.stop] + 0.0 if P22 is None else paths(P22, rows)
+            yield rows, [pending.popleft() for _ in rows], edge
 
 
 def _overflow(name: str) -> DomainError:
@@ -480,17 +496,17 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
     row block of plans (solve_kernels_bytes with kept 4)."""
     gauge, speeds = _gauge(system, grid), system.speeds
     n = grid.n
-    K = {}
-    for pair, rows in (("gains", _gains_pair(speeds, gauge, grid)),
-                       ("trace", _march_pair("trace", speeds, gauge, grid))):
-        wd, we = _PAIRS[pair]
-        K[wd], K[we] = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
-        for i, rd, re in rows:      # the rows are zero above the diagonal
-            K[wd][i, :i + 1], K[we][i, :i + 1] = rd[:i + 1], re[:i + 1]
-    # The xi=0 trace of k21 defines g; integrate it directly along each trace
-    # characteristic so its vanishing set is not blurred by the re-sampling.
-    P22 = None if _uncoupled(speeds, gauge) else K["k22"]
-    K["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P22)
+    K = {w: np.zeros((n + 1, n + 1)) for w in ("k11", "k12", "k21", "k22")}
+    for i, p12, p11 in _gains_pair(speeds, gauge, grid):   # zero above the diagonal
+        K["k12"][i, :i + 1], K["k11"][i, :i + 1] = p12[:i + 1], p11[:i + 1]
+    # The xi=0 trace of k21 defines g; the stream integrates it directly along
+    # each trace characteristic, so its vanishing set is not blurred by the
+    # re-sampling.
+    P22 = None if _uncoupled(speeds, gauge) else K["k22"]     # k22 doubles as P22
+    for rows, trace, edge in _trace_blocks(speeds, gauge, grid, P22):
+        for i, (p21, p22) in zip(rows, trace):
+            K["k21"][i, :i + 1], K["k22"][i, :i + 1] = p21, p22
+        K["k21"][rows.start:rows.stop, 0] = edge
     lam1, lam2 = _node_speeds(speeds, grid)
     for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
         _unweight(w, K[w], lam)
@@ -509,18 +525,17 @@ def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
 
 
 def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
-    """The g of solve_kernels, bitwise, from a march of (k21, k22) that
-    keeps only k22, which the trace quadrature reads.  An _uncoupled k22 and
+    """The g of solve_kernels, bitwise, from the edges of the trace stream,
+    which keeps only k22, the array its paths read.  An _uncoupled k22 and
     its path integrals are exactly zero: no march, and g is the diagonal
     term, as in solve_kernels."""
     gauge, speeds = _gauge(system, grid), system.speeds
     _check_grid(grid)
-    P22 = None
-    if not _uncoupled(speeds, gauge):
+    if _uncoupled(speeds, gauge):
+        row = _trace_paths(speeds, gauge, grid)[0] + 0.0
+    else:
         P22 = np.zeros((grid.n + 1, grid.n + 1))
-        for i, _, re in _march_pair("trace", speeds, gauge, grid):
-            P22[i, :i + 1] = re[:i + 1]
-    row = _trace_row_direct(speeds, gauge, grid, P22)
+        row = np.concatenate([edge for *_, edge in _trace_blocks(speeds, gauge, grid, P22)])
     lam1, _ = _node_speeds(speeds, grid)
     return _g(_unweight("k21", row, lam1[0]), speeds)
 
@@ -532,10 +547,13 @@ def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
     solve_kernels, 1 for solve_trace (k22) and 0 for solve_gains.  Besides
     them the peak holds one row block of plans, at most _PLAN_POINTS points
     (the whole triangle up to n = 179): about 25 floats a point under
-    tracemalloc from n = 4 to 1600.  The bound keeps 32 floats a point, six
-    temporaries of the system's speed table and 4 KB for the band tuples of
-    each row of the block.  A block of r rows from row r0 >= 1 holds at least
-    r (r + 3) / 2 points, so r is at most sqrt(2 _PLAN_POINTS) (181) and n.
+    tracemalloc from n = 4 to 1600.  A coupled solve_trace or solve_kernels
+    holds one block of trace paths beside it (_trace_blocks): 7.9 MB at
+    n = 800 under tracemalloc for solve_trace, against a bound of 10.3 MB.
+    The bound keeps 32 floats a point, six temporaries of the system's speed
+    table and 4 KB for the band tuples of each row of the block.  A block of
+    r rows from row r0 >= 1 holds at least r (r + 3) / 2 points, so r is at
+    most sqrt(2 _PLAN_POINTS) (181) and n.
     """
     points = min(_PLAN_POINTS, (n + 1) * (n + 2) // 2)
     rows = min(n, int((2 * _PLAN_POINTS) ** 0.5))
@@ -547,80 +565,53 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     """Write the kernels of solve_kernels(system, grid) over the triangle,
     rows (x, xi, k11, k12, k21, k22), to path and return that KernelSet's g
     and gains, bitwise, holding no kernel array where the system is
-    _uncoupled and only k22 where it is not (_kernel_blocks).  On a
-    DomainError the file is incomplete; callers remove it.  Memory:
-    write_kernels_csv_bytes."""
-    gauge = _gauge(system, grid)
-    text = _text(grid.nodes)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,xi,k11,k12,k21,k22\r\n")
-        write = lambda ii, jj, k: fh.write(_csv_block([(text, ii), (text, jj), *k]))
-        k21_edge, k11_last, k12_last = _kernel_blocks(system.speeds, gauge, grid, write)
-    return _g(k21_edge, system.speeds), _gains(k11_last, k12_last, gauge)
+    _uncoupled and only k22 where it is not.  On a DomainError the file is
+    incomplete; callers remove it.  Memory: write_kernels_csv_bytes.
 
-
-def _kernel_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, write) -> tuple:
-    """Hand the blocks of kernels.csv of solve_kernels, bitwise, to
-    write(ii, jj, (k11, k12, k21, k22)) at the _triangle_points of each of
-    the _path_blocks in turn, from rows as the two pairs' marches yield
-    them.  Returns k21 on the edge xi=0 and row n of k11 and k12, which g
-    and the gains read.
-
-    The pairs are marched together.  A block's trace entries k21(x_i, 0)
-    are the diagonal term where the system is _uncoupled, else its trace
-    paths, which read k22 (kept) up to the row after the block; so once that
-    row (row n for the last block) is marched, the block is divided by the
-    speeds, checked as solve_kernels does and written.  Once a check fails
-    no block is written, but the marches run on, so that the DomainError
-    raised is the one solve_kernels raises: that of the gains march, else
-    of the trace march, else of k11, k12, k21 and k22 in turn.
+    The file is written in the blocks of _trace_blocks, each at its
+    _triangle_points with the gains rows drawn up to it, divided by the
+    speeds and checked as solve_kernels does.  Once a check fails no block
+    is written, but the marches run on, so that the DomainError raised is
+    the one solve_kernels raises: that of the gains march, else of the
+    trace march, else of k11, k12, k21 and k22 in turn.
     """
+    gauge, speeds = _gauge(system, grid), system.speeds
     n = grid.n
     names = ("k11", "k12", "k21", "k22")
-    gains_rows = _gains_pair(speeds, gauge, grid)
-    trace_rows = _march_pair("trace", speeds, gauge, grid)
+    text = _text(grid.nodes)
     lam1, lam2 = _node_speeds(speeds, grid)
-    p0, paths = _trace_paths(speeds, gauge, grid)
-    coupled = not _uncoupled(speeds, gauge)
-    P22 = np.zeros((n + 1, n + 1)) if coupled else None
-    edge = np.empty(n + 1) if coupled else p0 + 0.0     # p21(x_i, 0)
-    blocks = deque(_path_blocks(n))
-    pending = deque()       # rows (p11, p12, p21, p22) on j <= i of the blocks to come
-    bad = set()             # the kernels with an entry that is not finite
-    trace_error = None
-    for i in range(n + 1):
-        _, p12, p11 = next(gains_rows)
-        if trace_error is not None:
-            continue
+    gains_rows = _gains_pair(speeds, gauge, grid)
+    P22 = None if _uncoupled(speeds, gauge) else np.zeros((n + 1, n + 1))
+    blocks = _trace_blocks(speeds, gauge, grid, P22)
+    edge = np.empty(n + 1)      # p21(x_i, 0), filled block by block
+    bad = set()                 # the kernels with an entry that is not finite
+    with open(path, "w", newline="") as fh:
+        fh.write("x,xi,k11,k12,k21,k22\r\n")
         try:
-            _, p21, p22 = next(trace_rows)
-        except DomainError as exc:
-            trace_error = exc
-            continue
-        tri = slice(0, i + 1)
-        pending.append((p11[tri], p12[tri], p21[tri], p22[tri]))
-        if coupled:
-            P22[i, tri] = p22[tri]
-        while blocks and min(blocks[0].stop, n) <= i:
-            rows = blocks.popleft()
-            if coupled:
-                edge[rows.start:rows.stop] = paths(P22, rows)
-            ii, jj = _triangle_points(rows)
-            p = [np.concatenate(c) for c in zip(*(pending.popleft() for _ in rows))]
-            p[2][jj == 0] = edge[rows.start:rows.stop]
-            with np.errstate(over="ignore"):
-                k = (p[0] / lam1[jj], p[1] / lam2[jj], p[2] / lam1[jj], p[3] / lam2[jj])
-            del p
-            bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
-            if not bad:
-                write(ii, jj, k)
-    if trace_error is not None:
-        raise trace_error
+            for rows, trace, block_edge in blocks:
+                edge[rows.start:rows.stop] = block_edge
+                gains = [next(gains_rows) for _ in rows]
+                ii, jj = _triangle_points(rows)
+                p = [np.concatenate(c) for c in zip(*(
+                    (p11[:i + 1], p12[:i + 1], p21, p22)
+                    for (i, p12, p11), (p21, p22) in zip(gains, trace)))]
+                p[2][jj == 0] = block_edge
+                with np.errstate(over="ignore"):
+                    k = (p[0] / lam1[jj], p[1] / lam2[jj], p[2] / lam1[jj], p[3] / lam2[jj])
+                del p
+                bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
+                if not bad:
+                    fh.write(_csv_block([(text, ii), (text, jj), *k]))
+        except DomainError:
+            deque(gains_rows, maxlen=0)     # a gains march error comes first
+            raise
     for w in names:
         if w in bad:
             raise _overflow(f"kernel {w}")
+    _, p12, p11 = gains[-1]
     with np.errstate(over="ignore"):
-        return edge / lam1[0], p11 / lam1, p12 / lam2
+        k21_edge, k11_last, k12_last = edge / lam1[0], p11 / lam1, p12 / lam2
+    return _g(k21_edge, speeds), _gains(k11_last, k12_last, gauge)
 
 
 def write_kernels_csv_bytes(system: "SystemSpec", grid: Grid) -> int:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hypmin.cli
 import hypmin.config
 from hypmin import Grid, harness, kernels
 from hypmin.cli import run_cli
@@ -163,6 +164,8 @@ class TestConfigErrors:
         (("control",), {"kind": "reflection", "k": False}),
         (("control",), {"kind": "samples", "ts": [0, 1], "values": [1, "1"]}),
         (("system", "b"), {"family": ["constant"], "value": 1.0}),
+        (("grid_n",), 4),
+        (("horizon",), 0),
     ], ids=["system-list", "grid_n-string", "grid_n-inf", "q-string", "coeff-list",
             "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list",
             "lambda2-sampled-nan", "lambda2-sampled-xs-nan", "lambda1-polynomial-minus-inf", "b-constant-nan",
@@ -174,7 +177,8 @@ class TestConfigErrors:
             "b-polynomial-empty", "grid_n-fraction", "grid_n-numeric-string",
             "horizon-numeric-string", "cfl-bool", "seed-fraction", "b-value-string",
             "b-value-bool", "c-ell-string", "lambda1-coeff-string", "initial_data-nodes-fraction",
-            "control-k-bool", "control-values-string", "b-family-list"])
+            "control-k-bool", "control-values-string", "b-family-list", "grid_n-4",
+            "horizon-zero"])
     def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, path, value):
         raw = headline_raw(n=64)
         target = raw
@@ -189,6 +193,28 @@ class TestConfigErrors:
             assert len(err.strip().splitlines()) == 1
             assert err.startswith("error: ") and path[-1] in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["mintime", "kernels", "simulate", "verify-settling",
+                                         "verify-sharpness"])
+    def test_list_root_is_one_line_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([headline_raw(n=64)]))
+        argv = [command, str(bad), "--out", str(tmp_path / "out")]
+        if command == "verify-sharpness":
+            argv += ["--T", "1"]
+        err = _run_one_line_exit_2(argv, capsys)[2]
+        assert err == "error: config root must be an object\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_initial_data_settling_is_one_line_exit_2(self, tmp_path, capsys):
+        # the settling residual is relative to the norm of the initial data
+        raw = headline_raw(n=64)
+        raw["initial_data"] = {"kind": "zero"}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(raw))
+        argv = ["verify-settling", str(path), "--out", str(tmp_path / "out")]
+        err = _run_one_line_exit_2(argv, capsys)[2]
+        assert err == "error: settling verification needs nonzero initial data\n"
 
     @pytest.mark.parametrize("text, words", [
         (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
@@ -774,8 +800,13 @@ class TestNumericFlags:
         ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "inf"],
         ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1", "--n", "-3"],
         ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1", "--tol", "nan"],
+        ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1", "--tol", "0"],
+        ["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1",
+         "--tol=-1e-12"],
+        ["titchmarsh", "--prefix-a", "0", "--prefix-b", "0", "--tau", "0"],
     ], ids=["T-negative", "T-zero", "T-nan", "T-inf", "snapshots-negative", "k-nan",
-            "n-string", "tau-inf", "n-negative", "tol-nan"])
+            "n-string", "tau-inf", "n-negative", "tol-nan", "tol-zero", "tol-negative",
+            "tau-zero"])
     def test_bad_number_is_one_line_exit_2(self, headline_path, tmp_path, capsys, argv):
         out = tmp_path / "never"
         argv = [headline_path if a == "CONFIG" else a for a in argv]
@@ -963,6 +994,15 @@ class TestTitchmarshCommand:
         assert run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2",
                         "--tau", "1", "--n", n]) == 2
         assert capsys.readouterr().err == f"error: --n must be at least 2, got {n}\n"
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-12"])
+    def test_nonpositive_tol_is_refused_before_the_convolution(self, monkeypatch, capsys, tol):
+        # it was refused by titchmarsh_check, after the FFT convolution of
+        # --n samples had run
+        monkeypatch.setattr(hypmin.cli, "titchmarsh_check", None)
+        assert run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2", "--tau", "1",
+                        "--n", "5000000", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == f"error: --tol must be positive, got {float(tol):.12g}\n"
 
     def test_tiny_tau_is_consistent(self, capsys):
         # the convolution of two indicators is about tau: against the

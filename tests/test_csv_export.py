@@ -25,8 +25,8 @@ from hypmin import CoefficientSpec, Grid, SpeedPair, kernels, simulate, solve_ke
 from hypmin.cli import run_cli
 from hypmin.errors import DomainError, InvalidSpeedsError
 from hypmin.config import load_config, make_control, make_initial_data
-from hypmin.kernels import (export_profile_csv, solve_gains, write_kernels_csv,
-                            write_kernels_csv_bytes)
+from hypmin.kernels import (export_profile_csv, solve_gains, solve_trace,
+                            write_kernels_csv, write_kernels_csv_bytes)
 from hypmin.simulator import export_sim_csv
 
 from conftest import const, make_system
@@ -243,7 +243,8 @@ def assert_same_solve(K, g, gains):
 def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, plan_points, n, b,
                                 path_points):
     # the rows streamed from the marches are the file of solve_kernels'
-    # arrays, and g and the gains its own, whether each block of trace
+    # arrays, and g and the gains its own, as is solve_trace's g (which
+    # concatenates the same blocks' trace edges), whether each block of trace
     # paths, which is a block of the file, holds one path (the writer one
     # row behind the trace march), a few, or all, and whether each block of
     # plans holds one or two rows (7 points) or all; b = 0 is uncoupled
@@ -260,6 +261,7 @@ def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, plan_poin
     reference_kernels_csv(K, tmp_path / "ref.csv")
     assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
     assert_same_solve(K, g, gains)
+    assert solve_trace(system, grid).tobytes() == K.g.tobytes()
 
 
 # log-uniform magnitudes over nearly the whole float range

@@ -12,8 +12,8 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, kernels,
                     predicted_g_prefix, solve_gains, solve_kernels, solve_trace)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError, PreconditionError
-from hypmin.kernels import (_blocks, _build_plan, _step_interior, _trace_row_direct,
-                            export_profile_csv, solve_kernels_bytes, write_kernels_csv)
+from hypmin.kernels import (_blocks, _build_plan, _step_interior, export_profile_csv,
+                            solve_kernels_bytes, write_kernels_csv)
 
 from conftest import const, make_system
 
@@ -66,10 +66,17 @@ def reference_march(plans, P, src, n):
 NAMES = ("k11", "k12", "k21", "k22")
 
 
+def trace_row(speeds, gauge, grid, P22):
+    """p21 on the edge xi=0 at every node: the trace paths through P22 in
+    each of the blocks the trace stream integrates."""
+    _, paths = kernels._trace_paths(speeds, gauge, grid)
+    return np.concatenate([paths(P22, rows) for rows in kernels._path_blocks(grid.n)])
+
+
 def weighted(P, speeds, gauge, grid):
     """k from the marched p: the direct trace row of k21, then the division
     by lambda_fa(xi), as solve_kernels does."""
-    P["k21"][:, 0] = _trace_row_direct(speeds, gauge, grid, P["k22"])
+    P["k21"][:, 0] = trace_row(speeds, gauge, grid, P["k22"])
     l1 = np.asarray(speeds.speed(1, grid.nodes), dtype=float)
     l2 = np.asarray(speeds.speed(2, grid.nodes), dtype=float)
     return {w: P[w] / wgt[None, :] for w, wgt in zip(NAMES, (l1, l2, l1, l2))}
@@ -720,7 +727,7 @@ class TestTraceRowBlocks:
         monkeypatch.setattr(kernels, "_CSV_ROWS", rows * (n + 1))
         lower_only = np.where(np.triu(np.ones_like(P22, dtype=bool), 1), np.nan, P22)
         lower_only.flags.writeable = False
-        got = _trace_row_direct(varying_speeds, gauge, grid, lower_only)
+        got = trace_row(varying_speeds, gauge, grid, lower_only)
         want = reference_trace_row_direct(varying_speeds, gauge, grid, P22)
         assert np.count_nonzero(want) > n // 2
         assert got.tobytes() == want.tobytes()
