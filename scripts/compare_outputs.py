@@ -6,8 +6,11 @@
 On each config (default: NEW's configs/*.json) every tree runs `mintime`,
 `kernels`, `simulate`, `verify-settling` and `verify-sharpness` at
 T = Tmin - 0.2 Tunif, Tmin and Tmin + 0.1 Tunif (read from the tree's own
-times.json), with PYTHONPATH=<tree>/src, in a scratch directory of its own
-and with the same relative --out, the two trees side by side.  Exit codes,
+times.json).  Once per tree it also runs the commands that take no config:
+`counterexample --n 100` at k = 0, 1 + 1/pi and 2, and `titchmarsh
+--prefix-a 0.3 --prefix-b 0.2 --tau 1`.  Each tree runs with
+PYTHONPATH=<tree>/src, in a scratch directory of its own and with the same
+relative --out, the two trees side by side.  Exit codes,
 stdout and every output file are compared byte for byte; a JSON file is
 compared as its parsed record without `runtime`, `config_sha256` and
 `numpy_version`, which vary by run or by tree.  Each difference is listed
@@ -17,6 +20,7 @@ on one line; the exit code is 1 if there is any, else 0.
 import argparse
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 _VARYING = ("runtime", "config_sha256", "numpy_version")
 _SHARPNESS = (("below", -0.2), ("at", 0.0), ("above", 0.1))    # T = Tmin + shift * Tunif
+_COUNTEREXAMPLE_K = (0.0, 1.0 + 1.0 / math.pi, 2.0)
 
 
 def _hypmin(tree: str, work: str, argv: list) -> tuple:
@@ -36,8 +41,16 @@ def _hypmin(tree: str, work: str, argv: list) -> tuple:
 
 def run_tree(tree: str, configs: list, work: str) -> dict:
     """{(config, command): (exit code, stdout)}, with the outputs of each
-    command under work/<config index>-<config name>/<command>."""
+    command under work/<config index>-<config name>/<command>, and
+    {("counterexample", "k=K"): ...} and {("titchmarsh",): ...}, with the
+    counterexample's under work/counterexample/k=K."""
     results = {}
+    for K in _COUNTEREXAMPLE_K:
+        key = ("counterexample", f"k={K!r}")
+        results[key] = _hypmin(tree, work, ["counterexample", f"--k={K!r}", "--n", "100",
+                                            "--out", os.path.join(*key)])
+    results[("titchmarsh",)] = _hypmin(tree, work, ["titchmarsh", "--prefix-a", "0.3",
+                                                    "--prefix-b", "0.2", "--tau", "1"])
     for k, config in enumerate(configs):
         case = f"{k}-{os.path.splitext(os.path.basename(config))[0]}"
         out = lambda command: os.path.join(case, command)

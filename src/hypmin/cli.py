@@ -117,18 +117,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_verify_settling(args) -> int:
+def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    rep = verify_settling(cfg)
-    print(rep.pretty())
-    _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict(),
-                args.config)
-    return 0 if rep.passed else 1
-
-
-def _cmd_verify_sharpness(args) -> int:
-    cfg = load_config(args.config)
-    rep = verify_sharpness(cfg, args.T)
+    rep = verify_sharpness(cfg, args.T) if hasattr(args, "T") else verify_settling(cfg)
     print(rep.pretty())
     _write_json(_outdir(args, cfg), f"report_{rep.kind}.json", rep.as_flat_dict(),
                 args.config)
@@ -226,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-settling", help="closed-loop settling certificate")
     sp.add_argument("config")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_verify_settling)
+    sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("verify-sharpness", help="reachability residual at a time T")
     sp.add_argument("config")
     sp.add_argument("--T", type=finite_float, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_verify_sharpness)
+    sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("counterexample",
                         help="unstable eigenmode of the reflection feedback")

@@ -16,6 +16,7 @@ eigenmode of the static reflection feedback.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -139,27 +140,27 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     levels = _levels(cfg.grid.n, levels)
     check_run_memory("verify-settling", cfg, max(levels), True, 0)
     t_start = time.perf_counter()
+    grids = [Grid.uniform(nk) for nk in levels]
+    data = [make_initial_data(cfg.initial, grid_k, cfg.seed) for grid_k in grids]
+    with np.errstate(over="ignore"):     # an overflow: simulate raises at step 1
+        norms = [l2_norm(y0[0], y0[1], grid_k.h) for y0, grid_k in zip(data, grids)]
+    if any(norm0 <= 0.0 for norm0 in norms):
+        raise PreconditionError("settling verification needs nonzero initial data")
     tr = times_report(cfg.system, grid=cfg.grid)
     if cfg.horizon < tr.Tmin - 1e-12:
         raise PreconditionError(
             f"settling horizon {cfg.horizon:.12g} is below Tmin {tr.Tmin:.12g}")
     rows = []
     residuals = []
-    for nk in levels:
-        grid_k = Grid.uniform(nk)
+    for nk, grid_k, y0, norm0 in zip(levels, grids, data, norms):
         law = solve_gains(cfg.system, grid_k)
-        y0 = make_initial_data(cfg.initial, grid_k, cfg.seed)
-        with np.errstate(over="ignore"):     # an overflow: simulate raises at step 1
-            norm0 = l2_norm(y0[0], y0[1], grid_k.h)
-        if norm0 <= 0.0:
-            raise PreconditionError("settling verification needs nonzero initial data")
         sim = simulate(cfg.system, law, y0, cfg.horizon, grid_k, cfg.cfl, snapshots=0)
         res_abs = sim.l2_trace[-1]
         res_rel = res_abs / norm0
         rows.append({"n": nk, "h": grid_k.h, "residual_rel": float(res_rel),
                      "residual_abs": float(res_abs), "y0_norm": float(norm0)})
         residuals.append(res_rel)
-        del law, y0, sim                 # free this level before the next one
+        del law, sim                     # free this level before the next one
     ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
               for i in range(len(residuals) - 1)]
     passed = residuals[-1] <= _RESIDUAL_MAX and all(r <= _RATIO_MAX for r in ratios)
@@ -392,59 +393,59 @@ class CounterexampleResult:
 
 
 _K_CRITICAL = 1.0 + 1.0 / math.pi
+_EIGEN_BRACKET = (-2.0 ** 60, 1.0 - 1e-9)    # of the signed parameter s
 
 
-def _theta_equation_lower(theta):
-    return np.sqrt(1.0 - theta ** 2) + theta / np.tan(theta * np.pi)
+def _eigen_theta(s: float) -> complex:
+    return complex(s) if s >= 0.0 else complex(0.0, -s)
 
 
-def _theta_equation_upper(theta):
-    return np.sqrt(1.0 + theta ** 2) + theta / np.tanh(theta * np.pi)
+def _eigen_equation(s: float) -> float:
+    """F(s) = sqrt(1 - theta^2) + Re(theta / tan(pi theta)), F(0) = 1 + 1/pi,
+    for theta = s if s >= 0 else i|s|.  F falls strictly on _EIGEN_BRACKET:
+    on (0, 1) both terms do, as (x cot x)' = (sin 2x - 2x) / (2 sin^2 x) < 0,
+    and below 0, where F = sqrt(1 + t^2) + t coth(pi t) for t = -s, both grow
+    with t, as (x coth x)' = (sinh 2x - 2x) / (2 sinh^2 x) > 0."""
+    theta = _eigen_theta(s)
+    theta_cot = theta / cmath.tan(math.pi * theta) if s else 1.0 / math.pi
+    return (cmath.sqrt(1.0 - theta * theta) + theta_cot).real
 
 
 def _bisect_scalar(fun, target, lo, hi):
-    flo = fun(lo) - target
+    """The root of a decreasing fun = target on [lo, hi], where
+    fun(lo) >= target >= fun(hi), to 200 halvings."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fun(mid) - target
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
+        if fun(mid) > target:
             lo = mid
-            flo = fm
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
-def solve_counterexample_branch(k: float):
-    """Eigenvalue sigma and profile parameter theta of the reflection system.
-
-    Branches on k against 1 + 1/pi; the profile is sin(theta*pi*x), pi*x, or
-    2*sinh(theta*pi*x) respectively, and sigma = pi*sqrt(1 -+ theta^2).
-    """
+def _reflection_eigenvalue(k: float):
+    """(s, sigma): the root s of _eigen_equation(s) = k, 0.0 within 1e-12 of
+    1 + 1/pi, and sigma = pi*sqrt(1 - theta^2)."""
     if abs(k - _K_CRITICAL) <= 1e-12:
         return 0.0, math.pi
-    if k < _K_CRITICAL:
-        thetas = np.linspace(1e-6, 1.0 - 1e-9, 4097)
-        signs = np.sign(_theta_equation_lower(thetas) - k)   # a product could overflow
-        sign_change = np.nonzero(signs[:-1] * signs[1:] <= 0.0)[0]
-        if sign_change.size == 0:
+    lo, hi = _EIGEN_BRACKET
+    if not _eigen_equation(hi) <= k <= _eigen_equation(lo):
+        if k < _K_CRITICAL:
             raise RootBracketError(
                 f"branch k<1+1/pi: no root of sqrt(1-t^2)+t*cot(pi t)={k:.12g} "
-                f"bracketed on ({thetas[0]:g}, {thetas[-1]:g})")
-        i = int(sign_change[0])
-        theta = _bisect_scalar(_theta_equation_lower, k, thetas[i], thetas[i + 1])
-        return float(theta), math.pi * math.sqrt(1.0 - theta ** 2)
-    hi = 1.0
-    for _ in range(60):
-        if _theta_equation_upper(hi) >= k:
-            break
-        hi *= 2.0
-    else:
+                f"bracketed on (0, {hi:g})")
         raise RootBracketError(
             f"branch k>1+1/pi: sqrt(1+t^2)+t*coth(pi t)={k:.12g} not bracketed "
-            f"on (1e-9, {hi:g})")
-    theta = _bisect_scalar(_theta_equation_upper, k, 1e-9, hi)
-    return float(theta), math.pi * math.sqrt(1.0 + theta ** 2)
+            f"on (0, {-lo:g})")
+    s = _bisect_scalar(_eigen_equation, k, lo, hi)
+    return s, math.pi * math.sqrt(1.0 - s * abs(s))
+
+
+def solve_counterexample_branch(k: float):
+    """Eigenvalue sigma and profile parameter theta = |s| of the reflection
+    system: the profile's theta is real below k = 1 + 1/pi, imaginary above."""
+    s, sigma = _reflection_eigenvalue(k)
+    return abs(s), sigma
 
 
 def counterexample(k: float, n: int = 800) -> CounterexampleResult:
@@ -456,7 +457,8 @@ def counterexample(k: float, n: int = 800) -> CounterexampleResult:
     passing within a relative error of _CX_RATE_REL_TOL.
     """
     t_start = time.perf_counter()
-    theta, sigma = solve_counterexample_branch(k)
+    s, sigma = _reflection_eigenvalue(k)
+    theta = abs(s)
     table_n = max(4096, 4 * n)
     # speeds -1 and 1: the step traces, the dozen speed-table arrays that
     # SpeedPair.build holds at once and a few dozen arrays of n+1 nodes,
@@ -467,15 +469,11 @@ def counterexample(k: float, n: int = 800) -> CounterexampleResult:
     grid = Grid.uniform(n)
     xs = grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        if abs(k - _K_CRITICAL) <= 1e-12:
-            y20 = np.pi * xs
-            dy20 = np.full_like(xs, np.pi)
-        elif k < _K_CRITICAL:
-            y20 = np.sin(theta * np.pi * xs)
-            dy20 = theta * np.pi * np.cos(theta * np.pi * xs)
-        else:
-            y20 = 2.0 * np.sinh(theta * np.pi * xs)
-            dy20 = 2.0 * theta * np.pi * np.cosh(theta * np.pi * xs)
+        # y2 = sin(pi theta x)/theta, pi x or sinh(pi |theta| x)/|theta| for
+        # theta = s, 0 or i|s|, and y1 = (sigma y2 + y2') / pi
+        theta_x = _eigen_theta(s) * xs
+        y20 = (np.pi * xs * np.sinc(theta_x)).real
+        dy20 = (np.pi * np.cos(np.pi * theta_x)).real
         y10 = (sigma * y20 + dy20) / np.pi
     if not (np.isfinite(y10).all() and np.isfinite(y20).all()):
         raise DivergenceError(f"the eigenmode of k={k:.12g} overflows: its profile "

@@ -781,7 +781,11 @@ class TestSettlingCounterexampleFloatLimits:
         # theta*pi = 1164 overflowed sinh and cosh of the eigenmode: five
         # warnings, then "non-finite state or L2 norm at step 1"
         ("741.27", "computation failed: the eigenmode of k=741.27 overflows: "),
-    ], ids=["k-huge-negative", "k-eigenmode-overflow"])
+        # beyond the ends of the eigenvalue bracket: 2^60 above 1 + 1/pi, and
+        # 1 - 1e-9, where the equation is about -3.18e8, below it
+        ("3e18", "computation failed: branch k>1+1/pi: "),
+        ("-3.2e8", "computation failed: branch k<1+1/pi: no root of "),
+    ], ids=["k-huge-negative", "k-eigenmode-overflow", "k-above-bracket", "k-below-bracket"])
     def test_counterexample_k_one_line_exit_1(self, capsys, k, words):
         assert run_cli(["counterexample", f"--k={k}", "--n", "48"]) == 1
         err = capsys.readouterr().err

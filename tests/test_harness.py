@@ -195,6 +195,18 @@ class TestVerifySettling:
         with pytest.raises(PreconditionError):
             verify_settling(cfg)
 
+    def test_zero_initial_data_refused_before_any_solve(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the initial data were checked")
+
+        monkeypatch.setattr(harness, "times_report", never)
+        monkeypatch.setattr(harness, "solve_gains", never)
+        raw = headline_raw(n=64)
+        raw["initial_data"] = {"kind": "zero"}
+        cfg = config_from_dict(raw, "zero")
+        with pytest.raises(PreconditionError, match="needs nonzero initial data"):
+            verify_settling(cfg)
+
     def test_settled_stays_settled(self):
         base = config_from_dict(headline_raw(n=200, horizon=1.5), "tmin")
         later = config_from_dict(headline_raw(n=200, horizon=1.7), "after")
@@ -613,3 +625,17 @@ class TestCounterexample:
         v1 = np.concatenate(sim.snapshots[1])
         cosang = v0 @ v1 / (np.linalg.norm(v0) * np.linalg.norm(v1))
         assert math.acos(min(1.0, cosang)) < 0.01
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(-50.0, 50.0))
+@example(k=0.0)
+@example(k=1.0 + 1.0 / math.pi)
+@example(k=2.0)
+def test_counterexample_eigenmode_boundary_conditions(k):
+    # the eigenmode meets y1(1) = k*y2(1) and y2(0) = 0 on either side of
+    # 1 + 1/pi, whatever its amplitude
+    y10, y20 = counterexample(k, n=32).y0
+    scale = max(np.abs(y10).max(), np.abs(y20).max())
+    assert abs(y10[-1] - k * y20[-1]) <= 1e-12 * scale
+    assert abs(y20[0]) <= 1e-12 * scale

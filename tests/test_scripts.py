@@ -115,11 +115,11 @@ def test_compare_outputs(tmp_path):
     trees = [str(tmp_path / tree) for tree in ("a", "b", "c")]
     same = _run("compare_outputs.py", trees[0], trees[1], str(config), cwd=tmp_path)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert same.stdout == "0 difference(s) in 7 runs on 1 config(s)\n"
+    assert same.stdout == "0 difference(s) in 11 runs on 1 config(s)\n"
     changed = _run("compare_outputs.py", trees[0], trees[2], str(config), cwd=tmp_path)
     assert changed.returncode == 1, changed.stdout + changed.stderr
     listed = changed.stdout.splitlines()
-    assert listed[-1].endswith("in 7 runs on 1 config(s)")
+    assert listed[-1].endswith("in 11 runs on 1 config(s)")
     differing = {line.split(":")[0] for line in listed[:-1]}
     assert {"0-headline/kernels/kernels.csv", "0-headline/kernels/g.csv",
             "0-headline/simulate/timeseries.csv"} <= differing
