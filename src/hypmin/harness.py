@@ -393,6 +393,7 @@ class CounterexampleResult:
 
 
 _K_CRITICAL = 1.0 + 1.0 / math.pi
+_INV_PI = (0.3183098861837907, -1.9678676675182486e-17)    # 1/pi as hi + lo
 _EIGEN_BRACKET = (-2.0 ** 60, 1.0 - 1e-9)    # of the signed parameter s
 
 
@@ -401,14 +402,24 @@ def _eigen_theta(s: float) -> complex:
 
 
 def _eigen_equation(s: float) -> float:
-    """F(s) = sqrt(1 - theta^2) + Re(theta / tan(pi theta)), F(0) = 1 + 1/pi,
-    for theta = s if s >= 0 else i|s|.  F falls strictly on _EIGEN_BRACKET:
-    on (0, 1) both terms do, as (x cot x)' = (sin 2x - 2x) / (2 sin^2 x) < 0,
-    and below 0, where F = sqrt(1 + t^2) + t coth(pi t) for t = -s, both grow
-    with t, as (x coth x)' = (sinh 2x - 2x) / (2 sinh^2 x) > 0."""
-    theta = _eigen_theta(s)
-    theta_cot = theta / cmath.tan(math.pi * theta) if s else 1.0 / math.pi
-    return (cmath.sqrt(1.0 - theta * theta) + theta_cot).real
+    """G(s) = F(s) - 1 - 1/pi, for F(s) = sqrt(1 - theta^2) + Re(theta / tan(pi
+    theta)), theta = s if s >= 0 else i|s|: -theta^2 / (1 + sqrt(1 - theta^2))
+    + (x cot x - 1) / pi with x = pi theta, its last term from its series
+    where x^2 < 1/16.  F is flat at its top, F(s) = 1 + 1/pi - (1/2 + pi/3) s|s|
+    + ..., so G keeps the digits that F - 1 - 1/pi would cancel.  G falls
+    strictly on _EIGEN_BRACKET: on (0, 1) both terms of F do, as (x cot x)' =
+    (sin 2x - 2x) / (2 sin^2 x) < 0, and below 0, where F = sqrt(1 + t^2) +
+    t coth(pi t) for t = -s, both grow with t, as (x coth x)' = (sinh 2x -
+    2x) / (2 sinh^2 x) > 0."""
+    mu = s * abs(s)                 # theta^2
+    x2 = math.pi * math.pi * mu
+    if abs(x2) < 1 / 16:    # its series to x^14: 3e-16 relative here, 4e-12 at x^2 = 1/4
+        xcot = x2 * (-1 / 3 + x2 * (-1 / 45 + x2 * (-2 / 945 + x2 * (-1 / 4725 + x2 * (
+            -2 / 93555 + x2 * (-1382 / 638512875 + x2 * (-4 / 18243225)))))))
+    else:
+        x = math.pi * _eigen_theta(s)
+        xcot = (x / cmath.tan(x)).real - 1.0
+    return -mu / (1.0 + math.sqrt(1.0 - mu)) + xcot / math.pi
 
 
 def _bisect_scalar(fun, target, lo, hi):
@@ -424,12 +435,14 @@ def _bisect_scalar(fun, target, lo, hi):
 
 
 def _reflection_eigenvalue(k: float):
-    """(s, sigma): the root s of _eigen_equation(s) = k, 0.0 within 1e-12 of
-    1 + 1/pi, and sigma = pi*sqrt(1 - theta^2)."""
+    """(s, sigma): the root s of _eigen_equation(s) = k - 1 - 1/pi, with 1/pi
+    taken in two floats, 0.0 within 1e-12 of 1 + 1/pi, and sigma =
+    pi*sqrt(1 - theta^2)."""
     if abs(k - _K_CRITICAL) <= 1e-12:
         return 0.0, math.pi
     lo, hi = _EIGEN_BRACKET
-    if not _eigen_equation(hi) <= k <= _eigen_equation(lo):
+    delta = ((k - 1.0) - _INV_PI[0]) - _INV_PI[1]
+    if not _eigen_equation(hi) <= delta <= _eigen_equation(lo):
         if k < _K_CRITICAL:
             raise RootBracketError(
                 f"branch k<1+1/pi: no root of sqrt(1-t^2)+t*cot(pi t)={k:.12g} "
@@ -437,7 +450,7 @@ def _reflection_eigenvalue(k: float):
         raise RootBracketError(
             f"branch k>1+1/pi: sqrt(1+t^2)+t*coth(pi t)={k:.12g} not bracketed "
             f"on (0, {-lo:g})")
-    s = _bisect_scalar(_eigen_equation, k, lo, hi)
+    s = _bisect_scalar(_eigen_equation, delta, lo, hi)
     return s, math.pi * math.sqrt(1.0 - s * abs(s))
 
 

@@ -32,18 +32,20 @@ The trace k21(.,0) is the endpoint of the k21 integration, never an
 extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 
 Each solve takes a system with q = 0 and a grid, and builds the gauge
-itself.  The two systems are decoupled, each solved by its own row march that
-builds its plans one block of rows at a time and yields the rows in order of
-x, which is also the order of kernels.csv.  The trace pair is read as one
-stream of blocks (_trace_blocks) that integrates each block's trace paths
-as soon as the march has passed it.  Each caller keeps what it reads:
-solve_kernels all four kernels (and g and the gains), solve_gains the last
-rows of (k11, k12) for the feedback, solve_trace k22 for the trace paths
-and the edge of each block, and write_kernels_csv only k22, writing each
-block of the stream, with the gains rows drawn up to it, to kernels.csv.
-Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats (none for write_kernels_csv
-where b = 0), plus one row block of plans per pair marched (about 3 MB) and
-one block of trace paths (and of CSV).
+itself.  The two systems are decoupled, each solved by its own row march.
+The kernel stream moves in row blocks (_row_blocks), in order of x, which is
+also the order of kernels.csv, with one block size, _BLOCK_POINTS: the march
+builds its plans and yields its rows one block at a time, the trace stream
+(_trace_blocks) integrates the trace paths of each block once the march has
+passed it, and write_kernels_csv writes each block's lines.  Each caller
+keeps what it reads: solve_kernels all four kernels (and g and the gains),
+solve_gains the last row of (k11, k12) for the feedback, solve_trace k22
+for the trace paths and the edge of each block, and write_kernels_csv only
+k22, writing each block of the trace stream, with the gains block of the
+same rows, to kernels.csv.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats
+(none for write_kernels_csv where b = 0), plus one row block of plans (about
+2 MB), and a few row blocks of kernel rows and one of trace paths (and of
+CSV).
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
@@ -62,6 +64,7 @@ raises (_uncoupled).
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -75,8 +78,7 @@ from .transforms import DiagGauge, diag_removal
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import SystemSpec
 
-_CSV_ROWS = 8192         # rows per block of _write_csv, points per block of trace paths
-_PLAN_POINTS = 1 << 14   # triangle points per row block of the march plans
+_BLOCK_POINTS = 8192     # points of a row block (rows x n+1), rows of a _write_csv block
 
 __all__ = [
     "KernelSet",
@@ -136,20 +138,22 @@ def _node_speeds(speeds: SpeedPair, grid: Grid):
             np.asarray(speeds.speed(2, grid.nodes), dtype=float))
 
 
+def _row_blocks(n: int) -> list:
+    """Rows 0..n in blocks of max(1, _BLOCK_POINTS // (n+1)) rows, the one unit
+    of the kernel stream: of the march plans, the trace paths and kernels.csv."""
+    rows = max(1, _BLOCK_POINTS // (n + 1))
+    return [range(r0, min(r0 + rows, n + 1)) for r0 in range(0, n + 1, rows)]
+
+
 def _blocks(speeds: SpeedPair, grid: Grid):
-    """Rows 1..n in blocks of at most _PLAN_POINTS points, at least one row each."""
-    n = grid.n
+    """The _Block of each of the _row_blocks: its rows from 1 on."""
     phi = np.stack([speeds.phi_eval(1, grid.nodes), speeds.phi_eval(2, grid.nodes)])
     lam = np.stack(_node_speeds(speeds, grid))
     dphi = np.diff(phi, prepend=phi[:, :1])
-    start = np.arange(n + 2) * np.arange(1, n + 3) // 2     # first point of row i
-    r0 = 1
-    while r0 <= n:
-        r1 = int(np.searchsorted(start, start[r0] + _PLAN_POINTS, side="right")) - 1
-        rows = range(r0, min(max(r1, r0 + 1), n + 1))
-        ii, jj = _triangle_points(rows)
-        yield _Block(rows, ii, jj, ii - 1, phi, lam, dphi)
-        r0 = rows.stop
+    for rows in _row_blocks(grid.n):
+        marched = range(max(rows.start, 1), rows.stop)
+        ii, jj = _triangle_points(marched)
+        yield _Block(marched, ii, jj, ii - 1, phi, lam, dphi)
 
 
 def _triangle_points(rows: range):
@@ -283,48 +287,54 @@ def _check_grid(grid: Grid) -> None:
 
 
 def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
-    """Row march of one pair in p-form: yields (i, diagonal-entered row,
-    edge-entered row) for i = 0..n in turn, each row a new array of n+1
-    floats, zero above the diagonal.
+    """Row march of one pair in p-form: yields (rows, D, E) for each of the
+    _row_blocks in turn, D and E the block's rows of the diagonal- and the
+    edge-entered kernel, new arrays of len(rows) x (n+1) floats, zero above
+    the diagonal.
 
-    Plans are built one _Block at a time.  In each row both interior steps
+    Plans are built one block at a time.  In each row both interior steps
     come first; then the diagonal-entered kernel's boundary points read the
     partner's diagonal, and the edge-entered kernel's the partner's edge
     xi=0, complete with its entry (i, 0): each row in dependency order, so
-    the one pass is the exact fixed point of the discrete scheme.  A
-    non-finite row raises DomainError naming its kernel; callers _check_grid.
-    The floating-point error state is set around each step, never across a
-    yield, so that it stays the caller's while the march is suspended.
+    the one pass is the exact fixed point of the discrete scheme.  A block
+    with a marched entry that is not finite raises DomainError naming the
+    kernel of its first such row, the diagonal-entered one where both rows
+    have one, as a check of each row in turn would; callers _check_grid.
+    The floating-point error state is set around each block's march, never
+    across a yield, so that it stays the caller's while the march is
+    suspended.
     """
     n = grid.n
-    wd, we = _PAIRS[pair]
-    ignore = {"over": "ignore", "invalid": "ignore"}     # the row check reports it
+    names = _PAIRS[pair]
+    ignore = {"over": "ignore", "invalid": "ignore"}     # the block check reports it
     with np.errstate(**ignore):
-        data = _diag_data(speeds, gauge, int(wd[2]), grid.nodes)  # the diagonal of wd
-    rd, re = np.zeros(n + 1), np.zeros(n + 1)
-    rd[0] = data[0]
+        data = _diag_data(speeds, gauge, int(names[0][2]), grid.nodes)  # the diagonal of wd
     diag = np.zeros(n + 1)      # the diagonal of we, read by wd's boundary points
     edge = np.zeros(n + 1)      # the edge xi=0 of wd, read by we's boundary points
-    edge[0] = rd[0]
-    yield 0, rd, re
-    for blk in _blocks(speeds, grid):
+    edge[0] = data[0]
+    last = np.zeros((2, n + 1))     # the row of (wd, we) before the block
+    for rows, blk in zip(_row_blocks(n), _blocks(speeds, grid)):
+        P = np.zeros((2, len(rows) + 1, n + 1))     # P[:, k + 1] is row rows.start + k
+        P[:, 0] = last
+        r = np.arange(rows.start, rows.stop)
+        P[0, r - rows.start + 1, r] = data[r]
         with np.errstate(**ignore):
-            pd, pe = (_build_plan(w, speeds, gauge, grid, blk) for w in (wd, we))
-        for i in blk.rows:
-            prev_d, prev_e = rd, re
-            rd, re = np.zeros(n + 1), np.zeros(n + 1)
-            with np.errstate(**ignore):
+            pd, pe = (_build_plan(w, speeds, gauge, grid, blk) for w in names)
+            for i in blk.rows:
+                (rd, re), (prev_d, prev_e) = P[:, i - rows.start + 1], P[:, i - rows.start]
                 _step_interior(pd, rd, prev_d, prev_e, i)
                 _step_interior(pe, re, prev_e, prev_d, i)
                 diag[i] = re[i]
                 _step_boundary(pd, rd, diag, i)
-                rd[i] = data[i]
                 edge[i] = rd[0]
                 _step_boundary(pe, re, edge, i)
-            _check_finite(f"kernel {wd}", rd)
-            _check_finite(f"kernel {we}", re)
-            yield i, rd, re
-        del pd, pe                  # before the next block's plans are built
+        del pd, pe                  # before the block is read
+        marched = P[:, blk.rows.start - rows.start + 1:]
+        bad = np.flatnonzero(~np.isfinite(marched).all(axis=2).T)   # row by row
+        if bad.size:
+            raise _overflow(f"kernel {names[bad[0] % 2]}")
+        last = P[:, -1]
+        yield rows, P[0, 1:], P[1, 1:]
 
 
 def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
@@ -344,10 +354,10 @@ def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
 
 
 def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
-    """The rows of _march_pair("gains").  An _uncoupled march is exactly zero
-    and is skipped: k11 is +0.0 and k12 its zero diagonal data (-0.0, as
-    lambda1 < 0 < lambda2) on and below the diagonal, +0.0 above it, as the
-    march leaves them: its weights lie in [0, 1] (_interp_setup), so it
+    """The blocks of _march_pair("gains").  An _uncoupled march is exactly
+    zero and is skipped: k11 is +0.0 and k12 its zero diagonal data (-0.0,
+    as lambda1 < 0 < lambda2) on and below the diagonal, +0.0 above it, as
+    the march leaves them: its weights lie in [0, 1] (_interp_setup), so it
     never turns the sign of a zero."""
     _check_grid(grid)
     if not _uncoupled(speeds, gauge):
@@ -355,26 +365,18 @@ def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     n = grid.n
     data = _diag_data(speeds, gauge, 2, grid.nodes)
 
-    def rows():
-        for i in range(n + 1):
-            rd = np.zeros(n + 1)
-            rd[:i + 1] = data[i]
-            yield i, rd, np.zeros(n + 1)
+    def blocks():
+        for rows in _row_blocks(n):
+            D = np.tril(np.tile(data[rows.start:rows.stop, None], n + 1), rows.start)
+            yield rows, D, np.zeros_like(D)
 
-    return rows()
-
-
-def _path_blocks(n: int) -> list:
-    """The node ranges of the blocks of trace paths, which are also the
-    blocks of kernels.csv: at most _CSV_ROWS points each, at least one path."""
-    paths = max(1, _CSV_ROWS // (n + 1))
-    return [range(b0, min(b0 + paths, n + 1)) for b0 in range(0, n + 1, paths)]
+    return blocks()
 
 
 def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     """p21 on the edge xi=0 by direct quadrature along each trace characteristic:
     its diagonal term p0 at every node, and paths(P22, rows), p0 plus the
-    path integrals at the nodes of one of the _path_blocks ranges.
+    path integrals at the nodes of one of the _row_blocks.
 
     The characteristic ending at (x, 0) starts on the diagonal at
     sigma = psi^{-1}(phi2(x)), where p21 is its diagonal datum, and
@@ -418,27 +420,23 @@ def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
 
 
 def _trace_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, P22):
-    """The trace march block by block: yields (rows, trace, edge) for each
-    of the _path_blocks in turn, as soon as the row after it (row n for the
-    last block) is marched, with trace the rows i in rows of (p21, p22) on
-    j <= i and edge p21(x_i, 0) on rows.  Copies each p22 row into P22,
-    whose rows the trace paths read up to the row after the block; P22 None
-    is the zero k22 of an _uncoupled system, whose path integrals are zero
-    and whose edge is the diagonal term (+ 0.0, the sum's sign where c
-    vanishes).  Raises as _march_pair("trace") does."""
-    n = grid.n
+    """The trace march block by block: yields (rows, D, E, edge) for each of
+    the _row_blocks in turn, D and E its rows of p21 and p22 as _march_pair
+    yields them and edge p21(x_i, 0) on rows.  Copies each block of p22 into
+    P22 and holds it back until the next block is marched: its trace paths
+    read P22 up to the next block's first row (row n for the last block).
+    P22 None is the zero k22 of an _uncoupled system, whose path integrals
+    are zero and whose edge is the diagonal term (+ 0.0, the sum's sign
+    where c vanishes).  Raises as _march_pair("trace") does."""
     p0, paths = _trace_paths(speeds, gauge, grid)
-    blocks = deque(_path_blocks(n))
-    pending = deque()       # rows (p21, p22) on j <= i of the blocks to come
-    for i, p21, p22 in _march_pair("trace", speeds, gauge, grid):
-        tri = slice(0, i + 1)
-        pending.append((p21[tri], p22[tri]))
-        if P22 is not None:
-            P22[i, tri] = p22[tri]
-        while blocks and min(blocks[0].stop, n) <= i:
-            rows = blocks.popleft()
-            edge = p0[rows.start:rows.stop] + 0.0 if P22 is None else paths(P22, rows)
-            yield rows, [pending.popleft() for _ in rows], edge
+    held = None
+    for block in chain(_march_pair("trace", speeds, gauge, grid), [None]):
+        if block and P22 is not None:
+            P22[block[0].start:block[0].stop] = block[2]
+        if held:
+            rows = held[0]
+            yield *held, p0[rows.start:rows.stop] + 0.0 if P22 is None else paths(P22, rows)
+        held = block
 
 
 def _overflow(name: str) -> DomainError:
@@ -497,15 +495,14 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
     gauge, speeds = _gauge(system, grid), system.speeds
     n = grid.n
     K = {w: np.zeros((n + 1, n + 1)) for w in ("k11", "k12", "k21", "k22")}
-    for i, p12, p11 in _gains_pair(speeds, gauge, grid):   # zero above the diagonal
-        K["k12"][i, :i + 1], K["k11"][i, :i + 1] = p12[:i + 1], p11[:i + 1]
+    for rows, p12, p11 in _gains_pair(speeds, gauge, grid):
+        K["k12"][rows.start:rows.stop], K["k11"][rows.start:rows.stop] = p12, p11
     # The xi=0 trace of k21 defines g; the stream integrates it directly along
     # each trace characteristic, so its vanishing set is not blurred by the
     # re-sampling.
     P22 = None if _uncoupled(speeds, gauge) else K["k22"]     # k22 doubles as P22
-    for rows, trace, edge in _trace_blocks(speeds, gauge, grid, P22):
-        for i, (p21, p22) in zip(rows, trace):
-            K["k21"][i, :i + 1], K["k22"][i, :i + 1] = p21, p22
+    for rows, p21, p22, edge in _trace_blocks(speeds, gauge, grid, P22):
+        K["k21"][rows.start:rows.stop], K["k22"][rows.start:rows.stop] = p21, p22
         K["k21"][rows.start:rows.stop, 0] = edge
     lam1, lam2 = _node_speeds(speeds, grid)
     for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
@@ -515,13 +512,13 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
 
 
 def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
-    """The gains of solve_kernels, bitwise, from the last rows of a march of
-    (k11, k12) that keeps no kernel array, or none where bt vanishes (zero
-    gains)."""
+    """The gains of solve_kernels, bitwise, from the last row of the last
+    block of a march of (k11, k12) that keeps no kernel array, or none where
+    bt vanishes (zero gains)."""
     gauge = _gauge(system, grid)
     _, p12, p11 = deque(_gains_pair(system.speeds, gauge, grid), maxlen=1)[0]
     lam1, lam2 = _node_speeds(system.speeds, grid)
-    return _gains(_unweight("k11", p11, lam1), _unweight("k12", p12, lam2), gauge)
+    return _gains(_unweight("k11", p11[-1], lam1), _unweight("k12", p12[-1], lam2), gauge)
 
 
 def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
@@ -545,18 +542,18 @@ def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
 
     kept is the number of (n+1)^2 kernel arrays the solve keeps: 4 for
     solve_kernels, 1 for solve_trace (k22) and 0 for solve_gains.  Besides
-    them the peak holds one row block of plans, at most _PLAN_POINTS points
-    (the whole triangle up to n = 179): about 25 floats a point under
-    tracemalloc from n = 4 to 1600.  A coupled solve_trace or solve_kernels
-    holds one block of trace paths beside it (_trace_blocks): 7.9 MB at
-    n = 800 under tracemalloc for solve_trace, against a bound of 10.3 MB.
-    The bound keeps 32 floats a point, six temporaries of the system's speed
-    table and 4 KB for the band tuples of each row of the block.  A block of
-    r rows from row r0 >= 1 holds at least r (r + 3) / 2 points, so r is at
-    most sqrt(2 _PLAN_POINTS) (181) and n.
+    them the peak holds the plans of one of the _row_blocks, whose rows
+    (n+1) <= max(_BLOCK_POINTS, n + 1) points hold at most the triangle's
+    (n+1)(n+2)/2 planned points, plus the few blocks of kernel rows it holds
+    (the march's, the one _trace_blocks holds back and the reader's), or
+    the block's trace paths: 1.73 MB beside k22 at n = 800 under
+    tracemalloc for a coupled solve_trace (6.86 MB against a bound of
+    7.47 MB).  The bound keeps 32 floats a point, six temporaries of the
+    system's speed table and 4 KB for the band tuples of each marched row
+    of the block.
     """
-    points = min(_PLAN_POINTS, (n + 1) * (n + 2) // 2)
-    rows = min(n, int((2 * _PLAN_POINTS) ** 0.5))
+    rows = min(n, max(1, _BLOCK_POINTS // (n + 1)))
+    points = min(max(_BLOCK_POINTS, n + 1), (n + 1) * (n + 2) // 2)
     table = system.speeds.table_nodes.size
     return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * rows
 
@@ -569,11 +566,12 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     incomplete; callers remove it.  Memory: write_kernels_csv_bytes.
 
     The file is written in the blocks of _trace_blocks, each at its
-    _triangle_points with the gains rows drawn up to it, divided by the
-    speeds and checked as solve_kernels does.  Once a check fails no block
-    is written, but the marches run on, so that the DomainError raised is
-    the one solve_kernels raises: that of the gains march, else of the
-    trace march, else of k11, k12, k21 and k22 in turn.
+    _triangle_points, cut from its rows and the gains block of the same
+    rows by one mask, divided by the speeds and checked as solve_kernels
+    does.  Once a check fails no block is written, but the marches run on,
+    so that the DomainError raised is the one solve_kernels raises: that of
+    the gains march, else of the trace march, else of k11, k12, k21 and k22
+    in turn.
     """
     gauge, speeds = _gauge(system, grid), system.speeds
     n = grid.n
@@ -588,13 +586,12 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     with open(path, "w", newline="") as fh:
         fh.write("x,xi,k11,k12,k21,k22\r\n")
         try:
-            for rows, trace, block_edge in blocks:
+            for rows, p21, p22, block_edge in blocks:
                 edge[rows.start:rows.stop] = block_edge
-                gains = [next(gains_rows) for _ in rows]
+                _, p12, p11 = next(gains_rows)
                 ii, jj = _triangle_points(rows)
-                p = [np.concatenate(c) for c in zip(*(
-                    (p11[:i + 1], p12[:i + 1], p21, p22)
-                    for (i, p12, p11), (p21, p22) in zip(gains, trace)))]
+                tri = np.arange(n + 1) <= np.arange(rows.start, rows.stop)[:, None]
+                p = [a[tri] for a in (p11, p12, p21, p22)]
                 p[2][jj == 0] = block_edge
                 with np.errstate(over="ignore"):
                     k = (p[0] / lam1[jj], p[1] / lam2[jj], p[2] / lam1[jj], p[3] / lam2[jj])
@@ -608,22 +605,21 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     for w in names:
         if w in bad:
             raise _overflow(f"kernel {w}")
-    _, p12, p11 = gains[-1]
     with np.errstate(over="ignore"):
-        k21_edge, k11_last, k12_last = edge / lam1[0], p11 / lam1, p12 / lam2
+        k21_edge, k11_last, k12_last = edge / lam1[0], p11[-1] / lam1, p12[-1] / lam2
     return _g(k21_edge, speeds), _gains(k11_last, k12_last, gauge)
 
 
 def write_kernels_csv_bytes(system: "SystemSpec", grid: Grid) -> int:
     """Upper bound on the bytes write_kernels_csv holds at once: the plans of
     the pairs it marches, k22 where the system is not _uncoupled, as in
-    solve_kernels_bytes, and one CSV block, one of the _path_blocks, of at
-    most max(_CSV_ROWS, n + 1) points at 512 bytes a point (its p-form rows,
-    kernels and text: about 420 under tracemalloc where all four kernel
-    columns vary, more than its trace paths take).  Raises as the solve
+    solve_kernels_bytes, and one CSV block, one of the _row_blocks, of at
+    most max(_BLOCK_POINTS, n + 1) points at 512 bytes a point (its p-form
+    rows, kernels and text: about 420 under tracemalloc where all four
+    kernel columns vary, more than its trace paths take).  Raises as the solve
     does where q != 0 or the gauge overflows."""
     n = grid.n
-    need = solve_kernels_bytes(system, n, 0) + 512 * max(_CSV_ROWS, n + 1)
+    need = solve_kernels_bytes(system, n, 0) + 512 * max(_BLOCK_POINTS, n + 1)
     if _uncoupled(system.speeds, _gauge(system, grid)):
         return need
     return need + solve_kernels_bytes(system, n, 1)
@@ -665,14 +661,14 @@ def _csv_block(columns) -> str:
 
 def _write_csv(path, header, columns) -> None:
     """Write equal-length columns under a header row, the one CSV format
-    (_csv_block), in blocks of _CSV_ROWS rows, so that a large file's text
-    is never held at once."""
+    (_csv_block), in blocks of _BLOCK_POINTS rows, so that a large file's
+    text is never held at once."""
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, rows, _CSV_ROWS):
-            fh.write(_csv_block([c[lo:lo + _CSV_ROWS] for c in columns]))
+        for lo in range(0, rows, _BLOCK_POINTS):
+            fh.write(_csv_block([c[lo:lo + _BLOCK_POINTS] for c in columns]))
 
 
 def export_profile_csv(path, nodes: np.ndarray, columns: dict) -> None:

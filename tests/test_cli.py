@@ -647,7 +647,7 @@ class TestExportFloatLimits:
         # solved, so f2 fails after the whole file was written: no
         # kernels.csv is left, nor the directories the command made, and a
         # directory that was there keeps its files
-        monkeypatch.setattr(kernels, "_CSV_ROWS", 7)
+        monkeypatch.setattr(kernels, "_BLOCK_POINTS", 7)
         path = self.write_config(tmp_path, **values)
         out = tmp_path / "out"
         assert run_cli(["kernels", path, "--out", str(out / "k")]) == 2

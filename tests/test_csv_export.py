@@ -91,10 +91,10 @@ def reference_sim_csv(result, outdir, max_snapshots=20):
     return written
 
 
-@pytest.fixture(params=[7, kernels._CSV_ROWS], ids=["rows-7", "rows-default"])
+@pytest.fixture(params=[7, kernels._BLOCK_POINTS], ids=["rows-7", "rows-default"])
 def csv_rows(request, monkeypatch):
     """Block size of the writer: 7 splits every file into several blocks."""
-    monkeypatch.setattr(kernels, "_CSV_ROWS", request.param)
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", request.param)
     return request.param
 
 
@@ -219,8 +219,9 @@ class TestExportMemory:
         finally:
             tracemalloc.stop()
         cfg = load_config(path)
-        plan_block = 8 * 32 * kernels._PLAN_POINTS      # as solve_kernels_bytes charges it
-        csv_block = 512 * max(kernels._CSV_ROWS, n + 1)     # one block of trace paths
+        block = max(kernels._BLOCK_POINTS, n + 1)       # points of one row block
+        plan_block = 8 * 32 * block         # as solve_kernels_bytes charges it
+        csv_block = 512 * block             # one block of trace paths
         if b == 0.0:
             assert peak <= 8e6
         else:
@@ -234,24 +235,19 @@ def assert_same_solve(K, g, gains):
         assert getattr(gains, name).tobytes() == getattr(K.gains, name).tobytes(), name
 
 
-@pytest.mark.parametrize("path_points", [1, 60, kernels._CSV_ROWS],
+@pytest.mark.parametrize("path_points", [1, 60, kernels._BLOCK_POINTS],
                          ids=["paths-1", "points-60", "points-default"])
 @pytest.mark.parametrize("b", [0.0, 0.8, "step"])
 @pytest.mark.parametrize("n", [4, 5, 16, 40])
-@pytest.mark.parametrize("plan_points", [7, kernels._PLAN_POINTS],
-                         ids=["rows-7", "rows-default"])
-def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, plan_points, n, b,
-                                path_points):
-    # the rows streamed from the marches are the file of solve_kernels'
-    # arrays, and g and the gains its own, as is solve_trace's g (which
-    # concatenates the same blocks' trace edges), whether each block of trace
-    # paths, which is a block of the file, holds one path (the writer one
-    # row behind the trace march), a few, or all, and whether each block of
-    # plans holds one or two rows (7 points) or all; b = 0 is uncoupled
-    # (k21's trace entry known at once), a b that vanishes on (0, 0.5) only
-    # is not
-    monkeypatch.setattr(kernels, "_CSV_ROWS", path_points)
-    monkeypatch.setattr(kernels, "_PLAN_POINTS", plan_points)
+def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, n, b, path_points):
+    # the row blocks streamed from the marches are the file of
+    # solve_kernels' arrays, and g and the gains its own, as is
+    # solve_trace's g (which concatenates the same blocks' trace edges),
+    # whether each row block, which sets the march's plans, the trace paths
+    # and the file's block together, holds one row (the writer one row
+    # behind the trace march), a few, or all; b = 0 is uncoupled (k21's
+    # trace entry known at once), a b that vanishes on (0, 0.5) only is not
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", path_points)
     b = CoefficientSpec.step(0.5, 0.0, 0.8) if b == "step" else b
     system = make_system(varying_speeds, a=0.3, b=b, c=CoefficientSpec.step(0.2, 0.0, 1.0),
                          d=-0.4)
@@ -294,8 +290,7 @@ def test_streamed_kernels_raise_as_solve_kernels(tmp_path_factory, lambda1, lamb
     grid = Grid.uniform(16)
     path = tmp_path_factory.mktemp("stream") / "new.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_PLAN_POINTS", 40)
-        mp.setattr(kernels, "_CSV_ROWS", 7)
+        mp.setattr(kernels, "_BLOCK_POINTS", 40)
         try:
             K, want = solve_kernels(system, grid), None
         except DomainError as exc:

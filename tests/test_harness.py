@@ -606,6 +606,31 @@ class TestCounterexample:
             pytest.approx(2.0, abs=1e-10)
         assert sigma > math.pi
 
+    @pytest.mark.parametrize("k", [
+        1 + 1 / math.pi + 2e-12, 1 + 1 / math.pi - 2e-12, 1 + 1 / math.pi + 1e-9,
+        1 + 1 / math.pi - 1e-9, 1.30, 1.31, 1.325, 1.33, 0.0, 0.5, 1.0, 2.0, 4.0, 10.0])
+    def test_branch_root_matches_mpmath(self, k):
+        # theta to 1e-13 relative against a 60-digit root of the same
+        # equation: next to 1 + 1/pi, where F is flat at its top, on both
+        # sides of the switch from the series of x cot x - 1 to the direct
+        # term (x^2 = 1/16 near k = 1.3085 and -1/16 near 1.3281), and far
+        # from it
+        theta, _ = solve_counterexample_branch(k)
+        with mpmath.workdps(60):
+            upper = mpmath.mpf(k) > 1 + 1 / mpmath.pi
+
+            def excess(t):      # rises with t on both branches
+                if upper:
+                    return mpmath.sqrt(1 + t * t) + t * mpmath.coth(mpmath.pi * t) - k
+                return k - mpmath.sqrt(1 - t * t) - t * mpmath.cot(mpmath.pi * t)
+
+            lo, hi = mpmath.mpf(theta) * (1 - 1e-3), mpmath.mpf(theta) * (1 + 1e-3)
+            assert excess(lo) < 0 < excess(hi)
+            for _ in range(100):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+            assert abs(theta - lo) <= 1e-13 * lo
+
     @pytest.mark.parametrize("k", [0.0, 2.0])
     def test_measured_rate_tracks_sigma(self, k):
         res = counterexample(k, n=400)

@@ -70,7 +70,7 @@ def trace_row(speeds, gauge, grid, P22):
     """p21 on the edge xi=0 at every node: the trace paths through P22 in
     each of the blocks the trace stream integrates."""
     _, paths = kernels._trace_paths(speeds, gauge, grid)
-    return np.concatenate([paths(P22, rows) for rows in kernels._path_blocks(grid.n)])
+    return np.concatenate([paths(P22, rows) for rows in kernels._row_blocks(grid.n)])
 
 
 def weighted(P, speeds, gauge, grid):
@@ -216,11 +216,11 @@ class TestSolveKernels:
         speeds = SpeedPair.build(l1, l2)
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(b), const(1.0), const(0.0), speeds, grid)
-        index, k12, k11 = zip(*kernels._march_pair("gains", speeds, gauge, grid))
+        blocks, k12, k11 = zip(*kernels._march_pair("gains", speeds, gauge, grid))
         lower = np.tril(np.ones((n + 1, n + 1), dtype=bool))
-        assert index == tuple(range(n + 1))
-        assert np.array(k11).tobytes() == np.zeros((n + 1, n + 1)).tobytes()
-        assert np.array(k12).tobytes() == np.where(lower, -0.0, 0.0).tobytes()
+        assert [i for rows in blocks for i in rows] == list(range(n + 1))
+        assert np.concatenate(k11).tobytes() == np.zeros((n + 1, n + 1)).tobytes()
+        assert np.concatenate(k12).tobytes() == np.where(lower, -0.0, 0.0).tobytes()
 
     @pytest.mark.parametrize("which", ["k11", "k12", "k21", "k22"])
     def test_plan_weights_in_unit_interval(self, unit_speeds, which):
@@ -264,6 +264,29 @@ class TestSolveKernels:
             solve_gains(make_system(unit_speeds, b=1e160, c=1e160), grid)
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("entry", ["gains", "trace"])
+    @pytest.mark.parametrize("poison,named", [
+        ({"edge": 5, "diagonal": 6}, "edge"), ({"diagonal": 5, "edge": 6}, "diagonal"),
+        ({"diagonal": 5, "edge": 5}, "diagonal")], ids=["edge-first", "diagonal-first", "both"])
+    def test_march_error_names_first_row(self, varying_speeds, monkeypatch, entry, poison,
+                                         named):
+        # n = 16 is one row block: the kernel whose row turns non-finite
+        # first is named, the diagonal-entered one where both turn in the
+        # same row, whatever the order of the kernels' names
+        step = kernels._step_boundary
+
+        def poisoned(plan, row, edge, i):
+            step(plan, row, edge, i)
+            if i >= poison["edge" if plan.on_edge else "diagonal"]:
+                row[0] = np.inf
+
+        monkeypatch.setattr(kernels, "_step_boundary", poisoned)
+        grid = Grid.uniform(16)
+        wd, we = kernels._PAIRS[entry]
+        solve = solve_gains if entry == "gains" else solve_trace
+        with pytest.raises(DomainError, match=f"^kernel {wd if named == 'diagonal' else we} "):
+            solve(make_system(varying_speeds, b=0.8, c=1.0), grid)
+
     def test_one_pass_matches_picard_varying(self, varying_speeds):
         c = CoefficientSpec.step(0.3, 0.0, 1.0)
         gauge, K = solve(varying_speeds, b=0.8, c=c, n=120)
@@ -280,7 +303,7 @@ class TestSolveKernels:
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
                              varying_speeds, grid)
-        monkeypatch.setattr(kernels, "_PLAN_POINTS", 60)
+        monkeypatch.setattr(kernels, "_BLOCK_POINTS", 60)
         feet = np.zeros((n + 1, n + 1))
         points = 0
         for blk in _blocks(varying_speeds, grid):
@@ -335,7 +358,7 @@ class TestSolveKernels:
         # one at lambda = -1, 1 where some of k12's feet round past row i-1;
         # there the reference still integrates g along the paths through its
         # marched k22, which the solves skip
-        points = {"row": 1, "ragged": 3 * n + 1, "one": (n + 1) * (n + 2) // 2}[budget]
+        points = {"row": 1, "ragged": 4 * (n + 1), "one": (n + 1) ** 2}[budget]
         slope = 1.0 if varying else 0.0
         speeds = SpeedPair.build(CoefficientSpec.polynomial([lam1, slope * s1]),
                                  CoefficientSpec.polynomial([lam2, slope * s2]))
@@ -346,7 +369,7 @@ class TestSolveKernels:
         want = reference_kernels(gauge, speeds, grid)
         want_g = -want["k21"][:, 0] * float(speeds.speed(1, 0.0))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_PLAN_POINTS", points)
+            mp.setattr(kernels, "_BLOCK_POINTS", points)
             K = solve_kernels(system, grid)
             law = solve_gains(system, grid)
             g = solve_trace(system, grid)
@@ -689,7 +712,7 @@ class TestSharedPlanGeometry:
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.4), const(0.8), CoefficientSpec.step(0.3, 0.0, 1.0),
                              const(-0.2), speeds, grid)
-        monkeypatch.setattr(kernels, "_PLAN_POINTS", 400)
+        monkeypatch.setattr(kernels, "_BLOCK_POINTS", 400)
         fidx, fw, coefA, brows, diag_data, _ = reference_build_plan(which, speeds, gauge, grid)
         assert np.count_nonzero(coefA) > coefA.size // 4
         assert sum(len(r[0]) for r in brows) >= n
@@ -724,7 +747,7 @@ class TestTraceRowBlocks:
         gauge = diag_removal(const(0.3), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
                              const(-0.4), varying_speeds, grid)
         P22 = np.tril(np.random.default_rng(7).standard_normal((n + 1, n + 1)))
-        monkeypatch.setattr(kernels, "_CSV_ROWS", rows * (n + 1))
+        monkeypatch.setattr(kernels, "_BLOCK_POINTS", rows * (n + 1))
         lower_only = np.where(np.triu(np.ones_like(P22, dtype=bool), 1), np.nan, P22)
         lower_only.flags.writeable = False
         got = trace_row(varying_speeds, gauge, grid, lower_only)
