@@ -235,10 +235,18 @@ def assert_same_solve(K, g, gains):
         assert getattr(gains, name).tobytes() == getattr(K.gains, name).tobytes(), name
 
 
-@pytest.mark.parametrize("path_points", [1, 60, kernels._BLOCK_POINTS],
-                         ids=["paths-1", "points-60", "points-default"])
-@pytest.mark.parametrize("b", [0.0, 0.8, "step"])
-@pytest.mark.parametrize("n", [4, 5, 16, 40])
+# each case keeps the id it had when the plans (first) and the trace paths
+# (last) had block sizes of their own: plans of 7 points and paths of 1 point
+# were blocks of one row, as a block of 1 point is now, and both defaults held
+# every row, as the one default does
+_BLOCK_IDS = {1: ("rows-7", "paths-1"), 60: ("rows-60", "points-60"),
+              kernels._BLOCK_POINTS: ("rows-default", "points-default")}
+
+
+@pytest.mark.parametrize("n, b, path_points", [
+    pytest.param(n, b, points, id=f"{plans}-{n}-{b}-{paths}")
+    for points, (plans, paths) in _BLOCK_IDS.items()
+    for n in (4, 5, 16, 40) for b in (0.0, 0.8, "step")])
 def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, n, b, path_points):
     # the row blocks streamed from the marches are the file of
     # solve_kernels' arrays, and g and the gains its own, as is
