@@ -513,12 +513,19 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
 
 def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
     """The gains of solve_kernels, bitwise, from the last row of the last
-    block of a march of (k11, k12) that keeps no kernel array, or none where
-    bt vanishes (zero gains)."""
-    gauge = _gauge(system, grid)
-    _, p12, p11 = deque(_gains_pair(system.speeds, gauge, grid), maxlen=1)[0]
-    lam1, lam2 = _node_speeds(system.speeds, grid)
-    return _gains(_unweight("k11", p11[-1], lam1), _unweight("k12", p12[-1], lam2), gauge)
+    block of a march of (k11, k12) that keeps no kernel array.  An _uncoupled
+    row n is that of _gains_pair, built directly: k11 +0.0 and k12 the
+    diagonal datum at x = 1 on every node (zero gains)."""
+    gauge, speeds = _gauge(system, grid), system.speeds
+    _check_grid(grid)
+    if _uncoupled(speeds, gauge):
+        p11 = np.zeros(grid.n + 1)
+        p12 = np.full(grid.n + 1, _diag_data(speeds, gauge, 2, grid.nodes)[-1])
+    else:
+        _, p12, p11 = deque(_march_pair("gains", speeds, gauge, grid), maxlen=1)[0]
+        p11, p12 = p11[-1], p12[-1]
+    lam1, lam2 = _node_speeds(speeds, grid)
+    return _gains(_unweight("k11", p11, lam1), _unweight("k12", p12, lam2), gauge)
 
 
 def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:

@@ -74,10 +74,10 @@ class SimResult:
 
 def l2_norm(y1: np.ndarray, y2: np.ndarray, h: float) -> float:
     """Trapezoid L2 norm of the pair, as one weighted dot of the squares of the
-    mirrored state [y1; y2[::-1]]: the arithmetic of every step of simulate."""
-    z = np.stack([np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)[::-1]])
+    mirrored state z = [y1, y2 reversed]: the arithmetic of every step of simulate."""
+    z = np.concatenate([np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)[::-1]])
     z *= z
-    return math.sqrt(np.vdot(np.tile(trapezoid_weights(z.shape[1] - 1, h), 2), z))
+    return math.sqrt(np.vdot(np.tile(trapezoid_weights(np.size(y1) - 1, h), 2), z))
 
 
 def _max_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
@@ -126,39 +126,38 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     with np.errstate(over="ignore"):    # an overflowing norm raises at step 1
         norm0 = l2_norm(y1, y2, h)
 
-    # The mirrored state z = [y1; y2[::-1]].  Both components read their
-    # upwind neighbour at j + 1 (y1 flows in from x=1, y2 from x=0), so one
-    # stencil over the columns j = 0..n-1 updates both:
-    #   z_new[:, j] = A z[:, j] + B z[:, j+1] + C (the other component at the
-    #   same node, z[::-1, ::-1][:, j]),
-    # and column n holds the inflow nodes y1(t,1) and y2(t,0).
+    # The mirrored state z = [y1, y2 reversed], 2(n+1) floats.  Each component
+    # reads its upwind neighbour at the next entry (y1 flows in from x=1, y2
+    # from x=0) and the other component at the same node in z[::-1], so one
+    # stencil updates both:
+    #   z_new[:-1] = A z[:-1] + B z[1:] + C z[::-1][:-1].
+    # Entry n, the inflow y1(t,1), has zero coefficients and is set afterwards;
+    # entry 2n+1 is the inflow y2(t,0) = q z_new[0].
     nu = dt / h
-    c1 = nu * l1[:-1]
-    c2 = nu * l2[1:]
+    c1, c2 = nu * l1[:-1], nu * l2[1:]
     a, b = (np.asarray(f(nodes), dtype=float)[:-1] for f in (system.a, system.b))
     c, d = (np.asarray(f(nodes), dtype=float)[1:] for f in (system.c, system.d))
-    A = np.stack([1.0 + c1 + dt * a, (1.0 - c2 + dt * d)[::-1]])
-    B = np.stack([-c1, c2[::-1]])
-    C = np.stack([dt * b, (dt * c)[::-1]])
+    A, B, C = np.zeros((3, 2 * n + 1))
+    A[:n], A[:n:-1] = 1.0 + c1 + dt * a, 1.0 - c2 + dt * d
+    B[:n], B[:n:-1] = -c1, c2
+    C[:n], C[:n:-1] = dt * b, dt * c
     del l1, l2, c1, c2, a, b, c, d
     q = system.q
-    # the weights are symmetric, so both rows of the mirrored state share them
-    WT = np.tile(trapezoid_weights(n, h), (2, 1))
-    gains = None
-    if isinstance(control, FeedbackLaw):
+    # the weights are symmetric, so both halves of the mirrored state share them
+    W = np.tile(trapezoid_weights(n, h), 2)
+    # the control law u(t, z_new), chosen once
+    if control is None:
+        law = lambda t, z: 0.0
+    elif isinstance(control, FeedbackLaw):
         if control.nodes.shape[0] != n + 1:
             raise GridMismatchError(f"feedback gains on {control.nodes.shape[0]} nodes do "
                                     f"not match the grid ({n + 1} nodes)")
-        gains = WT * np.stack([control.f1, control.f2[::-1]])
-
-    def boundary_u(t_new, z_new):
-        if control is None:
-            return 0.0
-        if gains is not None:
-            return float(np.vdot(gains, z_new))
-        if isinstance(control, BoundaryReflection):
-            return control.k * z_new[1, 0]
-        return float(control(t_new))
+        gains = W * np.concatenate([control.f1, control.f2[::-1]])
+        law = lambda t, z: float(np.vdot(gains, z))
+    elif isinstance(control, BoundaryReflection):
+        law = lambda t, z: control.k * z[n + 1]
+    else:
+        law = lambda t, z: float(control(t))
 
     times = np.linspace(0.0, T, steps + 1)
     if snapshots is None:
@@ -175,17 +174,17 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     # a double buffer: step m writes states[m % 2] from states[(m-1) % 2]
     # with out=, through views made once; sq is the scratch of the stencil
     # and the norms, so no step allocates an array
-    states = np.empty((2, 2, n + 1))
-    states[0, 0] = y1
-    states[0, 1] = y2[::-1]
+    states = np.empty((2, 2 * n + 2))
+    states[0, :n + 1] = y1
+    states[0, n + 1:] = y2[::-1]
     del y1, y2
-    sq = np.empty((2, n + 1))
-    tmp = sq[:, :-1]
-    views = [(zk, zk[:, :-1], zk[:, 1:], zk[::-1, ::-1][:, :-1]) for zk in states]
+    sq = np.empty(2 * n + 2)
+    tmp = sq[:-1]
+    views = [(zk, zk[:-1], zk[1:], zk[::-1][:-1]) for zk in states]
     z = states[0]
-    snaps = [(z[0].copy(), z[1, ::-1].copy())] if 0 in kept else []
+    snaps = [(z[:n + 1].copy(), z[:n:-1].copy())] if 0 in kept else []
     with np.errstate(invalid="ignore", over="ignore"):
-        control_trace[0] = boundary_u(0.0, z)
+        control_trace[0] = law(0.0, z)
         l2_trace[0] = norm0
         linf_trace[0] = np.abs(z, out=sq).max()
         for m in range(1, steps + 1):
@@ -196,19 +195,19 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
             np.add(zn_here, tmp, out=zn_here)
             np.multiply(C, z_cross, out=tmp)
             np.add(zn_here, tmp, out=zn_here)
-            zn[1, n] = q * zn[0, 0]
-            zn[0, n] = z[0, n]  # provisional, lets the feedback quadrature close
-            u = boundary_u(times[m], zn)
-            zn[0, n] = u
+            zn[-1] = q * zn[0]
+            zn[n] = z[n]  # provisional, lets the feedback quadrature close
+            u = law(times[m], zn)
+            zn[n] = u
             # u sits in zn, and a non-finite entry makes the norm non-finite
             # too, so one check covers the state, u and an overflowing norm
             np.multiply(zn, zn, out=sq)
-            l2 = math.sqrt(np.vdot(WT, sq))
+            l2 = math.sqrt(np.vdot(W, sq))
             if not math.isfinite(l2):
                 raise DivergenceError(f"non-finite state or L2 norm at step {m}", step=m)
             control_trace[m] = u
             if m in kept:
-                snaps.append((zn[0].copy(), zn[1, ::-1].copy()))
+                snaps.append((zn[:n + 1].copy(), zn[:n:-1].copy()))
             l2_trace[m] = l2
             linf_trace[m] = np.abs(zn, out=sq).max()
 

@@ -203,6 +203,17 @@ class TestSolveKernels:
         assert calls == []
         assert np.signbit(law.f2).all()
 
+    def test_uncoupled_gains_build_no_row_block(self, varying_speeds, monkeypatch):
+        # b = 0: solve_gains takes row n of the zero gains pair directly,
+        # without the row blocks that solve_kernels fills
+        def no_blocks(n):
+            raise AssertionError("a row block was built")
+
+        monkeypatch.setattr(kernels, "_row_blocks", no_blocks)
+        system = make_system(varying_speeds, c=CoefficientSpec.step(0.2, 0.0, 1.0))
+        law = solve_gains(system, Grid.uniform(1600))
+        assert not law.f1.any() and not law.f2.any()
+
     @pytest.mark.parametrize("b", [0.0, -0.0], ids=["b+0", "b-0"])
     @pytest.mark.parametrize("lam", ["unit", "0.7", "x"])
     @pytest.mark.parametrize("n", [5, 33, 100])

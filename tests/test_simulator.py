@@ -14,6 +14,7 @@ import hypmin
 from hypmin import (CoefficientSpec, Grid, SpeedPair, canonical_solution,
                     diag_removal, growth_rate, l2_norm, simulate, simulator,
                     solve_kernels, volterra_apply)
+from hypmin.coeffs import trapezoid_weights
 from hypmin.errors import (CFLError, DivergenceError, DomainError, GridMismatchError,
                            UndefinedRateError)
 from hypmin.kernels import FeedbackLaw, solve_gains
@@ -367,6 +368,49 @@ class TestSimulateProperties:
         y0 = (rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1))
         sim = simulate(make_system(varying_speeds, b=1.0), None, y0, 0.1, grid, snapshots=0)
         assert _same_bits(sim.l2_trace[0], l2_norm(y0[0], y0[1], grid.h))
+
+
+class TestSimulateOneStep:
+    """One step of simulate is the per-node upwind formula, bitwise: each
+    entry takes the same products and sums in the same order, whatever the
+    layout of the state."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.7])
+    @pytest.mark.parametrize("kind", ["zero", "signal", "feedback", "reflection"])
+    @pytest.mark.parametrize("n", [4, 61, 400])
+    def test_step_is_upwind_formula(self, varying_speeds, n, kind, q):
+        grid = Grid.uniform(n)
+        h, nodes = grid.h, grid.nodes
+        rng = np.random.default_rng(n)
+        system = make_system(varying_speeds, a=CoefficientSpec.polynomial([0.3, -0.5]), b=0.8,
+                             c=CoefficientSpec.step(0.3, -0.5, 1.0), d=-0.4, q=q)
+        control = drawn_control(kind, grid, rng)
+        y1, y2 = rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1)
+        T = 0.9 * h / _max_speed(varying_speeds, nodes)
+        sim = simulate(system, control, (y1, y2), T, grid, snapshots=2)
+        assert len(sim.times) == 2
+        dt = sim.times[1]
+        l1, l2 = varying_speeds.speed(1, nodes), varying_speeds.speed(2, nodes)
+        a, b, c, d = (f(nodes) for f in (system.a, system.b, system.c, system.d))
+        c1, c2 = (dt / h) * l1[:-1], (dt / h) * l2[1:]
+        y1n, y2n = y1.copy(), np.empty(n + 1)
+        y1n[:-1] = ((1.0 + c1 + dt * a[:-1]) * y1[:-1] + (-c1) * y1[1:]) + (dt * b[:-1]) * y2[:-1]
+        y2n[1:] = ((1.0 - c2 + dt * d[1:]) * y2[1:] + c2 * y2[:-1]) + (dt * c[1:]) * y1[1:]
+        y2n[0] = q * y1n[0]
+        if kind == "feedback":
+            w = np.tile(trapezoid_weights(n, h), 2)
+            gains = w * np.concatenate([control.f1, control.f2[::-1]])
+            u = float(np.vdot(gains, np.concatenate([y1n, y2n[::-1]])))
+        elif kind == "reflection":
+            u = control.k * y2n[n]
+        else:
+            u = 0.0 if control is None else control(dt)
+        y1n[n] = u
+        assert _same_bits(sim.control_trace[1], u)
+        assert _same_bits(sim.snapshots[1][0], y1n)
+        assert _same_bits(sim.snapshots[1][1], y2n)
+        assert _same_bits(sim.l2_trace[1], l2_norm(y1n, y2n, h))
+        assert u != 0.0 or control is None
 
 
 class TestSimulateImports:
