@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare what two hypmin source trees print and write, command by command.
 
-    python scripts/compare_outputs.py OLD NEW [CONFIG ...]
+    python scripts/compare_outputs.py OLD NEW [--grid-n N] [CONFIG ...]
 
 On each config (default: NEW's configs/*.json) every tree runs `mintime`,
 `kernels`, `simulate`, `verify-settling` and `verify-sharpness` at
@@ -14,7 +14,9 @@ relative --out, the two trees side by side.  Exit codes,
 stdout and every output file are compared byte for byte; a JSON file is
 compared as its parsed record without `runtime`, `config_sha256` and
 `numpy_version`, which vary by run or by tree.  Each difference is listed
-on one line; the exit code is 1 if there is any, else 0.
+on one line; the exit code is 1 if there is any, else 0.  With --grid-n N
+both trees run on copies of the configs whose grid_n is N, written to the
+scratch directory under the same file names.
 """
 
 import argparse
@@ -115,16 +117,33 @@ def differences(works: list, results: list) -> list:
     return diffs
 
 
+def _with_grid_n(config: str, n: int, directory: str) -> str:
+    """A copy of config in directory, under its file name, with grid_n n."""
+    with open(config) as fh:
+        raw = json.load(fh)
+    raw["grid_n"] = n
+    path = os.path.join(directory, os.path.basename(config))
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    return path
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("old", help="source tree whose src/ holds the reference hypmin")
     ap.add_argument("new", help="source tree whose src/ holds the hypmin compared with it")
     ap.add_argument("configs", nargs="*", help="configs (default: NEW's configs/*.json)")
-    args = ap.parse_args(argv)
+    ap.add_argument("--grid-n", type=int, default=None,
+                    help="run on copies of the configs with this grid_n")
+    args = ap.parse_intermixed_args(argv)
     configs = ([os.path.abspath(c) for c in args.configs]
                or sorted(glob.glob(os.path.join(os.path.abspath(args.new), "configs", "*.json"))))
     with tempfile.TemporaryDirectory() as tmp:
+        if args.grid_n is not None:
+            os.makedirs(os.path.join(tmp, "configs"))
+            configs = [_with_grid_n(c, args.grid_n, os.path.join(tmp, "configs"))
+                       for c in configs]
         works = [os.path.join(tmp, "old"), os.path.join(tmp, "new")]
         for work in works:
             os.makedirs(work)

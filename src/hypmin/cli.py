@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import check_memory, load_config, make_control, make_initial_data
+from .config import FEEDBACK, check_memory, load_config
 from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      GridMismatchError, InvalidSpeedsError, PreconditionError,
                      RootBracketError, UndefinedRateError)
@@ -101,12 +101,10 @@ def _cmd_kernels(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    feedback = cfg.control.get("kind", "feedback") == "feedback"
+    feedback = cfg.control is FEEDBACK
     check_run_memory("simulate", cfg, cfg.grid.n, feedback, args.snapshots)
-    law = solve_gains(cfg.system, cfg.grid) if feedback else None
-    control = make_control(cfg.control, feedback=law)
-    y0 = make_initial_data(cfg.initial, cfg.grid, cfg.seed)
-    sim = simulate(cfg.system, control, y0, cfg.horizon, cfg.grid, cfg.cfl,
+    control = solve_gains(cfg.system, cfg.grid) if feedback else cfg.control
+    sim = simulate(cfg.system, control, cfg.initial(cfg.grid), cfg.horizon, cfg.grid, cfg.cfl,
                    snapshots=args.snapshots)
     outdir = _outdir(args, cfg)
     export_sim_csv(sim, outdir)

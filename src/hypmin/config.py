@@ -1,6 +1,6 @@
 """Scenario configs: the JSON schema, its validation, the initial data and
-control records, and the physical-memory check every command runs before
-it allocates."""
+control records, each parsed once into what the commands use, and the
+physical-memory check every command runs before it allocates."""
 
 from __future__ import annotations
 
@@ -9,17 +9,16 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 from .errors import ConfigError
-from .kernels import FeedbackLaw
-from .simulator import BoundaryReflection, SystemSpec
+from .simulator import BoundaryReflection, Control, SystemSpec
 
-__all__ = ["ScenarioConfig", "config_from_dict", "load_config", "make_initial_data",
-           "make_control", "check_memory"]
+__all__ = ["ScenarioConfig", "FEEDBACK", "config_from_dict", "load_config", "check_memory"]
 
 SCHEMA_VERSION = 1
 
@@ -28,17 +27,23 @@ SCHEMA_VERSION = 1
 # of its own kernel solve and simulation.
 _GRID_N_MAX = 23169
 
+# The control of a "feedback" record: the backstepping gains, which each
+# command synthesizes on its own grid.
+FEEDBACK = "feedback"
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario.  initial maps a grid to the initial data (y1, y2)
+    on its nodes; control is simulate's control, or FEEDBACK."""
+
     scenario_id: str
     system: SystemSpec
     grid: Grid
     cfl: float
     horizon: float
-    initial: dict
-    control: dict
-    seed: int
+    initial: Callable[[Grid], tuple]
+    control: Control | str
     output_dir: str
 
 
@@ -120,25 +125,70 @@ def _random_fields(spec: dict, default_seed: int) -> tuple:
     return seed, m
 
 
-def _kind_record(raw: dict, key: str, seed: int) -> dict:
-    """The initial_data or control record, checked by building it.
+def _initial_data(spec: dict, default_seed: int):
+    """The initial data of its config record, a map from a grid to (y1, y2).
 
-    Random data is checked by its fields only: drawing it would load
-    numpy.random (about 6 MB) in commands that never use the data.
+    Random data is checked by its fields only and drawn on each call:
+    drawing it here would load numpy.random (about 6 MB) in commands that
+    never use the data.
     """
-    default = "random" if key == "initial_data" else "feedback"
+    kind = spec.get("kind", "random")
+    if kind == "zero":
+        return lambda grid: (np.zeros(grid.n + 1), np.zeros(grid.n + 1))
+    if kind == "random":
+        seed, m = _random_fields(spec, default_seed)
+
+        def draw(grid):     # piecewise linear on a few knots: rough but resolution-independent
+            rng = np.random.default_rng(seed)
+            knots = np.linspace(0.0, 1.0, m)
+            y1 = np.interp(grid.nodes, knots, rng.uniform(-1.0, 1.0, m))
+            return y1, np.interp(grid.nodes, knots, rng.uniform(-1.0, 1.0, m))
+        return draw
+    if kind in ("samples", "family"):
+        specs = []
+        for name in ("y1", "y2"):
+            d = spec.get(name)
+            if kind == "samples" and isinstance(d, dict):   # {xs, values}
+                d = {**d, "family": "sampled"}
+            specs.append(_coeff_from_dict(d, name))
+        return lambda grid: tuple(np.asarray(f(grid.nodes), dtype=float) for f in specs)
+    raise ConfigError(f"unknown initial_data kind {kind!r}")
+
+
+def _control(spec: dict):
+    """simulate's control of its config record, or FEEDBACK."""
+    kind = spec.get("kind", "feedback")
+    if kind == "feedback":
+        return FEEDBACK
+    if kind == "zero":
+        return None
+    if kind == "reflection":
+        return BoundaryReflection(_number(spec, "k"))
+    if kind == "polynomial":
+        poly = _coeff_from_dict({**spec, "family": "polynomial"}, "u")
+        return lambda t: float(poly(t))
+    if kind == "samples":
+        raw = [spec.get("ts"), spec.get("values")]
+        if not all(isinstance(r, list) and all(map(_is_number, r)) for r in raw):
+            raise ConfigError("samples control needs lists of numbers ts and values")
+        try:
+            ts, vals = (np.asarray(r, dtype=float) for r in raw)
+        except OverflowError as exc:
+            raise ConfigError(f"samples control: {exc}") from exc
+        if not (0 < ts.size == vals.size and np.isfinite(ts).all() and np.isfinite(vals).all()):
+            raise ConfigError("samples control needs finite ts and values of one equal length")
+        return lambda t: float(np.interp(t, ts, vals))
+    raise ConfigError(f"unknown control kind {kind!r}")
+
+
+def _parse_record(raw: dict, key: str, default: str, parse, *args):
+    """parse(record, *args) of the raw[key] record, {"kind": default} where
+    absent, with key before the text of its ConfigError."""
     rec = _record(raw, key, {"kind": default})
-    kind = rec.get("kind", default)
     try:
-        if key == "initial_data" and kind == "random":
-            _random_fields(rec, seed)
-        elif key == "initial_data":
-            make_initial_data(rec, Grid.uniform(1), seed)
-        elif kind != "feedback":
-            make_control(rec)
+        return parse(rec, *args)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    return rec
 
 
 def _physical_memory() -> float:
@@ -206,9 +256,8 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         grid=Grid.uniform(grid_n),
         cfl=cfl,
         horizon=horizon,
-        initial=_kind_record(raw, "initial_data", seed),
-        control=_kind_record(raw, "control", seed),
-        seed=seed,
+        initial=_parse_record(raw, "initial_data", "random", _initial_data, seed),
+        control=_parse_record(raw, "control", "feedback", _control),
         output_dir=str(raw.get("output_dir", "out")),
     )
 
@@ -226,55 +275,3 @@ def load_config(path) -> ScenarioConfig:
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     return config_from_dict(raw, scenario_id=stem)
 
-
-def make_initial_data(spec: dict, grid: Grid, default_seed: int = 42):
-    """Initial data pair on the grid from its config record."""
-    kind = spec.get("kind", "random")
-    xs = grid.nodes
-    if kind == "zero":
-        return np.zeros(grid.n + 1), np.zeros(grid.n + 1)
-    if kind == "random":
-        # piecewise linear on a few nodes: rough but resolution-independent
-        seed, m = _random_fields(spec, default_seed)
-        rng = np.random.default_rng(seed)
-        knots = np.linspace(0.0, 1.0, m)
-        y1 = np.interp(xs, knots, rng.uniform(-1.0, 1.0, m))
-        y2 = np.interp(xs, knots, rng.uniform(-1.0, 1.0, m))
-        return y1, y2
-    if kind in ("samples", "family"):
-        out = []
-        for name in ("y1", "y2"):
-            d = spec.get(name)
-            if kind == "samples" and isinstance(d, dict):   # {xs, values}
-                d = {**d, "family": "sampled"}
-            out.append(np.asarray(_coeff_from_dict(d, name)(xs), dtype=float))
-        return tuple(out)
-    raise ConfigError(f"unknown initial_data kind {kind!r}")
-
-
-def make_control(spec: dict, feedback: FeedbackLaw | None = None):
-    """Control object for simulate() from its config record."""
-    kind = spec.get("kind", "feedback")
-    if kind == "zero":
-        return None
-    if kind == "feedback":
-        if feedback is None:
-            raise ConfigError("feedback control requested but no gains were synthesized")
-        return feedback
-    if kind == "reflection":
-        return BoundaryReflection(_number(spec, "k"))
-    if kind == "polynomial":
-        poly = _coeff_from_dict({**spec, "family": "polynomial"}, "u")
-        return lambda t: float(poly(t))
-    if kind == "samples":
-        raw = [spec.get("ts"), spec.get("values")]
-        if not all(isinstance(r, list) and all(map(_is_number, r)) for r in raw):
-            raise ConfigError("samples control needs lists of numbers ts and values")
-        try:
-            ts, vals = (np.asarray(r, dtype=float) for r in raw)
-        except OverflowError as exc:
-            raise ConfigError(f"samples control: {exc}") from exc
-        if not (0 < ts.size == vals.size and np.isfinite(ts).all() and np.isfinite(vals).all()):
-            raise ConfigError("samples control needs finite ts and values of one equal length")
-        return lambda t: float(np.interp(t, ts, vals))
-    raise ConfigError(f"unknown control kind {kind!r}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import CoefficientSpec, Grid, trapezoid_weights
 from .characteristics import SpeedPair
-from .config import ScenarioConfig, check_memory, make_initial_data
+from .config import ScenarioConfig, check_memory
 from .errors import DivergenceError, DomainError, PreconditionError, RootBracketError
 from .kernels import solve_gains, solve_kernels_bytes, solve_trace
 from .mintime import times_report
@@ -141,7 +141,7 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     check_run_memory("verify-settling", cfg, max(levels), True, 0)
     t_start = time.perf_counter()
     grids = [Grid.uniform(nk) for nk in levels]
-    data = [make_initial_data(cfg.initial, grid_k, cfg.seed) for grid_k in grids]
+    data = [cfg.initial(grid_k) for grid_k in grids]
     with np.errstate(over="ignore"):     # an overflow: simulate raises at step 1
         norms = [l2_norm(y0[0], y0[1], grid_k.h) for y0, grid_k in zip(data, grids)]
     if any(norm0 <= 0.0 for norm0 in norms):
@@ -452,13 +452,6 @@ def _reflection_eigenvalue(k: float):
             f"on (0, {-lo:g})")
     s = _bisect_scalar(_eigen_equation, delta, lo, hi)
     return s, math.pi * math.sqrt(1.0 - s * abs(s))
-
-
-def solve_counterexample_branch(k: float):
-    """Eigenvalue sigma and profile parameter theta = |s| of the reflection
-    system: the profile's theta is real below k = 1 + 1/pi, imaginary above."""
-    s, sigma = _reflection_eigenvalue(k)
-    return abs(s), sigma
 
 
 def counterexample(k: float, n: int = 800) -> CounterexampleResult:

@@ -31,8 +31,10 @@ Characteristic invariants used to locate the foot of each step:
 The trace k21(.,0) is the endpoint of the k21 integration, never an
 extrapolation, and g(x) = -k21(x,0)*lambda1(0) = -p21(x,0).
 
-Each solve takes a system with q = 0 and a grid, and builds the gauge
-itself.  The two systems are decoupled, each solved by its own row march.
+Each solve takes a system with q = 0 and a grid of n >= 4 cells, and
+starts from one set-up, _gauge: the checks, the gauge and whether the
+system is coupled.  The two systems are decoupled, each solved by its own
+row march.
 The kernel stream moves in row blocks (_row_blocks), in order of x, which is
 also the order of kernels.csv, with one block size, _BLOCK_POINTS: the march
 builds its plans and yields its rows one block at a time, the trace stream
@@ -51,12 +53,13 @@ Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
 Where the gauged bt vanishes at every grid node the system is already
 canonical: the (k11, k12) march is exactly zero, and so are k22 and every
-trace path integral, which leaves g its diagonal term.  The entry points
-then take these values without marching or path quadrature, bitwise the
-march's, signed zeros included: solve_gains and solve_trace hold no kernel
-array and no plans, only O(n) floats and temporaries of the speed table,
-and solve_kernels and write_kernels_csv march the trace pair only, for the
-k21 and k22 they export.
+trace path integral, which leaves g its diagonal term.  _gauge decides
+this once per solve, and the entry points then take these values without
+marching or path quadrature, bitwise the march's, signed zeros included:
+solve_gains and solve_trace hold no kernel array and no plans, only O(n)
+floats and temporaries of the speed table, and solve_kernels and
+write_kernels_csv march the trace pair only, for the k21 and k22 they
+export.
 The march still runs where c is large enough to overflow it, so that it
 raises (_uncoupled).
 """
@@ -281,11 +284,6 @@ def _step_boundary(plan: _MarchPlan, row: np.ndarray, edge: np.ndarray, i: int) 
 _PAIRS = {"gains": ("k12", "k11"), "trace": ("k21", "k22")}
 
 
-def _check_grid(grid: Grid) -> None:
-    if grid.n < 4:
-        raise DomainError("kernel grid too coarse (need n >= 4)")
-
-
 def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     """Row march of one pair in p-form: yields (rows, D, E) for each of the
     _row_blocks in turn, D and E the block's rows of the diagonal- and the
@@ -299,7 +297,7 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     the one pass is the exact fixed point of the discrete scheme.  A block
     with a marched entry that is not finite raises DomainError naming the
     kernel of its first such row, the diagonal-entered one where both rows
-    have one, as a check of each row in turn would; callers _check_grid.
+    have one, as a check of each row in turn would; _gauge checks n >= 4.
     The floating-point error state is set around each block's march, never
     across a yield, so that it stays the caller's while the march is
     suspended.
@@ -353,24 +351,25 @@ def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
     return bool(bound < 1e300)
 
 
-def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
-    """The blocks of _march_pair("gains").  An _uncoupled march is exactly
-    zero and is skipped: k11 is +0.0 and k12 its zero diagonal data (-0.0,
-    as lambda1 < 0 < lambda2) on and below the diagonal, +0.0 above it, as
-    the march leaves them: its weights lie in [0, 1] (_interp_setup), so it
-    never turns the sign of a zero."""
-    _check_grid(grid)
-    if not _uncoupled(speeds, gauge):
-        return _march_pair("gains", speeds, gauge, grid)
+def _zero_gains(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, blocks):
+    """The blocks (rows, k12, k11) of an _uncoupled gains pair on the row
+    ranges blocks, built without its march, which is exactly zero: k11 is
+    +0.0 and k12 its zero diagonal data (-0.0, as lambda1 < 0 < lambda2) on
+    and below the diagonal, +0.0 above it, as the march leaves them: its
+    weights lie in [0, 1] (_interp_setup), so it never turns the sign of a
+    zero."""
     n = grid.n
     data = _diag_data(speeds, gauge, 2, grid.nodes)
+    for rows in blocks:
+        D = np.tril(np.tile(data[rows.start:rows.stop, None], n + 1), rows.start)
+        yield rows, D, np.zeros_like(D)
 
-    def blocks():
-        for rows in _row_blocks(n):
-            D = np.tril(np.tile(data[rows.start:rows.stop, None], n + 1), rows.start)
-            yield rows, D, np.zeros_like(D)
 
-    return blocks()
+def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, coupled: bool):
+    """The blocks of _march_pair("gains"), marched only where coupled."""
+    if coupled:
+        return _march_pair("gains", speeds, gauge, grid)
+    return _zero_gains(speeds, gauge, grid, _row_blocks(grid.n))
 
 
 def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
@@ -474,14 +473,19 @@ def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
     return -k21_edge * float(speeds.speed(1, 0.0))
 
 
-def _gauge(system: "SystemSpec", grid: Grid) -> DiagGauge:
-    """The diagonal-removing gauge of system on grid, the first step of every
-    solve.  The kernels' boundary condition at xi=0 is that of the zero
-    reflection, so q != 0 raises PreconditionError."""
+def _gauge(system: "SystemSpec", grid: Grid) -> tuple:
+    """(gauge, coupled): the one set-up of every solve, the diagonal-removing
+    gauge of system on grid and whether the system is not _uncoupled.  The
+    kernels' boundary condition at xi=0 is that of the zero reflection, so
+    q != 0 raises PreconditionError, before the gauge's own DomainErrors; a
+    grid of n < 4 cells raises DomainError after them."""
     if system.q != 0.0:
         raise PreconditionError(f"the kernel solve assumes the zero reflection q = 0, "
                                 f"got q = {system.q:.12g}")
-    return diag_removal(system.a, system.b, system.c, system.d, system.speeds, grid)
+    gauge = diag_removal(system.a, system.b, system.c, system.d, system.speeds, grid)
+    if grid.n < 4:
+        raise DomainError("kernel grid too coarse (need n >= 4)")
+    return gauge, not _uncoupled(system.speeds, gauge)
 
 
 def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
@@ -492,15 +496,15 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
     the speeds that the march's p-form is divided by, overflow a kernel,
     which raises DomainError naming it.  Memory: the four kernels plus one
     row block of plans (solve_kernels_bytes with kept 4)."""
-    gauge, speeds = _gauge(system, grid), system.speeds
+    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
     n = grid.n
     K = {w: np.zeros((n + 1, n + 1)) for w in ("k11", "k12", "k21", "k22")}
-    for rows, p12, p11 in _gains_pair(speeds, gauge, grid):
+    for rows, p12, p11 in _gains_pair(speeds, gauge, grid, coupled):
         K["k12"][rows.start:rows.stop], K["k11"][rows.start:rows.stop] = p12, p11
     # The xi=0 trace of k21 defines g; the stream integrates it directly along
     # each trace characteristic, so its vanishing set is not blurred by the
     # re-sampling.
-    P22 = None if _uncoupled(speeds, gauge) else K["k22"]     # k22 doubles as P22
+    P22 = K["k22"] if coupled else None     # k22 doubles as P22
     for rows, p21, p22, edge in _trace_blocks(speeds, gauge, grid, P22):
         K["k21"][rows.start:rows.stop], K["k22"][rows.start:rows.stop] = p21, p22
         K["k21"][rows.start:rows.stop, 0] = edge
@@ -514,16 +518,14 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
 def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
     """The gains of solve_kernels, bitwise, from the last row of the last
     block of a march of (k11, k12) that keeps no kernel array.  An _uncoupled
-    row n is that of _gains_pair, built directly: k11 +0.0 and k12 the
-    diagonal datum at x = 1 on every node (zero gains)."""
-    gauge, speeds = _gauge(system, grid), system.speeds
-    _check_grid(grid)
-    if _uncoupled(speeds, gauge):
-        p11 = np.zeros(grid.n + 1)
-        p12 = np.full(grid.n + 1, _diag_data(speeds, gauge, 2, grid.nodes)[-1])
-    else:
-        _, p12, p11 = deque(_march_pair("gains", speeds, gauge, grid), maxlen=1)[0]
-        p11, p12 = p11[-1], p12[-1]
+    row n is the one block of _zero_gains on row n alone: k11 +0.0 and k12
+    the diagonal datum at x = 1 on every node (zero gains)."""
+    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
+    n = grid.n
+    blocks = (_march_pair("gains", speeds, gauge, grid) if coupled
+              else _zero_gains(speeds, gauge, grid, [range(n, n + 1)]))
+    _, p12, p11 = deque(blocks, maxlen=1)[0]
+    p11, p12 = p11[-1], p12[-1]
     lam1, lam2 = _node_speeds(speeds, grid)
     return _gains(_unweight("k11", p11, lam1), _unweight("k12", p12, lam2), gauge)
 
@@ -533,13 +535,12 @@ def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
     which keeps only k22, the array its paths read.  An _uncoupled k22 and
     its path integrals are exactly zero: no march, and g is the diagonal
     term, as in solve_kernels."""
-    gauge, speeds = _gauge(system, grid), system.speeds
-    _check_grid(grid)
-    if _uncoupled(speeds, gauge):
-        row = _trace_paths(speeds, gauge, grid)[0] + 0.0
-    else:
+    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
+    if coupled:
         P22 = np.zeros((grid.n + 1, grid.n + 1))
         row = np.concatenate([edge for *_, edge in _trace_blocks(speeds, gauge, grid, P22)])
+    else:
+        row = _trace_paths(speeds, gauge, grid)[0] + 0.0
     lam1, _ = _node_speeds(speeds, grid)
     return _g(_unweight("k21", row, lam1[0]), speeds)
 
@@ -580,13 +581,13 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     the gains march, else of the trace march, else of k11, k12, k21 and k22
     in turn.
     """
-    gauge, speeds = _gauge(system, grid), system.speeds
+    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
     n = grid.n
     names = ("k11", "k12", "k21", "k22")
     text = _text(grid.nodes)
     lam1, lam2 = _node_speeds(speeds, grid)
-    gains_rows = _gains_pair(speeds, gauge, grid)
-    P22 = None if _uncoupled(speeds, gauge) else np.zeros((n + 1, n + 1))
+    gains_rows = _gains_pair(speeds, gauge, grid, coupled)
+    P22 = np.zeros((n + 1, n + 1)) if coupled else None
     blocks = _trace_blocks(speeds, gauge, grid, P22)
     edge = np.empty(n + 1)      # p21(x_i, 0), filled block by block
     bad = set()                 # the kernels with an entry that is not finite
@@ -624,12 +625,12 @@ def write_kernels_csv_bytes(system: "SystemSpec", grid: Grid) -> int:
     most max(_BLOCK_POINTS, n + 1) points at 512 bytes a point (its p-form
     rows, kernels and text: about 420 under tracemalloc where all four
     kernel columns vary, more than its trace paths take).  Raises as the solve
-    does where q != 0 or the gauge overflows."""
+    does where q != 0, the gauge overflows or n < 4 (_gauge)."""
     n = grid.n
     need = solve_kernels_bytes(system, n, 0) + 512 * max(_BLOCK_POINTS, n + 1)
-    if _uncoupled(system.speeds, _gauge(system, grid)):
-        return need
-    return need + solve_kernels_bytes(system, n, 1)
+    if _gauge(system, grid)[1]:
+        need += solve_kernels_bytes(system, n, 1)
+    return need
 
 
 def _text(values) -> np.ndarray:

@@ -114,10 +114,9 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     l2 = np.asarray(system.speeds.speed(2, nodes), dtype=float)
     max_speed = float(max(np.max(-l1), np.max(l2)))
     dt = cfl * h / max_speed
+    # at most dt (1 + 1e-12), the CFL bound: steps rounds T / dt up, less 1e-12
     steps = max(1, math.ceil(T / dt - 1e-12))
     dt = T / steps
-    if dt * max_speed / h > 1.0 + 1e-9:
-        raise CFLError("time step violates the CFL bound")
 
     y1 = np.asarray(y0[0], dtype=float)
     y2 = np.asarray(y0[1], dtype=float)
@@ -153,7 +152,8 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
             raise GridMismatchError(f"feedback gains on {control.nodes.shape[0]} nodes do "
                                     f"not match the grid ({n + 1} nodes)")
         gains = W * np.concatenate([control.f1, control.f2[::-1]])
-        law = lambda t, z: float(np.vdot(gains, z))
+        # zero gains: their dot is +0.0 wherever the norm is finite, so none is taken
+        law = (lambda t, z: float(np.vdot(gains, z))) if gains.any() else (lambda t, z: 0.0)
     elif isinstance(control, BoundaryReflection):
         law = lambda t, z: control.k * z[n + 1]
     else:

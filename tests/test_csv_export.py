@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypmin import CoefficientSpec, Grid, SpeedPair, kernels, simulate, solve_kernels
 from hypmin.cli import run_cli
 from hypmin.errors import DomainError, InvalidSpeedsError
-from hypmin.config import load_config, make_control, make_initial_data
+from hypmin.config import FEEDBACK, load_config
 from hypmin.kernels import (export_profile_csv, solve_gains, solve_trace,
                             write_kernels_csv, write_kernels_csv_bytes)
 from hypmin.simulator import export_sim_csv
@@ -330,8 +330,8 @@ def test_cli_exports_bytes_uncoupled(csv_rows, tmp_path):
     for name in os.listdir(ref / "k"):
         assert_same_bytes(out / "k" / name, ref / "k" / name)
 
-    control = make_control(cfg.control, feedback=solve_gains(cfg.system, cfg.grid))
-    full = simulate(cfg.system, control, make_initial_data(cfg.initial, cfg.grid, cfg.seed),
+    assert cfg.control is FEEDBACK
+    full = simulate(cfg.system, solve_gains(cfg.system, cfg.grid), cfg.initial(cfg.grid),
                     cfg.horizon, cfg.grid, cfg.cfl)
     for snapshots in (20, 0):
         d = f"s{snapshots}"

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -10,14 +12,13 @@ from numpy.linalg import norm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypmin import Grid, harness, simulator, times_report
+from hypmin import CoefficientSpec, Grid, harness, simulator, times_report
 from hypmin.errors import ConfigError, PreconditionError
 from hypmin.cli import _write_json
-from hypmin.config import config_from_dict, load_config, make_control, make_initial_data
-from hypmin.harness import (canonical_sharpness_residual, counterexample,
-                            solve_counterexample_branch, verify_settling,
+from hypmin.config import FEEDBACK, config_from_dict, load_config
+from hypmin.harness import (canonical_sharpness_residual, counterexample, verify_settling,
                             verify_sharpness)
-from hypmin.kernels import FeedbackLaw, solve_trace
+from hypmin.kernels import solve_trace
 from hypmin.simulator import BoundaryReflection, simulate
 
 from conftest import dense_canonical_map, headline_raw, make_system
@@ -119,58 +120,96 @@ class TestConfig:
             config_from_dict(raw)
 
 
+def initial(record):
+    """cfg.initial of headline_raw with the initial_data record."""
+    return config_from_dict({**headline_raw(n=16), "initial_data": record}).initial
+
+
+def control(record):
+    """cfg.control of headline_raw with the control record."""
+    return config_from_dict({**headline_raw(n=16), "control": record}).control
+
+
 class TestInitialAndControl:
     def test_zero(self):
         grid = Grid.uniform(16)
-        y1, y2 = make_initial_data({"kind": "zero"}, grid)
+        y1, y2 = initial({"kind": "zero"})(grid)
         assert not y1.any() and not y2.any()
 
     def test_random_deterministic(self):
         grid = Grid.uniform(32)
-        a = make_initial_data({"kind": "random", "seed": 42}, grid)
-        b = make_initial_data({"kind": "random", "seed": 42}, grid)
-        c = make_initial_data({"kind": "random", "seed": 7}, grid)
+        a = initial({"kind": "random", "seed": 42})(grid)
+        b = initial({"kind": "random", "seed": 42})(grid)
+        c = initial({"kind": "random", "seed": 7})(grid)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
         assert np.max(np.abs(a[0])) <= 1.0
+        # a record without a seed draws with the config's (42 in headline_raw)
+        d = initial({"kind": "random"})(grid)
+        assert np.array_equal(a[0], d[0]) and np.array_equal(a[1], d[1])
+
+    def test_random_drawn_on_call(self):
+        # random data is checked by its fields on load and drawn by
+        # cfg.initial: loading a config does not import numpy.random
+        code = ("import sys; from hypmin.config import load_config; "
+                "cfg = load_config(sys.argv[1]); print('numpy.random' in sys.modules); "
+                "cfg.initial(cfg.grid); print('numpy.random' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        config = os.path.join(src, "..", "configs", "varying_speeds.json")
+        proc = subprocess.run([sys.executable, "-c", code, config], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_random_same_profile_across_grids(self):
-        coarse = make_initial_data({"kind": "random", "seed": 1}, Grid.uniform(64))
-        fine = make_initial_data({"kind": "random", "seed": 1}, Grid.uniform(128))
+        data = initial({"kind": "random", "seed": 1})
+        coarse, fine = data(Grid.uniform(64)), data(Grid.uniform(128))
         assert fine[0][::2] == pytest.approx(coarse[0])
 
     def test_samples_and_family(self):
         grid = Grid.uniform(10)
-        y1, y2 = make_initial_data(
+        y1, y2 = initial(
             {"kind": "samples",
              "y1": {"xs": [0.0, 1.0], "values": [0.0, 2.0]},
-             "y2": {"xs": [0.0, 1.0], "values": [1.0, 1.0]}}, grid)
+             "y2": {"xs": [0.0, 1.0], "values": [1.0, 1.0]}})(grid)
         assert y1[5] == pytest.approx(1.0)
-        y1, y2 = make_initial_data(
+        y1, y2 = initial(
             {"kind": "family",
              "y1": {"family": "constant", "value": 3.0},
-             "y2": {"family": "polynomial", "coeffs": [0.0, 1.0]}}, grid)
+             "y2": {"family": "polynomial", "coeffs": [0.0, 1.0]}})(grid)
         assert y1[0] == 3.0 and y2[-1] == pytest.approx(1.0)
 
+    def test_samples_built_once_at_load(self, monkeypatch):
+        built = []
+        sampled = CoefficientSpec.sampled
+        monkeypatch.setattr(CoefficientSpec, "sampled",
+                            staticmethod(lambda *args: built.append(1) or sampled(*args)))
+        data = initial({"kind": "samples",
+                        "y1": {"xs": [0.0, 1.0], "values": [0.0, 2.0]},
+                        "y2": {"xs": [0.0, 1.0], "values": [1.0, 1.0]}})
+        assert len(built) == 2
+        for n in (8, 16):
+            y1, _ = data(Grid.uniform(n))
+            assert y1[n // 2] == pytest.approx(1.0)
+        assert len(built) == 2
+
     def test_unknown_kinds(self):
-        grid = Grid.uniform(8)
-        with pytest.raises(ConfigError):
-            make_initial_data({"kind": "weird"}, grid)
-        with pytest.raises(ConfigError):
-            make_control({"kind": "weird"})
+        with pytest.raises(ConfigError, match="^initial_data: unknown initial_data kind"):
+            initial({"kind": "weird"})
+        with pytest.raises(ConfigError, match="^control: unknown control kind"):
+            control({"kind": "weird"})
 
     def test_control_kinds(self):
-        assert make_control({"kind": "zero"}) is None
-        refl = make_control({"kind": "reflection", "k": 2.0})
+        assert control({"kind": "zero"}) is None
+        refl = control({"kind": "reflection", "k": 2.0})
         assert isinstance(refl, BoundaryReflection) and refl.k == 2.0
-        sig = make_control({"kind": "samples", "ts": [0.0, 1.0], "values": [0.0, 4.0]})
+        sig = control({"kind": "samples", "ts": [0.0, 1.0], "values": [0.0, 4.0]})
         assert sig(0.5) == pytest.approx(2.0)
-        poly = make_control({"kind": "polynomial", "coeffs": [1.0, 2.0]})
+        poly = control({"kind": "polynomial", "coeffs": [1.0, 2.0]})
         assert poly(2.0) == pytest.approx(5.0)
-        law = FeedbackLaw(nodes=np.linspace(0, 1, 3), f1=np.zeros(3), f2=np.zeros(3))
-        assert make_control({"kind": "feedback"}, feedback=law) is law
-        with pytest.raises(ConfigError):
-            make_control({"kind": "feedback"})
+        # the gains of a feedback record are each command's to synthesize
+        assert control({"kind": "feedback"}) is FEEDBACK
+        assert config_from_dict(headline_raw(n=16)).control is FEEDBACK
 
 
 class TestVerifySettling:
@@ -237,7 +276,7 @@ class TestVerifySettling:
         cfg = config_from_dict(headline_raw(n=200, horizon=1.4), "trace")
         grid = cfg.grid
         law = solve_kernels(cfg.system, grid).gains
-        y0 = make_initial_data(cfg.initial, grid, cfg.seed)
+        y0 = cfg.initial(grid)
         sim = simulate(cfg.system, law, y0, 1.4, grid, 0.9)
         du = np.abs(np.diff(sim.control_trace))
         assert du.max() <= 2.0 * sim.scheme_meta["dt"]
@@ -593,14 +632,16 @@ class TestCounterexample:
         assert res.y0[0] == pytest.approx(math.pi * xs + 1.0)
 
     def test_lower_branch_root(self):
-        theta, sigma = solve_counterexample_branch(0.0)
+        s, sigma = harness._reflection_eigenvalue(0.0)
+        theta = abs(s)
         assert 0.0 < theta < 1.0
         assert math.sqrt(1 - theta ** 2) + theta / math.tan(theta * math.pi) == \
             pytest.approx(0.0, abs=1e-10)
         assert sigma == pytest.approx(math.pi * math.sqrt(1 - theta ** 2), abs=1e-12)
 
     def test_upper_branch_root(self):
-        theta, sigma = solve_counterexample_branch(2.0)
+        s, sigma = harness._reflection_eigenvalue(2.0)
+        theta = abs(s)
         assert theta > 0.0
         assert math.sqrt(1 + theta ** 2) + theta / math.tanh(theta * math.pi) == \
             pytest.approx(2.0, abs=1e-10)
@@ -615,7 +656,7 @@ class TestCounterexample:
         # sides of the switch from the series of x cot x - 1 to the direct
         # term (x^2 = 1/16 near k = 1.3085 and -1/16 near 1.3281), and far
         # from it
-        theta, _ = solve_counterexample_branch(k)
+        theta = abs(harness._reflection_eigenvalue(k)[0])
         with mpmath.workdps(60):
             upper = mpmath.mpf(k) > 1 + 1 / mpmath.pi
 

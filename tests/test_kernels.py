@@ -22,7 +22,7 @@ def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100):
     """The gauge the solve builds (for the references) and the KernelSet."""
     grid = Grid.uniform(n)
     system = make_system(speeds, a, b, c, d)
-    return kernels._gauge(system, grid), solve_kernels(system, grid)
+    return kernels._gauge(system, grid)[0], solve_kernels(system, grid)
 
 
 def sin_map(speeds, x):
@@ -190,6 +190,26 @@ class TestSolveKernels:
         {"full": solve_kernels, "gains": solve_gains, "trace": solve_trace}[entry](system, grid)
         assert calls == marched
 
+    @pytest.mark.parametrize("b", [0.0, 0.8])
+    @pytest.mark.parametrize("entry", ["full", "gains", "trace", "csv"])
+    def test_one_setup_per_solve(self, varying_speeds, monkeypatch, tmp_path, entry, b):
+        # _gauge is the one set-up: each solve builds its gauge and decides
+        # whether the system is coupled once
+        calls = {"diag_removal": 0, "_uncoupled": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(kernels, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        system = make_system(varying_speeds, b=b, c=1.0)
+        grid = Grid.uniform(16)
+        if entry == "csv":
+            write_kernels_csv(system, grid, tmp_path / "kernels.csv")
+        else:
+            {"full": solve_kernels, "gains": solve_gains, "trace": solve_trace}[entry](system, grid)
+        assert calls == {"diag_removal": 1, "_uncoupled": 1}
+
     @pytest.mark.parametrize("n", [5, 100])
     def test_equal_cell_times_skip_march(self, unit_speeds, monkeypatch, n):
         # lambda = -1, 1: some k12 feet round past row i-1, but their weight
@@ -253,7 +273,7 @@ class TestSolveKernels:
         speeds = SpeedPair.build(const(-2.0), const(1.0))
         grid = Grid.uniform(16)
         system = make_system(speeds, c=CoefficientSpec.step(0.6, 0.0, 1e308))
-        assert not kernels._uncoupled(speeds, kernels._gauge(system, grid))
+        assert kernels._gauge(system, grid)[1]
         solve = solve_gains if entry == "gains" else solve_trace
         with pytest.raises(DomainError, match=f"^kernel {which} overflows"):
             solve(system, grid)

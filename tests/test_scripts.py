@@ -124,3 +124,22 @@ def test_compare_outputs(tmp_path):
     assert {"0-headline/kernels/kernels.csv", "0-headline/kernels/g.csv",
             "0-headline/simulate/timeseries.csv"} <= differing
     assert all(name.endswith(".csv") for name in differing)
+
+
+def test_compare_outputs_grid_n(tmp_path):
+    # grid_n 4 is refused, so only the five commands that need no times.json
+    # run on the config itself; with --grid-n 16 the three sharpness runs
+    # follow, and the config file is left as it was
+    src = os.path.join(SCRIPTS, "..", "src")
+    for tree in ("a", "b"):
+        shutil.copytree(src, tmp_path / tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    config = tmp_path / "headline.json"
+    config.write_text(json.dumps(headline_raw(n=4)))
+    trees = [str(tmp_path / tree) for tree in ("a", "b")]
+    refused = _run("compare_outputs.py", *trees, str(config), cwd=tmp_path)
+    assert refused.stdout == "0 difference(s) in 8 runs on 1 config(s)\n"
+    same = _run("compare_outputs.py", *trees, "--grid-n", "16", str(config), cwd=tmp_path)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout == "0 difference(s) in 11 runs on 1 config(s)\n"
+    assert json.loads(config.read_text()) == headline_raw(n=4)

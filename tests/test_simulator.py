@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hypmin
@@ -22,6 +22,8 @@ from hypmin.simulator import (BoundaryReflection, SimResult, _max_speed, _simula
                               canonical_map, export_sim_csv)
 
 from conftest import const, dense_canonical_map, exact_transport, make_system, smooth_bump
+
+EPS = np.finfo(float).eps
 
 
 class TestSimulate:
@@ -238,7 +240,7 @@ def reference_divergence_step(system, control, y0, T, grid, cfl=0.9):
     (None if none is): the reference raises on the state alone and records
     an overflowing norm in its trace."""
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):   # 0 * inf in a zero gain
             l2 = reference_simulate(system, control, y0, T, grid, cfl)[3]
     except DivergenceError as err:
         return err.step
@@ -312,6 +314,9 @@ def drawn_control(kind, grid, rng):
     if kind == "feedback":
         return FeedbackLaw(nodes=grid.nodes, f1=rng.uniform(-2, 2, grid.n + 1),
                            f2=rng.uniform(-2, 2, grid.n + 1))
+    if kind == "zero-feedback":     # the gains of b = 0: f2 is -0.0
+        return FeedbackLaw(nodes=grid.nodes, f1=np.zeros(grid.n + 1),
+                           f2=np.full(grid.n + 1, -0.0))
     if kind == "reflection":
         return BoundaryReflection(float(rng.uniform(-2, 2)))
     if kind == "signal":
@@ -320,7 +325,7 @@ def drawn_control(kind, grid, rng):
 
 
 _couplings = st.tuples(*[st.floats(-3.0, 3.0)] * 4)
-_kinds = st.sampled_from(["zero", "signal", "feedback", "reflection"])
+_kinds = st.sampled_from(["zero", "signal", "feedback", "zero-feedback", "reflection"])
 
 
 class TestSimulateProperties:
@@ -360,6 +365,27 @@ class TestSimulateProperties:
         assert err.value.step == want
         assert str(err.value) == f"non-finite state or L2 norm at step {want}"
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 64), speeds=speed_pairs(),
+           cfl=st.floats(0.0, 1.0, exclude_min=True),
+           steps=st.floats(0.0, 1000.0, exclude_min=True))
+    @example(n=64, speeds=SpeedPair.build(CoefficientSpec.constant(-1.0),
+                                          CoefficientSpec.constant(1.0)),
+             cfl=1.0, steps=1.0 + 1e-12)
+    def test_step_keeps_cfl_bound(self, n, speeds, cfl, steps):
+        # horizons of `steps` CFL steps dt0 = cfl h / max_speed, from below
+        # one to long: the step count rounds T / dt0 up, less 1e-12, so dt is
+        # at most dt0 (1 + 1e-12) and the CFL number dt max_speed / h at most
+        # 1 + 1e-12, up to the rounding of dt0 and dt (the example reaches
+        # 1 + 1e-12: T = dt0 (1 + 1e-12) is one step)
+        grid = Grid.uniform(n)
+        T = steps * (cfl * grid.h / _max_speed(speeds, grid.nodes))
+        assume(T > 0.0)
+        zero = np.zeros(n + 1)
+        meta = simulate(make_system(speeds), None, (zero, zero), T, grid, cfl,
+                        snapshots=0).scheme_meta
+        assert meta["dt"] * meta["max_speed"] * n <= (1 + 1e-12) * (1 + 8 * EPS)
+
     @pytest.mark.parametrize("n", [4, 61, 400])
     def test_step_zero_norm_is_l2_norm(self, varying_speeds, n):
         # verify_settling divides by l2_norm of the data: the same bits
@@ -376,7 +402,8 @@ class TestSimulateOneStep:
     layout of the state."""
 
     @pytest.mark.parametrize("q", [0.0, 0.7])
-    @pytest.mark.parametrize("kind", ["zero", "signal", "feedback", "reflection"])
+    @pytest.mark.parametrize("kind", ["zero", "signal", "feedback", "zero-feedback",
+                                      "reflection"])
     @pytest.mark.parametrize("n", [4, 61, 400])
     def test_step_is_upwind_formula(self, varying_speeds, n, kind, q):
         grid = Grid.uniform(n)
@@ -397,7 +424,7 @@ class TestSimulateOneStep:
         y1n[:-1] = ((1.0 + c1 + dt * a[:-1]) * y1[:-1] + (-c1) * y1[1:]) + (dt * b[:-1]) * y2[:-1]
         y2n[1:] = ((1.0 - c2 + dt * d[1:]) * y2[1:] + c2 * y2[:-1]) + (dt * c[1:]) * y1[1:]
         y2n[0] = q * y1n[0]
-        if kind == "feedback":
+        if kind in ("feedback", "zero-feedback"):
             w = np.tile(trapezoid_weights(n, h), 2)
             gains = w * np.concatenate([control.f1, control.f2[::-1]])
             u = float(np.vdot(gains, np.concatenate([y1n, y2n[::-1]])))
@@ -410,7 +437,7 @@ class TestSimulateOneStep:
         assert _same_bits(sim.snapshots[1][0], y1n)
         assert _same_bits(sim.snapshots[1][1], y2n)
         assert _same_bits(sim.l2_trace[1], l2_norm(y1n, y2n, h))
-        assert u != 0.0 or control is None
+        assert u != 0.0 or kind in ("zero", "zero-feedback")
 
 
 class TestSimulateImports:
