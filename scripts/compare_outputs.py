@@ -15,8 +15,8 @@ stdout and every output file are compared byte for byte; a JSON file is
 compared as its parsed record without `runtime`, `config_sha256` and
 `numpy_version`, which vary by run or by tree.  Each difference is listed
 on one line; the exit code is 1 if there is any, else 0.  With --grid-n N
-both trees run on copies of the configs whose grid_n is N, written to the
-scratch directory under the same file names.
+both trees run on copies of the configs whose grid_n is N, each written to
+a directory of its own in the scratch directory, under its file name.
 """
 
 import argparse
@@ -118,13 +118,22 @@ def differences(works: list, results: list) -> list:
 
 
 def _with_grid_n(config: str, n: int, directory: str) -> str:
-    """A copy of config in directory, under its file name, with grid_n n."""
-    with open(config) as fh:
-        raw = json.load(fh)
-    raw["grid_n"] = n
+    """A copy of config in directory, which this creates, under its file
+    name, with grid_n n where its top level is a JSON object; any other
+    file is copied as it is, for both trees to refuse."""
+    with open(config, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = json.loads(data)
+    except ValueError:
+        raw = None
+    if isinstance(raw, dict):
+        raw["grid_n"] = n
+        data = json.dumps(raw).encode()
+    os.makedirs(directory)
     path = os.path.join(directory, os.path.basename(config))
-    with open(path, "w") as fh:
-        json.dump(raw, fh)
+    with open(path, "wb") as fh:
+        fh.write(data)
     return path
 
 
@@ -141,9 +150,8 @@ def main(argv=None) -> int:
                or sorted(glob.glob(os.path.join(os.path.abspath(args.new), "configs", "*.json"))))
     with tempfile.TemporaryDirectory() as tmp:
         if args.grid_n is not None:
-            os.makedirs(os.path.join(tmp, "configs"))
-            configs = [_with_grid_n(c, args.grid_n, os.path.join(tmp, "configs"))
-                       for c in configs]
+            configs = [_with_grid_n(c, args.grid_n, os.path.join(tmp, "configs", str(k)))
+                       for k, c in enumerate(configs)]
         works = [os.path.join(tmp, "old"), os.path.join(tmp, "new")]
         for work in works:
             os.makedirs(work)

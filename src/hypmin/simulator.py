@@ -152,8 +152,7 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
             raise GridMismatchError(f"feedback gains on {control.nodes.shape[0]} nodes do "
                                     f"not match the grid ({n + 1} nodes)")
         gains = W * np.concatenate([control.f1, control.f2[::-1]])
-        # zero gains: their dot is +0.0 wherever the norm is finite, so none is taken
-        law = (lambda t, z: float(np.vdot(gains, z))) if gains.any() else (lambda t, z: 0.0)
+        law = lambda t, z: float(np.vdot(gains, z))
     elif isinstance(control, BoundaryReflection):
         law = lambda t, z: control.k * z[n + 1]
     else:

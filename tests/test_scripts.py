@@ -129,7 +129,9 @@ def test_compare_outputs(tmp_path):
 def test_compare_outputs_grid_n(tmp_path):
     # grid_n 4 is refused, so only the five commands that need no times.json
     # run on the config itself; with --grid-n 16 the three sharpness runs
-    # follow, and the config file is left as it was
+    # follow, and the config file is left as it was.  A config of the same
+    # name elsewhere whose top level is no JSON object is copied as it is,
+    # beside the first and not over it, and both trees refuse it: 4 more runs
     src = os.path.join(SCRIPTS, "..", "src")
     for tree in ("a", "b"):
         shutil.copytree(src, tmp_path / tree / "src",
@@ -139,7 +141,11 @@ def test_compare_outputs_grid_n(tmp_path):
     trees = [str(tmp_path / tree) for tree in ("a", "b")]
     refused = _run("compare_outputs.py", *trees, str(config), cwd=tmp_path)
     assert refused.stdout == "0 difference(s) in 8 runs on 1 config(s)\n"
-    same = _run("compare_outputs.py", *trees, "--grid-n", "16", str(config), cwd=tmp_path)
+    (tmp_path / "other").mkdir()
+    not_object = tmp_path / "other" / "headline.json"
+    not_object.write_text("[]")
+    same = _run("compare_outputs.py", *trees, "--grid-n", "16", str(config), str(not_object),
+                cwd=tmp_path)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert same.stdout == "0 difference(s) in 11 runs on 1 config(s)\n"
+    assert same.stdout == "0 difference(s) in 15 runs on 2 config(s)\n"
     assert json.loads(config.read_text()) == headline_raw(n=4)
