@@ -13,10 +13,13 @@ PYTHONPATH=<tree>/src, in a scratch directory of its own and with the same
 relative --out, the two trees side by side.  Exit codes,
 stdout and every output file are compared byte for byte; a JSON file is
 compared as its parsed record without `runtime`, `config_sha256` and
-`numpy_version`, which vary by run or by tree.  Each difference is listed
-on one line; the exit code is 1 if there is any, else 0.  With --grid-n N
-both trees run on copies of the configs whose grid_n is N, each written to
-a directory of its own in the scratch directory, under its file name.
+`numpy_version`, which vary by run or by tree.  A run whose stderr holds a
+Python traceback is a difference too, on either side: no input may end in
+one.  Each difference is listed on one line; the exit code is 1 if there
+is any, else 0, and 2, before any run, where OLD or NEW has no
+src/hypmin/__init__.py.  With --grid-n N both trees run on copies of the
+configs whose grid_n is N, each written to a directory of its own in the
+scratch directory, under its file name.
 """
 
 import argparse
@@ -35,17 +38,22 @@ _COUNTEREXAMPLE_K = (0.0, 1.0 + 1.0 / math.pi, 2.0)
 
 
 def _hypmin(tree: str, work: str, argv: list) -> tuple:
+    """(exit code, stdout, the last stderr line where stderr holds a
+    traceback, else None)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-m", "hypmin.cli", *argv], cwd=work, env=env,
                           capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    traceback = None
+    if "Traceback (most recent call last):" in proc.stderr:
+        traceback = proc.stderr.rstrip().rpartition("\n")[2]
+    return proc.returncode, proc.stdout, traceback
 
 
 def run_tree(tree: str, configs: list, work: str) -> dict:
-    """{(config, command): (exit code, stdout)}, with the outputs of each
-    command under work/<config index>-<config name>/<command>, and
-    {("counterexample", "k=K"): ...} and {("titchmarsh",): ...}, with the
-    counterexample's under work/counterexample/k=K."""
+    """{(config, command): _hypmin's (exit code, stdout, traceback)}, with
+    the outputs of each command under work/<config index>-<config name>/
+    <command>, and {("counterexample", "k=K"): ...} and {("titchmarsh",):
+    ...}, with the counterexample's under work/counterexample/k=K."""
     results = {}
     for K in _COUNTEREXAMPLE_K:
         key = ("counterexample", f"k={K!r}")
@@ -99,7 +107,10 @@ def differences(works: list, results: list) -> list:
         if key not in old or key not in new:
             diffs.append(f"{where}: run by {'NEW' if key in new else 'OLD'} only")
             continue
-        (code_a, out_a), (code_b, out_b) = old[key], new[key]
+        (code_a, out_a, tb_a), (code_b, out_b, tb_b) = old[key], new[key]
+        for side, tb in (("OLD", tb_a), ("NEW", tb_b)):
+            if tb is not None:
+                diffs.append(f"{where}: {side} ends in a traceback: {tb}")
         if code_a != code_b:
             diffs.append(f"{where}: exit code {code_a} | {code_b}")
         if out_a != out_b:
@@ -146,6 +157,11 @@ def main(argv=None) -> int:
     ap.add_argument("--grid-n", type=int, default=None,
                     help="run on copies of the configs with this grid_n")
     args = ap.parse_intermixed_args(argv)
+    for tree in (args.old, args.new):
+        if not os.path.isfile(os.path.join(tree, "src", "hypmin", "__init__.py")):
+            print(f"error: {tree} is not a hypmin source tree: it has no "
+                  "src/hypmin/__init__.py", file=sys.stderr)
+            return 2
     configs = ([os.path.abspath(c) for c in args.configs]
                or sorted(glob.glob(os.path.join(os.path.abspath(args.new), "configs", "*.json"))))
     with tempfile.TemporaryDirectory() as tmp:

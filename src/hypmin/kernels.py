@@ -62,6 +62,12 @@ write_kernels_csv march the trace pair only, for the k21 and k22 they
 export.
 The march still runs where c is large enough to overflow it, so that it
 raises (_uncoupled).
+
+Floating-point errors.  _gauge and each entry point compute under one
+np.errstate with overflow, invalid and divide-by-zero ignored, and check
+what they return: a kernel, g or gain with an entry that is not finite
+raises DomainError naming it.  The helpers take their one input, the
+gauge, which holds the grid, the speeds and their node values.
 """
 
 from __future__ import annotations
@@ -74,7 +80,6 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .coeffs import Grid
-from .characteristics import SpeedPair
 from .errors import DomainError, PreconditionError
 from .transforms import DiagGauge, diag_removal
 
@@ -123,22 +128,15 @@ class KernelSet:
 class _Block(NamedTuple):
     """Rows r0 <= i < r1, the geometry a pair's two plans share: points (i, j),
     j <= i, packed row by row from (r0, 0) on, ip = i - 1 (r0 >= 1: row 0 is
-    never marched).  Row f-1 of phi, lam and dphi holds the node values of
-    phi_f and lambda_f and the increments phi_f(x_i) - phi_f(x_{i-1})."""
+    never marched).  Row f-1 of phi and dphi holds the node values of phi_f
+    and the increments phi_f(x_i) - phi_f(x_{i-1})."""
 
     rows: range
     ii: np.ndarray
     jj: np.ndarray
     ip: np.ndarray
     phi: np.ndarray
-    lam: np.ndarray
     dphi: np.ndarray
-
-
-def _node_speeds(speeds: SpeedPair, grid: Grid):
-    """lambda1 and lambda2 at the grid nodes, the weights of p = k * lambda_fa(xi)."""
-    return (np.asarray(speeds.speed(1, grid.nodes), dtype=float),
-            np.asarray(speeds.speed(2, grid.nodes), dtype=float))
 
 
 def _row_blocks(n: int) -> list:
@@ -148,15 +146,15 @@ def _row_blocks(n: int) -> list:
     return [range(r0, min(r0 + rows, n + 1)) for r0 in range(0, n + 1, rows)]
 
 
-def _blocks(speeds: SpeedPair, grid: Grid):
+def _blocks(gauge: DiagGauge):
     """The _Block of each of the _row_blocks: its rows from 1 on."""
-    phi = np.stack([speeds.phi_eval(1, grid.nodes), speeds.phi_eval(2, grid.nodes)])
-    lam = np.stack(_node_speeds(speeds, grid))
+    speeds, nodes = gauge.speeds, gauge.grid.nodes
+    phi = np.stack([speeds.phi_eval(1, nodes), speeds.phi_eval(2, nodes)])
     dphi = np.diff(phi, prepend=phi[:, :1])
-    for rows in _row_blocks(grid.n):
+    for rows in _row_blocks(gauge.grid.n):
         marched = range(max(rows.start, 1), rows.stop)
         ii, jj = _triangle_points(marched)
-        yield _Block(marched, ii, jj, ii - 1, phi, lam, dphi)
+        yield _Block(marched, ii, jj, ii - 1, phi, dphi)
 
 
 def _triangle_points(rows: range):
@@ -195,14 +193,13 @@ def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
     return idx, w
 
 
-def _diag_data(speeds: SpeedPair, gauge: DiagGauge, fa: int, x):
+def _diag_data(gauge: DiagGauge, fa: int, x):
     """p-form diagonal data at x of k12 (fa = 2) or k21 (fa = 1)."""
-    cpl = gauge.ct_at if fa == 1 else gauge.bt_at
-    return speeds.speed(fa, x) * cpl(x) / (speeds.speed(3 - fa, x) - speeds.speed(fa, x))
+    lam, cpl = gauge.speeds.speed, gauge.ct_at if fa == 1 else gauge.bt_at
+    return lam(fa, x) * cpl(x) / (lam(3 - fa, x) - lam(fa, x))
 
 
-def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
-                blk: _Block) -> _MarchPlan:
+def _build_plan(which: str, gauge: DiagGauge, blk: _Block) -> _MarchPlan:
     """Plan of kernel k<fx><fa> on one row block: x follows family fx, xi fa.
 
     k11/k22 (fx = fa) enter through the edge xi=0 with zero data, k12/k21
@@ -210,8 +207,8 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     coupling(xi) / (lambda_fx(x) * lambda_fb(xi)), fb = 3 - fa, with the
     coupling ct when fa = 1 and bt when fa = 2.
     """
-    h = grid.h
-    nodes = grid.nodes
+    grid, speeds = gauge.grid, gauge.speeds
+    h, nodes = grid.h, grid.nodes
     ii, jj, ip = blk.ii, blk.jj, blk.ip
     fx, fa = int(which[1]), int(which[2])
     fb = 3 - fa
@@ -232,7 +229,7 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     del u
     np.clip(xiP, 0.0, 1.0, out=xiP)         # the feet, clipped in place
     fidx, fw = _interp_setup(xiP, h, np.maximum(ii - 2, 0))  # idx+1 inside row i-1
-    coefA = h * coef(blk.lam[fx - 1][ip], xiP)    # lambda_fx at row i-1
+    coefA = h * coef(gauge.lam[fx - 1][ip], xiP)    # lambda_fx at row i-1
     del xiP
 
     # Boundary-entered points (a thin band along the data boundary): solve all
@@ -248,7 +245,7 @@ def _build_plan(which: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid,
     else:
         xstart = np.asarray(speeds.psi_inv(px[bi] + pa[bj]), dtype=float)
         xi0 = xstart
-        p0 = _diag_data(speeds, gauge, fa, xstart)
+        p0 = _diag_data(gauge, fa, xstart)
     cB = (nodes[bi] - xstart) * coef(lam(fx, xstart), xi0)
     bidx, bw = _interp_setup(xstart, h, grid.n - 1)
 
@@ -284,7 +281,7 @@ def _step_boundary(plan: _MarchPlan, row: np.ndarray, edge: np.ndarray, i: int) 
 _PAIRS = {"gains": ("k12", "k11"), "trace": ("k21", "k22")}
 
 
-def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
+def _march_pair(pair: str, gauge: DiagGauge):
     """Row march of one pair in p-form: yields (rows, D, E) for each of the
     _row_blocks in turn, D and E the block's rows of the diagonal- and the
     edge-entered kernel, new arrays of len(rows) x (n+1) floats, zero above
@@ -298,34 +295,28 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     with a marched entry that is not finite raises DomainError naming the
     kernel of its first such row, the diagonal-entered one where both rows
     have one, as a check of each row in turn would; _gauge checks n >= 4.
-    The floating-point error state is set around each block's march, never
-    across a yield, so that it stays the caller's while the march is
-    suspended.
     """
-    n = grid.n
+    n = gauge.grid.n
     names = _PAIRS[pair]
-    ignore = {"over": "ignore", "invalid": "ignore"}     # the block check reports it
-    with np.errstate(**ignore):
-        data = _diag_data(speeds, gauge, int(names[0][2]), grid.nodes)  # the diagonal of wd
+    data = _diag_data(gauge, int(names[0][2]), gauge.grid.nodes)     # the diagonal of wd
     diag = np.zeros(n + 1)      # the diagonal of we, read by wd's boundary points
     edge = np.zeros(n + 1)      # the edge xi=0 of wd, read by we's boundary points
     edge[0] = data[0]
     last = np.zeros((2, n + 1))     # the row of (wd, we) before the block
-    for rows, blk in zip(_row_blocks(n), _blocks(speeds, grid)):
+    for rows, blk in zip(_row_blocks(n), _blocks(gauge)):
         P = np.zeros((2, len(rows) + 1, n + 1))     # P[:, k + 1] is row rows.start + k
         P[:, 0] = last
         r = np.arange(rows.start, rows.stop)
         P[0, r - rows.start + 1, r] = data[r]
-        with np.errstate(**ignore):
-            pd, pe = (_build_plan(w, speeds, gauge, grid, blk) for w in names)
-            for i in blk.rows:
-                (rd, re), (prev_d, prev_e) = P[:, i - rows.start + 1], P[:, i - rows.start]
-                _step_interior(pd, rd, prev_d, prev_e, i)
-                _step_interior(pe, re, prev_e, prev_d, i)
-                diag[i] = re[i]
-                _step_boundary(pd, rd, diag, i)
-                edge[i] = rd[0]
-                _step_boundary(pe, re, edge, i)
+        pd, pe = (_build_plan(w, gauge, blk) for w in names)
+        for i in blk.rows:
+            (rd, re), (prev_d, prev_e) = P[:, i - rows.start + 1], P[:, i - rows.start]
+            _step_interior(pd, rd, prev_d, prev_e, i)
+            _step_interior(pe, re, prev_e, prev_d, i)
+            diag[i] = re[i]
+            _step_boundary(pd, rd, diag, i)
+            edge[i] = rd[0]
+            _step_boundary(pe, re, edge, i)
         del pd, pe                  # before the block is read
         marched = P[:, blk.rows.start - rows.start + 1:]
         bad = np.flatnonzero(~np.isfinite(marched).all(axis=2).T)   # row by row
@@ -335,7 +326,7 @@ def _march_pair(pair: str, speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
         yield rows, P[0, 1:], P[1, 1:]
 
 
-def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
+def _uncoupled(gauge: DiagGauge) -> bool:
     """Whether bt vanishes at every node and the c-driven march surely stays
     finite.  Then the gains pair, k22 and every trace path integral are
     exactly zero.  Each diagonal datum and source coefficient of k11 and
@@ -345,34 +336,33 @@ def _uncoupled(speeds: SpeedPair, gauge: DiagGauge) -> bool:
     it.  Beyond it the march runs, and raises DomainError where it overflows."""
     if gauge.bt.any():
         return False
-    lam = 1.0 / np.concatenate([speeds.w1, speeds.w2])      # |lambda| on the table
-    with np.errstate(over="ignore", divide="ignore"):
-        bound = np.abs(gauge.ct).max() * lam.max() / min(lam.min(), 1.0) ** 3
+    lam = 1.0 / np.concatenate([gauge.speeds.w1, gauge.speeds.w2])     # |lambda| on the table
+    bound = np.abs(gauge.ct).max() * lam.max() / min(lam.min(), 1.0) ** 3
     return bool(bound < 1e300)
 
 
-def _zero_gains(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, blocks):
+def _zero_gains(gauge: DiagGauge, blocks):
     """The blocks (rows, k12, k11) of an _uncoupled gains pair on the row
     ranges blocks, built without its march, which is exactly zero: k11 is
     +0.0 and k12 its zero diagonal data (-0.0, as lambda1 < 0 < lambda2) on
     and below the diagonal, +0.0 above it, as the march leaves them: its
     weights lie in [0, 1] (_interp_setup), so it never turns the sign of a
     zero."""
-    n = grid.n
-    data = _diag_data(speeds, gauge, 2, grid.nodes)
+    n = gauge.grid.n
+    data = _diag_data(gauge, 2, gauge.grid.nodes)
     for rows in blocks:
         D = np.tril(np.tile(data[rows.start:rows.stop, None], n + 1), rows.start)
         yield rows, D, np.zeros_like(D)
 
 
-def _gains_pair(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, coupled: bool):
+def _gains_pair(gauge: DiagGauge, coupled: bool):
     """The blocks of _march_pair("gains"), marched only where coupled."""
     if coupled:
-        return _march_pair("gains", speeds, gauge, grid)
-    return _zero_gains(speeds, gauge, grid, _row_blocks(grid.n))
+        return _march_pair("gains", gauge)
+    return _zero_gains(gauge, _row_blocks(gauge.grid.n))
 
 
-def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
+def _trace_paths(gauge: DiagGauge):
     """p21 on the edge xi=0 by direct quadrature along each trace characteristic:
     its diagonal term p0 at every node, and paths(P22, rows), p0 plus the
     path integrals at the nodes of one of the _row_blocks.
@@ -389,11 +379,10 @@ def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
     corner above it, not the zero there.  A datum past the float range is
     left to the kernel check.
     """
-    n, h, nodes = grid.n, grid.h, grid.nodes
+    speeds, n, h, nodes = gauge.speeds, gauge.grid.n, gauge.grid.h, gauge.grid.nodes
     p2n = np.asarray(speeds.phi_eval(2, nodes))
     sig = np.asarray(speeds.psi_inv(p2n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p0 = _diag_data(speeds, gauge, 1, sig)
+    p0 = _diag_data(gauge, 1, sig)
     taus = np.linspace(0.0, 1.0, n + 1)
 
     def paths(P22: np.ndarray, rows: range) -> np.ndarray:
@@ -410,15 +399,14 @@ def _trace_paths(speeds: SpeedPair, gauge: DiagGauge, grid: Grid):
         p22v = (P22[ix, jx] * (1 - wx) * (1 - wj) + P22[ix + 1, jx] * wx * (1 - wj)
                 + P22[ix, np.minimum(jx + 1, ix)] * (1 - wx) * wj
                 + P22[ix + 1, jx + 1] * wx * wj)
-        with np.errstate(over="ignore"):   # a speed product past 1e308: S is +-0
-            S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)
+        S = -l1_xi * ct_xi * p22v / (l2_x * l2_xi)    # a speed product past 1e308: S is +-0
         # unit spacing, times the step
         return p0[blk] + np.trapezoid(S, axis=1) * ((nodes[blk] - sig[blk]) / n)
 
     return p0, paths
 
 
-def _trace_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, P22):
+def _trace_blocks(gauge: DiagGauge, P22):
     """The trace march block by block: yields (rows, D, E, edge) for each of
     the _row_blocks in turn, D and E its rows of p21 and p22 as _march_pair
     yields them and edge p21(x_i, 0) on rows.  Copies each block of p22 into
@@ -427,9 +415,9 @@ def _trace_blocks(speeds: SpeedPair, gauge: DiagGauge, grid: Grid, P22):
     P22 None is the zero k22 of an _uncoupled system, whose path integrals
     are zero and whose edge is the diagonal term (+ 0.0, the sum's sign
     where c vanishes).  Raises as _march_pair("trace") does."""
-    p0, paths = _trace_paths(speeds, gauge, grid)
+    p0, paths = _trace_paths(gauge)
     held = None
-    for block in chain(_march_pair("trace", speeds, gauge, grid), [None]):
+    for block in chain(_march_pair("trace", gauge), [None]):
         if block and P22 is not None:
             P22[block[0].start:block[0].stop] = block[2]
         if held:
@@ -452,27 +440,26 @@ def _check_finite(name: str, values: np.ndarray) -> None:
 def _unweight(name: str, p: np.ndarray, lam) -> np.ndarray:
     """The kernel k = p / lambda_fa(xi) of its p-form, divided in place; a
     speed near zero can overflow it where p is finite."""
-    with np.errstate(over="ignore"):
-        p /= lam
+    p /= lam
     _check_finite(f"kernel {name}", p)
     return p
 
 
 def _gains(k11_last: np.ndarray, k12_last: np.ndarray, gauge: DiagGauge) -> FeedbackLaw:
     """Feedback gains from row n (x = 1) of k11 and k12."""
-    with np.errstate(over="ignore"):
-        f1 = k11_last * gauge.e1 / gauge.e1[-1]
-        f2 = k12_last * gauge.e2 / gauge.e1[-1]
+    f1 = k11_last * gauge.e1 / gauge.e1[-1]
+    f2 = k12_last * gauge.e2 / gauge.e1[-1]
     _check_finite("gain f1", f1)
     _check_finite("gain f2", f2)
     return FeedbackLaw(nodes=gauge.grid.nodes, f1=f1, f2=f2)
 
 
-def _g(k21_edge: np.ndarray, speeds: SpeedPair) -> np.ndarray:
+def _g(k21_edge: np.ndarray, gauge: DiagGauge) -> np.ndarray:
     """g from the trace k21(., 0)."""
-    return -k21_edge * float(speeds.speed(1, 0.0))
+    return -k21_edge * gauge.lam[0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gauge(system: "SystemSpec", grid: Grid) -> tuple:
     """(gauge, coupled): the one set-up of every solve, the diagonal-removing
     gauge of system on grid and whether the system is not _uncoupled.  The
@@ -485,9 +472,10 @@ def _gauge(system: "SystemSpec", grid: Grid) -> tuple:
     gauge = diag_removal(system.a, system.b, system.c, system.d, system.speeds, grid)
     if grid.n < 4:
         raise DomainError("kernel grid too coarse (need n >= 4)")
-    return gauge, not _uncoupled(system.speeds, gauge)
+    return gauge, not _uncoupled(gauge)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
     """All four kernels, one row march per pair (none for an _uncoupled
     gains pair), with g and the gains read from them; a single pass is the
@@ -496,53 +484,54 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
     the speeds that the march's p-form is divided by, overflow a kernel,
     which raises DomainError naming it.  Memory: the four kernels plus one
     row block of plans (solve_kernels_bytes with kept 4)."""
-    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
+    gauge, coupled = _gauge(system, grid)
     n = grid.n
     K = {w: np.zeros((n + 1, n + 1)) for w in ("k11", "k12", "k21", "k22")}
-    for rows, p12, p11 in _gains_pair(speeds, gauge, grid, coupled):
+    for rows, p12, p11 in _gains_pair(gauge, coupled):
         K["k12"][rows.start:rows.stop], K["k11"][rows.start:rows.stop] = p12, p11
     # The xi=0 trace of k21 defines g; the stream integrates it directly along
     # each trace characteristic, so its vanishing set is not blurred by the
     # re-sampling.
     P22 = K["k22"] if coupled else None     # k22 doubles as P22
-    for rows, p21, p22, edge in _trace_blocks(speeds, gauge, grid, P22):
+    for rows, p21, p22, edge in _trace_blocks(gauge, P22):
         K["k21"][rows.start:rows.stop], K["k22"][rows.start:rows.stop] = p21, p22
         K["k21"][rows.start:rows.stop, 0] = edge
-    lam1, lam2 = _node_speeds(speeds, grid)
+    lam1, lam2 = gauge.lam
     for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
         _unweight(w, K[w], lam)
-    return KernelSet(grid=grid, **K, g=_g(K["k21"][:, 0], speeds),
+    return KernelSet(grid=grid, **K, g=_g(K["k21"][:, 0], gauge),
                      gains=_gains(K["k11"][-1], K["k12"][-1], gauge))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
     """The gains of solve_kernels, bitwise, from the last row of the last
     block of a march of (k11, k12) that keeps no kernel array.  An _uncoupled
     row n is the one block of _zero_gains on row n alone: k11 +0.0 and k12
     the diagonal datum at x = 1 on every node (zero gains)."""
-    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
+    gauge, coupled = _gauge(system, grid)
     n = grid.n
-    blocks = (_march_pair("gains", speeds, gauge, grid) if coupled
-              else _zero_gains(speeds, gauge, grid, [range(n, n + 1)]))
+    blocks = (_march_pair("gains", gauge) if coupled
+              else _zero_gains(gauge, [range(n, n + 1)]))
     _, p12, p11 = deque(blocks, maxlen=1)[0]
     p11, p12 = p11[-1], p12[-1]
-    lam1, lam2 = _node_speeds(speeds, grid)
+    lam1, lam2 = gauge.lam
     return _gains(_unweight("k11", p11, lam1), _unweight("k12", p12, lam2), gauge)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
     """The g of solve_kernels, bitwise, from the edges of the trace stream,
     which keeps only k22, the array its paths read.  An _uncoupled k22 and
     its path integrals are exactly zero: no march, and g is the diagonal
     term, as in solve_kernels."""
-    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
+    gauge, coupled = _gauge(system, grid)
     if coupled:
         P22 = np.zeros((grid.n + 1, grid.n + 1))
-        row = np.concatenate([edge for *_, edge in _trace_blocks(speeds, gauge, grid, P22)])
+        row = np.concatenate([edge for *_, edge in _trace_blocks(gauge, P22)])
     else:
-        row = _trace_paths(speeds, gauge, grid)[0] + 0.0
-    lam1, _ = _node_speeds(speeds, grid)
-    return _g(_unweight("k21", row, lam1[0]), speeds)
+        row = _trace_paths(gauge)[0] + 0.0
+    return _g(_unweight("k21", row, gauge.lam[0, 0]), gauge)
 
 
 def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
@@ -566,6 +555,7 @@ def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
     return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * rows
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     """Write the kernels of solve_kernels(system, grid) over the triangle,
     rows (x, xi, k11, k12, k21, k22), to path and return that KernelSet's g
@@ -581,14 +571,14 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     the gains march, else of the trace march, else of k11, k12, k21 and k22
     in turn.
     """
-    (gauge, coupled), speeds = _gauge(system, grid), system.speeds
+    gauge, coupled = _gauge(system, grid)
     n = grid.n
     names = ("k11", "k12", "k21", "k22")
     text = _text(grid.nodes)
-    lam1, lam2 = _node_speeds(speeds, grid)
-    gains_rows = _gains_pair(speeds, gauge, grid, coupled)
+    lam1, lam2 = gauge.lam
+    gains_rows = _gains_pair(gauge, coupled)
     P22 = np.zeros((n + 1, n + 1)) if coupled else None
-    blocks = _trace_blocks(speeds, gauge, grid, P22)
+    blocks = _trace_blocks(gauge, P22)
     edge = np.empty(n + 1)      # p21(x_i, 0), filled block by block
     bad = set()                 # the kernels with an entry that is not finite
     with open(path, "w", newline="") as fh:
@@ -601,8 +591,7 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
                 tri = np.arange(n + 1) <= np.arange(rows.start, rows.stop)[:, None]
                 p = [a[tri] for a in (p11, p12, p21, p22)]
                 p[2][jj == 0] = block_edge
-                with np.errstate(over="ignore"):
-                    k = (p[0] / lam1[jj], p[1] / lam2[jj], p[2] / lam1[jj], p[3] / lam2[jj])
+                k = (p[0] / lam1[jj], p[1] / lam2[jj], p[2] / lam1[jj], p[3] / lam2[jj])
                 del p
                 bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
                 if not bad:
@@ -613,9 +602,8 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     for w in names:
         if w in bad:
             raise _overflow(f"kernel {w}")
-    with np.errstate(over="ignore"):
-        k21_edge, k11_last, k12_last = edge / lam1[0], p11[-1] / lam1, p12[-1] / lam2
-    return _g(k21_edge, speeds), _gains(k11_last, k12_last, gauge)
+    k21_edge, k11_last, k12_last = edge / lam1[0], p11[-1] / lam1, p12[-1] / lam2
+    return _g(k21_edge, gauge), _gains(k11_last, k12_last, gauge)
 
 
 def write_kernels_csv_bytes(system: "SystemSpec", grid: Grid) -> int:

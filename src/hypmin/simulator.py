@@ -102,11 +102,18 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     k states, at steps spread evenly from the first to the last (the CLI's
     --snapshots; the last step from k = 2 on).  The first step whose state
     or L2 norm is not finite raises DivergenceError.
+
+    A horizon that is not finite and positive raises DomainError, and a CFL
+    step cfl h / max|lambda| that underflows to 0, or that T divided by is
+    not finite, raises CFLError.  A finite step count too large to allocate
+    (cfl = 1e-12 at n = 64 and T = 0.5: 233 TiB of traces) raises
+    MemoryError; callers check it first (check_run_memory refuses it in
+    every command).
     """
     if not 0.0 < cfl <= 1.0:
         raise CFLError(f"cfl must lie in (0,1], got {cfl}")
-    if T <= 0.0:
-        raise DomainError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"horizon must be finite and positive, got {T}")
     n = grid.n
     h = grid.h
     nodes = grid.nodes
@@ -114,6 +121,9 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     l2 = np.asarray(system.speeds.speed(2, nodes), dtype=float)
     max_speed = float(max(np.max(-l1), np.max(l2)))
     dt = cfl * h / max_speed
+    if not (dt > 0.0 and math.isfinite(T / dt)):
+        raise CFLError(f"cfl = {cfl:g} gives the step {dt:g}, too small to reach T = {T:g}: "
+                       "it underflows to 0, or T / step overflows")
     # at most dt (1 + 1e-12), the CFL bound: steps rounds T / dt up, less 1e-12
     steps = max(1, math.ceil(T / dt - 1e-12))
     dt = T / steps

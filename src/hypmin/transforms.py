@@ -27,9 +27,13 @@ __all__ = ["DiagGauge", "diag_removal", "volterra_apply", "volterra_invert"]
 
 @dataclass(frozen=True)
 class DiagGauge:
-    """Gauge weights e1, e2 > 0 and gauged couplings bt, ct on a grid."""
+    """Gauge weights e1, e2 > 0 and gauged couplings bt, ct on a grid, with
+    the speeds the gauge was built from and lam, whose row f-1 holds
+    lambda_f at the grid nodes."""
 
     grid: Grid
+    speeds: "SpeedPair" = field(repr=False)
+    lam: np.ndarray = field(repr=False)
     e1: np.ndarray = field(repr=False)
     e2: np.ndarray = field(repr=False)
     bt: np.ndarray = field(repr=False)
@@ -54,8 +58,8 @@ def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
     raises DomainError naming the coefficient.
     """
     xs = grid.nodes
-    l1 = np.asarray(speeds.speed(1, xs), dtype=float)
-    l2 = np.asarray(speeds.speed(2, xs), dtype=float)
+    lam = np.stack([np.asarray(speeds.speed(f, xs), dtype=float) for f in (1, 2)])
+    l1, l2 = lam
     with np.errstate(all="ignore"):
         e1 = np.exp(-cumtrapz(np.asarray(a(xs), dtype=float) / l1, grid.h))
         e2 = np.exp(-cumtrapz(np.asarray(d(xs), dtype=float) / l2, grid.h))
@@ -70,7 +74,7 @@ def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
         if not np.all(np.isfinite(val)):
             raise DomainError(f"coefficient {name} is too large against the gauge "
                               "weights of a and d: its gauged value overflows")
-    return DiagGauge(grid, e1, e2, bt, ct)
+    return DiagGauge(grid, speeds, lam, e1, e2, bt, ct)
 
 
 def _trap_weights(n: int, h: float) -> np.ndarray:

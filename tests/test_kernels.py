@@ -13,7 +13,8 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, kernels,
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError, PreconditionError
 from hypmin.kernels import (_blocks, _build_plan, _step_interior, export_profile_csv,
-                            solve_kernels_bytes, write_kernels_csv)
+                            solve_kernels_bytes, write_kernels_csv,
+                            write_kernels_csv_bytes)
 
 from conftest import const, make_system
 
@@ -69,7 +70,7 @@ NAMES = ("k11", "k12", "k21", "k22")
 def trace_row(speeds, gauge, grid, P22):
     """p21 on the edge xi=0 at every node: the trace paths through P22 in
     each of the blocks the trace stream integrates."""
-    _, paths = kernels._trace_paths(speeds, gauge, grid)
+    _, paths = kernels._trace_paths(gauge)
     return np.concatenate([paths(P22, rows) for rows in kernels._row_blocks(grid.n)])
 
 
@@ -247,7 +248,7 @@ class TestSolveKernels:
         speeds = SpeedPair.build(l1, l2)
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(b), const(1.0), const(0.0), speeds, grid)
-        blocks, k12, k11 = zip(*kernels._march_pair("gains", speeds, gauge, grid))
+        blocks, k12, k11 = zip(*kernels._march_pair("gains", gauge))
         lower = np.tril(np.ones((n + 1, n + 1), dtype=bool))
         assert [i for rows in blocks for i in rows] == list(range(n + 1))
         assert np.concatenate(k11).tobytes() == np.zeros((n + 1, n + 1)).tobytes()
@@ -259,8 +260,8 @@ class TestSolveKernels:
         # block plan lie in [0, 1], also where a foot rounds past row i-1
         grid = Grid.uniform(100)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0), unit_speeds, grid)
-        for blk in _blocks(unit_speeds, grid):
-            plan = _build_plan(which, unit_speeds, gauge, grid, blk)
+        for blk in _blocks(gauge):
+            plan = _build_plan(which, gauge, blk)
             assert ((plan.fw >= 0.0) & (plan.fw <= 1.0)).all()
             for bw in (r[4] for r in plan.brows):
                 assert ((bw >= 0.0) & (bw <= 1.0)).all()
@@ -337,8 +338,8 @@ class TestSolveKernels:
         monkeypatch.setattr(kernels, "_BLOCK_POINTS", 60)
         feet = np.zeros((n + 1, n + 1))
         points = 0
-        for blk in _blocks(varying_speeds, grid):
-            plan = _build_plan(which, varying_speeds, gauge, grid, blk)
+        for blk in _blocks(gauge):
+            plan = _build_plan(which, gauge, blk)
             assert plan.fidx.size == plan.fw.size == plan.coefA.size == blk.ii.size
             points += blk.ii.size
             for i in blk.rows:
@@ -748,8 +749,8 @@ class TestSharedPlanGeometry:
         assert np.count_nonzero(coefA) > coefA.size // 4
         assert sum(len(r[0]) for r in brows) >= n
         blocks = 0
-        for blk in _blocks(speeds, grid):
-            plan = _build_plan(which, speeds, gauge, grid, blk)
+        for blk in _blocks(gauge):
+            plan = _build_plan(which, gauge, blk)
             r0, r1 = blk.rows.start, blk.rows.stop
             seg = slice(r0 * (r0 + 1) // 2, r1 * (r1 + 1) // 2)
             assert plan.r0 == r0 and plan.on_edge == (diag_data is None)
@@ -890,6 +891,32 @@ class TestFeedbackGains:
         n = K.grid.n
         want = K.k11[n, :] * gauge.e1 / gauge.e1[-1]
         assert np.allclose(law.f1, want)
+
+
+class TestFloatErrorState:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bc", [1e160, 0.8], ids=["overflowing", "finite"])
+    @pytest.mark.parametrize("entry,overflows", [
+        ("full", "k12"), ("gains", "k12"), ("trace", "k21"), ("csv", "k12"),
+        ("csv_bytes", None)])
+    def test_state_stays_the_callers(self, unit_speeds, tmp_path, entry, overflows, bc):
+        # each solve computes with float errors ignored and checks what it
+        # returns: no RuntimeWarning, and the caller's np.geterr() after it,
+        # whether it returns or raises (b = c = 1e160 overflow the march)
+        system = make_system(unit_speeds, b=bc, c=bc)
+        grid = Grid.uniform(16)
+        run = {"full": lambda: solve_kernels(system, grid),
+               "gains": lambda: solve_gains(system, grid),
+               "trace": lambda: solve_trace(system, grid),
+               "csv": lambda: write_kernels_csv(system, grid, tmp_path / "kernels.csv"),
+               "csv_bytes": lambda: write_kernels_csv_bytes(system, grid)}[entry]
+        before = np.geterr()
+        if bc == 0.8 or overflows is None:
+            run()
+        else:
+            with pytest.raises(DomainError, match=f"^kernel {overflows} overflows"):
+                run()
+        assert np.geterr() == before
 
 
 class TestSinMap:

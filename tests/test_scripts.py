@@ -149,3 +149,33 @@ def test_compare_outputs_grid_n(tmp_path):
     assert same.returncode == 0, same.stdout + same.stderr
     assert same.stdout == "0 difference(s) in 15 runs on 2 config(s)\n"
     assert json.loads(config.read_text()) == headline_raw(n=4)
+
+
+def test_compare_outputs_refuses_missing_tree(tmp_path):
+    # a path with no src/hypmin/__init__.py is refused before any run: its
+    # runs used to fail alike on both sides and compare as equal
+    missing = [str(tmp_path / tree) for tree in ("a", "b")]
+    proc = _run("compare_outputs.py", *missing, os.path.join(SCRIPTS, "..", "configs",
+                                                             "transport.json"), cwd=tmp_path)
+    _one_line_error(proc)
+    assert proc.stdout == ""
+
+
+def test_compare_outputs_lists_tracebacks(tmp_path):
+    # two copies of a tree whose cli raises run the same and print the same,
+    # but each run that ends in a traceback is listed, on both sides
+    for tree in ("a", "b"):
+        package = tmp_path / tree / "src" / "hypmin"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text('raise RuntimeError("no cli")\n')
+    config = tmp_path / "headline.json"
+    config.write_text(json.dumps(headline_raw(n=32)))
+    proc = _run("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"), str(config),
+                cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    listed = proc.stdout.splitlines()
+    assert listed[-1] == "16 difference(s) in 8 runs on 1 config(s)"
+    sides = [line.split(": ")[1] for line in listed[:-1]]
+    assert sides == ["OLD ends in a traceback", "NEW ends in a traceback"] * 8
+    assert all(line.endswith(": RuntimeError: no cli") for line in listed[:-1])

@@ -66,18 +66,24 @@ class TestSimulate:
             assert 0.8 <= order <= 1.2
 
     def test_cfl_validation(self, unit_speeds):
-        grid = Grid.uniform(20)
+        # cfl out of (0, 1], and steps too small to take: at 5e-324 the step
+        # underflows to 0 (was ZeroDivisionError), and T / step overflows at
+        # 1e-310, a subnormal step (was OverflowError), and at 1e-300 and
+        # T = 1e10, a normal one
+        grid = Grid.uniform(64)
         system = make_system(unit_speeds)
-        with pytest.raises(CFLError):
-            simulate(system, None, (np.zeros(21), np.zeros(21)), 0.5, grid, cfl=1.5)
-        with pytest.raises(CFLError):
-            simulate(system, None, (np.zeros(21), np.zeros(21)), 0.5, grid, cfl=0.0)
+        for cfl, T in [(1.5, 0.5), (0.0, 0.5), (5e-324, 0.5), (1e-310, 0.5), (1e-300, 1e10)]:
+            with pytest.raises(CFLError):
+                simulate(system, None, (np.zeros(65), np.zeros(65)), T, grid, cfl=cfl,
+                         snapshots=0)
 
     def test_bad_horizon_and_data(self, unit_speeds):
+        # nan and inf were a bare ValueError and an OverflowError
         grid = Grid.uniform(20)
         system = make_system(unit_speeds)
-        with pytest.raises(DomainError):
-            simulate(system, None, (np.zeros(21), np.zeros(21)), -1.0, grid)
+        for T in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^horizon must be finite and positive"):
+                simulate(system, None, (np.zeros(21), np.zeros(21)), T, grid, snapshots=0)
         with pytest.raises(DomainError):
             simulate(system, None, (np.zeros(10), np.zeros(21)), 0.5, grid)
 

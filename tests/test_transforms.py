@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypmin import (CoefficientSpec, FeedbackLaw, Grid, KernelSet, diag_removal,
+from hypmin import (CoefficientSpec, FeedbackLaw, Grid, KernelSet, SpeedPair, diag_removal,
                     vanishing_prefix, volterra_apply, volterra_invert)
 from hypmin.errors import DomainError, GridMismatchError
 
@@ -45,6 +45,27 @@ class TestDiagRemoval:
                              varying_speeds, grid)
         assert gauge.e1.min() > 0.0
         assert gauge.e2.min() > 0.0
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "step", "sampled"])
+    def test_holds_its_speeds(self, kind):
+        # the kernel solves read the speeds and their node values from the
+        # gauge: the pair passed in, and lambda_i at the nodes, bit for bit
+        xs = np.linspace(0.0, 1.0, 7)
+        l1, l2 = {"constant": (const(-0.7), const(1.3)),
+                  "polynomial": (CoefficientSpec.polynomial([-1.0, -0.5, 0.3]),
+                                 CoefficientSpec.polynomial([1.0, 1.0, -0.4])),
+                  "step": (CoefficientSpec.step(0.4, -1.0, -2.0),
+                           CoefficientSpec.step(0.6, 1.5, 0.8)),
+                  "sampled": (CoefficientSpec.sampled(xs, -1.0 - np.sin(3.0 * xs)),
+                              CoefficientSpec.sampled(xs, 1.0 + xs ** 2 / 3.0))}[kind]
+        speeds = SpeedPair.build(l1, l2)
+        grid = Grid.uniform(37)
+        gauge = diag_removal(const(0.3), const(0.2), const(0.5), const(0.1), speeds, grid)
+        assert gauge.speeds is speeds
+        assert gauge.lam.shape == (2, grid.n + 1)
+        for i in (1, 2):
+            want = np.asarray(speeds.speed(i, grid.nodes), dtype=float)
+            assert gauge.lam[i - 1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("a, d, name", [
         (1136.0, 0.0, "a"),       # e1 = exp(1136 x) overflows
