@@ -15,15 +15,19 @@ import sys
 
 import numpy as np
 
+# Every command's modules load with this one, not when the command runs:
+# perfbench/run.py times set-up as this import plus load_config, and
+# perfbench/traced_cli.py wraps names only in the hypmin modules loaded once
+# hypmin.cli is imported, so a module imported later would lose its spans.
 from .config import FEEDBACK, check_memory, load_config
 from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
                      GridMismatchError, InvalidSpeedsError, PreconditionError,
                      RootBracketError, UndefinedRateError)
 from .harness import check_run_memory, counterexample, verify_settling, verify_sharpness
-from .kernels import (export_profile_csv, solve_gains, write_kernels_csv,
-                      write_kernels_csv_bytes)
+from .kernels import solve_gains, write_kernels_csv
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
+from .system import export_profile_csv
 
 _USAGE_ERRORS = (ConfigError, PreconditionError, DomainError, CFLError,
                  InvalidSpeedsError, GridMismatchError)
@@ -74,13 +78,11 @@ def _new_dirs(path) -> list:
 
 def _cmd_kernels(args) -> int:
     cfg = load_config(args.config)
-    n = cfg.grid.n    # k22 where b != 0, the plans and one CSV block: the rows stream out
-    check_memory(write_kernels_csv_bytes(cfg.system, cfg.grid),
-                 f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
     outdir = _outdir(args, cfg)
     made = _new_dirs(outdir)
     path = os.path.join(outdir, "kernels.csv")
-    # written under another name, so that a failed solve leaves no kernels.csv
+    # written under another name, so that a failed solve, or a memory refusal
+    # before the file is opened, leaves no kernels.csv and no new directory
     part = path + ".part"
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -16,7 +16,7 @@ import numpy as np
 from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 from .errors import ConfigError
-from .simulator import BoundaryReflection, Control, SystemSpec
+from .system import BoundaryReflection, Control, SystemSpec
 
 __all__ = ["ScenarioConfig", "FEEDBACK", "config_from_dict", "load_config", "check_memory"]
 

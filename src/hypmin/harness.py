@@ -29,8 +29,9 @@ from .config import ScenarioConfig, check_memory
 from .errors import DivergenceError, DomainError, PreconditionError, RootBracketError
 from .kernels import solve_gains, solve_kernels_bytes, solve_trace
 from .mintime import times_report
-from .simulator import (_CANONICAL_ROWS, BoundaryReflection, SystemSpec, _max_speed,
-                        _simulate_bytes, canonical_map, growth_rate, l2_norm, simulate)
+from .simulator import (canonical_map, canonical_map_bytes, growth_rate, l2_norm,
+                        largest_speed, simulate, simulate_bytes)
+from .system import BoundaryReflection, SystemSpec
 
 __all__ = [
     "VerificationReport",
@@ -113,8 +114,8 @@ def check_run_memory(command: str, cfg: ScenarioConfig, n: int, gains: bool,
                      snapshots: int) -> None:
     """Refuse cfg's gains solve (where gains) and simulation on an n-cell grid
     keeping snapshots states, where they would not fit the physical memory."""
-    need = _simulate_bytes(_max_speed(cfg.system.speeds, Grid.uniform(n).nodes), n,
-                           cfg.horizon, cfg.cfl, snapshots)
+    need = simulate_bytes(largest_speed(cfg.system.speeds, Grid.uniform(n).nodes), n,
+                          cfg.horizon, cfg.cfl, snapshots)
     if gains:
         need += solve_kernels_bytes(cfg.system, n, 0)
     check_memory(need, f"{command} at n={n}: {'the gains solve, ' * gains}{snapshots} snapshots"
@@ -312,21 +313,18 @@ def _sharpness_overflow(T: float) -> DomainError:
 def canonical_sharpness_bytes(speeds: SpeedPair, T: float, grid: Grid) -> float:
     """Upper bound on the bytes canonical_sharpness_residual holds at once.
 
-    The trace stays sparse: its pairs at the K+1 quadrature times, their
-    nonzeros sorted by column and the indices of that sort take about 32
-    floats a time.  The lower rows are dense over the hats they touch, at
-    most (T - T1) n + 4 columns with the free response; with the reduced
-    least-squares matrix and its copy in lstsq that is at most three n+4 row
-    arrays of that width.  Each row block of the quadrature holds a few
-    _CANONICAL_ROWS x (K+1) arrays; gelsd's workspace grows like its smaller
-    dimension; the travel-time inverses hold temporaries of the speed table.
-    A float, so that no T overflows it.
+    The sparse trace and the quadrature's row blocks are canonical_map's
+    share (canonical_map_bytes).  The lower rows are dense over the hats
+    they touch, at most (T - T1) n + 4 columns with the free response; with
+    the reduced least-squares matrix and its copy in lstsq that is at most
+    three n+4 row arrays of that width.  gelsd's workspace grows like its
+    smaller dimension; the travel-time inverses hold temporaries of the
+    speed table.  A float, so that no T overflows it.
     """
     n = grid.n
-    cells = T * _max_speed(speeds, grid.nodes) * n + 3.0      # >= K + 1
     hats = max(T - speeds.T1, 0.0) * n + 4.0                 # >= the lower rows' columns
-    return 8.0 * (3.0 * (n + 4.0) * hats + (8.0 * _CANONICAL_ROWS + 32.0) * cells
-                  + 200.0 * min(n + 4.0, hats) + 4.0 * speeds.table_nodes.size)
+    return (8.0 * (3.0 * (n + 4.0) * hats + 200.0 * min(n + 4.0, hats)
+                   + 4.0 * speeds.table_nodes.size) + canonical_map_bytes(speeds, T, grid))
 
 
 def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> VerificationReport:
@@ -469,7 +467,7 @@ def counterexample(k: float, n: int = 800) -> CounterexampleResult:
     # speeds -1 and 1: the step traces, the dozen speed-table arrays that
     # SpeedPair.build holds at once and a few dozen arrays of n+1 nodes,
     # estimated before any of them is allocated
-    check_memory(_simulate_bytes(1.0, n, _CX_HORIZON, _CX_CFL, 0)
+    check_memory(simulate_bytes(1.0, n, _CX_HORIZON, _CX_CFL, 0)
                  + 8.0 * (12 * (table_n + 1) + 32 * (n + 1)),
                  f"counterexample at n={n}", PreconditionError)
     grid = Grid.uniform(n)

@@ -36,7 +36,7 @@ starts from one set-up, _gauge: the checks, the gauge and whether the
 system is coupled.  The two systems are decoupled, each solved by its own
 row march.
 The kernel stream moves in row blocks (_row_blocks), in order of x, which is
-also the order of kernels.csv, with one block size, _BLOCK_POINTS: the march
+also the order of kernels.csv, with one block size, BLOCK_POINTS: the march
 builds its plans and yields its rows one block at a time, the trace stream
 (_trace_blocks) integrates the trace paths of each block once the march has
 passed it, and write_kernels_csv writes each block's lines.  Each caller
@@ -47,7 +47,10 @@ k22, writing each block of the trace stream, with the gains block of the
 same rows, to kernels.csv.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats
 (none for write_kernels_csv where b = 0), plus one row block of plans (about
 2 MB), and a few row blocks of kernel rows and one of trace paths (and of
-CSV).
+CSV).  write_kernels_csv checks its bound, write_kernels_csv_bytes, against
+the machine's memory once _gauge has decided whether the system is
+coupled, before it opens the file.  The records the solves return,
+KernelSet and FeedbackLaw, and the CSV format live in system.
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
@@ -74,55 +77,20 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .coeffs import Grid
+from .config import check_memory
 from .errors import DomainError, PreconditionError
+from .system import BLOCK_POINTS, FeedbackLaw, KernelSet, SystemSpec, csv_block, csv_text
+# a name of kernels too, where perfbench/traced_cli.py finds the profile writer
+from .system import export_profile_csv  # noqa: F401
 from .transforms import DiagGauge, diag_removal
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .simulator import SystemSpec
-
-_BLOCK_POINTS = 8192     # points of a row block (rows x n+1), rows of a _write_csv block
-
-__all__ = [
-    "KernelSet",
-    "FeedbackLaw",
-    "solve_kernels",
-    "solve_gains",
-    "solve_trace",
-    "solve_kernels_bytes",
-    "write_kernels_csv",
-    "write_kernels_csv_bytes",
-    "export_profile_csv",
-]
-
-
-@dataclass(frozen=True)
-class FeedbackLaw:
-    """Feedback gains: u(t) = int_0^1 (f1 y1(t,.) + f2 y2(t,.)), a trapezoid
-    quadrature on nodes that simulate folds into one dot product per step."""
-
-    nodes: np.ndarray = field(repr=False)
-    f1: np.ndarray = field(repr=False)
-    f2: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class KernelSet:
-    """Solved kernels sampled on the triangle (entries with xi > x are zero),
-    and g(x) = -k21(x,0)*lambda1(0) and the feedback gains on its nodes."""
-
-    grid: Grid
-    k11: np.ndarray = field(repr=False)
-    k12: np.ndarray = field(repr=False)
-    k21: np.ndarray = field(repr=False)
-    k22: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-    gains: FeedbackLaw = field(repr=False)
+__all__ = ["solve_kernels", "solve_gains", "solve_trace", "solve_kernels_bytes",
+           "write_kernels_csv", "write_kernels_csv_bytes"]
 
 
 class _Block(NamedTuple):
@@ -140,9 +108,9 @@ class _Block(NamedTuple):
 
 
 def _row_blocks(n: int) -> list:
-    """Rows 0..n in blocks of max(1, _BLOCK_POINTS // (n+1)) rows, the one unit
+    """Rows 0..n in blocks of max(1, BLOCK_POINTS // (n+1)) rows, the one unit
     of the kernel stream: of the march plans, the trace paths and kernels.csv."""
-    rows = max(1, _BLOCK_POINTS // (n + 1))
+    rows = max(1, BLOCK_POINTS // (n + 1))
     return [range(r0, min(r0 + rows, n + 1)) for r0 in range(0, n + 1, rows)]
 
 
@@ -460,7 +428,7 @@ def _g(k21_edge: np.ndarray, gauge: DiagGauge) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _gauge(system: "SystemSpec", grid: Grid) -> tuple:
+def _gauge(system: SystemSpec, grid: Grid) -> tuple:
     """(gauge, coupled): the one set-up of every solve, the diagonal-removing
     gauge of system on grid and whether the system is not _uncoupled.  The
     kernels' boundary condition at xi=0 is that of the zero reflection, so
@@ -476,7 +444,7 @@ def _gauge(system: "SystemSpec", grid: Grid) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
+def solve_kernels(system: SystemSpec, grid: Grid) -> KernelSet:
     """All four kernels, one row march per pair (none for an _uncoupled
     gains pair), with g and the gains read from them; a single pass is the
     fixed point of the discrete scheme, unconditionally stable and
@@ -504,7 +472,7 @@ def solve_kernels(system: "SystemSpec", grid: Grid) -> KernelSet:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
+def solve_gains(system: SystemSpec, grid: Grid) -> FeedbackLaw:
     """The gains of solve_kernels, bitwise, from the last row of the last
     block of a march of (k11, k12) that keeps no kernel array.  An _uncoupled
     row n is the one block of _zero_gains on row n alone: k11 +0.0 and k12
@@ -520,7 +488,7 @@ def solve_gains(system: "SystemSpec", grid: Grid) -> FeedbackLaw:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
+def solve_trace(system: SystemSpec, grid: Grid) -> np.ndarray:
     """The g of solve_kernels, bitwise, from the edges of the trace stream,
     which keeps only k22, the array its paths read.  An _uncoupled k22 and
     its path integrals are exactly zero: no march, and g is the diagonal
@@ -534,13 +502,13 @@ def solve_trace(system: "SystemSpec", grid: Grid) -> np.ndarray:
     return _g(_unweight("k21", row, gauge.lam[0, 0]), gauge)
 
 
-def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
+def solve_kernels_bytes(system: SystemSpec, n: int, kept: int) -> int:
     """Upper bound on the bytes a kernel solve holds at once on an n-cell grid.
 
     kept is the number of (n+1)^2 kernel arrays the solve keeps: 4 for
     solve_kernels, 1 for solve_trace (k22) and 0 for solve_gains.  Besides
     them the peak holds the plans of one of the _row_blocks, whose rows
-    (n+1) <= max(_BLOCK_POINTS, n + 1) points hold at most the triangle's
+    (n+1) <= max(BLOCK_POINTS, n + 1) points hold at most the triangle's
     (n+1)(n+2)/2 planned points, plus the few blocks of kernel rows it holds
     (the march's, the one _trace_blocks holds back and the reader's), or
     the block's trace paths: 1.73 MB beside k22 at n = 800 under
@@ -549,19 +517,21 @@ def solve_kernels_bytes(system: "SystemSpec", n: int, kept: int) -> int:
     system's speed table and 4 KB for the band tuples of each marched row
     of the block.
     """
-    rows = min(n, max(1, _BLOCK_POINTS // (n + 1)))
-    points = min(max(_BLOCK_POINTS, n + 1), (n + 1) * (n + 2) // 2)
+    rows = min(n, max(1, BLOCK_POINTS // (n + 1)))
+    points = min(max(BLOCK_POINTS, n + 1), (n + 1) * (n + 2) // 2)
     table = system.speeds.table_nodes.size
     return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * rows
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
+def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     """Write the kernels of solve_kernels(system, grid) over the triangle,
     rows (x, xi, k11, k12, k21, k22), to path and return that KernelSet's g
     and gains, bitwise, holding no kernel array where the system is
-    _uncoupled and only k22 where it is not.  On a DomainError the file is
-    incomplete; callers remove it.  Memory: write_kernels_csv_bytes.
+    _uncoupled and only k22 where it is not.  Raises as _gauge does, then,
+    before the file is opened, PreconditionError where its memory,
+    write_kernels_csv_bytes, exceeds the machine's (check_memory).  On a
+    DomainError the file is incomplete; callers remove it.
 
     The file is written in the blocks of _trace_blocks, each at its
     _triangle_points, cut from its rows and the gains block of the same
@@ -572,9 +542,11 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     in turn.
     """
     gauge, coupled = _gauge(system, grid)
-    n = grid.n
+    n = grid.n      # k22 where coupled, the plans and one CSV block: the rows stream out
+    check_memory(write_kernels_csv_bytes(system, n, coupled),
+                 f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
     names = ("k11", "k12", "k21", "k22")
-    text = _text(grid.nodes)
+    text = csv_text(grid.nodes)
     lam1, lam2 = gauge.lam
     gains_rows = _gains_pair(gauge, coupled)
     P22 = np.zeros((n + 1, n + 1)) if coupled else None
@@ -595,7 +567,7 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
                 del p
                 bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
                 if not bad:
-                    fh.write(_csv_block([(text, ii), (text, jj), *k]))
+                    fh.write(csv_block([(text, ii), (text, jj), *k]))
         except DomainError:
             deque(gains_rows, maxlen=0)     # a gains march error comes first
             raise
@@ -606,67 +578,14 @@ def write_kernels_csv(system: "SystemSpec", grid: Grid, path) -> tuple:
     return _g(k21_edge, gauge), _gains(k11_last, k12_last, gauge)
 
 
-def write_kernels_csv_bytes(system: "SystemSpec", grid: Grid) -> int:
-    """Upper bound on the bytes write_kernels_csv holds at once: the plans of
-    the pairs it marches, k22 where the system is not _uncoupled, as in
-    solve_kernels_bytes, and one CSV block, one of the _row_blocks, of at
-    most max(_BLOCK_POINTS, n + 1) points at 512 bytes a point (its p-form
-    rows, kernels and text: about 420 under tracemalloc where all four
-    kernel columns vary, more than its trace paths take).  Raises as the solve
-    does where q != 0, the gauge overflows or n < 4 (_gauge)."""
-    n = grid.n
-    need = solve_kernels_bytes(system, n, 0) + 512 * max(_BLOCK_POINTS, n + 1)
-    if _gauge(system, grid)[1]:
+def write_kernels_csv_bytes(system: SystemSpec, n: int, coupled: bool) -> int:
+    """Upper bound on the bytes write_kernels_csv holds at once on an n-cell
+    grid: the plans of the pairs it marches, k22 where coupled (the system is
+    not _uncoupled), as in solve_kernels_bytes, and one CSV block, one of the
+    _row_blocks, of at most max(BLOCK_POINTS, n + 1) points at 512 bytes a
+    point (its p-form rows, kernels and text: about 420 under tracemalloc
+    where all four kernel columns vary, more than its trace paths take)."""
+    need = solve_kernels_bytes(system, n, 0) + 512 * max(BLOCK_POINTS, n + 1)
+    if coupled:
         need += solve_kernels_bytes(system, n, 1)
     return need
-
-
-def _text(values) -> np.ndarray:
-    """Each value formatted once as "%.12g", an object array of strings."""
-    return np.array(["%.12g" % v for v in np.asarray(values).tolist()], dtype=object)
-
-
-def _csv_block(columns) -> str:
-    """The CSV rows of equal-length columns, formatted by one row template.
-
-    Numbers are written as "%.12g", string columns verbatim (nothing is
-    quoted), and every row ends in CRLF.  A column may be a pair (text,
-    index) standing for text[index], with text from _text.  A numeric
-    column whose entries all have the same bits (so -0.0 and 0.0 differ) is
-    written into the template as literal text, formatted once.
-    """
-    fields, parts = [], []
-    for c in columns:
-        c = c[0][c[1]] if isinstance(c, tuple) else np.asarray(c)
-        rows = len(c)
-        if c.dtype.kind in "USO":
-            fields.append("%s")
-        else:
-            c = c.astype(np.float64, copy=False)
-            bits = c.view(np.uint64)
-            if rows and (bits == bits[0]).all():
-                fields.append(("%.12g" % c[0]).replace("%", "%%"))
-                continue
-            fields.append("%.12g")
-        parts.append(c)
-    cells = [None] * (rows * len(parts))
-    for j, c in enumerate(parts):
-        cells[j::len(parts)] = c.tolist()
-    return ((",".join(fields) + "\r\n") * rows) % tuple(cells)
-
-
-def _write_csv(path, header, columns) -> None:
-    """Write equal-length columns under a header row, the one CSV format
-    (_csv_block), in blocks of _BLOCK_POINTS rows, so that a large file's
-    text is never held at once."""
-    columns = [np.asarray(c) for c in columns]
-    rows = len(columns[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, rows, _BLOCK_POINTS):
-            fh.write(_csv_block([c[lo:lo + _BLOCK_POINTS] for c in columns]))
-
-
-def export_profile_csv(path, nodes: np.ndarray, columns: dict) -> None:
-    """Write one or more sampled profiles as (x, value...) CSV columns."""
-    _write_csv(path, ["x", *columns], [nodes, *columns.values()])

@@ -25,7 +25,7 @@ import numpy as np
 from .coeffs import CoefficientSpec, Grid, prefix_of_samples, relative_tol, vanishing_prefix
 from .characteristics import SpeedPair
 from .errors import GridMismatchError, InvalidSpeedsError
-from .simulator import SystemSpec
+from .system import SystemSpec
 
 __all__ = [
     "TimesReport",

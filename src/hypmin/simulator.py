@@ -12,51 +12,20 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid, trapezoid_weights
+from .coeffs import Grid, trapezoid_weights
 from .characteristics import SpeedPair
 from .errors import (CFLError, DivergenceError, DomainError, GridMismatchError,
                      UndefinedRateError)
-from .kernels import FeedbackLaw, _write_csv
+from .system import BoundaryReflection, Control, FeedbackLaw, SystemSpec, write_csv
 
 _CANONICAL_ROWS = 64     # positions per block of the lower-component quadrature
 
-__all__ = [
-    "SystemSpec",
-    "BoundaryReflection",
-    "SimResult",
-    "simulate",
-    "canonical_map",
-    "canonical_solution",
-    "growth_rate",
-    "l2_norm",
-    "export_sim_csv",
-]
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Speeds, internal couplings, and the x=0 reflection coefficient q."""
-
-    speeds: SpeedPair
-    a: CoefficientSpec
-    b: CoefficientSpec
-    c: CoefficientSpec
-    d: CoefficientSpec
-    q: float = 0.0
-
-
-@dataclass(frozen=True)
-class BoundaryReflection:
-    """Static output feedback at x=1: y1(t,1) = k * y2(t,1)."""
-
-    k: float
-
-
-Control = Union[Callable[[float], float], FeedbackLaw, BoundaryReflection, None]
+__all__ = ["SimResult", "simulate", "simulate_bytes", "largest_speed", "canonical_map",
+           "canonical_map_bytes", "canonical_solution", "growth_rate", "l2_norm",
+           "export_sim_csv"]
 
 
 @dataclass
@@ -80,11 +49,12 @@ def l2_norm(y1: np.ndarray, y2: np.ndarray, h: float) -> float:
     return math.sqrt(np.vdot(np.tile(trapezoid_weights(np.size(y1) - 1, h), 2), z))
 
 
-def _max_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
+def largest_speed(speeds: SpeedPair, nodes: np.ndarray) -> float:
+    """max |lambda_f| over f = 1, 2 and the nodes."""
     return float(max(np.max(-speeds.speed(1, nodes)), np.max(speeds.speed(2, nodes))))
 
 
-def _simulate_bytes(max_speed: float, n: int, T: float, cfl: float, snapshots: int) -> float:
+def simulate_bytes(max_speed: float, n: int, T: float, cfl: float, snapshots: int) -> float:
     """Upper bound on the bytes of simulate's four step traces up to T on an
     n-cell grid with largest speed max_speed and its at most snapshots kept
     states, each 2(n+1) floats and ~380 bytes of objects (a float: no T overflows it)."""
@@ -257,7 +227,7 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
     n = g.shape[0] - 1
     nodes = np.linspace(0.0, 1.0, n + 1)
     h = 1.0 / n
-    K = max(2, math.ceil(t * _max_speed(speeds, nodes) / h))
+    K = max(2, math.ceil(t * largest_speed(speeds, nodes) / h))
     delta = t / K
     ss = np.linspace(0.0, t, K + 1)
 
@@ -301,6 +271,17 @@ def canonical_map(speeds: SpeedPair, g: np.ndarray, q: float, t: float, x,
         terms *= vv[inside]
         lower[blk, cb[starts]] += np.add.reduceat(terms, starts, axis=1)
     return trace(t + speeds.phi_eval(1, xs)), lower
+
+
+def canonical_map_bytes(speeds: SpeedPair, t: float, grid: Grid) -> float:
+    """Upper bound on the bytes canonical_map(speeds, g, q, t, grid.nodes,
+    trace) holds at once beside its dense lower rows, for a trace of at most
+    two columns a time: the trace at the K+1 quadrature times, its nonzeros
+    sorted by column and the indices of that sort, about 32 floats a time,
+    and a few _CANONICAL_ROWS x (K+1) arrays of each row block.  A float, so
+    that no t overflows it."""
+    cells = t * largest_speed(speeds, grid.nodes) * grid.n + 3.0      # >= K + 1
+    return 8.0 * (8.0 * _CANONICAL_ROWS + 32.0) * cells
 
 
 def canonical_solution(speeds: SpeedPair, g: np.ndarray, q: float, y0hat,
@@ -366,17 +347,17 @@ def export_sim_csv(result: SimResult, outdir) -> list:
     """
     os.makedirs(outdir, exist_ok=True)
     ts_path = os.path.join(outdir, "timeseries.csv")
-    _write_csv(ts_path, ["t", "u", "l2_norm", "linf_norm"],
-               [result.times, result.control_trace, result.l2_trace, result.linf_trace])
+    write_csv(ts_path, ["t", "u", "l2_norm", "linf_norm"],
+              [result.times, result.control_trace, result.l2_trace, result.linf_trace])
     written = [ts_path]
 
     picks = result.snapshot_steps
     names = [f"snapshot_{k:06d}.csv" for k in picks]
     for snap, name in zip(result.snapshots, names):
         path = os.path.join(outdir, name)
-        _write_csv(path, ["x", "y1", "y2"], [result.grid.nodes, *snap])
+        write_csv(path, ["x", "y1", "y2"], [result.grid.nodes, *snap])
         written.append(path)
     index_path = os.path.join(outdir, "snapshots.csv")
-    _write_csv(index_path, ["file", "t"], [names, result.times[picks]])
+    write_csv(index_path, ["file", "t"], [names, result.times[picks]])
     written.append(index_path)
     return written

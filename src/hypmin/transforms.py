@@ -11,16 +11,13 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .coeffs import CoefficientSpec, Grid, cumtrapz, trapezoid_weights
+from .characteristics import SpeedPair
 from .errors import DomainError, GridMismatchError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .characteristics import SpeedPair
-    from .kernels import KernelSet
+from .system import KernelSet
 
 __all__ = ["DiagGauge", "diag_removal", "volterra_apply", "volterra_invert"]
 
@@ -32,7 +29,7 @@ class DiagGauge:
     lambda_f at the grid nodes."""
 
     grid: Grid
-    speeds: "SpeedPair" = field(repr=False)
+    speeds: SpeedPair = field(repr=False)
     lam: np.ndarray = field(repr=False)
     e1: np.ndarray = field(repr=False)
     e2: np.ndarray = field(repr=False)
@@ -47,7 +44,7 @@ class DiagGauge:
 
 
 def diag_removal(a: CoefficientSpec, b: CoefficientSpec, c: CoefficientSpec,
-                 d: CoefficientSpec, speeds: "SpeedPair", grid: Grid) -> DiagGauge:
+                 d: CoefficientSpec, speeds: SpeedPair, grid: Grid) -> DiagGauge:
     """Remove the diagonal couplings a, d via exponential weights.
 
     e1(x) = exp(-int_0^x a/lambda1), e2(x) = exp(-int_0^x d/lambda2),
@@ -87,7 +84,7 @@ def _trap_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _check_fields(K: "KernelSet", y1, y2):
+def _check_fields(K: KernelSet, y1, y2):
     npts = K.k11.shape[0]
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -97,7 +94,7 @@ def _check_fields(K: "KernelSet", y1, y2):
     return y1, y2
 
 
-def volterra_apply(K: "KernelSet", y1, y2):
+def volterra_apply(K: KernelSet, y1, y2):
     """yh_i(x) = y_i(x) - int_0^x (k_i1 y_1 + k_i2 y_2), trapezoid on the triangle."""
     y1, y2 = _check_fields(K, y1, y2)
     W = _trap_weights(K.grid.n, K.grid.h)
@@ -106,7 +103,7 @@ def volterra_apply(K: "KernelSet", y1, y2):
     return yh1, yh2
 
 
-def volterra_invert(K: "KernelSet", yh1, yh2):
+def volterra_invert(K: KernelSet, yh1, yh2):
     """Solve the discrete second-kind system so that apply(invert(yh)) = yh.
 
     Forward substitution in x; row m couples (y1[m], y2[m]) only through the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypmin import CoefficientSpec, FeedbackLaw, KernelSet, SpeedPair, SystemSpec
-from hypmin.simulator import _max_speed
+from hypmin.simulator import largest_speed
 
 
 def const(v):
@@ -99,7 +99,7 @@ def dense_canonical_map(speeds, g, q, t, x, trace):
     g = np.asarray(g, dtype=float)
     n = g.shape[0] - 1
     nodes = np.linspace(0.0, 1.0, n + 1)
-    K = max(2, math.ceil(t * _max_speed(speeds, nodes) / (1.0 / n)))
+    K = max(2, math.ceil(t * largest_speed(speeds, nodes) / (1.0 / n)))
     delta = t / K
     ss = np.linspace(0.0, t, K + 1)
     xs = np.asarray(x, dtype=float)

@@ -647,7 +647,7 @@ class TestExportFloatLimits:
         # solved, so f2 fails after the whole file was written: no
         # kernels.csv is left, nor the directories the command made, and a
         # directory that was there keeps its files
-        monkeypatch.setattr(kernels, "_BLOCK_POINTS", 7)
+        monkeypatch.setattr(kernels, "BLOCK_POINTS", 7)
         path = self.write_config(tmp_path, **values)
         out = tmp_path / "out"
         assert run_cli(["kernels", path, "--out", str(out / "k")]) == 2
@@ -903,6 +903,14 @@ class TestArtifactCommands:
             rows = fh.read().split(b"\r\n")
         assert rows[-1] == b""                   # every row, the last too, ends in CRLF
         assert len(rows) - 2 == 65 * 66 // 2     # (n+1)(n+2)/2 data rows at n = 64
+
+    def test_kernels_builds_its_gauge_once(self, headline_path, tmp_path, monkeypatch):
+        # the memory check reads the writer's own set-up (it ran two)
+        calls = []
+        gauge = kernels._gauge
+        monkeypatch.setattr(kernels, "_gauge", lambda *args: calls.append(args) or gauge(*args))
+        assert run_cli(["kernels", headline_path, "--out", str(tmp_path / "k")]) == 0
+        assert len(calls) == 1
 
     def test_simulate_exports(self, headline_path, tmp_path, capsys):
         outdir = tmp_path / "sim"

@@ -21,13 +21,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypmin import CoefficientSpec, Grid, SpeedPair, kernels, simulate, solve_kernels
+from hypmin import CoefficientSpec, Grid, SpeedPair, kernels, simulate, solve_kernels, system
 from hypmin.cli import run_cli
 from hypmin.errors import DomainError, InvalidSpeedsError
 from hypmin.config import FEEDBACK, load_config
-from hypmin.kernels import (export_profile_csv, solve_gains, solve_trace,
-                            write_kernels_csv, write_kernels_csv_bytes)
+from hypmin.kernels import solve_gains, solve_trace, write_kernels_csv, write_kernels_csv_bytes
 from hypmin.simulator import export_sim_csv
+from hypmin.system import export_profile_csv
 
 from conftest import const, make_system
 
@@ -91,16 +91,18 @@ def reference_sim_csv(result, outdir, max_snapshots=20):
     return written
 
 
-@pytest.fixture(params=[7, kernels._BLOCK_POINTS], ids=["rows-7", "rows-default"])
+@pytest.fixture(params=[7, system.BLOCK_POINTS], ids=["rows-7", "rows-default"])
 def csv_rows(request, monkeypatch):
-    """Block size of the writer: 7 splits every file into several blocks."""
-    monkeypatch.setattr(kernels, "_BLOCK_POINTS", request.param)
+    """Block size of the writers, the kernel stream's and write_csv's: 7
+    splits every file into several blocks."""
+    monkeypatch.setattr(kernels, "BLOCK_POINTS", request.param)
+    monkeypatch.setattr(system, "BLOCK_POINTS", request.param)
     return request.param
 
 
 def test_kernels_csv_bytes(csv_rows, varying_speeds, tmp_path):
     # the special values of a kernel column are those of any column of
-    # _csv_block: test_profile_csv_bytes and test_indexed_column_bytes
+    # csv_block: test_profile_csv_bytes and test_indexed_column_bytes
     system = step_system(varying_speeds, 0.8)
     grid = Grid.uniform(10)
     write_kernels_csv(system, grid, tmp_path / "new.csv")
@@ -179,7 +181,7 @@ def test_indexed_column_bytes(csv_rows, tmp_path):
     y = np.random.default_rng(7).normal(size=index.size)
     # the (text, index) columns of kernels.csv's x and xi, formatted once
     with open(tmp_path / "new.csv", "w", newline="") as fh:
-        fh.write("x,y\r\n" + kernels._csv_block([(kernels._text(values), index), y]))
+        fh.write("x,y\r\n" + system.csv_block([(system.csv_text(values), index), y]))
     reference_profile_csv(tmp_path / "ref.csv", values[index], {"y": y})
     assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
 
@@ -219,14 +221,14 @@ class TestExportMemory:
         finally:
             tracemalloc.stop()
         cfg = load_config(path)
-        block = max(kernels._BLOCK_POINTS, n + 1)       # points of one row block
+        block = max(kernels.BLOCK_POINTS, n + 1)       # points of one row block
         plan_block = 8 * 32 * block         # as solve_kernels_bytes charges it
         csv_block = 512 * block             # one block of trace paths
         if b == 0.0:
             assert peak <= 8e6
         else:
             assert peak <= 8 * (n + 1) ** 2 + 2 * plan_block + csv_block
-        assert peak <= write_kernels_csv_bytes(cfg.system, cfg.grid)
+        assert peak <= write_kernels_csv_bytes(cfg.system, n, b != 0.0)
 
 
 def assert_same_solve(K, g, gains):
@@ -240,7 +242,7 @@ def assert_same_solve(K, g, gains):
 # were blocks of one row, as a block of 1 point is now, and both defaults held
 # every row, as the one default does
 _BLOCK_IDS = {1: ("rows-7", "paths-1"), 60: ("rows-60", "points-60"),
-              kernels._BLOCK_POINTS: ("rows-default", "points-default")}
+              kernels.BLOCK_POINTS: ("rows-default", "points-default")}
 
 
 @pytest.mark.parametrize("n, b, path_points", [
@@ -255,7 +257,7 @@ def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, n, b, pat
     # and the file's block together, holds one row (the writer one row
     # behind the trace march), a few, or all; b = 0 is uncoupled (k21's
     # trace entry known at once), a b that vanishes on (0, 0.5) only is not
-    monkeypatch.setattr(kernels, "_BLOCK_POINTS", path_points)
+    monkeypatch.setattr(kernels, "BLOCK_POINTS", path_points)
     b = CoefficientSpec.step(0.5, 0.0, 0.8) if b == "step" else b
     system = make_system(varying_speeds, a=0.3, b=b, c=CoefficientSpec.step(0.2, 0.0, 1.0),
                          d=-0.4)
@@ -298,7 +300,7 @@ def test_streamed_kernels_raise_as_solve_kernels(tmp_path_factory, lambda1, lamb
     grid = Grid.uniform(16)
     path = tmp_path_factory.mktemp("stream") / "new.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_BLOCK_POINTS", 40)
+        mp.setattr(kernels, "BLOCK_POINTS", 40)
         try:
             K, want = solve_kernels(system, grid), None
         except DomainError as exc:

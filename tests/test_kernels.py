@@ -12,9 +12,9 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, kernels,
                     predicted_g_prefix, solve_gains, solve_kernels, solve_trace)
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError, PreconditionError
-from hypmin.kernels import (_blocks, _build_plan, _step_interior, export_profile_csv,
-                            solve_kernels_bytes, write_kernels_csv,
-                            write_kernels_csv_bytes)
+from hypmin.kernels import (_blocks, _build_plan, _step_interior, solve_kernels_bytes,
+                            write_kernels_csv, write_kernels_csv_bytes)
+from hypmin.system import export_profile_csv
 
 from conftest import const, make_system
 
@@ -335,7 +335,7 @@ class TestSolveKernels:
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
                              varying_speeds, grid)
-        monkeypatch.setattr(kernels, "_BLOCK_POINTS", 60)
+        monkeypatch.setattr(kernels, "BLOCK_POINTS", 60)
         feet = np.zeros((n + 1, n + 1))
         points = 0
         for blk in _blocks(gauge):
@@ -401,7 +401,7 @@ class TestSolveKernels:
         want = reference_kernels(gauge, speeds, grid)
         want_g = -want["k21"][:, 0] * float(speeds.speed(1, 0.0))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_BLOCK_POINTS", points)
+            mp.setattr(kernels, "BLOCK_POINTS", points)
             K = solve_kernels(system, grid)
             law = solve_gains(system, grid)
             g = solve_trace(system, grid)
@@ -744,7 +744,7 @@ class TestSharedPlanGeometry:
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.4), const(0.8), CoefficientSpec.step(0.3, 0.0, 1.0),
                              const(-0.2), speeds, grid)
-        monkeypatch.setattr(kernels, "_BLOCK_POINTS", 400)
+        monkeypatch.setattr(kernels, "BLOCK_POINTS", 400)
         fidx, fw, coefA, brows, diag_data, _ = reference_build_plan(which, speeds, gauge, grid)
         assert np.count_nonzero(coefA) > coefA.size // 4
         assert sum(len(r[0]) for r in brows) >= n
@@ -779,7 +779,7 @@ class TestTraceRowBlocks:
         gauge = diag_removal(const(0.3), const(0.8), CoefficientSpec.step(0.2, 0.0, 1.0),
                              const(-0.4), varying_speeds, grid)
         P22 = np.tril(np.random.default_rng(7).standard_normal((n + 1, n + 1)))
-        monkeypatch.setattr(kernels, "_BLOCK_POINTS", rows * (n + 1))
+        monkeypatch.setattr(kernels, "BLOCK_POINTS", rows * (n + 1))
         lower_only = np.where(np.triu(np.ones_like(P22, dtype=bool), 1), np.nan, P22)
         lower_only.flags.writeable = False
         got = trace_row(varying_speeds, gauge, grid, lower_only)
@@ -909,7 +909,7 @@ class TestFloatErrorState:
                "gains": lambda: solve_gains(system, grid),
                "trace": lambda: solve_trace(system, grid),
                "csv": lambda: write_kernels_csv(system, grid, tmp_path / "kernels.csv"),
-               "csv_bytes": lambda: write_kernels_csv_bytes(system, grid)}[entry]
+               "csv_bytes": lambda: write_kernels_csv_bytes(system, grid.n, True)}[entry]
         before = np.geterr()
         if bc == 0.8 or overflows is None:
             run()

@@ -108,8 +108,8 @@ def test_compare_outputs(tmp_path):
     for tree in ("a", "b", "c"):
         shutil.copytree(src, tmp_path / tree / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    kernels_py = tmp_path / "c" / "src" / "hypmin" / "kernels.py"
-    kernels_py.write_text(kernels_py.read_text().replace('"%.12g"', '"%.11g"'))
+    csv_py = tmp_path / "c" / "src" / "hypmin" / "system.py"      # the one CSV format
+    csv_py.write_text(csv_py.read_text().replace('"%.12g"', '"%.11g"'))
     config = tmp_path / "headline.json"
     config.write_text(json.dumps(headline_raw(n=32)))
     trees = [str(tmp_path / tree) for tree in ("a", "b", "c")]

@@ -18,7 +18,7 @@ from hypmin.coeffs import trapezoid_weights
 from hypmin.errors import (CFLError, DivergenceError, DomainError, GridMismatchError,
                            UndefinedRateError)
 from hypmin.kernels import FeedbackLaw, solve_gains
-from hypmin.simulator import (BoundaryReflection, SimResult, _max_speed, _simulate_bytes,
+from hypmin.simulator import (BoundaryReflection, SimResult, largest_speed, simulate_bytes,
                               canonical_map, export_sim_csv)
 
 from conftest import const, dense_canonical_map, exact_transport, make_system, smooth_bump
@@ -385,7 +385,7 @@ class TestSimulateProperties:
         # 1 + 1e-12, up to the rounding of dt0 and dt (the example reaches
         # 1 + 1e-12: T = dt0 (1 + 1e-12) is one step)
         grid = Grid.uniform(n)
-        T = steps * (cfl * grid.h / _max_speed(speeds, grid.nodes))
+        T = steps * (cfl * grid.h / largest_speed(speeds, grid.nodes))
         assume(T > 0.0)
         zero = np.zeros(n + 1)
         meta = simulate(make_system(speeds), None, (zero, zero), T, grid, cfl,
@@ -419,7 +419,7 @@ class TestSimulateOneStep:
                              c=CoefficientSpec.step(0.3, -0.5, 1.0), d=-0.4, q=q)
         control = drawn_control(kind, grid, rng)
         y1, y2 = rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n + 1)
-        T = 0.9 * h / _max_speed(varying_speeds, nodes)
+        T = 0.9 * h / largest_speed(varying_speeds, nodes)
         sim = simulate(system, control, (y1, y2), T, grid, snapshots=2)
         assert len(sim.times) == 2
         dt = sim.times[1]
@@ -498,7 +498,7 @@ class TestSimulateMemory:
             finally:
                 tracemalloc.stop()
             assert len(sim.snapshots) == min(snapshots, len(sim.times))
-            kept = _simulate_bytes(sim.scheme_meta["max_speed"], self.N, T, cfl, snapshots)
+            kept = simulate_bytes(sim.scheme_meta["max_speed"], self.N, T, cfl, snapshots)
             # the double buffer, the scratch, A, B, C and the two weight tables
             # are 16 arrays of n+1 floats; measured 14.4 (zero) and 16.4 (feedback)
             assert peak <= kept + 18 * 8 * (self.N + 1)
@@ -671,7 +671,7 @@ class TestCanonicalMapReference:
         x = np.linspace(0.0, 1.0, n + 1)
         sparse, _ = sparse_trace("hats", n + 2, 1, varying_speeds.T1)
         canonical_map(varying_speeds, np.ones(n + 1), 0.0, t, x, sparse)
-        K = max(2, math.ceil(t * _max_speed(varying_speeds, x) / (1.0 / n)))
+        K = max(2, math.ceil(t * largest_speed(varying_speeds, x) / (1.0 / n)))
         lo = np.maximum(0.0, t - varying_speeds.phi_eval(2, x))
         r0 = np.minimum(np.ceil(lo / (t / K) - 1e-12).astype(np.int64), K)
         weighted = int(np.sum(K + 1 - r0))
