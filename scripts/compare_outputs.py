@@ -14,12 +14,13 @@ relative --out, the two trees side by side.  Exit codes,
 stdout and every output file are compared byte for byte; a JSON file is
 compared as its parsed record without `runtime`, `config_sha256` and
 `numpy_version`, which vary by run or by tree.  A run whose stderr holds a
-Python traceback is a difference too, on either side: no input may end in
-one.  Each difference is listed on one line; the exit code is 1 if there
-is any, else 0, and 2, before any run, where OLD or NEW has no
-src/hypmin/__init__.py.  With --grid-n N both trees run on copies of the
-configs whose grid_n is N, each written to a directory of its own in the
-scratch directory, under its file name.
+Python traceback or a Python warning is a difference too, on either side:
+no input may end in a traceback, and a warning (a NumPy overflow, say)
+flags a value the program did not check.  Each difference is listed on one
+line; the exit code is 1 if there is any, else 0, and 2, before any run,
+where OLD or NEW has no src/hypmin/__init__.py.  With --grid-n N both trees
+run on copies of the configs whose grid_n is N, each written to a directory
+of its own in the scratch directory, under its file name.
 """
 
 import argparse
@@ -27,6 +28,7 @@ import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,22 +37,26 @@ from concurrent.futures import ThreadPoolExecutor
 _VARYING = ("runtime", "config_sha256", "numpy_version")
 _SHARPNESS = (("below", -0.2), ("at", 0.0), ("above", 0.1))    # T = Tmin + shift * Tunif
 _COUNTEREXAMPLE_K = (0.0, 1.0 + 1.0 / math.pi, 2.0)
+# the first line of a Python warning: "<file>:<line>: <Category>Warning: <message>"
+_WARNING = re.compile(r"^\S.*:\d+: (\w*Warning: .*)$", re.M)
 
 
 def _hypmin(tree: str, work: str, argv: list) -> tuple:
-    """(exit code, stdout, the last stderr line where stderr holds a
-    traceback, else None)."""
+    """(exit code, stdout, the faults stderr shows: 'prints a warning: W' for
+    each Python warning W, and 'ends in a traceback: L', L its last line,
+    where it holds a traceback)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-m", "hypmin.cli", *argv], cwd=work, env=env,
                           capture_output=True, text=True)
-    traceback = None
+    faults = [f"prints a warning: {w}" for w in _WARNING.findall(proc.stderr)]
     if "Traceback (most recent call last):" in proc.stderr:
-        traceback = proc.stderr.rstrip().rpartition("\n")[2]
-    return proc.returncode, proc.stdout, traceback
+        last = proc.stderr.rstrip().rpartition("\n")[2]
+        faults.append(f"ends in a traceback: {last}")
+    return proc.returncode, proc.stdout, faults
 
 
 def run_tree(tree: str, configs: list, work: str) -> dict:
-    """{(config, command): _hypmin's (exit code, stdout, traceback)}, with
+    """{(config, command): _hypmin's (exit code, stdout, faults)}, with
     the outputs of each command under work/<config index>-<config name>/
     <command>, and {("counterexample", "k=K"): ...} and {("titchmarsh",):
     ...}, with the counterexample's under work/counterexample/k=K."""
@@ -107,10 +113,9 @@ def differences(works: list, results: list) -> list:
         if key not in old or key not in new:
             diffs.append(f"{where}: run by {'NEW' if key in new else 'OLD'} only")
             continue
-        (code_a, out_a, tb_a), (code_b, out_b, tb_b) = old[key], new[key]
-        for side, tb in (("OLD", tb_a), ("NEW", tb_b)):
-            if tb is not None:
-                diffs.append(f"{where}: {side} ends in a traceback: {tb}")
+        (code_a, out_a, faults_a), (code_b, out_b, faults_b) = old[key], new[key]
+        for side, faults in (("OLD", faults_a), ("NEW", faults_b)):
+            diffs.extend(f"{where}: {side} {fault}" for fault in faults)
         if code_a != code_b:
             diffs.append(f"{where}: exit code {code_a} | {code_b}")
         if out_a != out_b:

@@ -23,7 +23,7 @@ import numpy as np
 from .coeffs import CoefficientSpec, cumtrapz
 from .errors import InvalidSpeedsError
 
-__all__ = ["SpeedPair"]
+__all__ = ["SpeedPair", "speed_table_n"]
 
 
 def _cell_eval(nodes, tab, wtab, x):
@@ -68,6 +68,11 @@ def _cell_inv(nodes, tab, wtab, v):
     x += np.maximum(v - T, 0.0).reshape(-1) / wtab[-1]
     x = x.reshape(np.shape(v))
     return x if x.ndim else float(x)
+
+
+def speed_table_n(grid_n: int) -> int:
+    """Cells of the travel-time table of a solve on a grid of grid_n cells."""
+    return max(4096, 4 * grid_n)
 
 
 @dataclass(frozen=True)

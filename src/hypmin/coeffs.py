@@ -16,6 +16,7 @@ from .errors import DomainError
 
 __all__ = [
     "CoefficientSpec",
+    "FAMILIES",
     "Grid",
     "cumtrapz",
     "trapezoid_weights",
@@ -26,6 +27,7 @@ __all__ = [
 
 _DOMAIN_SLACK = 1e-12
 _REL_TOL = 1e-12          # relative_tol's share of max |f|
+_HALF_MAX = 0.5 * float(np.finfo(float).max)    # no polynomial's magnitudes sum to this
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """A scalar function on [0,1].
+    """A scalar function on [0,1], one family of FAMILIES and its params.
 
     Families:
-      constant(v)            f(x) = v
-      polynomial(coeffs)     f(x) = sum_k coeffs[k] x^k
+      constant(value)        f(x) = value
+      polynomial(coeffs)     f(x) = sum_k coeffs[k] x^k, with sum_k |coeffs[k]| below
+                             half the largest float
       step(ell, lo, hi)      f(x) = lo for x <= ell, hi for x > ell
       expbump(shift)         f(x) = 0 for x <= shift, exp(-1/(x-shift)) beyond
       sampled(xs, values)    piecewise-linear through (xs, values), xs covering [0,1]
@@ -57,18 +60,21 @@ class CoefficientSpec:
 
     family: str
     params: tuple = ()
-    xs: np.ndarray | None = field(default=None, repr=False)
-    values: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
-    def constant(v: float) -> "CoefficientSpec":
-        return CoefficientSpec("constant", (float(v),))
+    def constant(value: float) -> "CoefficientSpec":
+        return CoefficientSpec("constant", (float(value),))
 
     @staticmethod
     def polynomial(coeffs) -> "CoefficientSpec":
         params = tuple(float(c) for c in coeffs)
         if not params:
             raise DomainError("polynomial family needs at least one coefficient")
+        # sum |coeffs[k]| bounds |f| and every partial sum of _horner on
+        # [0,1]; non-finite coefficients are left to their callers' checks
+        if np.isfinite(params).all() and sum(map(abs, params)) >= _HALF_MAX:
+            raise DomainError("polynomial coefficients can overflow on [0,1]: their magnitudes "
+                              f"sum to half the largest float, {_HALF_MAX:.3g}, or more")
         return CoefficientSpec("polynomial", params)
 
     @staticmethod
@@ -91,28 +97,38 @@ class CoefficientSpec:
             raise DomainError("sampled abscissae must be strictly increasing")
         if xs[0] > _DOMAIN_SLACK or xs[-1] < 1.0 - _DOMAIN_SLACK:
             raise DomainError("sampled abscissae must cover [0,1]")
-        return CoefficientSpec("sampled", (), xs=xs, values=values)
+        return CoefficientSpec("sampled", (xs, values))
 
     def __call__(self, x):
-        """Evaluate at x in [0,1], a scalar or an array; x is not checked."""
-        x = np.asarray(x, dtype=float)
-        if self.family == "constant":
-            out = np.full_like(x, self.params[0])
-        elif self.family == "polynomial":
-            out = np.polynomial.polynomial.polyval(x, self.params)
-        elif self.family == "step":
-            ell, lo, hi = self.params
-            out = np.where(x <= ell, lo, hi)
-        elif self.family == "expbump":
-            (shift,) = self.params
-            t = x - shift
-            with np.errstate(divide="ignore", over="ignore"):
-                out = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        elif self.family == "sampled":
-            out = np.interp(x, self.xs, self.values)
-        else:  # pragma: no cover
-            raise DomainError(f"unknown coefficient family {self.family!r}")
+        """Evaluate at x, a scalar or an array; x is not checked."""
+        out = FAMILIES[self.family][1](self.params, np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
+
+
+def _horner(coeffs: tuple, x):
+    """sum_k coeffs[k] x^k in the operations of numpy.polynomial.polynomial.polyval,
+    and so bitwise its value, without its import and argument handling."""
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
+
+
+def _expbump(params: tuple, x):
+    t = x - params[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+
+
+# Each coefficient family: its config-record fields, in the order of its
+# CoefficientSpec constructor's arguments, and its evaluator of (params, x).
+FAMILIES = {
+    "constant": (("value",), lambda p, x: np.full_like(x, p[0])),
+    "polynomial": (("coeffs",), _horner),
+    "step": (("ell", "lo", "hi"), lambda p, x: np.where(x <= p[0], p[1], p[2])),
+    "expbump": (("shift",), _expbump),
+    "sampled": (("xs", "values"), lambda p, x: np.interp(x, *p)),
+}
 
 
 Evaluable = Union[CoefficientSpec, Callable[[np.ndarray], np.ndarray]]
@@ -131,9 +147,12 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
 
 
 def relative_tol(f: Evaluable, grid: Grid) -> float:
-    """Default vanishing-prefix tolerance: _REL_TOL times max |f| over the grid."""
+    """Default vanishing-prefix tolerance: _REL_TOL times max |f| over the grid,
+    whose samples must be finite."""
     vals = np.abs(np.asarray(f(grid.nodes), dtype=float))
     m = float(vals.max())
+    if not np.isfinite(m):
+        raise DomainError(f"the tolerance needs finite samples, got max |f| = {m}")
     return _REL_TOL * m if m > 0.0 else _REL_TOL
 
 

@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, Grid
-from .characteristics import SpeedPair
+from .coeffs import FAMILIES, CoefficientSpec, Grid
+from .characteristics import SpeedPair, speed_table_n
 from .errors import ConfigError
 from .system import BoundaryReflection, Control, SystemSpec
 
@@ -47,17 +47,6 @@ class ScenarioConfig:
     output_dir: str
 
 
-# Each coefficient family: its numeric fields, each a number or a list of
-# them, and its constructor from the record.
-_FAMILIES = {
-    "constant": (("value",), lambda d: CoefficientSpec.constant(d["value"])),
-    "polynomial": (("coeffs",), lambda d: CoefficientSpec.polynomial(d["coeffs"])),
-    "step": (("ell", "lo", "hi"), lambda d: CoefficientSpec.step(d["ell"], d["lo"], d["hi"])),
-    "expbump": (("shift",), lambda d: CoefficientSpec.expbump(d.get("shift", 0.0))),
-    "sampled": (("xs", "values"), lambda d: CoefficientSpec.sampled(d["xs"], d["values"])),
-}
-
-
 def _is_number(v) -> bool:
     """A JSON int or float: a bool or a string never counts as a number."""
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
@@ -67,23 +56,24 @@ def _coeff_from_dict(d, name: str) -> CoefficientSpec:
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError(f"coefficient '{name}' must be a tagged record with a family")
     fam = d["family"]
-    if not isinstance(fam, str) or fam not in _FAMILIES:
+    if not isinstance(fam, str) or fam not in FAMILIES:
         raise ConfigError(f"coefficient '{name}' has unknown family {fam!r}")
-    fields, make = _FAMILIES[fam]
+    fields, make = FAMILIES[fam][0], getattr(CoefficientSpec, fam)
     for key in fields:
         got = d.get(key, [])
         for v in got if isinstance(got, list) else [got]:
             if not _is_number(v):
                 raise ConfigError(f"coefficient '{name}' ({fam}): {key} must hold "
                                   f"numbers, got {v!r}")
+    # the fields the constructor gives no default (expbump's shift has one)
+    for key in fields[:len(fields) - len(make.__defaults__ or ())]:
+        if key not in d:
+            raise ConfigError(f"coefficient '{name}' ({fam}) is missing field {key!r}")
     try:
-        spec = make(d)
-    except KeyError as exc:
-        raise ConfigError(f"coefficient '{name}' ({fam}) is missing field {exc}") from exc
+        spec = make(*(d[key] for key in fields if key in d))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"coefficient '{name}': {exc}") from exc
-    vals = np.hstack([spec.params, *(() if spec.xs is None else (spec.xs, spec.values))])
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(np.hstack(spec.params))):
         raise ConfigError(f"coefficient '{name}' ({fam}) has a non-finite value")
     return spec
 
@@ -233,7 +223,6 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if grid_n > _GRID_N_MAX:
         raise ConfigError(f"grid_n must be at most {_GRID_N_MAX}, got {grid_n}")
-    table_n = max(4096, 4 * grid_n)
     lam1 = _coeff_from_dict(sys_d.get("lambda1"), "lambda1")
     lam2 = _coeff_from_dict(sys_d.get("lambda2"), "lambda2")
     coeffs = {}
@@ -241,7 +230,7 @@ def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig
         coeffs[name] = _coeff_from_dict(sys_d.get(name, {"family": "constant", "value": 0.0}),
                                         name)
     try:
-        speeds = SpeedPair.build(lam1, lam2, table_n=table_n)
+        speeds = SpeedPair.build(lam1, lam2, table_n=speed_table_n(grid_n))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     system = SystemSpec(speeds=speeds, a=coeffs["a"], b=coeffs["b"],

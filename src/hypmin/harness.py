@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientSpec, Grid, trapezoid_weights
-from .characteristics import SpeedPair
+from .characteristics import SpeedPair, speed_table_n
 from .config import ScenarioConfig, check_memory
 from .errors import DivergenceError, DomainError, PreconditionError, RootBracketError
 from .kernels import solve_gains, solve_kernels_bytes, solve_trace
@@ -463,7 +463,7 @@ def counterexample(k: float, n: int = 800) -> CounterexampleResult:
     t_start = time.perf_counter()
     s, sigma = _reflection_eigenvalue(k)
     theta = abs(s)
-    table_n = max(4096, 4 * n)
+    table_n = speed_table_n(n)
     # speeds -1 and 1: the step traces, the dozen speed-table arrays that
     # SpeedPair.build holds at once and a few dozen arrays of n+1 nodes,
     # estimated before any of them is allocated

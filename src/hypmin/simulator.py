@@ -87,9 +87,7 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     n = grid.n
     h = grid.h
     nodes = grid.nodes
-    l1 = np.asarray(system.speeds.speed(1, nodes), dtype=float)
-    l2 = np.asarray(system.speeds.speed(2, nodes), dtype=float)
-    max_speed = float(max(np.max(-l1), np.max(l2)))
+    max_speed = largest_speed(system.speeds, nodes)
     dt = cfl * h / max_speed
     if not (dt > 0.0 and math.isfinite(T / dt)):
         raise CFLError(f"cfl = {cfl:g} gives the step {dt:g}, too small to reach T = {T:g}: "
@@ -113,6 +111,8 @@ def simulate(system: SystemSpec, control: Control, y0, T: float, grid: Grid,
     # Entry n, the inflow y1(t,1), has zero coefficients and is set afterwards;
     # entry 2n+1 is the inflow y2(t,0) = q z_new[0].
     nu = dt / h
+    l1 = np.asarray(system.speeds.speed(1, nodes), dtype=float)
+    l2 = np.asarray(system.speeds.speed(2, nodes), dtype=float)
     c1, c2 = nu * l1[:-1], nu * l2[1:]
     a, b = (np.asarray(f(nodes), dtype=float)[:-1] for f in (system.a, system.b))
     c, d = (np.asarray(f(nodes), dtype=float)[1:] for f in (system.c, system.d))

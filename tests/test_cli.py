@@ -166,6 +166,9 @@ class TestConfigErrors:
         (("system", "b"), {"family": ["constant"], "value": 1.0}),
         (("grid_n",), 4),
         (("horizon",), 0),
+        (("system", "c"), {"family": "polynomial", "coeffs": [1e308, 1e308]}),
+        (("system", "lambda2"), {"family": "polynomial", "coeffs": [1.0, 1e308, 1e308]}),
+        (("system", "lambda1"), {"family": "polynomial", "coeffs": [-1.0, -1e308, -1e308]}),
     ], ids=["system-list", "grid_n-string", "grid_n-inf", "q-string", "coeff-list",
             "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list",
             "lambda2-sampled-nan", "lambda2-sampled-xs-nan", "lambda1-polynomial-minus-inf", "b-constant-nan",
@@ -178,7 +181,8 @@ class TestConfigErrors:
             "horizon-numeric-string", "cfl-bool", "seed-fraction", "b-value-string",
             "b-value-bool", "c-ell-string", "lambda1-coeff-string", "initial_data-nodes-fraction",
             "control-k-bool", "control-values-string", "b-family-list", "grid_n-4",
-            "horizon-zero"])
+            "horizon-zero", "c-polynomial-overflow", "lambda2-polynomial-overflow",
+            "lambda1-polynomial-overflow"])
     def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, path, value):
         raw = headline_raw(n=64)
         target = raw

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -42,11 +43,49 @@ class TestEval:
         xs = np.array([0.0, 0.5, 1.0])
         assert np.allclose(spec(xs), xs)
 
+    @pytest.mark.parametrize("coeffs", [[1e308, 1e308], [1.0, 1e308, 1e308],
+                                        [-1.0, -1e308, -1e308], [sys.float_info.max / 2],
+                                        [-sys.float_info.max / 4, sys.float_info.max / 4]])
+    def test_polynomial_that_can_overflow_is_refused(self, coeffs):
+        # sum |coeffs| bounds |f| on [0,1]: from half the largest float on,
+        # f or a partial sum of its evaluation may overflow
+        with pytest.raises(DomainError, match=r"can overflow on \[0,1\]"):
+            CoefficientSpec.polynomial(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[1e300, 1e300],
+                                        [math.nextafter(sys.float_info.max / 2, 0.0)],
+                                        [1.0, math.nan], [-1.0, -math.inf], [math.inf, 1e308]])
+    def test_polynomial_below_half_max_or_not_finite_is_built(self, coeffs):
+        # non-finite coefficients are left to the checks of the config
+        # loader and SpeedPair, whose messages name them
+        np.testing.assert_array_equal(CoefficientSpec.polynomial(coeffs).params, coeffs)
+
     def test_sampled_validation(self):
         with pytest.raises(DomainError):
             CoefficientSpec.sampled([0.0, 0.5, 0.5, 1.0], [0, 1, 2, 3])
         with pytest.raises(DomainError):
             CoefficientSpec.sampled([0.1, 1.0], [0, 1])
+
+
+# coefficients from 1e-5 to 1e5 in magnitude, signed zeros among them
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-5.0, 5.0))
+                   .map(lambda t: t[0] * 10.0 ** t[1]))
+# times beyond [0,1] too: the polynomial control is evaluated at times t
+_X = st.floats(-0.5, 3.0)
+
+
+class TestHorner:
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(_COEFF, min_size=1, max_size=5),
+           x=st.one_of(_X, _X.map(np.array), st.lists(_X, min_size=1, max_size=6).map(np.array)))
+    def test_bitwise_polyval(self, coeffs, x):
+        from numpy.polynomial.polynomial import polyval
+        got = CoefficientSpec.polynomial(coeffs)(x)
+        want = np.asarray(polyval(x, coeffs))
+        assert type(got) is (float if want.ndim == 0 else np.ndarray)
+        assert np.shape(got) == want.shape
+        assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestCumtrapz:
@@ -109,6 +148,12 @@ class TestVanishingPrefix:
         base = prefix_of_samples(vals, grid.h, 1.0, tol)
         scaled = prefix_of_samples(s * vals, grid.h, 1.0, abs(s) * tol)
         assert base == scaled
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_relative_tol_refuses_non_finite_samples(self, value):
+        grid = Grid.uniform(10)
+        with pytest.raises(DomainError, match="finite samples"):
+            relative_tol(lambda x: np.where(x > 0.5, value, 0.0), grid)
 
     def test_relative_tol_zero_function(self):
         grid = Grid.uniform(10)

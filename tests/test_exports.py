@@ -86,6 +86,17 @@ class TestLayers:
     def test_bare_import_loads_no_submodule(self):
         assert _loaded_after("import hypmin") == {"hypmin"}
 
+    def test_commands_load_no_numpy_polynomial(self, tmp_path):
+        # a polynomial coefficient is summed by coeffs' own Horner loop
+        config = SRC.parent.parent / "configs" / "varying_speeds.json"
+        code = ("import sys; from hypmin.cli import run_cli\n"
+                f"for argv in (['kernels'], ['simulate'], ['verify-sharpness', '--T', '1.5']):\n"
+                f"    assert run_cli([*argv, {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
     def test_no_private_import_and_no_type_checking(self, path):
         tree = ast.parse(path.read_text())

@@ -179,3 +179,24 @@ def test_compare_outputs_lists_tracebacks(tmp_path):
     sides = [line.split(": ")[1] for line in listed[:-1]]
     assert sides == ["OLD ends in a traceback", "NEW ends in a traceback"] * 8
     assert all(line.endswith(": RuntimeError: no cli") for line in listed[:-1])
+
+
+def test_compare_outputs_lists_warnings(tmp_path):
+    # two copies of a tree whose cli prints a Python warning and exits 0 run
+    # the same and print the same, but each warning is listed, on both sides
+    for tree in ("a", "b"):
+        package = tmp_path / tree / "src" / "hypmin"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text('import warnings\n'
+                                         'warnings.warn("overflow in cli", RuntimeWarning)\n')
+    config = tmp_path / "headline.json"
+    config.write_text(json.dumps(headline_raw(n=32)))
+    proc = _run("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"), str(config),
+                cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    listed = proc.stdout.splitlines()
+    assert listed[-1] == "16 difference(s) in 8 runs on 1 config(s)"
+    sides = [line.split(": ")[1] for line in listed[:-1]]
+    assert sides == ["OLD prints a warning", "NEW prints a warning"] * 8
+    assert all(line.endswith(": RuntimeWarning: overflow in cli") for line in listed[:-1])
