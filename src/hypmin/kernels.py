@@ -46,8 +46,9 @@ for the trace paths and the edge of each block, and write_kernels_csv only
 k22, writing each block of the trace stream, with the gains block of the
 same rows, to kernels.csv.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats
 (none for write_kernels_csv where b = 0), plus one row block of plans (about
-2 MB), and a few row blocks of kernel rows and one of trace paths (and of
-CSV).  write_kernels_csv checks its bound, write_kernels_csv_bytes, against
+2 MB; half that where only k21 is planned), and a few row blocks of kernel
+rows and one of trace paths (and of CSV text, formatted one triangle row at
+a time).  write_kernels_csv checks its bound, write_kernels_csv_bytes, against
 the machine's memory once _gauge has decided whether the system is
 coupled, before it opens the file.  The records the solves return,
 KernelSet and FeedbackLaw, and the CSV format live in system.
@@ -61,8 +62,9 @@ this once per solve, and the entry points then take these values without
 marching or path quadrature, bitwise the march's, signed zeros included:
 solve_gains and solve_trace hold no kernel array and no plans, only O(n)
 floats and temporaries of the speed table, and solve_kernels and
-write_kernels_csv march the trace pair only, for the k21 and k22 they
-export.
+write_kernels_csv march k21 only, for the k21 and k22 they export: the
+trace march plans and steps k21 alone, one plan a row block, and k21's
+steps read the +0.0 of k22 (_march_pair).
 The march still runs where c is large enough to overflow it, so that it
 raises (_uncoupled).
 
@@ -84,7 +86,8 @@ import numpy as np
 from .coeffs import Grid
 from .config import check_memory
 from .errors import DomainError, PreconditionError
-from .system import BLOCK_POINTS, FeedbackLaw, KernelSet, SystemSpec, csv_block, csv_text
+from .system import (BLOCK_POINTS, FeedbackLaw, KernelSet, SystemSpec, csv_header, csv_text,
+                     csv_triangle)
 # a name of kernels too, where perfbench/traced_cli.py finds the profile writer
 from .system import export_profile_csv  # noqa: F401
 from .transforms import DiagGauge, diag_removal
@@ -249,7 +252,7 @@ def _step_boundary(plan: _MarchPlan, row: np.ndarray, edge: np.ndarray, i: int) 
 _PAIRS = {"gains": ("k12", "k11"), "trace": ("k21", "k22")}
 
 
-def _march_pair(pair: str, gauge: DiagGauge):
+def _march_pair(pair: str, gauge: DiagGauge, coupled: bool = True):
     """Row march of one pair in p-form: yields (rows, D, E) for each of the
     _row_blocks in turn, D and E the block's rows of the diagonal- and the
     edge-entered kernel, new arrays of len(rows) x (n+1) floats, zero above
@@ -263,6 +266,11 @@ def _march_pair(pair: str, gauge: DiagGauge):
     with a marched entry that is not finite raises DomainError naming the
     kernel of its first such row, the diagonal-entered one where both rows
     have one, as a check of each row in turn would; _gauge checks n >= 4.
+
+    Not coupled (the trace pair of an _uncoupled system) the edge-entered
+    kernel, k22, is not planned or stepped: every source of it is the
+    gauged bt = +0.0, so its march leaves it the +0.0 that E is allocated
+    with, and k21's steps read those zeros, as the diagonal, in its place.
     """
     n = gauge.grid.n
     names = _PAIRS[pair]
@@ -276,15 +284,18 @@ def _march_pair(pair: str, gauge: DiagGauge):
         P[:, 0] = last
         r = np.arange(rows.start, rows.stop)
         P[0, r - rows.start + 1, r] = data[r]
-        pd, pe = (_build_plan(w, gauge, blk) for w in names)
+        pd = _build_plan(names[0], gauge, blk)
+        pe = _build_plan(names[1], gauge, blk) if coupled else None
         for i in blk.rows:
             (rd, re), (prev_d, prev_e) = P[:, i - rows.start + 1], P[:, i - rows.start]
             _step_interior(pd, rd, prev_d, prev_e, i)
-            _step_interior(pe, re, prev_e, prev_d, i)
-            diag[i] = re[i]
+            if coupled:
+                _step_interior(pe, re, prev_e, prev_d, i)
+                diag[i] = re[i]
             _step_boundary(pd, rd, diag, i)
-            edge[i] = rd[0]
-            _step_boundary(pe, re, edge, i)
+            if coupled:
+                edge[i] = rd[0]
+                _step_boundary(pe, re, edge, i)
         del pd, pe                  # before the block is read
         marched = P[:, blk.rows.start - rows.start + 1:]
         bad = np.flatnonzero(~np.isfinite(marched).all(axis=2).T)   # row by row
@@ -380,12 +391,13 @@ def _trace_blocks(gauge: DiagGauge, P22):
     yields them and edge p21(x_i, 0) on rows.  Copies each block of p22 into
     P22 and holds it back until the next block is marched: its trace paths
     read P22 up to the next block's first row (row n for the last block).
-    P22 None is the zero k22 of an _uncoupled system, whose path integrals
-    are zero and whose edge is the diagonal term (+ 0.0, the sum's sign
-    where c vanishes).  Raises as _march_pair("trace") does."""
+    P22 None is the zero k22 of an _uncoupled system, which the march does
+    not step, whose path integrals are zero and whose edge is the diagonal
+    term (+ 0.0, the sum's sign where c vanishes).  Raises as
+    _march_pair("trace") does."""
     p0, paths = _trace_paths(gauge)
     held = None
-    for block in chain(_march_pair("trace", gauge), [None]):
+    for block in chain(_march_pair("trace", gauge, P22 is not None), [None]):
         if block and P22 is not None:
             P22[block[0].start:block[0].stop] = block[2]
         if held:
@@ -533,11 +545,13 @@ def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     write_kernels_csv_bytes, exceeds the machine's (check_memory).  On a
     DomainError the file is incomplete; callers remove it.
 
-    The file is written in the blocks of _trace_blocks, each at its
-    _triangle_points, cut from its rows and the gains block of the same
-    rows by one mask, divided by the speeds and checked as solve_kernels
-    does.  Once a check fails no block is written, but the marches run on,
-    so that the DomainError raised is the one solve_kernels raises: that of
+    The file is written in the blocks of _trace_blocks: each block's rows
+    and the gains block of the same rows are divided by the speeds and
+    checked, whole rows, as solve_kernels does, and csv_triangle formats
+    their triangle points, one template a row.  Where the system is
+    _uncoupled only k21 is marched (_march_pair): one plan a row block.
+    Once a check fails no block is written, but the marches run on, so
+    that the DomainError raised is the one solve_kernels raises: that of
     the gains march, else of the trace march, else of k11, k12, k21 and k22
     in turn.
     """
@@ -546,7 +560,7 @@ def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     check_memory(write_kernels_csv_bytes(system, n, coupled),
                  f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
     names = ("k11", "k12", "k21", "k22")
-    text = csv_text(grid.nodes)
+    text = csv_text(grid.nodes).tolist()
     lam1, lam2 = gauge.lam
     gains_rows = _gains_pair(gauge, coupled)
     P22 = np.zeros((n + 1, n + 1)) if coupled else None
@@ -554,20 +568,16 @@ def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     edge = np.empty(n + 1)      # p21(x_i, 0), filled block by block
     bad = set()                 # the kernels with an entry that is not finite
     with open(path, "w", newline="") as fh:
-        fh.write("x,xi,k11,k12,k21,k22\r\n")
+        fh.write(csv_header(["x", "xi", *names]))
         try:
             for rows, p21, p22, block_edge in blocks:
                 edge[rows.start:rows.stop] = block_edge
                 _, p12, p11 = next(gains_rows)
-                ii, jj = _triangle_points(rows)
-                tri = np.arange(n + 1) <= np.arange(rows.start, rows.stop)[:, None]
-                p = [a[tri] for a in (p11, p12, p21, p22)]
-                p[2][jj == 0] = block_edge
-                k = (p[0] / lam1[jj], p[1] / lam2[jj], p[2] / lam1[jj], p[3] / lam2[jj])
-                del p
+                k = (p11 / lam1, p12 / lam2, p21 / lam1, p22 / lam2)
+                k[2][:, 0] = block_edge / lam1[0]
                 bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
                 if not bad:
-                    fh.write(csv_block([(text, ii), (text, jj), *k]))
+                    fh.write(csv_triangle(text, rows, k))
         except DomainError:
             deque(gains_rows, maxlen=0)     # a gains march error comes first
             raise
@@ -583,8 +593,10 @@ def write_kernels_csv_bytes(system: SystemSpec, n: int, coupled: bool) -> int:
     grid: the plans of the pairs it marches, k22 where coupled (the system is
     not _uncoupled), as in solve_kernels_bytes, and one CSV block, one of the
     _row_blocks, of at most max(BLOCK_POINTS, n + 1) points at 512 bytes a
-    point (its p-form rows, kernels and text: about 420 under tracemalloc
-    where all four kernel columns vary, more than its trace paths take)."""
+    point, more than its trace paths take.  Its kernels and text took at
+    most 1.59 MB a block at n = 800 under tracemalloc where all four kernel
+    columns vary, about 195 bytes a point (3.04 MB, about 370, while the
+    triangle was gathered point by point)."""
     need = solve_kernels_bytes(system, n, 0) + 512 * max(BLOCK_POINTS, n + 1)
     if coupled:
         need += solve_kernels_bytes(system, n, 1)

@@ -3,8 +3,10 @@
 The bottom of the package above coeffs, characteristics and errors: the
 physical system (SystemSpec), the controls simulate takes (BoundaryReflection,
 FeedbackLaw and Control), the solved kernels (KernelSet), and the writer of
-every CSV file.  It imports no solver, so neither do the minimal-time formula
-and the config loader, which need only these records.
+every CSV file: csv_block for columns, and csv_triangle for the triangle
+rows of kernels.csv, which share its number text, row end and
+constant-column rule.  It imports no solver, so neither do the
+minimal-time formula and the config loader, which need only these records.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from .coeffs import CoefficientSpec, Grid
 from .characteristics import SpeedPair
 
 BLOCK_POINTS = 8192     # points of a kernel row block (rows x n+1), rows of a write_csv block
+_NUMBER = "%.12g"       # the CSV text of every number
+_EOL = "\r\n"           # the end of every CSV row
 
 __all__ = ["SystemSpec", "BoundaryReflection", "FeedbackLaw", "Control", "KernelSet",
-           "csv_text", "csv_block", "write_csv", "export_profile_csv"]
+           "csv_text", "csv_header", "csv_block", "csv_triangle", "write_csv",
+           "export_profile_csv"]
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,15 @@ class KernelSet:
 
 
 def csv_text(values) -> np.ndarray:
-    """Each value formatted once as "%.12g", an object array of strings."""
-    return np.array(["%.12g" % v for v in np.asarray(values).tolist()], dtype=object)
+    """Each value formatted once as a CSV number, an object array of strings."""
+    return np.array([_NUMBER % v for v in np.asarray(values).tolist()], dtype=object)
+
+
+def _number_field(first: float, varies: bool) -> str:
+    """The template field of a numeric column: _NUMBER where it varies, else
+    its one value as literal text, formatted once.  A column is constant
+    where all its entries have the same bits, so -0.0 and 0.0 differ."""
+    return _NUMBER if varies else (_NUMBER % first).replace("%", "%%")
 
 
 def csv_block(columns) -> str:
@@ -79,28 +91,67 @@ def csv_block(columns) -> str:
 
     Numbers are written as "%.12g", string columns verbatim (nothing is
     quoted), and every row ends in CRLF.  A column may be a pair (text,
-    index) standing for text[index], with text from csv_text.  A numeric
-    column whose entries all have the same bits (so -0.0 and 0.0 differ) is
-    written into the template as literal text, formatted once.
+    index) standing for text[index], with text from csv_text.  A constant
+    numeric column is written into the template as literal text
+    (_number_field).
     """
+    columns = [c[0][c[1]] if isinstance(c, tuple) else np.asarray(c) for c in columns]
+    rows = len(columns[0])
+    if not rows:
+        return ""
     fields, parts = [], []
     for c in columns:
-        c = c[0][c[1]] if isinstance(c, tuple) else np.asarray(c)
-        rows = len(c)
         if c.dtype.kind in "USO":
             fields.append("%s")
         else:
             c = c.astype(np.float64, copy=False)
             bits = c.view(np.uint64)
-            if rows and (bits == bits[0]).all():
-                fields.append(("%.12g" % c[0]).replace("%", "%%"))
+            varies = (bits != bits[0]).any()
+            fields.append(_number_field(c[0], varies))
+            if not varies:
                 continue
-            fields.append("%.12g")
         parts.append(c)
     cells = [None] * (rows * len(parts))
     for j, c in enumerate(parts):
         cells[j::len(parts)] = c.tolist()
-    return ((",".join(fields) + "\r\n") * rows) % tuple(cells)
+    return ((",".join(fields) + _EOL) * rows) % tuple(cells)
+
+
+def csv_triangle(text: list, rows: range, columns) -> str:
+    """The CSV rows (x_i, x_j, columns...) of the triangle points (i, j),
+    j <= i, of rows i in rows, row by row: byte for byte the csv_block of
+    the columns (text, ii), (text, jj) and each column at those points.
+
+    text holds the nodes' csv_text as a list.  Each column is an array of
+    len(rows) x (n+1) floats whose row k holds row rows.start + k; only its
+    entries j <= i are read.  Row i has a template of its own: x_i's text,
+    and each column that is constant on the block's points (_number_field),
+    as literal text.  Its cells are x_j's text and row i of each varying
+    column, sliced to j <= i.
+    """
+    above = np.arange(columns[0].shape[1]) > np.arange(rows.start, rows.stop)[:, None]
+    fields, parts = [], []
+    for c in columns:
+        bits = c.view(np.uint64)
+        varies = ((bits != bits[0, 0]) & ~above).any()
+        fields.append(_number_field(c[0, 0], varies))
+        if varies:
+            parts.append(c)
+    tail = ",%s," + ",".join(fields) + _EOL      # x_j's text, then the columns
+    m = 1 + len(parts)
+    lines = []
+    for k, i in enumerate(rows):
+        cells = [None] * (m * (i + 1))
+        cells[::m] = text[:i + 1]
+        for j, c in enumerate(parts, 1):
+            cells[j::m] = c[k, :i + 1].tolist()
+        lines.append((text[i].replace("%", "%%") + tail) * (i + 1) % tuple(cells))
+    return "".join(lines)
+
+
+def csv_header(names) -> str:
+    """The header row of a CSV file: the column names, ending as every row does."""
+    return ",".join(names) + _EOL
 
 
 def write_csv(path, header, columns) -> None:
@@ -110,7 +161,7 @@ def write_csv(path, header, columns) -> None:
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(csv_header(header))
         for lo in range(0, rows, BLOCK_POINTS):
             fh.write(csv_block([c[lo:lo + BLOCK_POINTS] for c in columns]))
 

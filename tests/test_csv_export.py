@@ -186,6 +186,40 @@ def test_indexed_column_bytes(csv_rows, tmp_path):
     assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
 
 
+def triangle_columns(n, rng):
+    """Columns of (n+1) x (n+1) floats, each NaN above the diagonal (never
+    read): SPECIALS at random, zeros of mixed sign, each of CONSTANTS, and a
+    column constant along each row only."""
+    shape = (n + 1, n + 1)
+    columns = [rng.choice(SPECIALS, size=shape), np.where(rng.random(shape) < 0.2, -0.0, 0.0),
+               *(np.full(shape, v) for v in CONSTANTS),
+               np.repeat(rng.normal(size=(n + 1, 1)), n + 1, axis=1)]
+    above = np.triu(np.ones(shape, dtype=bool), 1)
+    return [np.where(above, np.nan, c) for c in columns]
+
+
+@pytest.mark.parametrize("n", [4, 10, 40])
+def test_triangle_rows_bytes(csv_rows, n):
+    # csv_triangle writes a block's triangle rows byte for byte as csv_block
+    # writes the same cells gathered point by point: in the blocks of the
+    # kernel stream (one from row 0 with the default size, one row each with
+    # 7 points) and in blocks of 3 rows (a ragged last block), for all the
+    # columns at once, one varying column, and constant ones only
+    rng = np.random.default_rng(n)
+    text = system.csv_text(np.linspace(0.0, 1.0, n + 1))
+    columns = triangle_columns(n, rng)
+    groups = [columns, columns[:1], columns[1:2], columns[2:2 + len(CONSTANTS)]]
+    layouts = [kernels._row_blocks(n), [range(r, min(r + 3, n + 1)) for r in range(0, n + 1, 3)]]
+    for blocks in layouts:
+        assert [i for rows in blocks for i in rows] == list(range(n + 1))
+        for rows in blocks:
+            ii, jj = kernels._triangle_points(rows)
+            for group in groups:
+                block = [c[rows.start:rows.stop] for c in group]
+                want = system.csv_block([(text, ii), (text, jj), *(c[ii, jj] for c in group)])
+                assert system.csv_triangle(text.tolist(), rows, block) == want
+
+
 def test_uncoupled_kernels_csv_bytes(csv_rows, varying_speeds, tmp_path):
     system = step_system(varying_speeds, 0.0)
     K = solve_kernels(system, Grid.uniform(12))
@@ -202,9 +236,10 @@ class TestExportMemory:
     @pytest.mark.parametrize("b", [0.0, 0.8], ids=["b0", "b0.8"])
     def test_kernels_command_peak_at_n800(self, tmp_path, b):
         # the command streams its rows: with b = 0 it holds no (n+1)^2
-        # array, about 3.2 MB at the peak, and with b != 0 k22 only, about
-        # 11.0 MB (37.4 and 38.7 MB while it held the four kernels and
-        # gathered their triangle); its estimate bounds both
+        # array, about 2.1 MB at the peak, and with b != 0 k22 only, about
+        # 8.0 MB (2.6 and 9.4 MB while it marched k22 where b = 0 and
+        # gathered each block's triangle point by point, 37.4 and 38.7 MB
+        # while it held the four kernels); its estimate bounds both
         n = 800
         raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
         raw["grid_n"] = n

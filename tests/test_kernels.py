@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, kernels,
                     predicted_g_prefix, solve_gains, solve_kernels, solve_trace)
+from hypmin.cli import run_cli
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError, PreconditionError
 from hypmin.kernels import (_blocks, _build_plan, _step_interior, solve_kernels_bytes,
@@ -17,6 +20,8 @@ from hypmin.kernels import (_blocks, _build_plan, _step_interior, solve_kernels_
 from hypmin.system import export_profile_csv
 
 from conftest import const, make_system
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def solve(speeds, a=0.0, b=0.0, c=0.0, d=0.0, n=100):
@@ -786,6 +791,66 @@ class TestTraceRowBlocks:
         want = reference_trace_row_direct(varying_speeds, gauge, grid, P22)
         assert np.count_nonzero(want) > n // 2
         assert got.tobytes() == want.tobytes()
+
+
+_COEFF = st.floats(-2.0, 2.0)
+
+
+class TestUncoupledTraceMarch:
+    @settings(max_examples=40, deadline=None)
+    @example(n=16, points=1, varying=False, lam1=-1.0, lam2=1.0, s1=0.0, s2=0.0, a=0.0,
+             d=0.0, c=("step", 0.3, 0.0, 1.0))
+    @example(n=33, points=100, varying=True, lam1=-0.7, lam2=1.3, s1=0.4, s2=-0.3, a=0.5,
+             d=-0.6, c=("step", 0.2, -1.5, -0.5))
+    @example(n=20, points=10 ** 4, varying=True, lam1=-1.2, lam2=0.8, s1=-0.3, s2=0.2,
+             a=-0.4, d=0.3, c=("polynomial", -1.0, 2.0, 0.5))
+    @given(n=st.integers(4, 48), points=st.sampled_from([1, 100, 10 ** 4]),
+           varying=st.booleans(), lam1=st.floats(-2.0, -0.5), lam2=st.floats(0.5, 2.0),
+           s1=st.floats(-0.4, 0.4), s2=st.floats(-0.4, 0.4), a=_COEFF, d=_COEFF,
+           c=st.tuples(st.just("step"), st.floats(0.0, 1.0), _COEFF, _COEFF)
+           | st.tuples(st.just("polynomial"), _COEFF, _COEFF, _COEFF))
+    def test_k21_plan_only_keeps_bits(self, n, points, varying, lam1, lam2, s1, s2, a, d, c):
+        # an _uncoupled trace march that plans and steps k21 only yields,
+        # by bits, the k21 and k22 blocks of the march that plans and steps
+        # k22 too: k22 stays +0.0, and k21's steps read those zeros; blocks
+        # of one row, a few rows with a ragged last block, or all rows, at
+        # constant and linear speeds, c a step or a polynomial of either sign
+        slope = 1.0 if varying else 0.0
+        speeds = SpeedPair.build(CoefficientSpec.polynomial([lam1, slope * s1]),
+                                 CoefficientSpec.polynomial([lam2, slope * s2]))
+        kind, *p = c
+        c = CoefficientSpec.step(*p) if kind == "step" else CoefficientSpec.polynomial(p)
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(a), const(0.0), c, const(d), speeds, grid)
+        assert kernels._uncoupled(gauge)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_POINTS", points)
+            both = list(kernels._march_pair("trace", gauge))
+            k21_only = list(kernels._march_pair("trace", gauge, False))
+            assert len(both) == len(k21_only) == len(kernels._row_blocks(n))
+        for (rows, d_both, e_both), (rows_only, d_only, e_only) in zip(both, k21_only):
+            assert rows == rows_only
+            assert d_only.tobytes() == d_both.tobytes()
+            assert e_only.tobytes() == e_both.tobytes() == np.zeros_like(e_both).tobytes()
+
+    @pytest.mark.parametrize("b, plans", [(0.0, 81), (0.8, 4 * 81)], ids=["b0", "b0.8"])
+    def test_export_plans_per_row_block(self, tmp_path, monkeypatch, b, plans):
+        # the kernels command at n = 800 (81 row blocks of 10 rows): with
+        # b = 0 the gains pair is not marched and the trace march plans k21
+        # only, one plan a block; with b != 0 both pairs plan both kernels
+        calls = []
+        build = kernels._build_plan
+        monkeypatch.setattr(kernels, "_build_plan",
+                            lambda which, *args: calls.append(which) or build(which, *args))
+        raw = json.loads((CONFIG_DIR / "varying_speeds.json").read_text())
+        raw["grid_n"] = 800
+        raw["system"]["b"] = {"family": "constant", "value": b}
+        path = tmp_path / "varying.json"
+        path.write_text(json.dumps(raw))
+        assert len(kernels._row_blocks(800)) == 81
+        assert run_cli(["kernels", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == plans
+        assert set(calls) == ({"k21"} if b == 0.0 else {"k11", "k12", "k21", "k22"})
 
 
 def solve_peak(solve):
