@@ -167,6 +167,8 @@ def _control(spec: dict):
             raise ConfigError(f"samples control: {exc}") from exc
         if not (0 < ts.size == vals.size and np.isfinite(ts).all() and np.isfinite(vals).all()):
             raise ConfigError("samples control needs finite ts and values of one equal length")
+        if not (np.diff(ts) > 0.0).all():
+            raise ConfigError("samples control needs strictly increasing ts")
         return lambda t: float(np.interp(t, ts, vals))
     raise ConfigError(f"unknown control kind {kind!r}")
 

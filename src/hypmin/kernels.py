@@ -39,13 +39,16 @@ The kernel stream moves in row blocks (_row_blocks), in order of x, which is
 also the order of kernels.csv, with one block size, BLOCK_POINTS: the march
 builds its plans and yields its rows one block at a time, the trace stream
 (_trace_blocks) integrates the trace paths of each block once the march has
-passed it, and write_kernels_csv writes each block's lines.  Each caller
-keeps what it reads: solve_kernels all four kernels (and g and the gains),
-solve_gains the last row of (k11, k12) for the feedback, solve_trace k22
-for the trace paths and the edge of each block, and write_kernels_csv only
-k22, writing each block of the trace stream, with the gains block of the
-same rows, to kernels.csv.  Memory: 4, 0, 1 and 1 arrays of (n+1)^2 floats
-(none for write_kernels_csv where b = 0), plus one row block of plans (about
+passed it, and the one checked kernel stream (_kernel_blocks) joins each
+trace block with the gains block of the same rows, divides the four
+kernels by the speeds and checks them.  That joint stream has two sinks:
+solve_kernels keeps all four kernels (and g and the gains read from them),
+and write_kernels_csv only k22, for the trace paths, writing each block's
+lines to kernels.csv.  solve_gains keeps the last row of (k11, k12) of the
+gains march for the feedback, and solve_trace k22 and the edge of each
+trace block.  Memory: 4 arrays of (n+1)^2 floats for solve_kernels, none
+for solve_gains, 1 for solve_trace and 1 for write_kernels_csv (none where
+b = 0), plus one row block of plans (about
 2 MB; half that where only k21 is planned), and a few row blocks of kernel
 rows and one of trace paths (and of CSV text, formatted one triangle row at
 a time).  write_kernels_csv checks its bound, write_kernels_csv_bytes, against
@@ -334,13 +337,6 @@ def _zero_gains(gauge: DiagGauge, blocks):
         yield rows, D, np.zeros_like(D)
 
 
-def _gains_pair(gauge: DiagGauge, coupled: bool):
-    """The blocks of _march_pair("gains"), marched only where coupled."""
-    if coupled:
-        return _march_pair("gains", gauge)
-    return _zero_gains(gauge, _row_blocks(gauge.grid.n))
-
-
 def _trace_paths(gauge: DiagGauge):
     """p21 on the edge xi=0 by direct quadrature along each trace characteristic:
     its diagonal term p0 at every node, and paths(P22, rows), p0 plus the
@@ -406,6 +402,41 @@ def _trace_blocks(gauge: DiagGauge, P22):
         held = block
 
 
+_NAMES = ("k11", "k12", "k21", "k22")
+
+
+def _kernel_blocks(gauge: DiagGauge, coupled: bool, P22):
+    """The one checked kernel stream: yields (rows, (k11, k12, k21, k22)) for
+    each of the _row_blocks in turn, the block's rows of the four kernels,
+    new arrays, while every entry is finite.
+
+    Each block of _trace_blocks(gauge, P22) is paired with the gains block
+    of the same rows (the gains march where coupled, else _zero_gains),
+    k21's column 0 is its trace edge, and each kernel is its p-form divided
+    by lambda_fa(xi).  Both marches run to the end, so that the DomainError
+    raised is the one of a check of each whole kernel in turn: that of the
+    gains march, else of the trace march, else of k11, k12, k21 and k22 in
+    turn; no block is yielded after a block that fails a check.
+    """
+    lam1, lam2 = gauge.lam
+    gains = (_march_pair("gains", gauge) if coupled
+             else _zero_gains(gauge, _row_blocks(gauge.grid.n)))
+    bad = set()                 # the kernels with an entry that is not finite
+    try:
+        for (_, p12, p11), (rows, p21, p22, edge) in zip(gains, _trace_blocks(gauge, P22)):
+            k = (p11 / lam1, p12 / lam2, p21 / lam1, p22 / lam2)
+            k[2][:, 0] = edge / lam1[0]
+            bad.update(w for w, kw in zip(_NAMES, k) if not np.isfinite(kw).all())
+            if not bad:
+                yield rows, k
+    except DomainError:
+        deque(gains, maxlen=0)      # a gains march error comes first
+        raise
+    for w in _NAMES:
+        if w in bad:
+            raise _overflow(f"kernel {w}")
+
+
 def _overflow(name: str) -> DomainError:
     return DomainError(f"{name} overflows: the couplings b and c are too large "
                        "for the kernel solve")
@@ -460,25 +491,21 @@ def solve_kernels(system: SystemSpec, grid: Grid) -> KernelSet:
     """All four kernels, one row march per pair (none for an _uncoupled
     gains pair), with g and the gains read from them; a single pass is the
     fixed point of the discrete scheme, unconditionally stable and
-    first-order accurate.  Couplings b, c too large for the march, or for
-    the speeds that the march's p-form is divided by, overflow a kernel,
-    which raises DomainError naming it.  Memory: the four kernels plus one
-    row block of plans (solve_kernels_bytes with kept 4)."""
+    first-order accurate: the sink of _kernel_blocks that keeps every block.
+    Couplings b, c too large for the march, or for the speeds that the
+    march's p-form is divided by, overflow a kernel, which raises
+    DomainError naming it.  Memory: the four kernels plus one row block of
+    plans (solve_kernels_bytes with kept 4)."""
     gauge, coupled = _gauge(system, grid)
     n = grid.n
-    K = {w: np.zeros((n + 1, n + 1)) for w in ("k11", "k12", "k21", "k22")}
-    for rows, p12, p11 in _gains_pair(gauge, coupled):
-        K["k12"][rows.start:rows.stop], K["k11"][rows.start:rows.stop] = p12, p11
-    # The xi=0 trace of k21 defines g; the stream integrates it directly along
-    # each trace characteristic, so its vanishing set is not blurred by the
-    # re-sampling.
-    P22 = K["k22"] if coupled else None     # k22 doubles as P22
-    for rows, p21, p22, edge in _trace_blocks(gauge, P22):
-        K["k21"][rows.start:rows.stop], K["k22"][rows.start:rows.stop] = p21, p22
-        K["k21"][rows.start:rows.stop, 0] = edge
-    lam1, lam2 = gauge.lam
-    for w, lam in zip(("k11", "k12", "k21", "k22"), (lam1, lam2, lam1, lam2)):
-        _unweight(w, K[w], lam)
+    K = {w: np.zeros((n + 1, n + 1)) for w in _NAMES}
+    # k22 doubles as P22, whose rows the trace paths of later blocks read:
+    # it stays in p-form until the stream ends
+    P22 = K["k22"] if coupled else None
+    for rows, k in _kernel_blocks(gauge, coupled, P22):
+        for w, kw in zip(_NAMES[:3], k):
+            K[w][rows.start:rows.stop] = kw
+    K["k22"] /= gauge.lam[1]        # as the stream divides and checks it
     return KernelSet(grid=grid, **K, g=_g(K["k21"][:, 0], gauge),
                      gains=_gains(K["k11"][-1], K["k12"][-1], gauge))
 
@@ -545,47 +572,24 @@ def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     write_kernels_csv_bytes, exceeds the machine's (check_memory).  On a
     DomainError the file is incomplete; callers remove it.
 
-    The file is written in the blocks of _trace_blocks: each block's rows
-    and the gains block of the same rows are divided by the speeds and
-    checked, whole rows, as solve_kernels does, and csv_triangle formats
-    their triangle points, one template a row.  Where the system is
-    _uncoupled only k21 is marched (_march_pair): one plan a row block.
-    Once a check fails no block is written, but the marches run on, so
-    that the DomainError raised is the one solve_kernels raises: that of
-    the gains march, else of the trace march, else of k11, k12, k21 and k22
-    in turn.
+    The file is written in the blocks of _kernel_blocks, the stream that
+    solve_kernels keeps: csv_triangle formats each block's triangle points,
+    one template a row.  Where the system is _uncoupled only k21 is marched
+    (_march_pair): one plan a row block.
     """
     gauge, coupled = _gauge(system, grid)
     n = grid.n      # k22 where coupled, the plans and one CSV block: the rows stream out
     check_memory(write_kernels_csv_bytes(system, n, coupled),
                  f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
-    names = ("k11", "k12", "k21", "k22")
     text = csv_text(grid.nodes).tolist()
-    lam1, lam2 = gauge.lam
-    gains_rows = _gains_pair(gauge, coupled)
     P22 = np.zeros((n + 1, n + 1)) if coupled else None
-    blocks = _trace_blocks(gauge, P22)
-    edge = np.empty(n + 1)      # p21(x_i, 0), filled block by block
-    bad = set()                 # the kernels with an entry that is not finite
+    edge = np.empty(n + 1)      # k21(x_i, 0), filled block by block
     with open(path, "w", newline="") as fh:
-        fh.write(csv_header(["x", "xi", *names]))
-        try:
-            for rows, p21, p22, block_edge in blocks:
-                edge[rows.start:rows.stop] = block_edge
-                _, p12, p11 = next(gains_rows)
-                k = (p11 / lam1, p12 / lam2, p21 / lam1, p22 / lam2)
-                k[2][:, 0] = block_edge / lam1[0]
-                bad.update(w for w, kw in zip(names, k) if not np.isfinite(kw).all())
-                if not bad:
-                    fh.write(csv_triangle(text, rows, k))
-        except DomainError:
-            deque(gains_rows, maxlen=0)     # a gains march error comes first
-            raise
-    for w in names:
-        if w in bad:
-            raise _overflow(f"kernel {w}")
-    k21_edge, k11_last, k12_last = edge / lam1[0], p11[-1] / lam1, p12[-1] / lam2
-    return _g(k21_edge, gauge), _gains(k11_last, k12_last, gauge)
+        fh.write(csv_header(["x", "xi", *_NAMES]))
+        for rows, k in _kernel_blocks(gauge, coupled, P22):
+            edge[rows.start:rows.stop] = k[2][:, 0]
+            fh.write(csv_triangle(text, rows, k))
+    return _g(edge, gauge), _gains(k[0][-1], k[1][-1], gauge)
 
 
 def write_kernels_csv_bytes(system: SystemSpec, n: int, coupled: bool) -> int:
@@ -595,8 +599,7 @@ def write_kernels_csv_bytes(system: SystemSpec, n: int, coupled: bool) -> int:
     _row_blocks, of at most max(BLOCK_POINTS, n + 1) points at 512 bytes a
     point, more than its trace paths take.  Its kernels and text took at
     most 1.59 MB a block at n = 800 under tracemalloc where all four kernel
-    columns vary, about 195 bytes a point (3.04 MB, about 370, while the
-    triangle was gathered point by point)."""
+    columns vary, about 195 bytes a point."""
     need = solve_kernels_bytes(system, n, 0) + 512 * max(BLOCK_POINTS, n + 1)
     if coupled:
         need += solve_kernels_bytes(system, n, 1)

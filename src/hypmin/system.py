@@ -90,12 +90,10 @@ def csv_block(columns) -> str:
     """The CSV rows of equal-length columns, formatted by one row template.
 
     Numbers are written as "%.12g", string columns verbatim (nothing is
-    quoted), and every row ends in CRLF.  A column may be a pair (text,
-    index) standing for text[index], with text from csv_text.  A constant
-    numeric column is written into the template as literal text
-    (_number_field).
+    quoted), and every row ends in CRLF.  A constant numeric column is
+    written into the template as literal text (_number_field).
     """
-    columns = [c[0][c[1]] if isinstance(c, tuple) else np.asarray(c) for c in columns]
+    columns = [np.asarray(c) for c in columns]
     rows = len(columns[0])
     if not rows:
         return ""
@@ -120,7 +118,7 @@ def csv_block(columns) -> str:
 def csv_triangle(text: list, rows: range, columns) -> str:
     """The CSV rows (x_i, x_j, columns...) of the triangle points (i, j),
     j <= i, of rows i in rows, row by row: byte for byte the csv_block of
-    the columns (text, ii), (text, jj) and each column at those points.
+    the x_i and x_j text columns and each column at those points.
 
     text holds the nodes' csv_text as a list.  Each column is an array of
     len(rows) x (n+1) floats whose row k holds row rows.start + k; only its

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -30,6 +31,20 @@ def make_system(speeds, a=0.0, b=0.0, c=0.0, d=0.0, q=0.0):
 
     return SystemSpec(speeds=speeds, a=as_spec(a), b=as_spec(b), c=as_spec(c),
                       d=as_spec(d), q=q)
+
+
+def reference_kernels_csv(K, path):
+    """The kernels.csv of K (its grid and k11, k12, k21, k22), one csv.writer
+    row per point."""
+    nodes = K.grid.nodes
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "xi", "k11", "k12", "k21", "k22"])
+        for i in range(K.grid.n + 1):
+            for j in range(i + 1):
+                w.writerow([f"{nodes[i]:.12g}", f"{nodes[j]:.12g}",
+                            f"{K.k11[i, j]:.12g}", f"{K.k12[i, j]:.12g}",
+                            f"{K.k21[i, j]:.12g}", f"{K.k22[i, j]:.12g}"])
 
 
 def headline_raw(n=400, horizon=1.5):

@@ -169,6 +169,8 @@ class TestConfigErrors:
         (("system", "c"), {"family": "polynomial", "coeffs": [1e308, 1e308]}),
         (("system", "lambda2"), {"family": "polynomial", "coeffs": [1.0, 1e308, 1e308]}),
         (("system", "lambda1"), {"family": "polynomial", "coeffs": [-1.0, -1e308, -1e308]}),
+        (("control",), {"kind": "samples", "ts": [0, 2, 1], "values": [0, 1, 5]}),
+        (("control",), {"kind": "samples", "ts": [0, 1, 1], "values": [0, 1, 5]}),
     ], ids=["system-list", "grid_n-string", "grid_n-inf", "q-string", "coeff-list",
             "horizon-nan", "cfl-nan", "cfl-inf", "initial_data-list",
             "lambda2-sampled-nan", "lambda2-sampled-xs-nan", "lambda1-polynomial-minus-inf", "b-constant-nan",
@@ -182,7 +184,7 @@ class TestConfigErrors:
             "b-value-bool", "c-ell-string", "lambda1-coeff-string", "initial_data-nodes-fraction",
             "control-k-bool", "control-values-string", "b-family-list", "grid_n-4",
             "horizon-zero", "c-polynomial-overflow", "lambda2-polynomial-overflow",
-            "lambda1-polynomial-overflow"])
+            "lambda1-polynomial-overflow", "control-ts-decreasing", "control-ts-repeated"])
     def test_bad_value_is_one_line_exit_2(self, tmp_path, capsys, path, value):
         raw = headline_raw(n=64)
         target = raw

@@ -1,13 +1,13 @@
 """Byte identity of the CSV exports against per-cell csv.writer references.
 
-The reference writers below are the original per-row implementations of
-the kernels.csv export, export_profile_csv and export_sim_csv (which picked
+The reference writers (below, and conftest's reference_kernels_csv) are the
+original per-row implementations of the kernels.csv export,
+export_profile_csv and export_sim_csv (which picked
 the snapshots from a full history, as simulate now does); the blocked
 writer, and write_kernels_csv's rows streamed from the kernel marches, must
 reproduce their files byte for byte, including CRLF line ends and the text
 of -0.0, nan, +-inf, subnormals and large integers under "%.12g", whether a
-column is formatted per cell, written once as a constant, or gathered from
-(text, index).
+column is formatted per cell or written once as a constant.
 """
 
 import csv
@@ -29,24 +29,12 @@ from hypmin.kernels import solve_gains, solve_trace, write_kernels_csv, write_ke
 from hypmin.simulator import export_sim_csv
 from hypmin.system import export_profile_csv
 
-from conftest import const, make_system
+from conftest import const, make_system, reference_kernels_csv
 
 SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
             123456789012345.0, 0.1, -1.0 / 3.0, 1e300, 0.0]
 CONSTANTS = [0.0, -0.0, float("nan"), float("inf"), 5e-324, 1e300]
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
-
-
-def reference_kernels_csv(K, path):
-    nodes = K.grid.nodes
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "xi", "k11", "k12", "k21", "k22"])
-        for i in range(K.grid.n + 1):
-            for j in range(i + 1):
-                w.writerow([f"{nodes[i]:.12g}", f"{nodes[j]:.12g}",
-                            f"{K.k11[i, j]:.12g}", f"{K.k12[i, j]:.12g}",
-                            f"{K.k21[i, j]:.12g}", f"{K.k22[i, j]:.12g}"])
 
 
 def reference_profile_csv(path, nodes, columns):
@@ -102,7 +90,7 @@ def csv_rows(request, monkeypatch):
 
 def test_kernels_csv_bytes(csv_rows, varying_speeds, tmp_path):
     # the special values of a kernel column are those of any column of
-    # csv_block: test_profile_csv_bytes and test_indexed_column_bytes
+    # csv_block: test_profile_csv_bytes and test_triangle_rows_bytes
     system = step_system(varying_speeds, 0.8)
     grid = Grid.uniform(10)
     write_kernels_csv(system, grid, tmp_path / "new.csv")
@@ -175,17 +163,6 @@ def test_mixed_signed_zeros_are_not_constant(csv_rows, tmp_path):
     assert (tmp_path / "new.csv").read_bytes().count(b",-0,") == 2
 
 
-def test_indexed_column_bytes(csv_rows, tmp_path):
-    values = np.array(SPECIALS)
-    index = np.array([3, 3, 0, 9, 1, 1, 1, 5, 2, 8, 0, 7, 4, 6, 6, 9, 2, 3])
-    y = np.random.default_rng(7).normal(size=index.size)
-    # the (text, index) columns of kernels.csv's x and xi, formatted once
-    with open(tmp_path / "new.csv", "w", newline="") as fh:
-        fh.write("x,y\r\n" + system.csv_block([(system.csv_text(values), index), y]))
-    reference_profile_csv(tmp_path / "ref.csv", values[index], {"y": y})
-    assert_same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
-
-
 def triangle_columns(n, rng):
     """Columns of (n+1) x (n+1) floats, each NaN above the diagonal (never
     read): SPECIALS at random, zeros of mixed sign, each of CONSTANTS, and a
@@ -216,7 +193,7 @@ def test_triangle_rows_bytes(csv_rows, n):
             ii, jj = kernels._triangle_points(rows)
             for group in groups:
                 block = [c[rows.start:rows.stop] for c in group]
-                want = system.csv_block([(text, ii), (text, jj), *(c[ii, jj] for c in group)])
+                want = system.csv_block([text[ii], text[jj], *(c[ii, jj] for c in group)])
                 assert system.csv_triangle(text.tolist(), rows, block) == want
 
 

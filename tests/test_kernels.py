@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypmin.kernels import (_blocks, _build_plan, _step_interior, solve_kernels_
                             write_kernels_csv, write_kernels_csv_bytes)
 from hypmin.system import export_profile_csv
 
-from conftest import const, make_system
+from conftest import const, make_system, reference_kernels_csv
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -418,6 +419,34 @@ class TestSolveKernels:
         assert law.f1.tobytes() == K.gains.f1.tobytes()
         assert law.f2.tobytes() == K.gains.f2.tobytes()
         assert g.tobytes() == K.g.tobytes()
+
+    @pytest.mark.parametrize("b", [0.0, 0.8], ids=["b0", "b0.8"])
+    @pytest.mark.parametrize("budget", ["row", "ragged", "one"])
+    def test_export_matches_whole_triangle_reference(self, varying_speeds, tmp_path, budget,
+                                                     b):
+        # write_kernels_csv's file, g and gains are bitwise those of the
+        # whole-triangle march, as test_matches_whole_triangle_reference
+        # pins solve_kernels', whether each block holds one row, four rows
+        # with a ragged last block of one, or the whole triangle
+        n = 40
+        points = {"row": 1, "ragged": 4 * (n + 1), "one": (n + 1) ** 2}[budget]
+        c = CoefficientSpec.step(0.3, 0.0, 1.0)
+        system = make_system(varying_speeds, 0.3, b, c, -0.4)
+        grid = Grid.uniform(n)
+        gauge = diag_removal(const(0.3), const(b), c, const(-0.4), varying_speeds, grid)
+        want = reference_kernels(gauge, varying_speeds, grid)
+        want_g = -want["k21"][:, 0] * float(varying_speeds.speed(1, 0.0))
+        want_f1 = want["k11"][n] * gauge.e1 / gauge.e1[-1]
+        want_f2 = want["k12"][n] * gauge.e2 / gauge.e1[-1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_POINTS", points)
+            g, gains = write_kernels_csv(system, grid, tmp_path / "new.csv")
+        reference_kernels_csv(SimpleNamespace(grid=grid, **want), tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert g.tobytes() == want_g.tobytes()
+        assert gains.nodes.tobytes() == grid.nodes.tobytes()
+        assert gains.f1.tobytes() == want_f1.tobytes()
+        assert gains.f2.tobytes() == want_f2.tobytes()
 
     def test_grid_too_coarse(self, unit_speeds):
         with pytest.raises(DomainError):

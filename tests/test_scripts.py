@@ -200,3 +200,40 @@ def test_compare_outputs_lists_warnings(tmp_path):
     sides = [line.split(": ")[1] for line in listed[:-1]]
     assert sides == ["OLD prints a warning", "NEW prints a warning"] * 8
     assert all(line.endswith(": RuntimeWarning: overflow in cli") for line in listed[:-1])
+
+
+def test_code_lines(tmp_path):
+    # docstrings, comments and blank lines are not code; a multi-line string
+    # that is not a docstring counts on each of its lines, and a directory
+    # counts its .py files
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a comment after code
+
+
+def f(x):
+    """Function docstring."""
+
+    # another comment
+    text = """not a
+docstring"""
+    return x, text
+
+
+class C:
+    """Class docstring,
+    over two lines."""
+    y = "a string, not a docstring"
+'''
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(source)
+    (tmp_path / "pkg" / "empty.py").write_text('"""Only a docstring."""\n')
+    (tmp_path / "pkg" / "notes.txt").write_text("x = 1\n")
+    proc = _run("code_lines.py", "pkg/mod.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["7", "pkg/mod.py", "7", "total"]
+    proc = _run("code_lines.py", "pkg", cwd=tmp_path)
+    assert proc.stdout.split() == ["0", "pkg/empty.py", "7", "pkg/mod.py", "7", "total"]
+    assert _run("code_lines.py", cwd=tmp_path).returncode == 2
