@@ -10,17 +10,19 @@ times.json).  Once per tree it also runs the commands that take no config:
 `counterexample --n 100` at k = 0, 1 + 1/pi and 2, and `titchmarsh
 --prefix-a 0.3 --prefix-b 0.2 --tau 1`.  Each tree runs with
 PYTHONPATH=<tree>/src, in a scratch directory of its own and with the same
-relative --out, the two trees side by side.  Exit codes,
-stdout and every output file are compared byte for byte; a JSON file is
-compared as its parsed record without `runtime`, `config_sha256` and
+relative --out, the two trees side by side.  Exit codes, stdout, stderr
+and every output file are compared byte for byte; a JSON file is compared
+as its parsed record without `runtime`, `config_sha256` and
 `numpy_version`, which vary by run or by tree.  A run whose stderr holds a
 Python traceback or a Python warning is a difference too, on either side:
 no input may end in a traceback, and a warning (a NumPy overflow, say)
-flags a value the program did not check.  Each difference is listed on one
-line; the exit code is 1 if there is any, else 0, and 2, before any run,
-where OLD or NEW has no src/hypmin/__init__.py.  With --grid-n N both trees
-run on copies of the configs whose grid_n is N, each written to a directory
-of its own in the scratch directory, under its file name.
+flags a value the program did not check.  Such a stderr holds paths of its
+tree, so it is not compared with the other side's.  Each difference is
+listed on one line; the exit code is 1 if there is any, else 0, and 2,
+before any run, where OLD or NEW has no src/hypmin/__init__.py.  With
+--grid-n N both trees run on copies of the configs whose grid_n is N, each
+written to a directory of its own in the scratch directory, under its file
+name.
 """
 
 import argparse
@@ -42,9 +44,9 @@ _WARNING = re.compile(r"^\S.*:\d+: (\w*Warning: .*)$", re.M)
 
 
 def _hypmin(tree: str, work: str, argv: list) -> tuple:
-    """(exit code, stdout, the faults stderr shows: 'prints a warning: W' for
-    each Python warning W, and 'ends in a traceback: L', L its last line,
-    where it holds a traceback)."""
+    """(exit code, stdout, stderr, the faults stderr shows: 'prints a
+    warning: W' for each Python warning W, and 'ends in a traceback: L', L
+    its last line, where it holds a traceback)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-m", "hypmin.cli", *argv], cwd=work, env=env,
                           capture_output=True, text=True)
@@ -52,11 +54,11 @@ def _hypmin(tree: str, work: str, argv: list) -> tuple:
     if "Traceback (most recent call last):" in proc.stderr:
         last = proc.stderr.rstrip().rpartition("\n")[2]
         faults.append(f"ends in a traceback: {last}")
-    return proc.returncode, proc.stdout, faults
+    return proc.returncode, proc.stdout, proc.stderr, faults
 
 
 def run_tree(tree: str, configs: list, work: str) -> dict:
-    """{(config, command): _hypmin's (exit code, stdout, faults)}, with
+    """{(config, command): _hypmin's (exit code, stdout, stderr, faults)}, with
     the outputs of each command under work/<config index>-<config name>/
     <command>, and {("counterexample", "k=K"): ...} and {("titchmarsh",):
     ...}, with the counterexample's under work/counterexample/k=K."""
@@ -113,13 +115,15 @@ def differences(works: list, results: list) -> list:
         if key not in old or key not in new:
             diffs.append(f"{where}: run by {'NEW' if key in new else 'OLD'} only")
             continue
-        (code_a, out_a, faults_a), (code_b, out_b, faults_b) = old[key], new[key]
+        (code_a, out_a, err_a, faults_a), (code_b, out_b, err_b, faults_b) = old[key], new[key]
         for side, faults in (("OLD", faults_a), ("NEW", faults_b)):
             diffs.extend(f"{where}: {side} {fault}" for fault in faults)
         if code_a != code_b:
             diffs.append(f"{where}: exit code {code_a} | {code_b}")
         if out_a != out_b:
             diffs.append(f"{where}: stdout differs at {_first_line(out_a, out_b)}")
+        if not (faults_a or faults_b) and err_a != err_b:
+            diffs.append(f"{where}: stderr differs at {_first_line(err_a, err_b)}")
     files = [{os.path.relpath(os.path.join(d, f), w) for d, _, names in os.walk(w)
               for f in names} for w in works]
     for rel in sorted(files[0] | files[1]):

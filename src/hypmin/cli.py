@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success or verification pass, 1 verification fail (or a
-computation that could not produce a verdict), 2 usage or configuration
-errors, or an output that could not be written.
+Exit codes: 0 success or verification pass, 1 verification fail or a
+ComputationError (a computation that could not produce a verdict), 2 a
+UsageError (a usage or configuration error) or an output that could not be
+written.
 """
 
 from __future__ import annotations
@@ -20,18 +21,12 @@ import numpy as np
 # perfbench/traced_cli.py wraps names only in the hypmin modules loaded once
 # hypmin.cli is imported, so a module imported later would lose its spans.
 from .config import FEEDBACK, check_memory, load_config
-from .errors import (CFLError, ConfigError, DivergenceError, DomainError,
-                     GridMismatchError, InvalidSpeedsError, PreconditionError,
-                     RootBracketError, UndefinedRateError)
+from .errors import ComputationError, ConfigError, UsageError
 from .harness import check_run_memory, counterexample, verify_settling, verify_sharpness
 from .kernels import solve_gains, write_kernels_csv
 from .mintime import times_report, titchmarsh_check
 from .simulator import export_sim_csv, simulate
 from .system import export_profile_csv
-
-_USAGE_ERRORS = (ConfigError, PreconditionError, DomainError, CFLError,
-                 InvalidSpeedsError, GridMismatchError)
-_RUN_ERRORS = (DivergenceError, RootBracketError, UndefinedRateError, np.linalg.LinAlgError)
 
 
 def _outdir(args, cfg) -> str:
@@ -150,7 +145,7 @@ def _cmd_titchmarsh(args) -> int:
     # the samples, both indicators, the padded tails and spectra of the FFT
     # convolution and the temporaries of titchmarsh_check: 9.2 arrays of n+1
     # floats at once at n = 2e5, 11.1 at n = 2e4 with both prefixes 0
-    check_memory(8.0 * 12 * (args.n + 1), f"--n {args.n}", ConfigError)
+    check_memory(8.0 * 12 * (args.n + 1), f"--n {args.n}")
     ts = np.linspace(0.0, args.tau, args.n + 1)
     alpha = (ts > args.prefix_a).astype(float)
     beta = (ts > args.prefix_b).astype(float)
@@ -243,18 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_guarded(fn, *args) -> int:
-    """fn(*args)'s exit code, or 2 for a usage or configuration error or an
-    output that could not be written and 1 for a computation that could not
-    finish, reported on one stderr line."""
+    """fn(*args)'s exit code, or 2 for a UsageError or an output that could
+    not be written and 1 for a ComputationError or a failed linear algebra
+    routine, reported on one stderr line."""
     try:
         return fn(*args)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:      # a config that cannot be read is a ConfigError
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except _RUN_ERRORS as exc:
+    except (ComputationError, np.linalg.LinAlgError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -161,10 +161,12 @@ def prefix_of_samples(values: np.ndarray, dx: float, eps: float, tol: float) -> 
 
     Sample j sits at j*dx.  Returns the position of the last node before the
     first node in (0, eps) where |value| > tol, 0.0 if the first interior node
-    already violates, and eps if no node in (0, eps) does.
+    already violates, and eps if no node in (0, eps) does.  tol = 0 is the
+    exact zero test, which a relative tolerance of a subnormal function
+    rounds to.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not tol >= 0.0:
+        raise DomainError(f"tolerance must be non-negative, got {tol}")
     values = np.asarray(values, dtype=float)
     npts = values.shape[0]
     js = np.arange(1, npts)
@@ -186,7 +188,5 @@ def vanishing_prefix(f: Evaluable, eps: float, tol: float, grid: Grid) -> float:
     """
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must lie in (0,1], got {eps}")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     vals = np.asarray(f(grid.nodes), dtype=float)
     return prefix_of_samples(vals, grid.h, eps, tol)

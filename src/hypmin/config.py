@@ -15,7 +15,7 @@ import numpy as np
 
 from .coeffs import FAMILIES, CoefficientSpec, Grid
 from .characteristics import SpeedPair, speed_table_n
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError, UsageError
 from .system import BoundaryReflection, Control, SystemSpec
 
 __all__ = ["ScenarioConfig", "FEEDBACK", "config_from_dict", "load_config", "check_memory"]
@@ -111,7 +111,7 @@ def _random_fields(spec: dict, default_seed: int) -> tuple:
     if seed < 0 or m < 1:
         raise ConfigError("random data needs seed >= 0 and nodes >= 1")
     # the knots and two draws of m values, with room for the generator's own
-    check_memory(32.0 * m, f"random data with {m} nodes", ConfigError)
+    check_memory(32.0 * m, f"random data with {m} nodes")
     return seed, m
 
 
@@ -175,11 +175,12 @@ def _control(spec: dict):
 
 def _parse_record(raw: dict, key: str, default: str, parse, *args):
     """parse(record, *args) of the raw[key] record, {"kind": default} where
-    absent, with key before the text of its ConfigError."""
+    absent; a UsageError it raises becomes a ConfigError whose text starts
+    with key."""
     rec = _record(raw, key, {"kind": default})
     try:
         return parse(rec, *args)
-    except ConfigError as exc:
+    except UsageError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -191,12 +192,13 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def check_memory(need: float, what: str, error) -> None:
-    """Raise error unless an estimate of need bytes fits the physical memory."""
+def check_memory(need: float, what: str) -> None:
+    """Raise PreconditionError unless an estimate of need bytes fits the
+    physical memory."""
     have = _physical_memory()
     if need > have:
-        raise error(f"{what} needs about {need / 1e9:.3g} GB, more than the "
-                    f"{have / 1e9:.3g} GB of physical memory")
+        raise PreconditionError(f"{what} needs about {need / 1e9:.3g} GB, more than "
+                                f"the {have / 1e9:.3g} GB of physical memory")
 
 
 def config_from_dict(raw: dict, scenario_id: str = "scenario") -> ScenarioConfig:

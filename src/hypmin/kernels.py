@@ -580,7 +580,7 @@ def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     gauge, coupled = _gauge(system, grid)
     n = grid.n      # k22 where coupled, the plans and one CSV block: the rows stream out
     check_memory(write_kernels_csv_bytes(system, n, coupled),
-                 f"kernels at n={n}: the kernel marches and the CSV export", PreconditionError)
+                 f"kernels at n={n}: the kernel marches and the CSV export")
     text = csv_text(grid.nodes).tolist()
     P22 = np.zeros((n + 1, n + 1)) if coupled else None
     edge = np.empty(n + 1)      # k21(x_i, 0), filled block by block

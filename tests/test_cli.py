@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import hypmin.cli
 import hypmin.config
+import hypmin.errors
 from hypmin import Grid, harness, kernels
 from hypmin.cli import run_cli
 
@@ -1035,3 +1037,33 @@ class TestTitchmarshCommand:
         assert run_cli(["titchmarsh", "--prefix-a", "0.1", "--prefix-b", "0.2",
                         "--tau", "1", "--n", "2"]) == 0
         assert "nonvanishing" in capsys.readouterr().out
+
+
+_ERRORS = [cls for _, cls in inspect.getmembers(hypmin.errors, inspect.isclass)
+           if cls.__module__ == "hypmin.errors"]
+
+
+class TestExitCodeRule:
+    @pytest.mark.parametrize("cls", _ERRORS, ids=lambda cls: cls.__name__)
+    def test_base_decides_exit_code(self, capsys, cls):
+        # each error derives from exactly one of the two bases, which decides
+        # run_guarded's exit code and line, and keeps its builtin base
+        usage = issubclass(cls, hypmin.errors.UsageError)
+        assert usage != issubclass(cls, hypmin.errors.ComputationError)
+        builtin = RuntimeError if cls.__name__ in ("ComputationError", "DivergenceError",
+                                                   "RootBracketError") else ValueError
+        assert issubclass(cls, builtin)
+        exc = cls("no verdict", **({"step": 3} if cls is hypmin.errors.DivergenceError else {}))
+
+        def fail():
+            raise exc
+        assert hypmin.cli.run_guarded(fail) == (2 if usage else 1)
+        prefix = "error: " if usage else "computation failed: "
+        assert capsys.readouterr().err == f"{prefix}no verdict\n"
+
+    def test_lists_every_error(self):
+        # the parametrization above reads the module: were it empty, the test
+        # would be skipped, not failed
+        names = {cls.__name__ for cls in _ERRORS}
+        assert {"UsageError", "ComputationError", "UndefinedRateError",
+                "PreconditionError"} <= names

@@ -125,8 +125,10 @@ class TestVanishingPrefix:
         grid = Grid.uniform(10)
         with pytest.raises(DomainError):
             vanishing_prefix(CoefficientSpec.constant(0.0), 0.0, 1e-12, grid)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="non-negative"):
             vanishing_prefix(CoefficientSpec.constant(0.0), 0.5, -1.0, grid)
+        with pytest.raises(DomainError, match="non-negative"):
+            vanishing_prefix(CoefficientSpec.constant(0.0), 0.5, math.nan, grid)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=1e-14, max_value=1e-2),

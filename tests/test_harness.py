@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from hypmin.kernels import solve_trace
 from hypmin.simulator import BoundaryReflection, simulate
 
 from conftest import dense_canonical_map, headline_raw, make_system
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def varying_raw(n=200, horizon=1.25):
@@ -245,6 +248,33 @@ class TestVerifySettling:
         cfg = config_from_dict(raw, "zero")
         with pytest.raises(PreconditionError, match="needs nonzero initial data"):
             verify_settling(cfg)
+
+    @pytest.mark.parametrize("case", ["varying-step", "headline"])
+    def test_tiny_initial_data_scale_exactly(self, case):
+        # the certificate squares the state: at 2^-531 the norms underflowed
+        # to residuals 0 and a false PASS, and from 2^-534 on the data were
+        # refused as zero.  Each level runs on its data times a power of two,
+        # exact, so the rows are those of the unscaled data times the scale
+        if case == "headline":
+            cfg = load_config(os.path.join(CONFIG_DIR, "headline.json"))
+        else:
+            with open(os.path.join(CONFIG_DIR, "varying_speeds.json")) as fh:
+                raw = json.load(fh)
+            raw["system"]["c"]["ell"] = 0.470625
+            raw.update(grid_n=100, horizon=0.810931)
+            cfg = config_from_dict(raw, case)
+        base = verify_settling(cfg)
+        assert base.passed == (case == "headline")
+        for k in (-531, -1000):
+            scale = math.ldexp(1.0, k)
+            tiny = dataclasses.replace(
+                cfg, initial=lambda grid, s=scale: tuple(s * y for y in cfg.initial(grid)))
+            rep = verify_settling(tiny)
+            assert rep.passed is base.passed and rep.ratios == base.ratios
+            for row, want in zip(rep.rows, base.rows, strict=True):
+                assert row["residual_rel"] == want["residual_rel"]
+                assert row["residual_abs"] == want["residual_abs"] * scale
+                assert row["y0_norm"] == want["y0_norm"] * scale
 
     def test_settled_stays_settled(self):
         base = config_from_dict(headline_raw(n=200, horizon=1.5), "tmin")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ class TestTimesReport:
         assert tr.Tunif == pytest.approx(2.0, abs=1e-12)
         assert tr.xbar == pytest.approx(0.5, abs=1e-10)
         assert tr.Tmin == pytest.approx(max(1.0, 2.0 - 2.0 * ell), abs=1e-10)
+
+    @pytest.mark.parametrize("hi", [1e-310, 1e-312, 5e-324])
+    def test_subnormal_coupling(self, unit_speeds, hi):
+        # 1e-12 max |c|, or the strict pass's 1e-2 of it, rounds to 0 here:
+        # a tolerance 0 was refused, and mintime exited 2 on a valid config
+        grid = Grid.uniform(400)
+        tiny, unit = (times_report(make_system(unit_speeds, c=CoefficientSpec.step(0.25, 0.0, v)),
+                                   grid) for v in (hi, 1.0))
+        key = attrgetter("Xc", "Tmin", "tolerance_limited")
+        assert key(tiny) == key(unit) and unit.Tmin == 1.5
 
     def test_zero_coupling_gives_topt(self, varying_speeds):
         system = make_system(varying_speeds, c=0.0)

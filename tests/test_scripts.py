@@ -126,6 +126,35 @@ def test_compare_outputs(tmp_path):
     assert all(name.endswith(".csv") for name in differing)
 
 
+def test_compare_outputs_lists_stderr(tmp_path):
+    # q != 0 passes the times report, and every kernel solve refuses it on
+    # one error line; a copy that rewords that line exits and prints the
+    # same, with the same files, and differs only in the stderr of the runs
+    # that solve kernels
+    src = os.path.join(SCRIPTS, "..", "src")
+    for tree in ("a", "b"):
+        shutil.copytree(src, tmp_path / tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    kernels_py = tmp_path / "b" / "src" / "hypmin" / "kernels.py"
+    text = kernels_py.read_text()
+    assert "the kernel solve assumes" in text
+    kernels_py.write_text(text.replace("the kernel solve assumes", "every kernel solve needs"))
+    raw = headline_raw(n=32)
+    raw["system"]["q"] = 0.5
+    config = tmp_path / "headline.json"
+    config.write_text(json.dumps(raw))
+    proc = _run("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"), str(config),
+                cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    listed = proc.stdout.splitlines()
+    assert listed[-1].endswith("in 11 runs on 1 config(s)")
+    where = {line.split(": ")[0] for line in listed[:-1]}
+    assert {"0-headline/kernels", "0-headline/simulate",
+            "0-headline/verify-sharpness-at"} <= where
+    assert all(": stderr differs at line 1: 'error: the kernel solve assumes" in line
+               and "| 'error: every kernel solve needs" in line for line in listed[:-1])
+
+
 def test_compare_outputs_grid_n(tmp_path):
     # grid_n 4 is refused, so only the five commands that need no times.json
     # run on the config itself; with --grid-n 16 the three sharpness runs
