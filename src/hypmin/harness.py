@@ -129,6 +129,27 @@ def _levels(base_n: int, levels) -> list:
     return [base_n // 2, base_n, 2 * base_n]
 
 
+def _settling_level(cfg: ScenarioConfig, nk: int) -> tuple:
+    """(grid, y0, e, norm0) of level nk: its grid, the initial data y0 that
+    it simulates, times 2^-e, and the L2 norm of y0.  The certificate squares
+    the state, so data whose max lies below 0.5 are simulated times the
+    power of two 2^-e that brings it into [0.5, 1): that changes no rounding,
+    but keeps the squares of tiny data from underflowing.  Larger data are
+    simulated as they are (e = 0)."""
+    grid = Grid.uniform(nk)
+    y1, y2 = cfg.initial(grid)
+    m = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
+    e = int(np.frexp(m)[1]) if 0.0 < m < 0.5 else 0
+    y0 = (np.ldexp(y1, -e), np.ldexp(y2, -e)) if e else (y1, y2)
+    with np.errstate(over="ignore"):     # an overflow: simulate raises at step 1
+        return grid, y0, e, l2_norm(y0[0], y0[1], grid.h)
+
+
+def _ratios(values: list) -> list:
+    """The refinement ratios of values, level by level: 0.0 after a value of 0."""
+    return [b / a if a > 0 else 0.0 for a, b in zip(values, values[1:])]
+
+
 def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     """Closed-loop settling certificate at the configured horizon.
 
@@ -136,45 +157,29 @@ def verify_settling(cfg: ScenarioConfig, levels=None) -> VerificationReport:
     initial data on (at least) three refinement levels.  Passes when each
     refinement shrinks the final relative L2 residual by a ratio of at most
     _RATIO_MAX and the finest residual is at most _RESIDUAL_MAX; the report
-    records both as thresholds.  Requires horizon >= Tmin.
+    records both as thresholds.  Requires nonzero initial data and horizon
+    >= Tmin, both checked before any solve.
     """
     levels = _levels(cfg.grid.n, levels)
     check_run_memory("verify-settling", cfg, max(levels), True, 0)
     t_start = time.perf_counter()
-    grids = [Grid.uniform(nk) for nk in levels]
-    data, exps = [], []
-    for grid_k in grids:
-        # the certificate squares the state, so data whose max lies below 0.5
-        # are simulated times the power of two 2^-e that brings it into
-        # [0.5, 1): that changes no rounding, but keeps the squares of tiny
-        # data from underflowing.  Larger data are simulated as they are.
-        y1, y2 = cfg.initial(grid_k)
-        m = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
-        e = int(np.frexp(m)[1]) if 0.0 < m < 0.5 else 0
-        data.append((np.ldexp(y1, -e), np.ldexp(y2, -e)) if e else (y1, y2))
-        exps.append(e)
-    with np.errstate(over="ignore"):     # an overflow: simulate raises at step 1
-        norms = [l2_norm(y0[0], y0[1], grid_k.h) for y0, grid_k in zip(data, grids)]
-    if any(norm0 <= 0.0 for norm0 in norms):
+    data = [_settling_level(cfg, nk) for nk in levels]
+    if any(norm0 <= 0.0 for *_, norm0 in data):
         raise PreconditionError("settling verification needs nonzero initial data")
     tr = times_report(cfg.system, grid=cfg.grid)
     if cfg.horizon < tr.Tmin - 1e-12:
         raise PreconditionError(
             f"settling horizon {cfg.horizon:.12g} is below Tmin {tr.Tmin:.12g}")
     rows = []
-    residuals = []
-    for nk, grid_k, y0, norm0, e in zip(levels, grids, data, norms, exps):
+    for nk, (grid_k, y0, e, norm0) in zip(levels, data):
         law = solve_gains(cfg.system, grid_k)
         sim = simulate(cfg.system, law, y0, cfg.horizon, grid_k, cfg.cfl, snapshots=0)
         res_abs = sim.l2_trace[-1]
-        res_rel = res_abs / norm0
-        rows.append({"n": nk, "h": grid_k.h, "residual_rel": float(res_rel),
+        rows.append({"n": nk, "h": grid_k.h, "residual_rel": float(res_abs / norm0),
                      "residual_abs": math.ldexp(res_abs, e), "y0_norm": math.ldexp(norm0, e)})
-        residuals.append(res_rel)
         del law, sim                     # free this level before the next one
-    ratios = [residuals[i + 1] / residuals[i] if residuals[i] > 0 else 0.0
-              for i in range(len(residuals) - 1)]
-    passed = residuals[-1] <= _RESIDUAL_MAX and all(r <= _RATIO_MAX for r in ratios)
+    ratios = _ratios([row["residual_rel"] for row in rows])
+    passed = rows[-1]["residual_rel"] <= _RESIDUAL_MAX and all(r <= _RATIO_MAX for r in ratios)
     return VerificationReport(
         scenario_id=cfg.scenario_id, kind="settling", tmin=tr.Tmin,
         requested_time=cfg.horizon, rows=rows, ratios=ratios,
@@ -251,7 +256,8 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
     that lstsq keeps (those above its cutoff eps * max(shape) times the
     largest), so it is below 1 / (eps * max(shape)) and always finite; it
     is 1.0 when elimination leaves no hat, as on the floor side whenever
-    T < T1.  A free norm or residual that overflows raises DomainError.
+    T < T1.  The norms are scale-free (_norm): a free norm or residual
+    raises DomainError only where its value lies beyond the float range.
     """
     n, h, T1 = grid.n, grid.h, speeds.T1
     M = max(1, round(T / h))
@@ -283,7 +289,7 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
         # upper row i holds vals[i] in columns cols[i] = (c, c + 1), c = 0
         # where vals[i, 0] is the free response
         z = np.concatenate([np.where(cols[:, 0] == 0, vals[:, 0], 0.0), lower[:, 0]])
-        free_norm = float(np.linalg.norm(z))
+        free_norm = _norm(z)
         if not math.isfinite(free_norm):
             raise _sharpness_overflow(T)
         # hats in columns [1, s0) only in lower rows, [s0, cl) shared, [cl, M + 2)
@@ -305,14 +311,23 @@ def canonical_sharpness_residual(speeds: SpeedPair, g: np.ndarray, T: float,
         del lower
         rhs, red = red[:, 0], red[:, 1:]
         if cl == 1:
-            residual, condition = float(np.linalg.norm(rhs)), 1.0
+            residual, condition = _norm(rhs), 1.0
         else:
             sol, _, rank, svals = np.linalg.lstsq(red, -rhs, rcond=None)
-            residual = float(np.linalg.norm(red @ sol + rhs))
+            residual = _norm(red @ sol + rhs)
             condition = float(svals[0] / svals[rank - 1])
     if not math.isfinite(residual):
         raise _sharpness_overflow(T)
     return residual, free_norm, condition, M + 1
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v, taken on v times 2^-e, e the binary exponent of its
+    largest |entry|, and scaled back by 2^e: both scalings are exact, so the
+    squares neither overflow nor underflow.  Not finite only where the norm
+    lies beyond the float range or an entry is not finite."""
+    e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
 def _sharpness_overflow(T: float) -> DomainError:
@@ -371,8 +386,7 @@ def verify_sharpness(cfg: ScenarioConfig, T: float, levels=None) -> Verification
                      "residual_vs_initial": float(res),
                      "free_norm": float(free_norm),
                      "condition": float(cond), "n_controls": ncontrols})
-    ratios = [b["residual"] / a["residual"] if a["residual"] > 0 else 0.0
-              for a, b in zip(rows, rows[1:])]
+    ratios = _ratios([row["residual"] for row in rows])
     if T <= tr.Tmin - margin:
         side = "floor"
         passed = all(row["residual_vs_free"] >= _FLOOR_REL for row in rows)

@@ -41,7 +41,10 @@ builds its plans and yields its rows one block at a time, the trace stream
 (_trace_blocks) integrates the trace paths of each block once the march has
 passed it, and the one checked kernel stream (_kernel_blocks) joins each
 trace block with the gains block of the same rows, divides the four
-kernels by the speeds and checks them.  That joint stream has two sinks:
+kernels by the speeds and checks them.  It raises the first error it
+meets: at each block that of the gains march, then of the trace march
+(which runs a block ahead), then of k11, k12, k21 and k22 in turn.  That
+joint stream has two sinks:
 solve_kernels keeps all four kernels (and g and the gains read from them),
 and write_kernels_csv only k22, for the trace paths, writing each block's
 lines to kernels.csv.  solve_gains keeps the last row of (k11, k12) of the
@@ -405,36 +408,24 @@ def _trace_blocks(gauge: DiagGauge, P22):
 _NAMES = ("k11", "k12", "k21", "k22")
 
 
-def _kernel_blocks(gauge: DiagGauge, coupled: bool, P22):
+def _kernel_blocks(gauge: DiagGauge, P22):
     """The one checked kernel stream: yields (rows, (k11, k12, k21, k22)) for
     each of the _row_blocks in turn, the block's rows of the four kernels,
-    new arrays, while every entry is finite.
+    new arrays, and raises the first error it meets.
 
-    Each block of _trace_blocks(gauge, P22) is paired with the gains block
-    of the same rows (the gains march where coupled, else _zero_gains),
-    k21's column 0 is its trace edge, and each kernel is its p-form divided
-    by lambda_fa(xi).  Both marches run to the end, so that the DomainError
-    raised is the one of a check of each whole kernel in turn: that of the
-    gains march, else of the trace march, else of k11, k12, k21 and k22 in
-    turn; no block is yielded after a block that fails a check.
+    At each block it steps the gains march (_zero_gains where P22 is None,
+    the _uncoupled system) through the block, then _trace_blocks(gauge, P22),
+    which runs a block ahead, and last divides each kernel's p-form by
+    lambda_fa(xi), k21's column 0 its trace edge, and checks k11, k12, k21
+    and k22 of the block in turn.
     """
     lam1, lam2 = gauge.lam
-    gains = (_march_pair("gains", gauge) if coupled
+    gains = (_march_pair("gains", gauge) if P22 is not None
              else _zero_gains(gauge, _row_blocks(gauge.grid.n)))
-    bad = set()                 # the kernels with an entry that is not finite
-    try:
-        for (_, p12, p11), (rows, p21, p22, edge) in zip(gains, _trace_blocks(gauge, P22)):
-            k = (p11 / lam1, p12 / lam2, p21 / lam1, p22 / lam2)
-            k[2][:, 0] = edge / lam1[0]
-            bad.update(w for w, kw in zip(_NAMES, k) if not np.isfinite(kw).all())
-            if not bad:
-                yield rows, k
-    except DomainError:
-        deque(gains, maxlen=0)      # a gains march error comes first
-        raise
-    for w in _NAMES:
-        if w in bad:
-            raise _overflow(f"kernel {w}")
+    for (_, p12, p11), (rows, p21, p22, edge) in zip(gains, _trace_blocks(gauge, P22)):
+        k = (p11 / lam1, p12 / lam2, p21 / lam1, p22 / lam2)
+        k[2][:, 0] = edge / lam1[0]
+        yield rows, tuple(_finite(f"kernel {w}", kw) for w, kw in zip(_NAMES, k))
 
 
 def _overflow(name: str) -> DomainError:
@@ -442,27 +433,18 @@ def _overflow(name: str) -> DomainError:
                        "for the kernel solve")
 
 
-def _check_finite(name: str, values: np.ndarray) -> None:
-    """Raise DomainError naming the kernel or gain whose values overflowed."""
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """values, or DomainError naming the kernel or gain where one overflowed."""
     if not np.isfinite(values).all():
         raise _overflow(name)
-
-
-def _unweight(name: str, p: np.ndarray, lam) -> np.ndarray:
-    """The kernel k = p / lambda_fa(xi) of its p-form, divided in place; a
-    speed near zero can overflow it where p is finite."""
-    p /= lam
-    _check_finite(f"kernel {name}", p)
-    return p
+    return values
 
 
 def _gains(k11_last: np.ndarray, k12_last: np.ndarray, gauge: DiagGauge) -> FeedbackLaw:
     """Feedback gains from row n (x = 1) of k11 and k12."""
-    f1 = k11_last * gauge.e1 / gauge.e1[-1]
-    f2 = k12_last * gauge.e2 / gauge.e1[-1]
-    _check_finite("gain f1", f1)
-    _check_finite("gain f2", f2)
-    return FeedbackLaw(nodes=gauge.grid.nodes, f1=f1, f2=f2)
+    return FeedbackLaw(nodes=gauge.grid.nodes,
+                       f1=_finite("gain f1", k11_last * gauge.e1 / gauge.e1[-1]),
+                       f2=_finite("gain f2", k12_last * gauge.e2 / gauge.e1[-1]))
 
 
 def _g(k21_edge: np.ndarray, gauge: DiagGauge) -> np.ndarray:
@@ -502,7 +484,7 @@ def solve_kernels(system: SystemSpec, grid: Grid) -> KernelSet:
     # k22 doubles as P22, whose rows the trace paths of later blocks read:
     # it stays in p-form until the stream ends
     P22 = K["k22"] if coupled else None
-    for rows, k in _kernel_blocks(gauge, coupled, P22):
+    for rows, k in _kernel_blocks(gauge, P22):
         for w, kw in zip(_NAMES[:3], k):
             K[w][rows.start:rows.stop] = kw
     K["k22"] /= gauge.lam[1]        # as the stream divides and checks it
@@ -521,9 +503,9 @@ def solve_gains(system: SystemSpec, grid: Grid) -> FeedbackLaw:
     blocks = (_march_pair("gains", gauge) if coupled
               else _zero_gains(gauge, [range(n, n + 1)]))
     _, p12, p11 = deque(blocks, maxlen=1)[0]
-    p11, p12 = p11[-1], p12[-1]
     lam1, lam2 = gauge.lam
-    return _gains(_unweight("k11", p11, lam1), _unweight("k12", p12, lam2), gauge)
+    return _gains(_finite("kernel k11", p11[-1] / lam1),
+                  _finite("kernel k12", p12[-1] / lam2), gauge)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -538,7 +520,7 @@ def solve_trace(system: SystemSpec, grid: Grid) -> np.ndarray:
         row = np.concatenate([edge for *_, edge in _trace_blocks(gauge, P22)])
     else:
         row = _trace_paths(gauge)[0] + 0.0
-    return _g(_unweight("k21", row, gauge.lam[0, 0]), gauge)
+    return _g(_finite("kernel k21", row / gauge.lam[0, 0]), gauge)
 
 
 def solve_kernels_bytes(system: SystemSpec, n: int, kept: int) -> int:
@@ -586,7 +568,7 @@ def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     edge = np.empty(n + 1)      # k21(x_i, 0), filled block by block
     with open(path, "w", newline="") as fh:
         fh.write(csv_header(["x", "xi", *_NAMES]))
-        for rows, k in _kernel_blocks(gauge, coupled, P22):
+        for rows, k in _kernel_blocks(gauge, P22):
             edge[rows.start:rows.stop] = k[2][:, 0]
             fh.write(csv_triangle(text, rows, k))
     return _g(edge, gauge), _gains(k[0][-1], k[1][-1], gauge)

@@ -3,9 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hypmin import CoefficientSpec, FeedbackLaw, KernelSet, SpeedPair, SystemSpec
 from hypmin.simulator import largest_speed
+
+
+# log-uniform magnitudes over nearly the whole float range
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1])
 
 
 def const(v):

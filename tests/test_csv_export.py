@@ -29,7 +29,7 @@ from hypmin.kernels import solve_gains, solve_trace, write_kernels_csv, write_ke
 from hypmin.simulator import export_sim_csv
 from hypmin.system import export_profile_csv
 
-from conftest import const, make_system, reference_kernels_csv
+from conftest import _MAGNITUDE, _SIGNED, const, make_system, reference_kernels_csv
 
 SPECIALS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
             123456789012345.0, 0.1, -1.0 / 3.0, 1e300, 0.0]
@@ -282,11 +282,6 @@ def test_streamed_kernels_bytes(varying_speeds, monkeypatch, tmp_path, n, b, pat
     assert solve_trace(system, grid).tobytes() == K.g.tobytes()
 
 
-# log-uniform magnitudes over nearly the whole float range
-_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
-_SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1])
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @example(lambda1=1e-20, lambda2=1e-150, b=-1e20, c=-1e-20, hi=1.0, a=0.0)
@@ -298,12 +293,11 @@ _SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0]
        a=st.floats(-700.0, 700.0))
 def test_streamed_kernels_raise_as_solve_kernels(tmp_path_factory, lambda1, lambda2, b, c,
                                                  hi, a):
-    # near the float limits the stream raises the DomainError that
-    # solve_kernels raises first, though its rows meet the failing checks
-    # in another order (row by row, not kernel by kernel), or writes the
-    # same file.  The examples overflow k12 and f2 only past the march; the
-    # trace march before the gains march; a k21 row before the gains march;
-    # and a k21 row before the trace march (which the parent reports)
+    # near the float limits write_kernels_csv raises the DomainError that
+    # solve_kernels raises, the first error that their one kernel stream
+    # meets, or writes the same file.  The examples overflow k12 and f2
+    # only past the march; the trace march before the gains march; a k21
+    # row before the gains march; and a k21 row before the trace march
     try:
         speeds = SpeedPair.build(const(-lambda1), const(lambda2))
     except InvalidSpeedsError:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypmin import CoefficientSpec, Grid, harness, simulator, times_report
-from hypmin.errors import ConfigError, PreconditionError
+from hypmin.errors import ConfigError, DomainError, PreconditionError
 from hypmin.cli import _write_json
 from hypmin.config import FEEDBACK, config_from_dict, load_config
 from hypmin.harness import (canonical_sharpness_residual, counterexample, verify_settling,
@@ -435,6 +435,31 @@ class TestVerifySharpness:
         cfg = config_from_dict(headline_raw(n=64), "horizon")
         with pytest.raises(PreconditionError, match="finite and positive"):
             verify_sharpness(cfg, T, levels=(64,))
+
+
+class TestSharpnessScale:
+    @pytest.mark.parametrize("config, hi, T", [
+        ("varying_speeds", 1e160, 0.95), ("varying_speeds", 1e-160, 0.95),
+        ("headline", 1e-300, 1.2), ("varying_speeds", 1e300, 0.95),
+        ("varying_speeds", 1e-300, 0.95)])
+    def test_scale_of_c_keeps_the_floor(self, config, hi, T):
+        # the norms squared their entries: a trace g above about 1e154
+        # overflowed them, a DomainError where the map is finite, and below
+        # about 1e-154 they underflowed to residual = free norm = 0, a FAIL
+        with open(os.path.join(CONFIG_DIR, f"{config}.json")) as fh:
+            raw = json.load(fh)
+        raw["system"]["c"]["hi"] = hi
+        rep = verify_sharpness(config_from_dict(raw, config), T, levels=(100,))
+        assert rep.notes == "side=floor" and rep.passed
+        row = rep.rows[0]
+        assert 0.0 < row["residual"] <= row["free_norm"] < math.inf
+
+    def test_trace_beyond_the_map_overflows(self, varying_speeds, recwarn):
+        # g = 1e308 overflows the canonical map itself: one DomainError
+        with pytest.raises(DomainError, match=r"^sharpness residual at T=0\.9 overflows"):
+            canonical_sharpness_residual(varying_speeds, np.full(33, 1e308), 0.9,
+                                         Grid.uniform(32))
+        assert len(recwarn) == 0
 
 
 def dense_operator(speeds, g, T, grid):

@@ -302,6 +302,29 @@ class TestSolveKernels:
             solve_gains(make_system(unit_speeds, b=1e160, c=1e160), grid)
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("entry", ["full", "csv"])
+    def test_stream_raises_first_error_it_meets(self, unit_speeds, monkeypatch, tmp_path,
+                                                entry):
+        # blocks of 2 rows: the checks of block 2 (rows 4 and 5) find k21
+        # overflowing before the gains march overflows k12 in block 3, and the
+        # stream raises k21 there, after 14 plans: 3 gains blocks and the 4
+        # trace blocks the trace march has run ahead to, of 2 plans each; it
+        # marches no gains block past the error to name k12 (16 plans)
+        monkeypatch.setattr(kernels, "BLOCK_POINTS", 40)
+        calls = []
+        build = kernels._build_plan
+        monkeypatch.setattr(kernels, "_build_plan",
+                            lambda which, *args: calls.append(which) or build(which, *args))
+        system = make_system(unit_speeds, a=0.5, b=1e160,
+                             c=CoefficientSpec.step(0.25, 0.0, 1e160), d=-0.3)
+        grid = Grid.uniform(16)
+        with pytest.raises(DomainError, match="^kernel k21 overflows"):
+            if entry == "full":
+                solve_kernels(system, grid)
+            else:
+                write_kernels_csv(system, grid, tmp_path / "kernels.csv")
+        assert len(calls) == 14
+
     @pytest.mark.parametrize("entry", ["gains", "trace"])
     @pytest.mark.parametrize("poison,named", [
         ({"edge": 5, "diagonal": 6}, "edge"), ({"diagonal": 5, "edge": 6}, "diagonal"),
