@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare what two hypmin source trees print and write, command by command.
 
-    python scripts/compare_outputs.py OLD NEW [--grid-n N] [CONFIG ...]
+    python scripts/compare_outputs.py OLD NEW [--grid-n N ...] [CONFIG ...]
 
 On each config (default: NEW's configs/*.json) every tree runs `mintime`,
 `kernels`, `simulate`, `verify-settling` and `verify-sharpness` at
@@ -22,7 +22,9 @@ listed on one line; the exit code is 1 if there is any, else 0, and 2,
 before any run, where OLD or NEW has no src/hypmin/__init__.py.  With
 --grid-n N both trees run on copies of the configs whose grid_n is N, each
 written to a directory of its own in the scratch directory, under its file
-name.
+name; --grid-n may be given more than once (--grid-n 800 --grid-n 1600),
+and each N then gets its own set of copies, whose runs and outputs are
+listed under nN/ (n800/0-headline/kernels, say).
 """
 
 import argparse
@@ -57,11 +59,12 @@ def _hypmin(tree: str, work: str, argv: list) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, faults
 
 
-def run_tree(tree: str, configs: list, work: str) -> dict:
-    """{(config, command): _hypmin's (exit code, stdout, stderr, faults)}, with
-    the outputs of each command under work/<config index>-<config name>/
-    <command>, and {("counterexample", "k=K"): ...} and {("titchmarsh",):
-    ...}, with the counterexample's under work/counterexample/k=K."""
+def run_tree(tree: str, cases: list, work: str) -> dict:
+    """{(case, command): _hypmin's (exit code, stdout, stderr, faults)} for
+    each (case, config) of cases, with the outputs of each command under
+    work/<case>/<command>, and {("counterexample", "k=K"): ...} and
+    {("titchmarsh",): ...}, with the counterexample's under
+    work/counterexample/k=K."""
     results = {}
     for K in _COUNTEREXAMPLE_K:
         key = ("counterexample", f"k={K!r}")
@@ -69,8 +72,7 @@ def run_tree(tree: str, configs: list, work: str) -> dict:
                                             "--out", os.path.join(*key)])
     results[("titchmarsh",)] = _hypmin(tree, work, ["titchmarsh", "--prefix-a", "0.3",
                                                     "--prefix-b", "0.2", "--tau", "1"])
-    for k, config in enumerate(configs):
-        case = f"{k}-{os.path.splitext(os.path.basename(config))[0]}"
+    for case, config in cases:
         out = lambda command: os.path.join(case, command)
         for command in ("mintime", "kernels", "simulate", "verify-settling"):
             results[case, command] = _hypmin(tree, work, [command, config, "--out", out(command)])
@@ -163,8 +165,8 @@ def main(argv=None) -> int:
     ap.add_argument("old", help="source tree whose src/ holds the reference hypmin")
     ap.add_argument("new", help="source tree whose src/ holds the hypmin compared with it")
     ap.add_argument("configs", nargs="*", help="configs (default: NEW's configs/*.json)")
-    ap.add_argument("--grid-n", type=int, default=None,
-                    help="run on copies of the configs with this grid_n")
+    ap.add_argument("--grid-n", type=int, action="append", default=None,
+                    help="run on copies of the configs with this grid_n (repeatable)")
     args = ap.parse_intermixed_args(argv)
     for tree in (args.old, args.new):
         if not os.path.isfile(os.path.join(tree, "src", "hypmin", "__init__.py")):
@@ -173,20 +175,24 @@ def main(argv=None) -> int:
             return 2
     configs = ([os.path.abspath(c) for c in args.configs]
                or sorted(glob.glob(os.path.join(os.path.abspath(args.new), "configs", "*.json"))))
+    name = lambda k, c: f"{k}-{os.path.splitext(os.path.basename(c))[0]}"
     with tempfile.TemporaryDirectory() as tmp:
-        if args.grid_n is not None:
-            configs = [_with_grid_n(c, args.grid_n, os.path.join(tmp, "configs", str(k)))
-                       for k, c in enumerate(configs)]
+        if args.grid_n is None:
+            cases = [(name(k, c), c) for k, c in enumerate(configs)]
+        else:
+            cases = [(f"n{n}/{name(k, c)}",
+                      _with_grid_n(c, n, os.path.join(tmp, "configs", str(n), str(k))))
+                     for n in dict.fromkeys(args.grid_n) for k, c in enumerate(configs)]
         works = [os.path.join(tmp, "old"), os.path.join(tmp, "new")]
         for work in works:
             os.makedirs(work)
         with ThreadPoolExecutor(2) as pool:
-            results = list(pool.map(run_tree, (args.old, args.new), (configs, configs), works))
+            results = list(pool.map(run_tree, (args.old, args.new), (cases, cases), works))
         diffs = differences(works, results)
     for line in diffs:
         print(line)
     runs = len(set(results[0]) | set(results[1]))
-    print(f"{len(diffs)} difference(s) in {runs} runs on {len(configs)} config(s)")
+    print(f"{len(diffs)} difference(s) in {runs} runs on {len(cases)} config(s)")
     return 1 if diffs else 0
 
 

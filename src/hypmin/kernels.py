@@ -37,27 +37,31 @@ system is coupled.  The two systems are decoupled, each solved by its own
 row march.
 The kernel stream moves in row blocks (_row_blocks), in order of x, which is
 also the order of kernels.csv, with one block size, BLOCK_POINTS: the march
-builds its plans and yields its rows one block at a time, the trace stream
-(_trace_blocks) integrates the trace paths of each block once the march has
-passed it, and the one checked kernel stream (_kernel_blocks) joins each
-trace block with the gains block of the same rows, divides the four
-kernels by the speeds and checks them.  It raises the first error it
-meets: at each block that of the gains march, then of the trace march
-(which runs a block ahead), then of k11, k12, k21 and k22 in turn.  That
-joint stream has two sinks:
+builds the band of boundary-entered points of each of its kernels once
+(_Band, a few points a row), then its plans and its rows one block at a
+time, stepping the interior points of both kernels of a row with one set
+of gathers and products, the trace stream (_trace_blocks) integrates the
+trace paths of each block once the march has passed it, and the one
+checked kernel stream (_kernel_blocks) joins each trace block with the
+gains block of the same rows, divides k11, k12 and k21 by the speeds and
+checks the four kernels, k22 without dividing it: each sink divides it
+once.  It raises the first error it meets: at each block that of the
+gains march, then of the trace march (which runs a block ahead), then of
+k11, k12, k21 and k22 in turn.  That joint stream has two sinks:
 solve_kernels keeps all four kernels (and g and the gains read from them),
 and write_kernels_csv only k22, for the trace paths, writing each block's
 lines to kernels.csv.  solve_gains keeps the last row of (k11, k12) of the
 gains march for the feedback, and solve_trace k22 and the edge of each
 trace block.  Memory: 4 arrays of (n+1)^2 floats for solve_kernels, none
 for solve_gains, 1 for solve_trace and 1 for write_kernels_csv (none where
-b = 0), plus one row block of plans (about
-2 MB; half that where only k21 is planned), and a few row blocks of kernel
-rows and one of trace paths (and of CSV text, formatted one triangle row at
-a time).  write_kernels_csv checks its bound, write_kernels_csv_bytes, against
-the machine's memory once _gauge has decided whether the system is
-coupled, before it opens the file.  The records the solves return,
-KernelSet and FeedbackLaw, and the CSV format live in system.
+b = 0), plus one row block of plans (about 2 MB; half that where only
+k21 is planned), the bands of the kernels marched (O(n) floats), and
+a few row blocks of kernel rows and one of trace paths (and of CSV text,
+formatted one triangle row at a time).  write_kernels_csv checks its
+bound, write_kernels_csv_bytes, against the machine's memory once _gauge
+has decided whether the system is coupled, before it opens the file.  The
+records the solves return, KernelSet and FeedbackLaw, and the CSV format
+live in system.
 
 Uncoupled systems (b = 0).  The pair (k11, k12) is driven only by the
 coupling b, through the diagonal data and source of k12, and k22 only by b.
@@ -104,14 +108,13 @@ __all__ = ["solve_kernels", "solve_gains", "solve_trace", "solve_kernels_bytes",
 
 class _Block(NamedTuple):
     """Rows r0 <= i < r1, the geometry a pair's two plans share: points (i, j),
-    j <= i, packed row by row from (r0, 0) on, ip = i - 1 (r0 >= 1: row 0 is
-    never marched).  Row f-1 of phi and dphi holds the node values of phi_f
+    j <= i, packed row by row from (r0, 0) on (r0 >= 1: row 0 is never
+    marched).  Row f-1 of phi and dphi holds the node values of phi_f
     and the increments phi_f(x_i) - phi_f(x_{i-1})."""
 
     rows: range
     ii: np.ndarray
     jj: np.ndarray
-    ip: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
 
@@ -123,48 +126,59 @@ def _row_blocks(n: int) -> list:
     return [range(r0, min(r0 + rows, n + 1)) for r0 in range(0, n + 1, rows)]
 
 
-def _blocks(gauge: DiagGauge):
-    """The _Block of each of the _row_blocks: its rows from 1 on."""
+def _node_phi(gauge: DiagGauge) -> tuple:
+    """(phi, dphi): row f-1 the node values of phi_f and their increments
+    phi_f(x_i) - phi_f(x_{i-1}) (0 at i = 0)."""
     speeds, nodes = gauge.speeds, gauge.grid.nodes
     phi = np.stack([speeds.phi_eval(1, nodes), speeds.phi_eval(2, nodes)])
-    dphi = np.diff(phi, prepend=phi[:, :1])
+    return phi, np.diff(phi, prepend=phi[:, :1])
+
+
+def _blocks(gauge: DiagGauge):
+    """The _Block of each of the _row_blocks: its rows from 1 on."""
+    phi, dphi = _node_phi(gauge)
     for rows in _row_blocks(gauge.grid.n):
         marched = range(max(rows.start, 1), rows.stop)
         ii, jj = _triangle_points(marched)
-        yield _Block(marched, ii, jj, ii - 1, phi, dphi)
+        yield _Block(marched, ii, jj, phi, dphi)
 
 
 def _triangle_points(rows: range):
-    """The points (i, j), j <= i, of the triangle rows i in rows, row by row."""
+    """The points (i, j), j <= i, of the triangle rows i in rows, row by row:
+    each point's j is its place in the block less its row's offset there."""
     r0 = rows.start
-    ii = np.repeat(np.arange(r0, rows.stop), np.arange(r0 + 1, rows.stop + 1))
-    return ii, np.arange(ii.size) - (ii * (ii + 1) - r0 * (r0 + 1)) // 2
+    i = np.arange(r0, rows.stop)
+    ii = np.repeat(i, i + 1)
+    return ii, np.arange(ii.size) - np.repeat((i * (i + 1) - r0 * (r0 + 1)) // 2, i + 1)
 
 
 class _MarchPlan(NamedTuple):
-    """Precomputed geometry for marching one kernel over one row block.
+    """Precomputed geometry for marching the kernels of a pair over one row
+    block: row t of each array is that of the pair's t-th kernel, the
+    diagonal-entered one first, then the edge-entered one where it is
+    planned.
 
     Per point (i, j) of the block, packed as in _Block: the foot of the
-    characteristic step in row i-1 (linear-interp index and weight) and the
-    Euler source coefficient.  Where the characteristic enters through its
-    data boundary between the two rows, brows[i - r0] holds the start data
-    and a source coefficient at the start.
+    characteristic step in row i-1 (linear-interp index fidx, weights
+    1 - fw and fw) and the Euler source coefficient.  The points whose
+    characteristic enters through the data boundary are stepped from its
+    _Band.
     """
 
     r0: int
-    on_edge: bool                  # enters through xi=0 (k11/k22), else the diagonal
     fidx: np.ndarray
+    up: np.ndarray                 # 1 - fw
     fw: np.ndarray
     coefA: np.ndarray
-    brows: list                    # per row i: (js, p0, coefB, bidx, bw)
 
 
-def _interp_setup(pos: np.ndarray, h: float, clamp_hi):
+def _interp_setup(pos: np.ndarray, h: float, clamp_hi, idx=None, w=None):
     """Uniform-grid linear interp indices and weights, both clamped: idx to
     [0, clamp_hi], so that idx+1 stays valid, and the weight to [0, 1], so
-    that a position past node clamp_hi+1 reads that node, never extrapolates."""
-    w = pos / h
-    idx = np.clip(np.floor(w).astype(np.intp), 0, clamp_hi)
+    that a position past node clamp_hi+1 reads that node, never extrapolates.
+    Written to idx and w where given."""
+    w = np.divide(pos, h, out=w)
+    idx = np.clip(np.floor(w).astype(np.intp), 0, clamp_hi, out=idx)
     w -= idx
     np.clip(w, 0.0, 1.0, out=w)
     return idx, w
@@ -176,82 +190,146 @@ def _diag_data(gauge: DiagGauge, fa: int, x):
     return lam(fa, x) * cpl(x) / (lam(3 - fa, x) - lam(fa, x))
 
 
-def _build_plan(which: str, gauge: DiagGauge, blk: _Block) -> _MarchPlan:
-    """Plan of kernel k<fx><fa> on one row block: x follows family fx, xi fa.
+def _source(gauge: DiagGauge, fa: int, lx, xi):
+    """Source coefficient -lambda_fa(xi) * coupling(xi) / (lx * lambda_fb(xi))
+    of a kernel k<fx><fa>, fb = 3 - fa and lx = lambda_fx(x), with the
+    coupling ct when fa = 1 and bt when fa = 2; in place, on new arrays."""
+    lam, cpl = gauge.speeds.speed, gauge.ct_at if fa == 1 else gauge.bt_at
+    out = np.negative(lam(fa, xi))
+    out *= cpl(xi)
+    den = lam(3 - fa, xi)
+    den *= lx
+    out /= den
+    return out
 
-    k11/k22 (fx = fa) enter through the edge xi=0 with zero data, k12/k21
-    through the diagonal.  The source coefficient is -lambda_fa(xi) *
-    coupling(xi) / (lambda_fx(x) * lambda_fb(xi)), fb = 3 - fa, with the
-    coupling ct when fa = 1 and bt when fa = 2.
-    """
-    grid, speeds = gauge.grid, gauge.speeds
-    h, nodes = grid.h, grid.nodes
-    ii, jj, ip = blk.ii, blk.jj, blk.ip
+
+def _build_plan(which: str, gauge: DiagGauge, blk: _Block, plan: _MarchPlan, t: int) -> None:
+    """Plan of kernel k<fx><fa> on one row block, written to row t of plan:
+    x follows family fx, xi fa.  k11/k22 (fx = fa) enter through the edge
+    xi=0 with zero data, k12/k21 through the diagonal."""
+    h, speeds = gauge.grid.h, gauge.speeds
+    ii, jj = blk.ii, blk.jj
     fx, fa = int(which[1]), int(which[2])
-    fb = 3 - fa
-    on_edge = fx == fa
-    pa, px = blk.phi[fa - 1], blk.phi[fx - 1]
-    cpl = gauge.ct_at if fa == 1 else gauge.bt_at
-    lam = speeds.speed
-    coef = lambda lx, xi: -lam(fa, xi) * cpl(xi) / (lx * lam(fb, xi))
-
+    pa = blk.phi[fa - 1]
     # Invariant coordinate u of the foot of each point in row i-1.
-    if on_edge:
+    if fx == fa:
         u = pa[jj] - blk.dphi[fx - 1][ii]
-        interior = u >= 0.0
     else:
         u = pa[jj] + blk.dphi[fx - 1][ii]
-        interior = u <= pa[ip] + 1e-15
     xiP = speeds.phi_inv_ext(fa, u)
     del u
     np.clip(xiP, 0.0, 1.0, out=xiP)         # the feet, clipped in place
-    fidx, fw = _interp_setup(xiP, h, np.maximum(ii - 2, 0))  # idx+1 inside row i-1
-    coefA = h * coef(gauge.lam[fx - 1][ip], xiP)    # lambda_fx at row i-1
-    del xiP
+    clamp = ii - 2
+    _interp_setup(xiP, h, np.maximum(clamp, 0, out=clamp), plan.fidx[t], plan.fw[t])
+    del clamp                               # idx+1 inside row i-1
+    np.subtract(1.0, plan.fw[t], out=plan.up[t])
+    np.multiply(h, _source(gauge, fa, gauge.lam[fx - 1][ii - 1], xiP),   # lambda_fx at row i-1
+                out=plan.coefA[t])
 
-    # Boundary-entered points (a thin band along the data boundary): solve all
-    # start positions of the block in one vectorized call, then slice per
-    # row.  The diagonal of k12/k21 is data, not marched.
-    band = ~interior if on_edge else (ii > jj) & ~interior
-    bi, bj = ii[band], jj[band]
+
+def _block_plan(names, gauge: DiagGauge, blk: _Block) -> _MarchPlan:
+    """The _MarchPlan of the kernels names (one or both of a pair's, the
+    diagonal-entered one first) on one row block."""
+    plan = _MarchPlan(blk.rows.start, *(np.empty((len(names), blk.ii.size), dtype=t)
+                                        for t in (np.intp, float, float, float)))
+    for t, which in enumerate(names):
+        _build_plan(which, gauge, blk, plan, t)
+    return plan
+
+
+class _Band(NamedTuple):
+    """The boundary-entered points of one kernel, for its whole march: the
+    points (i, j) whose characteristic enters through the data boundary
+    (the edge xi=0 where on_edge, for k11/k22, else the diagonal, which is
+    data, not marched) between rows i-1 and i, a thin band along it, packed
+    row by row, row i from bounds[i] to bounds[i+1]: their columns js, the
+    start data p0, the source coefficient cB at the start and the interp
+    index and weights (bidx, bw and 1 - bw) of the start on the boundary."""
+
+    on_edge: bool
+    bounds: list
+    js: np.ndarray
+    p0: np.ndarray
+    cB: np.ndarray
+    bidx: np.ndarray
+    bw: np.ndarray
+    bup: np.ndarray
+
+    def row(self, i: int) -> tuple:
+        """(js, p0, cB, bidx, bw, bup) of row i."""
+        s = slice(self.bounds[i], self.bounds[i + 1])
+        return self.js[s], self.p0[s], self.cB[s], self.bidx[s], self.bw[s], self.bup[s]
+
+
+def _band(which: str, gauge: DiagGauge) -> _Band:
+    """The _Band of kernel which over all rows.  A pre-pass over the
+    _row_blocks keeps only the band's points, those whose foot in row i-1
+    falls outside the kernel's domain: its invariant coordinate u (that of
+    _build_plan) fails u >= 0 for k11/k22, u <= phi_fa(x_{i-1}) + 1e-15
+    for k12/k21; then every start on the boundary is solved in one
+    vectorized call."""
+    grid, speeds = gauge.grid, gauge.speeds
+    n, h, nodes = grid.n, grid.h, grid.nodes
+    fx, fa = int(which[1]), int(which[2])
+    on_edge = fx == fa
+    phi, dphi = _node_phi(gauge)
+    pa, px, dpx = phi[fa - 1], phi[fx - 1], dphi[fx - 1]
+    bi, bj = [], []
+    for rows in _row_blocks(n):
+        r0, r1 = max(rows.start, 1), rows.stop
+        # the test on the rows' first r1 columns, then the points of the
+        # triangle, j <= i (j < i off the edge), among the few it keeps
+        if on_edge:
+            out = pa[:r1] - dpx[r0:r1, None] >= 0.0
+        else:
+            out = pa[:r1] + dpx[r0:r1, None] <= pa[r0 - 1:r1 - 1, None] + 1e-15
+        r, c = np.nonzero(np.logical_not(out, out=out))
+        r += r0
+        keep = c <= r if on_edge else c < r
+        bi.append(r[keep])
+        bj.append(c[keep])
+    bi, bj = np.concatenate(bi), np.concatenate(bj)
     if on_edge:
-        xstart = np.asarray(speeds.phi_inv_ext(fa, pa[bi] - pa[bj]), dtype=float)
+        xstart = speeds.phi_inv_ext(fa, pa[bi] - pa[bj])
         # a step ending on xi=0 starts at x_i, which phi^{-1}(phi(x_i)) misses
         xstart[bj == 0] = nodes[bi[bj == 0]]
         xi0 = p0 = np.zeros(bi.size)
     else:
-        xstart = np.asarray(speeds.psi_inv(px[bi] + pa[bj]), dtype=float)
+        xstart = speeds.psi_inv(px[bi] + pa[bj])
         xi0 = xstart
         p0 = _diag_data(gauge, fa, xstart)
-    cB = (nodes[bi] - xstart) * coef(lam(fx, xstart), xi0)
-    bidx, bw = _interp_setup(xstart, h, grid.n - 1)
-
-    bounds = np.searchsorted(bi, np.arange(blk.rows.start, blk.rows.stop + 1))
-    brows = [tuple(a[lo:hi] for a in (bj, p0, cB, bidx, bw))
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    return _MarchPlan(blk.rows.start, on_edge, fidx, fw, coefA, brows)
+    cB = (nodes[bi] - xstart) * _source(gauge, fa, speeds.speed(fx, xstart), xi0)
+    bidx, bw = _interp_setup(xstart, h, n - 1)
+    bounds = np.searchsorted(bi, np.arange(n + 2)).tolist()
+    return _Band(on_edge, bounds, bj, p0, cB, bidx, bw, 1.0 - bw)
 
 
-def _step_interior(plan: _MarchPlan, row: np.ndarray, prev_self: np.ndarray,
-                   prev_other: np.ndarray, i: int) -> None:
-    """Row i from row i-1 along each characteristic, boundary-entered points
-    too (_step_boundary overwrites them)."""
-    m = i + 1 if plan.on_edge else i
+def _step_interior(plan: _MarchPlan, row: np.ndarray, prev: np.ndarray, i: int) -> None:
+    """Row i of each planned kernel from row i-1 along its characteristics,
+    boundary-entered points too (_step_boundary overwrites them).  row and
+    prev hold rows i and i-1 of the pair (diagonal-entered kernel first):
+    each kernel reads itself and its partner at its own feet, one gather
+    of both rows for both kernels, and the diagonal-entered kernel writes
+    j < i, the edge-entered one j <= i."""
     lo = (i * (i + 1) - plan.r0 * (plan.r0 + 1)) // 2
-    seg = slice(lo, lo + m)
-    fid = plan.fidx[seg]
-    fwt = plan.fw[seg]
-    up = 1.0 - fwt
-    row[:m] = (prev_self[fid] * up + prev_self[fid + 1] * fwt
-               + plan.coefA[seg] * (prev_other[fid] * up + prev_other[fid + 1] * fwt))
+    seg = slice(lo, lo + i + 1)
+    fid = plan.fidx[:, seg]
+    v = prev.take(fid, axis=1)      # v[s, t]: kernel s of row i-1 at the feet of kernel t
+    v *= plan.up[:, seg]
+    w = prev[:, 1:].take(fid, axis=1)
+    w *= plan.fw[:, seg]
+    v += w
+    coefA = plan.coefA[:, seg]
+    np.add(v[0, 0, :i], coefA[0, :i] * v[1, 0, :i], out=row[0, :i])
+    if len(fid) == 2:
+        np.add(v[1, 1], coefA[1] * v[0, 1], out=row[1, :i + 1])
 
 
-def _step_boundary(plan: _MarchPlan, row: np.ndarray, edge: np.ndarray, i: int) -> None:
+def _step_boundary(band: _Band, row: np.ndarray, edge: np.ndarray, i: int) -> None:
     """Row i at the points whose characteristic enters through the data boundary."""
-    js, p0, cB, bidx, bw = plan.brows[i - plan.r0]
+    js, p0, cB, bidx, bw, bup = band.row(i)
     if js.size:
-        row[js] = p0 + cB * (edge[bidx] * (1.0 - bw) + edge[bidx + 1] * bw)
+        row[js] = p0 + cB * (edge[bidx] * bup + edge[1:][bidx] * bw)
 
 
 # Each pair as (diagonal-entered kernel, edge-entered kernel).
@@ -264,14 +342,16 @@ def _march_pair(pair: str, gauge: DiagGauge, coupled: bool = True):
     edge-entered kernel, new arrays of len(rows) x (n+1) floats, zero above
     the diagonal.
 
-    Plans are built one block at a time.  In each row both interior steps
-    come first; then the diagonal-entered kernel's boundary points read the
-    partner's diagonal, and the edge-entered kernel's the partner's edge
-    xi=0, complete with its entry (i, 0): each row in dependency order, so
-    the one pass is the exact fixed point of the discrete scheme.  A block
-    with a marched entry that is not finite raises DomainError naming the
-    kernel of its first such row, the diagonal-entered one where both rows
-    have one, as a check of each row in turn would; _gauge checks n >= 4.
+    The _Band of each kernel is built once, before the first block, and
+    the plans one block at a time.  In each row both interior steps come
+    first, in one _step_interior; then the diagonal-entered kernel's
+    boundary points read the partner's diagonal, and the edge-entered
+    kernel's the partner's edge xi=0, complete with its entry (i, 0): each
+    row in dependency order, so the one pass is the exact fixed point of
+    the discrete scheme.  A block with a marched entry that is not finite
+    raises DomainError naming the kernel of its first such row, the
+    diagonal-entered one where both rows have one, as a check of each row
+    in turn would; _gauge checks n >= 4.
 
     Not coupled (the trace pair of an _uncoupled system) the edge-entered
     kernel, k22, is not planned or stepped: every source of it is the
@@ -285,24 +365,25 @@ def _march_pair(pair: str, gauge: DiagGauge, coupled: bool = True):
     edge = np.zeros(n + 1)      # the edge xi=0 of wd, read by we's boundary points
     edge[0] = data[0]
     last = np.zeros((2, n + 1))     # the row of (wd, we) before the block
+    bd = _band(names[0], gauge)
+    be = _band(names[1], gauge) if coupled else None
+    planned = names if coupled else names[:1]
     for rows, blk in zip(_row_blocks(n), _blocks(gauge)):
         P = np.zeros((2, len(rows) + 1, n + 1))     # P[:, k + 1] is row rows.start + k
         P[:, 0] = last
         r = np.arange(rows.start, rows.stop)
         P[0, r - rows.start + 1, r] = data[r]
-        pd = _build_plan(names[0], gauge, blk)
-        pe = _build_plan(names[1], gauge, blk) if coupled else None
+        plan = _block_plan(planned, gauge, blk)
         for i in blk.rows:
-            (rd, re), (prev_d, prev_e) = P[:, i - rows.start + 1], P[:, i - rows.start]
-            _step_interior(pd, rd, prev_d, prev_e, i)
+            row = P[:, i - rows.start + 1]
+            _step_interior(plan, row, P[:, i - rows.start], i)
             if coupled:
-                _step_interior(pe, re, prev_e, prev_d, i)
-                diag[i] = re[i]
-            _step_boundary(pd, rd, diag, i)
+                diag[i] = row[1, i]
+            _step_boundary(bd, row[0], diag, i)
             if coupled:
-                edge[i] = rd[0]
-                _step_boundary(pe, re, edge, i)
-        del pd, pe                  # before the block is read
+                edge[i] = row[0, 0]
+                _step_boundary(be, row[1], edge, i)
+        del plan                    # before the block is read
         marched = P[:, blk.rows.start - rows.start + 1:]
         bad = np.flatnonzero(~np.isfinite(marched).all(axis=2).T)   # row by row
         if bad.size:
@@ -409,23 +490,29 @@ _NAMES = ("k11", "k12", "k21", "k22")
 
 
 def _kernel_blocks(gauge: DiagGauge, P22):
-    """The one checked kernel stream: yields (rows, (k11, k12, k21, k22)) for
-    each of the _row_blocks in turn, the block's rows of the four kernels,
-    new arrays, and raises the first error it meets.
+    """The one checked kernel stream: yields (rows, (k11, k12, k21), p22) for
+    each of the _row_blocks in turn, the block's rows of the first three
+    kernels, new arrays, and of the p-form of k22, lambda2(xi) k22, which
+    each sink divides once, and raises the first error it meets.
 
     At each block it steps the gains march (_zero_gains where P22 is None,
     the _uncoupled system) through the block, then _trace_blocks(gauge, P22),
-    which runs a block ahead, and last divides each kernel's p-form by
-    lambda_fa(xi), k21's column 0 its trace edge, and checks k11, k12, k21
-    and k22 of the block in turn.
+    which runs a block ahead, and last divides each of the first three
+    kernels' p-form by lambda_fa(xi), k21's column 0 its trace edge, and
+    checks k11, k12, k21 and k22 of the block in turn.  k22's quotient is
+    checked without forming it: p22 is finite (the march checks it) and
+    lambda2 > 0, so a quotient overflows exactly where that of the largest
+    |p22| of its column does, division being monotone.
     """
     lam1, lam2 = gauge.lam
     gains = (_march_pair("gains", gauge) if P22 is not None
              else _zero_gains(gauge, _row_blocks(gauge.grid.n)))
     for (_, p12, p11), (rows, p21, p22, edge) in zip(gains, _trace_blocks(gauge, P22)):
-        k = (p11 / lam1, p12 / lam2, p21 / lam1, p22 / lam2)
+        k = (p11 / lam1, p12 / lam2, p21 / lam1)
         k[2][:, 0] = edge / lam1[0]
-        yield rows, tuple(_finite(f"kernel {w}", kw) for w, kw in zip(_NAMES, k))
+        k = tuple(_finite(f"kernel {w}", kw) for w, kw in zip(_NAMES, k))
+        _finite("kernel k22", np.abs(p22).max(axis=0, initial=0.0) / lam2)
+        yield rows, k, p22
 
 
 def _overflow(name: str) -> DomainError:
@@ -484,10 +571,10 @@ def solve_kernels(system: SystemSpec, grid: Grid) -> KernelSet:
     # k22 doubles as P22, whose rows the trace paths of later blocks read:
     # it stays in p-form until the stream ends
     P22 = K["k22"] if coupled else None
-    for rows, k in _kernel_blocks(gauge, P22):
-        for w, kw in zip(_NAMES[:3], k):
+    for rows, k, _ in _kernel_blocks(gauge, P22):
+        for w, kw in zip(_NAMES, k):
             K[w][rows.start:rows.stop] = kw
-    K["k22"] /= gauge.lam[1]        # as the stream divides and checks it
+    K["k22"] /= gauge.lam[1]        # checked by the stream
     return KernelSet(grid=grid, **K, g=_g(K["k21"][:, 0], gauge),
                      gains=_gains(K["k11"][-1], K["k12"][-1], gauge))
 
@@ -532,16 +619,19 @@ def solve_kernels_bytes(system: SystemSpec, n: int, kept: int) -> int:
     (n+1) <= max(BLOCK_POINTS, n + 1) points hold at most the triangle's
     (n+1)(n+2)/2 planned points, plus the few blocks of kernel rows it holds
     (the march's, the one _trace_blocks holds back and the reader's), or
-    the block's trace paths: 1.73 MB beside k22 at n = 800 under
-    tracemalloc for a coupled solve_trace (6.86 MB against a bound of
-    7.47 MB).  The bound keeps 32 floats a point, six temporaries of the
-    system's speed table and 4 KB for the band tuples of each marched row
-    of the block.
+    the block's trace paths, and the _Band of each kernel marched, built
+    once per march: 1.80 MB beside k22 at n = 800 under tracemalloc for a
+    coupled solve_trace (6.93 MB against a bound of 8.61 MB).  The bound
+    keeps 32 floats a point, 17 arrays of the system's speed table (six
+    temporaries, and the inverse tables of the speeds with those they are
+    built from, which the first inverse of a SpeedPair builds, in the
+    solve where nothing else inverted before) and 1 KB a row for the bands
+    of the four kernels, each a few points a row of 48 bytes and a row
+    bound.
     """
-    rows = min(n, max(1, BLOCK_POINTS // (n + 1)))
     points = min(max(BLOCK_POINTS, n + 1), (n + 1) * (n + 2) // 2)
     table = system.speeds.table_nodes.size
-    return 8 * (kept * (n + 1) ** 2 + 32 * points + 6 * table) + 4096 * rows
+    return 8 * (kept * (n + 1) ** 2 + 32 * points + 17 * table) + 1024 * (n + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -568,9 +658,9 @@ def write_kernels_csv(system: SystemSpec, grid: Grid, path) -> tuple:
     edge = np.empty(n + 1)      # k21(x_i, 0), filled block by block
     with open(path, "w", newline="") as fh:
         fh.write(csv_header(["x", "xi", *_NAMES]))
-        for rows, k in _kernel_blocks(gauge, P22):
+        for rows, k, p22 in _kernel_blocks(gauge, P22):
             edge[rows.start:rows.stop] = k[2][:, 0]
-            fh.write(csv_triangle(text, rows, k))
+            fh.write(csv_triangle(text, rows, (*k, p22 / gauge.lam[1])))
     return _g(edge, gauge), _gains(k[0][-1], k[1][-1], gauge)
 
 

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypmin import CoefficientSpec, SpeedPair
+from hypmin import CoefficientSpec, SpeedPair, characteristics
 from hypmin.errors import InvalidSpeedsError
 
 LN2 = math.log(2.0)
@@ -221,3 +223,115 @@ class TestEntryExit:
         rhs = entry_exit(varying_speeds, 1, s, 0.0)[0] < t - 1e-9
         mid = abs(s - entry_exit(varying_speeds, 1, t, 1.0)[1]) <= 2e-9
         assert lhs == rhs or mid
+
+
+def reference_cell_inv(nodes, tab, wtab, v):
+    """The inverse as it was before the SpeedPair held its tables: each call
+    scales the weights and takes their slope term, and binary searches
+    every cell."""
+    T = tab[-1]
+    scale = np.ldexp(1.0, -int(np.frexp(wtab.max())[1]))
+    ws = wtab * scale
+    x = np.clip(v, 0.0, T).reshape(-1)
+    k = np.searchsorted(tab[1:-1], x, side="right")
+    x -= tab[k]
+    x *= scale
+    wk = ws[k]
+    w = x * (np.diff(ws) * (2.0 / (nodes[1] - nodes[0])))[k]
+    w += wk * wk
+    np.sqrt(w, out=w)
+    w += wk
+    x /= w
+    x *= 2.0
+    x += nodes[k]
+    x += np.minimum(v, 0.0).reshape(-1) / wtab[0]
+    x += np.maximum(v - T, 0.0).reshape(-1) / wtab[-1]
+    return x.reshape(np.shape(v))
+
+
+def varied_speed(sign, kind, a, ratio, where):
+    """A speed of the given sign and kind, |lambda| between a and a * ratio."""
+    if kind == "constant":
+        return CoefficientSpec.constant(sign * a)
+    if kind == "linear":
+        return CoefficientSpec.polynomial([sign * a, sign * a * (ratio - 1.0)])
+    if kind == "polynomial":        # a at 0 and 1, a * ratio at 1/2
+        return CoefficientSpec.polynomial([sign * a, sign * 4 * a * (ratio - 1.0),
+                                           -sign * 4 * a * (ratio - 1.0)])
+    return CoefficientSpec.sampled([0.0, where, 1.0], [sign * a, sign * a * ratio, sign * a])
+
+
+_SPEED = st.tuples(st.sampled_from(["constant", "linear", "polynomial", "sampled"]),
+                   st.floats(0.2, 5.0), st.floats(1.0, 1e3), st.floats(0.05, 0.95))
+
+
+def lookup_values(tab):
+    """The values where a cell lookup can go wrong: every table value and
+    its neighbours one ulp away, 0, -0.0 and T, values beyond [0, T], +-inf
+    and NaN, in an order of their own."""
+    T = tab[-1]
+    v = np.concatenate([tab, np.nextafter(tab, np.inf), np.nextafter(tab, -np.inf),
+                        [0.0, -0.0, T, -1e-300, -T, 2.0 * T, np.inf, -np.inf, np.nan]])
+    return np.random.default_rng(0).permutation(v)
+
+
+class TestCellLookup:
+    @settings(max_examples=40, deadline=None)
+    @example(lam1=("constant", 1.0, 1.0, 0.5), lam2=("constant", 1.0, 1.0, 0.5), table_n=16)
+    @example(lam1=("sampled", 1.0, 1e3, 0.3), lam2=("linear", 0.5, 1e3, 0.5), table_n=333)
+    @example(lam1=("polynomial", 2.0, 1e3, 0.5), lam2=("sampled", 0.2, 1e3, 0.9),
+             table_n=4096)
+    @given(lam1=_SPEED, lam2=_SPEED, table_n=st.sampled_from([16, 333, 4096]))
+    def test_cells_and_inverses_keep_bits(self, lam1, lam2, table_n):
+        # the bucket lookup finds the cell binary search finds, and every
+        # inverse is bitwise the one that rebuilt its tables on each call,
+        # with no warning, on speeds whose weights vary up to 1e3-fold
+        speeds = SpeedPair.build(varied_speed(-1.0, *lam1), varied_speed(1.0, *lam2),
+                                 table_n=table_n)
+        nodes = speeds.table_nodes
+        tables = [(speeds.phi1_table, speeds.w1), (speeds.phi2_table, speeds.w2),
+                  (speeds.phi1_table + speeds.phi2_table, speeds.w1 + speeds.w2)]
+        invert = [lambda v: speeds.phi_inv_ext(1, v), lambda v: speeds.phi_inv_ext(2, v),
+                  speeds.psi_inv]
+        for inv, (tab, w), f in zip(speeds.inverses, tables, invert):
+            v = lookup_values(tab)
+            x = np.clip(v[~np.isnan(v)], 0.0, tab[-1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cells = characteristics._cell(inv, x)
+                got = f(v)
+                scalars = [f(float(s)) for s in v[:5]]
+            assert np.array_equal(cells, np.searchsorted(tab[1:-1], x, side="right"))
+            assert got.tobytes() == reference_cell_inv(nodes, tab, w, v).tobytes()
+            assert np.array(scalars).tobytes() == got[:5].tobytes()
+
+    def test_crowded_buckets_are_searched(self):
+        # weights 1000-fold apart crowd many short cells into one bucket,
+        # more than the walk steps through: those points are binary searched
+        speeds = SpeedPair.build(varied_speed(-1.0, "sampled", 1.0, 1e3, 0.3),
+                                 varied_speed(1.0, "linear", 0.5, 1e3, 0.5), table_n=333)
+        assert all(inv.most > characteristics._WALK for inv in speeds.inverses)
+        for inv in speeds.inverses:
+            x = np.clip(lookup_values(inv.tab), 0.0, inv.tab[-1])
+            x = x[~np.isnan(x)]
+            assert np.array_equal(characteristics._cell(inv, x),
+                                  np.searchsorted(inv.tab[1:-1], x, side="right"))
+
+    @pytest.mark.parametrize("inverse", ["phi1", "phi2", "psi"])
+    def test_inverse_builds_no_table(self, varying_speeds, inverse):
+        # the tables of every inverse are built with the SpeedPair: a call
+        # on 16 points allocates less than one table of 16385 nodes
+        speeds = SpeedPair.build(varying_speeds.lambda1, varying_speeds.lambda2,
+                                 table_n=16384)
+        f = {"phi1": lambda v: speeds.phi_inv_ext(1, v),
+             "phi2": lambda v: speeds.phi_inv_ext(2, v), "psi": speeds.psi_inv}[inverse]
+        v = np.linspace(-0.1, 1.5, 16)
+        f(v)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f(v)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < speeds.table_nodes.nbytes

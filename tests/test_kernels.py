@@ -16,8 +16,8 @@ from hypmin import (CoefficientSpec, Grid, SpeedPair, diag_removal, kernels,
 from hypmin.cli import run_cli
 from hypmin.coeffs import prefix_of_samples
 from hypmin.errors import DomainError, PreconditionError
-from hypmin.kernels import (_blocks, _build_plan, _step_interior, solve_kernels_bytes,
-                            write_kernels_csv, write_kernels_csv_bytes)
+from hypmin.kernels import (_blocks, _step_interior, solve_kernels_bytes, write_kernels_csv,
+                            write_kernels_csv_bytes)
 from hypmin.system import export_profile_csv
 
 from conftest import const, make_system, reference_kernels_csv
@@ -267,10 +267,10 @@ class TestSolveKernels:
         grid = Grid.uniform(100)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0), unit_speeds, grid)
         for blk in _blocks(gauge):
-            plan = _build_plan(which, gauge, blk)
+            plan = kernels._block_plan([which], gauge, blk)
             assert ((plan.fw >= 0.0) & (plan.fw <= 1.0)).all()
-            for bw in (r[4] for r in plan.brows):
-                assert ((bw >= 0.0) & (bw <= 1.0)).all()
+        bw = kernels._band(which, gauge).bw
+        assert bw.size and ((bw >= 0.0) & (bw <= 1.0)).all()
 
     @pytest.mark.parametrize("entry,which", [("gains", "k12"), ("trace", "k21")])
     def test_zero_b_large_c_still_overflows(self, entry, which, recwarn):
@@ -359,21 +359,29 @@ class TestSolveKernels:
         # stepping a row linear in xi yields, at (x_i, x_j), the foot in row
         # i-1 of the characteristic through that point: its invariant is the
         # one at (x_i, x_j); blocks of at most 60 points split the triangle
-        # into blocks of a few rows, the last one ragged
+        # into blocks of a few rows, the last one ragged.  The pair's plan
+        # steps both kernels at once: which reads its own row, linear in
+        # xi, and its partner's, zero
         n = 24
         grid = Grid.uniform(n)
         gauge = diag_removal(const(0.0), const(1.0), const(1.0), const(0.0),
                              varying_speeds, grid)
         monkeypatch.setattr(kernels, "BLOCK_POINTS", 60)
+        pair = next(p for p in kernels._PAIRS.values() if which in p)
+        t = pair.index(which)
+        prev = np.zeros((2, n + 1))
+        prev[t] = grid.nodes
         feet = np.zeros((n + 1, n + 1))
         points = 0
         for blk in _blocks(gauge):
-            plan = _build_plan(which, gauge, blk)
-            assert plan.fidx.size == plan.fw.size == plan.coefA.size == blk.ii.size
+            plan = kernels._block_plan(pair, gauge, blk)
+            assert plan.fidx.shape == plan.fw.shape == plan.coefA.shape == (2, blk.ii.size)
             points += blk.ii.size
             for i in blk.rows:
                 if i >= 2:
-                    _step_interior(plan, feet[i], grid.nodes, np.zeros(n + 1), i)
+                    row = np.zeros((2, n + 1))
+                    _step_interior(plan, row, prev, i)
+                    feet[i] = row[t]
         assert points == (n + 1) * (n + 2) // 2 - 1       # every row but row 0
         p1 = lambda x: varying_speeds.phi_eval(1, x)
         p2 = lambda x: varying_speeds.phi_eval(2, x)
@@ -805,20 +813,25 @@ class TestSharedPlanGeometry:
         fidx, fw, coefA, brows, diag_data, _ = reference_build_plan(which, speeds, gauge, grid)
         assert np.count_nonzero(coefA) > coefA.size // 4
         assert sum(len(r[0]) for r in brows) >= n
+        # the band of the whole march, row by row
+        band = kernels._band(which, gauge)
+        assert band.on_edge == (diag_data is None) and len(band.bounds) == n + 2
+        for i in range(n + 1):
+            got, want = band.row(i), brows[i]
+            assert got[3].dtype == np.intp and np.array_equal(got[3], want[3])
+            for k in (0, 1, 2, 4):
+                assert got[k].tobytes() == want[k].tobytes()
+            assert got[5].tobytes() == (1.0 - want[4]).tobytes()
         blocks = 0
         for blk in _blocks(gauge):
-            plan = _build_plan(which, gauge, blk)
+            plan = kernels._block_plan([which], gauge, blk)
             r0, r1 = blk.rows.start, blk.rows.stop
             seg = slice(r0 * (r0 + 1) // 2, r1 * (r1 + 1) // 2)
-            assert plan.r0 == r0 and plan.on_edge == (diag_data is None)
-            assert plan.fidx.dtype == np.intp and np.array_equal(plan.fidx, fidx[seg])
-            assert plan.fw.tobytes() == fw[seg].tobytes()
-            assert plan.coefA.tobytes() == coefA[seg].tobytes()
-            assert len(plan.brows) == r1 - r0
-            for got, want in zip(plan.brows, brows[r0:r1]):
-                assert got[3].dtype == np.intp and np.array_equal(got[3], want[3])
-                for k in (0, 1, 2, 4):
-                    assert got[k].tobytes() == want[k].tobytes()
+            assert plan.r0 == r0 and plan.fidx.shape == (1, seg.stop - seg.start)
+            assert plan.fidx.dtype == np.intp and np.array_equal(plan.fidx[0], fidx[seg])
+            assert plan.fw[0].tobytes() == fw[seg].tobytes()
+            assert plan.up[0].tobytes() == (1.0 - fw[seg]).tobytes()
+            assert plan.coefA[0].tobytes() == coefA[seg].tobytes()
             blocks += 1
         assert blocks > 3
 

@@ -155,7 +155,7 @@ def test_compare_outputs_lists_stderr(tmp_path):
                and "| 'error: every kernel solve needs" in line for line in listed[:-1])
 
 
-def test_compare_outputs_grid_n(tmp_path):
+def test_compare_outputs_grid_n(tmp_path, capsys, monkeypatch):
     # grid_n 4 is refused, so only the five commands that need no times.json
     # run on the config itself; with --grid-n 16 the three sharpness runs
     # follow, and the config file is left as it was.  A config of the same
@@ -178,6 +178,33 @@ def test_compare_outputs_grid_n(tmp_path):
     assert same.returncode == 0, same.stdout + same.stderr
     assert same.stdout == "0 difference(s) in 15 runs on 2 config(s)\n"
     assert json.loads(config.read_text()) == headline_raw(n=4)
+    # --grid-n given more than once (a repeat counts once): one set of
+    # copies per N, each in a directory of its own with its grid_n and
+    # listed under nN/, both trees on every set in one invocation; the
+    # runs are recorded here, not made
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  os.path.join(SCRIPTS, "compare_outputs.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = []
+
+    def record(tree, cases, work):
+        for case, path in cases:
+            with open(path) as fh:
+                text = fh.read()
+            seen.append((tree, case, os.path.dirname(path),
+                         json.loads(text).get("grid_n") if text != "[]" else text))
+        return {}
+
+    monkeypatch.setattr(script, "run_tree", record)
+    assert script.main([*trees, "--grid-n", "16", str(config), "--grid-n", "12",
+                        str(not_object), "--grid-n", "16"]) == 0
+    assert capsys.readouterr().out == "0 difference(s) in 0 runs on 4 config(s)\n"
+    for tree in trees:
+        cases = [(case, n) for t, case, _, n in seen if t == tree]
+        assert cases == [("n16/0-headline", 16), ("n16/1-headline", "[]"),
+                         ("n12/0-headline", 12), ("n12/1-headline", "[]")]
+    assert len({directory for *_, directory, _ in seen}) == 4
 
 
 def test_compare_outputs_refuses_missing_tree(tmp_path):
